@@ -1,0 +1,142 @@
+//! Golden digests: committed fingerprints of canonical campaign outputs.
+//!
+//! Each case runs a fixed campaign on the 4-vertex space over the three
+//! paper presets, strips only the wall-clock fields (`wall_ms`, `wall_us`)
+//! from its JSONL export, and compares the FNV-1a 64 digest of the rest
+//! with a committed constant. Two more digests pin the bytes of the 16
+//! `shard-NN.bin` files `save_sharded` writes from a campaign's cache, i.e.
+//! the v4 on-disk format including the cell-feature section.
+//!
+//! Campaigns run on one worker: with several, the order in which two
+//! labellings of one cell reach the shared cache can differ between runs,
+//! and their latencies differ (see "Known defects" in perfbench/README.md).
+//!
+//! A mismatch prints every actual digest. A change that moves results on
+//! purpose re-pins the affected constants in the same commit and says why.
+
+use std::sync::Arc;
+
+use codesign_core::{CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig};
+use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind, CACHE_SHARD_FILES};
+use codesign_nasbench::byteio::fnv1a64;
+use codesign_nasbench::{Json, NasbenchDatabase};
+
+/// (a) every strategy × seeds {0, 1}: the campaign's JSONL.
+const STRATEGY_GRID_JSONL: u64 = 0xa46e_efe4_99a6_94d3;
+/// (d) the shard files of (a)'s cache.
+const STRATEGY_GRID_SHARDS: u64 = 0x48e2_a5c6_fe8f_21a3;
+/// (b) combined + nsga, seed 0, `hv:0.5` reward shaping: the JSONL.
+const SHAPED_GRID_JSONL: u64 = 0x1866_97a5_0dcc_3719;
+/// (c) evolution + nsga, seed 0, `--surrogate 4:16`: the JSONL.
+const GUIDED_GRID_JSONL: u64 = 0x9297_6634_6f9c_87fd;
+/// (d) the shard files of (c)'s cache, cell features included.
+const GUIDED_GRID_SHARDS: u64 = 0x5064_04f7_d5da_aacb;
+
+const STEPS: usize = 64;
+const NSGA: StrategyKind = StrategyKind::Nsga { population: 16 };
+
+fn campaign(strategies: Vec<StrategyKind>, seeds: Vec<u64>) -> Campaign {
+    Campaign::new(CodesignSpace::with_max_vertices(4))
+        .scenarios(ScenarioSpec::paper_presets())
+        .strategies(strategies)
+        .seeds(seeds)
+        .steps(STEPS)
+}
+
+/// Runs `campaign` on one worker into a fresh cache. Returns the digest
+/// of its JSONL export without the wall-clock fields, and the cache.
+fn run(campaign: &Campaign, db: &Arc<NasbenchDatabase>) -> (u64, Arc<SharedEvalCache>) {
+    let cache = Arc::new(SharedEvalCache::new());
+    let report = ShardedDriver::new(1)
+        .with_cache(Arc::clone(&cache))
+        .run(campaign, db);
+    let mut jsonl = Vec::new();
+    report.write_jsonl(&mut jsonl).expect("write jsonl");
+    let mut stripped = String::new();
+    for line in String::from_utf8(jsonl).expect("utf-8 jsonl").lines() {
+        let mut record = Json::parse(line).expect("jsonl line parses");
+        if let Json::Obj(fields) = &mut record {
+            fields.retain(|(key, _)| key != "wall_ms" && key != "wall_us");
+        }
+        stripped.push_str(&record.to_string());
+        stripped.push('\n');
+    }
+    (fnv1a64(stripped.as_bytes()), cache)
+}
+
+/// Digest of the shard files `save_sharded` writes from `cache`, read in
+/// file-name order.
+fn shard_files_digest(cache: &SharedEvalCache, salt: u64, tag: &str) -> u64 {
+    let dir = std::env::temp_dir().join(format!("codesign_golden_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    cache.save_sharded(&dir, salt).expect("save_sharded");
+    let mut bytes = Vec::new();
+    for index in 0..CACHE_SHARD_FILES {
+        let name = format!("shard-{index:02}.bin");
+        bytes.extend(std::fs::read(dir.join(name)).expect("read shard file"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    fnv1a64(&bytes)
+}
+
+/// Asserts every `(case, actual, expected)` digest, printing each
+/// mismatch first so one run shows all the digests that moved.
+fn check(digests: &[(&str, u64, u64)]) {
+    let mut mismatches = 0;
+    for &(case, actual, expected) in digests {
+        if actual != expected {
+            eprintln!("golden {case}: expected {expected:#018x}, actual {actual:#018x}");
+            mismatches += 1;
+        }
+    }
+    assert_eq!(mismatches, 0, "{mismatches} golden digest(s) moved");
+}
+
+#[test]
+fn strategy_grid_and_its_shard_files() {
+    let db = Arc::new(NasbenchDatabase::exhaustive(4));
+    let strategies = vec![
+        StrategyKind::Separate,
+        StrategyKind::Combined,
+        StrategyKind::Phase,
+        StrategyKind::Random,
+        StrategyKind::Evolution,
+        NSGA,
+    ];
+    let (jsonl, cache) = run(&campaign(strategies, vec![0, 1]), &db);
+    let shards = shard_files_digest(&cache, db.fingerprint(), "strategy");
+    check(&[
+        ("strategy-grid jsonl", jsonl, STRATEGY_GRID_JSONL),
+        ("strategy-grid shard files", shards, STRATEGY_GRID_SHARDS),
+    ]);
+}
+
+#[test]
+fn shaped_grid() {
+    let db = Arc::new(NasbenchDatabase::exhaustive(4));
+    let shaped = campaign(vec![StrategyKind::Combined, NSGA], vec![0])
+        .with_reward_shaping(RewardShaping::HypervolumeGradient { weight: 0.5 });
+    let (jsonl, _) = run(&shaped, &db);
+    check(&[("shaped-grid jsonl", jsonl, SHAPED_GRID_JSONL)]);
+}
+
+#[test]
+fn guided_grid_and_its_shard_files() {
+    let db = Arc::new(NasbenchDatabase::exhaustive(4));
+    let guided = campaign(vec![StrategyKind::Evolution, NSGA], vec![0]).with_surrogate(Some(
+        SurrogateConfig {
+            overproduce: 4,
+            retrain: 16,
+        },
+    ));
+    let (jsonl, cache) = run(&guided, &db);
+    assert!(
+        cache.feature_len() > 0,
+        "guided caches record cell features"
+    );
+    let shards = shard_files_digest(&cache, db.fingerprint(), "guided");
+    check(&[
+        ("guided-grid jsonl", jsonl, GUIDED_GRID_JSONL),
+        ("guided-grid shard files", shards, GUIDED_GRID_SHARDS),
+    ]);
+}
