@@ -127,23 +127,12 @@ fn main() {
         reloaded.len(),
         persisted.len()
     );
-    // The same blob through the mmap path (`campaign --cache-mmap`): bytes
-    // come straight off the page cache instead of a buffered read.
-    let mmap_path = std::env::temp_dir().join(format!("campaign_bench_{}.bin", std::process::id()));
-    std::fs::write(&mmap_path, &persisted).expect("write mmap blob");
-    let t0 = Instant::now();
-    let mapped = SharedEvalCache::load_from_path_mmap(&mmap_path, salt).expect("mmap reload");
-    let mmap_load_us = t0.elapsed().as_secs_f64() * 1e6;
-    assert_eq!(mapped.len(), reloaded.len(), "mmap load must be lossless");
-    let _ = std::fs::remove_file(&mmap_path);
-    println!("bench: persisted cache mmap reload in {mmap_load_us:.0} us");
     entries.push((
         "persisted-cache".into(),
         Json::obj(vec![
             ("entries", Json::Num(reloaded.len() as f64)),
             ("bytes", Json::Num(persisted.len() as f64)),
             ("load_us", Json::Num(load_us)),
-            ("mmap_load_us", Json::Num(mmap_load_us)),
             ("load_ms", Json::Num(load_ms)),
         ]),
     ));
@@ -156,8 +145,7 @@ fn main() {
     }));
 
     // Format scaling: synthetic caches at 10^5 and 10^6 entries, saved and
-    // reloaded in both the legacy v2 JSON and the v3 binary format — the
-    // numbers behind the v3 migration (load speedup and size ratio).
+    // reloaded as one v4 document.
     let space = codesign_accel::ConfigSpace::chaidnn();
     let mut scale_entries: Vec<Json> = Vec::new();
     for &n in &[100_000usize, 1_000_000] {
@@ -181,47 +169,30 @@ fn main() {
             }
         }
 
-        let mut format_entries: Vec<(&str, Json)> = Vec::new();
-        let mut measured: Vec<(&str, usize, f64)> = Vec::new(); // (format, bytes, load_us)
-        for format in ["json", "binary"] {
-            let mut blob = Vec::new();
-            let t0 = Instant::now();
-            match format {
-                "json" => cache.save_json(&mut blob, salt).expect("serialize"),
-                _ => cache.save(&mut blob, salt).expect("serialize"),
-            }
-            let save_us = t0.elapsed().as_secs_f64() * 1e6;
-            let t0 = Instant::now();
-            let back = match format {
-                "json" => SharedEvalCache::load_json(blob.as_slice(), salt).expect("reload"),
-                _ => SharedEvalCache::load(blob.as_slice(), salt).expect("reload"),
-            };
-            let load_us = t0.elapsed().as_secs_f64() * 1e6;
-            assert_eq!(back.len(), cache.len(), "lossy {format} round trip");
-            println!(
-                "bench: scale {n:>9} x {format:<6} {:>11} bytes  save {save_us:>10.0} us  \
-                 load {load_us:>10.0} us",
-                blob.len()
-            );
-            measured.push((format, blob.len(), load_us));
-            format_entries.push((
-                format,
+        let mut blob = Vec::new();
+        let t0 = Instant::now();
+        cache.save(&mut blob, salt).expect("serialize");
+        let save_us = t0.elapsed().as_secs_f64() * 1e6;
+        let t0 = Instant::now();
+        let back = SharedEvalCache::load(blob.as_slice(), salt).expect("reload");
+        let load_us = t0.elapsed().as_secs_f64() * 1e6;
+        assert_eq!(back.len(), cache.len(), "lossy round trip");
+        println!(
+            "bench: scale {n:>9} x binary {:>11} bytes  save {save_us:>10.0} us  \
+             load {load_us:>10.0} us",
+            blob.len()
+        );
+        scale_entries.push(Json::obj(vec![
+            ("entries", Json::Num(n as f64)),
+            (
+                "binary",
                 Json::obj(vec![
                     ("bytes", Json::Num(blob.len() as f64)),
                     ("save_us", Json::Num(save_us)),
                     ("load_us", Json::Num(load_us)),
                 ]),
-            ));
-        }
-        let (json_bytes, json_load) = (measured[0].1 as f64, measured[0].2);
-        let (bin_bytes, bin_load) = (measured[1].1 as f64, measured[1].2);
-        let (speedup, ratio) = (json_load / bin_load, json_bytes / bin_bytes);
-        println!("bench: scale {n:>9} binary load {speedup:.1}x faster, files {ratio:.1}x smaller");
-        let mut entry = vec![("entries", Json::Num(n as f64))];
-        entry.extend(format_entries);
-        entry.push(("load_speedup", Json::Num(speedup)));
-        entry.push(("size_ratio", Json::Num(ratio)));
-        scale_entries.push(Json::obj(entry));
+            ),
+        ]));
     }
     entries.push(("persisted-cache-scale".into(), Json::Arr(scale_entries)));
 

@@ -7,17 +7,17 @@
 //! Scenario names flow into the JSONL/CSV exports and into the persisted
 //! cache's provenance.
 //!
-//! With `--cache-path`, the evaluation cache persists across invocations:
-//! the first run computes and saves, later runs warm-start from the file
-//! and report how many lookups the previous runs already paid for. The
-//! file is salted with the database fingerprint, so a cache built against
-//! a different `--max-vertices` (or database build) is rejected, not
-//! silently reused. `--cache-format binary|json|sharded` picks the
-//! persistence layout (default: inferred from the path — `.json` keeps
-//! the legacy v2 JSON document, a `.d` suffix or existing directory means
-//! a sharded `shard-NN.bin` directory, anything else is the v4 binary
-//! format). `--cache-migrate OLD.json NEW` converts a legacy v2 JSON
-//! cache to v4 (single file, or sharded when NEW ends in `.d`) and exits.
+//! With `--cache-path DIR`, the evaluation cache persists across
+//! invocations as a directory of 16 v4 `shard-NN.bin` files: the first run
+//! computes and saves, later runs warm-start from the directory and report
+//! how many lookups the previous runs already paid for. Saves merge with
+//! what is on disk under per-shard file locks, so several processes may
+//! share one directory. The files are salted with the database
+//! fingerprint: a cache built against a different `--max-vertices` (or
+//! database build) exits with code 2 instead of being silently reused, and
+//! so do a corrupt shard and a `--cache-path` that names a regular file. A
+//! directory written by an older format version cold-starts and is
+//! rewritten in the current one.
 //!
 //! Scenarios with auto-ranged normalizations (`"norm": "auto"` in a file,
 //! `norm=acc:auto` in the compact grammar) are resolved from a
@@ -61,8 +61,7 @@
 //!       `[--population P] [--generations G] [--reward-shaping hv:W]`
 //!       `[--surrogate k:R]`
 //!       `[--seed-base S] [--no-cache] [--backend atomic|work-stealing]`
-//!       `[--cache-path FILE|DIR.d] [--cache-format binary|json|sharded]`
-//!       `[--cache-capacity N] [--cache-mmap] [--cache-migrate OLD.json NEW]`
+//!       `[--cache-path DIR] [--cache-capacity N]`
 //!       `[--calibrate] [--probe-steps N] [--probe-samples N]`
 //!       `[--trace-out FILE] [--metrics-out FILE] [--progress]`
 //!
@@ -80,7 +79,7 @@
 //!
 //! ```text
 //! campaign serve --stdio [--max-vertices V] [--workers W]
-//!                [--queue-capacity N] [--cache-path P] [--cache-mmap]
+//!                [--queue-capacity N] [--cache-path DIR]
 //!                [--cache-sync-secs S] ...
 //! campaign serve --listen /tmp/campaign.sock ...
 //! campaign submit --connect /tmp/campaign.sock [--scenario S]
@@ -88,7 +87,7 @@
 //! ```
 //!
 //! Every job warm-starts from the previous jobs' evaluations. With
-//! `--cache-path DIR.d`, saves go through merge-on-save (`flock` +
+//! `--cache-path DIR`, saves go through merge-on-save (`flock` +
 //! `merge_bytes` + atomic rename), so a fleet of processes sharing one
 //! cache directory produces the union of their entries;
 //! `--cache-sync-secs S` re-merges periodically while serving. SIGINT or
@@ -103,7 +102,8 @@ use codesign_core::{
     probe_pair_evaluations, CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig,
 };
 use codesign_engine::{
-    backend_from_name, Campaign, CancelToken, ShardedDriver, SharedEvalCache, StrategyKind,
+    backend_from_name, CacheLoadError, Campaign, CancelToken, ShardedDriver, SharedEvalCache,
+    StrategyKind, CACHE_VERSION,
 };
 use codesign_nasbench::{Dataset, NasbenchDatabase};
 
@@ -111,97 +111,35 @@ use codesign_nasbench::{Dataset, NasbenchDatabase};
 /// extremes do not saturate at exactly 0 or 1.
 const AUTO_NORM_PAD: f64 = 0.05;
 
-/// How the evaluation cache persists across invocations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CacheFormat {
-    /// One v4 binary file (the default).
-    Binary,
-    /// One legacy v2 JSON document.
-    Json,
-    /// A directory of `shard-NN.bin` v4 files.
-    Sharded,
+/// Flags of earlier releases that chose among cache layouts. The cache is
+/// now always one directory, so each is rejected with a pointer to it.
+const REMOVED_CACHE_FLAGS: [&str; 3] = ["--cache-format", "--cache-mmap", "--cache-migrate"];
+
+/// Prints `message` and exits with the usage-error code 2.
+fn exit_usage(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
-impl CacheFormat {
-    /// Resolves `--cache-format`; with no explicit flag, the path decides:
-    /// `.json` keeps the legacy document, a `.d` suffix or an existing
-    /// directory means sharded, anything else is the v4 binary file.
-    fn resolve(flag: &str, path: &str) -> Result<Self, String> {
-        match flag {
-            "binary" => Ok(CacheFormat::Binary),
-            "json" => Ok(CacheFormat::Json),
-            "sharded" => Ok(CacheFormat::Sharded),
-            "" => {
-                if path.ends_with(".d") || std::path::Path::new(path).is_dir() {
-                    Ok(CacheFormat::Sharded)
-                } else if path.ends_with(".json") {
-                    Ok(CacheFormat::Json)
-                } else {
-                    Ok(CacheFormat::Binary)
-                }
-            }
-            other => Err(format!(
-                "unknown --cache-format '{other}' (binary|json|sharded)"
-            )),
-        }
-    }
-}
-
-/// `--cache-migrate OLD.json NEW`: one-shot conversion of a legacy v2
-/// JSON cache to the v4 binary format (sharded when NEW ends in `.d` or
-/// is an existing directory). The original file's own salt is carried
-/// through unchanged, so the migrated cache warm-starts exactly the runs
-/// the original would have. Exits the process.
-fn run_cache_migrate(src: &str, dst: &str) -> ! {
-    let file = std::fs::File::open(src).unwrap_or_else(|e| {
-        eprintln!("cache-migrate: cannot open {src}: {e}");
-        std::process::exit(2);
-    });
-    let (cache, salt) = match SharedEvalCache::load_json_with_salt(std::io::BufReader::new(file)) {
-        Ok(loaded) => loaded,
-        Err(e) => {
-            eprintln!("cache-migrate: {src}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let sharded = dst.ends_with(".d") || std::path::Path::new(dst).is_dir();
-    let result = if sharded {
-        cache.save_sharded(dst, salt).map(|_| ())
-    } else {
-        cache.save_to_path(dst, salt)
-    };
-    if let Err(e) = result {
-        eprintln!("cache-migrate: cannot write {dst}: {e}");
-        std::process::exit(2);
-    }
-    println!(
-        "cache-migrate: {src} -> {dst} ({} pair entries, salt {salt:016x}, {})",
-        cache.len(),
-        if sharded { "sharded v4" } else { "v4 binary" }
-    );
-    std::process::exit(0);
-}
-
-/// Opens (or cold-creates) the persisted evaluation cache for `salt`.
+/// Opens (or cold-creates) the persisted evaluation cache directory for
+/// `salt`; `Ok(None)` when no `--cache-path` was given.
 ///
-/// Warm-start: reuse a persisted cache when its salt matches this
-/// database. A missing file just means a cold start, and so does a file
-/// written by an older format version — the cache is a rebuildable
-/// artifact, so a stale format is rebuilt in the current one rather than
-/// aborting the sweep. Everything else (salt mismatch, corruption) stays
-/// fatal: those files may belong to a *different database* and silently
-/// overwriting them would destroy work.
-///
-/// `use_mmap` routes the v4 binary formats through `mmap(2)` instead of a
-/// buffered read — the kernel pages the records in on demand.
+/// Warm-start: reuse the directory when its salt matches this database. A
+/// missing directory just means a cold start, and so does one written by
+/// an older format version — the cache is a rebuildable artifact, and the
+/// next save rewrites it in the current format. Everything else (a regular
+/// file, a salt mismatch, a corrupt shard) is an input error: those files
+/// may belong to a *different database*, and silently overwriting them
+/// would destroy work.
 fn open_cache(
     cache_path: &str,
-    cache_format: CacheFormat,
     salt: u64,
     cache_capacity: usize,
-    use_mmap: bool,
     log_to_stderr: bool,
-) -> Option<Arc<SharedEvalCache>> {
+) -> Result<Option<Arc<SharedEvalCache>>, String> {
+    if cache_path.is_empty() {
+        return Ok(None);
+    }
     // Serve mode keeps stdout clean for the JSONL event stream; its
     // humans read stderr.
     let log = |line: String| {
@@ -211,9 +149,6 @@ fn open_cache(
             println!("{line}");
         }
     };
-    if cache_path.is_empty() {
-        return None;
-    }
     let bounded = |cache: SharedEvalCache| {
         if cache_capacity > 0 {
             cache.bounded(cache_capacity)
@@ -221,35 +156,31 @@ fn open_cache(
             cache
         }
     };
-    if !std::path::Path::new(cache_path).exists() {
+    let path = std::path::Path::new(cache_path);
+    if !path.exists() {
         log(format!(
             "cache: cold start ({cache_path} not found; will create it)"
         ));
-        return Some(Arc::new(bounded(SharedEvalCache::new())));
+        return Ok(Some(Arc::new(bounded(SharedEvalCache::new()))));
     }
-    let load_result = match (cache_format, use_mmap) {
-        (CacheFormat::Binary, false) => SharedEvalCache::load_from_path(cache_path, salt),
-        (CacheFormat::Binary, true) => SharedEvalCache::load_from_path_mmap(cache_path, salt),
-        (CacheFormat::Json, _) => std::fs::File::open(cache_path)
-            .map_err(codesign_engine::CacheLoadError::from)
-            .and_then(|f| SharedEvalCache::load_json(std::io::BufReader::new(f), salt)),
-        (CacheFormat::Sharded, false) => SharedEvalCache::load_sharded(cache_path, salt),
-        (CacheFormat::Sharded, true) => SharedEvalCache::load_sharded_mmap(cache_path, salt),
-    };
-    let loaded = match load_result {
-        Ok(loaded) => Some(loaded),
-        Err(codesign_engine::CacheLoadError::WrongVersion { found }) => {
+    if !path.is_dir() {
+        return Err(format!(
+            "cache: {cache_path} is not a directory; --cache-path names a directory \
+             of shard-NN.bin files"
+        ));
+    }
+    let loaded = match SharedEvalCache::load_sharded(path, salt) {
+        Ok(loaded) => loaded,
+        Err(CacheLoadError::WrongVersion { found }) => {
             eprintln!(
-                "cache: {cache_path} uses format version {found} (current {}); \
-                 cold-starting and rewriting it in the current format \
-                 (or convert it once with --cache-migrate)",
-                codesign_engine::CACHE_VERSION
+                "cache: {cache_path} uses format version {found} (current {CACHE_VERSION}); \
+                 cold-starting and rewriting it in the current format"
             );
-            None
+            SharedEvalCache::new()
         }
-        Err(e) => panic!("cannot reuse cache {cache_path}: {e}"),
+        Err(e) => return Err(format!("cache: cannot reuse {cache_path}: {e}")),
     };
-    let loaded = bounded(loaded.unwrap_or_default());
+    let loaded = bounded(loaded);
     if loaded.stats().preloaded > 0 {
         log(format!(
             "cache: warm start from {cache_path} ({} pair entries preloaded; built by: {})",
@@ -260,47 +191,22 @@ fn open_cache(
             }
         ));
     }
-    Some(Arc::new(loaded))
+    Ok(Some(Arc::new(loaded)))
 }
 
-/// Persists the cache in its configured format. Sharded directories go
-/// through merge-on-save ([`SharedEvalCache::sync_sharded`]): the on-disk
-/// entries are merged in under per-shard file locks before the union is
-/// written back, so concurrent processes sharing one `cache.d` lose
-/// nothing regardless of save order.
-fn persist_cache(
-    cache: &SharedEvalCache,
-    cache_path: &str,
-    cache_format: CacheFormat,
-    salt: u64,
-    log_to_stderr: bool,
-) {
-    match cache_format {
-        CacheFormat::Binary => cache
-            .save_to_path(cache_path, salt)
-            .expect("persist evaluation cache"),
-        CacheFormat::Json => {
-            let file = std::fs::File::create(cache_path).expect("create cache file");
-            let mut writer = std::io::BufWriter::new(file);
-            cache
-                .save_json(&mut writer, salt)
-                .expect("persist evaluation cache");
-            std::io::Write::flush(&mut writer).expect("persist evaluation cache");
-        }
-        CacheFormat::Sharded => {
-            cache
-                .sync_sharded(cache_path, salt)
-                .expect("persist evaluation cache");
-        }
+/// Persists the cache through merge-on-save
+/// ([`SharedEvalCache::sync_sharded`]): the on-disk entries are merged in
+/// under per-shard file locks before the union is written back, so
+/// concurrent processes sharing one directory lose nothing regardless of
+/// save order. A failed save exits with code 1.
+fn persist_cache(cache: &SharedEvalCache, cache_path: &str, salt: u64, log_to_stderr: bool) {
+    if let Err(e) = cache.sync_sharded(cache_path, salt) {
+        eprintln!("cache: cannot persist to {cache_path}: {e}");
+        std::process::exit(1);
     }
     let line = format!(
-        "cache persisted to {cache_path} ({} pair entries, {} format)",
-        cache.len(),
-        match cache_format {
-            CacheFormat::Binary => "v4 binary",
-            CacheFormat::Json => "v2 json",
-            CacheFormat::Sharded => "sharded v4 (merge-on-save)",
-        }
+        "cache persisted to {cache_path} ({} pair entries, merge-on-save)",
+        cache.len()
     );
     if log_to_stderr {
         eprintln!("{line}");
@@ -363,29 +269,15 @@ fn run_serve(args: &Args) -> ! {
     let queue_capacity = args.get_usize("queue-capacity", 16);
     let cache_path = args.get_str("cache-path", "");
     let cache_capacity = args.get_usize("cache-capacity", 0);
-    let cache_format = match CacheFormat::resolve(&args.get_str("cache-format", ""), &cache_path) {
-        Ok(format) => format,
-        Err(err) => {
-            eprintln!("{err}");
-            std::process::exit(2);
-        }
-    };
-    let use_mmap = args.flag("cache-mmap");
     let sync_secs = args.get_usize("cache-sync-secs", 0);
 
     codesign_server::install_shutdown_handler();
     eprintln!("serve: building exhaustive <= {max_v}-vertex database...");
     let db = Arc::new(NasbenchDatabase::exhaustive(max_v));
     let salt = db.fingerprint();
-    let cache = open_cache(
-        &cache_path,
-        cache_format,
-        salt,
-        cache_capacity,
-        use_mmap,
-        true,
-    )
-    .unwrap_or_else(|| Arc::new(SharedEvalCache::new()));
+    let cache = open_cache(&cache_path, salt, cache_capacity, true)
+        .unwrap_or_else(|err| exit_usage(&err))
+        .unwrap_or_else(|| Arc::new(SharedEvalCache::new()));
     let server = CampaignServer::start(
         CodesignSpace::with_max_vertices(max_v),
         db,
@@ -403,7 +295,7 @@ fn run_serve(args: &Args) -> ! {
 
     // Periodic re-merge: while serving, fold sibling processes' entries in
     // (and publish ours) every --cache-sync-secs.
-    if sync_secs > 0 && !cache_path.is_empty() && cache_format == CacheFormat::Sharded {
+    if sync_secs > 0 && !cache_path.is_empty() {
         let cache = Arc::clone(&cache);
         let path = cache_path.clone();
         let inner = server.inner();
@@ -439,7 +331,7 @@ fn run_serve(args: &Args) -> ! {
             }
             inner.abort();
             if !cache_path.is_empty() {
-                persist_cache(&cache, &cache_path, cache_format, salt, true);
+                persist_cache(&cache, &cache_path, salt, true);
             }
             telemetry_exports(&trace_out, &metrics_out);
             eprintln!("serve: shut down on signal");
@@ -469,7 +361,7 @@ fn run_serve(args: &Args) -> ! {
     }
     server.join();
     if !cache_path.is_empty() {
-        persist_cache(&cache, &cache_path, cache_format, salt, true);
+        persist_cache(&cache, &cache_path, salt, true);
     }
     telemetry_exports(&trace_out, &metrics_out);
     std::process::exit(0);
@@ -606,25 +498,26 @@ fn describe(spec: &ScenarioSpec) {
 fn main() {
     let args = Args::parse();
 
-    // Subcommands and --cache-migrate's two positional operands are not
-    // expressible in the `--key value` Args grammar; pre-parse the raw
-    // argv. `Args` skips bare words, so the flags still parse normally.
+    // Subcommands are not expressible in the `--key value` Args grammar;
+    // pre-parse the raw argv. `Args` skips bare words, so the flags still
+    // parse normally.
     let raw: Vec<String> = std::env::args().collect();
+    if let Some(flag) = raw
+        .iter()
+        .find(|arg| REMOVED_CACHE_FLAGS.contains(&arg.as_str()))
+    {
+        exit_usage(&format!(
+            "{flag} was removed: the evaluation cache is always a directory of \
+             v4 shard files; pass --cache-path DIR"
+        ));
+    }
+    if args.flag("no-cache") && !args.get_str("cache-path", "").is_empty() {
+        exit_usage("--no-cache and --cache-path are contradictory");
+    }
     match raw.get(1).map(String::as_str) {
         Some("serve") => run_serve(&args),
         Some("submit") => run_submit(&args),
         _ => {}
-    }
-    if let Some(i) = raw.iter().position(|a| a == "--cache-migrate") {
-        match (raw.get(i + 1), raw.get(i + 2)) {
-            (Some(src), Some(dst)) if !src.starts_with("--") && !dst.starts_with("--") => {
-                run_cache_migrate(src, dst)
-            }
-            _ => {
-                eprintln!("usage: campaign --cache-migrate OLD.json NEW[.d]");
-                std::process::exit(2);
-            }
-        }
     }
 
     if args.flag("list-scenarios") {
@@ -669,13 +562,6 @@ fn main() {
     let backend_name = args.get_str("backend", "atomic");
     let cache_path = args.get_str("cache-path", "");
     let cache_capacity = args.get_usize("cache-capacity", 0);
-    let cache_format = match CacheFormat::resolve(&args.get_str("cache-format", ""), &cache_path) {
-        Ok(format) => format,
-        Err(err) => {
-            eprintln!("{err}");
-            std::process::exit(2);
-        }
-    };
 
     // NSGA knobs: --population sizes each generation; --generations, when
     // given, expresses the whole step budget as population × generations
@@ -802,22 +688,12 @@ fn main() {
             .unwrap_or_else(|| panic!("unknown backend '{backend_name}' (atomic|work-stealing)")),
     );
     if args.flag("no-cache") {
-        assert!(
-            cache_path.is_empty(),
-            "--no-cache and --cache-path are contradictory"
-        );
         driver = driver.without_shared_cache();
     }
 
     let salt = db.fingerprint();
-    let cache = open_cache(
-        &cache_path,
-        cache_format,
-        salt,
-        cache_capacity,
-        args.flag("cache-mmap"),
-        false,
-    );
+    let cache =
+        open_cache(&cache_path, salt, cache_capacity, false).unwrap_or_else(|err| exit_usage(&err));
     if let Some(cache) = &cache {
         driver = driver.with_cache(Arc::clone(cache));
     }
@@ -945,7 +821,7 @@ fn main() {
     if let Some(cache) = &cache {
         // Stamp the sweep's scenario names into the persisted provenance.
         cache.note_scenarios(report.scenario_names());
-        persist_cache(cache, &cache_path, cache_format, salt, false);
+        persist_cache(cache, &cache_path, salt, false);
     }
 
     let jsonl = out_dir().join("campaign.jsonl");

@@ -1,0 +1,107 @@
+//! The `campaign` CLI's cache-input contract: bad cache input exits with
+//! code 2 and a message, never a panic, and a directory holding a stale
+//! format version cold-starts.
+//!
+//! Every case runs the real binary on a tiny sweep from a scratch working
+//! directory, because the CLI writes `target/paper-results/` relative to
+//! it.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+
+/// The sweep every invocation runs (serve mode ignores it).
+const SWEEP: [&str; 6] = ["--steps", "5", "--repeats", "1", "--strategies", "random"];
+
+/// A fresh scratch working directory.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("codesign_cli_cache_{}_{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// Runs `campaign ARGS SWEEP` in `cwd`.
+fn campaign(cwd: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .current_dir(cwd)
+        .args(args)
+        .args(SWEEP)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run campaign")
+}
+
+#[test]
+fn bad_cache_input_exits_2_without_a_panic() {
+    let cwd = scratch("bad-input");
+    let old_file = b"CDNEVC an old single-file cache";
+    std::fs::write(cwd.join("eval-cache.bin"), old_file).unwrap();
+    std::fs::create_dir_all(cwd.join("garbage.d")).unwrap();
+    std::fs::write(cwd.join("garbage.d/shard-00.bin"), b"not a cache").unwrap();
+    let foreign = campaign(&cwd, &["--max-vertices", "3", "--cache-path", "foreign.d"]);
+    assert!(
+        foreign.status.success(),
+        "{}",
+        String::from_utf8_lossy(&foreign.stderr)
+    );
+
+    let removed = "pass --cache-path DIR";
+    let cases: [(&str, &[&str], &str); 8] = [
+        (
+            "regular file",
+            &["--cache-path", "eval-cache.bin"],
+            "not a directory",
+        ),
+        ("garbage shard", &["--cache-path", "garbage.d"], "malformed"),
+        ("foreign salt", &["--cache-path", "foreign.d"], "salt"),
+        (
+            "no-cache conflict",
+            &["--no-cache", "--cache-path", "fresh.d"],
+            "contradictory",
+        ),
+        ("--cache-format", &["--cache-format", "sharded"], removed),
+        ("--cache-mmap", &["--cache-mmap"], removed),
+        (
+            "--cache-migrate",
+            &["--cache-migrate", "a.json", "b"],
+            removed,
+        ),
+        (
+            "serve on a regular file",
+            &["serve", "--stdio", "--cache-path", "eval-cache.bin"],
+            "not a directory",
+        ),
+    ];
+    for (case, args, message) in cases {
+        let out = campaign(&cwd, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        assert!(stderr.contains(message), "{case}: {stderr}");
+    }
+    assert_eq!(
+        std::fs::read(cwd.join("eval-cache.bin")).unwrap(),
+        old_file,
+        "a rejected cache path is left untouched"
+    );
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn a_stale_shard_cold_starts_and_is_rewritten() {
+    let cwd = scratch("stale");
+    let first = campaign(&cwd, &["--cache-path", "cache.d"]);
+    assert!(first.status.success());
+    // Version field = 3 (bytes 6–7, outside the checksummed region).
+    let shard = cwd.join("cache.d/shard-00.bin");
+    let mut bytes = std::fs::read(&shard).unwrap();
+    bytes[6..8].copy_from_slice(&3u16.to_le_bytes());
+    std::fs::write(&shard, &bytes).unwrap();
+
+    let rerun = campaign(&cwd, &["--cache-path", "cache.d"]);
+    let stderr = String::from_utf8_lossy(&rerun.stderr);
+    assert_eq!(rerun.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("cold-starting"), "{stderr}");
+    assert_eq!(std::fs::read(&shard).unwrap()[6], 4, "rewritten as v4");
+    let _ = std::fs::remove_dir_all(&cwd);
+}

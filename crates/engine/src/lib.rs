@@ -20,10 +20,11 @@
 //! * [`SharedEvalCache`] — a process-wide, sharded-mutex evaluation cache
 //!   (with warm/cold hit accounting and an optional capacity bound) that
 //!   every evaluator consults before its private memoization, so shards
-//!   reuse each other's work. It persists across processes —
-//!   [`SharedEvalCache::save`] / [`SharedEvalCache::load`] in the
-//!   [`persist`] module — so successive CLI invocations warm-start from
-//!   each other's evaluations;
+//!   reuse each other's work. It persists across processes as a cache
+//!   directory of shard files — [`SharedEvalCache::save_sharded`] /
+//!   [`SharedEvalCache::load_sharded`] / [`SharedEvalCache::sync_sharded`]
+//!   in the [`persist`] module — so successive CLI invocations warm-start
+//!   from each other's evaluations;
 //! * [`CampaignReport`] — per-shard results (including per-shard warm/cold
 //!   cache attribution and optional reward histories) plus merged
 //!   per-scenario Pareto fronts in each scenario's *own* metric axes
@@ -67,16 +68,17 @@
 //! let db = Arc::new(NasbenchDatabase::exhaustive(4));
 //! let salt = db.fingerprint();
 //!
-//! // First invocation: run, then persist the cache.
+//! // First invocation: run, then persist the cache directory.
+//! let dir = std::env::temp_dir().join(format!("doc-cache-{}.d", std::process::id()));
 //! let cache = Arc::new(SharedEvalCache::new());
 //! let _ = ShardedDriver::new(2).with_cache(Arc::clone(&cache)).run(&campaign, &db);
-//! let mut file = Vec::new(); // stands in for a real file
-//! cache.save(&mut file, salt).unwrap();
+//! cache.sync_sharded(&dir, salt).unwrap();
 //!
 //! // Second invocation: reload and reap warm hits.
-//! let warm = Arc::new(SharedEvalCache::load(file.as_slice(), salt).unwrap());
+//! let warm = Arc::new(SharedEvalCache::load_sharded(&dir, salt).unwrap());
 //! let report = ShardedDriver::new(2).with_cache(warm).run(&campaign, &db);
 //! assert!(report.cache.unwrap().total_warm_hits() > 0);
+//! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 pub mod cache;
@@ -92,12 +94,9 @@ pub use driver::{
     backend_from_name, AtomicCursorBackend, CancelToken, DriverBackend, ShardObserver,
     ShardedDriver, WorkStealingBackend,
 };
-pub use persist::{
-    CacheLoadError, CACHE_FORMAT, CACHE_MAGIC, CACHE_SHARD_FILES, CACHE_VERSION, CACHE_VERSION_V3,
-    JSON_CACHE_VERSION,
-};
+pub use persist::{CacheLoadError, CACHE_MAGIC, CACHE_SHARD_FILES, CACHE_VERSION};
 pub use report::{CampaignReport, ShardResult};
-pub use sys::{FileLock, MappedBytes};
+pub use sys::FileLock;
 
 /// SplitMix64: the stream-derivation mix used for per-shard RNG seeds.
 ///

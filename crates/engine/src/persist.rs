@@ -1,43 +1,38 @@
 //! Cross-process persistence of the shared evaluation cache.
 //!
-//! A campaign's [`SharedEvalCache`] can be written to disk and reloaded by
-//! the next invocation, so successive CLI runs reuse each other's
+//! A campaign's [`SharedEvalCache`] persists as a *cache directory*
+//! (conventionally `cache.d`) of [`CACHE_SHARD_FILES`] `shard-NN.bin`
+//! files, so successive CLI runs and resident servers reuse each other's
 //! evaluations instead of recomputing them — the cross-run economy that
 //! CODEBench's accelerator-embedding cache argues for at benchmark scale.
 //!
-//! # The v4 binary format
+//! # The v4 document
 //!
-//! Version 3 replaced the v2 JSON document with a length-prefixed binary
-//! layout built on [`codesign_nasbench::byteio`]. A million-entry JSON
-//! cache cost a full-document parse (and a 32-hex string per `u128` key)
-//! on every warm start; the binary layout is one contiguous read plus an
-//! in-place walk over fixed-width little-endian records —
-//! [`SharedEvalCache::load_bytes`] decodes straight out of any borrowed
-//! `&[u8]`, so an mmap-backed slice is a drop-in source. Version 4 adds a
-//! cell-feature section (the surrogate guide's per-cell structural
-//! featurizations, see `codesign_core::surrogate`) so a warm-started
-//! campaign can train a predictor from the persisted entries; v3 files
-//! still load, with the feature section empty. All offsets below are
-//! bytes:
+//! Each shard file is one v4 document: a fixed header, then fixed-width
+//! little-endian records built on [`codesign_nasbench::byteio`].
+//! [`SharedEvalCache::save`] and [`SharedEvalCache::load`] write and read
+//! one document; [`SharedEvalCache::load_bytes`] and
+//! [`SharedEvalCache::merge_bytes`] walk a borrowed `&[u8]` in place. The
+//! cell-feature section carries the surrogate guide's per-cell structural
+//! featurizations (see `codesign_core::surrogate`), so a warm-started
+//! campaign can train a predictor from the persisted entries. All offsets
+//! below are bytes:
 //!
 //! ```text
 //! offset  size  field
 //!      0     6  magic "CDNEVC"
-//!      6     2  format version, u16 LE (= 4; 3 accepted on load)
+//!      6     2  format version, u16 LE (= 4)
 //!      8     8  salt, u64 LE
 //!     16     8  FNV-1a 64 checksum of every byte from offset 24 on
 //!     24     8  pair record count, u64 LE
 //!     32     8  accuracy record count, u64 LE
-//!     40     8  cell-feature record count, u64 LE (absent in v3)
+//!     40     8  cell-feature record count, u64 LE
 //!     48     8  scenario-provenance section length in bytes, u64 LE
 //!     56     …  pair records, 68 B each, sorted by (hash, config)
 //!      …     …  accuracy records, 24 B each, sorted by hash
 //!      …     …  cell-feature records, 96 B each, sorted by hash
 //!      …     …  scenario names: (u32 LE length + UTF-8 bytes) each, sorted
 //! ```
-//!
-//! (A v3 header is 48 bytes: no feature-count field, scenario length at
-//! offset 40, records from 48.)
 //!
 //! A pair record is `cell hash u128 | filter_par u16 | pixel_par u16 |
 //! input/weight/output buffer depths u32×3 | mem width u16 | pool u8 |
@@ -52,24 +47,24 @@
 //! both reject with a typed [`CacheLoadError`] rather than loading
 //! garbage.
 //!
-//! # Sharded persistence
+//! # The cache directory
 //!
-//! [`SharedEvalCache::save_sharded`] splits the same records across
-//! [`CACHE_SHARD_FILES`] files (`shard-NN.bin` inside a directory, keyed
-//! by the top bits of the cell hash), each a complete v4 document.
-//! Because the files partition the key space, [`SharedEvalCache::load_sharded`]
-//! reconstructs one cache bit-identically no matter the merge order —
-//! several processes (or successive runs) can each persist their slice
-//! and any reader sees the union.
+//! [`SharedEvalCache::save_sharded`] splits the records across the shard
+//! files by the top 4 bits of the cell hash; every file carries the salt
+//! and the full scenario provenance. Because the files partition the key
+//! space, [`SharedEvalCache::load_sharded`] reconstructs one cache
+//! bit-identically in any merge order. [`SharedEvalCache::sync_sharded`]
+//! is the merge-on-save that lets several processes share one directory:
+//! under per-shard file locks it pulls the on-disk entries in, then writes
+//! the union back.
 //!
 //! # Versioning and the salt contract
 //!
-//! [`SharedEvalCache::load`] recognizes older JSON caches by their leading
-//! `{` and rejects them with [`CacheLoadError::WrongVersion`] (the
-//! `campaign` CLI treats that as a cold start, or converts entries with
-//! `--cache-migrate`); the legacy v2 codec survives as
-//! [`SharedEvalCache::save_json`] / [`SharedEvalCache::load_json`] for
-//! migration and compatibility.
+//! A document of any other version (older releases wrote v2 JSON and v3
+//! binary documents) rejects with [`CacheLoadError::WrongVersion`]. The
+//! cache is a rebuildable artifact: the `campaign` CLI cold-starts on that
+//! error and [`SharedEvalCache::sync_sharded`] overwrites stale shards in
+//! the current version.
 //!
 //! The `salt` is supplied by the caller and must describe everything the
 //! cached metrics depend on that the keys themselves don't — in practice
@@ -87,34 +82,21 @@ use std::time::Duration;
 use codesign_accel::{AcceleratorConfig, ConvEngineRatio};
 use codesign_core::{PairEvaluation, CELL_FEATURE_DIM};
 use codesign_nasbench::byteio::{self, ByteReader};
-use codesign_nasbench::Json;
 
 use crate::cache::SharedEvalCache;
 
-/// The `format` marker of a persisted (legacy JSON) cache document.
-pub const CACHE_FORMAT: &str = "codesign-eval-cache";
-
-/// The current on-disk format version.
+/// The on-disk format version.
 pub const CACHE_VERSION: u64 = 4;
 
-/// The previous binary version, still accepted on load (it simply carries
-/// no cell-feature section).
-pub const CACHE_VERSION_V3: u64 = 3;
-
-/// The format version of legacy JSON caches ([`SharedEvalCache::save_json`]).
-pub const JSON_CACHE_VERSION: u64 = 2;
-
-/// Leading magic bytes of a binary cache file (v3 and v4).
+/// Leading magic bytes of a cache document.
 pub const CACHE_MAGIC: [u8; 6] = *b"CDNEVC";
 
-/// Number of `shard-NN.bin` files a sharded save splits the cache across
-/// (keyed by the top 4 bits of the cell hash).
+/// Number of `shard-NN.bin` files a cache directory holds (keyed by the
+/// top 4 bits of the cell hash).
 pub const CACHE_SHARD_FILES: usize = 16;
 
-/// Fixed header length of a v4 file, bytes.
+/// Fixed header length of a document, bytes.
 const HEADER_LEN: usize = 56;
-/// Fixed header length of a v3 file, bytes (no feature-count field).
-const HEADER_LEN_V3: usize = 48;
 /// Fixed length of one pair record, bytes.
 const PAIR_RECORD_LEN: usize = 68;
 /// Fixed length of one per-cell accuracy record, bytes.
@@ -159,14 +141,11 @@ fn record_io_metrics(
 pub enum CacheLoadError {
     /// The file could not be read.
     Io(io::Error),
-    /// The document is corrupt: truncated, bit-flipped (checksum
-    /// mismatch), not valid JSON/binary framing, or missing required
-    /// fields.
+    /// The document is corrupt: no magic, truncated, bit-flipped
+    /// (checksum mismatch), or with invalid record fields.
     Malformed(String),
-    /// The document is parseable but not a persisted evaluation cache.
-    WrongFormat(String),
-    /// The document was written by an incompatible format version (e.g. a
-    /// legacy JSON cache; convert it with `campaign --cache-migrate`).
+    /// The document was written by another format version, e.g. by an
+    /// older release. Callers treat it as a cold start.
     WrongVersion {
         /// The version found in the file.
         found: u64,
@@ -186,9 +165,6 @@ impl std::fmt::Display for CacheLoadError {
         match self {
             CacheLoadError::Io(e) => write!(f, "cache file unreadable: {e}"),
             CacheLoadError::Malformed(reason) => write!(f, "cache file malformed: {reason}"),
-            CacheLoadError::WrongFormat(found) => {
-                write!(f, "not an evaluation cache (format {found:?})")
-            }
             CacheLoadError::WrongVersion { found } => write!(
                 f,
                 "cache format version {found} unsupported (expected {CACHE_VERSION})"
@@ -339,54 +315,6 @@ fn encode_records(
     buf
 }
 
-fn config_to_json(config: &AcceleratorConfig) -> Json {
-    Json::obj(vec![
-        ("fp", Json::Num(config.filter_par as f64)),
-        ("pp", Json::Num(config.pixel_par as f64)),
-        ("ib", Json::Num(config.input_buffer_depth as f64)),
-        ("wb", Json::Num(config.weight_buffer_depth as f64)),
-        ("ob", Json::Num(config.output_buffer_depth as f64)),
-        ("mw", Json::Num(config.mem_interface_width as f64)),
-        ("pool", Json::Bool(config.pool_enable)),
-        ("ratio", Json::Num(config.ratio_conv_engines.value())),
-    ])
-}
-
-fn config_from_json(doc: &Json) -> Result<AcceleratorConfig, String> {
-    let field = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| format!("missing config field '{key}'"))
-    };
-    let pool = match doc.get("pool") {
-        Some(Json::Bool(b)) => *b,
-        _ => return Err("missing config field 'pool'".into()),
-    };
-    let ratio = doc
-        .get("ratio")
-        .and_then(Json::as_f64)
-        .and_then(ConvEngineRatio::from_value)
-        .ok_or_else(|| "bad config field 'ratio'".to_owned())?;
-    Ok(AcceleratorConfig {
-        filter_par: field("fp")?,
-        pixel_par: field("pp")?,
-        input_buffer_depth: field("ib")?,
-        weight_buffer_depth: field("wb")?,
-        output_buffer_depth: field("ob")?,
-        mem_interface_width: field("mw")?,
-        pool_enable: pool,
-        ratio_conv_engines: ratio,
-    })
-}
-
-fn hash_to_hex(hash: u128) -> String {
-    format!("{hash:032x}")
-}
-
-fn hash_from_hex(text: &str) -> Result<u128, String> {
-    u128::from_str_radix(text, 16).map_err(|e| format!("bad hash {text:?}: {e}"))
-}
-
 /// A pair-cache entry as snapshotted for persistence: key plus metrics.
 type PairRecord = ((u128, AcceleratorConfig), PairEvaluation);
 
@@ -439,28 +367,22 @@ impl SharedEvalCache {
     /// marked *warm*, so hits against them are reported as work saved by
     /// the previous invocation.
     ///
-    /// Legacy JSON caches (v1/v2) are recognized and rejected with
-    /// [`CacheLoadError::WrongVersion`]; convert them with
-    /// `campaign --cache-migrate` or reload via
-    /// [`SharedEvalCache::load_json`].
-    ///
     /// The returned cache is unbounded with the default shard count; chain
     /// [`SharedEvalCache::bounded`] afterwards to cap a warm-started cache.
     ///
     /// # Errors
     ///
     /// Returns a [`CacheLoadError`] describing exactly why the file was
-    /// rejected: unreadable, malformed/corrupt, a different format, an
-    /// incompatible version, or a salt mismatch.
+    /// rejected: unreadable, malformed/corrupt, another format version,
+    /// or a salt mismatch.
     pub fn load<R: Read>(mut reader: R, expected_salt: u64) -> Result<Self, CacheLoadError> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;
         Self::load_bytes(&bytes, expected_salt)
     }
 
-    /// [`SharedEvalCache::load`] straight from a borrowed byte slice — the
-    /// near-zero-copy path. The slice is walked in place (no intermediate
-    /// document tree), so a memory-mapped file region works unchanged.
+    /// [`SharedEvalCache::load`] straight from a borrowed byte slice,
+    /// walked in place with no intermediate document tree.
     ///
     /// # Errors
     ///
@@ -483,69 +405,34 @@ impl SharedEvalCache {
         Ok(cache)
     }
 
-    /// Decodes one persisted binary document (v3 or v4) and merges its entries into this
+    /// Decodes one persisted v4 document and merges its entries into this
     /// cache (preloaded entries are *warm*). Merging is idempotent and —
     /// because persisted values are deterministic functions of their keys —
     /// order-independent: merging N shard files in any order reconstructs
     /// the same cache. This is the primitive [`SharedEvalCache::load_sharded`]
-    /// is built on.
+    /// and [`SharedEvalCache::sync_sharded`] are built on.
     ///
     /// # Errors
     ///
     /// Same rejection contract as [`SharedEvalCache::load`]. Validation
-    /// (length and checksum) runs before any insertion, so a rejected
-    /// document contributes nothing — the cache keeps exactly the entries
-    /// earlier merges added.
+    /// (version, salt, length and checksum) runs before any insertion, so a
+    /// rejected document contributes nothing — the cache keeps exactly the
+    /// entries earlier merges added.
     pub fn merge_bytes(&self, bytes: &[u8], expected_salt: u64) -> Result<(), CacheLoadError> {
         let malformed = |reason: String| CacheLoadError::Malformed(reason);
-        if bytes.starts_with(&CACHE_MAGIC) {
-            return self.merge_binary(bytes, expected_salt);
+        if !bytes.starts_with(&CACHE_MAGIC) {
+            return Err(malformed("not a cache file (no CDNEVC magic)".into()));
         }
-        // Not a binary cache: recognize legacy JSON documents so stale
-        // caches reject with a *typed* version error (the CLI turns that
-        // into a cold start or a migration hint), not checksum noise.
-        let first = bytes.iter().position(|b| !b.is_ascii_whitespace());
-        if first.is_some_and(|i| bytes[i] == b'{') {
-            let text = std::str::from_utf8(bytes).map_err(|e| malformed(e.to_string()))?;
-            let doc = Json::parse(text).map_err(malformed)?;
-            let format = doc
-                .get("format")
-                .and_then(Json::as_str)
-                .ok_or_else(|| malformed("missing 'format'".into()))?;
-            if format != CACHE_FORMAT {
-                return Err(CacheLoadError::WrongFormat(format.to_owned()));
-            }
-            let version =
-                doc.get("version")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| malformed("missing 'version'".into()))? as u64;
-            return Err(CacheLoadError::WrongVersion { found: version });
-        }
-        Err(malformed(
-            "not a cache file (no binary magic, not a JSON document)".into(),
-        ))
-    }
-
-    /// The binary decode path (v3 and v4): header checks, then an in-place
-    /// record walk.
-    fn merge_binary(&self, bytes: &[u8], expected_salt: u64) -> Result<(), CacheLoadError> {
-        let malformed = |reason: String| CacheLoadError::Malformed(reason);
-        if bytes.len() < HEADER_LEN_V3 {
-            return Err(malformed(format!(
-                "truncated header: {} bytes (need at least {HEADER_LEN_V3})",
-                bytes.len()
-            )));
-        }
+        // The version comes first, so a stale document of any length
+        // rejects as stale rather than as truncated.
         let mut header = ByteReader::new(&bytes[CACHE_MAGIC.len()..]);
         let version = u64::from(header.u16().map_err(malformed)?);
-        let header_len = match version {
-            CACHE_VERSION_V3 => HEADER_LEN_V3,
-            CACHE_VERSION => HEADER_LEN,
-            found => return Err(CacheLoadError::WrongVersion { found }),
-        };
-        if bytes.len() < header_len {
+        if version != CACHE_VERSION {
+            return Err(CacheLoadError::WrongVersion { found: version });
+        }
+        if bytes.len() < HEADER_LEN {
             return Err(malformed(format!(
-                "truncated header: {} bytes (need {header_len})",
+                "truncated header: {} bytes (need {HEADER_LEN})",
                 bytes.len()
             )));
         }
@@ -559,13 +446,9 @@ impl SharedEvalCache {
         let checksum = header.u64().map_err(malformed)?;
         let pair_count = header.u64().map_err(malformed)?;
         let acc_count = header.u64().map_err(malformed)?;
-        let feat_count = if version == CACHE_VERSION {
-            header.u64().map_err(malformed)?
-        } else {
-            0
-        };
+        let feat_count = header.u64().map_err(malformed)?;
         let scenario_len = header.u64().map_err(malformed)?;
-        let expected_len = header_len as u128
+        let expected_len = HEADER_LEN as u128
             + u128::from(pair_count) * PAIR_RECORD_LEN as u128
             + u128::from(acc_count) * ACC_RECORD_LEN as u128
             + u128::from(feat_count) * FEAT_RECORD_LEN as u128
@@ -584,7 +467,7 @@ impl SharedEvalCache {
         }
 
         // Validated: walk the records in place and insert as warm entries.
-        let mut reader = ByteReader::new(&bytes[header_len..]);
+        let mut reader = ByteReader::new(&bytes[HEADER_LEN..]);
         for i in 0..pair_count {
             let context = |e: String| malformed(format!("pair {i}: {e}"));
             let hash = reader.u128().map_err(context)?;
@@ -624,49 +507,6 @@ impl SharedEvalCache {
         Ok(())
     }
 
-    /// [`SharedEvalCache::save`] to a filesystem path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system errors.
-    pub fn save_to_path<P: AsRef<Path>>(&self, path: P, salt: u64) -> io::Result<()> {
-        let mut writer = io::BufWriter::new(std::fs::File::create(path)?);
-        self.save(&mut writer, salt)?;
-        writer.flush()
-    }
-
-    /// [`SharedEvalCache::load`] from a filesystem path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CacheLoadError`] when the file is missing, unreadable,
-    /// or rejected.
-    pub fn load_from_path<P: AsRef<Path>>(
-        path: P,
-        expected_salt: u64,
-    ) -> Result<Self, CacheLoadError> {
-        Self::load(std::fs::File::open(path)?, expected_salt)
-    }
-
-    /// [`SharedEvalCache::load_from_path`] through a read-only memory map:
-    /// the binary decoder walks the mapped region in place
-    /// ([`SharedEvalCache::load_bytes`] never builds an intermediate
-    /// document), so the load copies record bytes straight from the page
-    /// cache into the cache's tables. Falls back to an ordinary read when
-    /// mapping is unavailable (non-Unix, empty file, or an `mmap`
-    /// refusal); results are identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same rejection contract as [`SharedEvalCache::load_from_path`].
-    pub fn load_from_path_mmap<P: AsRef<Path>>(
-        path: P,
-        expected_salt: u64,
-    ) -> Result<Self, CacheLoadError> {
-        let bytes = crate::sys::MappedBytes::open(path)?;
-        Self::load_bytes(&bytes, expected_salt)
-    }
-
     /// Persists the cache as [`CACHE_SHARD_FILES`] v4 files
     /// (`shard-00.bin` … `shard-15.bin`) inside `dir`, each holding the
     /// entries whose cell hash falls in its slice of the key space (top 4
@@ -686,17 +526,8 @@ impl SharedEvalCache {
         let timer = codesign_telemetry::enabled().then(std::time::Instant::now);
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let scenarios = self.provenance();
-        let (pair_buckets, acc_buckets, feat_buckets) = self.bucketed_records();
         let mut total = 0usize;
-        for index in 0..CACHE_SHARD_FILES {
-            let bytes = encode_records(
-                &pair_buckets[index],
-                &acc_buckets[index],
-                &feat_buckets[index],
-                &scenarios,
-                salt,
-            );
+        for (index, bytes) in self.shard_documents(salt) {
             std::fs::write(dir.join(shard_file_name(index)), &bytes)?;
             total += bytes.len();
         }
@@ -706,16 +537,11 @@ impl SharedEvalCache {
         Ok(total)
     }
 
-    /// Sorted records bucketed by persistence shard (hash prefix). Each
-    /// bucket stays sorted, so each shard file is canonical on its own.
-    #[allow(clippy::type_complexity)]
-    fn bucketed_records(
-        &self,
-    ) -> (
-        Vec<Vec<PairRecord>>,
-        Vec<Vec<(u128, f64)>>,
-        Vec<Vec<FeatRecord>>,
-    ) {
+    /// One v4 document per persistence shard, in shard order, encoded
+    /// lazily so a save holds one shard's bytes at a time. Records are
+    /// bucketed by hash prefix and stay sorted, so each document is
+    /// canonical on its own.
+    fn shard_documents(&self, salt: u64) -> impl Iterator<Item = (usize, Vec<u8>)> {
         let (pairs, accuracies, features) = self.sorted_records();
         let mut pair_buckets: Vec<Vec<PairRecord>> = vec![Vec::new(); CACHE_SHARD_FILES];
         for entry in pairs {
@@ -729,7 +555,17 @@ impl SharedEvalCache {
         for entry in features {
             feat_buckets[persist_shard_of(entry.0)].push(entry);
         }
-        (pair_buckets, acc_buckets, feat_buckets)
+        let scenarios = self.provenance();
+        (0..CACHE_SHARD_FILES).map(move |index| {
+            let bytes = encode_records(
+                &pair_buckets[index],
+                &acc_buckets[index],
+                &feat_buckets[index],
+                &scenarios,
+                salt,
+            );
+            (index, bytes)
+        })
     }
 
     /// Merge-on-save: exchanges entries with a sharded cache directory
@@ -788,17 +624,8 @@ impl SharedEvalCache {
             }
         }
         // Phase 2: this cache now holds the union; write it back.
-        let scenarios = self.provenance();
-        let (pair_buckets, acc_buckets, feat_buckets) = self.bucketed_records();
         let mut total = 0usize;
-        for index in 0..CACHE_SHARD_FILES {
-            let bytes = encode_records(
-                &pair_buckets[index],
-                &acc_buckets[index],
-                &feat_buckets[index],
-                &scenarios,
-                salt,
-            );
+        for (index, bytes) in self.shard_documents(salt) {
             let name = shard_file_name(index);
             let tmp = dir.join(format!("{name}.tmp"));
             std::fs::write(&tmp, &bytes)?;
@@ -828,33 +655,10 @@ impl SharedEvalCache {
         dir: P,
         expected_salt: u64,
     ) -> Result<Self, CacheLoadError> {
-        Self::load_sharded_inner(dir.as_ref(), expected_salt, false)
-    }
-
-    /// [`SharedEvalCache::load_sharded`] through read-only memory maps of
-    /// each shard file (with the same per-file read fallback as
-    /// [`SharedEvalCache::load_from_path_mmap`]). Results are identical to
-    /// the read path.
-    ///
-    /// # Errors
-    ///
-    /// Same rejection contract as [`SharedEvalCache::load_sharded`].
-    pub fn load_sharded_mmap<P: AsRef<Path>>(
-        dir: P,
-        expected_salt: u64,
-    ) -> Result<Self, CacheLoadError> {
-        Self::load_sharded_inner(dir.as_ref(), expected_salt, true)
-    }
-
-    fn load_sharded_inner(
-        dir: &Path,
-        expected_salt: u64,
-        use_mmap: bool,
-    ) -> Result<Self, CacheLoadError> {
         let mut span =
             codesign_telemetry::span("cache.load", "persist").with_arg("format", "sharded");
         let timer = codesign_telemetry::enabled().then(std::time::Instant::now);
-        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)?
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir.as_ref())?
             .filter_map(Result::ok)
             .map(|entry| entry.path())
             .filter(|path| {
@@ -867,219 +671,14 @@ impl SharedEvalCache {
         let cache = SharedEvalCache::new();
         let mut total = 0usize;
         for file in files {
-            if use_mmap {
-                let bytes = crate::sys::MappedBytes::open(&file)?;
-                cache.merge_bytes(&bytes, expected_salt)?;
-                total += bytes.len();
-            } else {
-                let bytes = std::fs::read(&file)?;
-                cache.merge_bytes(&bytes, expected_salt)?;
-                total += bytes.len();
-            }
+            let bytes = std::fs::read(&file)?;
+            cache.merge_bytes(&bytes, expected_salt)?;
+            total += bytes.len();
         }
         if let Some(t) = timer {
             record_io_metrics(&mut span, total, t.elapsed(), &TM_LOAD_BYTES, &TM_LOAD_MBPS);
         }
         Ok(cache)
-    }
-
-    /// Writes the cache in the legacy v2 JSON format (hex-string keys, one
-    /// document), streaming entry by entry so even a huge cache never
-    /// materializes its whole document in memory. Kept for compatibility
-    /// and as the migration source format; new caches should use
-    /// [`SharedEvalCache::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `writer`.
-    pub fn save_json<W: Write>(&self, mut writer: W, salt: u64) -> io::Result<()> {
-        let mut span = codesign_telemetry::span("cache.save", "persist")
-            .with_arg("entries", self.len() as u64)
-            .with_arg("format", "v2-json");
-        let timer = codesign_telemetry::enabled().then(std::time::Instant::now);
-        let (pairs, accuracies, _features) = self.sorted_records();
-        let scenarios = Json::Arr(self.provenance().into_iter().map(Json::Str).collect());
-        let mut written = 0usize;
-        let mut counting = CountingWriter {
-            inner: &mut writer,
-            written: &mut written,
-        };
-        write!(
-            counting,
-            "{{\"format\":\"{CACHE_FORMAT}\",\"version\":{JSON_CACHE_VERSION},\
-             \"salt\":\"{salt:016x}\",\"scenarios\":{scenarios},\"pairs\":["
-        )?;
-        for (i, ((hash, config), eval)) in pairs.iter().enumerate() {
-            if i > 0 {
-                write!(counting, ",")?;
-            }
-            let entry = Json::Arr(vec![
-                Json::Str(hash_to_hex(*hash)),
-                config_to_json(config),
-                Json::Num(eval.accuracy),
-                Json::Num(eval.latency_ms),
-                Json::Num(eval.area_mm2),
-                Json::Num(eval.power_w),
-            ]);
-            write!(counting, "{entry}")?;
-        }
-        write!(counting, "],\"accuracies\":[")?;
-        for (i, (hash, acc)) in accuracies.iter().enumerate() {
-            if i > 0 {
-                write!(counting, ",")?;
-            }
-            let entry = Json::Arr(vec![Json::Str(hash_to_hex(*hash)), Json::Num(*acc)]);
-            write!(counting, "{entry}")?;
-        }
-        writeln!(counting, "]}}")?;
-        if let Some(t) = timer {
-            record_io_metrics(
-                &mut span,
-                written,
-                t.elapsed(),
-                &TM_SAVE_BYTES,
-                &TM_SAVE_MBPS,
-            );
-        }
-        Ok(())
-    }
-
-    /// Reads a legacy v2 JSON cache, verifying format, version, and salt.
-    /// Loaded entries are marked *warm*, like [`SharedEvalCache::load`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CacheLoadError`] with the same taxonomy as
-    /// [`SharedEvalCache::load`].
-    pub fn load_json<R: Read>(reader: R, expected_salt: u64) -> Result<Self, CacheLoadError> {
-        let (cache, salt) = Self::load_json_with_salt(reader)?;
-        if salt != expected_salt {
-            return Err(CacheLoadError::SaltMismatch {
-                expected: expected_salt,
-                found: salt,
-            });
-        }
-        Ok(cache)
-    }
-
-    /// Reads a legacy v2 JSON cache and returns it together with the salt
-    /// recorded in the file, *without* checking the salt against anything —
-    /// the migration primitive: `campaign --cache-migrate` carries the
-    /// original salt into the converted binary file unchanged, so the migrated
-    /// cache warm-starts exactly the runs the original would have.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CacheLoadError`] when the document is unreadable,
-    /// malformed, a different format, or not version 2.
-    pub fn load_json_with_salt<R: Read>(mut reader: R) -> Result<(Self, u64), CacheLoadError> {
-        let mut span =
-            codesign_telemetry::span("cache.load", "persist").with_arg("format", "v2-json");
-        let timer = codesign_telemetry::enabled().then(std::time::Instant::now);
-        let mut text = String::new();
-        reader.read_to_string(&mut text)?;
-        let malformed = |reason: String| CacheLoadError::Malformed(reason);
-        let doc = Json::parse(&text).map_err(malformed)?;
-        let format = doc
-            .get("format")
-            .and_then(Json::as_str)
-            .ok_or_else(|| malformed("missing 'format'".into()))?;
-        if format != CACHE_FORMAT {
-            return Err(CacheLoadError::WrongFormat(format.to_owned()));
-        }
-        let version = doc
-            .get("version")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| malformed("missing 'version'".into()))? as u64;
-        if version != JSON_CACHE_VERSION {
-            return Err(CacheLoadError::WrongVersion { found: version });
-        }
-        let salt = doc
-            .get("salt")
-            .and_then(Json::as_str)
-            .ok_or_else(|| malformed("missing 'salt'".into()))?;
-        let salt =
-            u64::from_str_radix(salt, 16).map_err(|e| malformed(format!("bad salt: {e}")))?;
-
-        let cache = SharedEvalCache::new();
-        if let Some(scenarios) = doc.get("scenarios").and_then(Json::as_arr) {
-            cache.note_scenarios(scenarios.iter().filter_map(Json::as_str).map(str::to_owned));
-        }
-        let pairs = doc
-            .get("pairs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| malformed("missing 'pairs'".into()))?;
-        for (i, entry) in pairs.iter().enumerate() {
-            let fields = entry
-                .as_arr()
-                .filter(|a| a.len() == 6)
-                .ok_or_else(|| malformed(format!("pair {i}: expected 6 fields")))?;
-            let hash = fields[0]
-                .as_str()
-                .ok_or_else(|| malformed(format!("pair {i}: hash is not a string")))
-                .and_then(|s| hash_from_hex(s).map_err(malformed))?;
-            let config =
-                config_from_json(&fields[1]).map_err(|e| malformed(format!("pair {i}: {e}")))?;
-            let num = |j: usize, name: &str| {
-                fields[j]
-                    .as_f64()
-                    .ok_or_else(|| malformed(format!("pair {i}: bad {name}")))
-            };
-            let eval = PairEvaluation {
-                accuracy: num(2, "accuracy")?,
-                latency_ms: num(3, "latency")?,
-                area_mm2: num(4, "area")?,
-                power_w: num(5, "power")?,
-            };
-            cache.put_preloaded(hash, &config, eval);
-        }
-        let accuracies = doc
-            .get("accuracies")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| malformed("missing 'accuracies'".into()))?;
-        for (i, entry) in accuracies.iter().enumerate() {
-            let fields = entry
-                .as_arr()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| malformed(format!("accuracy {i}: expected 2 fields")))?;
-            let hash = fields[0]
-                .as_str()
-                .ok_or_else(|| malformed(format!("accuracy {i}: hash is not a string")))
-                .and_then(|s| hash_from_hex(s).map_err(malformed))?;
-            let acc = fields[1]
-                .as_f64()
-                .ok_or_else(|| malformed(format!("accuracy {i}: bad value")))?;
-            cache.put_accuracy_preloaded(hash, acc);
-        }
-        if let Some(t) = timer {
-            record_io_metrics(
-                &mut span,
-                text.len(),
-                t.elapsed(),
-                &TM_LOAD_BYTES,
-                &TM_LOAD_MBPS,
-            );
-        }
-        Ok((cache, salt))
-    }
-}
-
-/// Counts bytes flowing through an inner writer (for save telemetry on
-/// the streaming JSON path, where no buffer exists to measure).
-struct CountingWriter<'a, W: Write> {
-    inner: &'a mut W,
-    written: &'a mut usize,
-}
-
-impl<W: Write> Write for CountingWriter<'_, W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        *self.written += n;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
     }
 }
 
@@ -1159,52 +758,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Hand-encodes a v3 document (48-byte header, no feature section) the
-    /// way the previous release wrote them.
-    fn encode_v3(
-        pairs: &[((u128, AcceleratorConfig), PairEvaluation)],
-        accuracies: &[(u128, f64)],
-        salt: u64,
-    ) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&CACHE_MAGIC);
-        byteio::put_u16(&mut buf, 3);
-        byteio::put_u64(&mut buf, salt);
-        byteio::put_u64(&mut buf, 0); // checksum, patched below
-        byteio::put_u64(&mut buf, pairs.len() as u64);
-        byteio::put_u64(&mut buf, accuracies.len() as u64);
-        byteio::put_u64(&mut buf, 0); // scenario section length
-        for ((hash, config), eval) in pairs {
-            byteio::put_u128(&mut buf, *hash);
-            put_config(&mut buf, config);
-            byteio::put_f64(&mut buf, eval.accuracy);
-            byteio::put_f64(&mut buf, eval.latency_ms);
-            byteio::put_f64(&mut buf, eval.area_mm2);
-            byteio::put_f64(&mut buf, eval.power_w);
-        }
-        for (hash, acc) in accuracies {
-            byteio::put_u128(&mut buf, *hash);
-            byteio::put_f64(&mut buf, *acc);
-        }
-        let checksum = byteio::fnv1a64(&buf[CHECKSUM_START..]);
-        buf[16..24].copy_from_slice(&checksum.to_le_bytes());
-        buf
-    }
-
-    #[test]
-    fn v3_files_still_load_with_an_empty_feature_section() {
-        let space = ConfigSpace::chaidnn();
-        let v3 = encode_v3(&[((9, space.get(4)), eval(0.88))], &[(13, 0.91)], 0xFEED);
-        let back = SharedEvalCache::load(v3.as_slice(), 0xFEED).unwrap();
-        assert_eq!(back.get(9, &space.get(4)), Some(eval(0.88)));
-        assert_eq!(back.get_accuracy(13), Some(0.91));
-        assert!(back.snapshot_features().is_empty());
-        // Saving the reloaded cache upgrades it to the current version.
-        let mut resaved = Vec::new();
-        back.save(&mut resaved, 0xFEED).unwrap();
-        assert_eq!(resaved[6], CACHE_VERSION as u8);
-    }
-
     #[test]
     fn serialization_is_deterministic() {
         let a = populated();
@@ -1253,51 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn json_v2_roundtrips_through_the_legacy_codec() {
-        let cache = populated();
-        cache.note_scenarios(["1 Constraint".to_owned()]);
-        let mut buf = Vec::new();
-        cache.save_json(&mut buf, 0xCAFE).unwrap();
-        assert_eq!(buf[0], b'{', "legacy format is a JSON document");
-        let back = SharedEvalCache::load_json(buf.as_slice(), 0xCAFE).unwrap();
-        let space = ConfigSpace::chaidnn();
-        assert_eq!(back.get(1, &space.get(0)), Some(eval(0.91)));
-        assert_eq!(back.get_accuracy(42), Some(0.935));
-        assert_eq!(back.provenance(), vec!["1 Constraint".to_owned()]);
-        // The default loader refuses it with a typed version error.
-        match SharedEvalCache::load(buf.as_slice(), 0xCAFE) {
-            Err(CacheLoadError::WrongVersion { found: 2 }) => {}
-            other => panic!("expected WrongVersion(2), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn migration_preserves_entries_salt_and_byte_identity() {
-        let original = populated();
-        original.note_scenarios(["Unconstrained".to_owned()]);
-        let mut v2 = Vec::new();
-        original.save_json(&mut v2, 0x5EED).unwrap();
-
-        // Migrate: reload the JSON without knowing the salt, rewrite as binary.
-        let (migrated, salt) = SharedEvalCache::load_json_with_salt(v2.as_slice()).unwrap();
-        assert_eq!(salt, 0x5EED, "the file's own salt is carried through");
-        let mut v3 = Vec::new();
-        migrated.save(&mut v3, salt).unwrap();
-
-        // The migrated file is byte-identical to saving the original
-        // cache directly in v4 — migration loses nothing and adds nothing.
-        let mut direct = Vec::new();
-        original.save(&mut direct, 0x5EED).unwrap();
-        assert_eq!(v3, direct);
-
-        // And it warm-starts the same lookups.
-        let back = SharedEvalCache::load(v3.as_slice(), 0x5EED).unwrap();
-        let space = ConfigSpace::chaidnn();
-        assert_eq!(back.get(1, &space.get(0)), Some(eval(0.91)));
-        assert_eq!(back.stats().warm_hits, 1);
-    }
-
-    #[test]
     fn sharded_save_load_reconstructs_the_single_file_cache() {
         let dir = std::env::temp_dir().join("codesign_persist_shard_test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1329,37 +837,6 @@ mod tests {
         cache.save(&mut single, 9).unwrap();
         merged.save(&mut resaved, 9).unwrap();
         assert_eq!(single, resaved);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mmap_load_matches_the_read_path() {
-        let dir = std::env::temp_dir().join("codesign_persist_mmap_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let cache = populated();
-        cache.note_scenarios(["Unconstrained".to_owned()]);
-        let path = dir.join("cache.bin");
-        cache.save_to_path(&path, 11).unwrap();
-
-        let via_read = SharedEvalCache::load_from_path(&path, 11).unwrap();
-        let via_mmap = SharedEvalCache::load_from_path_mmap(&path, 11).unwrap();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        via_read.save(&mut a, 11).unwrap();
-        via_mmap.save(&mut b, 11).unwrap();
-        assert_eq!(a, b, "mmap and read loads reconstruct identical caches");
-
-        // Sharded variant too.
-        let shard_dir = dir.join("cache.d");
-        cache.save_sharded(&shard_dir, 11).unwrap();
-        let sharded_mmap = SharedEvalCache::load_sharded_mmap(&shard_dir, 11).unwrap();
-        let mut c = Vec::new();
-        sharded_mmap.save(&mut c, 11).unwrap();
-        assert_eq!(a, c);
-        // Rejections stay typed through the mmap path.
-        assert!(matches!(
-            SharedEvalCache::load_from_path_mmap(&path, 12),
-            Err(CacheLoadError::SaltMismatch { .. })
-        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1432,35 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn version_1_files_are_rejected() {
-        let doc = format!(
-            "{{\"format\":\"{CACHE_FORMAT}\",\"version\":1,\"salt\":\"0\",\
-             \"pairs\":[],\"accuracies\":[]}}"
-        );
-        match SharedEvalCache::load(doc.as_bytes(), 0) {
-            Err(CacheLoadError::WrongVersion { found: 1 }) => {}
-            other => panic!("expected WrongVersion, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wrong_version_and_format_are_rejected() {
-        let doc = format!(
-            "{{\"format\":\"{CACHE_FORMAT}\",\"version\":99,\"salt\":\"0\",\
-             \"pairs\":[],\"accuracies\":[]}}"
-        );
-        match SharedEvalCache::load(doc.as_bytes(), 0) {
-            Err(CacheLoadError::WrongVersion { found: 99 }) => {}
-            other => panic!("expected WrongVersion, got {other:?}"),
-        }
-        let doc = "{\"format\":\"something-else\",\"version\":1,\"salt\":\"0\"}";
-        match SharedEvalCache::load(doc.as_bytes(), 0) {
-            Err(CacheLoadError::WrongFormat(found)) => assert_eq!(found, "something-else"),
-            other => panic!("expected WrongFormat, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn unknown_binary_versions_are_rejected() {
         let mut buf = Vec::new();
         populated().save(&mut buf, 0).unwrap();
@@ -1469,6 +917,46 @@ mod tests {
             Err(CacheLoadError::WrongVersion { found: 9 }) => {}
             other => panic!("expected WrongVersion(9), got {other:?}"),
         }
+    }
+
+    /// The stale-format contract: a shard whose version field reads 3
+    /// (bytes 6–7, before the checksummed region) rejects as stale, and
+    /// merge-on-save rewrites it as v4 without touching its v4 siblings.
+    #[test]
+    fn stale_shards_reject_as_wrong_version_and_sync_rewrites_them() {
+        let dir = std::env::temp_dir().join(format!(
+            "codesign_persist_stale_test_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let space = ConfigSpace::chaidnn();
+        let cache = SharedEvalCache::new();
+        for i in 0..CACHE_SHARD_FILES {
+            cache.put((i as u128) << 124 | 1, &space.get(i), eval(0.9));
+        }
+        cache.save_sharded(&dir, 5).unwrap();
+        let stale = dir.join(shard_file_name(3));
+        let mut bytes = std::fs::read(&stale).unwrap();
+        bytes[6..8].copy_from_slice(&3u16.to_le_bytes());
+        std::fs::write(&stale, &bytes).unwrap();
+        let siblings = || -> Vec<Vec<u8>> {
+            (0..CACHE_SHARD_FILES)
+                .filter(|&i| i != 3)
+                .map(|i| std::fs::read(dir.join(shard_file_name(i))).unwrap())
+                .collect()
+        };
+        let before = siblings();
+
+        assert!(matches!(
+            SharedEvalCache::load_sharded(&dir, 5),
+            Err(CacheLoadError::WrongVersion { found: 3 })
+        ));
+        SharedEvalCache::new().sync_sharded(&dir, 5).unwrap();
+        assert_eq!(std::fs::read(&stale).unwrap()[6], CACHE_VERSION as u8);
+        assert_eq!(siblings(), before, "every v4 sibling keeps its entries");
+        let reloaded = SharedEvalCache::load_sharded(&dir, 5).unwrap();
+        assert_eq!(reloaded.len(), CACHE_SHARD_FILES - 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

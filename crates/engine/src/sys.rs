@@ -1,11 +1,9 @@
-//! Thin OS-level helpers for multi-process cache persistence: advisory
-//! file locks (`flock`) and read-only memory maps (`mmap`).
+//! Advisory file locks (`flock`) for multi-process cache persistence.
 //!
-//! Both are declared directly against the C library the Rust standard
-//! library already links — no external crate — and both degrade cleanly on
-//! non-Unix targets: [`FileLock`] becomes a no-op guard (single-process
-//! semantics, same as before locking existed) and [`MappedBytes`] always
-//! takes the read-to-vec fallback. Callers never need their own `cfg`.
+//! `flock(2)` is declared directly against the C library the Rust standard
+//! library already links — no external crate. On non-Unix targets
+//! [`FileLock`] becomes a no-op guard (single-process semantics, same as
+//! before locking existed), so callers never need their own `cfg`.
 
 use std::fs::File;
 use std::io;
@@ -24,23 +22,7 @@ mod unix {
 
     extern "C" {
         fn flock(fd: i32, operation: i32) -> i32;
-        fn mmap(
-            addr: *mut core::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut core::ffi::c_void;
-        fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
     }
-
-    /// `mmap(2)` protection: pages are readable.
-    const PROT_READ: i32 = 1;
-    /// `mmap(2)` flags: private copy-on-write mapping (we never write).
-    const MAP_PRIVATE: i32 = 2;
-    /// `mmap(2)` error sentinel.
-    const MAP_FAILED: *mut core::ffi::c_void = usize::MAX as *mut core::ffi::c_void;
 
     /// Takes an exclusive advisory lock on `file`, blocking until granted.
     pub fn lock_exclusive(file: &File) -> io::Result<()> {
@@ -62,52 +44,6 @@ mod unix {
         // Dropping the fd would release the lock anyway; an explicit
         // unlock just does it eagerly. Errors are unactionable here.
         let _ = unsafe { flock(file.as_raw_fd(), LOCK_UN) };
-    }
-
-    /// A read-only private mapping of an entire file.
-    pub struct RawMap {
-        ptr: *mut core::ffi::c_void,
-        len: usize,
-    }
-
-    // The mapping is immutable shared memory; the raw pointer is only ever
-    // dereferenced through `as_slice`.
-    unsafe impl Send for RawMap {}
-    unsafe impl Sync for RawMap {}
-
-    impl RawMap {
-        /// Maps `len` bytes of `file` read-only. `len` must be non-zero
-        /// (zero-length `mmap` is an error by spec).
-        pub fn new(file: &File, len: usize) -> io::Result<Self> {
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr == MAP_FAILED {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Self { ptr, len })
-        }
-
-        pub fn as_slice(&self) -> &[u8] {
-            // SAFETY: `ptr` is a live PROT_READ mapping of exactly `len`
-            // bytes, unmapped only in Drop.
-            unsafe { std::slice::from_raw_parts(self.ptr.cast::<u8>(), self.len) }
-        }
-    }
-
-    impl Drop for RawMap {
-        fn drop(&mut self) {
-            unsafe {
-                let _ = munmap(self.ptr, self.len);
-            }
-        }
     }
 }
 
@@ -152,94 +88,9 @@ impl Drop for FileLock {
     }
 }
 
-/// File contents as a borrowable byte slice: either a live `mmap` region
-/// (unix, non-empty file) or an owned in-memory copy (the fallback).
-pub enum MappedBytes {
-    /// A read-only memory mapping of the whole file.
-    #[cfg(unix)]
-    Mapped(unix::RawMap),
-    /// The file read into an owned buffer.
-    Owned(Vec<u8>),
-}
-
-impl MappedBytes {
-    /// Maps the file at `path` read-only, falling back to an ordinary
-    /// read when mapping is unavailable (non-Unix, empty file, or an
-    /// `mmap` refusal such as a network filesystem).
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system errors from opening or reading the file.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let path = path.as_ref();
-        #[cfg(unix)]
-        {
-            let file = File::open(path)?;
-            let len = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
-            if len > 0 {
-                if let Ok(map) = unix::RawMap::new(&file, len) {
-                    return Ok(MappedBytes::Mapped(map));
-                }
-            }
-        }
-        Ok(MappedBytes::Owned(std::fs::read(path)?))
-    }
-
-    /// Whether this is a true memory mapping (vs the owned fallback).
-    #[must_use]
-    pub fn is_mapped(&self) -> bool {
-        #[cfg(unix)]
-        {
-            matches!(self, MappedBytes::Mapped(_))
-        }
-        #[cfg(not(unix))]
-        {
-            false
-        }
-    }
-}
-
-impl std::ops::Deref for MappedBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            MappedBytes::Mapped(map) => map.as_slice(),
-            MappedBytes::Owned(bytes) => bytes,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mapped_bytes_match_a_plain_read() {
-        let dir = std::env::temp_dir().join("codesign_sys_mmap_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("blob.bin");
-        let payload: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        std::fs::write(&path, &payload).unwrap();
-        let mapped = MappedBytes::open(&path).unwrap();
-        assert_eq!(&*mapped, payload.as_slice());
-        #[cfg(unix)]
-        assert!(mapped.is_mapped(), "non-empty file maps on unix");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn empty_files_fall_back_to_owned() {
-        let dir = std::env::temp_dir().join("codesign_sys_mmap_empty_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("empty.bin");
-        std::fs::write(&path, b"").unwrap();
-        let mapped = MappedBytes::open(&path).unwrap();
-        assert!(mapped.is_empty());
-        assert!(!mapped.is_mapped());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn file_lock_excludes_across_threads() {

@@ -201,32 +201,6 @@ proptest! {
         prop_assert_eq!(&single, &resaved);
         prop_assert_eq!(merged.len(), cache.len());
     }
-
-    #[test]
-    fn v2_migration_is_lossless(
-        (pairs, accuracies) in cache_contents(),
-        salt in 0u64..u64::MAX,
-    ) {
-        let space = ConfigSpace::chaidnn();
-        let cache = SharedEvalCache::new();
-        for (hash, config_index, eval) in &pairs {
-            cache.put(*hash, &space.get(*config_index), *eval);
-        }
-        for (hash, acc) in &accuracies {
-            cache.put_accuracy(*hash, *acc);
-        }
-
-        // v2 JSON → migrate → v3: byte-identical to saving v3 directly.
-        let mut v2 = Vec::new();
-        cache.save_json(&mut v2, salt).unwrap();
-        let (migrated, found_salt) =
-            SharedEvalCache::load_json_with_salt(v2.as_slice()).unwrap();
-        prop_assert_eq!(found_salt, salt);
-        let (mut direct, mut converted) = (Vec::new(), Vec::new());
-        cache.save(&mut direct, salt).unwrap();
-        migrated.save(&mut converted, salt).unwrap();
-        prop_assert_eq!(&direct, &converted);
-    }
 }
 
 /// Shard files merged in *reverse* name order reconstruct the same cache
