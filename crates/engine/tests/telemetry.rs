@@ -2,7 +2,7 @@
 //! bit-identical whether the span/metrics subsystem is on or off, at any
 //! worker count — and when it *is* on, the Chrome trace actually contains
 //! the spans the engine promises (every shard, the strategies, cache
-//! persistence).
+//! persistence), and the controller's histograms count every call.
 //!
 //! Everything runs in one `#[test]` because telemetry state
 //! (enabled flag, span buffer, metrics registry) is process-global and
@@ -20,7 +20,11 @@ fn campaign() -> Campaign {
             ScenarioSpec::unconstrained(),
             ScenarioSpec::one_constraint(),
         ])
-        .strategies(vec![StrategyKind::Random, StrategyKind::Evolution])
+        .strategies(vec![
+            StrategyKind::Random,
+            StrategyKind::Evolution,
+            StrategyKind::Combined,
+        ])
         .seeds(vec![0, 1])
         .steps(50)
 }
@@ -105,13 +109,14 @@ fn exports_are_bit_identical_with_telemetry_on_or_off() {
     assert_eq!(shard_lines(&off_1), shard_lines(&off_4));
 
     // 2) The trace carries every promised span: one shard.run per shard
-    // per telemetry-on campaign (8 shards x 3 runs), the campaign roots,
+    // per telemetry-on campaign (12 shards x 3 runs), the campaign roots,
     // strategy spans, and the persistence pair.
     let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
     assert_eq!(count("campaign.run"), 3);
-    assert_eq!(count("shard.run"), 24);
+    assert_eq!(count("shard.run"), 36);
     assert_eq!(count("random"), 12);
     assert_eq!(count("evolution"), 12);
+    assert_eq!(count("combined"), 12);
     assert_eq!(count("cache.save"), 1);
     assert_eq!(count("cache.load"), 1);
     assert!(count("campaign.worker") >= 3, "at least one worker per run");
@@ -147,7 +152,12 @@ fn exports_are_bit_identical_with_telemetry_on_or_off() {
         .any(|e| e.get("name").and_then(Json::as_str) == Some("shard.run")));
 
     // 4) The metrics registry agrees with the engine's own accounting:
-    // 3 telemetry-on campaigns x 8 shards each.
-    assert_eq!(metrics.counter("engine.shards_total"), Some(24));
-    assert_eq!(metrics.counter("engine.shards_done"), Some(24));
+    // 3 telemetry-on campaigns x 12 shards each, and one controller
+    // proposal and update per step of the 12 combined shards.
+    assert_eq!(metrics.counter("engine.shards_total"), Some(36));
+    assert_eq!(metrics.counter("engine.shards_done"), Some(36));
+    for name in ["rl.propose_us", "rl.learn_us"] {
+        let calls = metrics.histogram(name).map(|h| h.count());
+        assert_eq!(calls, Some(12 * 50), "{name} observations");
+    }
 }

@@ -5,7 +5,8 @@
 //! sequence and updated with REINFORCE. This crate implements the whole
 //! stack with no ML-framework dependency:
 //!
-//! * [`math`] — dense matrices, masked softmax, entropy;
+//! * [`math`] — dense matrices with blocked, bit-exact kernels, masked
+//!   softmax, entropy;
 //! * [`nn`] — [`Linear`](nn::Linear), [`Embedding`](nn::Embedding) and
 //!   [`LstmCell`](nn::LstmCell) with hand-written backward passes
 //!   (finite-difference-checked in the tests);

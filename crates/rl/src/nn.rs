@@ -4,6 +4,11 @@
 //! after [Zoph & Le 2016]). Everything here is written from scratch with
 //! explicit gradients; `tests` include finite-difference checks of every
 //! layer, and the policy-level gradient check lives in [`crate::policy`].
+//!
+//! Passes write into caller-owned buffers and allocate nothing. Backward
+//! passes carry only the gradients that flow between steps or layers; each
+//! layer's `accumulate` then adds a whole sequence's weight gradients in
+//! one rank-`k` pass ([`Matrix::add_outer_sum`]), in the caller's step order.
 
 use rand::Rng;
 
@@ -34,24 +39,30 @@ impl Linear {
         }
     }
 
-    /// Forward pass.
-    #[must_use]
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = self.w.matvec(x);
+    /// Forward pass into `y`.
+    pub fn forward_into(&self, x: &[f64], y: &mut [f64]) {
+        self.w.matvec_into(x, y);
         for (yi, bi) in y.iter_mut().zip(self.b.iter()) {
             *yi += bi;
         }
-        y
     }
 
-    /// Accumulates gradients for one sample and returns `dL/dx`.
-    #[must_use]
-    pub fn backward(&mut self, x: &[f64], dy: &[f64]) -> Vec<f64> {
-        self.dw.add_outer(dy, x);
-        for (g, d) in self.db.iter_mut().zip(dy.iter()) {
-            *g += d;
+    /// Accumulates the gradients of `k` samples, `t = 0, 1, …, k − 1` in
+    /// order: `dW += Σ_t dy(t) ⊗ x(t)` and `db += Σ_t dy(t)`. The input
+    /// gradient of sample `t` is `Wᵀ·dy(t)`
+    /// ([`Matrix::add_matvec_transpose`]).
+    pub fn accumulate<'a>(
+        &mut self,
+        k: usize,
+        dy: impl Fn(usize) -> &'a [f64],
+        x: impl Fn(usize) -> &'a [f64],
+    ) {
+        self.dw.add_outer_sum(k, &dy, x);
+        for t in 0..k {
+            for (g, d) in self.db.iter_mut().zip(dy(t)) {
+                *g += d;
+            }
         }
-        self.w.matvec_transpose(dy)
     }
 
     /// Clears gradient accumulators.
@@ -82,8 +93,8 @@ impl Embedding {
 
     /// The embedding vector of `id`.
     #[must_use]
-    pub fn forward(&self, id: usize) -> Vec<f64> {
-        self.table.row(id).to_vec()
+    pub fn forward(&self, id: usize) -> &[f64] {
+        self.table.row(id)
     }
 
     /// Accumulates the gradient flowing into `id`'s row.
@@ -99,32 +110,15 @@ impl Embedding {
     }
 }
 
-/// Everything the LSTM backward pass needs from one forward step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LstmCache {
-    /// Input vector.
-    pub x: Vec<f64>,
-    /// Previous hidden state.
-    pub h_prev: Vec<f64>,
-    /// Previous cell state.
-    pub c_prev: Vec<f64>,
-    /// Input gate activations.
-    pub i: Vec<f64>,
-    /// Forget gate activations.
-    pub f: Vec<f64>,
-    /// Candidate activations (tanh).
-    pub g: Vec<f64>,
-    /// Output gate activations.
-    pub o: Vec<f64>,
-    /// New cell state.
-    pub c: Vec<f64>,
-    /// New hidden state.
-    pub h: Vec<f64>,
-}
+/// Values per unit of hidden width in one LSTM step record.
+const RECORD_PARTS: usize = 7;
 
 /// A single LSTM cell with gradient accumulators.
 ///
-/// Gate layout in the stacked weight matrices is `[i, f, g, o]`.
+/// Gate layout in the stacked weight matrices is `[i, f, g, o]`. A forward
+/// step writes a *step record* of `7 × hidden` values, which its backward
+/// step reads back: the gate activations `[i f g o]`, then the new cell
+/// state `c`, the new hidden state `h` and `tanh(c)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LstmCell {
     /// Input weights, `4H × I`.
@@ -168,77 +162,140 @@ impl LstmCell {
         self.hidden
     }
 
-    /// One step: returns the cache holding `(h, c)` and gate activations.
+    /// Length of one step record.
     #[must_use]
-    pub fn forward(&self, x: &[f64], h_prev: &[f64], c_prev: &[f64]) -> LstmCache {
+    pub fn record_len(&self) -> usize {
+        RECORD_PARTS * self.hidden
+    }
+
+    /// The new cell state `c` in a step record.
+    #[must_use]
+    pub fn cell_state(record: &[f64]) -> &[f64] {
+        let h = record.len() / RECORD_PARTS;
+        &record[4 * h..5 * h]
+    }
+
+    /// The new hidden state `h` in a step record.
+    #[must_use]
+    pub fn hidden_state(record: &[f64]) -> &[f64] {
+        let h = record.len() / RECORD_PARTS;
+        &record[5 * h..6 * h]
+    }
+
+    /// One step from `(x, h_prev, c_prev)`, written into `record`
+    /// ([`LstmCell::record_len`] values). `zh` is `4H` of scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn forward(
+        &self,
+        x: &[f64],
+        h_prev: &[f64],
+        c_prev: &[f64],
+        zh: &mut [f64],
+        record: &mut [f64],
+    ) {
         let hsz = self.hidden;
-        let mut z = self.wx.matvec(x);
-        let zh = self.wh.matvec(h_prev);
+        assert_eq!(
+            record.len(),
+            self.record_len(),
+            "lstm record length mismatch"
+        );
+        let (z, state) = record.split_at_mut(4 * hsz);
+        self.wx.matvec_into(x, z);
+        self.wh.matvec_into(h_prev, zh);
         for (a, (b, c)) in z.iter_mut().zip(zh.iter().zip(self.b.iter())) {
             *a += b + c;
         }
-        let mut i = vec![0.0; hsz];
-        let mut f = vec![0.0; hsz];
-        let mut g = vec![0.0; hsz];
-        let mut o = vec![0.0; hsz];
-        for k in 0..hsz {
-            i[k] = sigmoid(z[k]);
-            f[k] = sigmoid(z[hsz + k]);
-            g[k] = z[2 * hsz + k].tanh();
-            o[k] = sigmoid(z[3 * hsz + k]);
+        let (i, rest) = z.split_at_mut(hsz);
+        let (f, rest) = rest.split_at_mut(hsz);
+        let (g, o) = rest.split_at_mut(hsz);
+        for (((i, f), g), o) in i
+            .iter_mut()
+            .zip(f.iter_mut())
+            .zip(g.iter_mut())
+            .zip(o.iter_mut())
+        {
+            *i = sigmoid(*i);
+            *f = sigmoid(*f);
+            *g = g.tanh();
+            *o = sigmoid(*o);
         }
-        let mut c = vec![0.0; hsz];
-        let mut h = vec![0.0; hsz];
+        let (c, rest) = state.split_at_mut(hsz);
+        let (h, tc) = rest.split_at_mut(hsz);
         for k in 0..hsz {
             c[k] = f[k] * c_prev[k] + i[k] * g[k];
-            h[k] = o[k] * c[k].tanh();
-        }
-        LstmCache {
-            x: x.to_vec(),
-            h_prev: h_prev.to_vec(),
-            c_prev: c_prev.to_vec(),
-            i,
-            f,
-            g,
-            o,
-            c,
-            h,
+            tc[k] = c[k].tanh();
+            h[k] = o[k] * tc[k];
         }
     }
 
-    /// Backward through one step. `dh`/`dc` are the gradients flowing into
-    /// this step's outputs; returns `(dx, dh_prev, dc_prev)`.
-    #[must_use]
+    /// Backward through one step record, given the step's `c_prev`. On
+    /// entry `dh`/`dc` hold the gradients flowing into this step's `h` and
+    /// `c`; on return they hold those flowing into `h_prev` and `c_prev`.
+    /// Writes the gate pre-activation gradient into `dz` (`4H`) and the
+    /// input gradient into `dx`. The weight gradients are left to
+    /// [`LstmCell::accumulate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
     pub fn backward(
-        &mut self,
-        cache: &LstmCache,
-        dh: &[f64],
-        dc_in: &[f64],
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        &self,
+        record: &[f64],
+        c_prev: &[f64],
+        dh: &mut [f64],
+        dc: &mut [f64],
+        dz: &mut [f64],
+        dx: &mut [f64],
+    ) {
         let hsz = self.hidden;
-        let mut dz = vec![0.0; 4 * hsz];
-        let mut dc_prev = vec![0.0; hsz];
+        assert_eq!(
+            record.len(),
+            self.record_len(),
+            "lstm record length mismatch"
+        );
+        let (gates, state) = record.split_at(4 * hsz);
+        let (i, rest) = gates.split_at(hsz);
+        let (f, rest) = rest.split_at(hsz);
+        let (g, o) = rest.split_at(hsz);
+        let tc = &state[2 * hsz..];
         for k in 0..hsz {
-            let tc = cache.c[k].tanh();
-            let do_ = dh[k] * tc;
-            let dc = dc_in[k] + dh[k] * cache.o[k] * (1.0 - tc * tc);
-            let di = dc * cache.g[k];
-            let df = dc * cache.c_prev[k];
-            let dg = dc * cache.i[k];
-            dc_prev[k] = dc * cache.f[k];
-            dz[k] = di * cache.i[k] * (1.0 - cache.i[k]);
-            dz[hsz + k] = df * cache.f[k] * (1.0 - cache.f[k]);
-            dz[2 * hsz + k] = dg * (1.0 - cache.g[k] * cache.g[k]);
-            dz[3 * hsz + k] = do_ * cache.o[k] * (1.0 - cache.o[k]);
+            let do_ = dh[k] * tc[k];
+            let dck = dc[k] + dh[k] * o[k] * (1.0 - tc[k] * tc[k]);
+            let di = dck * g[k];
+            let df = dck * c_prev[k];
+            let dg = dck * i[k];
+            dc[k] = dck * f[k];
+            dz[k] = di * i[k] * (1.0 - i[k]);
+            dz[hsz + k] = df * f[k] * (1.0 - f[k]);
+            dz[2 * hsz + k] = dg * (1.0 - g[k] * g[k]);
+            dz[3 * hsz + k] = do_ * o[k] * (1.0 - o[k]);
         }
-        self.dwx.add_outer(&dz, &cache.x);
-        self.dwh.add_outer(&dz, &cache.h_prev);
-        for (g, d) in self.db.iter_mut().zip(dz.iter()) {
-            *g += d;
+        dx.fill(0.0);
+        self.wx.add_matvec_transpose(dz, dx);
+        dh.fill(0.0);
+        self.wh.add_matvec_transpose(dz, dh);
+    }
+
+    /// Accumulates the weight gradients of `k` steps, `t = 0, 1, …, k − 1`
+    /// in order: `dWx += Σ_t dz(t) ⊗ x(t)`, `dWh += Σ_t dz(t) ⊗ h_prev(t)`
+    /// and `db += Σ_t dz(t)`.
+    pub fn accumulate<'a>(
+        &mut self,
+        k: usize,
+        dz: impl Fn(usize) -> &'a [f64],
+        x: impl Fn(usize) -> &'a [f64],
+        h_prev: impl Fn(usize) -> &'a [f64],
+    ) {
+        self.dwx.add_outer_sum(k, &dz, x);
+        self.dwh.add_outer_sum(k, &dz, h_prev);
+        for t in 0..k {
+            for (g, d) in self.db.iter_mut().zip(dz(t)) {
+                *g += d;
+            }
         }
-        let dx = self.wx.matvec_transpose(&dz);
-        let dh_prev = self.wh.matvec_transpose(&dz);
-        (dx, dh_prev, dc_prev)
     }
 
     /// Clears gradient accumulators.
@@ -258,27 +315,34 @@ mod tests {
     const EPS: f64 = 1e-5;
     const TOL: f64 = 1e-6;
 
+    /// `sum(y²)` for `y = layer(x)`.
+    fn linear_loss(layer: &Linear, x: &[f64]) -> f64 {
+        let mut y = vec![0.0; layer.b.len()];
+        layer.forward_into(x, &mut y);
+        y.iter().map(|u| u * u).sum::<f64>()
+    }
+
     #[test]
     fn linear_gradcheck() {
         let mut rng = SmallRng::seed_from_u64(1);
         let mut layer = Linear::new(3, 2, &mut rng);
         let x = vec![0.3, -0.7, 0.2];
         // Loss: sum of outputs squared.
-        let dy: Vec<f64> = {
-            let y = layer.forward(&x);
-            y.iter().map(|v| 2.0 * v).collect()
-        };
+        let mut dy = vec![0.0; 2];
+        layer.forward_into(&x, &mut dy);
+        dy.iter_mut().for_each(|v| *v *= 2.0);
         layer.zero_grad();
-        let dx = layer.backward(&x, &dy);
-        // Check weight gradients.
+        layer.accumulate(1, |_| &dy, |_| &x);
+        let mut dx = vec![0.0; 3];
+        layer.w.add_matvec_transpose(&dy, &mut dx);
+        // Check weight and bias gradients.
         for r in 0..2 {
             for c in 0..3 {
                 let orig = layer.w.get(r, c);
                 let eval = |v: f64| {
                     let mut l2 = layer.clone();
                     l2.w.set(r, c, v);
-                    let y = l2.forward(&x);
-                    y.iter().map(|u| u * u).sum::<f64>()
+                    linear_loss(&l2, &x)
                 };
                 let num = (eval(orig + EPS) - eval(orig - EPS)) / (2.0 * EPS);
                 assert!(
@@ -288,14 +352,20 @@ mod tests {
                     num
                 );
             }
+            let eval = |v: f64| {
+                let mut l2 = layer.clone();
+                l2.b[r] = v;
+                linear_loss(&l2, &x)
+            };
+            let num = (eval(layer.b[r] + EPS) - eval(layer.b[r] - EPS)) / (2.0 * EPS);
+            assert!((layer.db[r] - num).abs() < TOL, "db[{r}]");
         }
         // Check input gradient.
         for k in 0..3 {
             let eval = |v: f64| {
                 let mut x2 = x.clone();
                 x2[k] = v;
-                let y = layer.forward(&x2);
-                y.iter().map(|u| u * u).sum::<f64>()
+                linear_loss(&layer, &x2)
             };
             let num = (eval(x[k] + EPS) - eval(x[k] - EPS)) / (2.0 * EPS);
             assert!((dx[k] - num).abs() < TOL, "dx[{k}] {} vs {}", dx[k], num);
@@ -311,13 +381,23 @@ mod tests {
         assert_eq!(e.dtable.row(0), &[0.0, 0.0, 0.0]);
     }
 
+    /// One forward step of `cell`: its step record.
+    fn step(cell: &LstmCell, x: &[f64], h0: &[f64], c0: &[f64]) -> Vec<f64> {
+        let mut zh = vec![0.0; 4 * cell.hidden()];
+        let mut record = vec![0.0; cell.record_len()];
+        cell.forward(x, h0, c0, &mut zh, &mut record);
+        record
+    }
+
     #[test]
     fn lstm_forward_state_is_bounded() {
         let mut rng = SmallRng::seed_from_u64(3);
         let cell = LstmCell::new(4, 8, &mut rng);
-        let cache = cell.forward(&[1.0, -1.0, 0.5, 2.0], &[0.0; 8], &[0.0; 8]);
+        let record = step(&cell, &[1.0, -1.0, 0.5, 2.0], &[0.0; 8], &[0.0; 8]);
         assert!(
-            cache.h.iter().all(|v| v.abs() <= 1.0),
+            LstmCell::hidden_state(&record)
+                .iter()
+                .all(|v| v.abs() <= 1.0),
             "h = o*tanh(c) is in [-1,1]"
         );
     }
@@ -331,12 +411,16 @@ mod tests {
         let c0 = vec![0.2, 0.1, -0.1, 0.4];
         // Loss: sum(h) + 0.5*sum(c).
         let loss_of = |cell: &LstmCell, x: &[f64], h0: &[f64], c0: &[f64]| {
-            let cache = cell.forward(x, h0, c0);
-            cache.h.iter().sum::<f64>() + 0.5 * cache.c.iter().sum::<f64>()
+            let record = step(cell, x, h0, c0);
+            LstmCell::hidden_state(&record).iter().sum::<f64>()
+                + 0.5 * LstmCell::cell_state(&record).iter().sum::<f64>()
         };
-        let cache = cell.forward(&x, &h0, &c0);
+        let record = step(&cell, &x, &h0, &c0);
         cell.zero_grad();
-        let (dx, dh0, dc0) = cell.backward(&cache, &[1.0; 4], &[0.5; 4]);
+        let (mut dh0, mut dc0) = (vec![1.0; 4], vec![0.5; 4]);
+        let (mut dz, mut dx) = (vec![0.0; 16], vec![0.0; 3]);
+        cell.backward(&record, &c0, &mut dh0, &mut dc0, &mut dz, &mut dx);
+        cell.accumulate(1, |_| &dz, |_| &x, |_| &h0);
 
         // Spot-check a grid of weight entries in wx and wh.
         for (r, c) in [(0, 0), (3, 2), (5, 1), (9, 0), (13, 2), (15, 1)] {
@@ -368,6 +452,15 @@ mod tests {
                 cell.dwh.get(r, c),
                 num
             );
+        }
+        for r in [0, 6, 11, 15] {
+            let eval = |v: f64| {
+                let mut c2 = cell.clone();
+                c2.b[r] = v;
+                loss_of(&c2, &x, &h0, &c0)
+            };
+            let num = (eval(cell.b[r] + EPS) - eval(cell.b[r] - EPS)) / (2.0 * EPS);
+            assert!((cell.db[r] - num).abs() < TOL, "db[{r}]");
         }
         // Input and state gradients.
         for k in 0..3 {

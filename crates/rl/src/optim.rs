@@ -40,11 +40,14 @@ impl Sgd {
             if velocity.len() <= slot {
                 velocity.push(vec![0.0; params.len()]);
             }
-            let v = &mut velocity[slot];
-            for i in 0..params.len() {
-                let g = grads[i] * scale;
-                v[i] = momentum * v[i] - lr * g;
-                params[i] += v[i];
+            for ((p, g), v) in params
+                .iter_mut()
+                .zip(grads.iter())
+                .zip(velocity[slot].iter_mut())
+            {
+                let g = g * scale;
+                *v = momentum * *v - lr * g;
+                *p += *v;
             }
             slot += 1;
         });
@@ -103,15 +106,14 @@ impl Adam {
                 m_all.push(vec![0.0; params.len()]);
                 v_all.push(vec![0.0; params.len()]);
             }
-            let m = &mut m_all[slot];
-            let v = &mut v_all[slot];
-            for i in 0..params.len() {
-                let g = grads[i] * scale;
-                m[i] = b1 * m[i] + (1.0 - b1) * g;
-                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-                let mhat = m[i] / bc1;
-                let vhat = v[i] / bc2;
-                params[i] -= lr * mhat / (vhat.sqrt() + eps);
+            let moments = m_all[slot].iter_mut().zip(v_all[slot].iter_mut());
+            for ((p, g), (m, v)) in params.iter_mut().zip(grads.iter()).zip(moments) {
+                let g = g * scale;
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *p -= lr * mhat / (vhat.sqrt() + eps);
             }
             slot += 1;
         });
@@ -120,6 +122,11 @@ impl Adam {
 
 /// Returns the multiplier that clips the global gradient norm to `clip_norm`
 /// (1.0 when clipping is disabled or unnecessary).
+///
+/// The squared norm is one serial sum over every gradient in
+/// `visit_params` order. That order is part of the output: a blocked or
+/// multi-accumulator sum would round differently and move the trained
+/// weights.
 fn grad_scale(policy: &mut LstmPolicy, clip_norm: f64) -> f64 {
     if clip_norm <= 0.0 {
         return 1.0;

@@ -11,7 +11,7 @@
 use rand::Rng;
 
 use crate::math::{entropy, masked_softmax};
-use crate::nn::{Embedding, Linear, LstmCache, LstmCell};
+use crate::nn::{Embedding, Linear, LstmCell};
 
 /// Hyper-parameters of an [`LstmPolicy`].
 #[derive(Debug, Clone, PartialEq)]
@@ -69,16 +69,10 @@ pub struct Rollout {
     pub log_prob: f64,
     /// Summed per-step entropy of the sampling distributions.
     pub entropy: f64,
-    steps: Vec<StepTrace>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct StepTrace {
-    token: usize,
-    cache: LstmCache,
-    probs: Vec<f64>,
-    mask: Vec<bool>,
-    action: usize,
+    /// One record per decision, `LstmPolicy::stride` values each: the
+    /// input embedding `x`, the LSTM step record `[i f g o | c | h | tanh c]`
+    /// and the head-wide masked `probs`.
+    trace: Vec<f64>,
 }
 
 /// The LSTM controller policy.
@@ -130,16 +124,17 @@ impl LstmPolicy {
         &self.config
     }
 
-    fn token_for(&self, position: usize, action: usize) -> usize {
-        self.offsets[position] + action
+    /// The embedding row fed to decision `t` of `actions`: the start token
+    /// for the first decision, else the previous decision's choice.
+    fn token(&self, actions: &[usize], t: usize) -> usize {
+        t.checked_sub(1)
+            .map_or(0, |prev| self.offsets[prev] + actions[prev])
     }
 
-    fn mask_for(&self, position: usize) -> Vec<bool> {
-        let mut mask = vec![false; self.config.max_vocab()];
-        for m in mask.iter_mut().take(self.config.vocab_sizes[position]) {
-            *m = true;
-        }
-        mask
+    /// Values per decision in a rollout trace: `x`, the LSTM step record
+    /// and the head-wide `probs`.
+    fn stride(&self) -> usize {
+        self.config.embed + self.lstm.record_len() + self.head.b.len()
     }
 
     /// Samples one decision sequence, recording the traces needed for
@@ -198,44 +193,43 @@ impl LstmPolicy {
         mut choose: F,
         rng: &mut R,
     ) -> Rollout {
-        let hsz = self.config.hidden;
-        let mut h = vec![0.0; hsz];
-        let mut c = vec![0.0; hsz];
-        let mut token = 0usize; // start-of-sequence
-        let mut steps = Vec::with_capacity(self.config.num_decisions());
-        let mut actions = Vec::with_capacity(self.config.num_decisions());
+        let n = self.config.num_decisions();
+        let (embed, cell) = (self.config.embed, self.lstm.record_len());
+        let stride = self.stride();
+        let mut trace = vec![0.0; n * stride];
+        let mut zh = vec![0.0; 4 * self.config.hidden];
+        let zeros = vec![0.0; self.config.hidden];
+        let mut actions = Vec::with_capacity(n);
         let mut log_prob = 0.0;
         let mut total_entropy = 0.0;
-        for t in 0..self.config.num_decisions() {
-            let x = self.embed.forward(token);
-            let cache = self.lstm.forward(&x, &h, &c);
-            h.copy_from_slice(&cache.h);
-            c.copy_from_slice(&cache.c);
-            let logits = self.head.forward(&h);
-            let mask = self.mask_for(t);
-            let probs = masked_softmax(&logits, &mask);
-            let action = choose(&probs, rng);
+        for (t, &live) in self.config.vocab_sizes.iter().enumerate() {
+            let (done, rest) = trace.split_at_mut(t * stride);
+            let (x, rest) = rest[..stride].split_at_mut(embed);
+            let (record, probs) = rest.split_at_mut(cell);
+            let prev = t
+                .checked_sub(1)
+                .map(|p| &done[p * stride + embed..][..cell]);
+            let h_prev = prev.map_or(&zeros[..], LstmCell::hidden_state);
+            let c_prev = prev.map_or(&zeros[..], LstmCell::cell_state);
+            x.copy_from_slice(self.embed.forward(self.token(&actions, t)));
+            self.lstm.forward(x, h_prev, c_prev, &mut zh, record);
+            self.head
+                .forward_into(LstmCell::hidden_state(record), probs);
+            masked_softmax(probs, live);
+            let action = choose(probs, rng);
             assert!(
-                action < self.config.vocab_sizes[t],
+                action < live,
                 "chosen action {action} out of range at step {t}"
             );
             log_prob += probs[action].max(1e-300).ln();
-            total_entropy += entropy(&probs);
-            steps.push(StepTrace {
-                token,
-                cache,
-                probs: probs.clone(),
-                mask,
-                action,
-            });
-            token = self.token_for(t, action);
+            total_entropy += entropy(probs);
             actions.push(action);
         }
         Rollout {
             actions,
             log_prob,
             entropy: total_entropy,
-            steps,
+            trace,
         }
     }
 
@@ -244,35 +238,83 @@ impl LstmPolicy {
     ///
     /// Gradients add up across calls; pair with
     /// [`LstmPolicy::zero_grad`] and an optimizer step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rollout` was decoded by a policy of another shape.
     pub fn accumulate_grad(&mut self, rollout: &Rollout, advantage: f64, entropy_beta: f64) {
-        let hsz = self.config.hidden;
-        let mut dh_future = vec![0.0; hsz];
-        let mut dc_future = vec![0.0; hsz];
-        for step in rollout.steps.iter().rev() {
-            let p = &step.probs;
-            let step_entropy = entropy(p);
-            let mut dlogits = vec![0.0; p.len()];
-            for k in 0..p.len() {
-                if !step.mask[k] || p[k] <= 0.0 {
+        let n = self.config.num_decisions();
+        let (embed, hsz, cell) = (
+            self.config.embed,
+            self.config.hidden,
+            self.lstm.record_len(),
+        );
+        let vocab = self.head.b.len();
+        let stride = self.stride();
+        assert_eq!(
+            rollout.trace.len(),
+            n * stride,
+            "rollout from a policy of another shape"
+        );
+        let x_of = |t: usize| &rollout.trace[t * stride..][..embed];
+        let record_of = |t: usize| &rollout.trace[t * stride + embed..][..cell];
+        let zeros = vec![0.0; hsz];
+        let state_before = |t: usize, state: fn(&[f64]) -> &[f64]| {
+            t.checked_sub(1).map_or(&zeros[..], |p| state(record_of(p)))
+        };
+
+        // The backward recurrence first: it reads only weights. Steps run in
+        // reverse; each one's logit and gate gradients are kept for the
+        // weight-gradient pass below.
+        let mut dlogits = vec![0.0; n * vocab];
+        let mut dz = vec![0.0; n * 4 * hsz];
+        let (mut dh, mut dh_future, mut dc) = (vec![0.0; hsz], vec![0.0; hsz], vec![0.0; hsz]);
+        let mut dx = vec![0.0; embed];
+        for t in (0..n).rev() {
+            let probs = &rollout.trace[t * stride + embed + cell..][..vocab];
+            let step_entropy = entropy(probs);
+            let action = rollout.actions[t];
+            let dl = &mut dlogits[t * vocab..][..vocab];
+            let live = self.config.vocab_sizes[t];
+            for (k, (d, &p)) in dl.iter_mut().zip(probs).enumerate().take(live) {
+                if p <= 0.0 {
                     continue;
                 }
                 // d/dlogit of -adv*log p[action]:
-                let onehot = f64::from(k == step.action);
-                dlogits[k] = advantage * (p[k] - onehot);
+                let onehot = f64::from(k == action);
+                *d = advantage * (p - onehot);
                 // d/dlogit of -beta*H:
                 if entropy_beta > 0.0 {
-                    dlogits[k] += entropy_beta * p[k] * (p[k].ln() + step_entropy);
+                    *d += entropy_beta * p * (p.ln() + step_entropy);
                 }
             }
-            let mut dh = self.head.backward(&step.cache.h, &dlogits);
+            dh.fill(0.0);
+            self.head.w.add_matvec_transpose(dl, &mut dh);
             for (a, b) in dh.iter_mut().zip(dh_future.iter()) {
                 *a += b;
             }
-            let (dx, dh_prev, dc_prev) = self.lstm.backward(&step.cache, &dh, &dc_future);
-            self.embed.backward(step.token, &dx);
-            dh_future = dh_prev;
-            dc_future = dc_prev;
+            let c_prev = state_before(t, LstmCell::cell_state);
+            let dz_t = &mut dz[t * 4 * hsz..][..4 * hsz];
+            self.lstm
+                .backward(record_of(t), c_prev, &mut dh, &mut dc, dz_t, &mut dx);
+            self.embed.backward(self.token(&rollout.actions, t), &dx);
+            std::mem::swap(&mut dh, &mut dh_future);
         }
+
+        // Then each weight gradient in one rank-n pass, steps in the same
+        // reverse order.
+        let rev = |t: usize| n - 1 - t;
+        self.lstm.accumulate(
+            n,
+            |t| &dz[rev(t) * 4 * hsz..][..4 * hsz],
+            |t| x_of(rev(t)),
+            |t| state_before(rev(t), LstmCell::hidden_state),
+        );
+        self.head.accumulate(
+            n,
+            |t| &dlogits[rev(t) * vocab..][..vocab],
+            |t| LstmCell::hidden_state(record_of(rev(t))),
+        );
     }
 
     /// Clears all gradient accumulators.

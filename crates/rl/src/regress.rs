@@ -120,38 +120,67 @@ impl MlpRegressor {
         if xs.is_empty() {
             return;
         }
-        let n = xs.len() as f64;
-        (self.x_mean, self.x_std) = standardization(xs, self.inputs());
-        (self.y_mean, self.y_std) = standardization(ys, self.outputs());
-        let xn: Vec<Vec<f64>> = xs
+        let rows = xs.len();
+        let n = rows as f64;
+        let (inputs, hidden, outputs) = (self.inputs(), self.config.hidden, self.outputs());
+        (self.x_mean, self.x_std) = standardization(xs, inputs);
+        (self.y_mean, self.y_std) = standardization(ys, outputs);
+        let xn: Vec<f64> = xs
             .iter()
-            .map(|x| standardize(x, &self.x_mean, &self.x_std))
+            .flat_map(|x| standardize(x, &self.x_mean, &self.x_std))
             .collect();
-        let yn: Vec<Vec<f64>> = ys
+        let yn: Vec<f64> = ys
             .iter()
-            .map(|y| standardize(y, &self.y_mean, &self.y_std))
+            .flat_map(|y| standardize(y, &self.y_mean, &self.y_std))
             .collect();
+        // Layer 1's batched forward pass reads the inputs feature by feature.
+        let mut xt = vec![0.0; rows * inputs];
+        for (s, x) in xn.chunks_exact(inputs).enumerate() {
+            for (c, &v) in x.iter().enumerate() {
+                xt[c * rows + s] = v;
+            }
+        }
+        // Per-sample hidden activations and output/hidden gradients.
+        let mut h = vec![0.0; rows * hidden];
+        let mut dout = vec![0.0; rows * outputs];
+        let mut dh_pre = vec![0.0; rows * hidden];
+        let mut out = vec![0.0; outputs];
         for _ in 0..self.config.epochs {
             self.l1.zero_grad();
             self.l2.zero_grad();
-            for (x, y) in xn.iter().zip(yn.iter()) {
-                let h_pre = self.l1.forward(x);
-                let h: Vec<f64> = h_pre.iter().map(|v| v.tanh()).collect();
-                let out = self.l2.forward(&h);
-                // Squared-error loss; d(out) = 2 (out - y) / n.
-                let dout: Vec<f64> = out
-                    .iter()
-                    .zip(y.iter())
-                    .map(|(o, t)| 2.0 * (o - t) / n)
-                    .collect();
-                let dh = self.l2.backward(&h, &dout);
-                let dh_pre: Vec<f64> = dh
-                    .iter()
-                    .zip(h.iter())
-                    .map(|(d, hv)| d * (1.0 - hv * hv))
-                    .collect();
-                let _ = self.l1.backward(x, &dh_pre);
+            self.l1.w.matvec_batch_into(&xt, rows, &mut h);
+            for hs in h.chunks_exact_mut(hidden) {
+                for (v, b) in hs.iter_mut().zip(self.l1.b.iter()) {
+                    *v = (*v + b).tanh();
+                }
             }
+            let samples = h
+                .chunks_exact(hidden)
+                .zip(yn.chunks_exact(outputs))
+                .zip(dout.chunks_exact_mut(outputs))
+                .zip(dh_pre.chunks_exact_mut(hidden));
+            for (((hs, y), ds), dhs) in samples {
+                self.l2.forward_into(hs, &mut out);
+                // Squared-error loss; d(out) = 2 (out - y) / n.
+                for ((d, o), t) in ds.iter_mut().zip(out.iter()).zip(y.iter()) {
+                    *d = 2.0 * (o - t) / n;
+                }
+                dhs.fill(0.0);
+                self.l2.w.add_matvec_transpose(ds, dhs);
+                for (d, hv) in dhs.iter_mut().zip(hs.iter()) {
+                    *d *= 1.0 - hv * hv;
+                }
+            }
+            self.l2.accumulate(
+                rows,
+                |s| &dout[s * outputs..][..outputs],
+                |s| &h[s * hidden..][..hidden],
+            );
+            self.l1.accumulate(
+                rows,
+                |s| &dh_pre[s * hidden..][..hidden],
+                |s| &xn[s * inputs..][..inputs],
+            );
             let lr = self.config.learning_rate;
             let l2 = self.config.l2;
             sgd_step(&mut self.l1, lr, l2);
@@ -164,22 +193,26 @@ impl MlpRegressor {
     #[must_use]
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
         let xn = standardize(x, &self.x_mean, &self.x_std);
-        let h: Vec<f64> = self.l1.forward(&xn).iter().map(|v| v.tanh()).collect();
-        let out = self.l2.forward(&h);
-        out.iter()
+        let mut h = vec![0.0; self.config.hidden];
+        self.l1.forward_into(&xn, &mut h);
+        h.iter_mut().for_each(|v| *v = v.tanh());
+        let mut out = vec![0.0; self.outputs()];
+        self.l2.forward_into(&h, &mut out);
+        for (o, (m, s)) in out
+            .iter_mut()
             .zip(self.y_mean.iter().zip(self.y_std.iter()))
-            .map(|(o, (m, s))| o * s + m)
-            .collect()
+        {
+            *o = *o * s + m;
+        }
+        out
     }
 }
 
 /// One gradient-descent step with L2 decay on the weights.
 fn sgd_step(layer: &mut Linear, lr: f64, l2: f64) {
-    for r in 0..layer.w.rows() {
-        for c in 0..layer.w.cols() {
-            let w = layer.w.get(r, c);
-            layer.w.set(r, c, w - lr * (layer.dw.get(r, c) + l2 * w));
-        }
+    let grads = layer.dw.as_slice();
+    for (w, g) in layer.w.as_mut_slice().iter_mut().zip(grads.iter()) {
+        *w -= lr * (g + l2 * *w);
     }
     for (b, g) in layer.b.iter_mut().zip(layer.db.iter()) {
         *b -= lr * g;

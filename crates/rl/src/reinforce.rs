@@ -6,10 +6,18 @@
 //! baseline reduces gradient variance (standard for NAS controllers) and an
 //! optional entropy bonus keeps exploration alive in long searches.
 
+use std::time::Instant;
+
 use rand::Rng;
 
 use crate::optim::Adam;
 use crate::policy::{LstmPolicy, Rollout};
+
+/// Telemetry: wall-clock of [`ReinforceTrainer::propose`], µs.
+static PROPOSE_US: codesign_telemetry::Histogram =
+    codesign_telemetry::Histogram::new("rl.propose_us");
+/// Telemetry: wall-clock of [`ReinforceTrainer::learn`], µs.
+static LEARN_US: codesign_telemetry::Histogram = codesign_telemetry::Histogram::new("rl.learn_us");
 
 /// Hyper-parameters of the REINFORCE trainer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,11 +79,17 @@ impl ReinforceTrainer {
     /// Samples the next candidate sequence.
     #[must_use]
     pub fn propose<R: Rng + ?Sized>(&self, rng: &mut R) -> Rollout {
-        self.policy.rollout(rng)
+        let timer = codesign_telemetry::enabled().then(Instant::now);
+        let rollout = self.policy.rollout(rng);
+        if let Some(t) = timer {
+            PROPOSE_US.record_duration(t.elapsed());
+        }
+        rollout
     }
 
     /// Updates the policy from one `(rollout, reward)` observation.
     pub fn learn(&mut self, rollout: &Rollout, reward: f64) {
+        let timer = codesign_telemetry::enabled().then(Instant::now);
         let baseline = self.baseline.unwrap_or(reward);
         let advantage = reward - baseline;
         let decay = self.config.baseline_decay;
@@ -89,6 +103,9 @@ impl ReinforceTrainer {
             .accumulate_grad(rollout, advantage, self.config.entropy_beta);
         self.optimizer.step(&mut self.policy);
         self.steps += 1;
+        if let Some(t) = timer {
+            LEARN_US.record_duration(t.elapsed());
+        }
     }
 
     /// The current reward baseline (None before the first update).
