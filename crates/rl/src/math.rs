@@ -10,19 +10,19 @@
 //! value, as the naive loop in its documentation. Blocking only
 //! interleaves *independent* elements, so that their additions run as
 //! separate dependency chains: four rows of a matrix–vector product, 16
-//! vectors of a batched product, or a block of up to 8 columns of a result
-//! kept in registers. No kernel reassociates a sum or fuses a multiply-add, so the
-//! results are bit-identical on every CPU and build profile;
-//! `tests/proptests.rs` compares each kernel with its naive definition
-//! through `to_bits`.
+//! vectors of a batched product, or a block of up to 16 columns of a
+//! result kept in registers. No kernel reassociates a sum or fuses a
+//! multiply-add, so the results are bit-identical on every CPU and build
+//! profile; `tests/proptests.rs` compares each kernel with its naive
+//! definition through `to_bits`.
 
 use rand::Rng;
 
 /// Rows of `A` that [`Matrix::matvec_into`] sums at once.
 const ROW_BLOCK: usize = 4;
-/// Columns of a result that the transposed and outer-product kernels keep
-/// in registers.
-const LANES: usize = 8;
+/// Widest block of result columns that the transposed and outer-product
+/// kernels keep in registers.
+const LANES: usize = 16;
 /// Vectors that [`Matrix::matvec_batch_into`] multiplies at once.
 const BATCH: usize = 16;
 
@@ -219,7 +219,7 @@ impl Matrix {
     }
 
     /// `y += Aᵀ·x`: `y[c] = y[c] + A[0][c]·x[0] + A[1][c]·x[1] + …`, added
-    /// in row order. Blocks of up to 8 entries of `y` stay in registers
+    /// in row order. Blocks of up to 16 entries of `y` stay in registers
     /// across all rows.
     ///
     /// # Panics
@@ -237,6 +237,7 @@ impl Matrix {
             let out = &mut y[c0..c0 + w];
             match w {
                 LANES => transpose_block::<LANES>(self, x, c0, out),
+                8 => transpose_block::<8>(self, x, c0, out),
                 4 => transpose_block::<4>(self, x, c0, out),
                 2 => transpose_block::<2>(self, x, c0, out),
                 _ => transpose_block::<1>(self, x, c0, out),
@@ -248,7 +249,7 @@ impl Matrix {
     /// Rank-`k` accumulation `A += Σ_t col(t) ⊗ row(t)` (the weight
     /// gradient of `k` products `A·row(t)`): `A[r][c]` adds
     /// `col(t)[r]·row(t)[c]` for `t = 0, 1, …, k − 1`, one `t` at a time.
-    /// Blocks of up to 8 columns of each row of `A` stay in registers across
+    /// Blocks of up to 16 columns of each row of `A` stay in registers across
     /// all `t`.
     ///
     /// # Panics
@@ -276,6 +277,7 @@ impl Matrix {
                 let out = &mut dst[c0..c0 + w];
                 match w {
                     LANES => outer_block::<LANES>(&terms, r, c0, out),
+                    8 => outer_block::<8>(&terms, r, c0, out),
                     4 => outer_block::<4>(&terms, r, c0, out),
                     2 => outer_block::<2>(&terms, r, c0, out),
                     _ => outer_block::<1>(&terms, r, c0, out),
@@ -303,11 +305,12 @@ impl Matrix {
 }
 
 /// Widths of the column blocks that cover `cols` columns, left to right:
-/// blocks of [`LANES`] (8), then one block per set bit of the remainder,
-/// widest first (7 = 4 + 2 + 1). Every width is a compile-time constant of
-/// a block kernel, so the block's accumulators stay in registers.
+/// blocks of [`LANES`] (16), then one block per set bit of the remainder,
+/// widest first (15 = 8 + 4 + 2 + 1). Every width is a compile-time
+/// constant of a block kernel, so the block's accumulators stay in
+/// registers.
 fn block_widths(cols: usize) -> impl Iterator<Item = usize> {
-    let tail = [4, 2, 1]
+    let tail = [8, 4, 2, 1]
         .into_iter()
         .filter(move |&w| (cols % LANES) & w != 0);
     std::iter::repeat_n(LANES, cols / LANES).chain(tail)

@@ -133,6 +133,8 @@ impl MlpRegressor {
             .iter()
             .flat_map(|y| standardize(y, &self.y_mean, &self.y_std))
             .collect();
+        assert_eq!(xn.len(), rows * inputs, "feature dimension mismatch");
+        assert_eq!(yn.len(), rows * outputs, "target dimension mismatch");
         // Layer 1's batched forward pass reads the inputs feature by feature.
         let mut xt = vec![0.0; rows * inputs];
         for (s, x) in xn.chunks_exact(inputs).enumerate() {
@@ -336,6 +338,14 @@ mod tests {
         let m = MlpRegressor::new(2, 1, RegressorConfig::default(), &mut rng);
         assert!(!m.is_trained());
         assert_eq!(m.predict(&[0.0, 0.0]).len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature dimension mismatch")]
+    fn fit_rejects_short_feature_rows() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut m = MlpRegressor::new(2, 1, RegressorConfig::default(), &mut rng);
+        m.fit(&[vec![1.0, 2.0], vec![3.0]], &[vec![0.0], vec![1.0]]);
     }
 
     #[test]
