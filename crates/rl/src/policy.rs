@@ -258,10 +258,8 @@ impl LstmPolicy {
         );
         let x_of = |t: usize| &rollout.trace[t * stride..][..embed];
         let record_of = |t: usize| &rollout.trace[t * stride + embed..][..cell];
+        let record_before = |t: usize| t.checked_sub(1).map(record_of);
         let zeros = vec![0.0; hsz];
-        let state_before = |t: usize, state: fn(&[f64]) -> &[f64]| {
-            t.checked_sub(1).map_or(&zeros[..], |p| state(record_of(p)))
-        };
 
         // The backward recurrence first: it reads only weights. Steps run in
         // reverse; each one's logit and gate gradients are kept for the
@@ -293,7 +291,7 @@ impl LstmPolicy {
             for (a, b) in dh.iter_mut().zip(dh_future.iter()) {
                 *a += b;
             }
-            let c_prev = state_before(t, LstmCell::cell_state);
+            let c_prev = record_before(t).map_or(&zeros[..], LstmCell::cell_state);
             let dz_t = &mut dz[t * 4 * hsz..][..4 * hsz];
             self.lstm
                 .backward(record_of(t), c_prev, &mut dh, &mut dc, dz_t, &mut dx);
@@ -308,7 +306,7 @@ impl LstmPolicy {
             n,
             |t| &dz[rev(t) * 4 * hsz..][..4 * hsz],
             |t| x_of(rev(t)),
-            |t| state_before(rev(t), LstmCell::hidden_state),
+            |t| record_before(rev(t)).map_or(&zeros[..], LstmCell::hidden_state),
         );
         self.head.accumulate(
             n,
