@@ -1428,8 +1428,46 @@ mod tests {
         }
     }
 
+    /// `to_bits()` of each paper preset's reward at the six probe points
+    /// of `presets_match_pinned_reward_bits`, in preset order.
+    const PRESET_REWARD_BITS: [(&str, [u64; 6]); 3] = [
+        (
+            "Unconstrained",
+            [
+                0x3feb_3ebf_b897_89ee,
+                0x3fd6_35ed_56fa_f32d,
+                0x3fec_70c1_1e72_0cf3,
+                0x3fb9_9999_9999_999a,
+                0x3fe8_03dc_fa24_44ae,
+                0x0000_0000_0000_0000,
+            ],
+        ),
+        (
+            "1 Constraint",
+            [
+                0x3fea_bf8c_5925_f2c5,
+                0xbfc3_47f0_7210_d9c4,
+                0x3fec_e4e4_e4e4_e4e5,
+                0xbfc6_8582_44b2_e03f,
+                0xbfb9_aa30_ff17_b874,
+                0xbfd3_5cad_b0ee_8054,
+            ],
+        ),
+        (
+            "2 Constraints",
+            [
+                0xbfbc_9c9c_9c9c_9c9d,
+                0xbfc0_369d_0369_d038,
+                0xbfc5_1515_1515_1515,
+                0xbfc7_0a3d_70a3_d70c,
+                0xbfba_740d_a740_da75,
+                0xbfea_16e3_b07d_4a1a,
+            ],
+        ),
+    ];
+
     #[test]
-    fn presets_match_enum_rewards_bitwise() {
+    fn presets_match_pinned_reward_bits() {
         let probes = [
             eval(0.93, 50.0, 120.0, 3.0),
             eval(0.88, 300.0, 60.0, 1.5),
@@ -1438,35 +1476,33 @@ mod tests {
             eval(0.915, 101.0, 99.0, 5.0), // near every preset threshold
             eval(0.2, 900.0, 500.0, 25.0), // far outside every norm range
         ];
-        for (scenario, spec) in Scenario::ALL.iter().zip(ScenarioSpec::paper_presets()) {
-            assert_eq!(scenario.name(), spec.name());
-            let legacy = scenario.reward_spec();
+        let presets = ScenarioSpec::paper_presets();
+        assert_eq!(presets.len(), PRESET_REWARD_BITS.len());
+        for (spec, (name, pinned)) in presets.iter().zip(PRESET_REWARD_BITS) {
+            assert_eq!(spec.name(), name);
             let compiled = spec.compile();
-            for e in &probes {
-                let old = legacy.evaluate(&e.metrics());
-                let new = compiled.reward(e);
+            let legacy = Scenario::ALL
+                .iter()
+                .find(|s| s.name() == name)
+                .expect("preset names match the enum")
+                .reward_spec();
+            for (e, bits) in probes.iter().zip(pinned) {
+                assert_eq!(legacy.evaluate(&e.metrics()).value().to_bits(), bits);
+                let reward = compiled.reward(e);
                 assert_eq!(
-                    old.is_feasible(),
-                    new.is_feasible(),
-                    "{}: {e:?}",
-                    spec.name()
+                    reward.value().to_bits(),
+                    bits,
+                    "{name}: {e:?} reward {}",
+                    reward.value()
                 );
-                assert_eq!(
-                    old.value().to_bits(),
-                    new.value().to_bits(),
-                    "{}: {e:?} old {} new {}",
-                    spec.name(),
-                    old.value(),
-                    new.value()
-                );
-                let triple = new
-                    .is_feasible()
-                    .then(|| compiled.scalarize_triple(&e.metrics()).unwrap());
-                if let Some(t) = triple {
-                    assert_eq!(t.to_bits(), legacy.scalarize(&e.metrics()).to_bits());
+                // Feasible rewards are weighted sums (>= 0); punishments
+                // are strictly negative.
+                assert_eq!(reward.is_feasible(), f64::from_bits(bits) >= 0.0);
+                if reward.is_feasible() {
+                    let triple = compiled.scalarize_triple(&e.metrics()).unwrap();
+                    assert_eq!(triple.to_bits(), bits, "{name}: {e:?}");
                 }
             }
-            assert_eq!(scenario.to_spec(), spec);
         }
     }
 
@@ -1846,13 +1882,14 @@ mod tests {
 
     #[test]
     fn accuracy_norm_falls_back_to_the_standard_range() {
+        let standard = LinearNorm::new(0.80, 0.95).unwrap();
         let with_acc = ScenarioSpec::one_constraint().compile();
-        assert_eq!(with_acc.accuracy_norm(), Scenario::standard_norms()[2]);
+        assert_eq!(with_acc.accuracy_norm(), standard);
         let without_acc = ScenarioSpec::builder("hw-only")
             .weight(MetricId::LatencyMs, 1.0)
             .build()
             .unwrap()
             .compile();
-        assert_eq!(without_acc.accuracy_norm(), Scenario::standard_norms()[2]);
+        assert_eq!(without_acc.accuracy_norm(), standard);
     }
 }
