@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 use codesign_accel::{schedule_serial, ConfigSpace, LatencyModel, Scheduler};
 use codesign_moo::pareto::pareto_indices_3d;
-use codesign_moo::ParetoFront;
+use codesign_moo::{AxisSchema, DynParetoFront};
 use codesign_nasbench::{known_cells, Network, NetworkConfig};
 
 fn bench_scheduler_vs_serial(c: &mut Criterion) {
@@ -48,12 +48,13 @@ fn bench_prune_strategies(c: &mut Criterion) {
         b.iter(|| pareto_indices_3d(black_box(&all)).len())
     });
     c.bench_function("ablation/pareto_2d_prepruned", |b| {
+        let schema = AxisSchema::new(["area", "lat"]);
         b.iter(|| {
             let mut candidates: Vec<[f64; 3]> = Vec::new();
             for (g, pts) in grouped.iter().enumerate() {
-                let mut front: ParetoFront<2, ()> = ParetoFront::new();
+                let mut front: DynParetoFront<()> = DynParetoFront::new(schema.clone());
                 for p in pts {
-                    front.insert(*p, ());
+                    front.insert((*p).into(), ());
                 }
                 let acc = all[g * 1000][2];
                 for (m, ()) in front.into_vec() {

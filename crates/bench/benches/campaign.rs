@@ -50,7 +50,6 @@ fn timed(label: &str, run: impl Fn() -> CampaignReport) -> (String, Json) {
         ("wall_ms", Json::Num(best_ms)),
         ("shards", Json::Num(report.shards.len() as f64)),
         ("workers", Json::Num(report.workers as f64)),
-        ("backend", Json::Str(report.backend.into())),
         ("cache", cache),
     ]);
     (label.to_owned(), value)

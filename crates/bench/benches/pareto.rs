@@ -1,15 +1,15 @@
 //! Criterion benchmarks of the Pareto machinery that filters the
-//! billions-of-points codesign space (Fig. 4) — including the
-//! runtime-dimension (scenario-native) stack, benchmarked against the
-//! const-generic parity anchor so the dyn path's cost stays visible.
+//! billions-of-points codesign space (Fig. 4): the 3-D staircase sweep
+//! called directly and through the runtime-dimension API, the generic
+//! filter, and the bounded-memory streaming filter.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use codesign_core::{enumerate_codesign_space, ScenarioSpec};
-use codesign_moo::pareto::{pareto_indices, pareto_indices_3d, pareto_indices_dyn};
-use codesign_moo::{DynStreamingParetoFilter, StreamingParetoFilter};
+use codesign_moo::pareto::{pareto_indices_3d, pareto_indices_dyn};
+use codesign_moo::DynStreamingParetoFilter;
 use codesign_nasbench::{Dataset, NasbenchDatabase};
 
 fn random_points(n: usize, seed: u64) -> Vec<[f64; 3]> {
@@ -41,25 +41,12 @@ fn bench_pareto_filters(c: &mut Criterion) {
             b.iter(|| pareto_indices_dyn(black_box(pts)).len())
         });
         if n <= 10_000 {
-            group.bench_with_input(BenchmarkId::new("generic", n), &pts, |b, pts| {
-                b.iter(|| pareto_indices(black_box(pts)).len())
-            });
-            // The generic dyn path at a dimension with no fast path.
+            // The generic path, at a dimension with no fast path.
             let pts4: Vec<[f64; 4]> = pts.iter().map(|p| [p[0], p[1], p[2], p[0] * 0.5]).collect();
             group.bench_with_input(BenchmarkId::new("generic_dyn_4d", n), &pts4, |b, pts| {
                 b.iter(|| pareto_indices_dyn(black_box(pts)).len())
             });
         }
-        group.bench_with_input(BenchmarkId::new("streaming", n), &pts, |b, pts| {
-            b.iter(|| {
-                let mut f: StreamingParetoFilter<3, usize> =
-                    StreamingParetoFilter::with_capacity(4096);
-                for (i, p) in pts.iter().enumerate() {
-                    f.push(*p, i);
-                }
-                f.finish().len()
-            })
-        });
         group.bench_with_input(BenchmarkId::new("streaming_dyn", n), &pts, |b, pts| {
             b.iter(|| {
                 let mut f: DynStreamingParetoFilter<usize> =

@@ -21,10 +21,8 @@
 //!
 //! Scenarios with auto-ranged normalizations (`"norm": "auto"` in a file,
 //! `norm=acc:auto` in the compact grammar) are resolved from a
-//! deterministic enumeration probe sample before the sweep starts. With
-//! `--calibrate`, a short probe sweep runs first, its measured per-shard
-//! wall times become the campaign's `CostModel`, and the full sweep is
-//! re-dispatched with measured scheduling weights automatically.
+//! deterministic enumeration probe sample (`--probe-samples N`) before the
+//! sweep starts.
 //!
 //! `--reward-shaping hv:W` turns on hypervolume-gradient reward shaping
 //! for the RL controllers: each step's scalar reward gains `W × ΔHV`, the
@@ -60,9 +58,8 @@
 //!       `(--strategy is a singular alias; reinforce = combined)`
 //!       `[--population P] [--generations G] [--reward-shaping hv:W]`
 //!       `[--surrogate k:R]`
-//!       `[--seed-base S] [--no-cache] [--backend atomic|work-stealing]`
-//!       `[--cache-path DIR] [--cache-capacity N]`
-//!       `[--calibrate] [--probe-steps N] [--probe-samples N]`
+//!       `[--seed-base S] [--no-cache]`
+//!       `[--cache-path DIR] [--cache-capacity N] [--probe-samples N]`
 //!       `[--trace-out FILE] [--metrics-out FILE] [--progress]`
 //!
 //! Telemetry is off by default (a disabled check is one relaxed atomic
@@ -102,8 +99,8 @@ use codesign_core::{
     probe_pair_evaluations, CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig,
 };
 use codesign_engine::{
-    backend_from_name, CacheLoadError, Campaign, CancelToken, ShardedDriver, SharedEvalCache,
-    StrategyKind, CACHE_VERSION,
+    CacheLoadError, Campaign, CancelToken, ShardedDriver, SharedEvalCache, StrategyKind,
+    CACHE_VERSION,
 };
 use codesign_nasbench::{Dataset, NasbenchDatabase};
 
@@ -114,6 +111,10 @@ const AUTO_NORM_PAD: f64 = 0.05;
 /// Flags of earlier releases that chose among cache layouts. The cache is
 /// now always one directory, so each is rejected with a pointer to it.
 const REMOVED_CACHE_FLAGS: [&str; 3] = ["--cache-format", "--cache-mmap", "--cache-migrate"];
+
+/// Flags of earlier releases that chose or calibrated the shard-dispatch
+/// order. Shards now always dispatch in grid order, so each is rejected.
+const REMOVED_DISPATCH_FLAGS: [&str; 3] = ["--backend", "--calibrate", "--probe-steps"];
 
 /// Prints `message` and exits with the usage-error code 2.
 fn exit_usage(message: &str) -> ! {
@@ -472,9 +473,9 @@ fn resolve_scenarios(args: &Args) -> Result<Vec<ScenarioSpec>, String> {
     if scenarios.is_empty() {
         scenarios = ScenarioSpec::paper_presets();
     }
-    // Reports, merged fronts, and cost calibration key on scenario names; a
-    // duplicate (two same-named entries in the file, or an inline scenario
-    // shadowing a file one) would silently pool unrelated reward functions.
+    // Reports and merged fronts key on scenario names; a duplicate (two
+    // same-named entries in the file, or an inline scenario shadowing a
+    // file one) would silently pool unrelated reward functions.
     codesign_core::check_unique_names(&scenarios).map_err(|e| e.to_string())?;
     Ok(scenarios)
 }
@@ -509,6 +510,14 @@ fn main() {
         exit_usage(&format!(
             "{flag} was removed: the evaluation cache is always a directory of \
              v4 shard files; pass --cache-path DIR"
+        ));
+    }
+    if let Some(flag) = raw
+        .iter()
+        .find(|arg| REMOVED_DISPATCH_FLAGS.contains(&arg.as_str()))
+    {
+        exit_usage(&format!(
+            "{flag} was removed: shards always dispatch in grid order"
         ));
     }
     if args.flag("no-cache") && !args.get_str("cache-path", "").is_empty() {
@@ -546,8 +555,8 @@ fn main() {
     }
 
     // Telemetry: any of the three flags enables the subsystem for the whole
-    // process (including the --calibrate probe sweep). Off, every
-    // instrumentation site is a single relaxed atomic load.
+    // process. Off, every instrumentation site is a single relaxed atomic
+    // load.
     let trace_out = args.get_str("trace-out", "");
     let metrics_out = args.get_str("metrics-out", "");
     let progress = args.flag("progress");
@@ -556,10 +565,12 @@ fn main() {
     }
 
     let repeats = args.get_usize("repeats", 3);
+    if repeats == 0 {
+        exit_usage("--repeats must be at least 1");
+    }
     let max_v = args.get_usize("max-vertices", 4);
     let workers = args.get_usize("workers", 0);
     let seed_base = args.get_u64("seed-base", 0);
-    let backend_name = args.get_str("backend", "atomic");
     let cache_path = args.get_str("cache-path", "");
     let cache_capacity = args.get_usize("cache-capacity", 0);
 
@@ -585,8 +596,12 @@ fn main() {
     let strategies: Vec<StrategyKind> = strategy_list
         .split(',')
         .map(|name| {
-            let kind = StrategyKind::from_name(name.trim())
-                .unwrap_or_else(|| panic!("unknown strategy '{name}'"));
+            let kind = StrategyKind::from_name(name.trim()).unwrap_or_else(|| {
+                exit_usage(&format!(
+                    "unknown strategy '{name}' \
+                     (separate|combined|reinforce|phase|random|evolution|nsga)"
+                ))
+            });
             match kind {
                 StrategyKind::Nsga { .. } => StrategyKind::Nsga { population },
                 other => other,
@@ -683,10 +698,7 @@ fn main() {
         println!();
     }
 
-    let mut driver = ShardedDriver::new(workers).with_backend(
-        backend_from_name(&backend_name)
-            .unwrap_or_else(|| panic!("unknown backend '{backend_name}' (atomic|work-stealing)")),
-    );
+    let mut driver = ShardedDriver::new(workers);
     if args.flag("no-cache") {
         driver = driver.without_shared_cache();
     }
@@ -716,8 +728,8 @@ fn main() {
     driver = driver.with_cancel_token(cancel);
 
     // --progress: a ticker thread polls the metrics registry (shards done,
-    // cache hit rate) and repaints one stderr line until the sweep — probe
-    // and full — finishes. Reads only counters; never touches results.
+    // cache hit rate) and repaints one stderr line until the sweep finishes.
+    // Reads only counters; never touches results.
     let progress_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let progress_ticker = progress.then(|| {
         let stop = Arc::clone(&progress_stop);
@@ -765,35 +777,6 @@ fn main() {
             eprintln!();
         })
     });
-
-    // --calibrate: run a short probe sweep, derive a measured CostModel
-    // from its per-shard wall times, and re-dispatch the full sweep with
-    // measured scheduling weights (ShardSpec::estimated_cost). Cost
-    // weights only move dispatch order, never results — and the probe's
-    // evaluations land in the shared cache, so its work is not wasted.
-    if args.flag("calibrate") {
-        let probe_steps = args.get_usize("probe-steps", (steps / 10).max(20));
-        let probe_campaign = campaign.clone().seeds(vec![seed_base]).steps(probe_steps);
-        println!(
-            "calibrate: probe sweep ({} shards x {probe_steps} steps)...",
-            probe_campaign.shards().len()
-        );
-        let probe_report = driver.run(&probe_campaign, &db);
-        let model = campaign.calibrated_costs(&probe_report);
-        if model.is_empty() {
-            println!("calibrate: shards too fast to measure; keeping static cost premiums\n");
-        } else {
-            for spec in &campaign.scenarios {
-                println!(
-                    "  {:<24} measured cost weight {:.3}/step",
-                    spec.name(),
-                    model.weight_for(spec)
-                );
-            }
-            campaign = campaign.with_cost_model(model);
-            println!("calibrate: re-dispatching the full sweep with measured costs\n");
-        }
-    }
 
     let report = driver.run(&campaign, &db);
     progress_stop.store(true, std::sync::atomic::Ordering::Relaxed);

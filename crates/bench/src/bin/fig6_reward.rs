@@ -6,8 +6,8 @@
 //!
 //! The whole scenario × strategy × repeat grid executes as one sharded
 //! campaign with `record_histories` on — strategies and repeats run in
-//! parallel and share one evaluation cache — instead of the old sequential
-//! `compare_strategies` loop; the curves come from the retained per-shard
+//! parallel and share one evaluation cache — and the curves are
+//! `CampaignReport::average_reward_curve` over the retained per-shard
 //! histories.
 //!
 //! Run: `cargo run --release -p codesign-bench --bin fig6_reward`

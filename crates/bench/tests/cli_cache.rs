@@ -1,6 +1,7 @@
-//! The `campaign` CLI's cache-input contract: bad cache input exits with
-//! code 2 and a message, never a panic, and a directory holding a stale
-//! format version cold-starts.
+//! The `campaign` CLI's input contract: bad CLI input — a bad cache path,
+//! a removed flag, an unknown strategy, zero repeats — exits with code 2
+//! and a message, never a panic, and a directory holding a stale format
+//! version cold-starts.
 //!
 //! Every case runs the real binary on a tiny sweep from a scratch working
 //! directory, because the CLI writes `target/paper-results/` relative to
@@ -9,8 +10,13 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
-/// The sweep every invocation runs (serve mode ignores it).
-const SWEEP: [&str; 6] = ["--steps", "5", "--repeats", "1", "--strategies", "random"];
+/// The sweep every invocation runs (serve mode ignores it), as
+/// `(flag, value)` pairs; a case that passes the same flag overrides it.
+const SWEEP: [(&str, &str); 3] = [
+    ("--steps", "5"),
+    ("--repeats", "1"),
+    ("--strategies", "random"),
+];
 
 /// A fresh scratch working directory.
 fn scratch(tag: &str) -> PathBuf {
@@ -20,12 +26,17 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `campaign ARGS SWEEP` in `cwd`.
+/// Runs `campaign ARGS SWEEP` in `cwd`, leaving out the sweep flags that
+/// `args` already sets.
 fn campaign(cwd: &Path, args: &[&str]) -> Output {
+    let sweep = SWEEP
+        .iter()
+        .filter(|(flag, _)| !args.contains(flag))
+        .flat_map(|&(flag, value)| [flag, value]);
     Command::new(env!("CARGO_BIN_EXE_campaign"))
         .current_dir(cwd)
         .args(args)
-        .args(SWEEP)
+        .args(sweep)
         .stdin(Stdio::null())
         .output()
         .expect("run campaign")
@@ -46,7 +57,8 @@ fn bad_cache_input_exits_2_without_a_panic() {
     );
 
     let removed = "pass --cache-path DIR";
-    let cases: [(&str, &[&str], &str); 8] = [
+    let grid_order = "always dispatch in grid order";
+    let cases: [(&str, &[&str], &str); 13] = [
         (
             "regular file",
             &["--cache-path", "eval-cache.bin"],
@@ -70,6 +82,19 @@ fn bad_cache_input_exits_2_without_a_panic() {
             "serve on a regular file",
             &["serve", "--stdio", "--cache-path", "eval-cache.bin"],
             "not a directory",
+        ),
+        ("--backend", &["--backend", "atomic"], grid_order),
+        ("--calibrate", &["--calibrate"], grid_order),
+        ("--probe-steps", &["--probe-steps", "20"], grid_order),
+        (
+            "unknown strategy",
+            &["--strategies", "bogus"],
+            "unknown strategy 'bogus'",
+        ),
+        (
+            "zero repeats",
+            &["--repeats", "0"],
+            "--repeats must be at least 1",
         ),
     ];
     for (case, args, message) in cases {

@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use codesign_accel::AcceleratorConfig;
-use codesign_moo::{LinearNorm, Punishment, RewardSpec};
+use codesign_moo::{DynRewardSpec, LinearNorm, Punishment};
 use codesign_nasbench::{CellSpec, Dataset, SurrogateModel};
 use codesign_rl::{LstmPolicy, PolicyConfig, ReinforceConfig, ReinforceTrainer};
 
@@ -203,15 +203,16 @@ impl Cifar100Result {
 
 /// Reward for one stage: maximize accuracy subject to
 /// `perf/area >= threshold`, over the metric vector `[perf/area, accuracy]`.
-fn stage_reward(threshold: f64) -> RewardSpec<2> {
-    RewardSpec::builder()
-        .weights([0.0, 1.0])
+fn stage_reward(threshold: f64) -> DynRewardSpec {
+    DynRewardSpec::builder()
+        .weights(vec![0.0, 1.0])
         .expect("static weights")
-        .norms([
+        .norms(vec![
             LinearNorm::new(0.0, 80.0).expect("static range"),
             LinearNorm::new(0.55, 0.78).expect("static range"),
         ])
         .threshold(0, threshold)
+        .expect("index in bounds")
         .punishment(Punishment::ScaledViolation { scale: 0.1 })
         .expect("static punishment")
         .build()

@@ -11,7 +11,7 @@
 
 use codesign_accel::{AcceleratorConfig, AreaModel, ConfigSpace, LatencyModel, Scheduler};
 use codesign_moo::pareto::pareto_indices_3d;
-use codesign_moo::{DynParetoFront, DynStreamingParetoFilter, ParetoFront};
+use codesign_moo::{AxisSchema, DynParetoFront, DynStreamingParetoFilter};
 use codesign_nasbench::{Dataset, NasbenchDatabase, Network, NetworkConfig};
 
 use crate::evaluator::PairEvaluation;
@@ -150,8 +150,7 @@ pub fn enumerate_codesign_space(
 /// Evaluates a deterministic stride of `(cell, accelerator)` pairs and
 /// returns their full metric evaluations — the enumeration probe sample
 /// behind auto-ranged scenario normalizations
-/// ([`crate::scenarios::ScenarioSpec::resolve_auto_norms`]) and campaign
-/// cost calibration.
+/// ([`crate::scenarios::ScenarioSpec::resolve_auto_norms`]).
 ///
 /// The stride walks the flattened `cells × configs` grid so the sample
 /// spans both axes; the same `(database, dataset, samples)` input always
@@ -331,14 +330,16 @@ fn enumerate_chunk(
         })
         .collect();
     // Per-cell 2D fronts over (-area, -lat); payload = config index.
-    let mut fronts: Vec<ParetoFront<2, usize>> =
-        (0..networks.len()).map(|_| ParetoFront::new()).collect();
+    let schema = AxisSchema::new(["area", "lat"]);
+    let mut fronts: Vec<DynParetoFront<usize>> = (0..networks.len())
+        .map(|_| DynParetoFront::new(schema.clone()))
+        .collect();
     for (config_index, config) in configs.iter().enumerate() {
         let mut scheduler = Scheduler::new(*latency_model, *config);
         let area = areas[config_index];
         for (slot, (_, network, _)) in networks.iter().enumerate() {
             let latency = scheduler.network_latency_ms(network);
-            fronts[slot].insert([-area, -latency], config_index);
+            fronts[slot].insert([-area, -latency].into(), config_index);
         }
     }
     let mut out = Vec::new();

@@ -1,188 +1,14 @@
-//! The §III-C strategy-comparison experiments behind Figs. 5 and 6.
+//! The Fig. 5 reference set of the §III-C strategy comparison.
 //!
-//! Each scenario runs every strategy `repeats` times (the paper uses 10) for
-//! `steps` steps (the paper uses 10,000); Fig. 5 plots the best point of each
-//! run against the top-100 Pareto points for that scenario's reward, and
-//! Fig. 6 plots the reward curves averaged over the repeats.
-
-use std::sync::Arc;
-
-use codesign_nasbench::NasbenchDatabase;
+//! Fig. 5 plots the best point of each search run against the top-100
+//! Pareto points for that scenario's reward; [`top_pareto_points`] computes
+//! that reference set from an enumeration. The runs themselves — every
+//! strategy × seed under each scenario, with the Fig. 6 reward curves —
+//! execute as one sharded campaign (`codesign_engine::Campaign` with
+//! `record_histories` on).
 
 use crate::enumerate::EnumerationResult;
-use crate::evaluator::Evaluator;
 use crate::scenarios::ScenarioSpec;
-use crate::search::{SearchConfig, SearchContext, SearchOutcome, SearchStrategy};
-use crate::space::CodesignSpace;
-use crate::strategies::{CombinedSearch, PhaseSearch, SeparateSearch};
-
-/// Configuration of one scenario comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComparisonConfig {
-    /// Steps per run (paper: 10,000).
-    pub steps: usize,
-    /// Independent repeats per strategy (paper: 10).
-    pub repeats: usize,
-    /// Base RNG seed; run `r` uses `seed_base + r`.
-    pub seed_base: u64,
-}
-
-impl Default for ComparisonConfig {
-    fn default() -> Self {
-        Self {
-            steps: 10_000,
-            repeats: 10,
-            seed_base: 0,
-        }
-    }
-}
-
-impl ComparisonConfig {
-    /// A reduced configuration for tests and examples.
-    #[must_use]
-    pub fn quick(steps: usize, repeats: usize) -> Self {
-        Self {
-            steps,
-            repeats,
-            seed_base: 0,
-        }
-    }
-}
-
-/// All runs of one strategy under one scenario.
-#[derive(Debug)]
-pub struct StrategyRuns {
-    /// Strategy display name.
-    pub name: &'static str,
-    /// One outcome per repeat.
-    pub outcomes: Vec<SearchOutcome>,
-}
-
-impl StrategyRuns {
-    /// Mean reward curve across repeats (each curve smoothed over `window`).
-    #[must_use]
-    pub fn average_curve(&self, window: usize) -> Vec<f64> {
-        let curves: Vec<Vec<f64>> = self
-            .outcomes
-            .iter()
-            .map(|o| o.reward_curve(window))
-            .collect();
-        let len = curves.iter().map(Vec::len).min().unwrap_or(0);
-        (0..len)
-            .map(|i| curves.iter().map(|c| c[i]).sum::<f64>() / curves.len() as f64)
-            .collect()
-    }
-
-    /// Best-point metrics of each run (up to `repeats` points, like Fig. 5's
-    /// "maximum of 10 points per search strategy").
-    #[must_use]
-    pub fn top_points(&self) -> Vec<[f64; 3]> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| o.best.as_ref().map(|b| b.evaluation.metrics()))
-            .collect()
-    }
-
-    /// Runs whose best point met every constraint.
-    #[must_use]
-    pub fn feasible_run_count(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.best.is_some()).count()
-    }
-
-    /// Mean of the final smoothed reward across runs.
-    #[must_use]
-    pub fn final_reward(&self, window: usize) -> f64 {
-        let curve = self.average_curve(window);
-        curve.last().copied().unwrap_or(f64::NAN)
-    }
-}
-
-/// One scenario's comparison across all strategies.
-#[derive(Debug)]
-pub struct ScenarioComparison {
-    /// Which scenario ran.
-    pub scenario: ScenarioSpec,
-    /// Results per strategy, in `[separate, combined, phase]` paper order.
-    pub strategies: Vec<StrategyRuns>,
-}
-
-impl ScenarioComparison {
-    /// Looks a strategy up by name.
-    #[must_use]
-    pub fn strategy(&self, name: &str) -> Option<&StrategyRuns> {
-        self.strategies.iter().find(|s| s.name == name)
-    }
-}
-
-/// Runs the full §III-C comparison for `scenario` on a database-backed
-/// evaluator over `space`.
-///
-/// One [`Arc`]'d database backs every run — each repeat's evaluator is a
-/// refcount bump, never a copy of the cell table — and the evaluator's
-/// memoization makes repeat visits free, mirroring how the paper re-reads
-/// NASBench.
-#[must_use]
-pub fn compare_strategies(
-    scenario: &ScenarioSpec,
-    space: &CodesignSpace,
-    database: &Arc<NasbenchDatabase>,
-    config: &ComparisonConfig,
-) -> ScenarioComparison {
-    let reward = scenario.compile();
-    let strategies: Vec<Box<dyn SearchStrategy>> = vec![
-        Box::new(SeparateSearch::scaled(config.steps)),
-        Box::new(CombinedSearch),
-        Box::new(PhaseSearch::scaled(config.steps)),
-    ];
-    let mut results = Vec::new();
-    for strategy in &strategies {
-        let mut outcomes = Vec::with_capacity(config.repeats);
-        for r in 0..config.repeats {
-            let mut evaluator = Evaluator::with_shared_database(Arc::clone(database));
-            let mut ctx = SearchContext {
-                space,
-                evaluator: &mut evaluator,
-                reward: &reward,
-            };
-            let run_config = SearchConfig {
-                steps: config.steps,
-                seed: config.seed_base + r as u64,
-                ..SearchConfig::default()
-            };
-            outcomes.push(strategy.run(&mut ctx, &run_config));
-        }
-        results.push(StrategyRuns {
-            name: strategy.name(),
-            outcomes,
-        });
-    }
-    ScenarioComparison {
-        scenario: scenario.clone(),
-        strategies: results,
-    }
-}
-
-impl SeparateSearch {
-    /// The paper's 8333/1667 split scaled to a different step budget.
-    #[must_use]
-    pub fn scaled(total_steps: usize) -> Self {
-        Self {
-            cnn_steps: total_steps * 5 / 6,
-        }
-    }
-}
-
-impl PhaseSearch {
-    /// The paper's 1000/200 phase lengths scaled to a different step budget.
-    #[must_use]
-    pub fn scaled(total_steps: usize) -> Self {
-        let cnn = (total_steps / 10).max(1);
-        Self {
-            cnn_phase_steps: cnn,
-            hw_phase_steps: (cnn / 5).max(1),
-        }
-    }
-}
 
 /// The Fig. 5 reference set: the top `k` Pareto-optimal points under the
 /// scenario's reward function.
@@ -221,48 +47,11 @@ pub fn top_pareto_points(
 mod tests {
     use super::*;
     use crate::enumerate::enumerate_codesign_space;
-    use codesign_nasbench::Dataset;
-
-    fn tiny_db() -> Arc<NasbenchDatabase> {
-        Arc::new(NasbenchDatabase::exhaustive(4))
-    }
-
-    #[test]
-    fn comparison_runs_all_three_strategies() {
-        let db = tiny_db();
-        let space = CodesignSpace::with_max_vertices(4);
-        let cmp = compare_strategies(
-            &ScenarioSpec::unconstrained(),
-            &space,
-            &db,
-            &ComparisonConfig::quick(50, 2),
-        );
-        let names: Vec<&str> = cmp.strategies.iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["separate", "combined", "phase"]);
-        for s in &cmp.strategies {
-            assert_eq!(s.outcomes.len(), 2);
-            assert!(s.outcomes.iter().all(|o| o.history.len() == 50));
-        }
-    }
-
-    #[test]
-    fn average_curve_has_run_length() {
-        let db = tiny_db();
-        let space = CodesignSpace::with_max_vertices(4);
-        let cmp = compare_strategies(
-            &ScenarioSpec::unconstrained(),
-            &space,
-            &db,
-            &ComparisonConfig::quick(40, 2),
-        );
-        let combined = cmp.strategy("combined").unwrap();
-        assert_eq!(combined.average_curve(10).len(), 40);
-        assert!(combined.final_reward(10).is_finite());
-    }
+    use codesign_nasbench::{Dataset, NasbenchDatabase};
 
     #[test]
     fn top_pareto_points_are_scenario_feasible() {
-        let db = tiny_db();
+        let db = NasbenchDatabase::exhaustive(4);
         let enumeration = enumerate_codesign_space(&db, Dataset::Cifar10, 2);
         let top = top_pareto_points(&ScenarioSpec::one_constraint(), &enumeration, 100);
         let spec = ScenarioSpec::one_constraint().compile();
@@ -279,14 +68,5 @@ mod tests {
             .map(|m| spec.scalarize_triple(m).unwrap())
             .collect();
         assert!(rewards.windows(2).all(|w| w[0] >= w[1] - 1e-12));
-    }
-
-    #[test]
-    fn scaled_phase_lengths_keep_5_to_1_ratio() {
-        let p = PhaseSearch::scaled(10_000);
-        assert_eq!(p.cnn_phase_steps, 1000);
-        assert_eq!(p.hw_phase_steps, 200);
-        let s = SeparateSearch::scaled(10_000);
-        assert_eq!(s.cnn_steps, 8333);
     }
 }

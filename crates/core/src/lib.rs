@@ -10,7 +10,7 @@
 //! The paper's experiments map to modules:
 //!
 //! * [`enumerate`] — exhaustive space enumeration + Pareto front (Fig. 4);
-//! * [`experiments`] — combined/phase/separate comparison (Figs. 5–6);
+//! * [`experiments`] — the Fig. 5 reference set of the strategy comparison;
 //! * [`cifar100`] — the threshold-schedule CIFAR-100 flow (§IV, Fig. 7);
 //! * [`baselines`] — ResNet/GoogLeNet on their best accelerators (Table II).
 //!
@@ -67,12 +67,8 @@ pub use enumerate::{
 };
 pub use evaluator::{AccuracySource, EvalCache, EvalOutcome, Evaluator, PairEvaluation};
 pub use evolution::EvolutionSearch;
-pub use experiments::{
-    compare_strategies, top_pareto_points, ComparisonConfig, ScenarioComparison, StrategyRuns,
-};
+pub use experiments::top_pareto_points;
 pub use nsga::NsgaSearch;
-#[allow(deprecated)]
-pub use scenarios::Scenario;
 pub use scenarios::{
     check_unique_names, scenarios_from_document, scenarios_to_document, CompiledScenario, MetricId,
     ObjectiveSpec, ScenarioError, ScenarioSpec, ScenarioSpecBuilder, SCENARIO_FORMAT,

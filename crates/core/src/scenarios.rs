@@ -17,8 +17,7 @@
 //!   [`PairEvaluation`]s during search.
 //!
 //! The paper's three experiments are [`ScenarioSpec::paper_presets`]; their
-//! compiled rewards are bit-identical to the historical closed
-//! [`Scenario`] enum (asserted by the parity tests).
+//! compiled rewards are pinned bit for bit by this module's tests.
 //!
 //! All normalization ranges and thresholds are written in *natural* units
 //! (milliseconds, mm², watts); the all-maximize signing of Eq. 4 is an
@@ -26,8 +25,8 @@
 //!
 //! # Examples
 //!
-//! A scenario the closed enum could never express — maximize accuracy under
-//! a 6 W power cap:
+//! A scenario outside the paper's three presets — maximize accuracy under a
+//! 6 W power cap:
 //!
 //! ```
 //! use codesign_core::{MetricId, ScenarioSpec};
@@ -47,7 +46,6 @@ use std::fmt;
 
 use codesign_moo::{
     AxisSchema, DynParetoFront, DynRewardSpec, LinearNorm, MetricVector, Punishment, RewardOutcome,
-    RewardSpec,
 };
 use codesign_nasbench::Json;
 
@@ -276,9 +274,9 @@ pub enum ScenarioError {
         /// The repeated metric.
         metric: MetricId,
     },
-    /// Two scenarios in one collection share a display name. Reports,
-    /// merged fronts, and cost calibration all key on the name, so a
-    /// duplicate would silently pool unrelated reward functions.
+    /// Two scenarios in one collection share a display name. Reports and
+    /// merged fronts key on the name, so a duplicate would silently pool
+    /// unrelated reward functions.
     DuplicateName {
         /// The repeated name.
         name: String,
@@ -542,8 +540,8 @@ impl ScenarioSpec {
     /// 3. **2 Constraints** — `acc > 0.92`, `area < 100 mm²`, optimize
     ///    latency.
     ///
-    /// Compiled rewards are bit-identical to the historical [`Scenario`]
-    /// enum (see the parity tests).
+    /// Their compiled rewards are pinned bit for bit by this module's
+    /// tests.
     #[must_use]
     pub fn paper_presets() -> Vec<ScenarioSpec> {
         vec![
@@ -595,8 +593,8 @@ impl ScenarioSpec {
         Self::paper_presets().into_iter().find(|s| s.name == name)
     }
 
-    /// A builder pre-loaded with the paper's normalization ranges (the
-    /// historical `Scenario::standard_norms`, in natural units).
+    /// A builder pre-loaded with the paper's normalization ranges, in
+    /// natural units.
     fn paper_builder(name: &str) -> ScenarioSpecBuilder {
         Self::builder(name)
             .norm(MetricId::AreaMm2, 45.0, 215.0)
@@ -942,7 +940,7 @@ pub fn scenarios_from_document(doc: &Json) -> Result<Vec<ScenarioSpec>, Scenario
 
 /// Rejects collections in which two scenarios share a display name —
 /// everything downstream (report grouping, merged fronts, cache
-/// provenance, cost calibration) keys on the name.
+/// provenance) keys on the name.
 ///
 /// # Errors
 ///
@@ -1320,102 +1318,7 @@ impl CompiledScenario {
     }
 }
 
-/// One of the paper's §III-C experiments — the historical closed scenario
-/// API.
-#[deprecated(note = "use `ScenarioSpec::paper_presets()`; the enum survives \
-                     only as a parity anchor for the declarative API")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Scenario {
-    /// No constraints; heavily latency-weighted scalarization.
-    Unconstrained,
-    /// Latency constraint (`< 100 ms`); accuracy-weighted scalarization.
-    OneConstraint,
-    /// Accuracy (`> 0.92`) and area (`< 100 mm²`) constraints; pure latency
-    /// objective.
-    TwoConstraints,
-}
-
-#[allow(deprecated)]
-impl Scenario {
-    /// All scenarios in paper order.
-    pub const ALL: [Scenario; 3] = [
-        Scenario::Unconstrained,
-        Scenario::OneConstraint,
-        Scenario::TwoConstraints,
-    ];
-
-    /// Display name matching the paper's figures.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scenario::Unconstrained => "Unconstrained",
-            Scenario::OneConstraint => "1 Constraint",
-            Scenario::TwoConstraints => "2 Constraints",
-        }
-    }
-
-    /// The standard metric normalizations shared by every scenario, in the
-    /// signed `(−area, −lat, acc)` order.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: the ranges are static and non-degenerate.
-    #[must_use]
-    pub fn standard_norms() -> [LinearNorm; 3] {
-        [
-            LinearNorm::new(-215.0, -45.0).expect("static range"), // -area (mm^2)
-            LinearNorm::new(-400.0, -5.0).expect("static range"),  // -latency (ms)
-            LinearNorm::new(0.80, 0.95).expect("static range"),    // accuracy
-        ]
-    }
-
-    /// The equivalent declarative specification.
-    #[must_use]
-    pub fn to_spec(&self) -> ScenarioSpec {
-        match self {
-            Scenario::Unconstrained => ScenarioSpec::unconstrained(),
-            Scenario::OneConstraint => ScenarioSpec::one_constraint(),
-            Scenario::TwoConstraints => ScenarioSpec::two_constraints(),
-        }
-    }
-
-    /// The scenario's reward specification (Eq. 3) over the signed triple —
-    /// the historical fixed-dimension path, kept as the parity anchor.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: weights and thresholds are static and valid.
-    #[must_use]
-    pub fn reward_spec(&self) -> RewardSpec<3> {
-        let builder = RewardSpec::builder()
-            .norms(Self::standard_norms())
-            .punishment(Punishment::ScaledViolation { scale: 0.1 })
-            .expect("static punishment");
-        match self {
-            Scenario::Unconstrained => builder
-                .weights([0.1, 0.8, 0.1])
-                .expect("static weights")
-                .build()
-                .expect("complete spec"),
-            Scenario::OneConstraint => builder
-                .weights([0.1, 0.0, 0.9])
-                .expect("static weights")
-                .threshold(1, -100.0)
-                .build()
-                .expect("complete spec"),
-            Scenario::TwoConstraints => builder
-                .weights([0.0, 1.0, 0.0])
-                .expect("static weights")
-                .threshold(0, -100.0)
-                .threshold(2, 0.92)
-                .build()
-                .expect("complete spec"),
-        }
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
@@ -1481,13 +1384,7 @@ mod tests {
         for (spec, (name, pinned)) in presets.iter().zip(PRESET_REWARD_BITS) {
             assert_eq!(spec.name(), name);
             let compiled = spec.compile();
-            let legacy = Scenario::ALL
-                .iter()
-                .find(|s| s.name() == name)
-                .expect("preset names match the enum")
-                .reward_spec();
             for (e, bits) in probes.iter().zip(pinned) {
-                assert_eq!(legacy.evaluate(&e.metrics()).value().to_bits(), bits);
                 let reward = compiled.reward(e);
                 assert_eq!(
                     reward.value().to_bits(),

@@ -19,7 +19,7 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use codesign_moo::{LinearNorm, RewardSpec};
+use codesign_moo::{DynRewardSpec, LinearNorm};
 use codesign_rl::{LstmPolicy, PolicyConfig, ReinforceConfig, ReinforceTrainer};
 
 use crate::search::{SearchConfig, SearchContext, SearchOutcome, SearchRecorder, SearchStrategy};
@@ -81,6 +81,18 @@ impl Default for PhaseSearch {
         Self {
             cnn_phase_steps: 1000,
             hw_phase_steps: 200,
+        }
+    }
+}
+
+impl PhaseSearch {
+    /// The paper's 1000/200 phase lengths scaled to a different step budget.
+    #[must_use]
+    pub fn scaled(total_steps: usize) -> Self {
+        let cnn = (total_steps / 10).max(1);
+        Self {
+            cnn_phase_steps: cnn,
+            hw_phase_steps: (cnn / 5).max(1),
         }
     }
 }
@@ -171,6 +183,16 @@ pub struct SeparateSearch {
 impl Default for SeparateSearch {
     fn default() -> Self {
         Self { cnn_steps: 8333 }
+    }
+}
+
+impl SeparateSearch {
+    /// The paper's 8333/1667 split scaled to a different step budget.
+    #[must_use]
+    pub fn scaled(total_steps: usize) -> Self {
+        Self {
+            cnn_steps: total_steps * 5 / 6,
+        }
     }
 }
 
@@ -308,11 +330,11 @@ fn random_valid_cnn_actions(ctx: &SearchContext<'_>, rng: &mut SmallRng) -> Vec<
 }
 
 /// Single-metric reward spec over accuracy alone, for separate search phase 1.
-fn accuracy_only_spec(norm: LinearNorm) -> RewardSpec<1> {
-    RewardSpec::builder()
-        .weights([1.0])
+fn accuracy_only_spec(norm: LinearNorm) -> DynRewardSpec {
+    DynRewardSpec::builder()
+        .weights(vec![1.0])
         .expect("static weights")
-        .norms([norm])
+        .norms(vec![norm])
         .build()
         .expect("complete spec")
 }
@@ -335,6 +357,15 @@ mod tests {
             reward: &reward,
         };
         strategy.run(&mut ctx, &SearchConfig::quick(steps, seed))
+    }
+
+    #[test]
+    fn scaled_phase_lengths_keep_5_to_1_ratio() {
+        let p = PhaseSearch::scaled(10_000);
+        assert_eq!(p.cnn_phase_steps, 1000);
+        assert_eq!(p.hw_phase_steps, 200);
+        let s = SeparateSearch::scaled(10_000);
+        assert_eq!(s.cnn_steps, 8333);
     }
 
     #[test]

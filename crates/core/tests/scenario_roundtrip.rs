@@ -174,9 +174,9 @@ fn files_with_invalid_norms_are_rejected_via_builder_validation() {
 
 #[test]
 fn files_with_duplicate_scenario_names_are_rejected() {
-    // Reports, merged fronts, and cost calibration key on scenario names;
-    // a collection with a repeated name must be rejected up front, not
-    // silently pooled downstream.
+    // Reports and merged fronts key on scenario names; a collection with
+    // a repeated name must be rejected up front, not silently pooled
+    // downstream.
     let path = write_temp(
         "duplicate_names.json",
         r#"{"format":"codesign-scenarios","version":1,"scenarios":[

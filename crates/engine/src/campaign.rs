@@ -1,6 +1,5 @@
 //! Campaign specifications: the grid of runs a driver executes.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use codesign_core::{
@@ -10,7 +9,6 @@ use codesign_core::{
 };
 
 use crate::mix64;
-use crate::report::CampaignReport;
 
 /// A search strategy by name — the unit of the campaign grid's strategy
 /// axis. `build` instantiates the concrete strategy with the paper's
@@ -118,58 +116,6 @@ impl StrategyKind {
     }
 }
 
-/// Per-scenario cost weights for shard scheduling, in arbitrary
-/// units-per-step. The work-stealing backend dispatches shards by
-/// `steps × weight`, longest first.
-///
-/// The default weight is the static premium `1 + 0.15 × constraints`
-/// (constrained scenarios run slightly hotter per step: more punished
-/// proposals re-enter the controller before a feasible region is found).
-/// [`Campaign::calibrated_costs`] replaces the static premiums with weights
-/// measured from a previous run's per-shard wall-clock.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CostModel {
-    weights: HashMap<String, f64>,
-}
-
-impl CostModel {
-    /// An empty model: every scenario falls back to the static premium.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the measured weight of a scenario by name.
-    pub fn set(&mut self, scenario: impl Into<String>, weight: f64) {
-        self.weights.insert(scenario.into(), weight);
-    }
-
-    /// The measured weight of a scenario, if one was recorded.
-    #[must_use]
-    pub fn get(&self, scenario: &str) -> Option<f64> {
-        self.weights.get(scenario).copied()
-    }
-
-    /// The effective weight: measured if present, static premium otherwise.
-    #[must_use]
-    pub fn weight_for(&self, scenario: &ScenarioSpec) -> f64 {
-        self.get(scenario.name())
-            .unwrap_or_else(|| 1.0 + 0.15 * scenario.constraint_count() as f64)
-    }
-
-    /// Number of scenarios with measured weights.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// `true` when no scenario has a measured weight.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-}
-
 /// One cell of the campaign grid: a single search run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSpec {
@@ -186,8 +132,6 @@ pub struct ShardSpec {
     pub steps: usize,
     /// The derived, decorrelated seed of this shard's private RNG stream.
     pub rng_seed: u64,
-    /// Scheduling cost per step (from the campaign's [`CostModel`]).
-    pub cost_weight: f64,
     /// Surrogate predict-then-verify guidance, from the campaign
     /// ([`Campaign::with_surrogate`]); `None` runs unguided.
     pub surrogate: Option<SurrogateConfig>,
@@ -208,14 +152,6 @@ impl ShardSpec {
             seed: self.rng_seed,
             ..*base
         }
-    }
-
-    /// The shard's estimated cost, in arbitrary units:
-    /// `steps × scenario cost weight`. The work-stealing backend dispatches
-    /// by this estimate, longest first.
-    #[must_use]
-    pub fn estimated_cost(&self) -> f64 {
-        self.steps as f64 * self.cost_weight
     }
 }
 
@@ -259,8 +195,6 @@ pub struct Campaign {
     /// history is `steps` records per shard). Fig. 6's reward curves need
     /// it on.
     pub record_histories: bool,
-    /// Per-scenario scheduling weights (static premiums unless calibrated).
-    pub cost_model: CostModel,
     /// Reward shaping applied by every shard's recorder (off by default).
     /// Shaping changes the scalar fed back to the controller — it is part
     /// of the experiment definition, so it rides on the campaign rather
@@ -286,7 +220,6 @@ impl Campaign {
             budgets: vec![1000],
             base_config: SearchConfig::default(),
             record_histories: false,
-            cost_model: CostModel::new(),
             reward_shaping: RewardShaping::None,
             surrogate: None,
         }
@@ -348,15 +281,6 @@ impl Campaign {
         self
     }
 
-    /// Replaces the scheduling cost model (see
-    /// [`Campaign::calibrated_costs`]). Cost weights influence only
-    /// dispatch order — never results.
-    #[must_use]
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
-        self
-    }
-
     /// Applies [`RewardShaping`] to every shard: with
     /// `RewardShaping::HypervolumeGradient`, each step's reward gains
     /// `weight × ΔHV`, the point's marginal hypervolume contribution to
@@ -415,47 +339,6 @@ impl Campaign {
         Ok(self)
     }
 
-    /// Derives a measured [`CostModel`] from a previous run's report: each
-    /// scenario's weight is its mean wall-clock per step, normalized so the
-    /// cheapest scenario sits at 1.0 (the same scale the static premiums
-    /// use). Feed the result to [`Campaign::with_cost_model`] so a second
-    /// sweep's work-stealing backend dispatches by real measurements
-    /// instead of static premiums.
-    ///
-    /// Calibration runs on the microsecond wall-clock
-    /// ([`ShardResult::wall_us`]), so even sub-millisecond shards — which
-    /// the old millisecond field truncated to zero — contribute measured
-    /// weights. Scenarios absent from the report (or with zero recorded
-    /// wall-clock) keep their static premium.
-    ///
-    /// [`ShardResult::wall_us`]: crate::report::ShardResult::wall_us
-    #[must_use]
-    pub fn calibrated_costs(&self, report: &CampaignReport) -> CostModel {
-        let mut totals: HashMap<&str, (u64, u64)> = HashMap::new(); // (wall_us, steps)
-        for shard in &report.shards {
-            let entry = totals.entry(shard.spec.scenario_name()).or_default();
-            entry.0 += shard.wall_us;
-            entry.1 += shard.steps as u64;
-        }
-        let per_step: Vec<(&str, f64)> = totals
-            .into_iter()
-            .filter(|&(_, (wall, steps))| wall > 0 && steps > 0)
-            .map(|(name, (wall, steps))| (name, wall as f64 / steps as f64))
-            .collect();
-        let mut model = CostModel::new();
-        let Some(floor) = per_step
-            .iter()
-            .map(|&(_, w)| w)
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-        else {
-            return model;
-        };
-        for (name, weight) in per_step {
-            model.set(name, weight / floor);
-        }
-        model
-    }
-
     /// The grid flattened into shard specifications, scenario-major then
     /// strategy, seed, and budget. The order — and every `rng_seed` — is a
     /// pure function of the campaign, independent of workers or timing.
@@ -473,7 +356,6 @@ impl Campaign {
             self.scenarios.len() * self.strategies.len() * self.seeds.len() * self.budgets.len(),
         );
         for (si, scenario) in compiled.iter().enumerate() {
-            let cost_weight = self.cost_model.weight_for(&self.scenarios[si]);
             for (ti, &strategy) in self.strategies.iter().enumerate() {
                 for &seed in &self.seeds {
                     for (bi, &steps) in self.budgets.iter().enumerate() {
@@ -489,7 +371,6 @@ impl Campaign {
                             seed,
                             steps,
                             rng_seed,
-                            cost_weight,
                             surrogate: self.surrogate,
                         });
                     }
@@ -581,106 +462,5 @@ mod tests {
         assert_eq!(config.steps, 123);
         assert_eq!(config.seed, shard.rng_seed);
         assert_eq!(config.learning_rate, 0.5);
-    }
-
-    #[test]
-    fn static_premiums_scale_with_constraint_count() {
-        let campaign = Campaign::new(CodesignSpace::with_max_vertices(4)).steps(100);
-        let shards = campaign.shards();
-        let cost_of = |name: &str| {
-            shards
-                .iter()
-                .find(|s| s.scenario_name() == name)
-                .unwrap()
-                .estimated_cost()
-        };
-        assert!((cost_of("Unconstrained") - 100.0).abs() < 1e-9);
-        assert!((cost_of("1 Constraint") - 115.0).abs() < 1e-9);
-        assert!((cost_of("2 Constraints") - 130.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn calibrated_costs_follow_measured_wall_clock() {
-        use crate::report::ShardResult;
-
-        let campaign = Campaign::new(CodesignSpace::with_max_vertices(4))
-            .strategies(vec![StrategyKind::Random])
-            .steps(100);
-        let shards = campaign.shards();
-        // Fake a report where "Unconstrained" was in fact the *slowest*
-        // scenario per step — the opposite of the static premiums.
-        let wall_for = |name: &str| match name {
-            "Unconstrained" => 300,
-            "1 Constraint" => 100,
-            _ => 150,
-        };
-        let report = CampaignReport {
-            shards: shards
-                .iter()
-                .map(|spec| {
-                    let mut r = ShardResult::empty_for_test(spec.clone());
-                    r.steps = spec.steps;
-                    r.wall_us = wall_for(spec.scenario_name());
-                    r.wall_ms = r.wall_us / 1000;
-                    r
-                })
-                .collect(),
-            cache: None,
-            backend: "atomic",
-            workers: 1,
-            wall_ms: 0,
-            wall_us: 550,
-            cancelled: false,
-        };
-        let model = campaign.calibrated_costs(&report);
-        assert_eq!(model.len(), 3);
-        // Cheapest scenario normalized to 1.0; others proportional.
-        assert_eq!(model.get("1 Constraint"), Some(1.0));
-        assert_eq!(model.get("Unconstrained"), Some(3.0));
-        assert_eq!(model.get("2 Constraints"), Some(1.5));
-
-        // Feeding the model back re-weights shard scheduling.
-        let recalibrated = campaign.clone().with_cost_model(model);
-        let costs: Vec<(String, f64)> = recalibrated
-            .shards()
-            .iter()
-            .map(|s| (s.scenario_name().to_owned(), s.estimated_cost()))
-            .collect();
-        let cost_of = |name: &str| costs.iter().find(|(n, _)| n == name).unwrap().1;
-        assert_eq!(cost_of("Unconstrained"), 300.0);
-        assert_eq!(cost_of("1 Constraint"), 100.0);
-        assert_eq!(cost_of("2 Constraints"), 150.0);
-    }
-
-    #[test]
-    fn calibration_skips_unmeasured_scenarios() {
-        let campaign = Campaign::new(CodesignSpace::with_max_vertices(4))
-            .strategies(vec![StrategyKind::Random])
-            .steps(50);
-        // Zero wall times (sub-millisecond shards) leave the model empty:
-        // static premiums stay in force.
-        let report = CampaignReport {
-            shards: campaign
-                .shards()
-                .iter()
-                .map(|spec| {
-                    let mut r = crate::report::ShardResult::empty_for_test(spec.clone());
-                    r.steps = spec.steps;
-                    r
-                })
-                .collect(),
-            cache: None,
-            backend: "atomic",
-            workers: 1,
-            wall_ms: 0,
-            wall_us: 0,
-            cancelled: false,
-        };
-        let model = campaign.calibrated_costs(&report);
-        assert!(model.is_empty());
-        assert_eq!(
-            model.weight_for(&ScenarioSpec::two_constraints()),
-            1.0 + 0.15 * 2.0
-        );
     }
 }

@@ -1,23 +1,17 @@
-//! The sharded campaign driver and its pluggable scheduling backends.
+//! The sharded campaign driver.
 //!
-//! Shards are placed on a lock-free work queue (an atomic cursor over a
-//! backend-chosen dispatch order) and executed by `std::thread` workers.
-//! Every shard runs with its own RNG stream and its own evaluator, so
-//! *which* worker runs a shard — and in what order — cannot affect results;
-//! the only cross-shard state is the [`SharedEvalCache`], whose hits return
+//! Shards are placed on a lock-free work queue (an atomic cursor over the
+//! campaign's grid order) and executed by `std::thread` workers. Every
+//! shard runs with its own RNG stream and its own evaluator, so *which*
+//! worker runs a shard — and when — cannot affect results; the only
+//! cross-shard state is the [`SharedEvalCache`], whose hits return
 //! bit-identical values to recomputation, and the [`Arc`]'d database every
 //! evaluator shares by reference. The same campaign therefore produces the
-//! same report at any worker count under any backend — backends only move
-//! wall-clock time around.
+//! same report at any worker count.
 //!
-//! Two backends ship:
-//!
-//! * [`AtomicCursorBackend`] — dispatches shards in grid order; the
-//!   original PR-1 behavior and the default.
-//! * [`WorkStealingBackend`] — dispatches longest-shard-first by estimated
-//!   cost ([`ShardSpec::estimated_cost`]), the classic LPT heuristic, so a
-//!   heterogeneous campaign (mixed step budgets / scenarios) doesn't strand
-//!   one worker on a huge shard at the tail while the rest idle.
+//! Workers pull shards in grid order. A shard's cost depends mostly on its
+//! strategy (an RL shard costs about 100× a random one), so the order is
+//! deliberately not tuned to a cost estimate.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,81 +73,13 @@ impl CancelToken {
 /// order is scheduling-dependent; the final report stays in grid order.
 pub type ShardObserver = Arc<dyn Fn(&ShardResult) + Send + Sync>;
 
-/// A shard-dispatch policy: given the campaign's shard list, produce the
-/// order in which workers pull shards off the shared queue.
-///
-/// Backends are pure placement: the returned permutation decides *when*
-/// each shard starts, never *what* it computes — every shard still runs
-/// its own deterministic RNG stream, so all backends produce bit-identical
-/// [`CampaignReport`]s.
-pub trait DriverBackend: Send + Sync {
-    /// Short display name recorded in the campaign report.
-    fn name(&self) -> &'static str;
-
-    /// The dispatch order: a permutation of `0..shards.len()`.
-    fn schedule(&self, shards: &[ShardSpec]) -> Vec<usize>;
-}
-
-/// Grid-order dispatch through an atomic cursor (the default backend).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AtomicCursorBackend;
-
-impl DriverBackend for AtomicCursorBackend {
-    fn name(&self) -> &'static str {
-        "atomic"
-    }
-
-    fn schedule(&self, shards: &[ShardSpec]) -> Vec<usize> {
-        (0..shards.len()).collect()
-    }
-}
-
-/// Longest-shard-first dispatch by estimated cost, for campaigns whose
-/// shards are heterogeneous (mixed step budgets or scenario weights).
-///
-/// Workers still pull from one shared queue — greedy list scheduling —
-/// so sorting the queue longest-first is the classic LPT bound: the most
-/// expensive shards start earliest and the short ones pack the tail.
-/// Ties break by shard index, keeping the dispatch order a pure function
-/// of the campaign.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkStealingBackend;
-
-impl DriverBackend for WorkStealingBackend {
-    fn name(&self) -> &'static str {
-        "work-stealing"
-    }
-
-    fn schedule(&self, shards: &[ShardSpec]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..shards.len()).collect();
-        order.sort_by(|&a, &b| {
-            shards[b]
-                .estimated_cost()
-                .partial_cmp(&shards[a].estimated_cost())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        order
-    }
-}
-
-/// Resolves a backend by its display name (`atomic`, `work-stealing`).
-#[must_use]
-pub fn backend_from_name(name: &str) -> Option<Arc<dyn DriverBackend>> {
-    match name {
-        "atomic" => Some(Arc::new(AtomicCursorBackend)),
-        "work-stealing" => Some(Arc::new(WorkStealingBackend)),
-        _ => None,
-    }
-}
-
 /// Executes campaigns across worker threads.
 ///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
-/// use codesign_engine::{Campaign, ShardedDriver, StrategyKind, WorkStealingBackend};
+/// use codesign_engine::{Campaign, ShardedDriver, StrategyKind};
 /// use codesign_core::CodesignSpace;
 /// use codesign_nasbench::NasbenchDatabase;
 ///
@@ -162,11 +88,9 @@ pub fn backend_from_name(name: &str) -> Option<Arc<dyn DriverBackend>> {
 ///     .steps(50);
 /// let db = Arc::new(NasbenchDatabase::exhaustive(4));
 /// let sequential = ShardedDriver::new(1).run(&campaign, &db);
-/// let parallel = ShardedDriver::new(4)
-///     .with_backend(Arc::new(WorkStealingBackend))
-///     .run(&campaign, &db);
+/// let parallel = ShardedDriver::new(4).run(&campaign, &db);
 /// assert_eq!(sequential.shards.len(), parallel.shards.len());
-/// // Bit-identical results at any worker count, under any backend:
+/// // Bit-identical results at any worker count:
 /// for (a, b) in sequential.shards.iter().zip(parallel.shards.iter()) {
 ///     assert_eq!(a.best, b.best);
 /// }
@@ -175,7 +99,6 @@ pub fn backend_from_name(name: &str) -> Option<Arc<dyn DriverBackend>> {
 pub struct ShardedDriver {
     workers: usize,
     shared_cache: bool,
-    backend: Arc<dyn DriverBackend>,
     preloaded: Option<Arc<SharedEvalCache>>,
     cancel: Option<CancelToken>,
     observer: Option<ShardObserver>,
@@ -186,7 +109,6 @@ impl std::fmt::Debug for ShardedDriver {
         f.debug_struct("ShardedDriver")
             .field("workers", &self.workers)
             .field("shared_cache", &self.shared_cache)
-            .field("backend", &self.backend.name())
             .field("preloaded", &self.preloaded.is_some())
             .field("cancellable", &self.cancel.is_some())
             .field("observed", &self.observer.is_some())
@@ -196,14 +118,12 @@ impl std::fmt::Debug for ShardedDriver {
 
 impl ShardedDriver {
     /// A driver with `workers` threads (`0` means the machine's available
-    /// parallelism). The shared evaluation cache is on by default; the
-    /// backend defaults to [`AtomicCursorBackend`].
+    /// parallelism). The shared evaluation cache is on by default.
     #[must_use]
     pub fn new(workers: usize) -> Self {
         Self {
             workers,
             shared_cache: true,
-            backend: Arc::new(AtomicCursorBackend),
             preloaded: None,
             cancel: None,
             observer: None,
@@ -236,13 +156,6 @@ impl ShardedDriver {
     pub fn without_shared_cache(mut self) -> Self {
         self.shared_cache = false;
         self.preloaded = None;
-        self
-    }
-
-    /// Selects the shard-dispatch backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: Arc<dyn DriverBackend>) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -284,8 +197,7 @@ impl ShardedDriver {
         let workers = self.workers().min(shards.len()).max(1);
         let run_span = codesign_telemetry::span("campaign.run", "engine")
             .with_arg("shards", shards.len())
-            .with_arg("workers", workers)
-            .with_arg("backend", self.backend.name());
+            .with_arg("workers", workers);
         SHARDS_TOTAL.add(shards.len() as u64);
         // Dispatch epoch on the telemetry clock: queue wait per shard is
         // measured from here (every shard is enqueued at t=0).
@@ -303,18 +215,6 @@ impl ShardedDriver {
                 cache.set_record_features(true);
             }
         }
-        let order = self.backend.schedule(&shards);
-        debug_assert_eq!(
-            {
-                let mut sorted = order.clone();
-                sorted.sort_unstable();
-                sorted
-            },
-            (0..shards.len()).collect::<Vec<_>>(),
-            "backend '{}' must return a permutation of the shard indices",
-            self.backend.name()
-        );
-
         let cursor = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<ShardResult>>> = Mutex::new(vec![None; shards.len()]);
         std::thread::scope(|scope| {
@@ -322,7 +222,6 @@ impl ShardedDriver {
                 let cursor = &cursor;
                 let results = &results;
                 let shards = &shards;
-                let order = &order;
                 let cache = cache.clone();
                 // One refcount bump per worker; the cell table itself is
                 // never cloned on the shard path.
@@ -337,9 +236,10 @@ impl ShardedDriver {
                         if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                             break;
                         }
-                        let next = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&index) = order.get(next) else { break };
-                        let shard = &shards[index];
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(shard) = shards.get(index) else {
+                            break;
+                        };
                         let mut shard_span = codesign_telemetry::span("shard.run", "engine")
                             .with_arg("shard", index)
                             .with_arg("scenario", shard.scenario_name())
@@ -378,7 +278,6 @@ impl ShardedDriver {
         CampaignReport {
             shards,
             cache: cache.map(|c| c.stats()),
-            backend: self.backend.name(),
             workers,
             wall_ms: wall_us / 1000,
             wall_us,
@@ -452,7 +351,6 @@ mod tests {
             assert_eq!(shard.steps, 40);
         }
         assert_eq!(report.workers, 3);
-        assert_eq!(report.backend, "atomic");
     }
 
     #[test]
@@ -492,36 +390,6 @@ mod tests {
         assert_eq!(shard_hits, stats.hits + stats.accuracy_hits);
         assert_eq!(shard_misses, stats.misses + stats.accuracy_misses);
         assert_eq!(stats.warm_hits, 0, "no preloaded cache, so no warm hits");
-    }
-
-    #[test]
-    fn work_stealing_backend_schedules_longest_first() {
-        let campaign = Campaign::new(CodesignSpace::with_max_vertices(4))
-            .scenarios(vec![ScenarioSpec::unconstrained()])
-            .strategies(vec![StrategyKind::Random])
-            .seeds(vec![0])
-            .budgets(vec![50, 400, 100]);
-        let shards = campaign.shards();
-        let order = WorkStealingBackend.schedule(&shards);
-        let costs: Vec<f64> = order.iter().map(|&i| shards[i].estimated_cost()).collect();
-        assert!(
-            costs.windows(2).all(|w| w[0] >= w[1]),
-            "dispatch must be non-increasing in estimated cost: {costs:?}"
-        );
-        // Still a permutation.
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..shards.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn backends_resolve_by_name() {
-        assert_eq!(backend_from_name("atomic").unwrap().name(), "atomic");
-        assert_eq!(
-            backend_from_name("work-stealing").unwrap().name(),
-            "work-stealing"
-        );
-        assert!(backend_from_name("bogus").is_none());
     }
 
     #[test]

@@ -9,13 +9,11 @@
 //!
 //! * [`Campaign`] — the grid specification: scenarios × strategies × seeds
 //!   × step budgets over one [`codesign_core::CodesignSpace`];
-//! * [`ShardedDriver`] — fans the grid's shards out across worker threads
-//!   through a pluggable [`DriverBackend`] (grid-order
-//!   [`AtomicCursorBackend`] or longest-shard-first
-//!   [`WorkStealingBackend`]). Each shard draws from its own deterministic
-//!   RNG stream and every evaluator shares one `Arc`'d database, so the
-//!   same campaign produces **bit-identical results at any worker count
-//!   under any backend** — and shard spin-up is a refcount bump, never a
+//! * [`ShardedDriver`] — fans the grid's shards out across worker threads,
+//!   which pull them in grid order. Each shard draws from its own
+//!   deterministic RNG stream and every evaluator shares one `Arc`'d
+//!   database, so the same campaign produces **bit-identical results at
+//!   any worker count** — and shard spin-up is a refcount bump, never a
 //!   copy of the cell table;
 //! * [`SharedEvalCache`] — a process-wide, sharded-mutex evaluation cache
 //!   (with warm/cold hit accounting and an optional capacity bound) that
@@ -89,11 +87,8 @@ pub mod report;
 pub mod sys;
 
 pub use cache::{CacheStats, ShardCacheView, SharedEvalCache};
-pub use campaign::{Campaign, CostModel, ShardSpec, StrategyKind};
-pub use driver::{
-    backend_from_name, AtomicCursorBackend, CancelToken, DriverBackend, ShardObserver,
-    ShardedDriver, WorkStealingBackend,
-};
+pub use campaign::{Campaign, ShardSpec, StrategyKind};
+pub use driver::{CancelToken, ShardObserver, ShardedDriver};
 pub use persist::{CacheLoadError, CACHE_MAGIC, CACHE_SHARD_FILES, CACHE_VERSION};
 pub use report::{CampaignReport, ShardResult};
 pub use sys::FileLock;

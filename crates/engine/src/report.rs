@@ -70,8 +70,8 @@ pub struct ShardResult {
     /// [`ShardResult::wall_us`], the authoritative measurement.
     pub wall_ms: u64,
     /// Wall-clock of the shard, µs (informational; not deterministic).
-    /// Sub-millisecond shards used to truncate to `wall_ms == 0` and fall
-    /// out of cost calibration; this field keeps them measurable.
+    /// Keeps sub-millisecond shards, which truncate to `wall_ms == 0`,
+    /// measurable.
     pub wall_us: u64,
 }
 
@@ -112,31 +112,6 @@ impl ShardResult {
             cache_misses: 0,
             wall_ms: wall_us / 1000,
             wall_us,
-        }
-    }
-
-    /// A zeroed result for `spec`, for tests that fabricate reports (e.g.
-    /// the cost-calibration tests).
-    #[cfg(test)]
-    pub(crate) fn empty_for_test(spec: ShardSpec) -> Self {
-        let front = spec.scenario.empty_front();
-        Self {
-            spec,
-            steps: 0,
-            feasible_steps: 0,
-            invalid_steps: 0,
-            best: None,
-            front,
-            hypervolume: 0.0,
-            shaping_bonus: 0.0,
-            surrogate: None,
-            generations: Vec::new(),
-            history: None,
-            cache_warm_hits: 0,
-            cache_cold_hits: 0,
-            cache_misses: 0,
-            wall_ms: 0,
-            wall_us: 0,
         }
     }
 
@@ -262,9 +237,6 @@ pub struct CampaignReport {
     pub shards: Vec<ShardResult>,
     /// Shared-cache statistics, when the cache was enabled.
     pub cache: Option<CacheStats>,
-    /// Name of the driver backend that dispatched the shards
-    /// (informational — backends never change results, only wall-clock).
-    pub backend: &'static str,
     /// Worker threads the driver used (informational).
     pub workers: usize,
     /// Total campaign wall-clock, whole ms (informational; not
@@ -526,7 +498,6 @@ impl CampaignReport {
             ("type", Json::Str("campaign".into())),
             ("shards", Json::Num(self.shards.len() as f64)),
             ("scenarios", Json::Arr(scenarios)),
-            ("backend", Json::Str(self.backend.into())),
             ("workers", Json::Num(self.workers as f64)),
             ("wall_ms", Json::Num(self.wall_ms as f64)),
             ("wall_us", Json::Num(self.wall_us as f64)),
@@ -692,10 +663,9 @@ impl std::fmt::Display for CampaignReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "campaign: {} shards on {} workers ({} backend) in {:.2}s{}",
+            "campaign: {} shards on {} workers in {:.2}s{}",
             self.shards.len(),
             self.workers,
-            self.backend,
             self.wall_ms as f64 / 1000.0,
             if self.cancelled {
                 " [CANCELLED: partial results]"
@@ -823,8 +793,7 @@ mod tests {
     fn display_summarizes_groups() {
         let report = tiny_report();
         let text = report.to_string();
-        assert!(text.contains("campaign: 4 shards"));
-        assert!(text.contains("atomic backend"));
+        assert!(text.contains("campaign: 4 shards on 2 workers"));
         assert!(text.contains("shared cache:"));
         assert!(text.contains("Unconstrained"));
         assert!(text.contains("random"));
@@ -867,5 +836,69 @@ mod tests {
         for (a, b) in cold.shards.iter().zip(recorded.shards.iter()) {
             assert_eq!(a.best, b.best);
         }
+    }
+
+    #[test]
+    fn two_metric_scenario_exports_exactly_its_own_axes() {
+        let scenario = ScenarioSpec::builder("power-capped")
+            .weight(MetricId::Accuracy, 1.0)
+            .constraint(MetricId::PowerW, 6.0)
+            .build()
+            .expect("valid scenario");
+        let campaign = Campaign::new(CodesignSpace::with_max_vertices(4))
+            .scenarios(vec![scenario])
+            .strategies(vec![StrategyKind::Random, StrategyKind::Combined])
+            .seeds(vec![0])
+            .steps(80);
+        let db = Arc::new(NasbenchDatabase::exhaustive(4));
+        let report = ShardedDriver::new(2).run(&campaign, &db);
+
+        // Fronts carry exactly the declared axes.
+        let merged = report.merged_front("power-capped");
+        assert_eq!(merged.schema().names(), ["acc", "power"]);
+        assert!(!merged.is_empty());
+        for (m, _) in merged.iter() {
+            assert_eq!(m.len(), 2);
+            assert!(m[0] > 0.0, "signed accuracy is positive");
+            assert!(m[1] < 0.0, "signed power is negated");
+        }
+        assert_eq!(report.metric_columns(), ["acc", "power"]);
+
+        // JSONL: the shard records name the two axes and nothing else.
+        let mut jsonl = Vec::new();
+        report.write_jsonl(&mut jsonl).unwrap();
+        let text = String::from_utf8(jsonl).unwrap();
+        assert!(text.contains(r#""metrics":["acc","power"]"#));
+        for line in text.lines().skip(1) {
+            let shard = Json::parse(line).unwrap();
+            let names: Vec<&str> = shard
+                .get("metrics")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .filter_map(Json::as_str)
+                .collect();
+            assert_eq!(names, ["acc", "power"]);
+            for row in shard.get("front").and_then(Json::as_arr).unwrap() {
+                assert_eq!(row.as_arr().unwrap().len(), 2);
+            }
+            // The best-point record is written in the scenario's own metrics.
+            let best = shard.get("best").unwrap();
+            if !matches!(best, Json::Null) {
+                assert!(best.get("acc").is_some() && best.get("power").is_some());
+                assert!(best.get("area_mm2").is_none() && best.get("latency_ms").is_none());
+            }
+        }
+
+        // CSV: the header carries the scenario's own columns — power, not area.
+        let dir = std::env::temp_dir().join("codesign_engine_report_axes_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("power_capped.csv");
+        report.write_csv(&path).unwrap();
+        let content = std::fs::read_to_string(&path).unwrap();
+        let header = content.lines().next().unwrap();
+        assert!(header.contains("best_acc") && header.contains("best_power"));
+        assert!(!header.contains("best_area") && !header.contains("best_lat"));
+        assert!(content.lines().skip(1).all(|row| row.contains("acc|power")));
     }
 }

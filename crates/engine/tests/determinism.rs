@@ -1,12 +1,14 @@
-//! Campaign-level invariants: worker-count determinism, backend
-//! equivalence, cache transparency, database sharing, and Pareto-merge
+//! Campaign-level invariants: worker-count determinism, recorder
+//! bookkeeping, cache transparency, database sharing, and Pareto-merge
 //! equivalence.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use codesign_core::{CodesignSpace, Evaluator, ScenarioSpec, SearchConfig, SearchContext};
-use codesign_engine::{Campaign, CampaignReport, ShardedDriver, StrategyKind, WorkStealingBackend};
+use codesign_core::{
+    CodesignSpace, Evaluator, ScenarioSpec, SearchConfig, SearchContext, INVALID_PROPOSAL_REWARD,
+};
+use codesign_engine::{Campaign, CampaignReport, ShardedDriver, StrategyKind};
 use codesign_moo::DynParetoFront;
 use codesign_nasbench::NasbenchDatabase;
 use rand::rngs::SmallRng;
@@ -60,25 +62,72 @@ fn campaigns_are_bit_identical_across_worker_counts() {
     assert_reports_identical(&one, &eight);
 }
 
+/// Every shard's recorded history re-scores, step by step, under the
+/// shard's own compiled scenario, and the shard's feasible/invalid counts
+/// and best reward are exactly what that history implies.
 #[test]
-fn backends_are_bit_identical_at_any_worker_count() {
-    // Heterogeneous budgets so the work-stealing backend actually reorders.
-    let campaign = Campaign::new(CodesignSpace::with_max_vertices(4))
-        .scenarios(ScenarioSpec::paper_presets())
-        .strategies(vec![StrategyKind::Random, StrategyKind::Combined])
-        .seeds(vec![0])
-        .budgets(vec![30, 120]);
+fn recorded_histories_rederive_shard_bookkeeping() {
+    let campaign = sweep_campaign()
+        .strategies(
+            StrategyKind::ALL
+                .into_iter()
+                .chain([StrategyKind::Evolution])
+                .collect(),
+        )
+        .record_histories(true);
     let db = Arc::new(NasbenchDatabase::exhaustive(4));
-    let atomic = ShardedDriver::new(4).run(&campaign, &db);
-    let stealing_1 = ShardedDriver::new(1)
-        .with_backend(Arc::new(WorkStealingBackend))
-        .run(&campaign, &db);
-    let stealing_8 = ShardedDriver::new(8)
-        .with_backend(Arc::new(WorkStealingBackend))
-        .run(&campaign, &db);
-    assert_eq!(stealing_1.backend, "work-stealing");
-    assert_reports_identical(&atomic, &stealing_1);
-    assert_reports_identical(&atomic, &stealing_8);
+    let report = ShardedDriver::new(4).run(&campaign, &db);
+    assert_eq!(report.shards.len(), 3 * 5 * 2);
+
+    for shard in &report.shards {
+        let scenario = shard.spec.scenario.as_ref();
+        let history = shard.history.as_ref().expect("histories recorded");
+        assert_eq!(history.len(), shard.steps);
+        let mut feasible = 0usize;
+        let mut invalid = 0usize;
+        let mut best_reward = f64::NEG_INFINITY;
+        for (step, record) in history.iter().enumerate() {
+            let Some(metrics) = record.metrics else {
+                assert_eq!(record.reward, INVALID_PROPOSAL_REWARD);
+                assert!(!record.feasible && !record.valid);
+                invalid += 1;
+                continue;
+            };
+            let rescored = scenario
+                .reward_from_triple(&metrics)
+                .expect("preset axes derive from the triple");
+            assert_eq!(
+                record.reward.to_bits(),
+                rescored.value().to_bits(),
+                "shard {} ({} / {} / seed {}) step {step}",
+                shard.spec.index,
+                shard.spec.scenario_name(),
+                shard.spec.strategy.name(),
+                shard.spec.seed,
+            );
+            assert_eq!(record.feasible, rescored.is_feasible());
+            if record.feasible {
+                feasible += 1;
+                best_reward = best_reward.max(record.reward);
+            }
+        }
+        assert_eq!(shard.feasible_steps, feasible, "shard {}", shard.spec.index);
+        assert_eq!(shard.invalid_steps, invalid, "shard {}", shard.spec.index);
+        match &shard.best {
+            Some(best) => {
+                assert_eq!(
+                    best.reward.to_bits(),
+                    best_reward.to_bits(),
+                    "shard {}: best reward is the max feasible recorded reward",
+                    shard.spec.index
+                );
+                // The stored best point re-scores to its stored reward.
+                let rescored = scenario.reward(&best.evaluation);
+                assert_eq!(best.reward.to_bits(), rescored.value().to_bits());
+            }
+            None => assert_eq!(feasible, 0, "shard {}", shard.spec.index),
+        }
+    }
 }
 
 /// The acceptance check for shared ownership: running a campaign grows the

@@ -22,13 +22,13 @@ use codesign_nasbench::byteio::fnv1a64;
 use codesign_nasbench::{Json, NasbenchDatabase};
 
 /// (a) every strategy × seeds {0, 1}: the campaign's JSONL.
-const STRATEGY_GRID_JSONL: u64 = 0xa46e_efe4_99a6_94d3;
+const STRATEGY_GRID_JSONL: u64 = 0xc602_5caf_c7a4_196e;
 /// (d) the shard files of (a)'s cache.
 const STRATEGY_GRID_SHARDS: u64 = 0x48e2_a5c6_fe8f_21a3;
 /// (b) combined + nsga, seed 0, `hv:0.5` reward shaping: the JSONL.
-const SHAPED_GRID_JSONL: u64 = 0x1866_97a5_0dcc_3719;
+const SHAPED_GRID_JSONL: u64 = 0x5767_521e_33be_74b0;
 /// (c) evolution + nsga, seed 0, `--surrogate 4:16`: the JSONL.
-const GUIDED_GRID_JSONL: u64 = 0x9297_6634_6f9c_87fd;
+const GUIDED_GRID_JSONL: u64 = 0x9e99_fd93_9c56_47ae;
 /// (d) the shard files of (c)'s cache, cell features included.
 const GUIDED_GRID_SHARDS: u64 = 0x5064_04f7_d5da_aacb;
 

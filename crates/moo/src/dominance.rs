@@ -80,30 +80,12 @@ pub fn dominates<const N: usize>(a: &[f64; N], b: &[f64; N]) -> bool {
     compare(a, b) == Dominance::Dominates
 }
 
-/// Returns `true` when `a` weakly dominates `b`: at least as good everywhere
-/// (equality allowed in all objectives).
-///
-/// Used by streaming filters where duplicate metric vectors must be collapsed.
-///
-/// # Examples
-///
-/// ```
-/// use codesign_moo::dominates_weak;
-///
-/// assert!(dominates_weak(&[2.0, 2.0], &[2.0, 2.0]));
-/// assert!(!dominates_weak(&[2.0, 1.0], &[1.0, 2.0]));
-/// ```
-#[must_use]
-pub fn dominates_weak<const N: usize>(a: &[f64; N], b: &[f64; N]) -> bool {
-    matches!(compare(a, b), Dominance::Dominates | Dominance::Equal)
-}
-
 /// [`compare`] with the dimension chosen at runtime: classifies the dominance
 /// relation of two equal-length metric slices.
 ///
 /// The comparison loop is the same sequence of `f64` comparisons as the
-/// const-generic [`compare`], so the two can never disagree on points of the
-/// same dimension — the parity the scenario-native front stack is built on.
+/// fixed-array [`compare`], so the two can never disagree on points of the
+/// same dimension.
 ///
 /// # Panics
 ///
@@ -170,11 +152,21 @@ pub fn dominates_dyn(a: &[f64], b: &[f64]) -> bool {
     compare_dyn(a, b) == Dominance::Dominates
 }
 
-/// [`dominates_weak`] over runtime-dimension slices.
+/// Returns `true` when `a` weakly dominates `b`: at least as good everywhere
+/// (equality allowed in all objectives).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
+///
+/// # Examples
+///
+/// ```
+/// use codesign_moo::dominates_weak_dyn;
+///
+/// assert!(dominates_weak_dyn(&[2.0, 2.0], &[2.0, 2.0]));
+/// assert!(!dominates_weak_dyn(&[2.0, 1.0], &[1.0, 2.0]));
+/// ```
 #[must_use]
 pub fn dominates_weak_dyn(a: &[f64], b: &[f64]) -> bool {
     matches!(compare_dyn(a, b), Dominance::Dominates | Dominance::Equal)
@@ -315,7 +307,6 @@ mod tests {
         for (a, b) in pairs {
             assert_eq!(compare(&a, &b), compare_dyn(&a, &b));
             assert_eq!(dominates(&a, &b), dominates_dyn(&a, &b));
-            assert_eq!(dominates_weak(&a, &b), dominates_weak_dyn(&a, &b));
         }
     }
 
@@ -357,6 +348,6 @@ mod tests {
         ];
         let ranks = rank_dyn(&pts);
         let rank0: Vec<usize> = (0..pts.len()).filter(|&i| ranks[i] == 0).collect();
-        assert_eq!(rank0, crate::pareto::pareto_indices(&pts));
+        assert_eq!(rank0, crate::pareto::pareto_indices_dyn(&pts));
     }
 }

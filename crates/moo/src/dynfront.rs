@@ -1,11 +1,10 @@
 //! Runtime-dimension Pareto fronts with named axes.
 //!
-//! The const-generic [`crate::ParetoFront`] fixes the objective count at
-//! compile time — the right tool for the paper's `(−area, −lat, acc)` triple,
-//! and retained as the parity anchor for it. Declarative scenarios choose an
-//! arbitrary set of named metrics at *runtime*, so everything downstream of a
-//! scenario (search fronts, campaign reports, exports) needs the dimension —
-//! and the axis labels — to be data. This module provides that stack:
+//! Declarative scenarios choose an arbitrary set of named metrics at
+//! *runtime* — the paper's `(−area, −lat, acc)` triple is one choice among
+//! many — so everything downstream of a scenario (search fronts, campaign
+//! reports, exports) needs the dimension, and the axis labels, to be data.
+//! This module provides that stack:
 //!
 //! * [`AxisSchema`] — an `Arc`-shared, ordered list of axis names. Cloning a
 //!   schema is a refcount bump; every front of one scenario shares one
@@ -13,12 +12,9 @@
 //! * [`MetricVector`] — a small-vec-style point: up to
 //!   [`MetricVector::INLINE_DIMS`] values live inline (no heap allocation for
 //!   any registry-sized scenario), larger vectors spill to a `Vec`.
-//! * [`DynParetoFront`] — the runtime-dimension [`crate::ParetoFront`]:
-//!   incremental insertion with dominated-member eviction, bit-identical
-//!   membership to the const-generic front at equal dimension (the insertion
-//!   loop performs the same comparisons in the same order).
-//! * [`DynStreamingParetoFilter`] — the runtime-dimension
-//!   [`crate::StreamingParetoFilter`]: bounded-memory exact filtering for
+//! * [`DynParetoFront`] — an incrementally-maintained front: insertion with
+//!   dominated-member eviction, duplicate metric vectors retained.
+//! * [`DynStreamingParetoFilter`] — bounded-memory exact filtering for
 //!   enumeration-scale streams, in whatever axes the scenario declares.
 //!
 //! All points use the all-maximize convention of the rest of the crate.
@@ -209,7 +205,7 @@ impl MetricVector {
     }
 
     /// The bit patterns of the values — the exact-identity key used by
-    /// parity tests and deterministic fingerprints.
+    /// determinism tests and deterministic fingerprints.
     #[must_use]
     pub fn to_bits(&self) -> Vec<u64> {
         self.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -264,10 +260,10 @@ impl FromIterator<f64> for MetricVector {
 /// An incrementally-maintained Pareto front whose dimension — and axis
 /// names — are chosen at runtime.
 ///
-/// The runtime-dimension counterpart of [`crate::ParetoFront`]: insertion
-/// performs the same dominance comparisons in the same order, so at equal
-/// dimension the two fronts retain exactly the same member set (the
-/// engine's parity test proves this bit-for-bit on recorded campaigns).
+/// Search loops push every evaluated `(metrics, payload)` pair; the front
+/// keeps only non-dominated entries. Insertion is linear in the current
+/// front size, which stays small in practice (the paper's full-space front
+/// has 3,096 members).
 ///
 /// # Examples
 ///
@@ -306,8 +302,8 @@ impl<T> DynParetoFront<T> {
 
     /// Attempts to insert a point. Returns `true` if the point joined the
     /// front (it was not dominated by any current member); dominated
-    /// members are evicted. Duplicate metric vectors are retained, exactly
-    /// like the const-generic front.
+    /// members are evicted. Duplicate metric vectors are retained: distinct
+    /// pairs that tie in every objective are equally optimal.
     ///
     /// # Panics
     ///
@@ -520,8 +516,8 @@ impl<T> Extend<(MetricVector, T)> for DynParetoFront<T> {
 }
 
 /// A bounded-memory exact Pareto filter whose dimension is chosen at
-/// runtime — the [`crate::StreamingParetoFilter`] of the scenario-native
-/// stack.
+/// runtime, for streams far larger than RAM (the Fig. 4 enumeration of the
+/// codesign space).
 ///
 /// Points accumulate in a buffer; when the buffer exceeds its capacity it
 /// is compacted with the runtime-dimension batch filter (which itself
@@ -729,8 +725,14 @@ pub fn crowding_distance_dyn<P: AsRef<[f64]>>(points: &[P]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pareto::pareto_indices;
-    use crate::ParetoFront;
+    use crate::pareto::pareto_indices_dyn;
+
+    /// The non-dominated indices by direct pairwise checks.
+    fn brute_force(points: &[[f64; 3]]) -> Vec<usize> {
+        (0..points.len())
+            .filter(|&i| !points.iter().any(|q| dominates_dyn(q, &points[i])))
+            .collect()
+    }
 
     #[test]
     fn schema_equality_and_lookup() {
@@ -761,28 +763,29 @@ mod tests {
     }
 
     #[test]
-    fn dyn_front_matches_const_generic_membership() {
+    fn dyn_front_membership_matches_brute_force() {
         let points: Vec<[f64; 3]> = vec![
+            [1.0, 1.0, 1.0], // evicted by the next point
             [3.0, 1.0, 2.0],
             [1.0, 3.0, 2.0],
             [2.0, 2.0, 2.0],
-            [1.0, 1.0, 1.0],
-            [3.0, 1.0, 2.0], // duplicate: retained by both
+            [0.5, 0.5, 0.5], // rejected
+            [3.0, 1.0, 2.0], // duplicate: retained
             [0.0, 0.0, 5.0],
         ];
-        let mut fixed: ParetoFront<3, usize> = ParetoFront::new();
-        let mut dynamic: DynParetoFront<usize> =
+        let mut front: DynParetoFront<usize> =
             DynParetoFront::new(AxisSchema::new(["a", "b", "c"]));
         for (i, p) in points.iter().enumerate() {
-            assert_eq!(fixed.insert(*p, i), dynamic.insert((*p).into(), i));
+            // A point joins iff nothing inserted before it dominates it
+            // (an evicted dominator was itself dominated by a member).
+            let joins = !points[..i].iter().any(|q| dominates_dyn(q, p));
+            assert_eq!(front.insert((*p).into(), i), joins, "point {i}");
         }
-        let mut a: Vec<usize> = fixed.iter().map(|(_, i)| *i).collect();
-        let mut b: Vec<usize> = dynamic.iter().map(|(_, i)| *i).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert!(dynamic.would_reject(&[0.5, 0.5, 0.5]));
-        assert!(!dynamic.would_reject(&[9.0, 0.0, 0.0]));
+        let mut members: Vec<usize> = front.iter().map(|(_, i)| *i).collect();
+        members.sort_unstable();
+        assert_eq!(members, brute_force(&points));
+        assert!(front.would_reject(&[0.5, 0.5, 0.5]));
+        assert!(!front.would_reject(&[9.0, 0.0, 0.0]));
     }
 
     #[test]
@@ -815,7 +818,7 @@ mod tests {
         }
         a.merge(b);
         let all: Vec<[f64; 2]> = pts_a.iter().chain(pts_b.iter()).copied().collect();
-        let expected = pareto_indices(&all).len();
+        let expected = pareto_indices_dyn(&all).len();
         assert_eq!(a.len(), expected);
     }
 
@@ -835,7 +838,27 @@ mod tests {
         }
         let mut got: Vec<usize> = filter.finish().into_iter().map(|(_, i)| i).collect();
         got.sort_unstable();
-        assert_eq!(got, pareto_indices(&pts));
+        assert_eq!(got, brute_force(&pts));
+    }
+
+    #[test]
+    fn streaming_merge_combines_partial_fronts() {
+        let schema = AxisSchema::new(["x", "y"]);
+        let mut a: DynStreamingParetoFilter<u32> =
+            DynStreamingParetoFilter::with_capacity(schema.clone(), 16);
+        let mut b: DynStreamingParetoFilter<u32> =
+            DynStreamingParetoFilter::with_capacity(schema, 16);
+        a.push([1.0, 0.0].into(), 1);
+        b.push([0.0, 1.0].into(), 2);
+        b.push([-1.0, -1.0].into(), 3);
+        a.merge(b);
+        assert_eq!(a.finish().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_capacity_panics() {
+        let _ = DynStreamingParetoFilter::<()>::with_capacity(AxisSchema::new(["x"]), 0);
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn hypervolume_3d(points: &[[f64; 3]], reference: [f64; 3]) -> f64 {
 /// let pts = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
 /// assert!((hypervolume_dyn(&pts, &[0.0, 0.0]) - 3.0).abs() < 1e-12);
 ///
-/// // Bit-identical to the const-generic path at three objectives:
+/// // Bit-identical to the fixed-array kernel at three objectives:
 /// let triple = [[-120.0, -40.0, 0.93], [-60.0, -200.0, 0.91]];
 /// let dyn_pts: Vec<&[f64]> = triple.iter().map(|p| p.as_slice()).collect();
 /// let reference = [-250.0, -500.0, 0.5];
@@ -211,8 +211,8 @@ pub fn hypervolume_dyn<P: AsRef<[f64]>>(points: &[P], reference: &[f64]) -> f64 
 /// For one, two, and three objectives — every registry-sized scenario — the
 /// points are read straight out of the iterator into the fixed-dimension
 /// kernels, performing the exact same floating-point operations as
-/// [`hypervolume_dyn`] (bit-identical results; the engine's front-parity
-/// test leans on this). Four or more objectives collect once and delegate.
+/// [`hypervolume_dyn`] (bit-identical results). Four or more objectives
+/// collect once and delegate.
 ///
 /// # Panics
 ///

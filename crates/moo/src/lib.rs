@@ -4,18 +4,19 @@
 //! *"Best of Both Worlds: AutoML Codesign of a CNN and its Hardware
 //! Accelerator"* (DAC 2020):
 //!
-//! * [`dominance`] — Pareto dominance between metric vectors (const-generic
-//!   and runtime-dimension), plus [`rank_dyn`] fast non-dominated sorting,
-//! * [`pareto`] — Pareto-front extraction (naive, sort-sweep, incremental and
-//!   streaming variants used to filter the ~billions-of-points codesign space),
-//! * [`dynfront`] — the runtime-dimension front stack ([`AxisSchema`],
-//!   [`MetricVector`], [`DynParetoFront`], [`DynStreamingParetoFilter`],
-//!   [`crowding_distance_dyn`]): fronts in whatever named axes a scenario
-//!   declares, with the const-generic types kept as the fixed-triple parity
-//!   anchor,
+//! * [`dominance`] — Pareto dominance between metric vectors, plus
+//!   [`rank_dyn`] fast non-dominated sorting,
+//! * [`pareto`] — batch Pareto-front extraction ([`pareto_indices_dyn`] for
+//!   any objective count, with an `O(n log n)` sweep for three) used to
+//!   filter the ~billions-of-points codesign space,
+//! * [`dynfront`] — fronts in whatever named axes a scenario declares
+//!   ([`AxisSchema`], [`MetricVector`], the incremental [`DynParetoFront`],
+//!   the bounded-memory [`DynStreamingParetoFilter`] and
+//!   [`crowding_distance_dyn`]),
 //! * [`normalize`] — the element-wise linear normalization `N` of Eq. 3,
-//! * [`reward`] — the ε-constraint + weighted-sum reward `R` of Eq. 3/4 and the
-//!   punishment function `Rv` for infeasible points,
+//! * [`reward`] — the ε-constraint + weighted-sum reward `R` of Eq. 3/4
+//!   ([`DynRewardSpec`]) and the punishment function `Rv` for infeasible
+//!   points,
 //! * [`hypervolume`] — dominated-hypervolume indicators used to compare search
 //!   strategies quantitatively (an extension over the paper's visual comparison),
 //! * [`hv_incremental`] — [`IncrementalHypervolume`], the marginal-contribution
@@ -32,22 +33,19 @@
 //! reward, `w = (0.1, 0.8, 0.1)` over `(−area, −lat, acc)`:
 //!
 //! ```
-//! use codesign_moo::pareto::pareto_indices;
-//! use codesign_moo::reward::{RewardSpec, RewardOutcome};
-//! use codesign_moo::normalize::LinearNorm;
+//! use codesign_moo::{pareto_indices_dyn, DynRewardSpec, LinearNorm, RewardOutcome};
 //!
 //! # fn main() -> Result<(), codesign_moo::MooError> {
 //! let points = vec![
-//!     [-100.0, -50.0, 0.94], // area 100, latency 50ms, accuracy 94%
-//!     [-200.0, -20.0, 0.93],
-//!     [-200.0, -60.0, 0.92], // dominated by the first point
+//!     vec![-100.0, -50.0, 0.94], // area 100, latency 50ms, accuracy 94%
+//!     vec![-200.0, -20.0, 0.93],
+//!     vec![-200.0, -60.0, 0.92], // dominated by the first point
 //! ];
-//! let front = pareto_indices(&points);
-//! assert_eq!(front, vec![0, 1]);
+//! assert_eq!(pareto_indices_dyn(&points), vec![0, 1]);
 //!
-//! let spec = RewardSpec::builder()
-//!     .weights([0.1, 0.8, 0.1])?
-//!     .norms([
+//! let spec = DynRewardSpec::builder()
+//!     .weights(vec![0.1, 0.8, 0.1])?
+//!     .norms(vec![
 //!         LinearNorm::new(-250.0, -50.0)?,
 //!         LinearNorm::new(-400.0, 0.0)?,
 //!         LinearNorm::new(0.80, 0.95)?,
@@ -71,9 +69,7 @@ pub mod reward;
 
 mod error;
 
-pub use dominance::{
-    dominates, dominates_dyn, dominates_weak, dominates_weak_dyn, rank_dyn, Dominance,
-};
+pub use dominance::{dominates, dominates_dyn, dominates_weak_dyn, rank_dyn, Dominance};
 pub use dynfront::{
     crowding_distance_dyn, AxisSchema, DynParetoFront, DynStreamingParetoFilter, MetricVector,
 };
@@ -81,11 +77,8 @@ pub use error::MooError;
 pub use hv_incremental::IncrementalHypervolume;
 pub use hypervolume::{hypervolume_2d, hypervolume_3d, hypervolume_dyn, hypervolume_dyn_iter};
 pub use normalize::LinearNorm;
-pub use pareto::{
-    pareto_filter, pareto_filter_dyn, pareto_indices, pareto_indices_dyn, ParetoFront,
-    StreamingParetoFilter,
-};
+pub use pareto::{pareto_filter_dyn, pareto_indices_dyn};
 pub use reward::{
     validate_punishment, validate_weights, DynRewardSpec, DynRewardSpecBuilder, Punishment,
-    RewardOutcome, RewardSpec, RewardSpecBuilder,
+    RewardOutcome,
 };

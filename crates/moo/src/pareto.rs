@@ -2,66 +2,34 @@
 //!
 //! §III-A of the paper filters ~3.7 billion model–accelerator pairs down to
 //! 3,096 Pareto-optimal points "iteratively by filtering dominated points from
-//! the search space". This module provides the machinery to do that at scale:
+//! the search space". This module provides the batch filters behind that:
 //!
-//! * [`pareto_indices`] — generic front extraction for any objective count,
+//! * [`pareto_indices_dyn`] — front extraction for any objective count,
 //! * [`pareto_indices_3d`] — an `O(n log n)` sort-and-staircase sweep
 //!   specialized for the paper's three objectives (area, latency, accuracy),
-//! * [`ParetoFront`] — an incremental front that search loops update online,
-//! * [`StreamingParetoFilter`] — a bounded-memory block filter used when
-//!   enumerating the full codesign space chunk by chunk.
+//!   which [`pareto_indices_dyn`] runs automatically on 3-D input,
+//! * [`pareto_filter_dyn`] — the same filter over `(metrics, payload)` pairs.
+//!
+//! The incremental front and the bounded-memory streaming filter built on
+//! them live in [`crate::dynfront`].
 //!
 //! All functions use the all-maximize convention (negate minimized metrics).
 //! Points with identical metric vectors are all retained: distinct
 //! model–accelerator pairs that tie in every objective are equally optimal.
 
-use crate::dominance::dominates;
-
-/// Returns the indices of the non-dominated points in `points`, in ascending
-/// index order.
-///
-/// The implementation sorts candidates lexicographically (descending) so each
-/// point only needs to be tested against already-accepted front members, which
-/// is fast when the front is small relative to the input — the regime of the
-/// paper, where under 0.0001% of points are Pareto-optimal.
-///
-/// # Examples
-///
-/// ```
-/// use codesign_moo::pareto::pareto_indices;
-///
-/// let pts = vec![[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.4, 0.4]];
-/// assert_eq!(pareto_indices(&pts), vec![0, 1, 2]);
-/// ```
-#[must_use]
-pub fn pareto_indices<const N: usize>(points: &[[f64; N]]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    order.sort_unstable_by(|&a, &b| lex_cmp(&points[b], &points[a]));
-    let mut front: Vec<usize> = Vec::new();
-    'candidates: for &i in &order {
-        for &j in &front {
-            if dominates(&points[j], &points[i]) {
-                continue 'candidates;
-            }
-        }
-        front.push(i);
-    }
-    front.sort_unstable();
-    front
-}
+use crate::dominance::{dominates, dominates_dyn};
 
 /// Returns the indices of the non-dominated points of a three-objective set
 /// using an `O(n log n)` sweep.
 ///
 /// Points are processed in descending order of the first objective; a
 /// staircase over the remaining two objectives answers dominance queries in
-/// logarithmic time. Exact tie handling matches [`pareto_indices`]: points
-/// with identical metric vectors are all kept.
+/// logarithmic time. Points with identical metric vectors are all kept.
 ///
 /// # Examples
 ///
 /// ```
-/// use codesign_moo::pareto::{pareto_indices, pareto_indices_3d};
+/// use codesign_moo::pareto::pareto_indices_3d;
 ///
 /// let pts = vec![
 ///     [-120.0, -40.0, 0.93],
@@ -69,7 +37,7 @@ pub fn pareto_indices<const N: usize>(points: &[[f64; N]]) -> Vec<usize> {
 ///     [-130.0, -45.0, 0.93], // dominated
 ///     [-60.0, -200.0, 0.91],
 /// ];
-/// assert_eq!(pareto_indices_3d(&pts), pareto_indices(&pts));
+/// assert_eq!(pareto_indices_3d(&pts), vec![0, 1, 3]);
 /// ```
 #[must_use]
 pub fn pareto_indices_3d(points: &[[f64; 3]]) -> Vec<usize> {
@@ -117,48 +85,16 @@ pub fn pareto_indices_3d(points: &[[f64; 3]]) -> Vec<usize> {
     front
 }
 
-/// Filters `(metrics, payload)` pairs down to the non-dominated subset,
-/// preserving input order among survivors.
-///
-/// # Examples
-///
-/// ```
-/// use codesign_moo::pareto::pareto_filter;
-///
-/// let pairs = vec![([1.0, 0.0], "a"), ([0.5, 0.5], "b"), ([0.4, 0.4], "c")];
-/// let front = pareto_filter(pairs);
-/// let names: Vec<_> = front.iter().map(|(_, n)| *n).collect();
-/// assert_eq!(names, vec!["a", "b"]);
-/// ```
-#[must_use]
-pub fn pareto_filter<const N: usize, T>(pairs: Vec<([f64; N], T)>) -> Vec<([f64; N], T)> {
-    let metrics: Vec<[f64; N]> = pairs.iter().map(|(m, _)| *m).collect();
-    let keep = pareto_indices(&metrics);
-    let mut keep_iter = keep.into_iter().peekable();
-    pairs
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, p)| {
-            if keep_iter.peek() == Some(&i) {
-                keep_iter.next();
-                Some(p)
-            } else {
-                None
-            }
-        })
-        .collect()
-}
-
 /// Returns the indices of the non-dominated points of a runtime-dimension
 /// point set, in ascending index order.
 ///
-/// The runtime-dimension counterpart of [`pareto_indices`]: candidates are
-/// sorted lexicographically (descending) and tested against
-/// already-accepted front members — the same algorithm, so the two agree on
-/// every point set of equal dimension. When the points have exactly three
-/// objectives the `O(n log n)` staircase sweep of [`pareto_indices_3d`]
-/// runs instead; tie handling is identical, so the fast path is invisible
-/// in the result.
+/// Candidates are sorted lexicographically (descending), so each point only
+/// needs to be tested against already-accepted front members — fast when
+/// the front is small relative to the input, the regime of the paper, where
+/// under 0.0001% of points are Pareto-optimal. When the points have exactly
+/// three objectives the `O(n log n)` staircase sweep of
+/// [`pareto_indices_3d`] runs instead; tie handling is identical, so the
+/// fast path is invisible in the result.
 ///
 /// # Panics
 ///
@@ -195,11 +131,11 @@ pub fn pareto_indices_dyn<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
         return pareto_indices_3d(&triples);
     }
     let mut order: Vec<usize> = (0..points.len()).collect();
-    order.sort_unstable_by(|&a, &b| lex_cmp_dyn(points[b].as_ref(), points[a].as_ref()));
+    order.sort_unstable_by(|&a, &b| lex_cmp(points[b].as_ref(), points[a].as_ref()));
     let mut front: Vec<usize> = Vec::new();
     'candidates: for &i in &order {
         for &j in &front {
-            if crate::dominance::dominates_dyn(points[j].as_ref(), points[i].as_ref()) {
+            if dominates_dyn(points[j].as_ref(), points[i].as_ref()) {
                 continue 'candidates;
             }
         }
@@ -210,13 +146,22 @@ pub fn pareto_indices_dyn<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
 }
 
 /// Filters runtime-dimension `(metrics, payload)` pairs down to the
-/// non-dominated subset, preserving input order among survivors — the
-/// [`pareto_filter`] of the dyn stack (and the compaction pass of
-/// [`crate::DynStreamingParetoFilter`]).
+/// non-dominated subset, preserving input order among survivors (the
+/// compaction pass of [`crate::DynStreamingParetoFilter`]).
 ///
 /// # Panics
 ///
 /// Panics if the points do not all share one dimension.
+///
+/// # Examples
+///
+/// ```
+/// use codesign_moo::pareto::pareto_filter_dyn;
+///
+/// let pairs = vec![(vec![1.0, 0.0], "a"), (vec![0.5, 0.5], "b"), (vec![0.4, 0.4], "c")];
+/// let names: Vec<_> = pareto_filter_dyn(pairs).into_iter().map(|(_, n)| n).collect();
+/// assert_eq!(names, vec!["a", "b"]);
+/// ```
 #[must_use]
 pub fn pareto_filter_dyn<M: AsRef<[f64]>, T>(pairs: Vec<(M, T)>) -> Vec<(M, T)> {
     let keep = {
@@ -300,211 +245,9 @@ impl Staircase {
     }
 }
 
-/// An incrementally-maintained Pareto front with payloads.
-///
-/// Search loops push every evaluated `(metrics, payload)` pair; the front
-/// keeps only non-dominated entries (duplicate metric vectors are retained).
-/// Insertion is linear in the current front size, which stays small in
-/// practice (the paper's full-space front has 3,096 members).
-///
-/// # Examples
-///
-/// ```
-/// use codesign_moo::ParetoFront;
-///
-/// let mut front: ParetoFront<2, &str> = ParetoFront::new();
-/// assert!(front.insert([1.0, 0.0], "fast"));
-/// assert!(front.insert([0.0, 1.0], "small"));
-/// assert!(!front.insert([0.5, -1.0], "bad")); // dominated by "fast"
-/// assert_eq!(front.len(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ParetoFront<const N: usize, T> {
-    entries: Vec<([f64; N], T)>,
-}
-
-impl<const N: usize, T> Default for ParetoFront<N, T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<const N: usize, T> ParetoFront<N, T> {
-    /// Creates an empty front.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-        }
-    }
-
-    /// Attempts to insert a point. Returns `true` if the point joined the
-    /// front (it was not dominated by any current member); dominated members
-    /// are evicted.
-    pub fn insert(&mut self, metrics: [f64; N], payload: T) -> bool {
-        for (m, _) in &self.entries {
-            if dominates(m, &metrics) {
-                return false;
-            }
-        }
-        self.entries.retain(|(m, _)| !dominates(&metrics, m));
-        self.entries.push((metrics, payload));
-        true
-    }
-
-    /// Returns `true` if `metrics` would be rejected (some member dominates it).
-    #[must_use]
-    pub fn would_reject(&self, metrics: &[f64; N]) -> bool {
-        self.entries.iter().any(|(m, _)| dominates(m, metrics))
-    }
-
-    /// Number of points currently on the front.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` when the front holds no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates over `(metrics, payload)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &([f64; N], T)> {
-        self.entries.iter()
-    }
-
-    /// Consumes the front and returns its entries.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<([f64; N], T)> {
-        self.entries
-    }
-}
-
-impl<const N: usize, T> Extend<([f64; N], T)> for ParetoFront<N, T> {
-    fn extend<I: IntoIterator<Item = ([f64; N], T)>>(&mut self, iter: I) {
-        for (m, p) in iter {
-            self.insert(m, p);
-        }
-    }
-}
-
-impl<const N: usize, T> FromIterator<([f64; N], T)> for ParetoFront<N, T> {
-    fn from_iter<I: IntoIterator<Item = ([f64; N], T)>>(iter: I) -> Self {
-        let mut front = Self::new();
-        front.extend(iter);
-        front
-    }
-}
-
-/// A bounded-memory Pareto filter for streams far larger than RAM.
-///
-/// Points accumulate in a buffer; when the buffer exceeds its capacity it is
-/// compacted with [`pareto_filter`]. Because Pareto dominance is transitive,
-/// compacting intermediate buffers never discards a globally non-dominated
-/// point, so [`StreamingParetoFilter::finish`] returns the exact front of
-/// everything pushed.
-///
-/// This is the workhorse behind the Fig. 4 enumeration of the codesign space.
-///
-/// # Examples
-///
-/// ```
-/// use codesign_moo::StreamingParetoFilter;
-///
-/// let mut filter: StreamingParetoFilter<2, u32> = StreamingParetoFilter::with_capacity(4);
-/// for i in 0..100u32 {
-///     let x = f64::from(i % 10);
-///     filter.push([x, -x], i);
-/// }
-/// let front = filter.finish();
-/// assert!(front.len() >= 10); // the 10 distinct metric vectors survive
-/// ```
-#[derive(Debug)]
-pub struct StreamingParetoFilter<const N: usize, T> {
-    buffer: Vec<([f64; N], T)>,
-    capacity: usize,
-}
-
-impl<const N: usize, T> StreamingParetoFilter<N, T> {
-    /// Default buffer capacity before a compaction pass runs.
-    pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
-    /// Creates a filter with [`Self::DEFAULT_CAPACITY`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// Creates a filter that compacts whenever more than `capacity` candidate
-    /// points are buffered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "streaming filter capacity must be positive");
-        Self {
-            buffer: Vec::new(),
-            capacity,
-        }
-    }
-
-    /// Adds one candidate point.
-    pub fn push(&mut self, metrics: [f64; N], payload: T) {
-        self.buffer.push((metrics, payload));
-        if self.buffer.len() > self.capacity {
-            self.compact();
-        }
-    }
-
-    /// Merges another filter's surviving candidates into this one.
-    pub fn merge(&mut self, other: Self) {
-        for (m, p) in other.buffer {
-            self.push(m, p);
-        }
-    }
-
-    /// Number of candidates currently buffered (post any compaction).
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Compacts and returns the exact Pareto front of all pushed points.
-    #[must_use]
-    pub fn finish(mut self) -> Vec<([f64; N], T)> {
-        self.compact();
-        self.buffer
-    }
-
-    fn compact(&mut self) {
-        let buf = std::mem::take(&mut self.buffer);
-        self.buffer = pareto_filter(buf);
-    }
-}
-
-impl<const N: usize, T> Default for StreamingParetoFilter<N, T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-fn lex_cmp<const N: usize>(a: &[f64; N], b: &[f64; N]) -> std::cmp::Ordering {
-    for i in 0..N {
-        match a[i].partial_cmp(&b[i]) {
-            Some(std::cmp::Ordering::Equal) | None => continue,
-            Some(o) => return o,
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// [`lex_cmp`] over slices — the same comparison sequence, so the dyn sort
-/// order matches the const-generic one at equal dimension.
-fn lex_cmp_dyn(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
+/// Lexicographic comparison of two equal-length metric slices (NaN compares
+/// equal, so it never decides an order).
+fn lex_cmp(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
     for i in 0..a.len() {
         match a[i].partial_cmp(&b[i]) {
             Some(std::cmp::Ordering::Equal) | None => continue,
@@ -518,16 +261,21 @@ fn lex_cmp_dyn(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
 mod tests {
     use super::*;
 
-    fn brute_force<const N: usize>(points: &[[f64; N]]) -> Vec<usize> {
+    /// The non-dominated indices by direct pairwise checks.
+    fn brute_force<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
         (0..points.len())
-            .filter(|&i| !(0..points.len()).any(|j| dominates(&points[j], &points[i])))
+            .filter(|&i| {
+                !points
+                    .iter()
+                    .any(|q| dominates_dyn(q.as_ref(), points[i].as_ref()))
+            })
             .collect()
     }
 
     #[test]
     fn empty_input_gives_empty_front() {
         let pts: Vec<[f64; 3]> = vec![];
-        assert!(pareto_indices(&pts).is_empty());
+        assert!(pareto_indices_dyn(&pts).is_empty());
         assert!(pareto_indices_3d(&pts).is_empty());
     }
 
@@ -540,8 +288,9 @@ mod tests {
     #[test]
     fn duplicates_are_all_kept() {
         let pts = vec![[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]];
-        assert_eq!(pareto_indices(&pts), vec![0, 1]);
         assert_eq!(pareto_indices_3d(&pts), vec![0, 1]);
+        let pts2 = vec![[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]];
+        assert_eq!(pareto_indices_dyn(&pts2), vec![0, 1]);
     }
 
     #[test]
@@ -553,12 +302,12 @@ mod tests {
     #[test]
     fn anti_chain_is_fully_kept() {
         let pts: Vec<[f64; 2]> = (0..50).map(|i| [f64::from(i), f64::from(-i)]).collect();
-        assert_eq!(pareto_indices(&pts).len(), 50);
+        assert_eq!(pareto_indices_dyn(&pts).len(), 50);
     }
 
     #[test]
     fn sweep_matches_brute_force_on_tie_heavy_grid() {
-        // Small grid with many ties in every coordinate.
+        // Small grids with many ties in every coordinate.
         let mut pts = Vec::new();
         for x in 0..4 {
             for y in 0..4 {
@@ -568,88 +317,8 @@ mod tests {
             }
         }
         assert_eq!(pareto_indices_3d(&pts), brute_force(&pts));
-        assert_eq!(pareto_indices(&pts), brute_force(&pts));
-    }
-
-    #[test]
-    fn front_insert_evicts_dominated_members() {
-        let mut front: ParetoFront<2, u8> = ParetoFront::new();
-        front.insert([0.0, 0.0], 0);
-        front.insert([1.0, 1.0], 1); // evicts the first point
-        assert_eq!(front.len(), 1);
-        assert_eq!(front.iter().next().map(|(_, p)| *p), Some(1));
-    }
-
-    #[test]
-    fn front_rejects_dominated_insert() {
-        let mut front: ParetoFront<2, u8> = ParetoFront::new();
-        assert!(front.insert([1.0, 1.0], 0));
-        assert!(!front.insert([0.5, 0.5], 1));
-        assert!(front.would_reject(&[0.0, 0.0]));
-        assert!(!front.would_reject(&[2.0, 0.0]));
-    }
-
-    #[test]
-    fn front_keeps_equal_metric_payloads() {
-        let mut front: ParetoFront<2, u8> = ParetoFront::new();
-        assert!(front.insert([1.0, 1.0], 0));
-        assert!(front.insert([1.0, 1.0], 1));
-        assert_eq!(front.len(), 2);
-    }
-
-    #[test]
-    fn front_from_iterator_matches_batch_filter() {
-        let pts = vec![
-            ([3.0, 1.0], 'a'),
-            ([1.0, 3.0], 'b'),
-            ([2.0, 2.0], 'c'),
-            ([1.0, 1.0], 'd'),
-        ];
-        let front: ParetoFront<2, char> = pts.clone().into_iter().collect();
-        let batch = pareto_filter(pts);
-        let mut a: Vec<char> = front.iter().map(|(_, c)| *c).collect();
-        let mut b: Vec<char> = batch.iter().map(|(_, c)| *c).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn streaming_filter_is_exact_under_tiny_buffer() {
-        let pts: Vec<[f64; 3]> = (0..200)
-            .map(|i| {
-                let t = f64::from(i) * 0.1;
-                [t.sin(), t.cos(), (t * 0.37).sin()]
-            })
-            .collect();
-        let expected: Vec<[f64; 3]> = brute_force(&pts).iter().map(|&i| pts[i]).collect();
-        let mut filter: StreamingParetoFilter<3, usize> = StreamingParetoFilter::with_capacity(8);
-        for (i, p) in pts.iter().enumerate() {
-            filter.push(*p, i);
-        }
-        let mut got: Vec<[f64; 3]> = filter.finish().into_iter().map(|(m, _)| m).collect();
-        let mut want = expected;
-        got.sort_by(lex_cmp);
-        want.sort_by(lex_cmp);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn streaming_merge_combines_partial_fronts() {
-        let mut a: StreamingParetoFilter<2, u32> = StreamingParetoFilter::with_capacity(16);
-        let mut b: StreamingParetoFilter<2, u32> = StreamingParetoFilter::with_capacity(16);
-        a.push([1.0, 0.0], 1);
-        b.push([0.0, 1.0], 2);
-        b.push([-1.0, -1.0], 3);
-        a.merge(b);
-        let front = a.finish();
-        assert_eq!(front.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let _ = StreamingParetoFilter::<2, ()>::with_capacity(0);
+        let pts4: Vec<[f64; 4]> = pts.iter().map(|p| [p[0], p[1], p[2], -p[0]]).collect();
+        assert_eq!(pareto_indices_dyn(&pts4), brute_force(&pts4));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! Everything uses the all-maximize convention, so the paper's
 //! `E(s) = R(−area(s), −lat(s), acc(s))` is expressed by negating area and
-//! latency before calling [`RewardSpec::evaluate`], and a latency constraint
-//! `lat < 100 ms` becomes a threshold of `−100` on the negated metric.
+//! latency before calling [`DynRewardSpec::evaluate`], and a latency
+//! constraint `lat < 100 ms` becomes a threshold of `−100` on the negated
+//! metric.
 
 use crate::normalize::LinearNorm;
 use crate::MooError;
@@ -40,7 +41,7 @@ impl Default for Punishment {
     }
 }
 
-/// Outcome of evaluating one metric vector under a [`RewardSpec`].
+/// Outcome of evaluating one metric vector under a [`DynRewardSpec`].
 ///
 /// # Examples
 ///
@@ -76,128 +77,10 @@ impl RewardOutcome {
     }
 }
 
-/// A complete multi-objective reward specification (Eq. 3).
-///
-/// Built with [`RewardSpec::builder`]. `N` is the number of objectives; the
-/// paper uses `N = 3` with metric order `(−area, −lat, acc)`.
-///
-/// # Examples
-///
-/// The paper's "1 Constraint" scenario — `lat < 100 ms`,
-/// `w = (0.1, 0, 0.9)`:
-///
-/// ```
-/// use codesign_moo::{LinearNorm, RewardSpec};
-///
-/// # fn main() -> Result<(), codesign_moo::MooError> {
-/// let spec = RewardSpec::builder()
-///     .weights([0.1, 0.0, 0.9])?
-///     .norms([
-///         LinearNorm::new(-250.0, -50.0)?,  // -area in mm^2
-///         LinearNorm::new(-400.0, -1.0)?,   // -latency in ms
-///         LinearNorm::new(0.8, 0.95)?,      // accuracy
-///     ])
-///     .threshold(1, -100.0) // lat < 100ms  <=>  -lat >= -100
-///     .build()?;
-///
-/// assert!(spec.evaluate(&[-120.0, -80.0, 0.93]).is_feasible());
-/// assert!(!spec.evaluate(&[-120.0, -150.0, 0.93]).is_feasible());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct RewardSpec<const N: usize> {
-    weights: [f64; N],
-    norms: [LinearNorm; N],
-    thresholds: [Option<f64>; N],
-    punishment: Punishment,
-}
-
-impl<const N: usize> RewardSpec<N> {
-    /// Starts building a reward specification.
-    #[must_use]
-    pub fn builder() -> RewardSpecBuilder<N> {
-        RewardSpecBuilder::new()
-    }
-
-    /// The weight vector `w`.
-    #[must_use]
-    pub fn weights(&self) -> &[f64; N] {
-        &self.weights
-    }
-
-    /// Per-metric normalizations `N`.
-    #[must_use]
-    pub fn norms(&self) -> &[LinearNorm; N] {
-        &self.norms
-    }
-
-    /// Per-metric lower-bound thresholds (all-maximize convention).
-    #[must_use]
-    pub fn thresholds(&self) -> &[Option<f64>; N] {
-        &self.thresholds
-    }
-
-    /// Returns `true` when `m` meets every configured threshold.
-    #[must_use]
-    pub fn is_feasible(&self, m: &[f64; N]) -> bool {
-        self.thresholds
-            .iter()
-            .zip(m.iter())
-            .all(|(th, v)| th.is_none_or(|t| *v >= t))
-    }
-
-    /// Evaluates Eq. 3: the weighted normalized sum for feasible points, the
-    /// punishment `Rv` otherwise.
-    #[must_use]
-    pub fn evaluate(&self, m: &[f64; N]) -> RewardOutcome {
-        if self.is_feasible(m) {
-            RewardOutcome::Feasible(self.scalarize(m))
-        } else {
-            RewardOutcome::Punished(self.punish(m))
-        }
-    }
-
-    /// The weighted sum `w · N(m)` ignoring feasibility.
-    #[must_use]
-    pub fn scalarize(&self, m: &[f64; N]) -> f64 {
-        let mut acc = 0.0;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..N {
-            acc += self.weights[i] * self.norms[i].apply(m[i]);
-        }
-        acc
-    }
-
-    /// Total normalized constraint violation (0 for feasible points).
-    #[must_use]
-    pub fn violation(&self, m: &[f64; N]) -> f64 {
-        let mut total = 0.0;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..N {
-            if let Some(t) = self.thresholds[i] {
-                if m[i] < t {
-                    let span = self.norms[i].max() - self.norms[i].min();
-                    total += (t - m[i]) / span;
-                }
-            }
-        }
-        total
-    }
-
-    fn punish(&self, m: &[f64; N]) -> f64 {
-        match self.punishment {
-            Punishment::Constant(c) => -c.abs(),
-            Punishment::ScaledViolation { scale } => -(scale * (1.0 + self.violation(m).min(10.0))),
-        }
-    }
-}
-
 /// Validates a weight vector: every entry finite and non-negative, at least
-/// one strictly positive. Shared by the const-generic and runtime-dimension
-/// builders so both reject exactly the same inputs — and public so
-/// higher-level declaration layers (scenario specs) can apply the *same*
-/// rules up front instead of re-implementing them.
+/// one strictly positive. Public so higher-level declaration layers
+/// (scenario specs) can apply the *same* rules up front instead of
+/// re-implementing them.
 ///
 /// # Errors
 ///
@@ -216,8 +99,8 @@ pub fn validate_weights(w: &[f64]) -> Result<(), MooError> {
     Ok(())
 }
 
-/// Validates a punishment policy: positive, finite magnitude. Shared by
-/// both builders and public for the same reason as [`validate_weights`].
+/// Validates a punishment policy: positive, finite magnitude. Public for the
+/// same reason as [`validate_weights`].
 ///
 /// # Errors
 ///
@@ -236,117 +119,14 @@ pub fn validate_punishment(p: Punishment) -> Result<(), MooError> {
     Ok(())
 }
 
-/// Builder for [`RewardSpec`] (see [C-BUILDER]).
+/// A complete multi-objective reward specification (Eq. 3) whose dimension
+/// is chosen at runtime.
 ///
-/// [C-BUILDER]: https://rust-lang.github.io/api-guidelines/type-safety.html#c-builder
-#[derive(Debug, Clone)]
-pub struct RewardSpecBuilder<const N: usize> {
-    weights: Option<[f64; N]>,
-    norms: Option<[LinearNorm; N]>,
-    thresholds: [Option<f64>; N],
-    punishment: Punishment,
-}
-
-impl<const N: usize> Default for RewardSpecBuilder<N> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<const N: usize> RewardSpecBuilder<N> {
-    /// Creates an empty builder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            weights: None,
-            norms: None,
-            thresholds: [None; N],
-            punishment: Punishment::default(),
-        }
-    }
-
-    /// Sets the weight vector `w`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MooError::InvalidWeights`] if any weight is negative or
-    /// non-finite, or if all weights are zero.
-    pub fn weights(mut self, w: [f64; N]) -> Result<Self, MooError> {
-        validate_weights(&w)?;
-        self.weights = Some(w);
-        Ok(self)
-    }
-
-    /// Sets the per-metric normalizations.
-    #[must_use]
-    pub fn norms(mut self, norms: [LinearNorm; N]) -> Self {
-        self.norms = Some(norms);
-        self
-    }
-
-    /// Adds a lower-bound threshold on metric `index` (all-maximize
-    /// convention: a `lat < 100 ms` constraint is `threshold(1, -100.0)` when
-    /// metric 1 is `−lat`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= N`.
-    #[must_use]
-    pub fn threshold(mut self, index: usize, min_value: f64) -> Self {
-        assert!(
-            index < N,
-            "threshold index {index} out of bounds for {N} metrics"
-        );
-        self.thresholds[index] = Some(min_value);
-        self
-    }
-
-    /// Sets the punishment policy for infeasible points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MooError::InvalidPunishment`] for non-positive magnitudes.
-    pub fn punishment(mut self, p: Punishment) -> Result<Self, MooError> {
-        validate_punishment(p)?;
-        self.punishment = p;
-        Ok(self)
-    }
-
-    /// Finalizes the specification.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MooError::IncompleteSpec`] when weights or norms were never
-    /// provided.
-    pub fn build(self) -> Result<RewardSpec<N>, MooError> {
-        let weights = self
-            .weights
-            .ok_or(MooError::IncompleteSpec { missing: "weights" })?;
-        let norms = self
-            .norms
-            .ok_or(MooError::IncompleteSpec { missing: "norms" })?;
-        Ok(RewardSpec {
-            weights,
-            norms,
-            thresholds: self.thresholds,
-            punishment: self.punishment,
-        })
-    }
-}
-
-/// A [`RewardSpec`] whose dimension is chosen at runtime.
-///
-/// The const-generic [`RewardSpec<N>`] is the right tool when the objective
-/// count is fixed at compile time (the paper's `(−area, −lat, acc)` triple);
-/// declarative scenario specifications — where users pick an arbitrary set
-/// of named metrics — need the dimension to be data. `DynRewardSpec` is the
-/// same ε-constraint + weighted-sum machinery over a `Vec`, built through a
-/// builder that applies **the same validation** as the const-generic one
-/// (shared helper functions, so the two can never drift apart).
-///
-/// Evaluation is bit-identical to a `RewardSpec<N>` with the same weights,
-/// norms, and thresholds in the same order: the accumulation loops are the
-/// same f64 operations in the same sequence.
+/// Declarative scenario specifications let users pick an arbitrary set of
+/// named metrics, so the objective count is data: the paper's
+/// `(−area, −lat, acc)` triple is one three-objective spec among many.
+/// Built with [`DynRewardSpec::builder`]; the builder applies
+/// [`validate_weights`] and [`validate_punishment`].
 ///
 /// # Examples
 ///
@@ -455,8 +235,6 @@ impl DynRewardSpec {
     pub fn scalarize(&self, m: &[f64]) -> f64 {
         self.check_dim(m);
         let mut acc = 0.0;
-        // Same loop shape as RewardSpec::scalarize: identical f64 ops in
-        // identical order is what makes the two bit-identical.
         #[allow(clippy::needless_range_loop)]
         for i in 0..self.weights.len() {
             acc += self.weights[i] * self.norms[i].apply(m[i]);
@@ -503,21 +281,11 @@ impl DynRewardSpec {
     }
 }
 
-impl<const N: usize> From<RewardSpec<N>> for DynRewardSpec {
-    fn from(spec: RewardSpec<N>) -> Self {
-        Self {
-            weights: spec.weights.to_vec(),
-            norms: spec.norms.to_vec(),
-            thresholds: spec.thresholds.to_vec(),
-            punishment: spec.punishment,
-        }
-    }
-}
-
-/// Builder for [`DynRewardSpec`]; validation mirrors
-/// [`RewardSpecBuilder`] exactly (the two share the same checks), with one
-/// addition: the weight and norm vectors must agree on the dimension, and
-/// thresholds must index into it.
+/// Builder for [`DynRewardSpec`] (see [C-BUILDER]): weights and
+/// punishments are validated as they are set, the weight and norm vectors
+/// must agree on the dimension, and thresholds must index into it.
+///
+/// [C-BUILDER]: https://rust-lang.github.io/api-guidelines/type-safety.html#c-builder
 #[derive(Debug, Clone, Default)]
 pub struct DynRewardSpecBuilder {
     weights: Option<Vec<f64>>,
@@ -542,8 +310,8 @@ impl DynRewardSpecBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`MooError::InvalidWeights`] under exactly the conditions of
-    /// [`RewardSpecBuilder::weights`].
+    /// Returns [`MooError::InvalidWeights`] if any weight is negative or
+    /// non-finite, or if all weights are zero.
     pub fn weights(mut self, w: Vec<f64>) -> Result<Self, MooError> {
         validate_weights(&w)?;
         self.weights = Some(w);
@@ -582,8 +350,8 @@ impl DynRewardSpecBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`MooError::InvalidPunishment`] under exactly the conditions
-    /// of [`RewardSpecBuilder::punishment`].
+    /// Returns [`MooError::InvalidPunishment`] for non-positive or
+    /// non-finite magnitudes.
     pub fn punishment(mut self, p: Punishment) -> Result<Self, MooError> {
         validate_punishment(p)?;
         self.punishment = p;
@@ -636,65 +404,26 @@ impl DynRewardSpecBuilder {
     }
 }
 
-/// Ranks `(metrics, payload)` pairs by feasible reward, descending, and keeps
-/// the top `k`.
-///
-/// This mirrors the paper's Fig. 5 methodology: "the top 100 Pareto-optimal
-/// points that maximize each experiment's reward function". Infeasible points
-/// are excluded.
-///
-/// # Examples
-///
-/// ```
-/// use codesign_moo::{LinearNorm, RewardSpec};
-/// use codesign_moo::reward::top_k_by_reward;
-///
-/// # fn main() -> Result<(), codesign_moo::MooError> {
-/// let spec = RewardSpec::builder()
-///     .weights([1.0])?
-///     .norms([LinearNorm::new(0.0, 1.0)?])
-///     .build()?;
-/// let pts = vec![([0.2], 'a'), ([0.9], 'b'), ([0.5], 'c')];
-/// let top = top_k_by_reward(&spec, pts, 2);
-/// assert_eq!(top[0].1, 'b');
-/// assert_eq!(top[1].1, 'c');
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn top_k_by_reward<const N: usize, T>(
-    spec: &RewardSpec<N>,
-    pairs: Vec<([f64; N], T)>,
-    k: usize,
-) -> Vec<([f64; N], T)> {
-    let mut scored: Vec<(f64, ([f64; N], T))> = pairs
-        .into_iter()
-        .filter_map(|(m, p)| match spec.evaluate(&m) {
-            RewardOutcome::Feasible(r) => Some((r, (m, p))),
-            RewardOutcome::Punished(_) => None,
-        })
-        .collect();
-    scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    scored.truncate(k);
-    scored.into_iter().map(|(_, pair)| pair).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn unit_spec() -> RewardSpec<3> {
-        RewardSpec::builder()
-            .weights([0.1, 0.8, 0.1])
+    /// A spec with unit norms on every axis and the given thresholds.
+    fn unit_spec(weights: Vec<f64>, thresholds: &[(usize, f64)]) -> DynRewardSpecBuilder {
+        let norms = vec![LinearNorm::unit(); weights.len()];
+        let mut builder = DynRewardSpec::builder()
+            .weights(weights)
             .unwrap()
-            .norms([LinearNorm::unit(), LinearNorm::unit(), LinearNorm::unit()])
-            .build()
-            .unwrap()
+            .norms(norms);
+        for &(index, min_value) in thresholds {
+            builder = builder.threshold(index, min_value).unwrap();
+        }
+        builder
     }
 
     #[test]
     fn feasible_reward_is_weighted_sum() {
-        let spec = unit_spec();
+        let spec = unit_spec(vec![0.1, 0.8, 0.1], &[]).build().unwrap();
         let r = spec.evaluate(&[1.0, 0.5, 0.0]);
         assert!(r.is_feasible());
         assert!((r.value() - (0.1 + 0.8 * 0.5)).abs() < 1e-12);
@@ -702,18 +431,14 @@ mod tests {
 
     #[test]
     fn reward_is_bounded_by_weight_sum() {
-        let spec = unit_spec();
+        let spec = unit_spec(vec![0.1, 0.8, 0.1], &[]).build().unwrap();
         let r = spec.evaluate(&[100.0, 100.0, 100.0]); // clamped to 1 each
         assert!((r.value() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn threshold_violation_punishes_with_negative_value() {
-        let spec = RewardSpec::builder()
-            .weights([1.0, 1.0, 1.0])
-            .unwrap()
-            .norms([LinearNorm::unit(), LinearNorm::unit(), LinearNorm::unit()])
-            .threshold(2, 0.92)
+        let spec = unit_spec(vec![1.0, 1.0, 1.0], &[(2, 0.92)])
             .build()
             .unwrap();
         let r = spec.evaluate(&[0.5, 0.5, 0.91]);
@@ -723,11 +448,7 @@ mod tests {
 
     #[test]
     fn scaled_violation_punishes_worse_misses_harder() {
-        let spec = RewardSpec::builder()
-            .weights([1.0])
-            .unwrap()
-            .norms([LinearNorm::unit()])
-            .threshold(0, 0.5)
+        let spec = unit_spec(vec![1.0], &[(0, 0.5)])
             .punishment(Punishment::ScaledViolation { scale: 0.2 })
             .unwrap()
             .build()
@@ -739,11 +460,7 @@ mod tests {
 
     #[test]
     fn constant_punishment_is_flat() {
-        let spec = RewardSpec::builder()
-            .weights([1.0])
-            .unwrap()
-            .norms([LinearNorm::unit()])
-            .threshold(0, 0.5)
+        let spec = unit_spec(vec![1.0], &[(0, 0.5)])
             .punishment(Punishment::Constant(0.3))
             .unwrap()
             .build()
@@ -755,16 +472,18 @@ mod tests {
     #[test]
     fn multiple_thresholds_all_enforced() {
         // The paper's "2 Constraints": acc > 0.92, area < 100mm^2, optimize latency.
-        let spec = RewardSpec::builder()
-            .weights([0.0, 1.0, 0.0])
+        let spec = DynRewardSpec::builder()
+            .weights(vec![0.0, 1.0, 0.0])
             .unwrap()
-            .norms([
+            .norms(vec![
                 LinearNorm::new(-250.0, -50.0).unwrap(),
                 LinearNorm::new(-400.0, -1.0).unwrap(),
                 LinearNorm::new(0.8, 0.95).unwrap(),
             ])
             .threshold(0, -100.0)
+            .unwrap()
             .threshold(2, 0.92)
+            .unwrap()
             .build()
             .unwrap();
         assert!(spec.evaluate(&[-90.0, -40.0, 0.93]).is_feasible());
@@ -774,20 +493,22 @@ mod tests {
 
     #[test]
     fn weights_validation() {
-        assert!(RewardSpec::<2>::builder().weights([-0.1, 1.0]).is_err());
-        assert!(RewardSpec::<2>::builder().weights([0.0, 0.0]).is_err());
-        assert!(RewardSpec::<2>::builder().weights([f64::NAN, 1.0]).is_err());
+        assert!(DynRewardSpec::builder().weights(vec![-0.1, 1.0]).is_err());
+        assert!(DynRewardSpec::builder().weights(vec![0.0, 0.0]).is_err());
+        assert!(DynRewardSpec::builder()
+            .weights(vec![f64::NAN, 1.0])
+            .is_err());
     }
 
     #[test]
     fn build_requires_weights_and_norms() {
-        let err = RewardSpecBuilder::<1>::new().build().unwrap_err();
+        let err = DynRewardSpec::builder().build().unwrap_err();
         assert!(matches!(
             err,
             MooError::IncompleteSpec { missing: "weights" }
         ));
-        let err = RewardSpecBuilder::<1>::new()
-            .weights([1.0])
+        let err = DynRewardSpec::builder()
+            .weights(vec![1.0])
             .unwrap()
             .build()
             .unwrap_err();
@@ -796,103 +517,23 @@ mod tests {
 
     #[test]
     fn punishment_validation() {
-        assert!(RewardSpecBuilder::<1>::new()
+        assert!(DynRewardSpec::builder()
             .punishment(Punishment::Constant(0.0))
             .is_err());
-        assert!(RewardSpecBuilder::<1>::new()
+        assert!(DynRewardSpec::builder()
             .punishment(Punishment::ScaledViolation { scale: -1.0 })
             .is_err());
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn threshold_index_out_of_bounds_panics() {
-        let _ = RewardSpecBuilder::<2>::new().threshold(2, 0.0);
-    }
-
-    #[test]
     fn violation_accumulates_across_metrics() {
-        let spec = RewardSpec::builder()
-            .weights([1.0, 1.0])
-            .unwrap()
-            .norms([LinearNorm::unit(), LinearNorm::unit()])
-            .threshold(0, 0.5)
-            .threshold(1, 0.5)
+        let spec = unit_spec(vec![1.0, 1.0], &[(0, 0.5), (1, 0.5)])
             .build()
             .unwrap();
         let v_one = spec.violation(&[0.4, 0.6]);
         let v_two = spec.violation(&[0.4, 0.4]);
         assert!(v_two > v_one && v_one > 0.0);
         assert_eq!(spec.violation(&[0.6, 0.6]), 0.0);
-    }
-
-    #[test]
-    fn dyn_spec_is_bitwise_identical_to_const_generic() {
-        let fixed = RewardSpec::builder()
-            .weights([0.1, 0.8, 0.1])
-            .unwrap()
-            .norms([
-                LinearNorm::new(-250.0, -50.0).unwrap(),
-                LinearNorm::new(-400.0, -1.0).unwrap(),
-                LinearNorm::new(0.8, 0.95).unwrap(),
-            ])
-            .threshold(1, -100.0)
-            .threshold(2, 0.92)
-            .punishment(Punishment::ScaledViolation { scale: 0.1 })
-            .unwrap()
-            .build()
-            .unwrap();
-        let dynamic: DynRewardSpec = fixed.clone().into();
-        let built = DynRewardSpec::builder()
-            .weights(vec![0.1, 0.8, 0.1])
-            .unwrap()
-            .norms(vec![
-                LinearNorm::new(-250.0, -50.0).unwrap(),
-                LinearNorm::new(-400.0, -1.0).unwrap(),
-                LinearNorm::new(0.8, 0.95).unwrap(),
-            ])
-            .threshold(1, -100.0)
-            .unwrap()
-            .threshold(2, 0.92)
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(dynamic, built);
-        for m in [
-            [-120.0, -80.0, 0.93],
-            [-120.0, -150.0, 0.93],
-            [-60.0, -40.0, 0.91],
-            [-300.0, -500.0, 0.5],
-        ] {
-            let a = fixed.evaluate(&m);
-            let b = dynamic.evaluate(&m);
-            assert_eq!(a.is_feasible(), b.is_feasible());
-            assert_eq!(a.value().to_bits(), b.value().to_bits(), "point {m:?}");
-            assert_eq!(
-                fixed.scalarize(&m).to_bits(),
-                dynamic.scalarize(&m).to_bits()
-            );
-            assert_eq!(
-                fixed.violation(&m).to_bits(),
-                dynamic.violation(&m).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn dyn_builder_validates_like_the_const_generic_builder() {
-        assert!(DynRewardSpec::builder().weights(vec![-0.1, 1.0]).is_err());
-        assert!(DynRewardSpec::builder().weights(vec![0.0, 0.0]).is_err());
-        assert!(DynRewardSpec::builder()
-            .weights(vec![f64::NAN, 1.0])
-            .is_err());
-        assert!(DynRewardSpec::builder()
-            .punishment(Punishment::Constant(0.0))
-            .is_err());
-        assert!(matches!(
-            DynRewardSpec::builder().build().unwrap_err(),
-            MooError::IncompleteSpec { missing: "weights" }
-        ));
     }
 
     #[test]
@@ -944,20 +585,5 @@ mod tests {
             .build()
             .unwrap();
         let _ = spec.evaluate(&[0.5]);
-    }
-
-    #[test]
-    fn top_k_excludes_infeasible_and_sorts_desc() {
-        let spec = RewardSpec::builder()
-            .weights([1.0])
-            .unwrap()
-            .norms([LinearNorm::unit()])
-            .threshold(0, 0.3)
-            .build()
-            .unwrap();
-        let pts = vec![([0.2], 'x'), ([0.9], 'b'), ([0.5], 'c'), ([0.7], 'a')];
-        let top = top_k_by_reward(&spec, pts, 10);
-        let names: Vec<char> = top.iter().map(|(_, c)| *c).collect();
-        assert_eq!(names, vec!['b', 'a', 'c']);
     }
 }

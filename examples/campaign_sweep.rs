@@ -2,9 +2,7 @@
 //! × 3 seeds over the exactly-enumerable 4-vertex codesign space.
 //!
 //! Demonstrates the engine guarantees:
-//! 1. the same campaign is bit-identical at any worker count — and under
-//!    either driver backend (grid-order atomic cursor or longest-first
-//!    work stealing),
+//! 1. the same campaign is bit-identical at any worker count,
 //! 2. the shared evaluation cache is transparent (it changes cost, not
 //!    results) and sees substantial reuse across shards,
 //! 3. per-shard Pareto fronts merge into one front per scenario,
@@ -16,9 +14,7 @@
 use std::sync::Arc;
 
 use codesign_nas::core::{CodesignSpace, ScenarioSpec};
-use codesign_nas::engine::{
-    Campaign, CampaignReport, ShardedDriver, StrategyKind, WorkStealingBackend,
-};
+use codesign_nas::engine::{Campaign, CampaignReport, ShardedDriver, StrategyKind};
 use codesign_nas::nasbench::NasbenchDatabase;
 
 fn front_fingerprint(report: &CampaignReport, scenario: &str) -> Vec<Vec<u64>> {
@@ -50,50 +46,22 @@ fn main() {
     let sequential = ShardedDriver::new(1).run(&campaign, &db);
     println!("running on 8 workers...");
     let parallel = ShardedDriver::new(8).run(&campaign, &db);
-    println!("running on 1 and 8 workers with the work-stealing backend...");
-    let stealing_sequential = ShardedDriver::new(1)
-        .with_backend(Arc::new(WorkStealingBackend))
-        .run(&campaign, &db);
-    let stealing_parallel = ShardedDriver::new(8)
-        .with_backend(Arc::new(WorkStealingBackend))
-        .run(&campaign, &db);
 
-    // Guarantee 1: neither worker count nor backend changes results.
+    // Guarantee 1: the worker count does not change results.
     for scenario in ScenarioSpec::paper_presets() {
-        for (label, report) in [
-            ("8 workers", &parallel),
-            ("work-stealing x1", &stealing_sequential),
-            ("work-stealing x8", &stealing_parallel),
-        ] {
-            assert_eq!(
-                front_fingerprint(&sequential, scenario.name()),
-                front_fingerprint(report, scenario.name()),
-                "merged front diverged between 1 worker and {label} for {}",
-                scenario.name()
-            );
-        }
+        assert_eq!(
+            front_fingerprint(&sequential, scenario.name()),
+            front_fingerprint(&parallel, scenario.name()),
+            "merged front diverged between 1 and 8 workers for {}",
+            scenario.name()
+        );
     }
-    for ((a, b), (c, d)) in sequential.shards.iter().zip(parallel.shards.iter()).zip(
-        stealing_sequential
-            .shards
-            .iter()
-            .zip(stealing_parallel.shards.iter()),
-    ) {
+    for (a, b) in sequential.shards.iter().zip(parallel.shards.iter()) {
         assert_eq!(a.best, b.best, "shard {} best diverged", a.spec.index);
-        assert_eq!(
-            a.best, c.best,
-            "shard {} diverged under work stealing",
-            a.spec.index
-        );
-        assert_eq!(
-            c.best, d.best,
-            "shard {} diverged at 8 stealing workers",
-            a.spec.index
-        );
     }
     // Guarantee 4: everything above shared one database allocation.
     assert_eq!(Arc::strong_count(&db), 1, "no handle outlives the runs");
-    println!("merged Pareto fronts identical at 1 and 8 workers, both backends ✓\n");
+    println!("merged Pareto fronts identical at 1 and 8 workers ✓\n");
 
     // Guarantee 2: the shared cache reuses work across shards.
     let stats = parallel.cache.expect("shared cache is on by default");

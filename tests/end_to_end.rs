@@ -5,9 +5,10 @@ use std::sync::Arc;
 
 use codesign_nas::accel::ConfigSpace;
 use codesign_nas::core::{
-    compare_strategies, CodesignSpace, CombinedSearch, ComparisonConfig, Evaluator, PhaseSearch,
-    RandomSearch, ScenarioSpec, SearchConfig, SearchContext, SearchStrategy, SeparateSearch,
+    CodesignSpace, CombinedSearch, Evaluator, PhaseSearch, RandomSearch, ScenarioSpec,
+    SearchConfig, SearchContext, SearchStrategy, SeparateSearch,
 };
+use codesign_nas::engine::{Campaign, ShardedDriver, StrategyKind};
 use codesign_nas::nasbench::{known_cells, Dataset, NasbenchDatabase, SurrogateModel};
 
 fn quick_context_db() -> (CodesignSpace, Arc<NasbenchDatabase>) {
@@ -74,16 +75,26 @@ fn search_improves_over_early_best() {
 
 #[test]
 fn full_comparison_pipeline_runs() {
+    // The Figs. 5-6 comparison: the paper's three strategies x 2 seeds as one
+    // campaign, with histories kept for the averaged reward curves.
     let (space, db) = quick_context_db();
-    let cmp = compare_strategies(
-        &ScenarioSpec::one_constraint(),
-        &space,
-        &db,
-        &ComparisonConfig::quick(80, 2),
-    );
-    assert_eq!(cmp.strategies.len(), 3);
-    for runs in &cmp.strategies {
-        let curve = runs.average_curve(20);
+    let strategies = [
+        StrategyKind::Separate,
+        StrategyKind::Combined,
+        StrategyKind::Phase,
+    ];
+    let campaign = Campaign::new(space)
+        .scenarios(vec![ScenarioSpec::one_constraint()])
+        .strategies(strategies.to_vec())
+        .seeds(vec![0, 1])
+        .steps(80)
+        .record_histories(true);
+    let report = ShardedDriver::new(2).run(&campaign, &db);
+    assert_eq!(report.shards.len(), 3 * 2);
+    for strategy in strategies {
+        let curve = report
+            .average_reward_curve("1 Constraint", strategy, 20)
+            .expect("histories recorded");
         assert_eq!(curve.len(), 80);
         assert!(curve.iter().all(|v| v.is_finite() || v.is_nan()));
     }

@@ -2,25 +2,25 @@
 //!
 //! Fig. 1 of the paper lists power among the evaluator outputs but the
 //! evaluation never uses it; this test wires `codesign_accel::PowerModel`
-//! into a `RewardSpec<4>` over `(-area, -lat, acc, -power)` and checks the
-//! machinery composes end to end.
+//! into a four-objective `DynRewardSpec` over `(-area, -lat, acc, -power)`
+//! and checks the machinery composes end to end.
 
 use codesign_nas::accel::{AreaModel, ConfigSpace, LatencyModel, PowerModel, Scheduler};
-use codesign_nas::moo::pareto::pareto_indices;
-use codesign_nas::moo::{LinearNorm, RewardSpec};
+use codesign_nas::moo::{pareto_indices_dyn, DynRewardSpec, LinearNorm};
 use codesign_nas::nasbench::{known_cells, Dataset, Network, NetworkConfig, SurrogateModel};
 
-fn four_objective_spec() -> RewardSpec<4> {
-    RewardSpec::builder()
-        .weights([0.1, 0.5, 0.2, 0.2])
+fn four_objective_spec() -> DynRewardSpec {
+    DynRewardSpec::builder()
+        .weights(vec![0.1, 0.5, 0.2, 0.2])
         .expect("static weights")
-        .norms([
+        .norms(vec![
             LinearNorm::new(-215.0, -45.0).expect("static"),
             LinearNorm::new(-400.0, -5.0).expect("static"),
             LinearNorm::new(0.80, 0.95).expect("static"),
             LinearNorm::new(-12.0, -0.5).expect("static"),
         ])
         .threshold(3, -6.0) // peak power under 6 W
+        .expect("index in bounds")
         .build()
         .expect("complete spec")
 }
@@ -75,8 +75,8 @@ fn power_adds_a_real_tradeoff_dimension() {
         four_d.push(metrics_for("resnet", idx));
     }
     let three_d: Vec<[f64; 3]> = four_d.iter().map(|m| [m[0], m[1], m[2]]).collect();
-    let front4 = pareto_indices(&four_d).len();
-    let front3 = pareto_indices(&three_d).len();
+    let front4 = pareto_indices_dyn(&four_d).len();
+    let front3 = pareto_indices_dyn(&three_d).len();
     assert!(
         front4 >= front3,
         "adding an objective cannot shrink the front"
