@@ -57,8 +57,8 @@ fn controller_vs_random(steps: usize, repeats: usize) {
         "advantage",
         "front (axes)",
     ]);
-    // Beyond the presets, a power-capped scenario the closed enum could
-    // never express — its visited front is reported in its *own* axes.
+    // Beyond the presets, a power-capped scenario — its visited front is
+    // reported in its *own* axes.
     let mut scenarios = ScenarioSpec::paper_presets();
     scenarios.push(
         ScenarioSpec::parse_compact("name=power-capped; power<6; w=acc:1")

@@ -503,22 +503,20 @@ fn main() {
     // pre-parse the raw argv. `Args` skips bare words, so the flags still
     // parse normally.
     let raw: Vec<String> = std::env::args().collect();
-    if let Some(flag) = raw
-        .iter()
-        .find(|arg| REMOVED_CACHE_FLAGS.contains(&arg.as_str()))
-    {
-        exit_usage(&format!(
-            "{flag} was removed: the evaluation cache is always a directory of \
-             v4 shard files; pass --cache-path DIR"
-        ));
-    }
-    if let Some(flag) = raw
-        .iter()
-        .find(|arg| REMOVED_DISPATCH_FLAGS.contains(&arg.as_str()))
-    {
-        exit_usage(&format!(
-            "{flag} was removed: shards always dispatch in grid order"
-        ));
+    for (removed, why) in [
+        (
+            REMOVED_CACHE_FLAGS,
+            "the evaluation cache is always a directory of v4 shard files; \
+             pass --cache-path DIR",
+        ),
+        (
+            REMOVED_DISPATCH_FLAGS,
+            "shards always dispatch in grid order",
+        ),
+    ] {
+        if let Some(flag) = raw.iter().find(|arg| removed.contains(&arg.as_str())) {
+            exit_usage(&format!("{flag} was removed: {why}"));
+        }
     }
     if args.flag("no-cache") && !args.get_str("cache-path", "").is_empty() {
         exit_usage("--no-cache and --cache-path are contradictory");

@@ -343,8 +343,8 @@ impl SearchRecorder {
     /// signed metric axes — a power-capped scenario's front carries
     /// `(acc, −power)` points, not someone else's triple — while
     /// `StepRecord::metrics` keeps the paper's fixed `(−area, −lat, acc)`
-    /// diagnostic so recorded histories stay re-scorable by the legacy
-    /// parity anchor.
+    /// diagnostic so recorded histories stay re-scorable from the triple
+    /// (`CompiledScenario::reward_from_triple`).
     ///
     /// Under active [`RewardShaping`], the returned (and recorded) scalar
     /// is the Eq. 3 reward *plus* the shaping bonus of the step's marginal

@@ -1,4 +1,5 @@
-//! Campaign specifications: the grid of runs a driver executes.
+//! Campaign specifications: the grid of runs a driver executes, in grid
+//! order.
 
 use std::sync::Arc;
 
@@ -340,8 +341,9 @@ impl Campaign {
     }
 
     /// The grid flattened into shard specifications, scenario-major then
-    /// strategy, seed, and budget. The order — and every `rng_seed` — is a
-    /// pure function of the campaign, independent of workers or timing.
+    /// strategy, seed, and budget — the order the driver dispatches them
+    /// in. The order — and every `rng_seed` — is a pure function of the
+    /// campaign, independent of workers or timing.
     ///
     /// Each scenario is compiled once and shared across its shards by
     /// [`Arc`].
@@ -390,6 +392,7 @@ mod tests {
         let campaign = Campaign::new(CodesignSpace::with_max_vertices(4))
             .seeds(vec![7, 8])
             .budgets(vec![50, 500]);
+        assert_eq!(campaign.scenarios, ScenarioSpec::paper_presets());
         let shards = campaign.shards();
         assert_eq!(shards.len(), 3 * 4 * 2 * 2);
         assert!(shards.iter().enumerate().all(|(i, s)| s.index == i));

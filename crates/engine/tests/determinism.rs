@@ -63,8 +63,8 @@ fn campaigns_are_bit_identical_across_worker_counts() {
 }
 
 /// Every shard's recorded history re-scores, step by step, under the
-/// shard's own compiled scenario, and the shard's feasible/invalid counts
-/// and best reward are exactly what that history implies.
+/// shard's own compiled scenario, and the shard's feasible/invalid counts,
+/// best reward and front are exactly what that history implies.
 #[test]
 fn recorded_histories_rederive_shard_bookkeeping() {
     let campaign = sweep_campaign()
@@ -86,6 +86,8 @@ fn recorded_histories_rederive_shard_bookkeeping() {
         let mut feasible = 0usize;
         let mut invalid = 0usize;
         let mut best_reward = f64::NEG_INFINITY;
+        // The preset axes are the signed triple the history records.
+        let mut front: DynParetoFront<()> = scenario.empty_front();
         for (step, record) in history.iter().enumerate() {
             let Some(metrics) = record.metrics else {
                 assert_eq!(record.reward, INVALID_PROPOSAL_REWARD);
@@ -93,6 +95,7 @@ fn recorded_histories_rederive_shard_bookkeeping() {
                 invalid += 1;
                 continue;
             };
+            front.insert(metrics.into(), ());
             let rescored = scenario
                 .reward_from_triple(&metrics)
                 .expect("preset axes derive from the triple");
@@ -113,6 +116,12 @@ fn recorded_histories_rederive_shard_bookkeeping() {
         }
         assert_eq!(shard.feasible_steps, feasible, "shard {}", shard.spec.index);
         assert_eq!(shard.invalid_steps, invalid, "shard {}", shard.spec.index);
+        assert_eq!(
+            front_bits(&front),
+            front_bits(&shard.front),
+            "shard {}: front is the front of the recorded history",
+            shard.spec.index
+        );
         match &shard.best {
             Some(best) => {
                 assert_eq!(

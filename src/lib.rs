@@ -9,7 +9,7 @@
 //!   accuracy database,
 //! * [`accel`] — the CHaiDNN-style FPGA accelerator space with analytical
 //!   area/latency models,
-//! * [`moo`] — Pareto fronts (const-generic and runtime-dimension),
+//! * [`moo`] — runtime-dimension Pareto fronts with named axes,
 //!   ε-constraint + weighted-sum rewards, hypervolume, and the NSGA-II
 //!   selection primitives,
 //! * [`rl`] — the from-scratch REINFORCE LSTM controller,
