@@ -762,8 +762,12 @@ mod tests {
         );
     }
 
+    /// Inserts and final membership of the runtime-dimension front against
+    /// a brute-force oracle on the const-generic `dominates::<3>` kernel.
     #[test]
-    fn dyn_front_membership_matches_brute_force() {
+    fn dyn_front_matches_const_generic_membership() {
+        use crate::dominance::dominates;
+
         let points: Vec<[f64; 3]> = vec![
             [1.0, 1.0, 1.0], // evicted by the next point
             [3.0, 1.0, 2.0],
@@ -778,12 +782,15 @@ mod tests {
         for (i, p) in points.iter().enumerate() {
             // A point joins iff nothing inserted before it dominates it
             // (an evicted dominator was itself dominated by a member).
-            let joins = !points[..i].iter().any(|q| dominates_dyn(q, p));
+            let joins = !points[..i].iter().any(|q| dominates(q, p));
             assert_eq!(front.insert((*p).into(), i), joins, "point {i}");
         }
         let mut members: Vec<usize> = front.iter().map(|(_, i)| *i).collect();
         members.sort_unstable();
-        assert_eq!(members, brute_force(&points));
+        let fixed: Vec<usize> = (0..points.len())
+            .filter(|&i| !points.iter().any(|q| dominates(q, &points[i])))
+            .collect();
+        assert_eq!(members, fixed);
         assert!(front.would_reject(&[0.5, 0.5, 0.5]));
         assert!(!front.would_reject(&[9.0, 0.0, 0.0]));
     }

@@ -260,6 +260,7 @@ fn lex_cmp(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynfront::{AxisSchema, DynParetoFront, DynStreamingParetoFilter};
 
     /// The non-dominated indices by direct pairwise checks.
     fn brute_force<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
@@ -319,6 +320,74 @@ mod tests {
         assert_eq!(pareto_indices_3d(&pts), brute_force(&pts));
         let pts4: Vec<[f64; 4]> = pts.iter().map(|p| [p[0], p[1], p[2], -p[0]]).collect();
         assert_eq!(pareto_indices_dyn(&pts4), brute_force(&pts4));
+    }
+
+    fn front_2d<T>() -> DynParetoFront<T> {
+        DynParetoFront::new(AxisSchema::new(["x", "y"]))
+    }
+
+    #[test]
+    fn front_insert_evicts_dominated_members() {
+        let mut front = front_2d();
+        front.insert([0.0, 0.0].into(), 0u8);
+        front.insert([1.0, 1.0].into(), 1); // evicts the first point
+        assert_eq!(front.len(), 1);
+        assert_eq!(front.iter().next().map(|(_, p)| *p), Some(1));
+    }
+
+    #[test]
+    fn front_rejects_dominated_insert() {
+        let mut front = front_2d();
+        assert!(front.insert([1.0, 1.0].into(), 0u8));
+        assert!(!front.insert([0.5, 0.5].into(), 1));
+        assert!(front.would_reject(&[0.0, 0.0]));
+        assert!(!front.would_reject(&[2.0, 0.0]));
+    }
+
+    #[test]
+    fn front_keeps_equal_metric_payloads() {
+        let mut front = front_2d();
+        assert!(front.insert([1.0, 1.0].into(), 0u8));
+        assert!(front.insert([1.0, 1.0].into(), 1));
+        assert_eq!(front.len(), 2);
+    }
+
+    #[test]
+    fn front_from_iterator_matches_batch_filter() {
+        let pts = vec![
+            ([3.0, 1.0], 'a'),
+            ([1.0, 3.0], 'b'),
+            ([2.0, 2.0], 'c'),
+            ([1.0, 1.0], 'd'),
+        ];
+        let mut front = front_2d();
+        front.extend(pts.iter().map(|&(m, c)| (m.into(), c)));
+        let batch = pareto_filter_dyn(pts);
+        let mut a: Vec<char> = front.iter().map(|(_, c)| *c).collect();
+        let b: Vec<char> = batch.iter().map(|(_, c)| *c).collect();
+        a.sort_unstable();
+        assert_eq!(a, b);
+        assert_eq!(b, vec!['a', 'b', 'c']);
+    }
+
+    /// Four objectives, so every compaction runs the generic filter rather
+    /// than the 3-D sweep.
+    #[test]
+    fn streaming_filter_is_exact_under_tiny_buffer() {
+        let pts: Vec<[f64; 4]> = (0..200)
+            .map(|i| {
+                let t = f64::from(i) * 0.1;
+                [t.sin(), t.cos(), (t * 0.37).sin(), (t * 0.11).cos()]
+            })
+            .collect();
+        let mut filter: DynStreamingParetoFilter<usize> =
+            DynStreamingParetoFilter::with_capacity(AxisSchema::new(["a", "b", "c", "d"]), 8);
+        for (i, p) in pts.iter().enumerate() {
+            filter.push((*p).into(), i);
+        }
+        let mut got: Vec<usize> = filter.finish().into_iter().map(|(_, i)| i).collect();
+        got.sort_unstable();
+        assert_eq!(got, brute_force(&pts));
     }
 
     #[test]

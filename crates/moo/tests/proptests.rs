@@ -1,7 +1,7 @@
 //! Property-based tests for the multi-objective primitives.
 
 use codesign_moo::dominance::{compare, Dominance};
-use codesign_moo::pareto::{pareto_indices_3d, pareto_indices_dyn};
+use codesign_moo::pareto::{pareto_filter_dyn, pareto_indices_3d, pareto_indices_dyn};
 use codesign_moo::{
     crowding_distance_dyn, dominates, dominates_dyn, hypervolume_3d, hypervolume_dyn, rank_dyn,
     AxisSchema, DynParetoFront, DynRewardSpec, DynStreamingParetoFilter, IncrementalHypervolume,
@@ -41,6 +41,14 @@ fn brute_force<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
                 .iter()
                 .any(|q| dominates_dyn(q.as_ref(), points[i].as_ref()))
         })
+        .collect()
+}
+
+/// [`brute_force`] on the const-generic `dominates::<N>` kernel, the
+/// fixed-array dominance check the runtime-dimension stack must agree with.
+fn brute_force_fixed<const N: usize>(points: &[[f64; N]]) -> Vec<usize> {
+    (0..points.len())
+        .filter(|&i| !points.iter().any(|q| dominates(q, &points[i])))
         .collect()
 }
 
@@ -106,24 +114,28 @@ fn brute_force_crowding(points: &[Vec<f64>]) -> Vec<f64> {
 }
 
 proptest! {
-    // The 3-D staircase sweep, reached directly and through the automatic
-    // fast path of the runtime-dimension filter.
     #[test]
     fn sweep_equals_brute_force(pts in prop::collection::vec(point3(), 0..120)) {
-        let want = brute_force(&pts);
-        prop_assert_eq!(pareto_indices_3d(&pts), want.clone());
-        prop_assert_eq!(pareto_indices_dyn(&pts), want);
+        prop_assert_eq!(pareto_indices_3d(&pts), brute_force(&pts));
     }
 
-    // The generic runtime-dimension filter, at the dimensions without a
-    // fast path.
+    // The pair filter keeps exactly the brute-force survivors, in input
+    // order, at the dimensions without a fast path.
     #[test]
     fn generic_filter_equals_brute_force(
         pts2 in prop::collection::vec(point2(), 0..120),
         pts4 in prop::collection::vec(point4(), 0..120),
     ) {
-        prop_assert_eq!(pareto_indices_dyn(&pts2), brute_force(&pts2));
-        prop_assert_eq!(pareto_indices_dyn(&pts4), brute_force(&pts4));
+        let kept2: Vec<usize> = pareto_filter_dyn(pts2.iter().copied().zip(0..).collect())
+            .into_iter()
+            .map(|(_, i)| i)
+            .collect();
+        prop_assert_eq!(kept2, brute_force(&pts2));
+        let kept4: Vec<usize> = pareto_filter_dyn(pts4.iter().copied().zip(0..).collect())
+            .into_iter()
+            .map(|(_, i)| i)
+            .collect();
+        prop_assert_eq!(kept4, brute_force(&pts4));
     }
 
     #[test]
@@ -139,17 +151,15 @@ proptest! {
     }
 
     #[test]
-    fn incremental_front_matches_batch(pts in prop::collection::vec(point3(), 0..120)) {
+    fn incremental_front_matches_batch(pts in prop::collection::vec(point4(), 0..120)) {
         let mut front: DynParetoFront<usize> =
-            DynParetoFront::new(AxisSchema::new(["area", "lat", "acc"]));
+            DynParetoFront::new(AxisSchema::new(["area", "lat", "acc", "power"]));
         for (i, p) in pts.iter().enumerate() {
-            // A point joins iff nothing inserted before it dominates it.
-            let joins = !pts[..i].iter().any(|q| dominates_dyn(q, p));
-            prop_assert_eq!(front.insert((*p).into(), i), joins);
+            front.insert((*p).into(), i);
         }
         let mut got: Vec<usize> = front.iter().map(|(_, i)| *i).collect();
         got.sort_unstable();
-        prop_assert_eq!(got, brute_force(&pts));
+        prop_assert_eq!(got, pareto_indices_dyn(&pts));
     }
 
     #[test]
@@ -210,6 +220,38 @@ proptest! {
         let mut more = pts.clone();
         more.push(extra);
         prop_assert!(hypervolume_3d(&more, reference) >= base - 1e-9);
+    }
+
+    // The runtime-dimension filter agrees with the const-generic dominance
+    // kernel at every dimension scenarios use.
+    #[test]
+    fn dyn_indices_equal_const_generic_2d(pts in prop::collection::vec(point2(), 0..120)) {
+        prop_assert_eq!(pareto_indices_dyn(&pts), brute_force_fixed(&pts));
+    }
+
+    #[test]
+    fn dyn_indices_equal_const_generic_3d(pts in prop::collection::vec(point3(), 0..120)) {
+        // dims == 3 takes the automatic staircase fast path.
+        prop_assert_eq!(pareto_indices_dyn(&pts), brute_force_fixed(&pts));
+    }
+
+    #[test]
+    fn dyn_indices_equal_const_generic_4d(pts in prop::collection::vec(point4(), 0..120)) {
+        prop_assert_eq!(pareto_indices_dyn(&pts), brute_force_fixed(&pts));
+    }
+
+    #[test]
+    fn dyn_front_membership_equals_const_generic(pts in prop::collection::vec(point3(), 0..120)) {
+        let mut front: DynParetoFront<usize> =
+            DynParetoFront::new(AxisSchema::new(["area", "lat", "acc"]));
+        for (i, p) in pts.iter().enumerate() {
+            // A point joins iff nothing inserted before it dominates it.
+            let joins = !pts[..i].iter().any(|q| dominates(q, p));
+            prop_assert_eq!(front.insert((*p).into(), i), joins);
+        }
+        let mut got: Vec<usize> = front.iter().map(|(_, i)| *i).collect();
+        got.sort_unstable();
+        prop_assert_eq!(got, brute_force_fixed(&pts));
     }
 
     #[test]
