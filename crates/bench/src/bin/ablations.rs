@@ -19,7 +19,7 @@ use codesign_core::{
 use codesign_nasbench::{known_cells, NasbenchDatabase, Network, NetworkConfig};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("--steps N, --repeats R, --seed S");
     let steps = args.get_usize("steps", 1000);
     let repeats = args.get_usize("repeats", 3);
 

@@ -1,5 +1,13 @@
-//! The general campaign driver: any scenarios × strategies × seeds × steps
-//! sweep, sharded across worker threads with a shared evaluation cache.
+//! The general campaign driver: any scenarios × strategies × seeds sweep at
+//! one step budget, sharded across worker threads with a shared evaluation
+//! cache.
+//!
+//! The job flags map onto the keys of the server's job document, and a
+//! one-shot run, `--check-scenarios` and `campaign submit` all read them
+//! through `JobSpec::from_json`: one parser, one set of defaults and one
+//! set of checks, so the same flags give the same shard records from a
+//! server as from a one-shot run. An unknown flag, a value that does not
+//! parse or a job the spec rejects exits with code 2.
 //!
 //! Scenarios are open: beyond the paper's three presets, any declarative
 //! `ScenarioSpec` runs — from a versioned JSON file (`--scenarios-file`) or
@@ -21,8 +29,9 @@
 //!
 //! Scenarios with auto-ranged normalizations (`"norm": "auto"` in a file,
 //! `norm=acc:auto` in the compact grammar) are resolved from a
-//! deterministic enumeration probe sample (`--probe-samples N`) before the
-//! sweep starts.
+//! deterministic enumeration probe sample before the sweep starts, by the
+//! same engine call (`Campaign::with_auto_norms`) a server makes for a
+//! submitted job.
 //!
 //! `--reward-shaping hv:W` turns on hypervolume-gradient reward shaping
 //! for the RL controllers: each step's scalar reward gains `W × ΔHV`, the
@@ -50,17 +59,15 @@
 //! (overriding `--steps`); every nsga shard exports its per-generation
 //! front hypervolume in the JSONL.
 //!
-//! Run: `cargo run --release -p codesign-bench --bin campaign`
-//! Args: `[--steps N] [--repeats R] [--max-vertices V] [--workers W]`
-//!       `[--scenario PRESET-INDEX|PRESET-NAME|COMPACT-SPEC]`
-//!       `[--scenarios-file FILE] [--list-scenarios] [--check-scenarios]`
-//!       `[--strategies separate,combined,phase,random,evolution,nsga]`
-//!       `(--strategy is a singular alias; reinforce = combined)`
-//!       `[--population P] [--generations G] [--reward-shaping hv:W]`
-//!       `[--surrogate k:R]`
-//!       `[--seed-base S] [--no-cache]`
-//!       `[--cache-path DIR] [--cache-capacity N] [--probe-samples N]`
-//!       `[--trace-out FILE] [--metrics-out FILE] [--progress]`
+//! Run: `cargo run --release -p codesign-bench --bin campaign -- [--help]`
+//! Job flags: `--scenario PRESET-INDEX|PRESET-NAME|COMPACT-SPEC`,
+//! `--scenarios-file FILE`, `--strategies LIST` (`--strategy` is a singular
+//! alias; `reinforce` = `combined`), `--seed-base S`, `--repeats R`,
+//! `--steps N`, `--population P`, `--generations G`, `--reward-shaping
+//! hv:W`, `--surrogate k:R`. Run flags: `--max-vertices V`, `--workers W`,
+//! `--no-cache`, `--cache-path DIR`, `--cache-capacity N`,
+//! `--list-scenarios`, `--check-scenarios`, `--trace-out FILE`,
+//! `--metrics-out FILE`, `--progress`.
 //!
 //! Telemetry is off by default (a disabled check is one relaxed atomic
 //! load; the campaign's exports are bit-identical either way). Any of the
@@ -79,8 +86,7 @@
 //!                [--queue-capacity N] [--cache-path DIR]
 //!                [--cache-sync-secs S] ...
 //! campaign serve --listen /tmp/campaign.sock ...
-//! campaign submit --connect /tmp/campaign.sock [--scenario S]
-//!                 [--strategies L] [--steps N] [--repeats R] ...
+//! campaign submit --connect /tmp/campaign.sock [job flags]
 //! ```
 //!
 //! Every job warm-starts from the previous jobs' evaluations. With
@@ -95,26 +101,51 @@
 use std::sync::Arc;
 
 use codesign_bench::{out_dir, Args};
-use codesign_core::{
-    probe_pair_evaluations, CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig,
-};
+use codesign_core::{CodesignSpace, ScenarioSpec};
 use codesign_engine::{
-    CacheLoadError, Campaign, CancelToken, ShardedDriver, SharedEvalCache, StrategyKind,
-    CACHE_VERSION,
+    CacheLoadError, Campaign, CancelToken, ShardedDriver, SharedEvalCache, CACHE_VERSION,
 };
-use codesign_nasbench::{Dataset, NasbenchDatabase};
+use codesign_nasbench::{Json, NasbenchDatabase};
+use codesign_server::JobSpec;
 
-/// Padding applied to probe-measured normalization ranges so the probe's
-/// extremes do not saturate at exactly 0 or 1.
-const AUTO_NORM_PAD: f64 = 0.05;
+/// The job flags besides the scenario ones, as `(flag, value, job-document
+/// key, numeric)`: each given flag sets its key in the document that
+/// `JobSpec::from_json` reads. `--strategy` is a singular alias that
+/// `--strategies` overrides.
+const JOB_FLAGS: [(&str, &str, &str, bool); 9] = [
+    ("strategies", "LIST", "strategies", false),
+    ("strategy", "NAME", "strategies", false),
+    ("seed-base", "S", "seed_base", true),
+    ("repeats", "R", "repeats", true),
+    ("steps", "N", "steps", true),
+    ("population", "P", "population", true),
+    ("generations", "G", "generations", true),
+    ("reward-shaping", "hv:W", "reward_shaping", false),
+    ("surrogate", "k:R", "surrogate", false),
+];
 
-/// Flags of earlier releases that chose among cache layouts. The cache is
-/// now always one directory, so each is rejected with a pointer to it.
-const REMOVED_CACHE_FLAGS: [&str; 3] = ["--cache-format", "--cache-mmap", "--cache-migrate"];
+/// The rest of the flag table: the scenario flags, and how and where the
+/// job runs.
+const RUN_FLAGS: &str = "--scenario SPEC, --scenarios-file FILE, --max-vertices V, \
+    --workers W, --no-cache, --cache-path DIR, --cache-capacity N, --list-scenarios, \
+    --check-scenarios, --trace-out FILE, --metrics-out FILE, --progress, --stdio, \
+    --listen SOCKET, --queue-capacity N, --cache-sync-secs S, --connect SOCKET";
 
-/// Flags of earlier releases that chose or calibrated the shard-dispatch
-/// order. Shards now always dispatch in grid order, so each is rejected.
-const REMOVED_DISPATCH_FLAGS: [&str; 3] = ["--backend", "--calibrate", "--probe-steps"];
+const CACHE_IS_A_DIRECTORY: &str =
+    "the evaluation cache is always a directory of v4 shard files; pass --cache-path DIR";
+const GRID_ORDER: &str = "shards always dispatch in grid order";
+
+/// Flags of earlier releases, each with why it went. They are checked
+/// before the flag table, so each keeps its own hint.
+const REMOVED_FLAGS: [(&str, &str); 7] = [
+    ("--cache-format", CACHE_IS_A_DIRECTORY),
+    ("--cache-mmap", CACHE_IS_A_DIRECTORY),
+    ("--cache-migrate", CACHE_IS_A_DIRECTORY),
+    ("--backend", GRID_ORDER),
+    ("--calibrate", GRID_ORDER),
+    ("--probe-steps", GRID_ORDER),
+    ("--probe-samples", "the auto-norm probe size is fixed"),
+];
 
 /// Prints `message` and exits with the usage-error code 2.
 fn exit_usage(message: &str) -> ! {
@@ -344,21 +375,14 @@ fn run_serve(args: &Args) -> ! {
     if args.flag("stdio") {
         server.serve_stdio();
     } else if listen.is_empty() {
-        eprintln!("usage: campaign serve (--stdio | --listen SOCKET-PATH) [options]");
-        std::process::exit(2);
+        exit_usage("usage: campaign serve (--stdio | --listen SOCKET-PATH) [options]");
     } else {
         #[cfg(unix)]
         server
             .serve_unix(std::path::Path::new(&listen))
-            .unwrap_or_else(|e| {
-                eprintln!("serve: cannot listen on {listen}: {e}");
-                std::process::exit(2);
-            });
+            .unwrap_or_else(|e| exit_usage(&format!("serve: cannot listen on {listen}: {e}")));
         #[cfg(not(unix))]
-        {
-            eprintln!("serve: --listen requires unix domain sockets; use --stdio");
-            std::process::exit(2);
-        }
+        exit_usage("serve: --listen requires unix domain sockets; use --stdio");
     }
     server.join();
     if !cache_path.is_empty() {
@@ -369,61 +393,22 @@ fn run_serve(args: &Args) -> ! {
 }
 
 /// `campaign submit`: one-shot client for a `campaign serve --listen`
-/// server. Builds a job from the same flags as the one-shot sweep, streams
+/// server. Reads the job from the same flags as the one-shot sweep, streams
 /// the server's event lines to stdout, and exits 0 on `job_done` (1 on an
 /// `error` event, 2 on usage errors).
 #[cfg(unix)]
 fn run_submit(args: &Args) -> ! {
-    use codesign_nasbench::Json;
-    use codesign_server::{Event, JobSpec, Request};
+    use codesign_server::{Event, Request};
     use std::io::{BufRead, Write};
 
     let path = args.get_str("connect", "");
     if path.is_empty() {
-        eprintln!("usage: campaign submit --connect SOCKET-PATH [job flags]");
-        std::process::exit(2);
+        exit_usage("usage: campaign submit --connect SOCKET-PATH [job flags]");
     }
-    let scenarios = match resolve_scenarios(args) {
-        Ok(scenarios) => scenarios,
-        Err(err) => {
-            eprintln!("invalid scenarios: {err}");
-            std::process::exit(2);
-        }
-    };
-    let mut strategy_list = args.get_str("strategies", "");
-    if strategy_list.is_empty() {
-        strategy_list = args.get_str("strategy", "random");
-    }
-    let mut fields = vec![
-        (
-            "scenarios",
-            Json::Arr(scenarios.iter().map(ScenarioSpec::to_json).collect()),
-        ),
-        ("strategies", Json::Str(strategy_list)),
-        ("seed_base", Json::Num(args.get_u64("seed-base", 0) as f64)),
-        ("repeats", Json::Num(args.get_usize("repeats", 1) as f64)),
-        ("steps", Json::Num(args.get_usize("steps", 200) as f64)),
-        (
-            "population",
-            Json::Num(args.get_usize("population", StrategyKind::DEFAULT_NSGA_POPULATION) as f64),
-        ),
-    ];
-    let generations = args.get_usize("generations", 0);
-    if generations > 0 {
-        fields.push(("generations", Json::Num(generations as f64)));
-    }
-    let job = match JobSpec::from_json(&Json::obj(fields)) {
-        Ok(job) => job,
-        Err(err) => {
-            eprintln!("invalid job: {err}");
-            std::process::exit(2);
-        }
-    };
+    let job = job_spec(args);
 
-    let stream = std::os::unix::net::UnixStream::connect(&path).unwrap_or_else(|e| {
-        eprintln!("submit: cannot connect to {path}: {e}");
-        std::process::exit(2);
-    });
+    let stream = std::os::unix::net::UnixStream::connect(&path)
+        .unwrap_or_else(|e| exit_usage(&format!("submit: cannot connect to {path}: {e}")));
     let mut writer = stream.try_clone().expect("clone socket");
     writeln!(writer, "{}", Request::Submit(job).to_line()).expect("send job");
     // Half-close: the server sees EOF, drains this session's jobs, and
@@ -445,39 +430,37 @@ fn run_submit(args: &Args) -> ! {
 
 #[cfg(not(unix))]
 fn run_submit(_args: &Args) -> ! {
-    eprintln!("submit: requires unix domain sockets");
-    std::process::exit(2);
+    exit_usage("submit: requires unix domain sockets");
 }
 
-/// Resolves `--scenario` / `--scenarios-file` into the scenario axis.
-/// Both may be given; the file's scenarios come first.
-fn resolve_scenarios(args: &Args) -> Result<Vec<ScenarioSpec>, String> {
+/// Reads the job from the flags: they become the keys of a job document,
+/// which `JobSpec::from_json` checks and fills with its defaults. The
+/// `--scenarios-file` scenarios come first, then `--scenario`. Bad input
+/// exits 2.
+fn job_spec(args: &Args) -> JobSpec {
     let mut scenarios = Vec::new();
-    let file = args.get_str("scenarios-file", "");
-    if !file.is_empty() {
-        scenarios.extend(ScenarioSpec::load_file(&file).map_err(|e| format!("{file}: {e}"))?);
+    if let Some(file) = args.value("scenarios-file") {
+        let specs = ScenarioSpec::load_file(file)
+            .unwrap_or_else(|e| exit_usage(&format!("invalid scenarios: {file}: {e}")));
+        scenarios.extend(specs.iter().map(ScenarioSpec::to_json));
     }
-    let inline = args.get_str("scenario", "");
-    if !inline.is_empty() {
-        let presets = ScenarioSpec::paper_presets();
-        let spec = match inline.parse::<usize>() {
-            Ok(index) if index < presets.len() => presets[index].clone(),
-            Ok(index) => return Err(format!("preset index {index} out of range (0..=2)")),
-            Err(_) => match ScenarioSpec::preset_by_name(&inline) {
-                Some(preset) => preset,
-                None => ScenarioSpec::parse_compact(&inline).map_err(|e| e.to_string())?,
-            },
-        };
-        scenarios.push(spec);
+    if let Some(inline) = args.value("scenario") {
+        scenarios.push(Json::Str(inline.to_owned()));
     }
-    if scenarios.is_empty() {
-        scenarios = ScenarioSpec::paper_presets();
+    let mut fields = Vec::new();
+    if !scenarios.is_empty() {
+        fields.push(("scenarios", Json::Arr(scenarios)));
     }
-    // Reports and merged fronts key on scenario names; a duplicate (two
-    // same-named entries in the file, or an inline scenario shadowing a
-    // file one) would silently pool unrelated reward functions.
-    codesign_core::check_unique_names(&scenarios).map_err(|e| e.to_string())?;
-    Ok(scenarios)
+    for (flag, _, key, numeric) in JOB_FLAGS {
+        match args.value(flag) {
+            Some(_) if fields.iter().any(|(set, _)| *set == key) => {}
+            Some(_) if numeric => fields.push((key, Json::Num(args.get_u64(flag, 0) as f64))),
+            Some(value) => fields.push((key, Json::Str(value.to_owned()))),
+            None => {}
+        }
+    }
+    JobSpec::from_json(&Json::obj(fields))
+        .unwrap_or_else(|err| exit_usage(&format!("invalid job: {err}")))
 }
 
 fn describe(spec: &ScenarioSpec) {
@@ -497,31 +480,22 @@ fn describe(spec: &ScenarioSpec) {
 }
 
 fn main() {
-    let args = Args::parse();
-
-    // Subcommands are not expressible in the `--key value` Args grammar;
-    // pre-parse the raw argv. `Args` skips bare words, so the flags still
-    // parse normally.
     let raw: Vec<String> = std::env::args().collect();
-    for (removed, why) in [
-        (
-            REMOVED_CACHE_FLAGS,
-            "the evaluation cache is always a directory of v4 shard files; \
-             pass --cache-path DIR",
-        ),
-        (
-            REMOVED_DISPATCH_FLAGS,
-            "shards always dispatch in grid order",
-        ),
-    ] {
-        if let Some(flag) = raw.iter().find(|arg| removed.contains(&arg.as_str())) {
-            exit_usage(&format!("{flag} was removed: {why}"));
-        }
+    if let Some((flag, why)) = REMOVED_FLAGS
+        .iter()
+        .find(|(flag, _)| raw.iter().any(|arg| arg == flag))
+    {
+        exit_usage(&format!("{flag} was removed: {why}"));
     }
+    let job_flags: String = JOB_FLAGS
+        .iter()
+        .map(|(flag, value, _, _)| format!("--{flag} {value}, "))
+        .collect();
+    let args = Args::parse(&format!("serve, submit, {job_flags}{RUN_FLAGS}"));
     if args.flag("no-cache") && !args.get_str("cache-path", "").is_empty() {
         exit_usage("--no-cache and --cache-path are contradictory");
     }
-    match raw.get(1).map(String::as_str) {
+    match args.command() {
         Some("serve") => run_serve(&args),
         Some("submit") => run_submit(&args),
         _ => {}
@@ -537,16 +511,10 @@ fn main() {
         return;
     }
 
-    let scenarios = match resolve_scenarios(&args) {
-        Ok(scenarios) => scenarios,
-        Err(err) => {
-            eprintln!("invalid scenarios: {err}");
-            std::process::exit(2);
-        }
-    };
+    let job = job_spec(&args);
     if args.flag("check-scenarios") {
-        println!("{} scenario(s) valid:", scenarios.len());
-        for spec in &scenarios {
+        println!("{} scenario(s) valid:", job.scenarios.len());
+        for spec in &job.scenarios {
             describe(spec);
         }
         return;
@@ -562,88 +530,27 @@ fn main() {
         codesign_telemetry::set_enabled(true);
     }
 
-    let repeats = args.get_usize("repeats", 3);
-    if repeats == 0 {
-        exit_usage("--repeats must be at least 1");
-    }
     let max_v = args.get_usize("max-vertices", 4);
     let workers = args.get_usize("workers", 0);
-    let seed_base = args.get_u64("seed-base", 0);
     let cache_path = args.get_str("cache-path", "");
     let cache_capacity = args.get_usize("cache-capacity", 0);
 
-    // NSGA knobs: --population sizes each generation; --generations, when
-    // given, expresses the whole step budget as population × generations
-    // (the natural unit for a generational strategy) and overrides --steps.
-    let population = args.get_usize("population", StrategyKind::DEFAULT_NSGA_POPULATION);
-    let generations = args.get_usize("generations", 0);
-    let steps = if generations > 0 {
-        population * generations
-    } else {
-        args.get_usize("steps", 1000)
-    };
-
-    // `--strategy` is accepted as a singular alias for `--strategies`.
-    let mut strategy_list = args.get_str("strategies", "");
-    if strategy_list.is_empty() {
-        strategy_list = args.get_str("strategy", "");
-    }
-    if strategy_list.is_empty() {
-        strategy_list = "separate,combined,phase,random".to_owned();
-    }
-    let strategies: Vec<StrategyKind> = strategy_list
-        .split(',')
-        .map(|name| {
-            let kind = StrategyKind::from_name(name.trim()).unwrap_or_else(|| {
-                exit_usage(&format!(
-                    "unknown strategy '{name}' \
-                     (separate|combined|reinforce|phase|random|evolution|nsga)"
-                ))
-            });
-            match kind {
-                StrategyKind::Nsga { .. } => StrategyKind::Nsga { population },
-                other => other,
-            }
-        })
-        .collect();
-
-    // --reward-shaping hv:W: hypervolume-gradient shaping for every shard.
-    // Parsed up front so a bad weight fails before the database builds.
-    let shaping = match RewardShaping::parse(&args.get_str("reward-shaping", "")) {
-        Ok(shaping) => shaping,
-        Err(err) => {
-            eprintln!("invalid --reward-shaping: {err}");
-            std::process::exit(2);
-        }
-    };
-
-    // --surrogate k:R: predict-then-verify guidance for the generational
-    // strategies (evolution/nsga). Parsed up front like --reward-shaping.
-    let surrogate = match SurrogateConfig::parse(&args.get_str("surrogate", "")) {
-        Ok(surrogate) => surrogate,
-        Err(err) => {
-            eprintln!("invalid --surrogate: {err}");
-            std::process::exit(2);
-        }
-    };
-
-    let mut campaign = Campaign::new(CodesignSpace::with_max_vertices(max_v))
-        .scenarios(scenarios)
-        .strategies(strategies)
-        .seeds((seed_base..seed_base + repeats as u64).collect())
-        .steps(steps)
-        .with_reward_shaping(shaping)
-        .with_surrogate(surrogate);
+    let mut campaign = job.to_campaign(CodesignSpace::with_max_vertices(max_v));
     println!(
-        "campaign: {} shards ({} scenarios x {} strategies x {repeats} seeds x {steps} steps)",
-        campaign.shards().len(),
-        campaign.scenarios.len(),
-        campaign.strategies.len(),
+        "campaign: {} shards ({} scenarios x {} strategies x {} seeds x {} steps)",
+        job.shard_count(),
+        job.scenarios.len(),
+        job.strategies.len(),
+        job.seeds.len(),
+        job.steps,
     );
-    if shaping.is_active() {
-        println!("reward shaping: {shaping} (marginal-hypervolume bonus on the controller reward)");
+    if job.reward_shaping.is_active() {
+        println!(
+            "reward shaping: {} (marginal-hypervolume bonus on the controller reward)",
+            job.reward_shaping
+        );
     }
-    if let Some(cfg) = surrogate {
+    if let Some(cfg) = job.surrogate {
         println!("surrogate: {cfg} (predict-then-verify on the evolution/nsga strategies)");
     }
     for spec in &campaign.scenarios {
@@ -654,43 +561,27 @@ fn main() {
     let db = Arc::new(NasbenchDatabase::exhaustive(max_v));
     println!("database: {} cells\n", db.len());
 
-    // Auto-ranged normalizations: measure each auto metric's span from a
-    // deterministic enumeration probe sample before anything is compiled.
+    // Auto-ranged normalizations: measure each auto metric's span from the
+    // engine's deterministic enumeration probe before anything is compiled.
     if campaign.needs_auto_norms() {
-        let samples = args.get_usize("probe-samples", 256);
-        println!("auto norms: probing {samples} enumeration samples...");
-        // Which (scenario, metric) pairs were actually auto-declared —
-        // only those get a "ranged to" line after resolution.
-        let auto_metrics: Vec<(String, codesign_core::MetricId)> = campaign
-            .scenarios
-            .iter()
-            .flat_map(|spec| {
-                spec.objectives()
-                    .iter()
-                    .filter(|o| o.norm_is_auto())
-                    .map(|o| (spec.name().to_owned(), o.metric()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let probe = probe_pair_evaluations(&db, Dataset::Cifar10, samples);
-        campaign = match campaign.with_auto_norms(&probe, AUTO_NORM_PAD) {
-            Ok(resolved) => resolved,
-            Err(err) => {
-                eprintln!("auto-norm resolution failed: {err}");
-                std::process::exit(2);
-            }
-        };
-        for spec in &campaign.scenarios {
-            for objective in spec.objectives() {
-                if !auto_metrics.contains(&(spec.name().to_owned(), objective.metric())) {
-                    continue;
+        println!(
+            "auto norms: probing {} enumeration samples...",
+            Campaign::NORM_PROBE_SAMPLES
+        );
+        let declared = campaign.scenarios.clone();
+        campaign = campaign
+            .with_auto_norms(&db)
+            .unwrap_or_else(|err| exit_usage(&format!("auto-norm resolution failed: {err}")));
+        for (declared, spec) in declared.iter().zip(&campaign.scenarios) {
+            for (auto, objective) in declared.objectives().iter().zip(spec.objectives()) {
+                if auto.norm_is_auto() {
+                    let (lo, hi) = objective.norm();
+                    println!(
+                        "  {}: {} ranged to [{lo:.4}, {hi:.4}]",
+                        spec.name(),
+                        objective.metric()
+                    );
                 }
-                let (lo, hi) = objective.norm();
-                println!(
-                    "  {}: {} ranged to [{lo:.4}, {hi:.4}]",
-                    spec.name(),
-                    objective.metric()
-                );
             }
         }
         println!();

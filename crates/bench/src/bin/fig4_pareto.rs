@@ -16,7 +16,7 @@ use codesign_core::report::{fmt_f, write_csv, TextTable};
 use codesign_nasbench::{Dataset, NasbenchDatabase};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("--max-vertices V, --cells N, --seed S, --threads T");
     let threads = args.get_usize("threads", 0);
     let db = if let Some(cells) = args_cells(&args) {
         println!("building sampled database of {cells} unique 7-vertex-space cells...");

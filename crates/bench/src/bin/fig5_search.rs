@@ -22,7 +22,9 @@ use codesign_engine::{Campaign, ShardedDriver, StrategyKind};
 use codesign_nasbench::{Dataset, NasbenchDatabase};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(
+        "--steps N, --repeats R, --max-vertices V, --scenario INDEX, --workers W, --seed S",
+    );
     let steps = args.get_usize("steps", 2000);
     let repeats = args.get_usize("repeats", 5);
     let max_v = args.get_usize("max-vertices", 5);

@@ -29,7 +29,8 @@ const STRATEGIES: [StrategyKind; 3] = [
 ];
 
 fn main() {
-    let args = Args::parse();
+    let args =
+        Args::parse("--steps N, --repeats R, --window W, --max-vertices V, --workers W, --seed S");
     let steps = args.get_usize("steps", 2000);
     let repeats = args.get_usize("repeats", 5);
     let window = args.get_usize("window", 100);

@@ -25,7 +25,7 @@ use codesign_engine::SharedEvalCache;
 use codesign_nasbench::{Dataset, SurrogateModel};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("--quick, --seed S, --repeats R, --workers W");
     let seed = args.get_u64("seed", 0);
     let repeats = args.get_u64("repeats", 1).max(1);
     let workers = {

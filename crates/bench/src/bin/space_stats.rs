@@ -16,7 +16,7 @@ use codesign_core::report::TextTable;
 use codesign_nasbench::{enumerate_cells, Network, NetworkConfig, OpInstance, OpKind};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("--max-vertices V");
     let max_v = args.get_usize("max-vertices", 5);
 
     let mut census = TextTable::new(vec!["vertices", "unique cells"]);

@@ -6,9 +6,12 @@
 //! Run: `cargo run --release -p codesign-bench --bin table1_area`
 
 use codesign_accel::{validate_area_model, AreaModel, ConfigSpace, FpgaDevice};
+use codesign_bench::Args;
 use codesign_core::report::{fmt_f, TextTable};
 
 fn main() {
+    // No flags, but an unknown one still exits 2 and `--help` answers.
+    let _ = Args::parse("");
     let device = FpgaDevice::zynq_ultrascale_plus();
 
     println!("Table I: Estimated FPGA block area for Zynq UltraScale+\n");

@@ -15,7 +15,7 @@ use codesign_core::{run_cifar100_codesign, table2_baselines, Cifar100Config};
 use codesign_nasbench::CellSpec;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("--quick, --seed S");
     let seed = args.get_u64("seed", 0);
     let config = if args.flag("quick") {
         Cifar100Config::quick(seed)

@@ -1,7 +1,8 @@
 //! The `campaign` CLI's input contract: bad CLI input — a bad cache path,
-//! a removed flag, an unknown strategy, zero repeats — exits with code 2
-//! and a message, never a panic, and a directory holding a stale format
-//! version cold-starts.
+//! a removed or unknown flag, a value that does not parse, a job that
+//! `JobSpec` rejects — exits with code 2 and a message, never a panic;
+//! `--help` runs nothing; and a directory holding a stale format version
+//! cold-starts.
 //!
 //! Every case runs the real binary on a tiny sweep from a scratch working
 //! directory, because the CLI writes `target/paper-results/` relative to
@@ -58,7 +59,7 @@ fn bad_cache_input_exits_2_without_a_panic() {
 
     let removed = "pass --cache-path DIR";
     let grid_order = "always dispatch in grid order";
-    let cases: [(&str, &[&str], &str); 13] = [
+    let cases: [(&str, &[&str], &str); 20] = [
         (
             "regular file",
             &["--cache-path", "eval-cache.bin"],
@@ -94,7 +95,38 @@ fn bad_cache_input_exits_2_without_a_panic() {
         (
             "zero repeats",
             &["--repeats", "0"],
-            "--repeats must be at least 1",
+            "'repeats' must be an integer >= 1",
+        ),
+        ("misspelt flag", &["--stpes", "5"], "unknown flag --stpes"),
+        (
+            "non-numeric steps",
+            &["--steps", "abc"],
+            "invalid value 'abc' for --steps",
+        ),
+        (
+            "non-numeric workers",
+            &["--workers", "abc"],
+            "invalid value 'abc' for --workers",
+        ),
+        (
+            "zero steps",
+            &["--steps", "0"],
+            "'steps' must be an integer >= 1",
+        ),
+        (
+            "zero generations",
+            &["--generations", "0"],
+            "'generations' must be an integer >= 1",
+        ),
+        (
+            "population of one",
+            &["--population", "1"],
+            "'population' must be an integer >= 2",
+        ),
+        (
+            "--probe-samples",
+            &["--probe-samples", "64"],
+            "--probe-samples was removed",
         ),
     ];
     for (case, args, message) in cases {
@@ -109,6 +141,16 @@ fn bad_cache_input_exits_2_without_a_panic() {
         old_file,
         "a rejected cache path is left untouched"
     );
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn help_prints_the_flags_and_runs_nothing() {
+    let cwd = scratch("help");
+    let out = campaign(&cwd, &["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("--steps"));
+    assert!(!cwd.join("target/paper-results/campaign.jsonl").exists());
     let _ = std::fs::remove_dir_all(&cwd);
 }
 

@@ -4,10 +4,11 @@
 use std::sync::Arc;
 
 use codesign_core::{
-    CodesignSpace, CombinedSearch, CompiledScenario, EvolutionSearch, NsgaSearch, PairEvaluation,
-    PhaseSearch, RandomSearch, RewardShaping, ScenarioError, ScenarioSpec, SearchConfig,
-    SearchStrategy, SeparateSearch, SurrogateConfig,
+    probe_pair_evaluations, CodesignSpace, CombinedSearch, CompiledScenario, EvolutionSearch,
+    NsgaSearch, PhaseSearch, RandomSearch, RewardShaping, ScenarioError, ScenarioSpec,
+    SearchConfig, SearchStrategy, SeparateSearch, SurrogateConfig,
 };
+use codesign_nasbench::{Dataset, NasbenchDatabase};
 
 use crate::mix64;
 
@@ -156,8 +157,8 @@ impl ShardSpec {
     }
 }
 
-/// A campaign: the full grid of scenarios × strategies × seeds × step
-/// budgets over one decision space.
+/// A campaign: the full grid of scenarios × strategies × seeds over one
+/// decision space, every shard running the same step budget.
 ///
 /// # Examples
 ///
@@ -172,8 +173,8 @@ impl ShardSpec {
 ///     ])
 ///     .strategies(StrategyKind::ALL.to_vec())
 ///     .seeds(vec![0, 1, 2])
-///     .budgets(vec![100, 1000]);
-/// assert_eq!(campaign.shards().len(), 2 * 4 * 3 * 2);
+///     .steps(100);
+/// assert_eq!(campaign.shards().len(), 2 * 4 * 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Campaign {
@@ -186,8 +187,8 @@ pub struct Campaign {
     pub strategies: Vec<StrategyKind>,
     /// The repeat-seed axis.
     pub seeds: Vec<u64>,
-    /// The step-budget axis.
-    pub budgets: Vec<usize>,
+    /// The step budget of every shard.
+    pub steps: usize,
     /// Controller hyperparameters shared by every shard (`steps` and `seed`
     /// are overridden per shard).
     pub base_config: SearchConfig,
@@ -208,9 +209,16 @@ pub struct Campaign {
 }
 
 impl Campaign {
+    /// Enumeration samples probed to range auto normalizations
+    /// ([`Campaign::with_auto_norms`]).
+    pub const NORM_PROBE_SAMPLES: usize = 256;
+
+    /// Padding of each probe-measured normalization range, as a fraction of
+    /// it, so the probe's extremes do not saturate at exactly 0 or 1.
+    pub const NORM_PROBE_PAD: f64 = 0.05;
+
     /// A campaign over `space` with the paper's defaults: the three §III-C
-    /// preset scenarios, all four strategies, one seed, one 1000-step
-    /// budget.
+    /// preset scenarios, all four strategies, one seed, 1000 steps.
     #[must_use]
     pub fn new(space: CodesignSpace) -> Self {
         Self {
@@ -218,7 +226,7 @@ impl Campaign {
             scenarios: ScenarioSpec::paper_presets(),
             strategies: StrategyKind::ALL.to_vec(),
             seeds: vec![0],
-            budgets: vec![1000],
+            steps: 1000,
             base_config: SearchConfig::default(),
             record_histories: false,
             reward_shaping: RewardShaping::None,
@@ -247,29 +255,10 @@ impl Campaign {
         self
     }
 
-    /// Uses `count` consecutive seeds starting at 0.
+    /// Replaces the step budget of every shard.
     #[must_use]
-    pub fn repeats(self, count: usize) -> Self {
-        self.seeds((0..count as u64).collect())
-    }
-
-    /// Replaces the step-budget axis.
-    #[must_use]
-    pub fn budgets(mut self, budgets: Vec<usize>) -> Self {
-        self.budgets = budgets;
-        self
-    }
-
-    /// Uses a single step budget.
-    #[must_use]
-    pub fn steps(self, steps: usize) -> Self {
-        self.budgets(vec![steps])
-    }
-
-    /// Replaces the shared controller hyperparameters.
-    #[must_use]
-    pub fn base_config(mut self, config: SearchConfig) -> Self {
-        self.base_config = config;
+    pub fn steps(mut self, steps: usize) -> Self {
+        self.steps = steps;
         self
     }
 
@@ -316,34 +305,35 @@ impl Campaign {
         self.scenarios.iter().any(ScenarioSpec::has_auto_norms)
     }
 
-    /// Resolves every scenario's auto-ranged normalizations from an
-    /// enumeration probe sample (see
-    /// [`codesign_core::probe_pair_evaluations`] and
-    /// [`ScenarioSpec::resolve_auto_norms`]); `pad_fraction` pads each
-    /// measured range so the probe's extremes do not saturate the
-    /// normalization. Scenarios without auto norms pass through unchanged.
+    /// Resolves every scenario's auto-ranged normalizations from a
+    /// deterministic enumeration probe of `database`
+    /// ([`Campaign::NORM_PROBE_SAMPLES`] pairs, see
+    /// [`codesign_core::probe_pair_evaluations`]), padding each measured
+    /// range by [`Campaign::NORM_PROBE_PAD`] (see
+    /// [`ScenarioSpec::resolve_auto_norms`]). Without auto norms the
+    /// campaign is returned unchanged and nothing is probed.
     ///
     /// # Errors
     ///
     /// Returns the first scenario's [`ScenarioError`] when a probe range
     /// is degenerate (fewer than two distinct finite values observed).
-    pub fn with_auto_norms(
-        mut self,
-        probe: &[PairEvaluation],
-        pad_fraction: f64,
-    ) -> Result<Self, ScenarioError> {
+    pub fn with_auto_norms(mut self, database: &NasbenchDatabase) -> Result<Self, ScenarioError> {
+        if !self.needs_auto_norms() {
+            return Ok(self);
+        }
+        let probe = probe_pair_evaluations(database, Dataset::Cifar10, Self::NORM_PROBE_SAMPLES);
         self.scenarios = self
             .scenarios
             .iter()
-            .map(|s| s.resolve_auto_norms(probe, pad_fraction))
+            .map(|s| s.resolve_auto_norms(&probe, Self::NORM_PROBE_PAD))
             .collect::<Result<_, _>>()?;
         Ok(self)
     }
 
     /// The grid flattened into shard specifications, scenario-major then
-    /// strategy, seed, and budget — the order the driver dispatches them
-    /// in. The order — and every `rng_seed` — is a pure function of the
-    /// campaign, independent of workers or timing.
+    /// strategy and seed — the order the driver dispatches them in. The
+    /// order — and every `rng_seed` — is a pure function of the campaign,
+    /// independent of workers or timing.
     ///
     /// Each scenario is compiled once and shared across its shards by
     /// [`Arc`].
@@ -354,28 +344,24 @@ impl Campaign {
             .iter()
             .map(|s| Arc::new(s.compile().with_reward_shaping(self.reward_shaping)))
             .collect();
-        let mut shards = Vec::with_capacity(
-            self.scenarios.len() * self.strategies.len() * self.seeds.len() * self.budgets.len(),
-        );
+        let mut shards =
+            Vec::with_capacity(self.scenarios.len() * self.strategies.len() * self.seeds.len());
         for (si, scenario) in compiled.iter().enumerate() {
             for (ti, &strategy) in self.strategies.iter().enumerate() {
                 for &seed in &self.seeds {
-                    for (bi, &steps) in self.budgets.iter().enumerate() {
-                        // Decorrelate neighboring grid cells: the stream seed
-                        // depends on every axis, not on the flat index, so
-                        // adding a scenario doesn't reshuffle existing shards.
-                        let rng_seed =
-                            mix64(seed ^ mix64((si as u64) << 40 | (ti as u64) << 20 | bi as u64));
-                        shards.push(ShardSpec {
-                            index: shards.len(),
-                            scenario: Arc::clone(scenario),
-                            strategy,
-                            seed,
-                            steps,
-                            rng_seed,
-                            surrogate: self.surrogate,
-                        });
-                    }
+                    // Decorrelate neighboring grid cells: the stream seed
+                    // depends on every axis, not on the flat index, so
+                    // adding a scenario doesn't reshuffle existing shards.
+                    let rng_seed = mix64(seed ^ mix64((si as u64) << 40 | (ti as u64) << 20));
+                    shards.push(ShardSpec {
+                        index: shards.len(),
+                        scenario: Arc::clone(scenario),
+                        strategy,
+                        seed,
+                        steps: self.steps,
+                        rng_seed,
+                        surrogate: self.surrogate,
+                    });
                 }
             }
         }
@@ -391,22 +377,16 @@ mod tests {
     fn grid_covers_the_full_product() {
         let campaign = Campaign::new(CodesignSpace::with_max_vertices(4))
             .seeds(vec![7, 8])
-            .budgets(vec![50, 500]);
+            .steps(50);
         assert_eq!(campaign.scenarios, ScenarioSpec::paper_presets());
         let shards = campaign.shards();
-        assert_eq!(shards.len(), 3 * 4 * 2 * 2);
+        assert_eq!(shards.len(), 3 * 4 * 2);
         assert!(shards.iter().enumerate().all(|(i, s)| s.index == i));
+        assert!(shards.iter().all(|s| s.steps == 50));
         // Every grid cell appears exactly once.
-        let mut keys: Vec<(String, &str, u64, usize)> = shards
+        let mut keys: Vec<(String, &str, u64)> = shards
             .iter()
-            .map(|s| {
-                (
-                    s.scenario_name().to_owned(),
-                    s.strategy.name(),
-                    s.seed,
-                    s.steps,
-                )
-            })
+            .map(|s| (s.scenario_name().to_owned(), s.strategy.name(), s.seed))
             .collect();
         let n = keys.len();
         keys.sort();
@@ -416,7 +396,7 @@ mod tests {
 
     #[test]
     fn rng_seeds_are_decorrelated_and_stable() {
-        let campaign = Campaign::new(CodesignSpace::with_max_vertices(4)).repeats(3);
+        let campaign = Campaign::new(CodesignSpace::with_max_vertices(4)).seeds(vec![0, 1, 2]);
         let a = campaign.shards();
         let b = campaign.shards();
         assert_eq!(a, b, "shard derivation must be pure");
@@ -428,7 +408,7 @@ mod tests {
 
     #[test]
     fn compiled_scenarios_are_shared_by_refcount() {
-        let campaign = Campaign::new(CodesignSpace::with_max_vertices(4)).repeats(4);
+        let campaign = Campaign::new(CodesignSpace::with_max_vertices(4)).seeds(vec![0, 1, 2, 3]);
         let shards = campaign.shards();
         let first = &shards[0].scenario;
         let same_scenario = shards

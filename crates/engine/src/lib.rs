@@ -8,7 +8,7 @@
 //! after run. This crate turns sweeps into first-class [`Campaign`]s:
 //!
 //! * [`Campaign`] — the grid specification: scenarios × strategies × seeds
-//!   × step budgets over one [`codesign_core::CodesignSpace`];
+//!   at one step budget over one [`codesign_core::CodesignSpace`];
 //! * [`ShardedDriver`] — fans the grid's shards out across worker threads,
 //!   which pull them in grid order. Each shard draws from its own
 //!   deterministic RNG stream and every evaluator shares one `Arc`'d

@@ -152,26 +152,6 @@ pub fn dominates_dyn(a: &[f64], b: &[f64]) -> bool {
     compare_dyn(a, b) == Dominance::Dominates
 }
 
-/// Returns `true` when `a` weakly dominates `b`: at least as good everywhere
-/// (equality allowed in all objectives).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-///
-/// # Examples
-///
-/// ```
-/// use codesign_moo::dominates_weak_dyn;
-///
-/// assert!(dominates_weak_dyn(&[2.0, 2.0], &[2.0, 2.0]));
-/// assert!(!dominates_weak_dyn(&[2.0, 1.0], &[1.0, 2.0]));
-/// ```
-#[must_use]
-pub fn dominates_weak_dyn(a: &[f64], b: &[f64]) -> bool {
-    matches!(compare_dyn(a, b), Dominance::Dominates | Dominance::Equal)
-}
-
 /// Fast non-dominated sorting (the ranking half of NSGA-II selection):
 /// assigns every point its Pareto front index under the all-maximize
 /// convention.

@@ -69,7 +69,7 @@ pub mod reward;
 
 mod error;
 
-pub use dominance::{dominates, dominates_dyn, dominates_weak_dyn, rank_dyn, Dominance};
+pub use dominance::{dominates, dominates_dyn, rank_dyn, Dominance};
 pub use dynfront::{
     crowding_distance_dyn, AxisSchema, DynParetoFront, DynStreamingParetoFilter, MetricVector,
 };

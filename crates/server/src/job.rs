@@ -1,7 +1,10 @@
-//! Job specifications: the payload of a `submit` frame, validated with the
-//! same `ScenarioSpec`/`Campaign` machinery the one-shot CLI uses.
+//! Job specifications: the one description of a campaign. The one-shot
+//! `campaign` CLI, `campaign submit` and the server's `submit` frames all
+//! read their input through [`JobSpec::from_json`], so they share one
+//! parser, one set of defaults and one set of checks, and input becomes a
+//! [`Campaign`] only through [`JobSpec::to_campaign`].
 
-use codesign_core::{CodesignSpace, ScenarioSpec};
+use codesign_core::{CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig};
 use codesign_engine::{Campaign, StrategyKind};
 use codesign_nasbench::Json;
 
@@ -11,43 +14,59 @@ pub const MAX_STEPS: usize = 1_000_000;
 /// Upper bound on one job's grid size (scenarios × strategies × seeds).
 pub const MAX_SHARDS: usize = 100_000;
 
-/// A validated campaign job: the grid a `submit` frame asks the server to
-/// run. The job never names a database — it runs against whatever database
-/// (and `--max-vertices`) the server was started with, which is exactly
-/// what makes job N+1 warm-start from job N's cache entries.
+/// Seeds of a job that names neither `seeds` nor `repeats`.
+const DEFAULT_REPEATS: usize = 3;
+
+/// Steps per shard of a job that names neither `steps` nor `generations`.
+const DEFAULT_STEPS: usize = 1000;
+
+/// A validated campaign job: the grid of scenarios × strategies × seeds at
+/// one step budget, plus the reward shaping and surrogate guidance every
+/// shard runs under. The job never names a database — it runs against
+/// whatever database (and `--max-vertices`) its runner was started with,
+/// which is exactly what makes a server's job N+1 warm-start from job N's
+/// cache entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Scenario axis (never empty; defaults to the paper presets).
     pub scenarios: Vec<ScenarioSpec>,
-    /// Strategy axis (never empty; defaults to `random`).
+    /// Strategy axis (never empty; defaults to `StrategyKind::ALL`).
     pub strategies: Vec<StrategyKind>,
-    /// Seed axis (never empty; defaults to `[0]`).
+    /// Seed axis (never empty; defaults to `[0, 1, 2]`).
     pub seeds: Vec<u64>,
-    /// Step budget per shard.
+    /// Step budget per shard (defaults to 1000).
     pub steps: usize,
+    /// Reward shaping of every shard (defaults to none).
+    pub reward_shaping: RewardShaping,
+    /// Surrogate guidance of the generational shards (defaults to off).
+    pub surrogate: Option<SurrogateConfig>,
 }
 
 impl JobSpec {
-    /// Parses and validates a job object. The shape mirrors the CLI:
+    /// Parses and validates a job object:
     ///
     /// ```text
     /// {
-    ///   "scenarios":  ["0" | "1 Constraint" | "lat<100; w=acc:1.0"
-    ///                  | {…ScenarioSpec JSON…}, …],   // default: presets
-    ///   "strategies": ["random", "nsga", …] | "random,nsga",
-    ///   "seeds":      [0, 1, 2],         // or "seed_base" + "repeats"
-    ///   "steps":      200,               // or "population" + "generations"
+    ///   "scenarios":      ["0" | "1 Constraint" | "lat<100; w=acc:1.0"
+    ///                      | {…ScenarioSpec JSON…}, …],  // default: presets
+    ///   "strategies":     ["random", "nsga", …] | "random,nsga",
+    ///                                      // default: separate,combined,phase,random
+    ///   "seeds":          [0, 1, 2],       // or "seed_base" (0) + "repeats" (3)
+    ///   "steps":          1000,            // or "population" + "generations"
+    ///   "reward_shaping": "hv:0.5",        // default: none
+    ///   "surrogate":      "4:16",          // default: off
     /// }
     /// ```
     ///
-    /// Scenario strings resolve exactly like `campaign --scenario`: a
-    /// preset index, a preset name, or the compact grammar. Scenario
-    /// objects are full `ScenarioSpec` documents ([`ScenarioSpec::from_json`]).
+    /// Scenario strings resolve as a preset index, a preset name, or the
+    /// compact grammar. Scenario objects are full `ScenarioSpec` documents
+    /// ([`ScenarioSpec::from_json`]). `reward_shaping` and `surrogate` use
+    /// the grammar of [`RewardShaping::parse`] and [`SurrogateConfig::parse`].
     ///
     /// # Errors
     ///
     /// Returns a human-readable reason; the server wraps it in a typed
-    /// `invalid_job` error event.
+    /// `invalid_job` error event and the CLI exits with code 2.
     pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
         if !matches!(doc, Json::Obj(_)) {
             return Err("job must be an object".into());
@@ -67,39 +86,43 @@ impl JobSpec {
         if scenarios.is_empty() {
             return Err("'scenarios' must not be empty".into());
         }
+        // Reports and merged fronts key on scenario names; a duplicate
+        // would silently pool unrelated reward functions.
         codesign_core::check_unique_names(&scenarios).map_err(|e| e.to_string())?;
 
-        // NSGA population: one knob for every nsga strategy in the job,
-        // like the CLI's --population.
-        let population = match doc.get("population") {
-            None => StrategyKind::DEFAULT_NSGA_POPULATION,
-            Some(value) => value
-                .as_usize()
-                .filter(|&p| p >= 2)
-                .ok_or("'population' must be an integer >= 2")?,
+        // Every count key: absent, or an integer of at least `min`.
+        let count = |key: &str, min: usize| {
+            doc.get(key)
+                .map(|v| {
+                    v.as_usize()
+                        .filter(|&n| n >= min)
+                        .ok_or(format!("'{key}' must be an integer >= {min}"))
+                })
+                .transpose()
         };
-        let strategy_names: Vec<String> = match doc.get("strategies") {
-            None => vec!["random".to_owned()],
-            Some(Json::Str(csv)) => csv.split(',').map(|s| s.trim().to_owned()).collect(),
+
+        // NSGA population: one knob for every nsga strategy in the job.
+        let population = count("population", 2)?.unwrap_or(StrategyKind::DEFAULT_NSGA_POPULATION);
+        let names: Vec<&str> = match doc.get("strategies") {
+            None => StrategyKind::ALL.iter().map(StrategyKind::name).collect(),
+            Some(Json::Str(csv)) => csv.split(',').map(str::trim).collect(),
             Some(Json::Arr(entries)) => entries
                 .iter()
-                .map(|e| {
-                    e.as_str()
-                        .map(str::to_owned)
-                        .ok_or("'strategies' entries must be strings")
-                })
+                .map(|e| e.as_str().ok_or("'strategies' entries must be strings"))
                 .collect::<Result<_, _>>()?,
             Some(_) => return Err("'strategies' must be an array or a comma list".into()),
         };
-        let mut strategies = Vec::new();
-        for name in &strategy_names {
-            let kind = StrategyKind::from_name(name)
-                .ok_or_else(|| format!("unknown strategy '{name}'"))?;
-            strategies.push(match kind {
-                StrategyKind::Nsga { .. } => StrategyKind::Nsga { population },
-                other => other,
-            });
-        }
+        let strategies: Vec<StrategyKind> = names
+            .iter()
+            .map(|name| match StrategyKind::from_name(name) {
+                Some(StrategyKind::Nsga { .. }) => Ok(StrategyKind::Nsga { population }),
+                Some(kind) => Ok(kind),
+                None => Err(format!(
+                    "unknown strategy '{name}' \
+                     (separate|combined|reinforce|phase|random|evolution|nsga)"
+                )),
+            })
+            .collect::<Result<_, _>>()?;
         if strategies.is_empty() {
             return Err("'strategies' must not be empty".into());
         }
@@ -116,21 +139,9 @@ impl JobSpec {
                 .collect::<Result<_, _>>()?,
             Some(_) => return Err("'seeds' must be an array of integers".into()),
             None => {
-                let base = doc
-                    .get("seed_base")
-                    .map(|v| v.as_usize().ok_or("'seed_base' must be an integer"))
-                    .transpose()?
-                    .unwrap_or(0) as u64;
-                let repeats = doc
-                    .get("repeats")
-                    .map(|v| {
-                        v.as_usize()
-                            .filter(|&r| r >= 1)
-                            .ok_or("'repeats' must be an integer >= 1")
-                    })
-                    .transpose()?
-                    .unwrap_or(1) as u64;
-                (base..base + repeats).collect()
+                let base = count("seed_base", 0)?.unwrap_or(0) as u64;
+                let repeats = count("repeats", 1)?.unwrap_or(DEFAULT_REPEATS) as u64;
+                (base..base.saturating_add(repeats)).collect()
             }
         };
         if seeds.is_empty() {
@@ -138,22 +149,10 @@ impl JobSpec {
         }
 
         // Step budget: explicit steps, or population × generations (the
-        // generational unit, like the CLI's --generations).
-        let generations = doc
-            .get("generations")
-            .map(|v| {
-                v.as_usize()
-                    .filter(|&g| g >= 1)
-                    .ok_or("'generations' must be an integer >= 1")
-            })
-            .transpose()?;
-        let steps = match (generations, doc.get("steps")) {
-            (Some(g), _) => population * g,
-            (None, Some(value)) => value
-                .as_usize()
-                .filter(|&s| s >= 1)
-                .ok_or("'steps' must be an integer >= 1")?,
-            (None, None) => 200,
+        // generational unit, which overrides steps).
+        let steps = match count("generations", 1)? {
+            Some(generations) => population.saturating_mul(generations),
+            None => count("steps", 1)?.unwrap_or(DEFAULT_STEPS),
         };
         if steps > MAX_STEPS {
             return Err(format!(
@@ -167,18 +166,30 @@ impl JobSpec {
             ));
         }
 
+        let text = |key: &str| match doc.get(key) {
+            None => Ok(""),
+            Some(value) => value.as_str().ok_or(format!("'{key}' must be a string")),
+        };
+        let reward_shaping = RewardShaping::parse(text("reward_shaping")?)
+            .map_err(|e| format!("'reward_shaping': {e}"))?;
+        let surrogate =
+            SurrogateConfig::parse(text("surrogate")?).map_err(|e| format!("'surrogate': {e}"))?;
+
         Ok(JobSpec {
             scenarios,
             strategies,
             seeds,
             steps,
+            reward_shaping,
+            surrogate,
         })
     }
 
     /// The job as a submit payload. Scenarios are written as full
     /// `ScenarioSpec` documents (lossless — names, thresholds, weights and
     /// normalizations all survive), so `to_json` → [`JobSpec::from_json`]
-    /// reconstructs an equivalent job.
+    /// reconstructs an equivalent job. `reward_shaping` and `surrogate` are
+    /// written only when active.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
@@ -209,6 +220,12 @@ impl JobSpec {
         {
             fields.push(("population", Json::Num(*population as f64)));
         }
+        if self.reward_shaping.is_active() {
+            fields.push(("reward_shaping", Json::Str(self.reward_shaping.to_string())));
+        }
+        if let Some(surrogate) = self.surrogate {
+            fields.push(("surrogate", Json::Str(surrogate.to_string())));
+        }
         Json::obj(fields)
     }
 
@@ -218,7 +235,9 @@ impl JobSpec {
         self.scenarios.len() * self.strategies.len() * self.seeds.len()
     }
 
-    /// Instantiates the campaign over the server's search space.
+    /// Instantiates the campaign over the runner's search space. Auto-ranged
+    /// normalizations stay unresolved until the runner, which holds the
+    /// database, calls [`Campaign::with_auto_norms`].
     #[must_use]
     pub fn to_campaign(&self, space: CodesignSpace) -> Campaign {
         Campaign::new(space)
@@ -226,6 +245,8 @@ impl JobSpec {
             .strategies(self.strategies.clone())
             .seeds(self.seeds.clone())
             .steps(self.steps)
+            .with_reward_shaping(self.reward_shaping)
+            .with_surrogate(self.surrogate)
     }
 }
 
@@ -259,29 +280,34 @@ mod tests {
     #[test]
     fn defaults_fill_an_empty_job() {
         let job = JobSpec::from_json(&Json::obj(vec![])).unwrap();
-        assert_eq!(job.scenarios.len(), 3, "paper presets by default");
-        assert_eq!(job.strategies, vec![StrategyKind::Random]);
-        assert_eq!(job.seeds, vec![0]);
-        assert_eq!(job.steps, 200);
+        assert_eq!(job.scenarios, ScenarioSpec::paper_presets());
+        assert_eq!(job.strategies, StrategyKind::ALL.to_vec());
+        assert_eq!(job.seeds, vec![0, 1, 2]);
+        assert_eq!(job.steps, 1000);
+        assert_eq!(job.reward_shaping, RewardShaping::None);
+        assert_eq!(job.surrogate, None);
+        // Inactive shaping and guidance stay out of the submit payload.
+        let doc = job.to_json();
+        assert!(doc.get("reward_shaping").is_none() && doc.get("surrogate").is_none());
     }
 
     #[test]
     fn job_json_round_trips() {
         let doc = Json::parse(
             r#"{"scenarios":["0","lat<100; w=acc:1.0"],"strategies":"random,nsga",
-                "seeds":[3,4],"steps":120,"population":8}"#,
+                "seeds":[3,4],"steps":120,"population":8,
+                "reward_shaping":"hv:0.5","surrogate":"4:16"}"#,
         )
         .unwrap();
         let job = JobSpec::from_json(&doc).unwrap();
         assert_eq!(job.shard_count(), 2 * 2 * 2);
         assert_eq!(job.strategies[1], StrategyKind::Nsga { population: 8 });
-        let back = JobSpec::from_json(&job.to_json()).unwrap();
-        assert_eq!(back.steps, job.steps);
-        assert_eq!(back.seeds, job.seeds);
-        assert_eq!(back.strategies, job.strategies);
-        let names: Vec<&str> = back.scenarios.iter().map(ScenarioSpec::name).collect();
-        let orig: Vec<&str> = job.scenarios.iter().map(ScenarioSpec::name).collect();
-        assert_eq!(names, orig);
+        // Shaping and guidance are written back in the grammar they were
+        // read in.
+        let payload = job.to_json();
+        assert_eq!(payload.get("reward_shaping"), doc.get("reward_shaping"));
+        assert_eq!(payload.get("surrogate"), doc.get("surrogate"));
+        assert_eq!(JobSpec::from_json(&payload).unwrap(), job);
     }
 
     #[test]
@@ -295,6 +321,11 @@ mod tests {
             (r#"{"seeds":[-1]}"#, "non-negative"),
             (r#"{"scenarios":["0","0"]}"#, ""),
             (r#"{"repeats":0}"#, ">= 1"),
+            (r#"{"population":1}"#, ">= 2"),
+            (r#"{"generations":0}"#, ">= 1"),
+            (r#"{"reward_shaping":"hv:-1"}"#, "positive"),
+            (r#"{"surrogate":"1:16"}"#, "at least 2"),
+            (r#"{"surrogate":4}"#, "must be a string"),
         ];
         for (text, needle) in cases {
             let doc = Json::parse(text).unwrap();

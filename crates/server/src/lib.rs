@@ -13,9 +13,10 @@
 //!   (`submit`/`ping`/`shutdown`), event frames
 //!   (`job_submitted`/`job_started`/`shard_result`/`job_done`/`error`/`pong`),
 //!   and the typed [`ProtocolError`] taxonomy with stable wire codes;
-//! * [`job`] — [`JobSpec`]: the validated scenario × strategy × seed grid
-//!   a `submit` frame asks for, resolved through the same
-//!   `ScenarioSpec`/`Campaign` machinery as the CLI;
+//! * [`job`] — [`JobSpec`]: the one description of a campaign — the
+//!   validated scenario × strategy × seed grid, step budget, reward shaping
+//!   and surrogate guidance that a `submit` frame and the `campaign` CLI's
+//!   flags both ask for;
 //! * [`server`] — [`CampaignServer`]: the runner thread, bounded job
 //!   queue, per-session event sinks, and the stdio/Unix-socket frontends;
 //! * [`signals`] — the SIGINT/SIGTERM shutdown flag (no libc dependency),
@@ -39,7 +40,7 @@
 //!     ServerConfig { workers: 2, queue_capacity: 4 },
 //! );
 //! let job = JobSpec::from_json(
-//!     &Json::parse(r#"{"scenarios":["0"],"strategies":["random"],"steps":20}"#).unwrap(),
+//!     &Json::parse(r#"{"scenarios":["0"],"strategies":["random"],"seeds":[0],"steps":20}"#).unwrap(),
 //! )
 //! .unwrap();
 //!

@@ -19,7 +19,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 use codesign_core::CodesignSpace;
-use codesign_engine::{CancelToken, ShardObserver, ShardedDriver, SharedEvalCache};
+use codesign_engine::{Campaign, CancelToken, ShardObserver, ShardedDriver, SharedEvalCache};
 use codesign_nasbench::NasbenchDatabase;
 use codesign_telemetry::{span, Counter, Gauge, Histogram};
 
@@ -129,7 +129,7 @@ impl JobTicket {
 
 struct QueuedJob {
     id: u64,
-    spec: JobSpec,
+    campaign: Campaign,
     sink: EventSink,
     cancel: CancelToken,
     done: Arc<(Mutex<bool>, Condvar)>,
@@ -167,22 +167,22 @@ impl std::fmt::Debug for ServerInner {
 }
 
 impl ServerInner {
-    /// The shared evaluation cache (for the host binary to persist on
-    /// shutdown).
-    #[must_use]
-    pub fn cache(&self) -> &Arc<SharedEvalCache> {
-        &self.cache
-    }
-
-    /// Validates capacity and enqueues a job. Emits `job_submitted` into
-    /// the session's sink *before* the runner can see the job, so it
-    /// always precedes `job_started`.
+    /// Resolves the job's auto-ranged normalizations against the server's
+    /// database — the engine call the one-shot CLI makes — then validates
+    /// capacity and enqueues the job. Emits `job_submitted` into the
+    /// session's sink *before* the runner can see the job, so it always
+    /// precedes `job_started`.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::ShuttingDown`] after shutdown began,
+    /// [`ProtocolError::InvalidJob`] when an auto norm's probe range is
+    /// degenerate, [`ProtocolError::ShuttingDown`] after shutdown began,
     /// [`ProtocolError::QueueFull`] at capacity.
     pub fn submit(&self, spec: JobSpec, sink: &EventSink) -> Result<JobTicket, ProtocolError> {
+        let campaign = spec
+            .to_campaign(self.space.clone())
+            .with_auto_norms(&self.db)
+            .map_err(|e| ProtocolError::InvalidJob(e.to_string()))?;
         let mut queue = self.queue.lock().expect("queue poisoned");
         if self.shutting_down.load(Ordering::Relaxed) {
             return Err(ProtocolError::ShuttingDown);
@@ -204,7 +204,7 @@ impl ServerInner {
         });
         queue.push_back(QueuedJob {
             id,
-            spec,
+            campaign,
             sink: sink.clone(),
             cancel: CancelToken::new(),
             done: Arc::clone(&ticket.done),
@@ -349,7 +349,6 @@ impl ServerInner {
         *self.running_cancel.lock().expect("cancel poisoned") = Some(job.cancel.clone());
 
         job.sink.emit(&Event::JobStarted { job: job.id });
-        let campaign = job.spec.to_campaign(self.space.clone());
         let observer: ShardObserver = {
             let sink = job.sink.clone();
             let cancel = job.cancel.clone();
@@ -367,7 +366,7 @@ impl ServerInner {
             .with_cache(Arc::clone(&self.cache))
             .with_cancel_token(job.cancel.clone())
             .with_shard_observer(observer)
-            .run(&campaign, &self.db);
+            .run(&job.campaign, &self.db);
 
         let warm: u64 = report.shards.iter().map(|s| s.cache_warm_hits).sum();
         let cold: u64 = report.shards.iter().map(|s| s.cache_cold_hits).sum();
@@ -558,8 +557,9 @@ mod tests {
     }
 
     fn tiny_job() -> JobSpec {
-        let doc = Json::parse(r#"{"scenarios":["0"],"strategies":["random"],"steps":30}"#)
-            .expect("literal json");
+        let doc =
+            Json::parse(r#"{"scenarios":["0"],"strategies":["random"],"seeds":[0],"steps":30}"#)
+                .expect("literal json");
         JobSpec::from_json(&doc).expect("valid job")
     }
 

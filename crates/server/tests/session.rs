@@ -1,6 +1,8 @@
 //! End-to-end session coverage: a server session's streamed shard results
-//! are bit-identical to the one-shot driver's, ordering guarantees hold
-//! across the whole stream, and a repeated job runs ≥ 90% warm.
+//! are bit-identical to the one-shot driver's for every field of the job
+//! description, ordering guarantees hold across the whole stream, a
+//! repeated job runs ≥ 90% warm, and a job whose auto norms cannot be
+//! ranged is rejected as invalid.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -36,10 +38,33 @@ fn job_doc() -> Json {
     .expect("literal json")
 }
 
+/// The three job documents the parity test runs: today's plain job, a
+/// shaped and surrogate-guided job, and a job whose scenario's norm is
+/// auto-ranged.
+fn parity_docs() -> [Json; 3] {
+    let guided = format!(
+        r#"{{"scenarios":["0","1"],"strategies":["combined","nsga"],"seeds":[0,1],"steps":{STEPS},
+            "reward_shaping":"hv:0.5","surrogate":"4:16"}}"#
+    );
+    let auto = format!(
+        r#"{{"scenarios":["name=auto-acc; w=acc:1; norm=acc:auto"],
+            "strategies":["random","evolution"],"seeds":[0,1],"steps":{STEPS}}}"#
+    );
+    [
+        job_doc(),
+        Json::parse(&guided).expect("literal json"),
+        Json::parse(&auto).expect("literal json"),
+    ]
+}
+
 fn start_server() -> CampaignServer {
+    server_over(MAX_VERTICES)
+}
+
+fn server_over(max_vertices: usize) -> CampaignServer {
     CampaignServer::start(
-        CodesignSpace::with_max_vertices(MAX_VERTICES),
-        Arc::new(NasbenchDatabase::exhaustive(MAX_VERTICES)),
+        CodesignSpace::with_max_vertices(max_vertices),
+        Arc::new(NasbenchDatabase::exhaustive(max_vertices)),
         Arc::new(SharedEvalCache::new()),
         ServerConfig {
             workers: 3,
@@ -74,6 +99,11 @@ fn shard_essence(shard: &Json) -> Vec<(String, String)> {
         "best",
         "front",
         "hypervolume",
+        "reward_shaping",
+        "hv_bonus",
+        "surrogate",
+        "verify_rate",
+        "pred_mae",
     ]
     .iter()
     .map(|key| {
@@ -87,36 +117,75 @@ fn shard_essence(shard: &Json) -> Vec<(String, String)> {
 
 #[test]
 fn streamed_shards_are_bit_identical_to_the_one_shot_driver() {
-    let job = JobSpec::from_json(&job_doc()).expect("valid job");
-    let frames = format!("{}\n", Request::Submit(job.clone()).to_line());
-    let server = start_server();
-    let events = run_session(&server, &frames);
-    server.join();
-
-    // Reference: the exact same grid through the plain one-shot driver,
-    // with its own fresh cache and a different worker count.
-    let campaign: Campaign = job.to_campaign(CodesignSpace::with_max_vertices(MAX_VERTICES));
     let db = Arc::new(NasbenchDatabase::exhaustive(MAX_VERTICES));
-    let report = ShardedDriver::new(1).run(&campaign, &db);
-    assert_eq!(report.shards.len(), job.shard_count());
+    for doc in parity_docs() {
+        let job = JobSpec::from_json(&doc).expect("valid job");
+        let frames = format!("{}\n", Request::Submit(job.clone()).to_line());
+        let server = start_server();
+        let events = run_session(&server, &frames);
+        server.join();
 
-    let mut streamed: Vec<Json> = events
-        .iter()
-        .filter_map(|event| match event {
-            Event::ShardResult { shard, .. } => Some(shard.clone()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(streamed.len(), report.shards.len());
-    streamed.sort_by_key(|shard| shard.get("index").and_then(Json::as_usize));
+        // Reference: the exact same job as the one-shot CLI builds it —
+        // `to_campaign` plus the engine's auto-norm resolution — through
+        // the plain driver, with its own fresh cache and a different
+        // worker count.
+        let campaign: Campaign = job
+            .to_campaign(CodesignSpace::with_max_vertices(MAX_VERTICES))
+            .with_auto_norms(&db)
+            .expect("auto norms resolve");
+        let report = ShardedDriver::new(1).run(&campaign, &db);
+        assert_eq!(report.shards.len(), job.shard_count());
 
-    for (streamed_shard, direct) in streamed.iter().zip(&report.shards) {
-        assert_eq!(
-            shard_essence(streamed_shard),
-            shard_essence(&direct.to_json()),
-            "server-streamed shard differs from the one-shot driver's"
-        );
+        let mut streamed: Vec<Json> = events
+            .iter()
+            .filter_map(|event| match event {
+                Event::ShardResult { shard, .. } => Some(shard.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(streamed.len(), report.shards.len(), "{doc}");
+        streamed.sort_by_key(|shard| shard.get("index").and_then(Json::as_usize));
+
+        for (streamed_shard, direct) in streamed.iter().zip(&report.shards) {
+            assert_eq!(
+                shard_essence(streamed_shard),
+                shard_essence(&direct.to_json()),
+                "server-streamed shard differs from the one-shot driver's for {doc}"
+            );
+        }
+
+        // A side that dropped the shaping and guidance keys would still
+        // match the reference built from the same dropped job: check that
+        // the streamed records carry them.
+        if doc.get("reward_shaping").is_some() {
+            let field =
+                |shard: &Json, key: &str| shard.get(key).and_then(Json::as_str).map(str::to_owned);
+            assert!(streamed
+                .iter()
+                .all(|shard| field(shard, "reward_shaping").as_deref() == Some("hv:0.5")));
+            assert!(streamed
+                .iter()
+                .any(|shard| field(shard, "surrogate").as_deref() == Some("4:16")));
+        }
     }
+}
+
+#[test]
+fn a_degenerate_auto_norm_probe_is_an_invalid_job() {
+    // The 2-vertex database holds one cell, so the probe sees a single
+    // accuracy and cannot range an auto accuracy norm.
+    let doc = Json::parse(
+        r#"{"scenarios":["name=auto-acc; w=acc:1; norm=acc:auto"],"strategies":["random"],"steps":10}"#,
+    )
+    .expect("literal json");
+    let job = JobSpec::from_json(&doc).expect("the document itself is valid");
+    let server = server_over(2);
+    let events = run_session(&server, &format!("{}\n", Request::Submit(job).to_line()));
+    server.join();
+    assert!(
+        matches!(events.as_slice(), [Event::Error { code, .. }] if code == "invalid_job"),
+        "{events:?}"
+    );
 }
 
 #[test]
@@ -233,9 +302,10 @@ fn two_sessions_share_one_warm_cache() {
 fn strategy_nsga_jobs_flow_through_the_server_too() {
     // A population strategy exercises the generations payload in the
     // streamed shard records.
-    let doc =
-        Json::parse(r#"{"scenarios":["0"],"strategies":["nsga"],"population":8,"generations":3}"#)
-            .expect("literal json");
+    let doc = Json::parse(
+        r#"{"scenarios":["0"],"strategies":["nsga"],"seeds":[0],"population":8,"generations":3}"#,
+    )
+    .expect("literal json");
     let frames = format!(
         "{}\n",
         Request::Submit(JobSpec::from_json(&doc).expect("valid job")).to_line()
