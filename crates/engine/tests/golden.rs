@@ -5,7 +5,8 @@
 //! from its JSONL export, and compares the FNV-1a 64 digest of the rest
 //! with a committed constant. Two more digests pin the bytes of the 16
 //! `shard-NN.bin` files `save_sharded` writes from a campaign's cache, i.e.
-//! the v4 on-disk format including the cell-feature section.
+//! the v4 on-disk format including the cell-feature section. A sixth
+//! pins the exact Fig. 4 front of the 4-vertex space.
 //!
 //! Campaigns run on one worker: with several, the order in which two
 //! labellings of one cell reach the shared cache can differ between runs,
@@ -16,10 +17,14 @@
 
 use std::sync::Arc;
 
-use codesign_core::{CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig};
+use codesign_accel::{AcceleratorConfig, ConfigSpace};
+use codesign_core::{
+    enumerate_codesign_space, enumerate_scenario_front, CodesignSpace, RewardShaping, ScenarioSpec,
+    SurrogateConfig,
+};
 use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind, CACHE_SHARD_FILES};
 use codesign_nasbench::byteio::fnv1a64;
-use codesign_nasbench::{Json, NasbenchDatabase};
+use codesign_nasbench::{Dataset, Json, NasbenchDatabase};
 
 /// (a) every strategy × seeds {0, 1}: the campaign's JSONL.
 const STRATEGY_GRID_JSONL: u64 = 0xc602_5caf_c7a4_196e;
@@ -31,6 +36,8 @@ const SHAPED_GRID_JSONL: u64 = 0x5767_521e_33be_74b0;
 const GUIDED_GRID_JSONL: u64 = 0x9e99_fd93_9c56_47ae;
 /// (d) the shard files of (c)'s cache, cell features included.
 const GUIDED_GRID_SHARDS: u64 = 0x5064_04f7_d5da_aacb;
+/// (e) the exact front of the 4-vertex space on the Unconstrained axes.
+const FRONT_V4: u64 = 0xb532_8a44_52c2_8c9a;
 
 const STEPS: usize = 64;
 const NSGA: StrategyKind = StrategyKind::Nsga { population: 16 };
@@ -139,4 +146,58 @@ fn guided_grid_and_its_shard_files() {
         ("guided-grid jsonl", jsonl, GUIDED_GRID_JSONL),
         ("guided-grid shard files", shards, GUIDED_GRID_SHARDS),
     ]);
+}
+
+/// Digest of front members sorted by `(cell_index, config)`: per member
+/// its metric bits, the cell index and the config's decision indices.
+fn front_digest(mut members: Vec<(Vec<u64>, (usize, AcceleratorConfig))>) -> u64 {
+    members.sort_by(|a, b| a.1.cmp(&b.1));
+    let space = ConfigSpace::chaidnn();
+    let mut bytes = Vec::new();
+    for (bits, (cell_index, config)) in &members {
+        for b in bits {
+            bytes.extend(b.to_le_bytes());
+        }
+        bytes.extend((*cell_index as u64).to_le_bytes());
+        bytes.extend(space.encode(config).map(|i| i as u8));
+    }
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn exhaustive_front_on_the_unconstrained_axes() {
+    let db = NasbenchDatabase::exhaustive(4);
+    let scenario = ScenarioSpec::unconstrained().compile();
+    let mut digests = Vec::new();
+    for threads in [1, 2] {
+        let triple = enumerate_codesign_space(&db, Dataset::Cifar10, threads);
+        assert_eq!(triple.front.len(), 401);
+        let triple = triple
+            .front
+            .iter()
+            .map(|p| {
+                (
+                    p.metrics.map(f64::to_bits).to_vec(),
+                    (p.cell_index, p.config),
+                )
+            })
+            .collect();
+        let native = enumerate_scenario_front(&db, Dataset::Cifar10, &scenario, threads)
+            .iter()
+            .map(|(m, payload)| (m.to_bits(), *payload))
+            .collect();
+        digests.push((
+            format!("triple front, {threads} thread(s)"),
+            front_digest(triple),
+        ));
+        digests.push((
+            format!("scenario front, {threads} thread(s)"),
+            front_digest(native),
+        ));
+    }
+    let cases: Vec<(&str, u64, u64)> = digests
+        .iter()
+        .map(|(case, actual)| (case.as_str(), *actual, FRONT_V4))
+        .collect();
+    check(&cases);
 }
