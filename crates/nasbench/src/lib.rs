@@ -37,7 +37,6 @@ pub mod features;
 pub mod graph;
 pub mod jsonio;
 pub mod known_cells;
-pub mod mutate;
 pub mod network;
 pub mod ops;
 pub mod sampler;
