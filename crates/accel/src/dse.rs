@@ -3,8 +3,9 @@
 //! Table II pairs the ResNet and GoogLeNet baselines with "their most optimal
 //! HW accelerator" — the configuration maximizing performance-per-area for
 //! that network. This module sweeps all 8,640 configurations for a network
-//! and reports the best by several criteria; it is also the second phase of
-//! the "separate" search baseline (§III-B3).
+//! and reports the best by several criteria. (The "separate" search
+//! baseline of §III-B3 does not use it: its second phase searches the
+//! accelerator with an RL controller, as the paper does.)
 
 use codesign_nasbench::Network;
 

@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use codesign_core::{enumerate_codesign_space, ScenarioSpec};
+use codesign_core::{enumerate_scenario_front, ScenarioSpec};
 use codesign_moo::pareto::{pareto_indices_3d, pareto_indices_dyn};
 use codesign_moo::DynStreamingParetoFilter;
 use codesign_nasbench::{Dataset, NasbenchDatabase};
@@ -67,19 +67,9 @@ fn bench_space_enumeration(c: &mut Criterion) {
     let db = NasbenchDatabase::exhaustive(3);
     let mut group = c.benchmark_group("enumeration");
     group.sample_size(10);
+    let scenario = ScenarioSpec::unconstrained().compile();
     group.bench_function("v3_space_60k_pairs", |b| {
-        b.iter(|| {
-            enumerate_codesign_space(black_box(&db), Dataset::Cifar10, 1)
-                .front
-                .len()
-        })
-    });
-    group.bench_function("v3_space_scenario_native", |b| {
-        let scenario = ScenarioSpec::unconstrained().compile();
-        b.iter(|| {
-            codesign_core::enumerate_scenario_front(black_box(&db), Dataset::Cifar10, &scenario, 1)
-                .len()
-        })
+        b.iter(|| enumerate_scenario_front(black_box(&db), Dataset::Cifar10, &scenario, 1).len())
     });
     group.finish();
 }

@@ -296,7 +296,7 @@ fn run_serve(args: &Args) -> ! {
         codesign_telemetry::set_enabled(true);
     }
 
-    let max_v = args.get_usize("max-vertices", 4);
+    let max_v = args.max_vertices(4);
     let workers = args.get_usize("workers", 0);
     let queue_capacity = args.get_usize("queue-capacity", 16);
     let cache_path = args.get_str("cache-path", "");
@@ -530,7 +530,7 @@ fn main() {
         codesign_telemetry::set_enabled(true);
     }
 
-    let max_v = args.get_usize("max-vertices", 4);
+    let max_v = args.max_vertices(4);
     let workers = args.get_usize("workers", 0);
     let cache_path = args.get_str("cache-path", "");
     let cache_capacity = args.get_usize("cache-capacity", 0);

@@ -1,7 +1,8 @@
 //! Fig. 4 — Pareto-optimal points in the codesign search space.
 //!
 //! Enumerates `CNN database × 8640 accelerators` exactly and extracts the 3-D
-//! Pareto front over (area, latency, accuracy). By default the CNN universe
+//! Pareto front over (area, latency, accuracy): the front on the
+//! Unconstrained preset's axes `(−area, −lat, acc)`. By default the CNN universe
 //! is the *complete* set of cells with up to 5 vertices (exact consistency
 //! with the Fig. 5/6 search experiments); pass `--cells N` to use an
 //! N-cell sampled database over the full 7-vertex space instead (the paper's
@@ -10,41 +11,50 @@
 //! Run: `cargo run --release -p codesign-bench --bin fig4_pareto`
 //! Args: `--max-vertices 5 | --cells N [--seed S] [--threads T]`
 
+use std::collections::HashSet;
+
+use codesign_accel::ConfigSpace;
 use codesign_bench::{out_dir, Args};
-use codesign_core::enumerate_codesign_space;
 use codesign_core::report::{fmt_f, write_csv, TextTable};
+use codesign_core::{enumerate_scenario_front, ScenarioSpec};
 use codesign_nasbench::{Dataset, NasbenchDatabase};
 
 fn main() {
     let args = Args::parse("--max-vertices V, --cells N, --seed S, --threads T");
     let threads = args.get_usize("threads", 0);
+    let max_v = args.max_vertices(5);
     let db = if let Some(cells) = args_cells(&args) {
         println!("building sampled database of {cells} unique 7-vertex-space cells...");
         NasbenchDatabase::build(cells, args.get_u64("seed", 2020))
     } else {
-        let max_v = args.get_usize("max-vertices", 5);
         println!("building exhaustive database of all cells with <= {max_v} vertices...");
         NasbenchDatabase::exhaustive(max_v)
     };
     println!("database: {} unique cells", db.len());
 
     let start = std::time::Instant::now();
-    let result = enumerate_codesign_space(&db, Dataset::Cifar10, threads);
+    let scenario = ScenarioSpec::unconstrained().compile();
+    let front = enumerate_scenario_front(&db, Dataset::Cifar10, &scenario, threads);
     let elapsed = start.elapsed();
+    let total_pairs = db.len() as u64 * ConfigSpace::chaidnn().len() as u64;
+    // Natural units of one member: (latency ms, accuracy, area mm²).
+    let points: Vec<(f64, f64, f64)> = front.iter().map(|(m, _)| (-m[1], m[2], -m[0])).collect();
 
     println!(
-        "\nenumerated {} model-accelerator pairs in {:.1}s",
-        result.total_pairs,
+        "\nenumerated {total_pairs} model-accelerator pairs in {:.1}s",
         elapsed.as_secs_f64()
     );
     println!(
         "Pareto-optimal points: {} ({:.6}% of the space; paper: 3096 of 3.7B, <0.0001%)",
-        result.front.len(),
-        result.front_fraction() * 100.0
+        front.len(),
+        front.len() as f64 / total_pairs.max(1) as f64 * 100.0
     );
+    let cells: HashSet<usize> = front.iter().map(|(_, (cell, _))| *cell).collect();
+    let accels: HashSet<_> = front.iter().map(|(_, (_, config))| *config).collect();
     println!(
         "front diversity: {} distinct CNN cells (paper: 136), {} distinct accelerators (paper: 338)",
-        result.distinct_front_cells, result.distinct_front_accels
+        cells.len(),
+        accels.len()
     );
 
     // Terminal rendering of the frontier: accuracy/area stats by latency band.
@@ -68,24 +78,17 @@ fn main() {
         f64::INFINITY,
     ];
     for w in edges.windows(2) {
-        let pts: Vec<_> = result
-            .front
+        let pts: Vec<_> = points
             .iter()
-            .filter(|p| p.latency_ms() >= w[0] && p.latency_ms() < w[1])
+            .filter(|(lat, _, _)| *lat >= w[0] && *lat < w[1])
             .collect();
         if pts.is_empty() {
             continue;
         }
-        let acc_min = pts
-            .iter()
-            .map(|p| p.accuracy())
-            .fold(f64::INFINITY, f64::min);
-        let acc_max = pts.iter().map(|p| p.accuracy()).fold(0.0, f64::max);
-        let ar_min = pts
-            .iter()
-            .map(|p| p.area_mm2())
-            .fold(f64::INFINITY, f64::min);
-        let ar_max = pts.iter().map(|p| p.area_mm2()).fold(0.0, f64::max);
+        let acc_min = pts.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+        let acc_max = pts.iter().map(|p| p.1).fold(0.0, f64::max);
+        let ar_min = pts.iter().map(|p| p.2).fold(f64::INFINITY, f64::min);
+        let ar_max = pts.iter().map(|p| p.2).fold(0.0, f64::max);
         bands.add_row(vec![
             format!("{:.0}..{:.0}", w[0], w[1]),
             pts.len().to_string(),
@@ -97,16 +100,16 @@ fn main() {
     }
     println!("\nFig. 4 frontier by latency band:\n{bands}");
 
-    let rows: Vec<Vec<String>> = result
-        .front
+    let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|p| {
+        .zip(front.iter())
+        .map(|((lat, acc, area), (_, (cell_index, config)))| {
             vec![
-                fmt_f(p.latency_ms(), 4),
-                fmt_f(p.accuracy(), 6),
-                fmt_f(p.area_mm2(), 3),
-                p.cell_index.to_string(),
-                p.config.summary(),
+                fmt_f(*lat, 4),
+                fmt_f(*acc, 6),
+                fmt_f(*area, 3),
+                cell_index.to_string(),
+                config.summary(),
             ]
         })
         .collect();

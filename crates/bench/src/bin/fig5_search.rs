@@ -6,8 +6,9 @@
 //! enumerable ≤5-vertex CNN space (the same space Fig. 4 enumerates, so the
 //! reference Pareto points are exact). The whole grid executes as one
 //! sharded campaign on the engine — strategies and repeats run in parallel
-//! and share one evaluation cache — instead of the old sequential
-//! strategy × repeat loop. Paper scale is `--steps 10000 --repeats 10`.
+//! and share one evaluation cache. The three presets share the
+//! Unconstrained axes, so one enumerated front serves all three reference
+//! sets. Paper scale is `--steps 10000 --repeats 10`.
 //!
 //! Run: `cargo run --release -p codesign-bench --bin fig5_search`
 //! Args: `[--steps N] [--repeats R] [--max-vertices V] [--scenario 0|1|2]`
@@ -15,9 +16,10 @@
 
 use std::sync::Arc;
 
+use codesign_accel::ConfigSpace;
 use codesign_bench::{out_dir, Args};
 use codesign_core::report::{fmt_f, write_csv, TextTable};
-use codesign_core::{enumerate_codesign_space, top_pareto_points, CodesignSpace, ScenarioSpec};
+use codesign_core::{enumerate_scenario_front, top_pareto_points, CodesignSpace, ScenarioSpec};
 use codesign_engine::{Campaign, ShardedDriver, StrategyKind};
 use codesign_nasbench::{Dataset, NasbenchDatabase};
 
@@ -25,10 +27,13 @@ fn main() {
     let args = Args::parse(
         "--steps N, --repeats R, --max-vertices V, --scenario INDEX, --workers W, --seed S",
     );
-    let steps = args.get_usize("steps", 2000);
-    let repeats = args.get_usize("repeats", 5);
-    let max_v = args.get_usize("max-vertices", 5);
-    let scenario_filter = args.get_usize("scenario", usize::MAX);
+    let steps = args.get_usize_in("steps", 2000, 1..);
+    let repeats = args.get_usize_in("repeats", 5, 1..);
+    let max_v = args.max_vertices(5);
+    let presets = ScenarioSpec::paper_presets();
+    let scenario_filter = args
+        .value("scenario")
+        .map(|_| args.get_usize_in("scenario", 0, 0..presets.len()));
     let seed_base = args.get_u64("seed", 0);
 
     println!("building exhaustive <= {max_v}-vertex database...");
@@ -38,18 +43,19 @@ fn main() {
         "database: {} cells; enumerating the exact Pareto front...",
         db.len()
     );
-    let enumeration = enumerate_codesign_space(&db, Dataset::Cifar10, 0);
+    let unconstrained = ScenarioSpec::unconstrained().compile();
+    let front = enumerate_scenario_front(&db, Dataset::Cifar10, &unconstrained, 0);
     println!(
         "front: {} points over {} pairs\n",
-        enumeration.front.len(),
-        enumeration.total_pairs
+        front.len(),
+        db.len() * ConfigSpace::chaidnn().len()
     );
 
-    let scenarios: Vec<ScenarioSpec> = ScenarioSpec::paper_presets()
-        .into_iter()
+    let scenarios: Vec<ScenarioSpec> = presets
+        .iter()
         .enumerate()
-        .filter(|(i, _)| scenario_filter == usize::MAX || scenario_filter == *i)
-        .map(|(_, s)| s)
+        .filter(|(i, _)| scenario_filter.is_none_or(|s| s == *i))
+        .map(|(_, s)| s.clone())
         .collect();
     let campaign = Campaign::new(space)
         .scenarios(scenarios.clone())
@@ -65,7 +71,7 @@ fn main() {
         println!("shared cache: {stats}\n");
     }
 
-    for (idx, scenario) in ScenarioSpec::paper_presets().into_iter().enumerate() {
+    for (idx, scenario) in presets.into_iter().enumerate() {
         if !scenarios.contains(&scenario) {
             continue;
         }
@@ -74,14 +80,19 @@ fn main() {
             (b'a' + idx as u8) as char,
             scenario.name()
         );
-        let reference = top_pareto_points(&scenario, &enumeration, 100);
-        if let (Some(first), Some(last)) = (reference.first(), reference.last()) {
+        // Members on the Unconstrained axes `(-area, -lat, acc)`.
+        let reference = top_pareto_points(&scenario, &front, 100);
+        if let (Some((first, _)), Some((last, _))) = (reference.first(), reference.last()) {
             println!(
                 "top-100 Pareto reward points: lat {:.1}..{:.1} ms, acc {:.2}..{:.2}%",
                 -first[1],
                 -last[1],
-                reference.iter().map(|m| m[2]).fold(f64::INFINITY, f64::min) * 100.0,
-                reference.iter().map(|m| m[2]).fold(0.0, f64::max) * 100.0
+                reference
+                    .iter()
+                    .map(|(m, _)| m[2])
+                    .fold(f64::INFINITY, f64::min)
+                    * 100.0,
+                reference.iter().map(|(m, _)| m[2]).fold(0.0, f64::max) * 100.0
             );
         }
         let spec = scenario.compile();
@@ -103,39 +114,31 @@ fn main() {
                     s.spec.scenario_name() == scenario.name() && s.spec.strategy == strategy
                 })
                 .collect();
-            let points: Vec<[f64; 3]> = runs
-                .iter()
-                .filter_map(|s| s.best.as_ref().map(|b| b.evaluation.metrics()))
-                .collect();
-            let scalarize = |m: &[f64; 3]| spec.scalarize_triple(m).unwrap_or(f64::NAN);
-            let best = points
-                .iter()
-                .max_by(|a, b| {
-                    scalarize(a)
-                        .partial_cmp(&scalarize(b))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .copied();
+            let bests: Vec<_> = runs.iter().filter_map(|s| s.best.as_ref()).collect();
+            let best = bests.iter().max_by(|a, b| a.reward.total_cmp(&b.reward));
             let (lat, acc, area, reward) = match best {
-                Some(m) => (-m[1], m[2] * 100.0, -m[0], scalarize(&m)),
+                Some(b) => {
+                    let e = &b.evaluation;
+                    (e.latency_ms, e.accuracy * 100.0, e.area_mm2, b.reward)
+                }
                 None => (f64::NAN, f64::NAN, f64::NAN, f64::NAN),
             };
             table.add_row(vec![
                 strategy.name().into(),
                 runs.len().to_string(),
-                points.len().to_string(),
+                bests.len().to_string(),
                 fmt_f(lat, 1),
                 fmt_f(acc, 2),
                 fmt_f(area, 0),
                 fmt_f(reward, 4),
             ]);
-            for m in &points {
+            for b in &bests {
                 csv_rows.push(vec![
                     scenario.name().into(),
                     strategy.name().into(),
-                    fmt_f(-m[1], 4),
-                    fmt_f(m[2], 6),
-                    fmt_f(-m[0], 3),
+                    fmt_f(b.evaluation.latency_ms, 4),
+                    fmt_f(b.evaluation.accuracy, 6),
+                    fmt_f(b.evaluation.area_mm2, 3),
                 ]);
             }
         }
@@ -151,7 +154,7 @@ fn main() {
             merged.schema(),
             merged.hypervolume(&hv_reference)
         );
-        for m in reference.iter().take(100) {
+        for (m, _) in reference {
             csv_rows.push(vec![
                 scenario.name().into(),
                 "pareto".into(),

@@ -31,10 +31,10 @@ const STRATEGIES: [StrategyKind; 3] = [
 fn main() {
     let args =
         Args::parse("--steps N, --repeats R, --window W, --max-vertices V, --workers W, --seed S");
-    let steps = args.get_usize("steps", 2000);
-    let repeats = args.get_usize("repeats", 5);
+    let steps = args.get_usize_in("steps", 2000, 1..);
+    let repeats = args.get_usize_in("repeats", 5, 1..);
     let window = args.get_usize("window", 100);
-    let max_v = args.get_usize("max-vertices", 5);
+    let max_v = args.max_vertices(5);
     let seed_base = args.get_u64("seed", 0);
 
     println!("building exhaustive <= {max_v}-vertex database...");

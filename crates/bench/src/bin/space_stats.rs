@@ -17,7 +17,7 @@ use codesign_nasbench::{enumerate_cells, Network, NetworkConfig, OpInstance, OpK
 
 fn main() {
     let args = Args::parse("--max-vertices V");
-    let max_v = args.get_usize("max-vertices", 5);
+    let max_v = args.max_vertices(5);
 
     let mut census = TextTable::new(vec!["vertices", "unique cells"]);
     let mut all_ops: HashMap<OpInstance, usize> = HashMap::new();

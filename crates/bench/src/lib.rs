@@ -7,8 +7,12 @@
 //! series (`target/paper-results/`).
 
 use std::collections::HashMap;
+use std::fmt::Debug;
+use std::ops::RangeBounds;
 use std::path::PathBuf;
 use std::str::FromStr;
+
+use codesign_nasbench::MAX_VERTICES;
 
 /// Strict `--key value` / `--flag` command-line arguments, checked against
 /// the binary's flag table.
@@ -18,7 +22,8 @@ use std::str::FromStr;
 /// a subcommand, which may only come first. An unknown flag, a missing
 /// value or a stray word is an error; [`Args::parse`] reports it and exits
 /// with code 2, and on `--help` prints the usage line built from the table
-/// and exits 0. A numeric value that does not parse also exits 2.
+/// and exits 0. A numeric value that does not parse, or falls outside the
+/// range a binary accepts, also exits 2.
 ///
 /// # Examples
 ///
@@ -110,6 +115,30 @@ impl Args {
     #[must_use]
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
         self.number(key).unwrap_or(default)
+    }
+
+    /// Integer option with default, checked against `range`; exits 2
+    /// outside it.
+    #[must_use]
+    pub fn get_usize_in<R: RangeBounds<usize> + Debug>(
+        &self,
+        key: &str,
+        default: usize,
+        range: R,
+    ) -> usize {
+        let value = self.get_usize(key, default);
+        if !range.contains(&value) {
+            eprintln!("invalid value '{value}' for --{key}: expected {range:?}");
+            std::process::exit(2);
+        }
+        value
+    }
+
+    /// `--max-vertices` with default: the vertex bound of the cell space,
+    /// `2..=7`; exits 2 outside it.
+    #[must_use]
+    pub fn max_vertices(&self, default: usize) -> usize {
+        self.get_usize_in("max-vertices", default, 2..=MAX_VERTICES)
     }
 
     /// Seed-style option with default.

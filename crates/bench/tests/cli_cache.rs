@@ -1,8 +1,9 @@
 //! The `campaign` CLI's input contract: bad CLI input — a bad cache path,
-//! a removed or unknown flag, a value that does not parse, a job that
-//! `JobSpec` rejects — exits with code 2 and a message, never a panic;
-//! `--help` runs nothing; and a directory holding a stale format version
-//! cold-starts.
+//! a removed or unknown flag, a value that does not parse or is out of
+//! range, a job that `JobSpec` rejects — exits with code 2 and a message,
+//! never a panic; `--help` runs nothing; and a directory holding a stale
+//! format version cold-starts. The figure binaries reject bad sweep input
+//! the same way.
 //!
 //! Every case runs the real binary on a tiny sweep from a scratch working
 //! directory, because the CLI writes `target/paper-results/` relative to
@@ -59,7 +60,8 @@ fn bad_cache_input_exits_2_without_a_panic() {
 
     let removed = "pass --cache-path DIR";
     let grid_order = "always dispatch in grid order";
-    let cases: [(&str, &[&str], &str); 20] = [
+    let vertices = "for --max-vertices: expected 2..=7";
+    let cases: [(&str, &[&str], &str); 23] = [
         (
             "regular file",
             &["--cache-path", "eval-cache.bin"],
@@ -128,6 +130,13 @@ fn bad_cache_input_exits_2_without_a_panic() {
             &["--probe-samples", "64"],
             "--probe-samples was removed",
         ),
+        ("nine vertices", &["--max-vertices", "9"], vertices),
+        ("one vertex", &["--max-vertices", "1"], vertices),
+        (
+            "serve on nine vertices",
+            &["serve", "--stdio", "--max-vertices", "9"],
+            vertices,
+        ),
     ];
     for (case, args, message) in cases {
         let out = campaign(&cwd, args);
@@ -141,6 +150,50 @@ fn bad_cache_input_exits_2_without_a_panic() {
         old_file,
         "a rejected cache path is left untouched"
     );
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn bad_figure_sweep_input_exits_2_without_a_panic() {
+    let cwd = scratch("figures");
+    let cases: [(&str, &str, &[&str], &str); 4] = [
+        (
+            "fig4 on nine vertices",
+            env!("CARGO_BIN_EXE_fig4_pareto"),
+            &["--max-vertices", "9"],
+            "invalid value '9' for --max-vertices: expected 2..=7",
+        ),
+        (
+            "fig5 with zero repeats",
+            env!("CARGO_BIN_EXE_fig5_search"),
+            &["--repeats", "0"],
+            "invalid value '0' for --repeats: expected 1..",
+        ),
+        (
+            "fig5 past the last preset",
+            env!("CARGO_BIN_EXE_fig5_search"),
+            &["--scenario", "7"],
+            "invalid value '7' for --scenario: expected 0..3",
+        ),
+        (
+            "fig6 with zero steps",
+            env!("CARGO_BIN_EXE_fig6_reward"),
+            &["--steps", "0"],
+            "invalid value '0' for --steps: expected 1..",
+        ),
+    ];
+    for (case, binary, args, message) in cases {
+        let out = Command::new(binary)
+            .current_dir(&cwd)
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run figure binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        assert!(stderr.contains(message), "{case}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&cwd);
 }
 

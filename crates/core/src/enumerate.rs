@@ -1,151 +1,26 @@
-//! Exhaustive enumeration of the codesign space (§III-A, Fig. 4).
+//! Exhaustive enumeration of the codesign space (§III-A, Fig. 4) and the
+//! Fig. 5 reference set ranked from it (§III-C).
 //!
 //! "This allows us to enumerate the entire search space ... and find the
 //! Pareto-optimal points within that space." Every `(cell, accelerator)`
-//! pair is evaluated; per-CNN two-dimensional dominance pruning (accuracy is
-//! constant for a fixed cell, so only `(area, latency)` matter within it)
-//! shrinks candidates by orders of magnitude before the exact global 3-D
-//! Pareto filter runs. Work parallelizes over CNN chunks with
-//! `std::thread::scope`; within a chunk the accelerator loop is outermost so
-//! each configuration's latency lookup table stays warm across cells.
+//! pair is evaluated and streamed through a bounded-memory Pareto filter in
+//! a scenario's own metric axes; the paper's `(−area, −lat, acc)` front is
+//! the front on the Unconstrained preset's axes. Work parallelizes over CNN
+//! chunks with `std::thread::scope`; within a chunk the accelerator loop is
+//! outermost so each configuration's latency lookup table stays warm across
+//! cells.
+//!
+//! Fig. 5 plots the best point of each search run against the top-100
+//! Pareto points under that scenario's reward; [`top_pareto_points`] ranks
+//! them from an enumerated front. The runs themselves execute as one
+//! sharded campaign (`codesign_engine::Campaign`).
 
 use codesign_accel::{AcceleratorConfig, AreaModel, ConfigSpace, LatencyModel, Scheduler};
-use codesign_moo::pareto::pareto_indices_3d;
-use codesign_moo::{AxisSchema, DynParetoFront, DynStreamingParetoFilter};
+use codesign_moo::{DynParetoFront, DynStreamingParetoFilter, MetricVector, RewardOutcome};
 use codesign_nasbench::{Dataset, NasbenchDatabase, Network, NetworkConfig};
 
 use crate::evaluator::PairEvaluation;
-use crate::scenarios::{CompiledScenario, MetricId};
-
-/// One Pareto-optimal codesign point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParetoPoint {
-    /// `(-area mm², -latency ms, accuracy)`.
-    pub metrics: [f64; 3],
-    /// Index of the cell in the enumerated database.
-    pub cell_index: usize,
-    /// The accelerator configuration.
-    pub config: AcceleratorConfig,
-}
-
-impl ParetoPoint {
-    /// Accelerator area in mm².
-    #[must_use]
-    pub fn area_mm2(&self) -> f64 {
-        -self.metrics[0]
-    }
-
-    /// Latency in ms.
-    #[must_use]
-    pub fn latency_ms(&self) -> f64 {
-        -self.metrics[1]
-    }
-
-    /// CNN accuracy.
-    #[must_use]
-    pub fn accuracy(&self) -> f64 {
-        self.metrics[2]
-    }
-}
-
-/// Output of a full-space enumeration.
-#[derive(Debug, Clone)]
-pub struct EnumerationResult {
-    /// The Pareto-optimal points.
-    pub front: Vec<ParetoPoint>,
-    /// Total `(cell, accelerator)` pairs evaluated.
-    pub total_pairs: u64,
-    /// Number of distinct cells enumerated.
-    pub distinct_cells: usize,
-    /// Distinct cells appearing on the front (the paper found 136).
-    pub distinct_front_cells: usize,
-    /// Distinct accelerator configs on the front (the paper found 338).
-    pub distinct_front_accels: usize,
-}
-
-impl EnumerationResult {
-    /// Fraction of the space that is Pareto-optimal (the paper: <0.0001%).
-    #[must_use]
-    pub fn front_fraction(&self) -> f64 {
-        self.front.len() as f64 / self.total_pairs.max(1) as f64
-    }
-}
-
-/// Enumerates `database × ConfigSpace::chaidnn()` and extracts the exact
-/// Pareto front over `(-area, -lat, acc)`.
-///
-/// `threads = 0` uses the machine's available parallelism.
-#[must_use]
-pub fn enumerate_codesign_space(
-    database: &NasbenchDatabase,
-    dataset: Dataset,
-    threads: usize,
-) -> EnumerationResult {
-    let space = ConfigSpace::chaidnn();
-    let area_model = AreaModel::default();
-    let latency_model = LatencyModel::default();
-    let net_config = match dataset {
-        Dataset::Cifar10 => NetworkConfig::default(),
-        Dataset::Cifar100 => NetworkConfig::cifar100(),
-    };
-    // Precompute per-config area once: identical across cells.
-    let configs: Vec<AcceleratorConfig> = space.iter().collect();
-    let areas: Vec<f64> = configs.iter().map(|c| area_model.area_mm2(c)).collect();
-
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    };
-    let n = database.len();
-    let chunk_size = n.div_ceil(threads.max(1)).max(1);
-    let indices: Vec<usize> = (0..n).collect();
-
-    let mut candidates: Vec<([f64; 3], (usize, usize))> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for chunk in indices.chunks(chunk_size) {
-            let configs = &configs;
-            let areas = &areas;
-            let latency_model = &latency_model;
-            let net_config = &net_config;
-            let handle = scope.spawn(move || {
-                enumerate_chunk(database, chunk, configs, areas, latency_model, net_config)
-            });
-            handles.push(handle);
-        }
-        for handle in handles {
-            candidates.extend(handle.join().expect("enumeration worker panicked"));
-        }
-    });
-
-    let metrics: Vec<[f64; 3]> = candidates.iter().map(|(m, _)| *m).collect();
-    let keep = pareto_indices_3d(&metrics);
-    let front: Vec<ParetoPoint> = keep
-        .into_iter()
-        .map(|i| {
-            let (metrics, (cell_index, config_index)) = candidates[i];
-            ParetoPoint {
-                metrics,
-                cell_index,
-                config: configs[config_index],
-            }
-        })
-        .collect();
-
-    let front_cells: std::collections::HashSet<usize> =
-        front.iter().map(|p| p.cell_index).collect();
-    let front_accels: std::collections::HashSet<AcceleratorConfig> =
-        front.iter().map(|p| p.config).collect();
-
-    EnumerationResult {
-        total_pairs: (n as u64) * (configs.len() as u64),
-        distinct_cells: n,
-        distinct_front_cells: front_cells.len(),
-        distinct_front_accels: front_accels.len(),
-        front,
-    }
-}
+use crate::scenarios::{CompiledScenario, MetricId, ScenarioSpec};
 
 /// Evaluates a deterministic stride of `(cell, accelerator)` pairs and
 /// returns their full metric evaluations — the enumeration probe sample
@@ -203,16 +78,14 @@ pub fn probe_pair_evaluations(
 }
 
 /// Enumerates `database × ConfigSpace::chaidnn()` and extracts the exact
-/// Pareto front **in the scenario's own metric axes** — the
-/// scenario-native counterpart of [`enumerate_codesign_space`], which
-/// always reports the paper triple.
+/// Pareto front **in the scenario's own metric axes**; Fig. 4's front is
+/// the one on [`ScenarioSpec::unconstrained`]'s axes.
 ///
 /// Every pair's full evaluation (accuracy, latency, area, power) is
-/// streamed through a bounded-memory
-/// [`DynStreamingParetoFilter`], so a power-capped or
-/// efficiency-first scenario gets an exact front over metrics the triple
-/// enumeration cannot even express. Payloads are
-/// `(cell_index, AcceleratorConfig)`.
+/// streamed through a bounded-memory [`DynStreamingParetoFilter`], so a
+/// power-capped or efficiency-first scenario gets an exact front too.
+/// Payloads are `(cell_index, AcceleratorConfig)`, and the members come
+/// sorted by them, so the front is the same sequence at any thread count.
 ///
 /// `threads = 0` uses the machine's available parallelism.
 #[must_use]
@@ -276,7 +149,7 @@ pub fn enumerate_scenario_front(
                 // 0.0 and never extracted.
                 let needs_latency = scenario.metrics().iter().any(MetricId::uses_latency);
                 // Accelerator loop outermost so each configuration's latency
-                // lookup table stays warm across cells, as in the triple path.
+                // lookup table stays warm across cells.
                 for (config_index, config) in configs.iter().enumerate() {
                     let mut scheduler = Scheduler::new(*latency_model, *config);
                     let (area_mm2, power_w) = hw[config_index];
@@ -302,88 +175,87 @@ pub fn enumerate_scenario_front(
             merged.merge(handle.join().expect("enumeration worker panicked"));
         }
     });
-    merged.finish_front()
+    let mut members = merged.finish();
+    members.sort_by_key(|member| member.1);
+    let mut front = scenario.empty_front();
+    front.extend(members);
+    front
 }
 
-/// Evaluates one CNN chunk against every accelerator, returning per-CNN
-/// 2-D-pruned candidates `(metrics, (cell_index, config_index))`.
-fn enumerate_chunk(
-    database: &NasbenchDatabase,
-    chunk: &[usize],
-    configs: &[AcceleratorConfig],
-    areas: &[f64],
-    latency_model: &LatencyModel,
-    net_config: &NetworkConfig,
-) -> Vec<([f64; 3], (usize, usize))> {
-    let dataset = if net_config.num_classes == 100 {
-        Dataset::Cifar100
-    } else {
-        Dataset::Cifar10
-    };
-    // Assemble every network in the chunk once.
-    let networks: Vec<(usize, Network, f64)> = chunk
+/// The Fig. 5 reference set: the `k` best feasible members of `front`
+/// under the scenario's reward, best first.
+///
+/// `front` must be collected in the scenario's own axes
+/// ([`enumerate_scenario_front`]); the three paper presets share the
+/// Unconstrained axes, so one enumeration serves them all. Exact reward
+/// ties go to the smaller `(cell_index, config)`.
+///
+/// # Panics
+///
+/// Panics if the front's axes are not the scenario's.
+#[must_use]
+pub fn top_pareto_points<'a>(
+    scenario: &ScenarioSpec,
+    front: &'a DynParetoFront<(usize, AcceleratorConfig)>,
+    k: usize,
+) -> Vec<&'a (MetricVector, (usize, AcceleratorConfig))> {
+    let compiled = scenario.compile();
+    assert_eq!(
+        front.schema(),
+        &compiled.axis_schema(),
+        "the front is not in the axes of scenario '{}'",
+        scenario.name()
+    );
+    let reward = compiled.reward_spec();
+    let mut scored: Vec<_> = front
         .iter()
-        .map(|&i| {
-            let entry = database.entry(i).expect("index in range");
-            let network = Network::assemble(&entry.spec, net_config);
-            (i, network, entry.mean_accuracy(dataset))
+        .filter_map(|member| match reward.evaluate(&member.0) {
+            RewardOutcome::Feasible(r) => Some((r, member)),
+            RewardOutcome::Punished(_) => None,
         })
         .collect();
-    // Per-cell 2D fronts over (-area, -lat); payload = config index.
-    let schema = AxisSchema::new(["area", "lat"]);
-    let mut fronts: Vec<DynParetoFront<usize>> = (0..networks.len())
-        .map(|_| DynParetoFront::new(schema.clone()))
-        .collect();
-    for (config_index, config) in configs.iter().enumerate() {
-        let mut scheduler = Scheduler::new(*latency_model, *config);
-        let area = areas[config_index];
-        for (slot, (_, network, _)) in networks.iter().enumerate() {
-            let latency = scheduler.network_latency_ms(network);
-            fronts[slot].insert([-area, -latency].into(), config_index);
-        }
-    }
-    let mut out = Vec::new();
-    for (slot, front) in fronts.into_iter().enumerate() {
-        let (cell_index, _, accuracy) = &networks[slot];
-        for (m2, config_index) in front.into_vec() {
-            out.push(([m2[0], m2[1], *accuracy], (*cell_index, config_index)));
-        }
-    }
-    out
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1 .1.cmp(&b.1 .1)));
+    scored.truncate(k);
+    scored.into_iter().map(|(_, member)| member).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codesign_moo::dominates_dyn;
 
-    fn small_result() -> EnumerationResult {
-        // V<=3 space: 7 unique cells x 8640 accelerators = 60k pairs.
+    type Front = DynParetoFront<(usize, AcceleratorConfig)>;
+
+    /// The exact front of the V<=3 space (7 unique cells x 8640
+    /// accelerators = 60k pairs) on the Unconstrained axes.
+    fn small_front(threads: usize) -> (NasbenchDatabase, Front) {
         let db = NasbenchDatabase::exhaustive(3);
-        enumerate_codesign_space(&db, Dataset::Cifar10, 2)
+        let scenario = ScenarioSpec::unconstrained().compile();
+        let front = enumerate_scenario_front(&db, Dataset::Cifar10, &scenario, threads);
+        (db, front)
+    }
+
+    fn distinct<T: Ord>(values: impl Iterator<Item = T>) -> usize {
+        values.collect::<std::collections::BTreeSet<T>>().len()
     }
 
     #[test]
     fn front_is_tiny_fraction_of_space() {
-        let r = small_result();
-        assert_eq!(r.total_pairs, 7 * 8640);
-        assert!(r.front.len() > 5, "front size {}", r.front.len());
-        assert!(
-            r.front_fraction() < 0.01,
-            "front fraction {} should be tiny",
-            r.front_fraction()
-        );
+        let (db, front) = small_front(2);
+        let total_pairs = db.len() * ConfigSpace::chaidnn().len();
+        assert_eq!(total_pairs, 7 * 8640);
+        assert!(front.len() > 5, "front size {}", front.len());
+        let fraction = front.len() as f64 / total_pairs as f64;
+        assert!(fraction < 0.01, "front fraction {fraction} should be tiny");
     }
 
     #[test]
     fn front_points_are_mutually_non_dominated() {
-        let r = small_result();
-        for (i, a) in r.front.iter().enumerate() {
-            for (j, b) in r.front.iter().enumerate() {
+        let (_, front) = small_front(2);
+        for (i, (a, _)) in front.iter().enumerate() {
+            for (j, (b, _)) in front.iter().enumerate() {
                 if i != j {
-                    assert!(
-                        !codesign_moo::dominates(&a.metrics, &b.metrics),
-                        "front point {i} dominates {j}"
-                    );
+                    assert!(!dominates_dyn(a, b), "front point {i} dominates {j}");
                 }
             }
         }
@@ -391,30 +263,23 @@ mod tests {
 
     #[test]
     fn front_is_diverse_in_cells_and_accelerators() {
-        let r = small_result();
-        assert!(
-            r.distinct_front_cells >= 2,
-            "cells {}",
-            r.distinct_front_cells
-        );
-        assert!(
-            r.distinct_front_accels >= 5,
-            "accels {}",
-            r.distinct_front_accels
-        );
+        let (_, front) = small_front(2);
+        let cells = distinct(front.iter().map(|(_, (cell, _))| *cell));
+        let accels = distinct(front.iter().map(|(_, (_, config))| *config));
+        assert!(cells >= 2, "cells {cells}");
+        assert!(accels >= 5, "accels {accels}");
     }
 
     #[test]
     fn enumeration_is_thread_count_invariant() {
-        let db = NasbenchDatabase::exhaustive(3);
-        let a = enumerate_codesign_space(&db, Dataset::Cifar10, 1);
-        let b = enumerate_codesign_space(&db, Dataset::Cifar10, 4);
-        let mut ma: Vec<[f64; 3]> = a.front.iter().map(|p| p.metrics).collect();
-        let mut mb: Vec<[f64; 3]> = b.front.iter().map(|p| p.metrics).collect();
-        let key = |m: &[f64; 3]| (m[0].to_bits(), m[1].to_bits(), m[2].to_bits());
-        ma.sort_by_key(key);
-        mb.sort_by_key(key);
-        assert_eq!(ma, mb);
+        // The member sequence itself, not just the set: metric bits and
+        // payloads in order.
+        let sequence = |front: Front| -> Vec<(Vec<u64>, (usize, AcceleratorConfig))> {
+            front.iter().map(|(m, p)| (m.to_bits(), *p)).collect()
+        };
+        let one = sequence(small_front(1).1);
+        assert!(one.windows(2).all(|w| w[0].1 < w[1].1), "sorted by payload");
+        assert_eq!(one, sequence(small_front(4).1));
     }
 
     #[test]
@@ -426,74 +291,111 @@ mod tests {
         assert_eq!(a.len(), 64);
         // The stride must vary both the cell (accuracy) and the accelerator
         // (area) axes, or auto-ranged norms would be degenerate.
-        let distinct = |values: Vec<u64>| {
-            let mut v = values;
-            v.sort_unstable();
-            v.dedup();
-            v.len()
-        };
-        assert!(distinct(a.iter().map(|e| e.accuracy.to_bits()).collect()) > 1);
-        assert!(distinct(a.iter().map(|e| e.area_mm2.to_bits()).collect()) > 1);
+        assert!(distinct(a.iter().map(|e| e.accuracy.to_bits())) > 1);
+        assert!(distinct(a.iter().map(|e| e.area_mm2.to_bits())) > 1);
         assert!(a.iter().all(|e| e.power_w > 0.0 && e.latency_ms > 0.0));
     }
 
     #[test]
     fn scenario_front_on_the_paper_axes_matches_the_triple_enumeration() {
-        // The Unconstrained preset's axes are exactly the signed paper
-        // triple, so the scenario-native enumeration must reproduce the
-        // triple enumeration's front point set bit-for-bit.
-        let db = NasbenchDatabase::exhaustive(3);
-        let triple = enumerate_codesign_space(&db, Dataset::Cifar10, 2);
-        let scenario = crate::scenarios::ScenarioSpec::unconstrained().compile();
-        let native = enumerate_scenario_front(&db, Dataset::Cifar10, &scenario, 2);
-        assert_eq!(native.schema().names(), ["area", "lat", "acc"]);
-        let mut a: Vec<Vec<u64>> = triple
-            .front
-            .iter()
-            .map(|p| p.metrics.iter().map(|v| v.to_bits()).collect())
-            .collect();
-        let mut b: Vec<Vec<u64>> = native.iter().map(|(m, _)| m.to_bits()).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        // The Unconstrained preset's axes are the signed paper triple of
+        // Eq. 4, so its front must be the exact front of every pair's
+        // `(-area, -lat, acc)` as the evaluator scores it.
+        let (db, front) = small_front(2);
+        assert_eq!(front.schema().names(), ["area", "lat", "acc"]);
+        let configs: Vec<AcceleratorConfig> = ConfigSpace::chaidnn().iter().collect();
+        let mut evaluator = crate::Evaluator::with_database(db.clone());
+        let mut pairs = Vec::new();
+        let mut triples = Vec::new();
+        for (cell_index, entry) in db.iter().enumerate() {
+            for config in &configs {
+                let e = evaluator.evaluate_pair(&entry.spec, config).expect("known");
+                pairs.push((cell_index, *config));
+                triples.push([-e.area_mm2, -e.latency_ms, e.accuracy]);
+            }
+        }
+        let mut exact: Vec<(Vec<u64>, (usize, AcceleratorConfig))> =
+            codesign_moo::pareto::pareto_indices_3d(&triples)
+                .into_iter()
+                .map(|i| (triples[i].map(f64::to_bits).to_vec(), pairs[i]))
+                .collect();
+        exact.sort_by_key(|member| member.1);
+        let native: Vec<_> = front.iter().map(|(m, p)| (m.to_bits(), *p)).collect();
+        assert_eq!(native, exact);
+    }
+
+    fn power_capped() -> ScenarioSpec {
+        ScenarioSpec::builder("power-capped")
+            .weight(MetricId::Accuracy, 1.0)
+            .constraint(MetricId::PowerW, 6.0)
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn scenario_front_carries_two_metric_axes_when_declared() {
         let db = NasbenchDatabase::exhaustive(3);
-        let scenario = crate::scenarios::ScenarioSpec::builder("power-capped")
-            .weight(crate::scenarios::MetricId::Accuracy, 1.0)
-            .constraint(crate::scenarios::MetricId::PowerW, 6.0)
-            .build()
-            .unwrap()
-            .compile();
-        let front = enumerate_scenario_front(&db, Dataset::Cifar10, &scenario, 2);
+        let front = enumerate_scenario_front(&db, Dataset::Cifar10, &power_capped().compile(), 2);
         assert_eq!(front.schema().names(), ["acc", "power"]);
         assert!(!front.is_empty());
         for (m, _) in front.iter() {
             assert_eq!(m.len(), 2);
         }
         // Mutually non-dominated in the declared axes.
-        let points: Vec<&(codesign_moo::MetricVector, (usize, AcceleratorConfig))> =
-            front.iter().collect();
-        for (i, (a, _)) in points.iter().enumerate() {
-            for (j, (b, _)) in points.iter().enumerate() {
+        for (i, (a, _)) in front.iter().enumerate() {
+            for (j, (b, _)) in front.iter().enumerate() {
                 if i != j {
-                    assert!(!codesign_moo::dominates_dyn(a, b), "{i} dominates {j}");
+                    assert!(!dominates_dyn(a, b), "{i} dominates {j}");
                 }
             }
         }
+        // A power scenario has a Fig. 5 reference set of its own.
+        assert!(!top_pareto_points(&power_capped(), &front, 10).is_empty());
     }
 
     #[test]
     fn accessors_decode_metric_signs() {
-        let p = ParetoPoint {
-            metrics: [-120.0, -30.0, 0.92],
-            cell_index: 0,
-            config: ConfigSpace::chaidnn().get(0),
+        // Front members carry Eq. 4's signed values; negating the minimized
+        // axes gives back the natural units.
+        let e = PairEvaluation {
+            accuracy: 0.92,
+            latency_ms: 30.0,
+            area_mm2: 120.0,
+            power_w: 4.0,
         };
-        assert_eq!(p.area_mm2(), 120.0);
-        assert_eq!(p.latency_ms(), 30.0);
-        assert_eq!(p.accuracy(), 0.92);
+        let scenario = ScenarioSpec::unconstrained().compile();
+        let point = scenario.metric_point(&e);
+        for (metric, signed) in scenario.metrics().iter().zip(point.iter()) {
+            let natural = if metric.maximize() { *signed } else { -signed };
+            assert_eq!(natural, metric.extract(&e), "{metric}");
+        }
+    }
+
+    #[test]
+    fn top_pareto_points_are_scenario_feasible() {
+        let db = NasbenchDatabase::exhaustive(4);
+        let unconstrained = ScenarioSpec::unconstrained().compile();
+        let front = enumerate_scenario_front(&db, Dataset::Cifar10, &unconstrained, 2);
+        let top = top_pareto_points(&ScenarioSpec::one_constraint(), &front, 100);
+        let spec = ScenarioSpec::one_constraint().compile();
+        let reward = spec.reward_spec();
+        assert!(!top.is_empty());
+        for (m, _) in &top {
+            assert!(
+                reward.is_feasible(m),
+                "top point {m:?} violates the scenario constraint"
+            );
+        }
+        // Sorted by reward descending.
+        let rewards: Vec<f64> = top.iter().map(|(m, _)| reward.scalarize(m)).collect();
+        assert!(rewards.windows(2).all(|w| w[0] >= w[1] - 1e-12));
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the axes")]
+    fn top_pareto_points_reject_a_front_in_other_axes() {
+        let db = NasbenchDatabase::exhaustive(3);
+        let front = enumerate_scenario_front(&db, Dataset::Cifar10, &power_capped().compile(), 1);
+        let _ = top_pareto_points(&ScenarioSpec::unconstrained(), &front, 10);
     }
 }

@@ -132,16 +132,6 @@ pub struct PairEvaluation {
 }
 
 impl PairEvaluation {
-    /// The metric vector `(-area, -latency, accuracy)` of Eq. 4.
-    ///
-    /// This is the fixed triple the paper's figures are plotted in; named
-    /// scenario objectives (`crate::scenarios::MetricId`) address the full
-    /// metric registry, including power.
-    #[must_use]
-    pub fn metrics(&self) -> [f64; 3] {
-        [-self.area_mm2, -self.latency_ms, self.accuracy]
-    }
-
     /// Performance per area, images/s/cm² (§IV's efficiency metric).
     #[must_use]
     pub fn perf_per_area(&self) -> f64 {
@@ -557,7 +547,11 @@ mod tests {
             area_mm2: 120.0,
             power_w: 4.5,
         };
-        assert_eq!(e.metrics(), [-120.0, -50.0, 0.93]);
+        let unconstrained = crate::ScenarioSpec::unconstrained().compile();
+        assert_eq!(
+            unconstrained.metric_point(&e).as_slice(),
+            [-120.0, -50.0, 0.93]
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! The paper's experiments map to modules:
 //!
-//! * [`enumerate`] — exhaustive space enumeration + Pareto front (Fig. 4);
-//! * [`experiments`] — the Fig. 5 reference set of the strategy comparison;
+//! * [`enumerate`] — exhaustive space enumeration + Pareto front (Fig. 4)
+//!   and the Fig. 5 reference set of the strategy comparison;
 //! * [`cifar100`] — the threshold-schedule CIFAR-100 flow (§IV, Fig. 7);
 //! * [`baselines`] — ResNet/GoogLeNet on their best accelerators (Table II).
 //!
@@ -47,7 +47,6 @@ pub mod cifar100;
 pub mod enumerate;
 pub mod evaluator;
 pub mod evolution;
-pub mod experiments;
 pub mod nsga;
 pub mod report;
 pub mod scenarios;
@@ -61,13 +60,9 @@ pub use cifar100::{
     run_cifar100_codesign, run_cifar100_codesign_with_evaluator, Cifar100Config, Cifar100Result,
     DiscoveredPoint, StageResult, ThresholdSchedule,
 };
-pub use enumerate::{
-    enumerate_codesign_space, enumerate_scenario_front, probe_pair_evaluations, EnumerationResult,
-    ParetoPoint,
-};
+pub use enumerate::{enumerate_scenario_front, probe_pair_evaluations, top_pareto_points};
 pub use evaluator::{AccuracySource, EvalCache, EvalOutcome, Evaluator, PairEvaluation};
 pub use evolution::EvolutionSearch;
-pub use experiments::top_pareto_points;
 pub use nsga::NsgaSearch;
 pub use scenarios::{
     check_unique_names, scenarios_from_document, scenarios_to_document, CompiledScenario, MetricId,

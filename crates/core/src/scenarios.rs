@@ -152,20 +152,6 @@ impl MetricId {
         }
     }
 
-    /// The signed metric recovered from the paper's `(−area, −lat, acc)`
-    /// triple, when it is derivable from those three values
-    /// (power is not).
-    #[must_use]
-    pub fn signed_from_triple(&self, m: &[f64; 3]) -> Option<f64> {
-        match self {
-            MetricId::AreaMm2 => Some(m[0]),
-            MetricId::LatencyMs => Some(m[1]),
-            MetricId::Accuracy => Some(m[2]),
-            MetricId::PerfPerArea => Some((1000.0 / -m[1]) / (-m[0] / 100.0)),
-            MetricId::PowerW => None,
-        }
-    }
-
     /// Default normalization range in natural units, covering the observed
     /// spread of the codesign space (the axes of Figs. 4–7).
     #[must_use]
@@ -1228,14 +1214,7 @@ impl CompiledScenario {
     }
 
     /// The signed (all-maximize) metric vector of an evaluation, in
-    /// objective order.
-    #[must_use]
-    pub fn metric_vector(&self, eval: &PairEvaluation) -> Vec<f64> {
-        self.metrics.iter().map(|m| m.signed(eval)).collect()
-    }
-
-    /// [`CompiledScenario::metric_vector`] as an allocation-free
-    /// [`MetricVector`] — the point type the scenario's fronts store.
+    /// objective order — the point type the scenario's fronts store.
     #[must_use]
     pub fn metric_point(&self, eval: &PairEvaluation) -> MetricVector {
         let mut values = [0.0f64; MetricId::ALL.len()];
@@ -1265,11 +1244,7 @@ impl CompiledScenario {
     /// Eq. 3 over the named objectives: the scalar fed to the controller.
     #[must_use]
     pub fn reward(&self, eval: &PairEvaluation) -> RewardOutcome {
-        let mut values = [0.0f64; MetricId::ALL.len()];
-        for (slot, metric) in values.iter_mut().zip(self.metrics.iter()) {
-            *slot = metric.signed(eval);
-        }
-        self.reward.evaluate(&values[..self.metrics.len()])
+        self.reward.evaluate(&self.metric_point(eval))
     }
 
     /// The signed normalization used for accuracy-only phases (separate
@@ -1278,43 +1253,6 @@ impl CompiledScenario {
     #[must_use]
     pub fn accuracy_norm(&self) -> LinearNorm {
         self.accuracy_norm
-    }
-
-    /// `true` when every objective is derivable from the paper's
-    /// `(−area, −lat, acc)` triple (everything except power).
-    #[must_use]
-    pub fn derivable_from_triple(&self) -> bool {
-        self.metrics.iter().all(|m| !matches!(m, MetricId::PowerW))
-    }
-
-    /// Eq. 3 evaluated from a paper metric triple; `None` when an objective
-    /// (power) is not derivable from it.
-    #[must_use]
-    pub fn reward_from_triple(&self, m: &[f64; 3]) -> Option<RewardOutcome> {
-        let values = self.triple_values(m)?;
-        Some(self.reward.evaluate(&values[..self.metrics.len()]))
-    }
-
-    /// The weighted sum ignoring feasibility, from a paper metric triple.
-    #[must_use]
-    pub fn scalarize_triple(&self, m: &[f64; 3]) -> Option<f64> {
-        let values = self.triple_values(m)?;
-        Some(self.reward.scalarize(&values[..self.metrics.len()]))
-    }
-
-    /// Feasibility from a paper metric triple.
-    #[must_use]
-    pub fn is_feasible_triple(&self, m: &[f64; 3]) -> Option<bool> {
-        let values = self.triple_values(m)?;
-        Some(self.reward.is_feasible(&values[..self.metrics.len()]))
-    }
-
-    fn triple_values(&self, m: &[f64; 3]) -> Option<[f64; MetricId::ALL.len()]> {
-        let mut values = [0.0f64; MetricId::ALL.len()];
-        for (slot, metric) in values.iter_mut().zip(self.metrics.iter()) {
-            *slot = metric.signed_from_triple(m)?;
-        }
-        Some(values)
     }
 }
 
@@ -1396,8 +1334,9 @@ mod tests {
                 // are strictly negative.
                 assert_eq!(reward.is_feasible(), f64::from_bits(bits) >= 0.0);
                 if reward.is_feasible() {
-                    let triple = compiled.scalarize_triple(&e.metrics()).unwrap();
-                    assert_eq!(triple.to_bits(), bits, "{name}: {e:?}");
+                    let point = compiled.metric_point(e);
+                    let sum = compiled.reward_spec().scalarize(&point);
+                    assert_eq!(sum.to_bits(), bits, "{name}: {e:?}");
                 }
             }
         }
@@ -1442,21 +1381,6 @@ mod tests {
             .compile();
         assert!(spec.reward(&eval(0.9, 50.0, 120.0, 5.9)).is_feasible());
         assert!(!spec.reward(&eval(0.9, 50.0, 120.0, 6.1)).is_feasible());
-        assert!(!spec.derivable_from_triple());
-        assert!(spec.reward_from_triple(&[-120.0, -50.0, 0.9]).is_none());
-    }
-
-    #[test]
-    fn perf_per_area_is_derivable_from_the_triple() {
-        let spec = ScenarioSpec::builder("efficiency")
-            .weight(MetricId::PerfPerArea, 1.0)
-            .build()
-            .unwrap()
-            .compile();
-        let e = eval(0.9, 42.0, 186.0, 5.0);
-        let direct = spec.reward(&e).value();
-        let via_triple = spec.reward_from_triple(&e.metrics()).unwrap().value();
-        assert_eq!(direct.to_bits(), via_triple.to_bits());
     }
 
     #[test]
@@ -1685,7 +1609,7 @@ mod tests {
     fn metric_point_matches_metric_vector_bitwise() {
         let compiled = ScenarioSpec::two_constraints().compile();
         let e = eval(0.93, 42.0, 130.0, 5.0);
-        let vec = compiled.metric_vector(&e);
+        let vec: Vec<f64> = compiled.metrics().iter().map(|m| m.signed(&e)).collect();
         let point = compiled.metric_point(&e);
         assert_eq!(point.as_slice(), vec.as_slice());
         let mut front = compiled.empty_front::<()>();

@@ -142,10 +142,10 @@ pub struct StepRecord {
     pub reward: f64,
     /// Whether the proposal was a valid pair meeting all constraints.
     pub feasible: bool,
-    /// Whether the proposal decoded to a valid, known CNN at all.
-    pub valid: bool,
-    /// Metrics `(-area, -lat, acc)` when valid.
-    pub metrics: Option<[f64; 3]>,
+    /// The pair's metrics, when the proposal decoded to a valid, known
+    /// CNN; any scenario re-scores it with
+    /// [`CompiledScenario::reward`].
+    pub evaluation: Option<PairEvaluation>,
 }
 
 /// One per-generation snapshot of a population-based run: how good (and
@@ -341,10 +341,7 @@ impl SearchRecorder {
     ///
     /// The retained Pareto front is collected in the scenario's *own*
     /// signed metric axes — a power-capped scenario's front carries
-    /// `(acc, −power)` points, not someone else's triple — while
-    /// `StepRecord::metrics` keeps the paper's fixed `(−area, −lat, acc)`
-    /// diagnostic so recorded histories stay re-scorable from the triple
-    /// (`CompiledScenario::reward_from_triple`).
+    /// `(acc, −power)` points.
     ///
     /// Under active [`RewardShaping`], the returned (and recorded) scalar
     /// is the Eq. 3 reward *plus* the shaping bonus of the step's marginal
@@ -362,7 +359,6 @@ impl SearchRecorder {
         STEPS.add(1);
         match outcome {
             EvalOutcome::Valid(eval) => {
-                let metrics = eval.metrics();
                 let scored = scenario.reward(eval);
                 let feasible = scored.is_feasible();
                 let mut shaped = scored.value();
@@ -411,8 +407,7 @@ impl SearchRecorder {
                 self.history.push(StepRecord {
                     reward: shaped,
                     feasible,
-                    valid: true,
-                    metrics: Some(metrics),
+                    evaluation: Some(*eval),
                 });
                 shaped
             }
@@ -422,8 +417,7 @@ impl SearchRecorder {
                 self.history.push(StepRecord {
                     reward: INVALID_PROPOSAL_REWARD,
                     feasible: false,
-                    valid: false,
-                    metrics: None,
+                    evaluation: None,
                 });
                 INVALID_PROPOSAL_REWARD
             }
@@ -551,6 +545,28 @@ mod tests {
         assert_eq!(best.step, 1);
         assert_eq!(best.evaluation.latency_ms, 30.0);
         assert_eq!(out.feasible_steps, 3);
+    }
+
+    #[test]
+    fn recorded_evaluations_rescore_under_a_power_scenario() {
+        use crate::scenarios::{MetricId, ScenarioSpec};
+        let spec = ScenarioSpec::builder("power-capped")
+            .weight(MetricId::Accuracy, 1.0)
+            .constraint(MetricId::PowerW, 6.0)
+            .build()
+            .unwrap()
+            .compile();
+        let mut rec = SearchRecorder::new("test", 2, &spec);
+        let cell = known_cells::resnet_cell();
+        let config = ConfigSpace::chaidnn().get(0);
+        rec.record(&spec, &dummy_eval(0.9, 200.0, 150.0), Some(&cell), &config);
+        rec.record(&spec, &dummy_eval(0.93, 30.0, 120.0), Some(&cell), &config);
+        for record in &rec.finish().history {
+            let eval = record.evaluation.expect("valid step");
+            let rescored = spec.reward(&eval);
+            assert_eq!(rescored.value().to_bits(), record.reward.to_bits());
+            assert_eq!(rescored.is_feasible(), record.feasible);
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ proptest! {
                     prop_assert!(r.value() >= -1.2);
                     prop_assert_eq!(
                         r.is_feasible(),
-                        spec.is_feasible_triple(&eval.metrics()).unwrap()
+                        spec.reward_spec().is_feasible(&spec.metric_point(eval))
                     );
                 }
                 None => {

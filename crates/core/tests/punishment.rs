@@ -3,8 +3,8 @@
 //! through the open scenario API.
 
 use codesign_core::{
-    CodesignSpace, CombinedSearch, CompiledScenario, Evaluator, MetricId, ScenarioSpec,
-    SearchConfig, SearchContext, SearchStrategy,
+    CodesignSpace, CombinedSearch, CompiledScenario, Evaluator, MetricId, PairEvaluation,
+    ScenarioSpec, SearchConfig, SearchContext, SearchStrategy,
 };
 use codesign_moo::Punishment;
 use codesign_nasbench::NasbenchDatabase;
@@ -56,11 +56,15 @@ fn scaled_violation_orders_infeasible_points() {
     // whereas constant punishment is flat.
     let scaled = two_constraint_spec(Punishment::ScaledViolation { scale: 0.1 });
     let constant = two_constraint_spec(Punishment::Constant(0.1));
-    let near_miss = [-101.0, -50.0, 0.93]; // area barely over
-    let far_miss = [-200.0, -50.0, 0.85]; // both constraints badly missed
-    let value = |spec: &CompiledScenario, m: &[f64; 3]| {
-        spec.reward_from_triple(m).expect("derivable").value()
+    let pair = |accuracy, area_mm2| PairEvaluation {
+        accuracy,
+        latency_ms: 50.0,
+        area_mm2,
+        power_w: 3.0,
     };
+    let near_miss = pair(0.93, 101.0); // area barely over
+    let far_miss = pair(0.85, 200.0); // both constraints badly missed
+    let value = |spec: &CompiledScenario, e: &PairEvaluation| spec.reward(e).value();
     assert!(value(&scaled, &near_miss) > value(&scaled, &far_miss));
     assert_eq!(value(&constant, &near_miss), value(&constant, &far_miss));
 }

@@ -86,19 +86,16 @@ fn recorded_histories_rederive_shard_bookkeeping() {
         let mut feasible = 0usize;
         let mut invalid = 0usize;
         let mut best_reward = f64::NEG_INFINITY;
-        // The preset axes are the signed triple the history records.
         let mut front: DynParetoFront<()> = scenario.empty_front();
         for (step, record) in history.iter().enumerate() {
-            let Some(metrics) = record.metrics else {
+            let Some(eval) = record.evaluation else {
                 assert_eq!(record.reward, INVALID_PROPOSAL_REWARD);
-                assert!(!record.feasible && !record.valid);
+                assert!(!record.feasible);
                 invalid += 1;
                 continue;
             };
-            front.insert(metrics.into(), ());
-            let rescored = scenario
-                .reward_from_triple(&metrics)
-                .expect("preset axes derive from the triple");
+            front.insert(scenario.metric_point(&eval), ());
+            let rescored = scenario.reward(&eval);
             assert_eq!(
                 record.reward.to_bits(),
                 rescored.value().to_bits(),
@@ -294,11 +291,9 @@ fn merged_shard_fronts_equal_front_of_concatenated_histories() {
     // Re-run each shard standalone and pool every *visited* point from the
     // step histories; the front of that concatenation must equal the
     // campaign's merged per-shard fronts (multiplicity included — ties are
-    // retained by both paths). The Unconstrained scenario's axes are the
-    // signed paper triple, so `StepRecord::metrics` diagnostics are the
-    // same points the scenario-native fronts collect.
+    // retained by both paths).
     let mut concatenated: DynParetoFront<()> =
-        DynParetoFront::new(codesign_moo::AxisSchema::new(["area", "lat", "acc"]));
+        ScenarioSpec::unconstrained().compile().empty_front();
     for shard in campaign.shards() {
         let mut evaluator = Evaluator::with_shared_database(Arc::clone(&db));
         let mut ctx = SearchContext {
@@ -317,8 +312,8 @@ fn merged_shard_fronts_equal_front_of_concatenated_histories() {
             .build(shard.steps, shard.surrogate)
             .run_with_rng(&mut ctx, &config, &mut rng);
         for record in &outcome.history {
-            if let Some(metrics) = record.metrics {
-                concatenated.insert(metrics.into(), ());
+            if let Some(eval) = record.evaluation {
+                concatenated.insert(shard.scenario.metric_point(&eval), ());
             }
         }
     }

@@ -217,6 +217,10 @@ impl NasbenchDatabase {
     /// above 5).
     #[must_use]
     pub fn exhaustive(max_vertices: usize) -> Self {
+        assert!(
+            (2..=crate::MAX_VERTICES).contains(&max_vertices),
+            "max_vertices must be in 2..=7"
+        );
         let surrogate = SurrogateModel::default();
         let mut db = Self {
             entries: Vec::new(),

@@ -2,16 +2,17 @@
 //! the §III-A analysis that motivates automated codesign: the optimal points
 //! are few, diverse, and impossible to guess by hand.
 //!
-//! Fronts here are *scenario-native*: every front is collected in the axes
-//! a declared scenario names (the runtime-dimension `DynParetoFront`), so
-//! the same code explores the paper's `(area, lat, acc)` triple and a
-//! two-metric accuracy × power tradeoff the triple cannot express.
+//! Every front is *scenario-native*: it is enumerated in the axes a
+//! declared scenario names, so the same code explores the paper's
+//! `(area, lat, acc)` front — the Unconstrained preset's axes — and a
+//! two-metric accuracy × power tradeoff.
 //!
 //! Run: `cargo run --release --example pareto_explorer`
 
-use codesign_nas::core::{
-    enumerate_codesign_space, enumerate_scenario_front, top_pareto_points, MetricId, ScenarioSpec,
-};
+use std::collections::HashSet;
+
+use codesign_nas::accel::ConfigSpace;
+use codesign_nas::core::{enumerate_scenario_front, top_pareto_points, MetricId, ScenarioSpec};
 use codesign_nas::nasbench::{Dataset, NasbenchDatabase};
 
 fn main() {
@@ -19,52 +20,27 @@ fn main() {
     // binary scales the same code to millions of pairs.
     let db = NasbenchDatabase::exhaustive(4);
     println!("enumerating {} cells x 8640 accelerators...", db.len());
-    let result = enumerate_codesign_space(&db, Dataset::Cifar10, 0);
+    let unconstrained = ScenarioSpec::unconstrained().compile();
+    let front = enumerate_scenario_front(&db, Dataset::Cifar10, &unconstrained, 0);
 
+    let total_pairs = db.len() * ConfigSpace::chaidnn().len();
     println!(
-        "{} Pareto-optimal pairs out of {} ({:.5}% of the space)",
-        result.front.len(),
-        result.total_pairs,
-        result.front_fraction() * 100.0
+        "{} Pareto-optimal pairs out of {total_pairs} ({:.5}% of the space)",
+        front.len(),
+        front.len() as f64 / total_pairs as f64 * 100.0
     );
+    let cells: HashSet<usize> = front.iter().map(|(_, (cell, _))| *cell).collect();
+    let accels: HashSet<_> = front.iter().map(|(_, (_, config))| *config).collect();
     println!(
         "diversity: {} distinct cells, {} distinct accelerator configs",
-        result.distinct_front_cells, result.distinct_front_accels
+        cells.len(),
+        accels.len()
     );
-
-    // The three-way tradeoff, summarized as the frontier's extreme points.
-    let fastest = result
-        .front
-        .iter()
-        .min_by(|a, b| a.latency_ms().total_cmp(&b.latency_ms()))
-        .expect("front is non-empty");
-    let most_accurate = result
-        .front
-        .iter()
-        .max_by(|a, b| a.accuracy().total_cmp(&b.accuracy()))
-        .expect("front is non-empty");
-    let smallest = result
-        .front
-        .iter()
-        .min_by(|a, b| a.area_mm2().total_cmp(&b.area_mm2()))
-        .expect("front is non-empty");
-    for (label, p) in [
-        ("fastest", fastest),
-        ("most accurate", most_accurate),
-        ("smallest", smallest),
-    ] {
-        println!(
-            "{label:>14}: {:.1} ms, {:.2}%, {:.0} mm2 ({})",
-            p.latency_ms(),
-            p.accuracy() * 100.0,
-            p.area_mm2(),
-            p.config
-        );
-    }
 
     // Scenario-native frontiers: each scenario's front is enumerated in its
     // *own* axes, and its quality scored as one scalar — the dominated
-    // hypervolume against the scenario's normalization box.
+    // hypervolume against the scenario's normalization box. Each axis's
+    // extreme point summarizes the tradeoff.
     let power_capped = ScenarioSpec::builder("power-capped")
         .weight(MetricId::Accuracy, 1.0)
         .constraint(MetricId::PowerW, 6.0)
@@ -97,12 +73,12 @@ fn main() {
         }
     }
 
-    // What each paper scenario's reward considers the "top" of the triple
-    // frontier (Fig. 5's reference series).
+    // What each paper scenario's reward considers the "top" of the
+    // `(-area, -lat, acc)` frontier (Fig. 5's reference series).
     for scenario in ScenarioSpec::paper_presets() {
-        let top = top_pareto_points(&scenario, &result, 5);
+        let top = top_pareto_points(&scenario, &front, 5);
         println!("\ntop-5 under the {} reward:", scenario.name());
-        for m in top {
+        for (m, _) in top {
             println!("  {:.1} ms, {:.2}%, {:.0} mm2", -m[1], m[2] * 100.0, -m[0]);
         }
     }

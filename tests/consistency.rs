@@ -4,10 +4,10 @@
 use std::sync::Arc;
 
 use codesign_nas::core::{
-    enumerate_codesign_space, CodesignSpace, CombinedSearch, Evaluator, RandomSearch, ScenarioSpec,
+    enumerate_scenario_front, CodesignSpace, CombinedSearch, Evaluator, RandomSearch, ScenarioSpec,
     SearchConfig, SearchContext, SearchStrategy,
 };
-use codesign_nas::moo::dominates;
+use codesign_nas::moo::dominates_dyn;
 use codesign_nas::nasbench::{Dataset, NasbenchDatabase};
 
 /// The exact Pareto front must dominate (or tie) every point any search
@@ -17,15 +17,15 @@ use codesign_nas::nasbench::{Dataset, NasbenchDatabase};
 fn search_never_beats_the_exact_front() {
     let db = Arc::new(NasbenchDatabase::exhaustive(4));
     let space = CodesignSpace::with_max_vertices(4);
-    let enumeration = enumerate_codesign_space(&db, Dataset::Cifar10, 0);
-    let front: Vec<[f64; 3]> = enumeration.front.iter().map(|p| p.metrics).collect();
+    let reward = ScenarioSpec::unconstrained().compile();
+    let enumeration = enumerate_scenario_front(&db, Dataset::Cifar10, &reward, 0);
+    let front: Vec<_> = enumeration.iter().map(|(m, _)| m).collect();
 
     for (strategy, seed) in [
         (&CombinedSearch as &dyn SearchStrategy, 1u64),
         (&RandomSearch as &dyn SearchStrategy, 2u64),
     ] {
         let mut evaluator = Evaluator::with_shared_database(Arc::clone(&db));
-        let reward = ScenarioSpec::unconstrained().compile();
         let mut ctx = SearchContext {
             space: &space,
             evaluator: &mut evaluator,
@@ -33,9 +33,12 @@ fn search_never_beats_the_exact_front() {
         };
         let outcome = strategy.run(&mut ctx, &SearchConfig::quick(300, seed));
         for record in &outcome.history {
-            let Some(m) = record.metrics else { continue };
-            let beats_front = front.iter().all(|f| m != *f && !dominates(f, &m))
-                && front.iter().any(|f| dominates(&m, f));
+            let Some(eval) = record.evaluation else {
+                continue;
+            };
+            let m = reward.metric_point(&eval);
+            let beats_front = front.iter().all(|f| m != **f && !dominates_dyn(f, &m))
+                && front.iter().any(|f| dominates_dyn(&m, f));
             assert!(
                 !beats_front,
                 "{}: visited point {m:?} dominates the exact front",
@@ -50,27 +53,20 @@ fn search_never_beats_the_exact_front() {
 #[test]
 fn enumerator_and_evaluator_agree() {
     let db = Arc::new(NasbenchDatabase::exhaustive(3));
-    let enumeration = enumerate_codesign_space(&db, Dataset::Cifar10, 0);
+    let scenario = ScenarioSpec::unconstrained().compile();
+    let enumeration = enumerate_scenario_front(&db, Dataset::Cifar10, &scenario, 0);
     let mut evaluator = Evaluator::with_shared_database(Arc::clone(&db));
-    for point in enumeration.front.iter().take(40) {
-        let cell = &db.entry(point.cell_index).expect("front index valid").spec;
-        let eval = evaluator
-            .evaluate_pair(cell, &point.config)
-            .expect("cell in db");
-        assert!(
-            (eval.metrics()[0] - point.metrics[0]).abs() < 1e-9,
-            "area mismatch for {}",
-            point.config
-        );
-        assert!(
-            (eval.metrics()[1] - point.metrics[1]).abs() < 1e-9,
-            "latency mismatch for {}",
-            point.config
-        );
-        assert!(
-            (eval.metrics()[2] - point.metrics[2]).abs() < 1e-9,
-            "accuracy mismatch"
-        );
+    for (metrics, (cell_index, config)) in enumeration.iter().take(40) {
+        let cell = &db.entry(*cell_index).expect("front index valid").spec;
+        let eval = evaluator.evaluate_pair(cell, config).expect("cell in db");
+        let point = scenario.metric_point(&eval);
+        for (axis, (a, b)) in scenario
+            .metrics()
+            .iter()
+            .zip(point.iter().zip(metrics.iter()))
+        {
+            assert!((a - b).abs() < 1e-9, "{axis} mismatch for {config}");
+        }
     }
 }
 
@@ -111,7 +107,7 @@ fn evaluator_is_referentially_transparent() {
     let a = run(9);
     let b = run(9);
     for (ra, rb) in a.history.iter().zip(b.history.iter()) {
-        assert_eq!(ra.metrics, rb.metrics);
+        assert_eq!(ra.evaluation, rb.evaluation);
         assert_eq!(ra.reward, rb.reward);
     }
 }

@@ -3,11 +3,13 @@
 //! Full-scale numbers live in `EXPERIMENTS.md` and come from the
 //! `codesign-bench` binaries.
 
+use std::collections::HashSet;
+
 use codesign_nas::accel::{
     validate_area_model, validate_latency_model, AreaModel, ConfigSpace, FpgaDevice, LatencyModel,
 };
 use codesign_nas::core::{
-    enumerate_codesign_space, run_cifar100_codesign, table2_baselines, top_pareto_points,
+    enumerate_scenario_front, run_cifar100_codesign, table2_baselines, top_pareto_points,
     Cifar100Config, ScenarioSpec, ThresholdSchedule,
 };
 use codesign_nas::nasbench::{Dataset, NasbenchDatabase};
@@ -57,19 +59,20 @@ fn fig3_space_has_8640_accelerators() {
 #[test]
 fn fig4_pareto_structure() {
     let db = NasbenchDatabase::exhaustive(4);
-    let result = enumerate_codesign_space(&db, Dataset::Cifar10, 0);
+    let unconstrained = ScenarioSpec::unconstrained().compile();
+    let front = enumerate_scenario_front(&db, Dataset::Cifar10, &unconstrained, 0);
     // "less than 0.0001% of points were Pareto-optimal" at full scale; at
     // this reduced scale the fraction is still well under a percent.
-    assert!(
-        result.front_fraction() < 0.002,
-        "fraction {}",
-        result.front_fraction()
-    );
+    let fraction = front.len() as f64 / (db.len() * ConfigSpace::chaidnn().len()) as f64;
+    assert!(fraction < 0.002, "fraction {fraction}");
     // "the Pareto-optimal points are very diverse".
-    assert!(result.distinct_front_cells >= 3);
-    assert!(result.distinct_front_accels >= 10);
-    // Three-way tradeoff: the frontier is not a single accelerator area.
-    let areas: Vec<f64> = result.front.iter().map(|p| p.area_mm2()).collect();
+    let cells: HashSet<usize> = front.iter().map(|(_, (cell, _))| *cell).collect();
+    let accels: HashSet<_> = front.iter().map(|(_, (_, config))| *config).collect();
+    assert!(cells.len() >= 3);
+    assert!(accels.len() >= 10);
+    // Three-way tradeoff: the frontier is not a single accelerator area
+    // (the Unconstrained axes are `(-area, -lat, acc)`).
+    let areas: Vec<f64> = front.iter().map(|(m, _)| -m[0]).collect();
     let min = areas.iter().copied().fold(f64::INFINITY, f64::min);
     let max = areas.iter().copied().fold(0.0, f64::max);
     assert!(
@@ -81,17 +84,18 @@ fn fig4_pareto_structure() {
 #[test]
 fn fig5_reference_points_maximize_reward() {
     let db = NasbenchDatabase::exhaustive(4);
-    let enumeration = enumerate_codesign_space(&db, Dataset::Cifar10, 0);
+    let unconstrained = ScenarioSpec::unconstrained().compile();
+    let front = enumerate_scenario_front(&db, Dataset::Cifar10, &unconstrained, 0);
     for scenario in ScenarioSpec::paper_presets() {
-        let top = top_pareto_points(&scenario, &enumeration, 10);
-        let spec = scenario.compile();
+        let top = top_pareto_points(&scenario, &front, 10);
+        let compiled = scenario.compile();
+        let reward = compiled.reward_spec();
         // Every other front point scores no better than the top-10 floor.
-        if let Some(floor) = top.last().map(|m| spec.scalarize_triple(m).unwrap()) {
-            let better = enumeration
-                .front
+        if let Some(floor) = top.last().map(|(m, _)| reward.scalarize(m)) {
+            let better = front
                 .iter()
-                .filter(|p| spec.is_feasible_triple(&p.metrics).unwrap())
-                .filter(|p| spec.scalarize_triple(&p.metrics).unwrap() > floor + 1e-12)
+                .filter(|(m, _)| reward.is_feasible(m))
+                .filter(|(m, _)| reward.scalarize(m) > floor + 1e-12)
                 .count();
             assert!(
                 better < 10,
