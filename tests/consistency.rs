@@ -18,8 +18,7 @@ fn search_never_beats_the_exact_front() {
     let db = Arc::new(NasbenchDatabase::exhaustive(4));
     let space = CodesignSpace::with_max_vertices(4);
     let reward = ScenarioSpec::unconstrained().compile();
-    let enumeration = enumerate_scenario_front(&db, Dataset::Cifar10, &reward, 0);
-    let front: Vec<_> = enumeration.iter().map(|(m, _)| m).collect();
+    let front = enumerate_scenario_front(&db, Dataset::Cifar10, &reward, 0);
 
     for (strategy, seed) in [
         (&CombinedSearch as &dyn SearchStrategy, 1u64),
@@ -37,8 +36,8 @@ fn search_never_beats_the_exact_front() {
                 continue;
             };
             let m = reward.metric_point(&eval);
-            let beats_front = front.iter().all(|f| m != **f && !dominates_dyn(f, &m))
-                && front.iter().any(|f| dominates_dyn(&m, f));
+            let beats_front = front.iter().all(|(f, _)| m != *f && !dominates_dyn(f, &m))
+                && front.iter().any(|(f, _)| dominates_dyn(&m, f));
             assert!(
                 !beats_front,
                 "{}: visited point {m:?} dominates the exact front",
