@@ -6,7 +6,10 @@
 //! with a committed constant. Two more digests pin the bytes of the 16
 //! `shard-NN.bin` files `save_sharded` writes from a campaign's cache, i.e.
 //! the v4 on-disk format including the cell-feature section. A sixth
-//! pins the exact Fig. 4 front of the 4-vertex space.
+//! pins the exact Fig. 4 front of the 4-vertex space. Three more pin the
+//! paper's hardware-side results: the Table II baselines, the quick §IV
+//! flow, and the network latencies of the scheduler and its serial
+//! baseline together with the §II-C latency validation.
 //!
 //! Campaigns run on one worker: with several, the order in which two
 //! labellings of one cell reach the shared cache can differ between runs,
@@ -17,13 +20,17 @@
 
 use std::sync::Arc;
 
-use codesign_accel::ConfigSpace;
+use codesign_accel::{
+    schedule_serial, validate_latency_model, AcceleratorConfig, ConfigSpace, LatencyModel,
+    Scheduler,
+};
 use codesign_core::{
-    enumerate_scenario_front, CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig,
+    enumerate_scenario_front, run_cifar100_codesign, table2_baselines, Cifar100Config,
+    CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig,
 };
 use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind, CACHE_SHARD_FILES};
-use codesign_nasbench::byteio::fnv1a64;
-use codesign_nasbench::{Dataset, Json, NasbenchDatabase};
+use codesign_nasbench::byteio::{fnv1a64, put_f64, put_u128, put_u64};
+use codesign_nasbench::{known_cells, Dataset, Json, NasbenchDatabase, Network, NetworkConfig};
 
 /// (a) every strategy × seeds {0, 1}: the campaign's JSONL.
 const STRATEGY_GRID_JSONL: u64 = 0xc602_5caf_c7a4_196e;
@@ -37,6 +44,13 @@ const GUIDED_GRID_JSONL: u64 = 0x9e99_fd93_9c56_47ae;
 const GUIDED_GRID_SHARDS: u64 = 0x5064_04f7_d5da_aacb;
 /// (e) the exact front of the 4-vertex space on the Unconstrained axes.
 const FRONT_V4: u64 = 0xb532_8a44_52c2_8c9a;
+/// (f) both Table II baseline rows: config, accuracy, latency, area.
+const TABLE2_BASELINES: u64 = 0x2404_9926_eb70_0e6e;
+/// (g) the quick §IV flow at seed 0: every stage and its top points.
+const SECTION_IV_QUICK: u64 = 0xc335_326b_a75a_02f6;
+/// (h) greedy and serial latencies of the named cells at three configs,
+/// then the §II-C latency validation errors.
+const SCHEDULES: u64 = 0x9489_2e87_a2b0_5a79;
 
 const STEPS: usize = 64;
 const NSGA: StrategyKind = StrategyKind::Nsga { population: 16 };
@@ -171,4 +185,70 @@ fn exhaustive_front_on_the_unconstrained_axes() {
         ("front at 1 thread", digest(1), FRONT_V4),
         ("front at 2 threads", digest(2), FRONT_V4),
     ]);
+}
+
+/// Appends `config`'s decision indices, one byte each.
+fn put_config(bytes: &mut Vec<u8>, config: &AcceleratorConfig) {
+    bytes.extend(ConfigSpace::chaidnn().encode(config).map(|i| i as u8));
+}
+
+#[test]
+fn table2_baselines_and_the_section_iv_flow() {
+    let mut table2 = Vec::new();
+    for row in table2_baselines() {
+        put_config(&mut table2, &row.config);
+        put_f64(&mut table2, row.accuracy);
+        put_f64(&mut table2, row.latency_ms);
+        put_f64(&mut table2, row.area_mm2);
+    }
+    assert_eq!(table2.len(), 64);
+
+    let result = run_cifar100_codesign(&Cifar100Config::quick(0));
+    let mut flow = Vec::new();
+    for stage in &result.stages {
+        put_f64(&mut flow, stage.threshold);
+        put_u64(&mut flow, stage.steps as u64);
+        put_u64(&mut flow, stage.valid_points as u64);
+        for point in &stage.top_points {
+            put_u128(&mut flow, point.cell.canonical_hash());
+            put_config(&mut flow, &point.config);
+            put_f64(&mut flow, point.accuracy);
+            put_f64(&mut flow, point.latency_ms);
+            put_f64(&mut flow, point.area_mm2);
+            put_u64(&mut flow, point.step as u64);
+        }
+    }
+    put_u64(&mut flow, result.total_steps as u64);
+    put_u64(&mut flow, result.models_trained as u64);
+    put_f64(&mut flow, result.gpu_hours);
+    check(&[
+        ("table2 baselines", fnv1a64(&table2), TABLE2_BASELINES),
+        ("section IV quick flow", fnv1a64(&flow), SECTION_IV_QUICK),
+    ]);
+}
+
+#[test]
+fn greedy_and_serial_schedules_and_the_latency_validation() {
+    let model = LatencyModel::default();
+    let space = ConfigSpace::chaidnn();
+    let mut bytes = Vec::new();
+    for (_, cell) in known_cells::all_named() {
+        let network = Network::assemble(&cell, &NetworkConfig::default());
+        for index in [0, 5000, 8639] {
+            let config = space.get(index);
+            put_f64(
+                &mut bytes,
+                Scheduler::new(model, config).network_latency_ms(&network),
+            );
+            put_f64(
+                &mut bytes,
+                schedule_serial(&model, &config, &network).total_ms,
+            );
+        }
+    }
+    let validation = validate_latency_model(&model);
+    put_f64(&mut bytes, validation.mean_abs_pct_error);
+    put_f64(&mut bytes, validation.max_abs_pct_error);
+    assert_eq!(bytes.len(), 256);
+    check(&[("schedules", fnv1a64(&bytes), SCHEDULES)]);
 }
