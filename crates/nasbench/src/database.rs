@@ -8,16 +8,12 @@
 //! different code path.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::features::CellFeatures;
-use crate::graph::AdjMatrix;
-use crate::jsonio::Json;
 use crate::network::NetworkConfig;
-use crate::ops::Op;
 use crate::sampler::SpecSampler;
 use crate::surrogate::{Dataset, SurrogateModel, NUM_SEEDS};
 use crate::{known_cells, CellSpec, SpecError};
@@ -46,98 +42,6 @@ impl DbEntry {
             Dataset::Cifar100 => &self.cifar100_accuracy,
         };
         accs.iter().sum::<f64>() / NUM_SEEDS as f64
-    }
-
-    /// The entry as a JSON object (the spec stored as vertex count + edge
-    /// list + op labels; features are derived, not stored).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let v = self.spec.num_vertices();
-        let matrix = self.spec.matrix();
-        let mut edges = Vec::new();
-        for i in 0..v {
-            for j in (i + 1)..v {
-                if matrix.has_edge(i, j) {
-                    edges.push(Json::Arr(vec![Json::Num(i as f64), Json::Num(j as f64)]));
-                }
-            }
-        }
-        let ops = self
-            .spec
-            .ops()
-            .iter()
-            .map(|op| Json::Num(f64::from(op.label())))
-            .collect();
-        let accs = |a: &[f64; NUM_SEEDS]| Json::Arr(a.iter().map(|&x| Json::Num(x)).collect());
-        Json::obj(vec![
-            ("v", Json::Num(v as f64)),
-            ("edges", Json::Arr(edges)),
-            ("ops", Json::Arr(ops)),
-            ("cifar10", accs(&self.cifar10_accuracy)),
-            ("cifar100", accs(&self.cifar100_accuracy)),
-            ("training_seconds", Json::Num(self.training_seconds)),
-        ])
-    }
-
-    /// Parses an entry written by [`DbEntry::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing/ill-typed field or invalid spec.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let v = doc
-            .get("v")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| "missing vertex count 'v'".to_owned())?;
-        let mut edges = Vec::new();
-        for e in doc.get("edges").and_then(Json::as_arr).unwrap_or(&[]) {
-            let pair = e.as_arr().ok_or_else(|| "edge is not a pair".to_owned())?;
-            match pair {
-                [a, b] => edges.push((
-                    a.as_usize().ok_or_else(|| "bad edge endpoint".to_owned())?,
-                    b.as_usize().ok_or_else(|| "bad edge endpoint".to_owned())?,
-                )),
-                _ => return Err("edge is not a pair".into()),
-            }
-        }
-        let mut ops = Vec::new();
-        for label in doc.get("ops").and_then(Json::as_arr).unwrap_or(&[]) {
-            let label = label.as_usize().ok_or_else(|| "bad op label".to_owned())?;
-            let label = u8::try_from(label).map_err(|e| e.to_string())?;
-            ops.push(Op::from_label(label).ok_or_else(|| format!("unknown op {label}"))?);
-        }
-        let matrix = AdjMatrix::from_edges(v, &edges).map_err(|e| format!("bad matrix: {e}"))?;
-        let spec = CellSpec::new(matrix, ops).map_err(|e| format!("bad spec: {e}"))?;
-        let fixed_accs = |key: &str| -> Result<[f64; NUM_SEEDS], String> {
-            let arr = doc
-                .get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("missing '{key}'"))?;
-            if arr.len() != NUM_SEEDS {
-                return Err(format!(
-                    "'{key}' needs {NUM_SEEDS} seeds, got {}",
-                    arr.len()
-                ));
-            }
-            let mut out = [0.0; NUM_SEEDS];
-            for (slot, item) in out.iter_mut().zip(arr.iter()) {
-                *slot = item
-                    .as_f64()
-                    .ok_or_else(|| format!("bad accuracy in '{key}'"))?;
-            }
-            Ok(out)
-        };
-        let features = CellFeatures::extract(&spec, &NetworkConfig::default());
-        Ok(Self {
-            spec,
-            features,
-            cifar10_accuracy: fixed_accs("cifar10")?,
-            cifar100_accuracy: fixed_accs("cifar100")?,
-            training_seconds: doc
-                .get("training_seconds")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| "missing 'training_seconds'".to_owned())?,
-        })
     }
 }
 
@@ -286,7 +190,7 @@ impl NasbenchDatabase {
             .ok_or(SpecError::UnknownSpec)
     }
 
-    /// Entry at position `i` (stable across save/load).
+    /// Entry at position `i` (insertion order, deterministic per build).
     #[must_use]
     pub fn entry(&self, i: usize) -> Option<&DbEntry> {
         self.entries.get(i)
@@ -297,57 +201,13 @@ impl NasbenchDatabase {
         self.entries.iter()
     }
 
-    /// Serializes the database as JSON (hand-rolled writer; no external
-    /// dependency). Structural features are *not* stored — they are a pure
-    /// function of the spec and are re-extracted on load.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `writer`.
-    pub fn save_json<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
-        let entries: Vec<Json> = self.entries.iter().map(DbEntry::to_json).collect();
-        let doc = Json::obj(vec![("entries", Json::Arr(entries))]);
-        write!(writer, "{doc}")
-    }
-
-    /// Reads a database back from JSON, rebuilding structural features and
-    /// the hash index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::CorruptDatabase`] when parsing fails.
-    pub fn load_json<R: Read>(mut reader: R) -> Result<Self, SpecError> {
-        let corrupt = |reason: String| SpecError::CorruptDatabase { reason };
-        let mut text = String::new();
-        reader
-            .read_to_string(&mut text)
-            .map_err(|e| corrupt(e.to_string()))?;
-        let doc = Json::parse(&text).map_err(corrupt)?;
-        let entries = doc
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| corrupt("missing 'entries' array".into()))?;
-        let mut db = Self {
-            entries: Vec::with_capacity(entries.len()),
-            index: HashMap::new(),
-        };
-        for (i, entry) in entries.iter().enumerate() {
-            let entry =
-                DbEntry::from_json(entry).map_err(|e| corrupt(format!("entry {i}: {e}")))?;
-            db.index
-                .insert(entry.spec.canonical_hash(), db.entries.len());
-            db.entries.push(entry);
-        }
-        Ok(db)
-    }
-
     /// An order-insensitive 64-bit fingerprint of the stored contents:
     /// the cell set *and* each cell's stored accuracies/training time.
     ///
-    /// Accuracies are stored data (loadable from JSON), not derived at
-    /// query time, so they must participate — a database with the same
-    /// cells but regenerated accuracy values (different surrogate, edited
-    /// file) fingerprints differently. Persistent evaluation caches use
+    /// Accuracies are stored data, computed once when the database is
+    /// built and not derived at query time, so they must participate — a
+    /// database with the same cells but different accuracy values (a
+    /// different surrogate) fingerprints differently. Persistent evaluation caches use
     /// this as their salt: a cache built against one database is rejected
     /// when replayed against a different one instead of silently serving
     /// stale metrics.
@@ -453,67 +313,20 @@ mod tests {
         // A different sample set fingerprints differently.
         let c = NasbenchDatabase::build(40, 12);
         assert_ne!(a.fingerprint(), c.fingerprint());
-        // Round-tripping through JSON preserves the fingerprint.
-        let mut buf = Vec::new();
-        a.save_json(&mut buf).unwrap();
-        let back = NasbenchDatabase::load_json(buf.as_slice()).unwrap();
-        assert_eq!(back.fingerprint(), a.fingerprint());
     }
 
     #[test]
     fn fingerprint_covers_stored_accuracies_not_just_cells() {
         let db = NasbenchDatabase::build(5, 3);
-        let mut buf = Vec::new();
-        db.save_json(&mut buf).unwrap();
         // Perturb one stored accuracy value without touching the cell set.
-        let mut doc = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
-        {
-            let Json::Obj(pairs) = &mut doc else {
-                panic!("database document is an object")
-            };
-            let entries = &mut pairs.iter_mut().find(|(k, _)| k == "entries").unwrap().1;
-            let Json::Arr(entries) = entries else {
-                panic!("'entries' is an array")
-            };
-            let Json::Obj(entry) = &mut entries[0] else {
-                panic!("entry is an object")
-            };
-            let accs = &mut entry.iter_mut().find(|(k, _)| k == "cifar10").unwrap().1;
-            let Json::Arr(accs) = accs else {
-                panic!("'cifar10' is an array")
-            };
-            let Json::Num(acc) = &mut accs[0] else {
-                panic!("accuracy is a number")
-            };
-            *acc += 0.001;
-        }
-        let tampered = NasbenchDatabase::load_json(doc.to_string().as_bytes()).unwrap();
+        let mut tampered = db.clone();
+        tampered.entries[0].cifar10_accuracy[0] += 0.001;
         assert_eq!(tampered.len(), db.len(), "cell set unchanged");
         assert_ne!(
             tampered.fingerprint(),
             db.fingerprint(),
             "different stored accuracies must fingerprint differently"
         );
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_queries() {
-        let db = NasbenchDatabase::build(30, 99);
-        let mut buf = Vec::new();
-        db.save_json(&mut buf).unwrap();
-        let back = NasbenchDatabase::load_json(buf.as_slice()).unwrap();
-        assert_eq!(back.len(), db.len());
-        let resnet = known_cells::resnet_cell();
-        assert_eq!(
-            back.query(&resnet).unwrap().cifar10_accuracy,
-            db.query(&resnet).unwrap().cifar10_accuracy
-        );
-    }
-
-    #[test]
-    fn corrupt_json_is_reported() {
-        let err = NasbenchDatabase::load_json(&b"{not json"[..]).unwrap_err();
-        assert!(matches!(err, SpecError::CorruptDatabase { .. }));
     }
 
     #[test]

@@ -33,8 +33,6 @@ pub enum SpecError {
     Disconnected,
     /// A database lookup used a spec that was never inserted.
     UnknownSpec,
-    /// A database file could not be parsed.
-    CorruptDatabase { reason: String },
 }
 
 impl fmt::Display for SpecError {
@@ -77,9 +75,6 @@ impl fmt::Display for SpecError {
                 write!(f, "no path connects the cell input to the cell output")
             }
             SpecError::UnknownSpec => write!(f, "spec is not present in the database"),
-            SpecError::CorruptDatabase { reason } => {
-                write!(f, "database file is corrupt: {reason}")
-            }
         }
     }
 }
