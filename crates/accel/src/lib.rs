@@ -7,10 +7,24 @@
 //! conversion included), and the §II-C2 latency model — a per-op lookup table
 //! fed by an analytical engine model plus a greedy multi-engine scheduler.
 //!
+//! Modules:
+//!
+//! - [`config`]: the accelerator parameters and the 8,640-point space;
+//! - [`device`] and [`area`]: the Zynq UltraScale+ device and the area model;
+//! - [`latency`], [`lut`] and [`scheduler`]: per-op latencies, their
+//!   memoized table, and the one network-latency entry,
+//!   [`Scheduler::network_latency_ms`];
+//! - [`power`]: the peak-power extension;
+//! - [`validation`]: the §II-C validation against a synthetic reference;
+//! - [`hash`]: the fast hasher behind the lookup table.
+//!
+//! Pairing a network with its best accelerator (Table II) and scoring
+//! pairs for search is the evaluator's job, in `codesign-core`.
+//!
 //! # Quick tour
 //!
 //! ```
-//! use codesign_accel::{AreaModel, ConfigSpace, DseObjective, LatencyModel, Scheduler};
+//! use codesign_accel::{AreaModel, ConfigSpace, LatencyModel, Scheduler};
 //! use codesign_nasbench::{known_cells, Network, NetworkConfig};
 //!
 //! let space = ConfigSpace::chaidnn();
@@ -20,26 +34,13 @@
 //! let network = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
 //! let config = space.get(8639);
 //! let area = AreaModel::default().area_mm2(&config);
-//! let latency = Scheduler::new(LatencyModel::default(), config)
-//!     .schedule_network(&network)
-//!     .total_ms;
+//! let latency = Scheduler::new(LatencyModel::default(), config).network_latency_ms(&network);
 //! assert!(area > 0.0 && latency > 0.0);
-//!
-//! // Or sweep the whole space for the best pairing (Table II's rule).
-//! let best = codesign_accel::best_accelerator_for(
-//!     &network,
-//!     &space,
-//!     DseObjective::PerfPerArea,
-//!     &AreaModel::default(),
-//!     &LatencyModel::default(),
-//! );
-//! assert!(best.is_some());
 //! ```
 
 pub mod area;
 pub mod config;
 pub mod device;
-pub mod dse;
 pub mod hash;
 pub mod latency;
 pub mod lut;
@@ -50,9 +51,8 @@ pub mod validation;
 pub use area::{AreaBreakdown, AreaModel};
 pub use config::{AcceleratorConfig, ConfigSpace, ConvEngineRatio, NUM_DECISIONS};
 pub use device::{FpgaDevice, ResourceUsage};
-pub use dse::{best_accelerator_for, evaluate_pair, DseObjective, DseResult, PairMetrics};
 pub use latency::{EngineKind, LatencyModel};
 pub use lut::LatencyLut;
 pub use power::{PowerEstimate, PowerModel};
-pub use scheduler::{schedule_serial, NetworkLatency, ScheduleResult, Scheduler};
+pub use scheduler::{schedule_serial, Scheduler};
 pub use validation::{validate_area_model, validate_latency_model, ValidationReport};

@@ -3,11 +3,11 @@
 //! Fig. 1 of the paper lists *power* among the evaluator outputs feeding the
 //! multi-objective reward, but the evaluation sections only ever use
 //! accuracy/latency/area. This module supplies the missing piece so
-//! four-objective codesign can be explored (see the `power_aware` scenario
-//! test and the moo crate's const-generic rewards): a standard
-//! CMOS-style decomposition into static leakage proportional to provisioned
-//! resources and dynamic power proportional to switched capacitance times
-//! utilization.
+//! four-objective codesign can be explored (the evaluator reports the peak
+//! estimate as the `power` metric that scenarios can weight or constrain;
+//! see the `power_aware` test): a standard CMOS-style decomposition into
+//! static leakage proportional to provisioned resources and dynamic power
+//! proportional to switched capacitance times utilization.
 //!
 //! Constants are set so a mid-size configuration under full load draws a few
 //! watts — the regime Xilinx reports for CHaiDNN-class Zynq UltraScale+
@@ -15,7 +15,6 @@
 
 use crate::area::AreaModel;
 use crate::config::AcceleratorConfig;
-use crate::scheduler::ScheduleResult;
 
 /// Power estimate for one accelerator configuration under a workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,8 +74,8 @@ impl PowerModel {
         self.power(area_model, config, 1.0, 1.0)
     }
 
-    /// Power given measured utilizations from a schedule: `compute_util` for
-    /// the MAC arrays / BRAMs and `cpu_util` for the fallback core.
+    /// Power at given utilizations: `compute_util` for the MAC arrays /
+    /// BRAMs and `cpu_util` for the fallback core, each clamped to `0..=1`.
     #[must_use]
     pub fn power(
         &self,
@@ -100,57 +99,12 @@ impl PowerModel {
             dynamic_w,
         }
     }
-
-    /// Power for a scheduled program: utilizations derived from the
-    /// engine-busy breakdown of a [`ScheduleResult`].
-    #[must_use]
-    pub fn power_for_schedule(
-        &self,
-        area_model: &AreaModel,
-        config: &AcceleratorConfig,
-        schedule: &ScheduleResult,
-    ) -> PowerEstimate {
-        let makespan = schedule.makespan_ns.max(1.0);
-        let mut accel_busy = 0.0;
-        let mut cpu_busy = 0.0;
-        for (engine, busy) in &schedule.engine_busy_ns {
-            if matches!(engine, crate::latency::EngineKind::Cpu) {
-                cpu_busy += busy;
-            } else {
-                accel_busy += busy;
-            }
-        }
-        self.power(
-            area_model,
-            config,
-            accel_busy / makespan,
-            cpu_busy / makespan,
-        )
-    }
-
-    /// Energy per inference in millijoules for a network latency and average
-    /// utilizations.
-    #[must_use]
-    pub fn energy_mj(
-        &self,
-        area_model: &AreaModel,
-        config: &AcceleratorConfig,
-        latency_ms: f64,
-        compute_util: f64,
-        cpu_util: f64,
-    ) -> f64 {
-        let p = self.power(area_model, config, compute_util, cpu_util);
-        p.total_w() * latency_ms
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ConfigSpace;
-    use crate::latency::LatencyModel;
-    use crate::scheduler::Scheduler;
-    use codesign_nasbench::{known_cells, CellProgram};
 
     fn models() -> (AreaModel, PowerModel) {
         (AreaModel::default(), PowerModel::default())
@@ -192,31 +146,5 @@ mod tests {
         let half = power.power(&area, &config, 0.5, 0.0).dynamic_w;
         let full = power.power(&area, &config, 1.0, 0.0).dynamic_w;
         assert!((full - 2.0 * half).abs() < 1e-12);
-    }
-
-    #[test]
-    fn schedule_derived_power_is_bounded_by_peak() {
-        let (area, power) = models();
-        let config = ConfigSpace::chaidnn().get(8639);
-        let mut scheduler = Scheduler::new(LatencyModel::default(), config);
-        let prog = CellProgram::lower(&known_cells::googlenet_cell(), 128, 128, 32, 32);
-        let schedule = scheduler.schedule_program(&prog);
-        let measured = power
-            .power_for_schedule(&area, &config, &schedule)
-            .total_w();
-        let peak = power.peak_power(&area, &config).total_w();
-        assert!(
-            measured > 0.0 && measured <= peak + 1e-9,
-            "{measured} vs peak {peak}"
-        );
-    }
-
-    #[test]
-    fn energy_is_power_times_latency() {
-        let (area, power) = models();
-        let config = ConfigSpace::chaidnn().get(0);
-        let e = power.energy_mj(&area, &config, 10.0, 0.5, 0.1);
-        let p = power.power(&area, &config, 0.5, 0.1).total_w();
-        assert!((e - 10.0 * p).abs() < 1e-12);
     }
 }

@@ -9,54 +9,11 @@
 //! counts — scheduling each *distinct* cell parameterization exactly once,
 //! which is what makes exhaustive enumeration of the codesign space feasible.
 
-use std::collections::HashMap;
-
 use codesign_nasbench::{CellProgram, Network};
 
 use crate::config::AcceleratorConfig;
 use crate::latency::{EngineKind, LatencyModel};
 use crate::lut::LatencyLut;
-
-/// Result of scheduling one op program.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduleResult {
-    /// End-to-end latency of the program, nanoseconds.
-    pub makespan_ns: f64,
-    /// Busy time per engine, nanoseconds.
-    pub engine_busy_ns: HashMap<EngineKind, f64>,
-    /// Number of ops that fell back to the CPU.
-    pub cpu_ops: usize,
-}
-
-impl ScheduleResult {
-    /// Fraction of the makespan the busiest engine was occupied.
-    #[must_use]
-    pub fn bottleneck_utilization(&self) -> f64 {
-        if self.makespan_ns <= 0.0 {
-            return 0.0;
-        }
-        self.engine_busy_ns.values().fold(0.0f64, |a, &b| a.max(b)) / self.makespan_ns
-    }
-}
-
-/// Latency of a full network on one accelerator configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkLatency {
-    /// End-to-end single-image latency, milliseconds.
-    pub total_ms: f64,
-    /// Per-unit breakdown: `(label, repeat count, latency of one repeat in ms)`.
-    pub units: Vec<(String, usize, f64)>,
-    /// Total ops that ran on the CPU across the whole network.
-    pub cpu_ops: usize,
-}
-
-impl NetworkLatency {
-    /// Throughput in images per second (single-image pipeline).
-    #[must_use]
-    pub fn images_per_second(&self) -> f64 {
-        1000.0 / self.total_ms
-    }
-}
 
 /// Greedy list scheduler bound to one accelerator configuration.
 ///
@@ -69,8 +26,8 @@ impl NetworkLatency {
 /// let config = ConfigSpace::chaidnn().get(8639);
 /// let mut scheduler = Scheduler::new(LatencyModel::default(), config);
 /// let net = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
-/// let latency = scheduler.schedule_network(&net);
-/// assert!(latency.total_ms > 1.0 && latency.total_ms < 1000.0);
+/// let ms = scheduler.network_latency_ms(&net);
+/// assert!(ms > 1.0 && ms < 1000.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scheduler {
@@ -100,35 +57,13 @@ impl Scheduler {
         &self.lut
     }
 
-    /// Schedules one op program, returning its makespan and engine usage.
-    pub fn schedule_program(&mut self, program: &CellProgram) -> ScheduleResult {
-        let mut busy = [0.0f64; EngineKind::COUNT];
-        let (makespan, cpu_ops) = self.schedule_core(program, &mut busy);
-        let engine_busy_ns = EngineKind::ALL
-            .iter()
-            .filter(|e| busy[e.index()] > 0.0)
-            .map(|e| (*e, busy[e.index()]))
-            .collect();
-        ScheduleResult {
-            makespan_ns: makespan,
-            engine_busy_ns,
-            cpu_ops,
-        }
-    }
-
-    /// The allocation-lean scheduling kernel: greedy list scheduling with
-    /// dense per-engine state. Returns `(makespan_ns, cpu_ops)` and
-    /// accumulates per-engine busy time into `busy`.
-    fn schedule_core(
-        &mut self,
-        program: &CellProgram,
-        busy: &mut [f64; EngineKind::COUNT],
-    ) -> (f64, usize) {
+    /// The scheduling kernel: greedy list scheduling of one op program
+    /// with dense per-engine state. Returns the makespan, ns.
+    fn program_makespan_ns(&mut self, program: &CellProgram) -> f64 {
         let config = *self.lut.config();
         let mut engine_free = [0.0f64; EngineKind::COUNT];
         self.finish_scratch.clear();
         self.finish_scratch.reserve(program.nodes().len());
-        let mut cpu_ops = 0usize;
         let mut makespan = 0.0f64;
         for node in program.nodes() {
             let mut ready = 0.0f64;
@@ -137,83 +72,47 @@ impl Scheduler {
             }
             let engine = LatencyModel::primary_engine(&node.op, &config);
             let idx = engine.index();
-            let latency = self.lut.lookup(&node.op, engine);
-            let end = ready.max(engine_free[idx]) + latency;
+            let end = ready.max(engine_free[idx]) + self.lut.lookup(&node.op, engine);
             engine_free[idx] = end;
-            busy[idx] += latency;
-            if engine == EngineKind::Cpu {
-                cpu_ops += 1;
-            }
             self.finish_scratch.push(end);
             makespan = makespan.max(end);
         }
-        (makespan, cpu_ops)
+        makespan
     }
 
-    /// End-to-end network latency in milliseconds without the per-unit
-    /// breakdown — the hot path of the Fig. 4 space enumeration.
+    /// End-to-end single-image latency of a network, ms: the sum of its
+    /// units' makespans times their repeat counts (units are serially
+    /// dependent by construction). This is the one network-latency entry
+    /// point; the evaluator, the enumerator and the validation all call it.
     pub fn network_latency_ms(&mut self, network: &Network) -> f64 {
-        let mut busy = [0.0f64; EngineKind::COUNT];
         let mut total_ns = 0.0;
         for unit in network.units() {
-            let (makespan, _) = self.schedule_core(&unit.program, &mut busy);
-            total_ns += makespan * unit.count as f64;
+            total_ns += self.program_makespan_ns(&unit.program) * unit.count as f64;
         }
         total_ns / 1e6
-    }
-
-    /// Schedules a full network: the sum of unit makespans times repeat
-    /// counts (units are serially dependent by construction).
-    pub fn schedule_network(&mut self, network: &Network) -> NetworkLatency {
-        let mut total_ns = 0.0;
-        let mut units = Vec::with_capacity(network.units().len());
-        let mut cpu_ops = 0usize;
-        for unit in network.units() {
-            let result = self.schedule_program(&unit.program);
-            total_ns += result.makespan_ns * unit.count as f64;
-            cpu_ops += result.cpu_ops * unit.count;
-            units.push((unit.label.clone(), unit.count, result.makespan_ns / 1e6));
-        }
-        NetworkLatency {
-            total_ms: total_ns / 1e6,
-            units,
-            cpu_ops,
-        }
     }
 }
 
 /// Reference single-engine scheduler: every op serializes on one queue.
+/// Returns the network's latency, ms.
 ///
 /// This is the ablation baseline for the greedy multi-engine scheduler — it
 /// answers "how much does engine-level parallelism buy?" for a given pair.
-pub fn schedule_serial(
-    model: &LatencyModel,
-    config: &AcceleratorConfig,
-    network: &Network,
-) -> NetworkLatency {
+#[must_use]
+pub fn schedule_serial(model: &LatencyModel, config: &AcceleratorConfig, network: &Network) -> f64 {
     let mut lut = LatencyLut::new(*model, *config);
     let mut total_ns = 0.0;
-    let mut units = Vec::with_capacity(network.units().len());
-    let mut cpu_ops = 0usize;
     for unit in network.units() {
         let mut unit_ns = 0.0;
         for node in unit.program.nodes() {
             // Serial baseline uses the same placement, it just never
             // overlaps two ops in time.
             let engine = LatencyModel::primary_engine(&node.op, config);
-            if engine == EngineKind::Cpu {
-                cpu_ops += unit.count;
-            }
             unit_ns += lut.lookup(&node.op, engine);
         }
         total_ns += unit_ns * unit.count as f64;
-        units.push((unit.label.clone(), unit.count, unit_ns / 1e6));
     }
-    NetworkLatency {
-        total_ms: total_ns / 1e6,
-        units,
-        cpu_ops,
-    }
+    total_ns / 1e6
 }
 
 #[cfg(test)]
@@ -245,7 +144,7 @@ mod tests {
         let mut s = Scheduler::new(LatencyModel::default(), big_config());
         let cell = known_cells::plain_cell();
         let prog = codesign_nasbench::CellProgram::lower(&cell, 128, 128, 32, 32);
-        let result = s.schedule_program(&prog);
+        let makespan = s.program_makespan_ns(&prog);
         let sum: f64 = prog
             .nodes()
             .iter()
@@ -254,10 +153,7 @@ mod tests {
                 LatencyModel::default().op_latency_ns(&n.op, e, &big_config())
             })
             .sum();
-        assert!(
-            (result.makespan_ns - sum).abs() < 1.0,
-            "chain must serialize"
-        );
+        assert!((makespan - sum).abs() < 1.0, "chain must serialize");
     }
 
     #[test]
@@ -271,8 +167,8 @@ mod tests {
             ratio_conv_engines: ConvEngineRatio::R50,
             ..single
         };
-        let greedy_split = Scheduler::new(model, split).schedule_network(&net).total_ms;
-        let serial_split = schedule_serial(&model, &split, &net).total_ms;
+        let greedy_split = Scheduler::new(model, split).network_latency_ms(&net);
+        let serial_split = schedule_serial(&model, &split, &net);
         assert!(
             greedy_split < serial_split,
             "greedy {greedy_split} must beat serial {serial_split} when branches overlap"
@@ -283,8 +179,8 @@ mod tests {
     fn greedy_never_beats_critical_path_bound() {
         let mut s = Scheduler::new(LatencyModel::default(), big_config());
         let net = resnet_network();
-        let greedy = s.schedule_network(&net).total_ms;
-        let serial = schedule_serial(&LatencyModel::default(), &big_config(), &net).total_ms;
+        let greedy = s.network_latency_ms(&net);
+        let serial = schedule_serial(&LatencyModel::default(), &big_config(), &net);
         assert!(greedy <= serial + 1e-9, "greedy {greedy} > serial {serial}");
         assert!(greedy > 0.25 * serial, "overlap cannot exceed engine count");
     }
@@ -295,24 +191,19 @@ mod tests {
         // config is found by DSE; the biggest single-engine config must land
         // in the same decade.
         let mut s = Scheduler::new(LatencyModel::default(), big_config());
-        let ms = s.schedule_network(&resnet_network()).total_ms;
+        let ms = s.network_latency_ms(&resnet_network());
         assert!((15.0..=80.0).contains(&ms), "resnet latency {ms} ms");
     }
 
     #[test]
     fn googlenet_is_faster_than_resnet() {
         let model = LatencyModel::default();
-        let g = Scheduler::new(model, big_config()).schedule_network(&Network::assemble(
+        let g = Scheduler::new(model, big_config()).network_latency_ms(&Network::assemble(
             &known_cells::googlenet_cell(),
             &NetworkConfig::default(),
         ));
-        let r = Scheduler::new(model, big_config()).schedule_network(&resnet_network());
-        assert!(
-            g.total_ms < 0.7 * r.total_ms,
-            "googlenet {} vs resnet {}",
-            g.total_ms,
-            r.total_ms
-        );
+        let r = Scheduler::new(model, big_config()).network_latency_ms(&resnet_network());
+        assert!(g < 0.7 * r, "googlenet {g} vs resnet {r}");
     }
 
     #[test]
@@ -324,40 +215,12 @@ mod tests {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for i in (0..space.len()).step_by(111) {
-            let ms = Scheduler::new(model, space.get(i))
-                .schedule_network(&net)
-                .total_ms;
+            let ms = Scheduler::new(model, space.get(i)).network_latency_ms(&net);
             lo = lo.min(ms);
             hi = hi.max(ms);
         }
         assert!(lo < 80.0, "fastest config {lo} ms");
         assert!(hi > 100.0, "slowest config {hi} ms");
         assert!(hi < 2000.0, "slowest config {hi} ms is off the chart");
-    }
-
-    #[test]
-    fn network_latency_sums_units() {
-        let mut s = Scheduler::new(LatencyModel::default(), big_config());
-        let lat = s.schedule_network(&resnet_network());
-        let manual: f64 = lat.units.iter().map(|(_, c, ms)| ms * *c as f64).sum();
-        assert!((lat.total_ms - manual).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cpu_ops_counted() {
-        let mut s = Scheduler::new(LatencyModel::default(), big_config());
-        let lat = s.schedule_network(&resnet_network());
-        // 9 cells x 1 skip-add + global pool + fc at minimum.
-        assert!(lat.cpu_ops >= 11, "cpu_ops {}", lat.cpu_ops);
-    }
-
-    #[test]
-    fn images_per_second_inverts_latency() {
-        let lat = NetworkLatency {
-            total_ms: 20.0,
-            units: vec![],
-            cpu_ops: 0,
-        };
-        assert!((lat.images_per_second() - 50.0).abs() < 1e-9);
     }
 }

@@ -70,9 +70,7 @@ pub fn reference_latency_ms(
     config: &AcceleratorConfig,
     network: &Network,
 ) -> f64 {
-    let base = Scheduler::new(*model, *config)
-        .schedule_network(network)
-        .total_ms;
+    let base = Scheduler::new(*model, *config).network_latency_ms(network);
     base * (1.0 + 0.12 * unit_noise(config, 0x1A7E))
 }
 
@@ -109,9 +107,7 @@ pub fn validate_latency_model(model: &LatencyModel) -> ValidationReport {
     let errors: Vec<f64> = configs
         .iter()
         .map(|c| {
-            let predicted = Scheduler::new(*model, *c)
-                .schedule_network(&network)
-                .total_ms;
+            let predicted = Scheduler::new(*model, *c).network_latency_ms(&network);
             let measured = reference_latency_ms(model, c, &network);
             ((predicted - measured) / measured).abs() * 100.0
         })

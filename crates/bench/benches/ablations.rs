@@ -20,10 +20,10 @@ fn bench_scheduler_vs_serial(c: &mut Criterion) {
     let network = Network::assemble(&known_cells::cod1_cell(), &NetworkConfig::default());
     c.bench_function("ablation/scheduler_greedy", |b| {
         let mut s = Scheduler::new(model, config);
-        b.iter(|| s.schedule_network(black_box(&network)).total_ms)
+        b.iter(|| s.network_latency_ms(black_box(&network)))
     });
     c.bench_function("ablation/scheduler_serial", |b| {
-        b.iter(|| schedule_serial(&model, &config, black_box(&network)).total_ms)
+        b.iter(|| schedule_serial(&model, &config, black_box(&network)))
     });
 }
 
@@ -75,7 +75,7 @@ fn bench_lut_memoization(c: &mut Criterion) {
             let mut s = Scheduler::new(model, config);
             let mut total = 0.0;
             for _ in 0..10 {
-                total += s.schedule_network(black_box(&network)).total_ms;
+                total += s.network_latency_ms(black_box(&network));
             }
             total
         })
@@ -85,7 +85,7 @@ fn bench_lut_memoization(c: &mut Criterion) {
             let mut total = 0.0;
             for _ in 0..10 {
                 let mut s = Scheduler::new(model, config);
-                total += s.schedule_network(black_box(&network)).total_ms;
+                total += s.network_latency_ms(black_box(&network));
             }
             total
         })

@@ -31,13 +31,13 @@ fn bench_latency_schedule(c: &mut Criterion) {
     c.bench_function("latency/schedule_resnet_cold_lut", |b| {
         b.iter(|| {
             let mut s = Scheduler::new(LatencyModel::default(), config);
-            s.schedule_network(black_box(&network)).total_ms
+            s.network_latency_ms(black_box(&network))
         })
     });
     c.bench_function("latency/schedule_resnet_warm_lut", |b| {
         let mut s = Scheduler::new(LatencyModel::default(), config);
-        let _ = s.schedule_network(&network);
-        b.iter(|| s.schedule_network(black_box(&network)).total_ms)
+        let _ = s.network_latency_ms(&network);
+        b.iter(|| s.network_latency_ms(black_box(&network)))
     });
 }
 

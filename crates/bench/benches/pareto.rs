@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use codesign_core::{enumerate_scenario_front, ScenarioSpec};
 use codesign_moo::pareto::{pareto_indices_3d, pareto_indices_dyn};
 use codesign_moo::DynStreamingParetoFilter;
-use codesign_nasbench::{Dataset, NasbenchDatabase};
+use codesign_nasbench::NasbenchDatabase;
 
 fn random_points(n: usize, seed: u64) -> Vec<[f64; 3]> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -69,7 +69,7 @@ fn bench_space_enumeration(c: &mut Criterion) {
     group.sample_size(10);
     let scenario = ScenarioSpec::unconstrained().compile();
     group.bench_function("v3_space_60k_pairs", |b| {
-        b.iter(|| enumerate_scenario_front(black_box(&db), Dataset::Cifar10, &scenario, 1).len())
+        b.iter(|| enumerate_scenario_front(black_box(&db), &scenario, 1).len())
     });
     group.finish();
 }

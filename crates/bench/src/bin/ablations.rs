@@ -20,8 +20,8 @@ use codesign_nasbench::{known_cells, NasbenchDatabase, Network, NetworkConfig};
 
 fn main() {
     let args = Args::parse("--steps N, --repeats R, --seed S");
-    let steps = args.get_usize("steps", 1000);
-    let repeats = args.get_usize("repeats", 3);
+    let steps = args.get_usize_in("steps", 1000, 1..);
+    let repeats = args.get_usize_in("repeats", 3, 1..);
 
     controller_vs_random(steps, repeats);
     punishment_ablation(steps, repeats);
@@ -85,7 +85,7 @@ fn controller_vs_random(steps: usize, repeats: usize) {
             fmt_f(combined, 4),
             fmt_f(random, 4),
             fmt_f(combined - random, 4),
-            format!("{} ({axes})", front_points / repeats.max(1)),
+            format!("{} ({axes})", front_points / repeats),
         ]);
     }
     println!("{table}");
@@ -128,10 +128,8 @@ fn schedule_ablation() {
         let network = Network::assemble(&cell, &NetworkConfig::default());
         for idx in [8639, 5000] {
             let config = space.get(idx);
-            let greedy = Scheduler::new(model, config)
-                .schedule_network(&network)
-                .total_ms;
-            let serial = schedule_serial(&model, &config, &network).total_ms;
+            let greedy = Scheduler::new(model, config).network_latency_ms(&network);
+            let serial = schedule_serial(&model, &config, &network);
             table.add_row(vec![
                 name.into(),
                 config.ratio_conv_engines.to_string(),
@@ -167,8 +165,9 @@ fn threshold_schedule_ablation(seed: u64) {
     let best_acc = |r: &codesign_core::Cifar100Result| {
         r.all_top_points()
             .iter()
-            .filter(|p| p.perf_per_area() >= 40.0)
-            .map(|p| p.accuracy)
+            .map(|p| &p.evaluation)
+            .filter(|e| e.perf_per_area() >= 40.0)
+            .map(|e| e.accuracy)
             .fold(f64::NAN, f64::max)
     };
     println!(

@@ -75,6 +75,8 @@
 //! (open in Perfetto or `chrome://tracing`), `--metrics-out` writes every
 //! span and metric as JSONL, and `--progress` streams a live
 //! shards-done / ETA / cache-hit-rate line to stderr while the sweep runs.
+//! The two output files are created before any work starts, so a path
+//! that cannot be created exits with code 2 up front.
 //!
 //! # Server mode
 //!
@@ -98,6 +100,7 @@
 //! prints the telemetry summary before exiting — in serve *and* one-shot
 //! modes.
 
+use std::fs::File;
 use std::sync::Arc;
 
 use codesign_bench::{out_dir, Args};
@@ -247,40 +250,70 @@ fn persist_cache(cache: &SharedEvalCache, cache_path: &str, salt: u64, log_to_st
     }
 }
 
-/// Drains telemetry once and feeds every sink from the same snapshot, so
-/// the trace, the event log, and the summary all describe the identical
-/// run. No-op while telemetry is disabled.
-fn telemetry_exports(trace_out: &str, metrics_out: &str) {
-    if !codesign_telemetry::enabled() {
-        return;
+/// The `--trace-out` and `--metrics-out` files, created when the flags are
+/// read: a path that cannot be created exits 2 before any work starts
+/// instead of after the sweep.
+struct TelemetryOutputs {
+    trace: Option<(String, File)>,
+    metrics: Option<(String, File)>,
+}
+
+impl TelemetryOutputs {
+    /// Creates the files the flags name, exiting 2 with the flag and the
+    /// I/O error when one cannot be created.
+    fn create(args: &Args) -> Self {
+        let create = |flag: &str| {
+            let path = args.value(flag).filter(|path| !path.is_empty())?;
+            let file =
+                File::create(path).unwrap_or_else(|e| exit_usage(&format!("--{flag} {path}: {e}")));
+            Some((path.to_owned(), file))
+        };
+        Self {
+            trace: create("trace-out"),
+            metrics: create("metrics-out"),
+        }
     }
-    let spans = codesign_telemetry::drain_spans();
-    let metrics = codesign_telemetry::metrics_snapshot();
-    if !trace_out.is_empty() {
-        let file = std::fs::File::create(trace_out).expect("create trace file");
-        let mut writer = std::io::BufWriter::new(file);
-        codesign_telemetry::write_chrome_trace(
-            &mut writer,
-            &spans,
-            &codesign_telemetry::thread_names(),
-        )
-        .expect("write chrome trace");
+
+    /// Whether either file was asked for.
+    fn any(&self) -> bool {
+        self.trace.is_some() || self.metrics.is_some()
+    }
+
+    /// Drains telemetry once and feeds every sink from the same snapshot,
+    /// so the trace, the event log, and the summary all describe the
+    /// identical run. No-op while telemetry is disabled.
+    fn export(&self) {
+        if !codesign_telemetry::enabled() {
+            return;
+        }
+        let spans = codesign_telemetry::drain_spans();
+        let metrics = codesign_telemetry::metrics_snapshot();
+        if let Some((path, file)) = &self.trace {
+            codesign_telemetry::write_chrome_trace(
+                &mut std::io::BufWriter::new(file),
+                &spans,
+                &codesign_telemetry::thread_names(),
+            )
+            .expect("write chrome trace");
+            println!(
+                "chrome trace written to {path} ({} spans; open in Perfetto or chrome://tracing)",
+                spans.len()
+            );
+        }
+        if let Some((path, file)) = &self.metrics {
+            codesign_telemetry::write_events_jsonl(
+                &mut std::io::BufWriter::new(file),
+                &spans,
+                &metrics,
+            )
+            .expect("write telemetry events");
+            println!("telemetry events written to {path}");
+        }
         println!(
-            "chrome trace written to {trace_out} ({} spans; open in Perfetto or chrome://tracing)",
-            spans.len()
+            "\ntelemetry summary:\n{}",
+            codesign_telemetry::render_summary(&spans, &metrics)
         );
     }
-    if !metrics_out.is_empty() {
-        let file = std::fs::File::create(metrics_out).expect("create metrics file");
-        let mut writer = std::io::BufWriter::new(file);
-        codesign_telemetry::write_events_jsonl(&mut writer, &spans, &metrics)
-            .expect("write telemetry events");
-        println!("telemetry events written to {metrics_out}");
-    }
-    println!(
-        "\ntelemetry summary:\n{}",
-        codesign_telemetry::render_summary(&spans, &metrics)
-    );
 }
 
 /// `campaign serve`: boot the resident job service. `--stdio` serves one
@@ -290,18 +323,16 @@ fn telemetry_exports(trace_out: &str, metrics_out: &str) {
 fn run_serve(args: &Args) -> ! {
     use codesign_server::{CampaignServer, ServerConfig};
 
-    let trace_out = args.get_str("trace-out", "");
-    let metrics_out = args.get_str("metrics-out", "");
-    if !trace_out.is_empty() || !metrics_out.is_empty() {
-        codesign_telemetry::set_enabled(true);
-    }
-
     let max_v = args.max_vertices(4);
     let workers = args.get_usize("workers", 0);
-    let queue_capacity = args.get_usize("queue-capacity", 16);
+    let queue_capacity = args.get_usize_in("queue-capacity", 16, 1..);
     let cache_path = args.get_str("cache-path", "");
     let cache_capacity = args.get_usize("cache-capacity", 0);
     let sync_secs = args.get_usize("cache-sync-secs", 0);
+    let telemetry = Arc::new(TelemetryOutputs::create(args));
+    if telemetry.any() {
+        codesign_telemetry::set_enabled(true);
+    }
 
     codesign_server::install_shutdown_handler();
     eprintln!("serve: building exhaustive <= {max_v}-vertex database...");
@@ -353,7 +384,7 @@ fn run_serve(args: &Args) -> ! {
         let inner = Arc::clone(&inner);
         let cache = Arc::clone(&cache);
         let cache_path = cache_path.clone();
-        let (trace_out, metrics_out) = (trace_out.clone(), metrics_out.clone());
+        let telemetry = Arc::clone(&telemetry);
         std::thread::spawn(move || {
             while !codesign_server::shutdown_requested() {
                 if inner.is_shutting_down() {
@@ -365,7 +396,7 @@ fn run_serve(args: &Args) -> ! {
             if !cache_path.is_empty() {
                 persist_cache(&cache, &cache_path, salt, true);
             }
-            telemetry_exports(&trace_out, &metrics_out);
+            telemetry.export();
             eprintln!("serve: shut down on signal");
             std::process::exit(130);
         });
@@ -388,7 +419,7 @@ fn run_serve(args: &Args) -> ! {
     if !cache_path.is_empty() {
         persist_cache(&cache, &cache_path, salt, true);
     }
-    telemetry_exports(&trace_out, &metrics_out);
+    telemetry.export();
     std::process::exit(0);
 }
 
@@ -520,20 +551,19 @@ fn main() {
         return;
     }
 
-    // Telemetry: any of the three flags enables the subsystem for the whole
-    // process. Off, every instrumentation site is a single relaxed atomic
-    // load.
-    let trace_out = args.get_str("trace-out", "");
-    let metrics_out = args.get_str("metrics-out", "");
-    let progress = args.flag("progress");
-    if !trace_out.is_empty() || !metrics_out.is_empty() || progress {
-        codesign_telemetry::set_enabled(true);
-    }
-
     let max_v = args.max_vertices(4);
     let workers = args.get_usize("workers", 0);
     let cache_path = args.get_str("cache-path", "");
     let cache_capacity = args.get_usize("cache-capacity", 0);
+
+    // Telemetry: any of the three flags enables the subsystem for the whole
+    // process. Off, every instrumentation site is a single relaxed atomic
+    // load.
+    let telemetry = TelemetryOutputs::create(&args);
+    let progress = args.flag("progress");
+    if telemetry.any() || progress {
+        codesign_telemetry::set_enabled(true);
+    }
 
     let mut campaign = job.to_campaign(CodesignSpace::with_max_vertices(max_v));
     println!(
@@ -708,5 +738,5 @@ fn main() {
         csv.display()
     );
 
-    telemetry_exports(&trace_out, &metrics_out);
+    telemetry.export();
 }

@@ -17,7 +17,7 @@ use codesign_accel::ConfigSpace;
 use codesign_bench::{out_dir, Args};
 use codesign_core::report::{fmt_f, write_csv, TextTable};
 use codesign_core::{enumerate_scenario_front, ScenarioSpec};
-use codesign_nasbench::{Dataset, NasbenchDatabase};
+use codesign_nasbench::NasbenchDatabase;
 
 fn main() {
     let args = Args::parse("--max-vertices V, --cells N, --seed S, --threads T");
@@ -34,7 +34,7 @@ fn main() {
 
     let start = std::time::Instant::now();
     let scenario = ScenarioSpec::unconstrained().compile();
-    let front = enumerate_scenario_front(&db, Dataset::Cifar10, &scenario, threads);
+    let front = enumerate_scenario_front(&db, &scenario, threads);
     let elapsed = start.elapsed();
     let total_pairs = db.len() as u64 * ConfigSpace::chaidnn().len() as u64;
     // Natural units of one member: (latency ms, accuracy, area mm²).
@@ -123,7 +123,8 @@ fn main() {
     println!("frontier written to {}", path.display());
 }
 
+/// `--cells N`, when given; exits 2 on zero.
 fn args_cells(args: &Args) -> Option<usize> {
-    let cells = args.get_usize("cells", 0);
-    (cells > 0).then_some(cells)
+    args.value("cells")
+        .map(|_| args.get_usize_in("cells", 0, 1..))
 }

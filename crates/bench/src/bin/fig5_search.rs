@@ -21,7 +21,7 @@ use codesign_bench::{out_dir, Args};
 use codesign_core::report::{fmt_f, write_csv, TextTable};
 use codesign_core::{enumerate_scenario_front, top_pareto_points, CodesignSpace, ScenarioSpec};
 use codesign_engine::{Campaign, ShardedDriver, StrategyKind};
-use codesign_nasbench::{Dataset, NasbenchDatabase};
+use codesign_nasbench::NasbenchDatabase;
 
 fn main() {
     let args = Args::parse(
@@ -44,7 +44,7 @@ fn main() {
         db.len()
     );
     let unconstrained = ScenarioSpec::unconstrained().compile();
-    let front = enumerate_scenario_front(&db, Dataset::Cifar10, &unconstrained, 0);
+    let front = enumerate_scenario_front(&db, &unconstrained, 0);
     println!(
         "front: {} points over {} pairs\n",
         front.len(),

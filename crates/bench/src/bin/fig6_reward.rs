@@ -33,7 +33,7 @@ fn main() {
         Args::parse("--steps N, --repeats R, --window W, --max-vertices V, --workers W, --seed S");
     let steps = args.get_usize_in("steps", 2000, 1..);
     let repeats = args.get_usize_in("repeats", 5, 1..);
-    let window = args.get_usize("window", 100);
+    let window = args.get_usize_in("window", 100, 1..);
     let max_v = args.max_vertices(5);
     let seed_base = args.get_u64("seed", 0);
 

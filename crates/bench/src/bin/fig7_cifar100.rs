@@ -15,11 +15,12 @@
 
 use std::sync::{Arc, Mutex};
 
+use codesign_accel::AcceleratorConfig;
 use codesign_bench::{out_dir, Args};
 use codesign_core::report::{fmt_f, write_csv, TextTable};
 use codesign_core::{
     run_cifar100_codesign_with_evaluator, table2_baselines, Cifar100Config, Cifar100Result,
-    Evaluator,
+    Evaluator, PairEvaluation,
 };
 use codesign_engine::SharedEvalCache;
 use codesign_nasbench::{Dataset, SurrogateModel};
@@ -27,7 +28,7 @@ use codesign_nasbench::{Dataset, SurrogateModel};
 fn main() {
     let args = Args::parse("--quick, --seed S, --repeats R, --workers W");
     let seed = args.get_u64("seed", 0);
-    let repeats = args.get_u64("repeats", 1).max(1);
+    let repeats = args.get_usize_in("repeats", 1, 1..) as u64;
     let workers = {
         let w = args.get_usize("workers", 0);
         if w == 0 {
@@ -56,7 +57,7 @@ fn main() {
     let results: Mutex<Vec<(u64, Cifar100Result)>> = Mutex::new(Vec::new());
     let seeds: Vec<u64> = (seed..seed + repeats).collect();
     std::thread::scope(|scope| {
-        for chunk in seeds.chunks(repeats.max(1).div_ceil(workers as u64) as usize) {
+        for chunk in seeds.chunks(repeats.div_ceil(workers as u64) as usize) {
             let cache = Arc::clone(&cache);
             let results = &results;
             let make_config = &make_config;
@@ -89,7 +90,7 @@ fn main() {
     let best_accuracy = |r: &Cifar100Result| {
         r.stages
             .iter()
-            .flat_map(|s| s.top_points.iter().map(|p| p.accuracy))
+            .flat_map(|s| s.top_points.iter().map(|p| p.evaluation.accuracy))
             .fold(f64::NEG_INFINITY, f64::max)
     };
     let (best_seed, result) = runs
@@ -110,13 +111,14 @@ fn main() {
     let baselines = table2_baselines();
     println!("baselines (cells on their best perf/area accelerators):");
     for b in &baselines {
+        let e = &b.evaluation;
         println!(
             "  {:<15} acc {:.1}%  perf/area {:.1} img/s/cm2  lat {:.1} ms  area {:.0} mm2",
             b.name,
-            b.accuracy * 100.0,
-            b.perf_per_area(),
-            b.latency_ms,
-            b.area_mm2
+            e.accuracy * 100.0,
+            e.perf_per_area(),
+            e.latency_ms,
+            e.area_mm2
         );
     }
 
@@ -132,11 +134,11 @@ fn main() {
         let best_acc = stage
             .top_points
             .first()
-            .map_or(f64::NAN, |p| p.accuracy * 100.0);
+            .map_or(f64::NAN, |p| p.evaluation.accuracy * 100.0);
         let best_ppa = stage
             .top_points
             .iter()
-            .map(|p| p.perf_per_area())
+            .map(|p| p.evaluation.perf_per_area())
             .fold(f64::NAN, f64::max);
         table.add_row(vec![
             format!("{:.0}", stage.threshold),
@@ -146,21 +148,18 @@ fn main() {
             fmt_f(best_ppa, 1),
         ]);
         for p in &stage.top_points {
-            csv_rows.push(vec![
+            csv_rows.push(csv_row(
                 format!("{:.0}", stage.threshold),
-                fmt_f(p.perf_per_area(), 4),
-                fmt_f(p.accuracy, 6),
-                fmt_f(p.latency_ms, 3),
-                fmt_f(p.area_mm2, 2),
-                p.config.summary(),
-            ]);
+                &p.evaluation,
+                &p.config,
+            ));
         }
     }
     println!("\nFig. 7 series (top-10 per threshold):\n{table}");
 
-    let resnet = &baselines[0];
-    let googlenet = &baselines[1];
-    match result.best_against(resnet) {
+    let resnet = &baselines[0].evaluation;
+    let googlenet = &baselines[1].evaluation;
+    match result.best_against(&baselines[0]).map(|p| &p.evaluation) {
         Some(cod1) => println!(
             "Cod-1 (beats ResNet on both axes): acc {:.1}% ({:+.1}%), perf/area {:.1} ({:+.0}%)",
             cod1.accuracy * 100.0,
@@ -170,7 +169,10 @@ fn main() {
         ),
         None => println!("no visited point beat the ResNet baseline on both axes"),
     }
-    match result.most_efficient_against(googlenet) {
+    match result
+        .most_efficient_against(&baselines[1])
+        .map(|p| &p.evaluation)
+    {
         Some(cod2) => println!(
             "Cod-2 (beats GoogLeNet on both axes): acc {:.1}% ({:+.1}%), perf/area {:.1} ({:+.1}%)",
             cod2.accuracy * 100.0,
@@ -182,14 +184,7 @@ fn main() {
     }
 
     for b in &baselines {
-        csv_rows.push(vec![
-            b.name.clone(),
-            fmt_f(b.perf_per_area(), 4),
-            fmt_f(b.accuracy, 6),
-            fmt_f(b.latency_ms, 3),
-            fmt_f(b.area_mm2, 2),
-            b.config.summary(),
-        ]);
+        csv_rows.push(csv_row(b.name.clone(), &b.evaluation, &b.config));
     }
     let path = out_dir().join("fig7_cifar100.csv");
     write_csv(
@@ -206,4 +201,16 @@ fn main() {
     )
     .expect("write fig7 csv");
     println!("\nscatter written to {}", path.display());
+}
+
+/// One scatter row: the series label, then the pair's metrics and config.
+fn csv_row(series: String, e: &PairEvaluation, config: &AcceleratorConfig) -> Vec<String> {
+    vec![
+        series,
+        fmt_f(e.perf_per_area(), 4),
+        fmt_f(e.accuracy, 6),
+        fmt_f(e.latency_ms, 3),
+        fmt_f(e.area_mm2, 2),
+        config.summary(),
+    ]
 }

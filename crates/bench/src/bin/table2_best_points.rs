@@ -53,12 +53,13 @@ fn main() {
 }
 
 fn add_baseline(table: &mut TextTable, row: &BaselineRow) {
+    let e = &row.evaluation;
     table.add_row(vec![
         row.name.clone(),
-        fmt_f(row.accuracy * 100.0, 1),
-        fmt_f(row.perf_per_area(), 1),
-        fmt_f(row.latency_ms, 1),
-        fmt_f(row.area_mm2, 0),
+        fmt_f(e.accuracy * 100.0, 1),
+        fmt_f(e.perf_per_area(), 1),
+        fmt_f(e.latency_ms, 1),
+        fmt_f(e.area_mm2, 0),
     ]);
 }
 
@@ -68,7 +69,8 @@ fn add_discovered(
     point: Option<&DiscoveredPoint>,
     baseline: &BaselineRow,
 ) {
-    match point {
+    let baseline = &baseline.evaluation;
+    match point.map(|p| &p.evaluation) {
         Some(p) => {
             let d_acc = (p.accuracy - baseline.accuracy) * 100.0;
             let d_ppa = (p.perf_per_area() / baseline.perf_per_area() - 1.0) * 100.0;

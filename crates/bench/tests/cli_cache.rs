@@ -1,9 +1,9 @@
 //! The `campaign` CLI's input contract: bad CLI input — a bad cache path,
-//! a removed or unknown flag, a value that does not parse or is out of
-//! range, a job that `JobSpec` rejects — exits with code 2 and a message,
-//! never a panic; `--help` runs nothing; and a directory holding a stale
-//! format version cold-starts. The figure binaries reject bad sweep input
-//! the same way.
+//! a telemetry output file that cannot be created, a removed or unknown
+//! flag, a value that does not parse or is out of range, a job that
+//! `JobSpec` rejects — exits with code 2 and a message, never a panic;
+//! `--help` runs nothing; and a directory holding a stale format version
+//! cold-starts. The figure binaries reject bad sweep input the same way.
 //!
 //! Every case runs the real binary on a tiny sweep from a scratch working
 //! directory, because the CLI writes `target/paper-results/` relative to
@@ -61,7 +61,7 @@ fn bad_cache_input_exits_2_without_a_panic() {
     let removed = "pass --cache-path DIR";
     let grid_order = "always dispatch in grid order";
     let vertices = "for --max-vertices: expected 2..=7";
-    let cases: [(&str, &[&str], &str); 23] = [
+    let cases: [(&str, &[&str], &str); 24] = [
         (
             "regular file",
             &["--cache-path", "eval-cache.bin"],
@@ -137,6 +137,11 @@ fn bad_cache_input_exits_2_without_a_panic() {
             &["serve", "--stdio", "--max-vertices", "9"],
             vertices,
         ),
+        (
+            "serve with no queue",
+            &["serve", "--stdio", "--queue-capacity", "0"],
+            "invalid value '0' for --queue-capacity: expected 1..",
+        ),
     ];
     for (case, args, message) in cases {
         let out = campaign(&cwd, args);
@@ -156,7 +161,7 @@ fn bad_cache_input_exits_2_without_a_panic() {
 #[test]
 fn bad_figure_sweep_input_exits_2_without_a_panic() {
     let cwd = scratch("figures");
-    let cases: [(&str, &str, &[&str], &str); 4] = [
+    let cases: [(&str, &str, &[&str], &str); 9] = [
         (
             "fig4 on nine vertices",
             env!("CARGO_BIN_EXE_fig4_pareto"),
@@ -181,6 +186,36 @@ fn bad_figure_sweep_input_exits_2_without_a_panic() {
             &["--steps", "0"],
             "invalid value '0' for --steps: expected 1..",
         ),
+        (
+            "fig6 with a zero window",
+            env!("CARGO_BIN_EXE_fig6_reward"),
+            &["--window", "0"],
+            "invalid value '0' for --window: expected 1..",
+        ),
+        (
+            "fig4 on zero cells",
+            env!("CARGO_BIN_EXE_fig4_pareto"),
+            &["--cells", "0"],
+            "invalid value '0' for --cells: expected 1..",
+        ),
+        (
+            "fig7 with zero repeats",
+            env!("CARGO_BIN_EXE_fig7_cifar100"),
+            &["--repeats", "0"],
+            "invalid value '0' for --repeats: expected 1..",
+        ),
+        (
+            "ablations with zero steps",
+            env!("CARGO_BIN_EXE_ablations"),
+            &["--steps", "0"],
+            "invalid value '0' for --steps: expected 1..",
+        ),
+        (
+            "ablations with zero repeats",
+            env!("CARGO_BIN_EXE_ablations"),
+            &["--repeats", "0"],
+            "invalid value '0' for --repeats: expected 1..",
+        ),
     ];
     for (case, binary, args, message) in cases {
         let out = Command::new(binary)
@@ -195,6 +230,40 @@ fn bad_figure_sweep_input_exits_2_without_a_panic() {
         assert!(stderr.contains(message), "{case}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn unwritable_telemetry_paths_exit_2_before_any_work() {
+    let cases: [(&str, &[&str], &str); 3] = [
+        (
+            "one-shot trace",
+            &["--trace-out", "missing/dir/t.json"],
+            "--trace-out missing/dir/t.json: ",
+        ),
+        (
+            "one-shot metrics",
+            &["--metrics-out", "missing/dir/m.jsonl"],
+            "--metrics-out missing/dir/m.jsonl: ",
+        ),
+        (
+            "serve trace",
+            &["serve", "--stdio", "--trace-out", "missing/dir/t.json"],
+            "--trace-out missing/dir/t.json: ",
+        ),
+    ];
+    for (case, args, message) in cases {
+        let cwd = scratch("telemetry");
+        let out = campaign(&cwd, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        assert!(stderr.contains(message), "{case}: {stderr}");
+        assert!(
+            !cwd.join("target/paper-results/campaign.jsonl").exists(),
+            "{case}: the sweep ran"
+        );
+        let _ = std::fs::remove_dir_all(&cwd);
+    }
 }
 
 #[test]

@@ -2,10 +2,10 @@
 //! most-optimal HW accelerator" (best perf/area over the whole accelerator
 //! space), evaluated on CIFAR-100.
 
-use codesign_accel::{
-    best_accelerator_for, AcceleratorConfig, AreaModel, ConfigSpace, DseObjective, LatencyModel,
-};
-use codesign_nasbench::{known_cells, CellSpec, Dataset, Network, NetworkConfig, SurrogateModel};
+use codesign_accel::{AcceleratorConfig, ConfigSpace};
+use codesign_nasbench::{known_cells, CellSpec, Dataset, SurrogateModel};
+
+use crate::evaluator::{Evaluator, PairEvaluation};
 
 /// One baseline row of Table II.
 #[derive(Debug, Clone)]
@@ -14,51 +14,39 @@ pub struct BaselineRow {
     pub name: String,
     /// The baseline cell.
     pub cell: CellSpec,
-    /// Top-1 accuracy on the task.
-    pub accuracy: f64,
-    /// Latency on the best accelerator, ms.
-    pub latency_ms: f64,
-    /// Best accelerator area, mm².
-    pub area_mm2: f64,
-    /// The best accelerator itself.
+    /// The best accelerator for the cell.
     pub config: AcceleratorConfig,
+    /// The pair's metrics: top-1 accuracy on the task, latency and area on
+    /// the best accelerator.
+    pub evaluation: PairEvaluation,
 }
 
-impl BaselineRow {
-    /// Performance per area, images/s/cm².
-    #[must_use]
-    pub fn perf_per_area(&self) -> f64 {
-        (1000.0 / self.latency_ms) / (self.area_mm2 / 100.0)
-    }
-}
-
-/// Computes one baseline row: accuracy from the surrogate, hardware metrics
-/// from a full perf/area sweep of the accelerator space.
+/// Computes one baseline row: every accelerator of
+/// [`ConfigSpace::chaidnn`] is scored with the cell by the §IV evaluator
+/// (surrogate accuracy on `dataset`), and the best perf/area wins. Ties go
+/// to the first configuration in space order.
 #[must_use]
 pub fn baseline_row(name: &str, cell: CellSpec, dataset: Dataset) -> BaselineRow {
-    let net_config = match dataset {
-        Dataset::Cifar10 => NetworkConfig::default(),
-        Dataset::Cifar100 => NetworkConfig::cifar100(),
-    };
-    let network = Network::assemble(&cell, &net_config);
-    let best = best_accelerator_for(
-        &network,
-        &ConfigSpace::chaidnn(),
-        DseObjective::PerfPerArea,
-        &AreaModel::default(),
-        &LatencyModel::default(),
-    )
-    .expect("chaidnn space is non-empty");
-    let accuracy = SurrogateModel::default()
-        .evaluate(&cell, dataset)
-        .mean_accuracy();
+    let mut evaluator = Evaluator::with_trainer(SurrogateModel::default(), dataset);
+    let mut best: Option<(AcceleratorConfig, PairEvaluation)> = None;
+    for config in ConfigSpace::chaidnn().iter() {
+        let evaluation = evaluator
+            .evaluate_pair(&cell, &config)
+            .expect("the trainer evaluates every valid cell");
+        let beats = match &best {
+            None => true,
+            Some((_, b)) => evaluation.perf_per_area() > b.perf_per_area(),
+        };
+        if beats {
+            best = Some((config, evaluation));
+        }
+    }
+    let (config, evaluation) = best.expect("chaidnn space is non-empty");
     BaselineRow {
         name: name.to_owned(),
         cell,
-        accuracy,
-        latency_ms: best.metrics.latency_ms,
-        area_mm2: best.metrics.area_mm2,
-        config: best.config,
+        config,
+        evaluation,
     }
 }
 
@@ -83,8 +71,8 @@ mod tests {
     fn baselines_reproduce_table2_shape() {
         let rows = table2_baselines();
         assert_eq!(rows.len(), 2);
-        let resnet = &rows[0];
-        let googlenet = &rows[1];
+        let resnet = &rows[0].evaluation;
+        let googlenet = &rows[1].evaluation;
         // Paper: ResNet 72.9% / 12.8 img/s/cm^2; GoogLeNet 71.5% / 39.3.
         assert!(
             (0.715..=0.745).contains(&resnet.accuracy),
@@ -112,5 +100,18 @@ mod tests {
         for row in table2_baselines() {
             assert_eq!(row.config.filter_par, 16, "{}: {}", row.name, row.config);
         }
+    }
+
+    #[test]
+    fn resnet_best_pairing_reproduces_table2_shape() {
+        let rows = table2_baselines();
+        let r = &rows[0].evaluation;
+        let g = &rows[1].evaluation;
+        // Shape checks against Table II: GoogLeNet pairs with a smaller/equal
+        // accelerator, runs faster, and has much higher perf/area (the paper
+        // reports 2.2x faster and 3.1x the perf/area).
+        assert!(g.latency_ms < r.latency_ms / 1.25);
+        assert!(g.perf_per_area() > 2.0 * r.perf_per_area());
+        assert!(g.area_mm2 <= r.area_mm2 * 1.1);
     }
 }

@@ -6,7 +6,9 @@
 //! efficiency metric — performance per area — and the search maximizes
 //! accuracy under a perf/area constraint whose threshold rises through
 //! `(2, 8, 16, 30, 40)` img/s/cm², collecting `(300, 300, 300, 400, 1000)`
-//! valid points per stage. A single combined-strategy controller persists
+//! valid points per stage. Each stage's reward is a [`ScenarioSpec`] on the
+//! axes `[perf/area, acc]`, scored by the same [`Evaluator`] and scenario
+//! API the §III searches use. A single combined-strategy controller persists
 //! across stages, which is what lets the gradually-rising threshold teach it
 //! "the structure of high-accuracy CNNs" first.
 
@@ -14,12 +16,13 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use codesign_accel::AcceleratorConfig;
-use codesign_moo::{DynRewardSpec, LinearNorm, Punishment};
+use codesign_moo::Punishment;
 use codesign_nasbench::{CellSpec, Dataset, SurrogateModel};
 use codesign_rl::{LstmPolicy, PolicyConfig, ReinforceConfig, ReinforceTrainer};
 
 use crate::baselines::BaselineRow;
-use crate::evaluator::{EvalOutcome, Evaluator};
+use crate::evaluator::{EvalOutcome, Evaluator, PairEvaluation};
+use crate::scenarios::{CompiledScenario, MetricId, ScenarioSpec};
 use crate::search::INVALID_PROPOSAL_REWARD;
 use crate::space::CodesignSpace;
 
@@ -108,28 +111,19 @@ pub struct DiscoveredPoint {
     pub cell: CellSpec,
     /// The accelerator.
     pub config: AcceleratorConfig,
-    /// Top-1 CIFAR-100 accuracy.
-    pub accuracy: f64,
-    /// Latency, ms.
-    pub latency_ms: f64,
-    /// Area, mm².
-    pub area_mm2: f64,
+    /// The pair's metrics (top-1 CIFAR-100 accuracy, latency, area, power).
+    pub evaluation: PairEvaluation,
     /// The search step it was visited at.
     pub step: usize,
 }
 
 impl DiscoveredPoint {
-    /// Performance per area, images/s/cm².
-    #[must_use]
-    pub fn perf_per_area(&self) -> f64 {
-        (1000.0 / self.latency_ms) / (self.area_mm2 / 100.0)
-    }
-
     /// Returns `true` when this point beats `baseline` on both accuracy and
     /// perf/area — the paper's bar for Cod-1 and Cod-2.
     #[must_use]
     pub fn beats(&self, baseline: &BaselineRow) -> bool {
-        self.accuracy > baseline.accuracy && self.perf_per_area() > baseline.perf_per_area()
+        let (point, baseline) = (&self.evaluation, &baseline.evaluation);
+        point.accuracy > baseline.accuracy && point.perf_per_area() > baseline.perf_per_area()
     }
 }
 
@@ -180,8 +174,9 @@ impl Cifar100Result {
             .into_iter()
             .filter(|p| p.beats(baseline))
             .max_by(|a, b| {
-                a.accuracy
-                    .partial_cmp(&b.accuracy)
+                a.evaluation
+                    .accuracy
+                    .partial_cmp(&b.evaluation.accuracy)
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
     }
@@ -194,29 +189,26 @@ impl Cifar100Result {
             .into_iter()
             .filter(|p| p.beats(baseline))
             .max_by(|a, b| {
-                a.perf_per_area()
-                    .partial_cmp(&b.perf_per_area())
+                a.evaluation
+                    .perf_per_area()
+                    .partial_cmp(&b.evaluation.perf_per_area())
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
     }
 }
 
-/// Reward for one stage: maximize accuracy subject to
-/// `perf/area >= threshold`, over the metric vector `[perf/area, accuracy]`.
-fn stage_reward(threshold: f64) -> DynRewardSpec {
-    DynRewardSpec::builder()
-        .weights(vec![0.0, 1.0])
-        .expect("static weights")
-        .norms(vec![
-            LinearNorm::new(0.0, 80.0).expect("static range"),
-            LinearNorm::new(0.55, 0.78).expect("static range"),
-        ])
-        .threshold(0, threshold)
-        .expect("index in bounds")
+/// The scenario of one stage: maximize accuracy subject to
+/// `perf/area >= threshold`, over the axes `[perf/area, acc]`.
+fn stage_scenario(threshold: f64) -> CompiledScenario {
+    ScenarioSpec::builder("cifar100-stage")
+        .norm(MetricId::PerfPerArea, 0.0, 80.0)
+        .constraint(MetricId::PerfPerArea, threshold)
+        .weight(MetricId::Accuracy, 1.0)
+        .norm(MetricId::Accuracy, 0.55, 0.78)
         .punishment(Punishment::ScaledViolation { scale: 0.1 })
-        .expect("static punishment")
         .build()
-        .expect("complete spec")
+        .expect("static scenario")
+        .compile()
 }
 
 /// Runs the §IV Codesign-NAS flow with the combined strategy.
@@ -252,7 +244,7 @@ pub fn run_cifar100_codesign_with_evaluator(
     let mut stages = Vec::with_capacity(config.schedule.stages.len());
     let mut total_steps = 0usize;
     for &(threshold, quota) in &config.schedule.stages {
-        let reward = stage_reward(threshold);
+        let scenario = stage_scenario(threshold);
         let mut valid = 0usize;
         let mut steps = 0usize;
         let mut top: Vec<DiscoveredPoint> = Vec::new();
@@ -262,8 +254,7 @@ pub fn run_cifar100_codesign_with_evaluator(
             let outcome = evaluator.evaluate(&proposal);
             let reward_value = match &outcome {
                 EvalOutcome::Valid(eval) => {
-                    let metrics = [eval.perf_per_area(), eval.accuracy];
-                    let scored = reward.evaluate(&metrics);
+                    let scored = scenario.reward(eval);
                     if scored.is_feasible() {
                         valid += 1;
                         if let Ok(cell) = &proposal.cell {
@@ -272,9 +263,7 @@ pub fn run_cifar100_codesign_with_evaluator(
                                 DiscoveredPoint {
                                     cell: cell.clone(),
                                     config: proposal.config,
-                                    accuracy: eval.accuracy,
-                                    latency_ms: eval.latency_ms,
-                                    area_mm2: eval.area_mm2,
+                                    evaluation: *eval,
                                     step: total_steps + steps,
                                 },
                             );
@@ -315,8 +304,9 @@ fn push_top10(top: &mut Vec<DiscoveredPoint>, point: DiscoveredPoint) {
     }
     top.push(point);
     top.sort_by(|a, b| {
-        b.accuracy
-            .partial_cmp(&a.accuracy)
+        b.evaluation
+            .accuracy
+            .partial_cmp(&a.evaluation.accuracy)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     top.truncate(10);
@@ -341,9 +331,9 @@ mod tests {
             // Every recorded point meets the stage threshold.
             for p in &stage.top_points {
                 assert!(
-                    p.perf_per_area() >= stage.threshold,
+                    p.evaluation.perf_per_area() >= stage.threshold,
                     "point {} below threshold {}",
-                    p.perf_per_area(),
+                    p.evaluation.perf_per_area(),
                     stage.threshold
                 );
             }
@@ -356,7 +346,11 @@ mod tests {
     fn top_points_are_sorted_and_deduplicated() {
         let result = run_cifar100_codesign(&Cifar100Config::quick(2));
         for stage in &result.stages {
-            let accs: Vec<f64> = stage.top_points.iter().map(|p| p.accuracy).collect();
+            let accs: Vec<f64> = stage
+                .top_points
+                .iter()
+                .map(|p| p.evaluation.accuracy)
+                .collect();
             assert!(
                 accs.windows(2).all(|w| w[0] >= w[1]),
                 "unsorted top-10: {accs:?}"
@@ -380,16 +374,17 @@ mod tests {
         let better = DiscoveredPoint {
             cell: codesign_nasbench::known_cells::cod1_cell(),
             config: codesign_accel::ConfigSpace::chaidnn().get(0),
-            accuracy: resnet.accuracy + 0.01,
-            latency_ms: 10.0,
-            area_mm2: 100.0,
+            evaluation: PairEvaluation {
+                accuracy: resnet.evaluation.accuracy + 0.01,
+                latency_ms: 10.0,
+                area_mm2: 100.0,
+                power_w: 1.0,
+            },
             step: 0,
         };
         assert!(better.beats(resnet));
-        let worse_acc = DiscoveredPoint {
-            accuracy: resnet.accuracy - 0.01,
-            ..better.clone()
-        };
+        let mut worse_acc = better.clone();
+        worse_acc.evaluation.accuracy = resnet.evaluation.accuracy - 0.01;
         assert!(!worse_acc.beats(resnet));
     }
 

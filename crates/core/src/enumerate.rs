@@ -28,25 +28,18 @@ use crate::scenarios::{CompiledScenario, MetricId, ScenarioSpec};
 /// ([`crate::scenarios::ScenarioSpec::resolve_auto_norms`]).
 ///
 /// The stride walks the flattened `cells × configs` grid so the sample
-/// spans both axes; the same `(database, dataset, samples)` input always
-/// yields the same sample. Metrics are computed by the same models the
-/// evaluator uses (area, scheduler latency, peak power, database accuracy
-/// for the given dataset), so probe-fed normalizations range exactly the
-/// values search will see.
+/// spans both axes; the same `(database, samples)` input always yields the
+/// same sample. Metrics are computed by the same models a database-backed
+/// evaluator uses (area, scheduler latency, peak power, CIFAR-10 database
+/// accuracy on the default skeleton), so probe-fed normalizations range
+/// exactly the values search will see.
 #[must_use]
-pub fn probe_pair_evaluations(
-    database: &NasbenchDatabase,
-    dataset: Dataset,
-    samples: usize,
-) -> Vec<PairEvaluation> {
+pub fn probe_pair_evaluations(database: &NasbenchDatabase, samples: usize) -> Vec<PairEvaluation> {
     let space = ConfigSpace::chaidnn();
     let area_model = AreaModel::default();
     let power_model = codesign_accel::PowerModel::default();
     let latency_model = LatencyModel::default();
-    let net_config = match dataset {
-        Dataset::Cifar10 => NetworkConfig::default(),
-        Dataset::Cifar100 => NetworkConfig::cifar100(),
-    };
+    let net_config = NetworkConfig::default();
     let n_cells = database.len() as u64;
     let n_configs = space.len() as u64;
     let total = n_cells.saturating_mul(n_configs);
@@ -68,7 +61,7 @@ pub fn probe_pair_evaluations(
         let config = space.get(config_index);
         let network = Network::assemble(&entry.spec, &net_config);
         out.push(PairEvaluation {
-            accuracy: entry.mean_accuracy(dataset),
+            accuracy: entry.mean_accuracy(Dataset::Cifar10),
             latency_ms: Scheduler::new(latency_model, config).network_latency_ms(&network),
             area_mm2: area_model.area_mm2(&config),
             power_w: power_model.peak_power(&area_model, &config).total_w(),
@@ -79,7 +72,9 @@ pub fn probe_pair_evaluations(
 
 /// Enumerates `database × ConfigSpace::chaidnn()` and extracts the exact
 /// Pareto front **in the scenario's own metric axes**; Fig. 4's front is
-/// the one on [`ScenarioSpec::unconstrained`]'s axes.
+/// the one on [`ScenarioSpec::unconstrained`]'s axes. Pairs are scored in
+/// the NASBench setting Fig. 4 enumerates: CIFAR-10 database accuracy on
+/// the default network skeleton.
 ///
 /// Every pair's full evaluation (accuracy, latency, area, power) is
 /// streamed through a bounded-memory [`DynStreamingParetoFilter`], so a
@@ -91,7 +86,6 @@ pub fn probe_pair_evaluations(
 #[must_use]
 pub fn enumerate_scenario_front(
     database: &NasbenchDatabase,
-    dataset: Dataset,
     scenario: &CompiledScenario,
     threads: usize,
 ) -> DynParetoFront<(usize, AcceleratorConfig)> {
@@ -99,10 +93,7 @@ pub fn enumerate_scenario_front(
     let area_model = AreaModel::default();
     let power_model = codesign_accel::PowerModel::default();
     let latency_model = LatencyModel::default();
-    let net_config = match dataset {
-        Dataset::Cifar10 => NetworkConfig::default(),
-        Dataset::Cifar100 => NetworkConfig::cifar100(),
-    };
+    let net_config = NetworkConfig::default();
     let configs: Vec<AcceleratorConfig> = space.iter().collect();
     let hw: Vec<(f64, f64)> = configs
         .iter()
@@ -140,7 +131,7 @@ pub fn enumerate_scenario_front(
                     .map(|&i| {
                         let entry = database.entry(i).expect("index in range");
                         let network = Network::assemble(&entry.spec, net_config);
-                        (i, network, entry.mean_accuracy(dataset))
+                        (i, network, entry.mean_accuracy(Dataset::Cifar10))
                     })
                     .collect();
                 // Per-pair scheduling dominates the enumeration cost; skip
@@ -231,7 +222,7 @@ mod tests {
     fn small_front(threads: usize) -> (NasbenchDatabase, Front) {
         let db = NasbenchDatabase::exhaustive(3);
         let scenario = ScenarioSpec::unconstrained().compile();
-        let front = enumerate_scenario_front(&db, Dataset::Cifar10, &scenario, threads);
+        let front = enumerate_scenario_front(&db, &scenario, threads);
         (db, front)
     }
 
@@ -285,8 +276,8 @@ mod tests {
     #[test]
     fn probe_is_deterministic_and_spans_both_axes() {
         let db = NasbenchDatabase::exhaustive(3);
-        let a = probe_pair_evaluations(&db, Dataset::Cifar10, 64);
-        let b = probe_pair_evaluations(&db, Dataset::Cifar10, 64);
+        let a = probe_pair_evaluations(&db, 64);
+        let b = probe_pair_evaluations(&db, 64);
         assert_eq!(a, b, "probe must be a pure function of its inputs");
         assert_eq!(a.len(), 64);
         // The stride must vary both the cell (accuracy) and the accelerator
@@ -335,7 +326,7 @@ mod tests {
     #[test]
     fn scenario_front_carries_two_metric_axes_when_declared() {
         let db = NasbenchDatabase::exhaustive(3);
-        let front = enumerate_scenario_front(&db, Dataset::Cifar10, &power_capped().compile(), 2);
+        let front = enumerate_scenario_front(&db, &power_capped().compile(), 2);
         assert_eq!(front.schema().names(), ["acc", "power"]);
         assert!(!front.is_empty());
         for (m, _) in front.iter() {
@@ -375,7 +366,7 @@ mod tests {
     fn top_pareto_points_are_scenario_feasible() {
         let db = NasbenchDatabase::exhaustive(4);
         let unconstrained = ScenarioSpec::unconstrained().compile();
-        let front = enumerate_scenario_front(&db, Dataset::Cifar10, &unconstrained, 2);
+        let front = enumerate_scenario_front(&db, &unconstrained, 2);
         let top = top_pareto_points(&ScenarioSpec::one_constraint(), &front, 100);
         let spec = ScenarioSpec::one_constraint().compile();
         let reward = spec.reward_spec();
@@ -395,7 +386,7 @@ mod tests {
     #[should_panic(expected = "not in the axes")]
     fn top_pareto_points_reject_a_front_in_other_axes() {
         let db = NasbenchDatabase::exhaustive(3);
-        let front = enumerate_scenario_front(&db, Dataset::Cifar10, &power_capped().compile(), 1);
+        let front = enumerate_scenario_front(&db, &power_capped().compile(), 1);
         let _ = top_pareto_points(&ScenarioSpec::unconstrained(), &front, 10);
     }
 }

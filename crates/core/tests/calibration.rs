@@ -9,49 +9,41 @@
 //! regime, and perf/area ratios within generous bands. The `print_calibration`
 //! test (ignored by default) dumps the full calibration table.
 
-use codesign_accel::{best_accelerator_for, AreaModel, ConfigSpace, DseObjective, LatencyModel};
-use codesign_nasbench::{known_cells, Network, NetworkConfig};
+use codesign_core::{baseline_row, BaselineRow};
+use codesign_nasbench::{known_cells, CellSpec, Dataset};
 
-fn best(cell: &codesign_nasbench::CellSpec) -> codesign_accel::DseResult {
-    let network = Network::assemble(cell, &NetworkConfig::cifar100());
-    best_accelerator_for(
-        &network,
-        &ConfigSpace::chaidnn(),
-        DseObjective::PerfPerArea,
-        &AreaModel::default(),
-        &LatencyModel::default(),
-    )
-    .expect("space is non-empty")
+fn best(name: &str, cell: CellSpec) -> BaselineRow {
+    baseline_row(name, cell, Dataset::Cifar100)
 }
 
 #[test]
 fn table2_baseline_shape() {
-    let r = best(&known_cells::resnet_cell());
-    let g = best(&known_cells::googlenet_cell());
+    let r = best("resnet", known_cells::resnet_cell()).evaluation;
+    let g = best("googlenet", known_cells::googlenet_cell()).evaluation;
     // Latency ordering and rough factor (paper: 42.0 vs 19.3 ms => 2.2x).
     assert!(
-        r.metrics.latency_ms > 1.25 * g.metrics.latency_ms,
+        r.latency_ms > 1.25 * g.latency_ms,
         "resnet {} ms vs googlenet {} ms",
-        r.metrics.latency_ms,
-        g.metrics.latency_ms
+        r.latency_ms,
+        g.latency_ms
     );
     // Perf/area ordering and rough factor (paper: 12.8 vs 39.3 => 3.1x).
     assert!(
-        g.metrics.perf_per_area() > 2.0 * r.metrics.perf_per_area(),
+        g.perf_per_area() > 2.0 * r.perf_per_area(),
         "googlenet {} vs resnet {}",
-        g.metrics.perf_per_area(),
-        r.metrics.perf_per_area()
+        g.perf_per_area(),
+        r.perf_per_area()
     );
     // Latency bands (paper: 42 / 19.3 ms).
     assert!(
-        (20.0..=90.0).contains(&r.metrics.latency_ms),
+        (20.0..=90.0).contains(&r.latency_ms),
         "resnet best latency {}",
-        r.metrics.latency_ms
+        r.latency_ms
     );
     assert!(
-        (7.0..=45.0).contains(&g.metrics.latency_ms),
+        (7.0..=45.0).contains(&g.latency_ms),
         "googlenet best latency {}",
-        g.metrics.latency_ms
+        g.latency_ms
     );
 }
 
@@ -59,12 +51,12 @@ fn table2_baseline_shape() {
 #[ignore = "diagnostic: prints the full calibration table"]
 fn print_calibration() {
     for (name, cell) in known_cells::all_named() {
-        let b = best(&cell);
+        let b = best(name, cell);
         println!(
             "{name:>10}: {:6.1} ms  {:6.1} mm^2  {:6.1} img/s/cm^2  config {}",
-            b.metrics.latency_ms,
-            b.metrics.area_mm2,
-            b.metrics.perf_per_area(),
+            b.evaluation.latency_ms,
+            b.evaluation.area_mm2,
+            b.evaluation.perf_per_area(),
             b.config
         );
     }

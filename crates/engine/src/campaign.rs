@@ -8,7 +8,7 @@ use codesign_core::{
     NsgaSearch, PhaseSearch, RandomSearch, RewardShaping, ScenarioError, ScenarioSpec,
     SearchConfig, SearchStrategy, SeparateSearch, SurrogateConfig,
 };
-use codesign_nasbench::{Dataset, NasbenchDatabase};
+use codesign_nasbench::NasbenchDatabase;
 
 use crate::mix64;
 
@@ -321,7 +321,7 @@ impl Campaign {
         if !self.needs_auto_norms() {
             return Ok(self);
         }
-        let probe = probe_pair_evaluations(database, Dataset::Cifar10, Self::NORM_PROBE_SAMPLES);
+        let probe = probe_pair_evaluations(database, Self::NORM_PROBE_SAMPLES);
         self.scenarios = self
             .scenarios
             .iter()

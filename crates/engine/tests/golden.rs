@@ -30,7 +30,7 @@ use codesign_core::{
 };
 use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind, CACHE_SHARD_FILES};
 use codesign_nasbench::byteio::{fnv1a64, put_f64, put_u128, put_u64};
-use codesign_nasbench::{known_cells, Dataset, Json, NasbenchDatabase, Network, NetworkConfig};
+use codesign_nasbench::{known_cells, Json, NasbenchDatabase, Network, NetworkConfig};
 
 /// (a) every strategy × seeds {0, 1}: the campaign's JSONL.
 const STRATEGY_GRID_JSONL: u64 = 0xc602_5caf_c7a4_196e;
@@ -169,7 +169,7 @@ fn exhaustive_front_on_the_unconstrained_axes() {
     // Per member, in the enumerator's `(cell_index, config)` order: its
     // metric bits, the cell index and the config's decision indices.
     let digest = |threads| {
-        let front = enumerate_scenario_front(&db, Dataset::Cifar10, &scenario, threads);
+        let front = enumerate_scenario_front(&db, &scenario, threads);
         assert_eq!(front.len(), 401);
         let mut bytes = Vec::new();
         for (metrics, (cell_index, config)) in front.iter() {
@@ -197,9 +197,9 @@ fn table2_baselines_and_the_section_iv_flow() {
     let mut table2 = Vec::new();
     for row in table2_baselines() {
         put_config(&mut table2, &row.config);
-        put_f64(&mut table2, row.accuracy);
-        put_f64(&mut table2, row.latency_ms);
-        put_f64(&mut table2, row.area_mm2);
+        put_f64(&mut table2, row.evaluation.accuracy);
+        put_f64(&mut table2, row.evaluation.latency_ms);
+        put_f64(&mut table2, row.evaluation.area_mm2);
     }
     assert_eq!(table2.len(), 64);
 
@@ -212,9 +212,9 @@ fn table2_baselines_and_the_section_iv_flow() {
         for point in &stage.top_points {
             put_u128(&mut flow, point.cell.canonical_hash());
             put_config(&mut flow, &point.config);
-            put_f64(&mut flow, point.accuracy);
-            put_f64(&mut flow, point.latency_ms);
-            put_f64(&mut flow, point.area_mm2);
+            put_f64(&mut flow, point.evaluation.accuracy);
+            put_f64(&mut flow, point.evaluation.latency_ms);
+            put_f64(&mut flow, point.evaluation.area_mm2);
             put_u64(&mut flow, point.step as u64);
         }
     }
@@ -240,10 +240,7 @@ fn greedy_and_serial_schedules_and_the_latency_validation() {
                 &mut bytes,
                 Scheduler::new(model, config).network_latency_ms(&network),
             );
-            put_f64(
-                &mut bytes,
-                schedule_serial(&model, &config, &network).total_ms,
-            );
+            put_f64(&mut bytes, schedule_serial(&model, &config, &network));
         }
     }
     let validation = validate_latency_model(&model);

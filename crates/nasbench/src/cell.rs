@@ -156,18 +156,6 @@ impl OpInstance {
             _ => 0,
         }
     }
-
-    /// Bytes moved from/to external memory assuming every activation and
-    /// weight crosses the memory interface once (8-bit activations/weights,
-    /// the CHaiDNN deployment configuration).
-    #[must_use]
-    pub fn dram_bytes(&self) -> u64 {
-        let (oh, ow) = self.out_hw();
-        let input = (self.in_channels * self.height * self.width) as u64;
-        let output = (self.out_channels * oh * ow) as u64;
-        let weights = self.params();
-        input + output + weights
-    }
 }
 
 /// One node of a lowered cell program: an op plus its in-cell dependencies.

@@ -38,8 +38,8 @@ fn main() {
             stage.valid_points,
             best.map_or("-".to_owned(), |p| format!(
                 "{:.2}% at {:.1} img/s/cm2",
-                p.accuracy * 100.0,
-                p.perf_per_area()
+                p.evaluation.accuracy * 100.0,
+                p.evaluation.perf_per_area()
             ))
         );
     }
@@ -50,19 +50,20 @@ fn main() {
         (&baselines[0], result.best_against(&baselines[0])),
         (&baselines[1], result.most_efficient_against(&baselines[1])),
     ] {
+        let b = &baseline.evaluation;
         println!(
             "{:<15} acc {:.1}%, perf/area {:.1}",
             baseline.name,
-            baseline.accuracy * 100.0,
-            baseline.perf_per_area()
+            b.accuracy * 100.0,
+            b.perf_per_area()
         );
-        match pick {
+        match pick.map(|point| &point.evaluation) {
             Some(p) => println!(
                 "  -> beaten by a discovered pair: acc {:.1}% ({:+.1}), perf/area {:.1} ({:+.0}%)",
                 p.accuracy * 100.0,
-                (p.accuracy - baseline.accuracy) * 100.0,
+                (p.accuracy - b.accuracy) * 100.0,
                 p.perf_per_area(),
-                (p.perf_per_area() / baseline.perf_per_area() - 1.0) * 100.0
+                (p.perf_per_area() / b.perf_per_area() - 1.0) * 100.0
             ),
             None => println!("  -> not beaten in this miniature run (try the full fig7 binary)"),
         }

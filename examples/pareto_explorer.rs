@@ -13,7 +13,7 @@ use std::collections::HashSet;
 
 use codesign_nas::accel::ConfigSpace;
 use codesign_nas::core::{enumerate_scenario_front, top_pareto_points, MetricId, ScenarioSpec};
-use codesign_nas::nasbench::{Dataset, NasbenchDatabase};
+use codesign_nas::nasbench::NasbenchDatabase;
 
 fn main() {
     // The complete <=4-vertex space keeps this example fast; the fig4_pareto
@@ -21,7 +21,7 @@ fn main() {
     let db = NasbenchDatabase::exhaustive(4);
     println!("enumerating {} cells x 8640 accelerators...", db.len());
     let unconstrained = ScenarioSpec::unconstrained().compile();
-    let front = enumerate_scenario_front(&db, Dataset::Cifar10, &unconstrained, 0);
+    let front = enumerate_scenario_front(&db, &unconstrained, 0);
 
     let total_pairs = db.len() * ConfigSpace::chaidnn().len();
     println!(
@@ -51,7 +51,7 @@ fn main() {
     let scenarios = [ScenarioSpec::unconstrained(), power_capped];
     for scenario in &scenarios {
         let compiled = scenario.compile();
-        let front = enumerate_scenario_front(&db, Dataset::Cifar10, &compiled, 0);
+        let front = enumerate_scenario_front(&db, &compiled, 0);
         let hv = front.hypervolume(&compiled.hypervolume_reference());
         println!(
             "\n{}: exact front of {} points over axes [{}]; hypervolume {:.4}",

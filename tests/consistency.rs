@@ -8,7 +8,7 @@ use codesign_nas::core::{
     SearchConfig, SearchContext, SearchStrategy,
 };
 use codesign_nas::moo::dominates_dyn;
-use codesign_nas::nasbench::{Dataset, NasbenchDatabase};
+use codesign_nas::nasbench::NasbenchDatabase;
 
 /// The exact Pareto front must dominate (or tie) every point any search
 /// visits in the same space — the foundational guarantee behind Fig. 5's
@@ -18,7 +18,7 @@ fn search_never_beats_the_exact_front() {
     let db = Arc::new(NasbenchDatabase::exhaustive(4));
     let space = CodesignSpace::with_max_vertices(4);
     let reward = ScenarioSpec::unconstrained().compile();
-    let front = enumerate_scenario_front(&db, Dataset::Cifar10, &reward, 0);
+    let front = enumerate_scenario_front(&db, &reward, 0);
 
     for (strategy, seed) in [
         (&CombinedSearch as &dyn SearchStrategy, 1u64),
@@ -53,7 +53,7 @@ fn search_never_beats_the_exact_front() {
 fn enumerator_and_evaluator_agree() {
     let db = Arc::new(NasbenchDatabase::exhaustive(3));
     let scenario = ScenarioSpec::unconstrained().compile();
-    let enumeration = enumerate_scenario_front(&db, Dataset::Cifar10, &scenario, 0);
+    let enumeration = enumerate_scenario_front(&db, &scenario, 0);
     let mut evaluator = Evaluator::with_shared_database(Arc::clone(&db));
     for (metrics, (cell_index, config)) in enumeration.iter().take(40) {
         let cell = &db.entry(*cell_index).expect("front index valid").spec;

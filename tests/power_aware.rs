@@ -99,7 +99,8 @@ fn energy_ranks_differently_than_latency() {
         if latency < best_latency.0 {
             best_latency = (latency, idx);
         }
-        let energy = power_model.energy_mj(&area_model, &config, latency, 0.6, 0.2);
+        // Energy per inference, mJ: watts times milliseconds.
+        let energy = power_model.power(&area_model, &config, 0.6, 0.2).total_w() * latency;
         energies.push((idx, energy));
     }
     let best_energy = energies

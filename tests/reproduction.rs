@@ -1,7 +1,7 @@
 //! Paper-claim regression tests: every table and figure has a scaled-down
 //! assertion here, so `cargo test` alone certifies the reproduction's shape.
-//! Full-scale numbers live in `EXPERIMENTS.md` and come from the
-//! `codesign-bench` binaries.
+//! Full-scale numbers come from the `codesign-bench` binaries listed under
+//! "Reproduction binaries" in `README.md`.
 
 use std::collections::HashSet;
 
@@ -12,7 +12,7 @@ use codesign_nas::core::{
     enumerate_scenario_front, run_cifar100_codesign, table2_baselines, top_pareto_points,
     Cifar100Config, ScenarioSpec, ThresholdSchedule,
 };
-use codesign_nas::nasbench::{Dataset, NasbenchDatabase};
+use codesign_nas::nasbench::NasbenchDatabase;
 
 // ---------- Table I ----------
 
@@ -60,7 +60,7 @@ fn fig3_space_has_8640_accelerators() {
 fn fig4_pareto_structure() {
     let db = NasbenchDatabase::exhaustive(4);
     let unconstrained = ScenarioSpec::unconstrained().compile();
-    let front = enumerate_scenario_front(&db, Dataset::Cifar10, &unconstrained, 0);
+    let front = enumerate_scenario_front(&db, &unconstrained, 0);
     // "less than 0.0001% of points were Pareto-optimal" at full scale; at
     // this reduced scale the fraction is still well under a percent.
     let fraction = front.len() as f64 / (db.len() * ConfigSpace::chaidnn().len()) as f64;
@@ -85,7 +85,7 @@ fn fig4_pareto_structure() {
 fn fig5_reference_points_maximize_reward() {
     let db = NasbenchDatabase::exhaustive(4);
     let unconstrained = ScenarioSpec::unconstrained().compile();
-    let front = enumerate_scenario_front(&db, Dataset::Cifar10, &unconstrained, 0);
+    let front = enumerate_scenario_front(&db, &unconstrained, 0);
     for scenario in ScenarioSpec::paper_presets() {
         let top = top_pareto_points(&scenario, &front, 10);
         let compiled = scenario.compile();
@@ -124,12 +124,12 @@ fn fig7_flow_shape() {
     let best_ppa_first = result.stages[0]
         .top_points
         .iter()
-        .map(|p| p.perf_per_area())
+        .map(|p| p.evaluation.perf_per_area())
         .fold(0.0, f64::max);
     let best_ppa_last = result.stages[2]
         .top_points
         .iter()
-        .map(|p| p.perf_per_area())
+        .map(|p| p.evaluation.perf_per_area())
         .fold(0.0, f64::max);
     assert!(
         best_ppa_last > best_ppa_first,
@@ -138,7 +138,7 @@ fn fig7_flow_shape() {
     // ...and every stage point satisfies its own threshold.
     for stage in &result.stages {
         for p in &stage.top_points {
-            assert!(p.perf_per_area() >= stage.threshold);
+            assert!(p.evaluation.perf_per_area() >= stage.threshold);
         }
     }
     // Simulated training cost is accounted per distinct model.
@@ -149,8 +149,8 @@ fn fig7_flow_shape() {
 #[test]
 fn table2_baseline_ordering_matches_paper() {
     let rows = table2_baselines();
-    let resnet = &rows[0];
-    let googlenet = &rows[1];
+    let resnet = &rows[0].evaluation;
+    let googlenet = &rows[1].evaluation;
     // Paper: ResNet 72.9% > GoogLeNet 71.5%; GoogLeNet 39.3 >> ResNet 12.8.
     assert!(resnet.accuracy > googlenet.accuracy);
     assert!(googlenet.perf_per_area() > 2.0 * resnet.perf_per_area());
@@ -186,7 +186,8 @@ fn cod1_exists_at_moderate_scale() {
         cod1.is_some(),
         "no discovered point beat ResNet on both axes"
     );
-    let cod1 = cod1.expect("checked");
-    assert!(cod1.accuracy > baselines[0].accuracy);
-    assert!(cod1.perf_per_area() > baselines[0].perf_per_area());
+    let cod1 = &cod1.expect("checked").evaluation;
+    let resnet = &baselines[0].evaluation;
+    assert!(cod1.accuracy > resnet.accuracy);
+    assert!(cod1.perf_per_area() > resnet.perf_per_area());
 }
