@@ -101,6 +101,7 @@
 //! modes.
 
 use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::sync::Arc;
 
 use codesign_bench::{out_dir, Args};
@@ -289,30 +290,42 @@ impl TelemetryOutputs {
         let spans = codesign_telemetry::drain_spans();
         let metrics = codesign_telemetry::metrics_snapshot();
         if let Some((path, file)) = &self.trace {
-            codesign_telemetry::write_chrome_trace(
-                &mut std::io::BufWriter::new(file),
-                &spans,
-                &codesign_telemetry::thread_names(),
-            )
-            .expect("write chrome trace");
+            write_telemetry_file(path, file, |w| {
+                codesign_telemetry::write_chrome_trace(
+                    w,
+                    &spans,
+                    &codesign_telemetry::thread_names(),
+                )
+            });
             println!(
                 "chrome trace written to {path} ({} spans; open in Perfetto or chrome://tracing)",
                 spans.len()
             );
         }
         if let Some((path, file)) = &self.metrics {
-            codesign_telemetry::write_events_jsonl(
-                &mut std::io::BufWriter::new(file),
-                &spans,
-                &metrics,
-            )
-            .expect("write telemetry events");
+            write_telemetry_file(path, file, |w| {
+                codesign_telemetry::write_events_jsonl(w, &spans, &metrics)
+            });
             println!("telemetry events written to {path}");
         }
         println!(
             "\ntelemetry summary:\n{}",
             codesign_telemetry::render_summary(&spans, &metrics)
         );
+    }
+}
+
+/// Writes one telemetry export through a flushed buffer; a failed write
+/// exits with code 1.
+fn write_telemetry_file(
+    path: &str,
+    file: &File,
+    write: impl FnOnce(&mut BufWriter<&File>) -> std::io::Result<()>,
+) {
+    let mut writer = BufWriter::new(file);
+    if let Err(e) = write(&mut writer).and_then(|()| writer.flush()) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
     }
 }
 

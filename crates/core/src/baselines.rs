@@ -33,11 +33,10 @@ pub fn baseline_row(name: &str, cell: CellSpec, dataset: Dataset) -> BaselineRow
         let evaluation = evaluator
             .evaluate_pair(&cell, &config)
             .expect("the trainer evaluates every valid cell");
-        let beats = match &best {
-            None => true,
-            Some((_, b)) => evaluation.perf_per_area() > b.perf_per_area(),
-        };
-        if beats {
+        if best
+            .as_ref()
+            .is_none_or(|(_, b)| evaluation.perf_per_area() > b.perf_per_area())
+        {
             best = Some((config, evaluation));
         }
     }
