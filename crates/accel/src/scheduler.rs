@@ -83,7 +83,7 @@ impl Scheduler {
     /// End-to-end single-image latency of a network, ms: the sum of its
     /// units' makespans times their repeat counts (units are serially
     /// dependent by construction). This is the one network-latency entry
-    /// point; the evaluator, the enumerator and the validation all call it.
+    /// point.
     pub fn network_latency_ms(&mut self, network: &Network) -> f64 {
         let mut total_ns = 0.0;
         for unit in network.units() {
