@@ -562,19 +562,25 @@ mod tests {
 
     #[test]
     fn perf_per_area_matches_table2_formula() {
-        // Table II: ResNet 42 ms at 186 mm^2 -> 12.8 img/s/cm^2; GoogLeNet
-        // 19.3 ms at 132 mm^2 -> 39.3 img/s/cm^2.
-        for (latency_ms, area_mm2, perf_per_area, tolerance) in
-            [(42.0, 186.0, 12.8, 0.1), (19.3, 132.0, 39.3, 0.3)]
-        {
-            let e = PairEvaluation {
-                accuracy: 0.729,
-                latency_ms,
-                area_mm2,
-                power_w: 6.0,
-            };
-            assert!((e.perf_per_area() - perf_per_area).abs() < tolerance);
-        }
+        let e = PairEvaluation {
+            accuracy: 0.729,
+            latency_ms: 42.0,
+            area_mm2: 186.0,
+            power_w: 6.0,
+        };
+        assert!((e.perf_per_area() - 12.8).abs() < 0.1);
+    }
+
+    #[test]
+    fn perf_per_area_formula_matches_table2_rows() {
+        // GoogLeNet row: 19.3 ms at 132 mm^2 -> 39.3 img/s/cm^2.
+        let e = PairEvaluation {
+            accuracy: 0.729,
+            latency_ms: 19.3,
+            area_mm2: 132.0,
+            power_w: 6.0,
+        };
+        assert!((e.perf_per_area() - 39.3).abs() < 0.3);
     }
 
     #[test]
