@@ -9,7 +9,9 @@
 //! pins the exact Fig. 4 front of the 4-vertex space. Three more pin the
 //! paper's hardware-side results: the Table II baselines, the quick §IV
 //! flow, and the network latencies of the scheduler and its serial
-//! baseline together with the §II-C latency validation.
+//! baseline together with the §II-C latency validation. A tenth pins the
+//! cell pipeline at seven vertices: decode, prune, hash, lowering and
+//! scheduling of random genomes of the paper's space.
 //!
 //! Campaigns run on one worker: with several, the order in which two
 //! labellings of one cell reach the shared cache can differ between runs,
@@ -31,6 +33,8 @@ use codesign_core::{
 use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind, CACHE_SHARD_FILES};
 use codesign_nasbench::byteio::{fnv1a64, put_f64, put_u128, put_u64};
 use codesign_nasbench::{known_cells, Json, NasbenchDatabase, Network, NetworkConfig};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// (a) every strategy × seeds {0, 1}: the campaign's JSONL.
 const STRATEGY_GRID_JSONL: u64 = 0xc602_5caf_c7a4_196e;
@@ -51,6 +55,9 @@ const SECTION_IV_QUICK: u64 = 0xc335_326b_a75a_02f6;
 /// (h) greedy and serial latencies of the named cells at three configs,
 /// then the §II-C latency validation errors.
 const SCHEDULES: u64 = 0x9489_2e87_a2b0_5a79;
+/// (i) 20,000 random 7-vertex genomes: each decode outcome, pruned matrix,
+/// lowered network and two network latencies.
+const CELL_PIPELINE_V7: u64 = 0x224b_3b8e_7691_de1b;
 
 const STEPS: usize = 64;
 const NSGA: StrategyKind = StrategyKind::Nsga { population: 16 };
@@ -248,4 +255,53 @@ fn greedy_and_serial_schedules_and_the_latency_validation() {
     put_f64(&mut bytes, validation.max_abs_pct_error);
     assert_eq!(bytes.len(), 256);
     check(&[("schedules", fnv1a64(&bytes), SCHEDULES)]);
+}
+
+#[test]
+fn decoded_lowered_and_scheduled_cells_at_seven_vertices() {
+    let space = CodesignSpace::paper();
+    let vocab = space.cnn().vocab_sizes();
+    let configs = ConfigSpace::chaidnn();
+    let (fastest, slowest) = (configs.get(0), configs.get(8639));
+    let mut rng = SmallRng::seed_from_u64(7);
+    let mut digests = Vec::new();
+    let mut valid = 0;
+    for _ in 0..20_000 {
+        let genome: Vec<usize> = vocab.iter().map(|&v| rng.gen_range(0..v)).collect();
+        // Per genome: the error text, or the cell's hash, pruned matrix,
+        // ops, lowered units and latencies at two configs.
+        let mut bytes = Vec::new();
+        match space.cnn().decode(&genome) {
+            Err(err) => bytes.extend(format!("{err:?}").bytes()),
+            Ok(cell) => {
+                valid += 1;
+                put_u128(&mut bytes, cell.canonical_hash());
+                for row in cell.matrix().to_rows() {
+                    bytes.extend(row);
+                }
+                bytes.extend(cell.ops().iter().map(|op| op.label()));
+                let network = Network::assemble(&cell, &NetworkConfig::default());
+                for unit in network.units() {
+                    bytes.extend(unit.label.to_string().bytes());
+                    put_u64(&mut bytes, unit.count as u64);
+                    for node in unit.program.nodes() {
+                        bytes.extend(format!("{:?}", node.op).bytes());
+                        put_u64(&mut bytes, node.deps.len() as u64);
+                        for &dep in node.deps.iter() {
+                            put_u64(&mut bytes, dep as u64);
+                        }
+                    }
+                }
+                for config in [fastest, slowest] {
+                    let latency = Scheduler::new(LatencyModel::default(), config)
+                        .network_latency_ms(&network);
+                    put_f64(&mut bytes, latency);
+                }
+            }
+        }
+        put_u64(&mut digests, fnv1a64(&bytes));
+    }
+    assert_eq!(valid, 14_795);
+    assert_eq!(digests.len(), 160_000);
+    check(&[("cell pipeline v7", fnv1a64(&digests), CELL_PIPELINE_V7)]);
 }
