@@ -67,7 +67,7 @@ impl Scheduler {
         let mut makespan = 0.0f64;
         for node in program.nodes() {
             let mut ready = 0.0f64;
-            for &d in &node.deps {
+            for d in node.deps.iter() {
                 ready = ready.max(self.finish_scratch[d]);
             }
             let engine = LatencyModel::primary_engine(&node.op, &config);

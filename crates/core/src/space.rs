@@ -266,7 +266,7 @@ impl CodesignSpace {
     /// Panics on action-count mismatch.
     #[must_use]
     pub fn decode(&self, actions: &[usize]) -> Proposal {
-        let n_cnn = self.cnn.vocab_sizes().len();
+        let n_cnn = self.cnn.num_edge_slots() + self.cnn.num_op_slots();
         assert_eq!(
             actions.len(),
             n_cnn + NUM_DECISIONS,

@@ -282,12 +282,12 @@ fn decoded_lowered_and_scheduled_cells_at_seven_vertices() {
                 bytes.extend(cell.ops().iter().map(|op| op.label()));
                 let network = Network::assemble(&cell, &NetworkConfig::default());
                 for unit in network.units() {
-                    bytes.extend(unit.label.to_string().bytes());
+                    bytes.extend(unit.role.to_string().bytes());
                     put_u64(&mut bytes, unit.count as u64);
                     for node in unit.program.nodes() {
                         bytes.extend(format!("{:?}", node.op).bytes());
                         put_u64(&mut bytes, node.deps.len() as u64);
-                        for &dep in node.deps.iter() {
+                        for dep in node.deps.iter() {
                             put_u64(&mut bytes, dep as u64);
                         }
                     }

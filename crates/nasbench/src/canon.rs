@@ -9,28 +9,43 @@
 //! are astronomically unlikely at the scale of this search space, and the
 //! property tests in this module verify invariance under vertex relabeling.
 
-use crate::graph::AdjMatrix;
+use crate::graph::{AdjMatrix, MAX_VERTICES};
 use crate::Op;
 
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 
-/// 128-bit FNV-1a over a byte slice, used as the primitive hash.
-fn fnv128(bytes: &[u8]) -> u128 {
-    let mut h = FNV_OFFSET;
+/// Feeds `bytes` into a 128-bit FNV-1a state.
+fn fnv128(mut state: u128, bytes: &[u8]) -> u128 {
     for &b in bytes {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+        state ^= u128::from(b);
+        state = state.wrapping_mul(FNV_PRIME);
     }
-    h
+    state
 }
 
-fn mix(parts: &[u128]) -> u128 {
-    let mut bytes = Vec::with_capacity(parts.len() * 16);
-    for p in parts {
-        bytes.extend_from_slice(&p.to_le_bytes());
+/// Feeds each word's little-endian bytes, in order, into an FNV-1a state:
+/// the hash of the words' concatenated bytes, without building them.
+fn fnv128_words(state: u128, words: &[u128]) -> u128 {
+    words
+        .iter()
+        .fold(state, |state, word| fnv128(state, &word.to_le_bytes()))
+}
+
+/// Feeds the hashes of `vertices`, sorted, into an FNV-1a state.
+fn fnv128_sorted(
+    state: u128,
+    vertices: impl Iterator<Item = usize>,
+    hashes: &[u128; MAX_VERTICES],
+) -> u128 {
+    let mut sorted = [0u128; MAX_VERTICES];
+    let mut len = 0;
+    for v in vertices {
+        sorted[len] = hashes[v];
+        len += 1;
     }
-    fnv128(&bytes)
+    sorted[..len].sort_unstable();
+    fnv128_words(state, &sorted[..len])
 }
 
 /// Computes the isomorphism-invariant fingerprint of a pruned cell.
@@ -71,42 +86,30 @@ pub fn canonical_hash(matrix: &AdjMatrix, ops: &[Op]) -> u128 {
             ops[v - 1].label()
         }
     };
-    let mut hashes: Vec<u128> = (0..n)
-        .map(|v| {
-            fnv128(&[
-                matrix.in_degree(v) as u8,
-                matrix.out_degree(v) as u8,
-                label(v),
-            ])
-        })
-        .collect();
+    let mut hashes = [0u128; MAX_VERTICES];
+    for (v, hash) in hashes[..n].iter_mut().enumerate() {
+        let seed = [
+            matrix.in_degree(v) as u8,
+            matrix.out_degree(v) as u8,
+            label(v),
+        ];
+        *hash = fnv128(FNV_OFFSET, &seed);
+    }
+    // Each round re-hashes every vertex from its sorted in-neighbour hashes,
+    // a separator, its sorted out-neighbour hashes, a second separator and
+    // its own hash.
+    let mut next = [0u128; MAX_VERTICES];
     for _round in 0..n {
-        let mut next = Vec::with_capacity(n);
-        for v in 0..n {
-            let mut in_h: Vec<u128> = matrix
-                .in_neighbors(v)
-                .into_iter()
-                .map(|u| hashes[u])
-                .collect();
-            let mut out_h: Vec<u128> = matrix
-                .out_neighbors(v)
-                .into_iter()
-                .map(|w| hashes[w])
-                .collect();
-            in_h.sort_unstable();
-            out_h.sort_unstable();
-            let mut parts = Vec::with_capacity(in_h.len() + out_h.len() + 3);
-            parts.extend_from_slice(&in_h);
-            parts.push(u128::MAX); // separator
-            parts.extend_from_slice(&out_h);
-            parts.push(u128::MAX - 1); // separator
-            parts.push(hashes[v]);
-            next.push(mix(&parts));
+        for (v, next) in next[..n].iter_mut().enumerate() {
+            let state = fnv128_sorted(FNV_OFFSET, matrix.in_neighbors(v), &hashes);
+            let state = fnv128_words(state, &[u128::MAX]);
+            let state = fnv128_sorted(state, matrix.out_neighbors(v), &hashes);
+            *next = fnv128_words(state, &[u128::MAX - 1, hashes[v]]);
         }
         hashes = next;
     }
-    hashes.sort_unstable();
-    mix(&hashes)
+    hashes[..n].sort_unstable();
+    fnv128_words(FNV_OFFSET, &hashes[..n])
 }
 
 #[cfg(test)]

@@ -8,8 +8,10 @@
 //! reproduces that lowering (`compute_vertex_channels` + `build_module` in
 //! the reference implementation) so the accelerator latency model sees the
 //! exact multiset of convolutions the paper's lookup table contains.
+//! Lowering keeps its temporaries on the stack: a program is one `Vec` of
+//! nodes whose dependency lists are inline.
 
-use crate::graph::AdjMatrix;
+use crate::graph::{AdjMatrix, IndexList, MAX_VERTICES};
 use crate::{CellSpec, Op};
 
 /// A concrete tensor operation with fully resolved shape — one row of the
@@ -158,13 +160,38 @@ impl OpInstance {
     }
 }
 
+/// The in-cell dependencies of a [`ProgramNode`]: program node indices,
+/// stored inline.
+///
+/// An add's arity is an interior vertex's in-degree and a concat's arity is
+/// the number of interior vertices feeding the output, so no node depends on
+/// more than `MAX_VERTICES - 2` others.
+pub type NodeDeps = IndexList<{ MAX_VERTICES - 2 }>;
+
 /// One node of a lowered cell program: an op plus its in-cell dependencies.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A node is a plain `Copy` value: its dependency list is inline, so a
+/// lowered program is one `Vec` of nodes.
+///
+/// # Examples
+///
+/// ```
+/// use codesign_nasbench::cell::{CellProgram, OpKind};
+/// use codesign_nasbench::known_cells;
+///
+/// // The ResNet cell ends in an add of its last conv and the projected input.
+/// let prog = CellProgram::lower(&known_cells::resnet_cell(), 128, 128, 32, 32);
+/// let add = prog.nodes().last().unwrap();
+/// assert_eq!(add.op.kind, OpKind::Add { arity: 2 });
+/// assert_eq!(add.deps.len(), 2);
+/// assert!(add.deps.iter().all(|d| d < prog.nodes().len() - 1));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProgramNode {
     /// The concrete operation.
     pub op: OpInstance,
-    /// Indices of program nodes that must complete first.
-    pub deps: Vec<usize>,
+    /// Indices of program nodes that must complete first, in operand order.
+    pub deps: NodeDeps,
 }
 
 /// A cell lowered to concrete ops with dependencies — the unit the
@@ -199,41 +226,43 @@ impl CellProgram {
         let matrix = cell.matrix();
         let n = matrix.num_vertices();
         let ch = compute_vertex_channels(c_in, c_out, matrix);
-        let mut nodes: Vec<ProgramNode> = Vec::new();
-        // result[v] = node index producing vertex v's tensor (None for input).
-        let mut result: Vec<Option<usize>> = vec![None; n];
+        // At most a projection, an add and the op per interior vertex, then
+        // the output's concat, projection and add.
+        let mut nodes: Vec<ProgramNode> = Vec::with_capacity(3 * (n - 2) + 3);
+        // result[v] = node index producing interior vertex v's tensor.
+        let mut result = [0usize; MAX_VERTICES];
 
         for v in 1..n - 1 {
-            let mut operand_nodes: Vec<usize> = Vec::new();
+            let mut operands = NodeDeps::new();
             for u in matrix.in_neighbors(v) {
                 if u == 0 {
                     // Edge from the cell input: 1x1 projection to ch[v].
                     nodes.push(ProgramNode {
                         op: OpInstance::conv(1, c_in, ch[v], h, w),
-                        deps: Vec::new(),
+                        deps: NodeDeps::new(),
                     });
-                    operand_nodes.push(nodes.len() - 1);
+                    operands.push(nodes.len() - 1);
                 } else {
                     // Interior edge: channel truncation is free; depend on u.
-                    operand_nodes.push(result[u].expect("topological order"));
+                    operands.push(result[u]);
                 }
             }
-            let combined = if operand_nodes.len() > 1 {
+            let combined = if operands.len() > 1 {
                 nodes.push(ProgramNode {
                     op: OpInstance {
                         kind: OpKind::Add {
-                            arity: operand_nodes.len(),
+                            arity: operands.len(),
                         },
                         in_channels: ch[v],
                         out_channels: ch[v],
                         height: h,
                         width: w,
                     },
-                    deps: operand_nodes,
+                    deps: operands,
                 });
                 nodes.len() - 1
             } else {
-                operand_nodes[0]
+                operands.first().expect("pruned vertex has an input")
             };
             let op = match cell.op(v).expect("interior vertex has an op") {
                 Op::Conv3x3 => OpInstance::conv(3, ch[v], ch[v], h, w),
@@ -242,21 +271,21 @@ impl CellProgram {
             };
             nodes.push(ProgramNode {
                 op,
-                deps: vec![combined],
+                deps: [combined].into_iter().collect(),
             });
-            result[v] = Some(nodes.len() - 1);
+            result[v] = nodes.len() - 1;
         }
 
         // Output vertex: concat interior feeders (elided when there is only
         // one, as in the reference implementation), then add the projected
         // input if a skip edge exists.
-        let interior_feeders: Vec<usize> = (1..n - 1)
+        let interior_feeders: NodeDeps = (1..n - 1)
             .filter(|&v| matrix.has_edge(v, n - 1))
-            .map(|v| result[v].expect("feeder lowered"))
+            .map(|v| result[v])
             .collect();
         let mut final_node: Option<usize> = None;
         if interior_feeders.len() == 1 {
-            final_node = Some(interior_feeders[0]);
+            final_node = interior_feeders.first();
         } else if !interior_feeders.is_empty() {
             nodes.push(ProgramNode {
                 op: OpInstance {
@@ -275,7 +304,7 @@ impl CellProgram {
         if matrix.has_edge(0, n - 1) {
             nodes.push(ProgramNode {
                 op: OpInstance::conv(1, c_in, c_out, h, w),
-                deps: Vec::new(),
+                deps: NodeDeps::new(),
             });
             let proj = nodes.len() - 1;
             if let Some(concat) = final_node {
@@ -287,7 +316,7 @@ impl CellProgram {
                         height: h,
                         width: w,
                     },
-                    deps: vec![concat, proj],
+                    deps: [concat, proj].into_iter().collect(),
                 });
             }
         }
@@ -300,7 +329,7 @@ impl CellProgram {
         Self {
             nodes: vec![ProgramNode {
                 op,
-                deps: Vec::new(),
+                deps: NodeDeps::new(),
             }],
         }
     }
@@ -339,6 +368,9 @@ impl CellProgram {
 /// Panics if an interior share would be zero (`c_out` smaller than the number
 /// of output feeders).
 ///
+/// Entry `v` is vertex `v`'s channel count; entries past the vertex count
+/// are 0.
+///
 /// # Examples
 ///
 /// ```
@@ -348,16 +380,20 @@ impl CellProgram {
 /// // Two parallel branches into the output split c_out evenly (64 + 64),
 /// // and an odd c_out gives the extra channel to the earlier branch (65 + 64).
 /// let m = AdjMatrix::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)])?;
-/// assert_eq!(compute_vertex_channels(64, 128, &m), vec![64, 64, 64, 128]);
+/// assert_eq!(compute_vertex_channels(64, 128, &m)[..4], [64, 64, 64, 128]);
 /// let m = AdjMatrix::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)])?;
-/// assert_eq!(compute_vertex_channels(64, 129, &m), vec![64, 65, 64, 129]);
+/// assert_eq!(compute_vertex_channels(64, 129, &m)[..4], [64, 65, 64, 129]);
 /// # Ok(())
 /// # }
 /// ```
 #[must_use]
-pub fn compute_vertex_channels(c_in: usize, c_out: usize, matrix: &AdjMatrix) -> Vec<usize> {
+pub fn compute_vertex_channels(
+    c_in: usize,
+    c_out: usize,
+    matrix: &AdjMatrix,
+) -> [usize; MAX_VERTICES] {
     let n = matrix.num_vertices();
-    let mut ch = vec![0usize; n];
+    let mut ch = [0usize; MAX_VERTICES];
     ch[0] = c_in;
     ch[n - 1] = c_out;
     if n == 2 {
@@ -436,7 +472,7 @@ mod tests {
         let m =
             AdjMatrix::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]).unwrap();
         let ch = compute_vertex_channels(64, 128, &m);
-        assert_eq!(ch, vec![64, 43, 43, 42, 128]);
+        assert_eq!(ch[..5], [64, 43, 43, 42, 128]);
         assert_eq!(ch[1] + ch[2] + ch[3], 128);
     }
 
@@ -446,12 +482,12 @@ mod tests {
         let m = AdjMatrix::from_edges(4, &[(0, 1), (1, 2), (2, 3), (1, 3)]).unwrap();
         let ch = compute_vertex_channels(32, 100, &m);
         // Both interior vertices feed the output: 50 each.
-        assert_eq!(ch, vec![32, 50, 50, 100]);
+        assert_eq!(ch[..4], [32, 50, 50, 100]);
         // Chain where vertex 1 does NOT feed output: takes consumer's channels.
         let m = AdjMatrix::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         assert_eq!(
-            compute_vertex_channels(32, 100, &m),
-            vec![32, 100, 100, 100]
+            compute_vertex_channels(32, 100, &m)[..4],
+            [32, 100, 100, 100]
         );
     }
 
@@ -459,13 +495,13 @@ mod tests {
     fn skip_edge_does_not_join_the_split() {
         let m = AdjMatrix::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]).unwrap();
         let ch = compute_vertex_channels(64, 128, &m);
-        assert_eq!(ch, vec![64, 128, 128, 128]);
+        assert_eq!(ch[..4], [64, 128, 128, 128]);
     }
 
     #[test]
     fn identity_cell_channels() {
         let m = AdjMatrix::from_edges(2, &[(0, 1)]).unwrap();
-        assert_eq!(compute_vertex_channels(64, 128, &m), vec![64, 128]);
+        assert_eq!(compute_vertex_channels(64, 128, &m)[..2], [64, 128]);
     }
 
     #[test]
@@ -492,7 +528,7 @@ mod tests {
         let cell = known_cells::googlenet_cell();
         let prog = CellProgram::lower(&cell, 128, 256, 16, 16);
         for (i, node) in prog.nodes().iter().enumerate() {
-            for &d in &node.deps {
+            for d in node.deps.iter() {
                 assert!(d < i, "dependency {d} of node {i} must precede it");
             }
         }

@@ -5,6 +5,10 @@
 //! output, and every edge points from a lower to a higher index. This module
 //! provides the matrix representation plus the reachability and pruning
 //! primitives the validation logic (see [`crate::CellSpec`]) is built on.
+//! Every primitive works on fixed-size arrays and bit masks: decoding,
+//! validating and pruning a cell never touches the heap.
+
+use std::fmt;
 
 use crate::SpecError;
 
@@ -12,6 +16,10 @@ use crate::SpecError;
 pub const MAX_VERTICES: usize = 7;
 
 /// A strictly upper-triangular boolean adjacency matrix.
+///
+/// The edges live in one `u64`: edge `src -> dst` is bit
+/// `src * MAX_VERTICES + dst`, so a matrix is two words, copying it is a
+/// `memcpy` and row `v` (the out-neighbours of `v`) is one shift.
 ///
 /// # Examples
 ///
@@ -24,14 +32,16 @@ pub const MAX_VERTICES: usize = 7;
 /// assert_eq!(m.num_vertices(), 3);
 /// assert_eq!(m.num_edges(), 3);
 /// assert!(m.has_edge(0, 2));
+/// assert_eq!(m.out_neighbors(0).collect::<Vec<_>>(), vec![1, 2]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AdjMatrix {
     vertices: usize,
-    /// Row-major `vertices × vertices` matrix; only `src < dst` entries may be set.
-    bits: Vec<bool>,
+    /// Bit `src * MAX_VERTICES + dst` is the edge `src -> dst`; only
+    /// `src < dst < vertices` bits may be set.
+    edges: u64,
 }
 
 impl AdjMatrix {
@@ -51,10 +61,7 @@ impl AdjMatrix {
         if vertices < 2 {
             return Err(SpecError::TooFewVertices { got: vertices });
         }
-        Ok(Self {
-            vertices,
-            bits: vec![false; vertices * vertices],
-        })
+        Ok(Self { vertices, edges: 0 })
     }
 
     /// Creates a matrix from an edge list.
@@ -113,7 +120,7 @@ impl AdjMatrix {
         if src >= dst {
             return Err(SpecError::NotUpperTriangular { src, dst });
         }
-        self.bits[src * self.vertices + dst] = true;
+        self.edges |= 1 << (src * MAX_VERTICES + dst);
         Ok(())
     }
 
@@ -126,47 +133,56 @@ impl AdjMatrix {
     /// Number of edges.
     #[must_use]
     pub fn num_edges(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
+        self.edges.count_ones() as usize
     }
 
     /// Returns `true` when the edge `src -> dst` exists.
     #[must_use]
     pub fn has_edge(&self, src: usize, dst: usize) -> bool {
-        src < self.vertices && dst < self.vertices && self.bits[src * self.vertices + dst]
+        src < self.vertices
+            && dst < self.vertices
+            && (self.edges >> (src * MAX_VERTICES + dst)) & 1 == 1
+    }
+
+    /// Out-neighbours of `v` as a vertex mask (bit `w` is the edge `v -> w`).
+    fn out_mask(&self, v: usize) -> u8 {
+        (self.edges >> (v * MAX_VERTICES)) as u8 & ((1 << MAX_VERTICES) - 1)
+    }
+
+    /// In-neighbours of `v` as a vertex mask (bit `u` is the edge `u -> v`).
+    fn in_mask(&self, v: usize) -> u8 {
+        (0..v).fold(0, |mask, u| {
+            mask | ((((self.edges >> (u * MAX_VERTICES + v)) & 1) as u8) << u)
+        })
     }
 
     /// Indices of vertices with an edge into `v`, ascending.
-    #[must_use]
-    pub fn in_neighbors(&self, v: usize) -> Vec<usize> {
-        (0..self.vertices)
-            .filter(|&u| self.has_edge(u, v))
-            .collect()
+    pub fn in_neighbors(&self, v: usize) -> impl Iterator<Item = usize> {
+        VertexBits(self.in_mask(v))
     }
 
     /// Indices of vertices with an edge out of `v`, ascending.
-    #[must_use]
-    pub fn out_neighbors(&self, v: usize) -> Vec<usize> {
-        (0..self.vertices)
-            .filter(|&w| self.has_edge(v, w))
-            .collect()
+    pub fn out_neighbors(&self, v: usize) -> impl Iterator<Item = usize> {
+        VertexBits(self.out_mask(v))
     }
 
     /// In-degree of `v`.
     #[must_use]
     pub fn in_degree(&self, v: usize) -> usize {
-        (0..self.vertices).filter(|&u| self.has_edge(u, v)).count()
+        self.in_mask(v).count_ones() as usize
     }
 
     /// Out-degree of `v`.
     #[must_use]
     pub fn out_degree(&self, v: usize) -> usize {
-        (0..self.vertices).filter(|&w| self.has_edge(v, w)).count()
+        self.out_mask(v).count_ones() as usize
     }
 
     /// Vertices reachable from vertex 0 (the input), as a membership mask.
+    /// Entries past [`AdjMatrix::num_vertices`] are `false`.
     #[must_use]
-    pub fn reachable_from_input(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.vertices];
+    pub fn reachable_from_input(&self) -> [bool; MAX_VERTICES] {
+        let mut seen = [false; MAX_VERTICES];
         seen[0] = true;
         // Topological order == index order, so one forward pass suffices.
         for v in 0..self.vertices {
@@ -180,10 +196,11 @@ impl AdjMatrix {
     }
 
     /// Vertices that can reach the output vertex, as a membership mask.
+    /// Entries past [`AdjMatrix::num_vertices`] are `false`.
     #[must_use]
-    pub fn reaching_output(&self) -> Vec<bool> {
+    pub fn reaching_output(&self) -> [bool; MAX_VERTICES] {
         let last = self.vertices - 1;
-        let mut seen = vec![false; self.vertices];
+        let mut seen = [false; MAX_VERTICES];
         seen[last] = true;
         for v in (0..self.vertices).rev() {
             if seen[v] {
@@ -197,26 +214,27 @@ impl AdjMatrix {
 
     /// Removes vertices that are not on any input→output path, compacting
     /// indices while preserving relative order. Returns the pruned matrix and
-    /// the kept original indices.
+    /// the kept original indices, ascending.
     ///
     /// # Errors
     ///
     /// Returns [`SpecError::Disconnected`] when the input cannot reach the
     /// output at all.
-    pub fn prune(&self) -> Result<(AdjMatrix, Vec<usize>), SpecError> {
+    pub fn prune(&self) -> Result<(AdjMatrix, IndexList<MAX_VERTICES>), SpecError> {
         let fwd = self.reachable_from_input();
-        let bwd = self.reaching_output();
-        let keep: Vec<usize> = (0..self.vertices).filter(|&v| fwd[v] && bwd[v]).collect();
-        // Input and output must both survive and be connected to each other.
-        if !keep.contains(&0) || !keep.contains(&(self.vertices - 1)) {
+        // Input and output survive exactly when the input reaches the output.
+        if !fwd[self.vertices - 1] {
             return Err(SpecError::Disconnected);
         }
-        if self.vertices > 1 && !(fwd[self.vertices - 1]) {
-            return Err(SpecError::Disconnected);
+        let bwd = self.reaching_output();
+        let keep: IndexList<MAX_VERTICES> =
+            (0..self.vertices).filter(|&v| fwd[v] && bwd[v]).collect();
+        if keep.len() == self.vertices {
+            return Ok((self.clone(), keep));
         }
         let mut pruned = AdjMatrix::empty(keep.len())?;
-        for (new_src, &old_src) in keep.iter().enumerate() {
-            for (new_dst, &old_dst) in keep.iter().enumerate() {
+        for (new_src, old_src) in keep.iter().enumerate() {
+            for (new_dst, old_dst) in keep.iter().enumerate() {
                 if self.has_edge(old_src, old_dst) {
                     pruned.add_edge(new_src, new_dst)?;
                 }
@@ -230,7 +248,7 @@ impl AdjMatrix {
     /// Returns 0 when the output is unreachable.
     #[must_use]
     pub fn longest_path(&self) -> usize {
-        let mut dist = vec![usize::MAX; self.vertices];
+        let mut dist = [usize::MAX; MAX_VERTICES];
         dist[0] = 0;
         for v in 0..self.vertices {
             if dist[v] == usize::MAX {
@@ -253,20 +271,18 @@ impl AdjMatrix {
     /// a cheap proxy for how parallel (wide) the cell is.
     #[must_use]
     pub fn max_width(&self) -> usize {
-        let mut depth = vec![0usize; self.vertices];
+        let mut depth = [0usize; MAX_VERTICES];
         for v in 0..self.vertices {
             for w in self.out_neighbors(v) {
                 depth[w] = depth[w].max(depth[v] + 1);
             }
         }
-        let mut counts = std::collections::HashMap::new();
-        for (v, d) in depth.iter().enumerate() {
-            // Only interior vertices contribute to width.
-            if v != 0 && v != self.vertices - 1 {
-                *counts.entry(*d).or_insert(0usize) += 1;
-            }
+        // Depths are below the vertex count; only interior vertices count.
+        let mut counts = [0usize; MAX_VERTICES];
+        for &d in &depth[1..self.vertices - 1] {
+            counts[d] += 1;
         }
-        counts.values().copied().max().unwrap_or(0)
+        counts.into_iter().max().unwrap_or(0)
     }
 
     /// Row-major `0/1` rendering, useful for debugging and persistence.
@@ -279,6 +295,120 @@ impl AdjMatrix {
                     .collect()
             })
             .collect()
+    }
+}
+
+/// Ascending indices of the set bits of a vertex mask.
+struct VertexBits(u8);
+
+impl Iterator for VertexBits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let v = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(v)
+    }
+}
+
+/// Up to `N` small indices (each below 256) stored inline, in push order.
+///
+/// The cell pipeline's index lists are bounded by the cell size — the
+/// vertices [`AdjMatrix::prune`] keeps, a lowered node's dependencies — so
+/// they live on the stack instead of in a `Vec`.
+///
+/// # Examples
+///
+/// ```
+/// use codesign_nasbench::IndexList;
+///
+/// let list: IndexList<4> = [3, 1].into_iter().collect();
+/// assert_eq!(list.len(), 2);
+/// assert_eq!(list.iter().collect::<Vec<_>>(), vec![3, 1]);
+/// assert_eq!(format!("{list:?}"), "[3, 1]");
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct IndexList<const N: usize> {
+    len: u8,
+    /// `items[..len]` are the indices; the rest stay 0, so the derived
+    /// comparisons see only the indices.
+    items: [u8; N],
+}
+
+impl<const N: usize> IndexList<N> {
+    /// An empty list.
+    #[must_use]
+    pub const fn new() -> Self {
+        Self {
+            len: 0,
+            items: [0; N],
+        }
+    }
+
+    /// Appends `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the list already holds `N` indices or `index` is 256 or
+    /// more.
+    pub fn push(&mut self, index: usize) {
+        let len = usize::from(self.len);
+        assert!(len < N, "index list is full ({N} entries)");
+        self.items[len] = u8::try_from(index).expect("index list entries are below 256");
+        self.len += 1;
+    }
+
+    /// Number of indices.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Returns `true` when the list holds no index.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The first index, if any.
+    #[must_use]
+    pub fn first(&self) -> Option<usize> {
+        self.iter().next()
+    }
+
+    /// The indices, in push order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.items[..self.len()].iter().map(|&i| usize::from(i))
+    }
+}
+
+impl<const N: usize> Default for IndexList<N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const N: usize> fmt::Debug for IndexList<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<const N: usize> FromIterator<usize> for IndexList<N> {
+    /// Collects indices in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`IndexList::push`] does.
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        let mut list = Self::new();
+        for index in iter {
+            list.push(index);
+        }
+        list
     }
 }
 
@@ -324,8 +454,8 @@ mod tests {
     #[test]
     fn neighbors_and_degrees() {
         let m = AdjMatrix::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
-        assert_eq!(m.out_neighbors(0), vec![1, 2]);
-        assert_eq!(m.in_neighbors(3), vec![1, 2]);
+        assert_eq!(m.out_neighbors(0).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(m.in_neighbors(3).collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(m.in_degree(3), 2);
         assert_eq!(m.out_degree(0), 2);
     }
@@ -334,15 +464,15 @@ mod tests {
     fn reachability_masks() {
         // Vertex 2 dangles: reachable from input but cannot reach output.
         let m = AdjMatrix::from_edges(4, &[(0, 1), (1, 3), (0, 2)]).unwrap();
-        assert_eq!(m.reachable_from_input(), vec![true, true, true, true]);
-        assert_eq!(m.reaching_output(), vec![true, true, false, true]);
+        assert_eq!(m.reachable_from_input()[..4], [true, true, true, true]);
+        assert_eq!(m.reaching_output()[..4], [true, true, false, true]);
     }
 
     #[test]
     fn prune_removes_dangling_vertices() {
         let m = AdjMatrix::from_edges(4, &[(0, 1), (1, 3), (0, 2)]).unwrap();
         let (pruned, kept) = m.prune().unwrap();
-        assert_eq!(kept, vec![0, 1, 3]);
+        assert_eq!(kept.iter().collect::<Vec<_>>(), vec![0, 1, 3]);
         assert_eq!(pruned.num_vertices(), 3);
         assert_eq!(pruned.num_edges(), 2);
         assert!(pruned.has_edge(0, 1) && pruned.has_edge(1, 2));

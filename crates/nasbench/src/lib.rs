@@ -49,9 +49,9 @@ pub use cell::{CellProgram, OpInstance, OpKind};
 pub use database::{DbEntry, NasbenchDatabase};
 pub use error::SpecError;
 pub use features::CellFeatures;
-pub use graph::{AdjMatrix, MAX_VERTICES};
+pub use graph::{AdjMatrix, IndexList, MAX_VERTICES};
 pub use jsonio::Json;
-pub use network::{Network, NetworkConfig, NetworkUnit};
+pub use network::{Network, NetworkConfig, NetworkUnit, UnitRole};
 pub use ops::Op;
 pub use sampler::{enumerate_cells, SpecSampler};
 pub use spec::{CellSpec, MAX_EDGES};

@@ -6,9 +6,11 @@
 //! and a fully-connected classifier. Because every cell instance in a network
 //! depends serially on its predecessor, the network is represented as a list
 //! of [`NetworkUnit`]s with repeat counts: the accelerator scheduler needs to
-//! schedule each *distinct* cell parameterization only once.
+//! schedule each *distinct* cell parameterization only once. Assembly
+//! allocates one `Vec` for the units and one per unit's program.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use crate::cell::{CellProgram, OpInstance, OpKind};
 use crate::CellSpec;
@@ -77,11 +79,69 @@ impl NetworkConfig {
     }
 }
 
+/// Where a [`NetworkUnit`] sits in the skeleton. `Display` prints its label
+/// ("stem", "downsample1", "stack1-cell-widen", "stack1-cell", ...).
+///
+/// # Examples
+///
+/// ```
+/// use codesign_nasbench::network::UnitRole;
+///
+/// assert_eq!(UnitRole::Downsample { stack: 1 }.to_string(), "downsample1");
+/// assert_eq!(UnitRole::WidenCell { stack: 2 }.to_string(), "stack2-cell-widen");
+/// assert!(UnitRole::Cell { stack: 0 }.is_cell());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnitRole {
+    /// The 3×3 stem convolution.
+    Stem,
+    /// The 2×2 stride-2 max-pool in front of stack `stack`.
+    Downsample {
+        /// The stack this downsample feeds.
+        stack: usize,
+    },
+    /// The first cell of stack `stack`, which widens the channel count.
+    WidenCell {
+        /// The stack index.
+        stack: usize,
+    },
+    /// The cells of stack `stack` at its own channel count.
+    Cell {
+        /// The stack index.
+        stack: usize,
+    },
+    /// Global average pooling in front of the classifier.
+    ClassifierPool,
+    /// The fully-connected classifier.
+    ClassifierFc,
+}
+
+impl UnitRole {
+    /// Returns `true` for cell instances (widening or not).
+    #[must_use]
+    pub fn is_cell(&self) -> bool {
+        matches!(self, Self::WidenCell { .. } | Self::Cell { .. })
+    }
+}
+
+impl fmt::Display for UnitRole {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Stem => f.write_str("stem"),
+            Self::Downsample { stack } => write!(f, "downsample{stack}"),
+            Self::WidenCell { stack } => write!(f, "stack{stack}-cell-widen"),
+            Self::Cell { stack } => write!(f, "stack{stack}-cell"),
+            Self::ClassifierPool => f.write_str("classifier-pool"),
+            Self::ClassifierFc => f.write_str("classifier-fc"),
+        }
+    }
+}
+
 /// A program repeated `count` times back-to-back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkUnit {
-    /// Human-readable role ("stem", "stack0-cell", ...).
-    pub label: String,
+    /// The unit's place in the skeleton.
+    pub role: UnitRole,
     /// The lowered op program.
     pub program: CellProgram,
     /// How many consecutive times the program runs.
@@ -109,7 +169,9 @@ impl Network {
     /// Lowers `cell` into the full skeleton described by `config`.
     #[must_use]
     pub fn assemble(cell: &CellSpec, config: &NetworkConfig) -> Self {
-        let mut units = Vec::new();
+        // The stem, the classifier's two units, and per stack at most a
+        // downsample and two cell units.
+        let mut units = Vec::with_capacity(3 + 3 * config.num_stacks);
         let stem = OpInstance::conv(
             3,
             config.input_channels,
@@ -118,7 +180,7 @@ impl Network {
             config.input_size,
         );
         units.push(NetworkUnit {
-            label: "stem".to_owned(),
+            role: UnitRole::Stem,
             program: CellProgram::single(stem),
             count: 1,
         });
@@ -129,7 +191,7 @@ impl Network {
             let size = config.stack_size(stack);
             if stack > 0 {
                 units.push(NetworkUnit {
-                    label: format!("downsample{stack}"),
+                    role: UnitRole::Downsample { stack },
                     program: CellProgram::single(OpInstance::downsample(
                         prev_channels,
                         config.stack_size(stack - 1),
@@ -141,20 +203,20 @@ impl Network {
             if prev_channels != channels {
                 // First cell of the stack widens prev_channels -> channels.
                 units.push(NetworkUnit {
-                    label: format!("stack{stack}-cell-widen"),
+                    role: UnitRole::WidenCell { stack },
                     program: CellProgram::lower(cell, prev_channels, channels, size, size),
                     count: 1,
                 });
                 if config.cells_per_stack > 1 {
                     units.push(NetworkUnit {
-                        label: format!("stack{stack}-cell"),
+                        role: UnitRole::Cell { stack },
                         program: CellProgram::lower(cell, channels, channels, size, size),
                         count: config.cells_per_stack - 1,
                     });
                 }
             } else {
                 units.push(NetworkUnit {
-                    label: format!("stack{stack}-cell"),
+                    role: UnitRole::Cell { stack },
                     program: CellProgram::lower(cell, channels, channels, size, size),
                     count: config.cells_per_stack,
                 });
@@ -178,12 +240,12 @@ impl Network {
             width: 1,
         };
         units.push(NetworkUnit {
-            label: "classifier-pool".to_owned(),
+            role: UnitRole::ClassifierPool,
             program: CellProgram::single(pool),
             count: 1,
         });
         units.push(NetworkUnit {
-            label: "classifier-fc".to_owned(),
+            role: UnitRole::ClassifierFc,
             program: CellProgram::single(dense),
             count: 1,
         });
@@ -210,7 +272,7 @@ impl Network {
     pub fn num_cell_instances(&self) -> usize {
         self.units
             .iter()
-            .filter(|u| u.label.contains("cell"))
+            .filter(|u| u.role.is_cell())
             .map(|u| u.count)
             .sum()
     }
@@ -270,11 +332,22 @@ mod tests {
     #[test]
     fn network_has_stem_downsamples_and_classifier() {
         let net = Network::assemble(&known_cells::plain_cell(), &NetworkConfig::default());
-        let labels: Vec<&str> = net.units().iter().map(|u| u.label.as_str()).collect();
-        assert_eq!(labels.first(), Some(&"stem"));
-        assert!(labels.contains(&"downsample1"));
-        assert!(labels.contains(&"downsample2"));
-        assert_eq!(labels.last(), Some(&"classifier-fc"));
+        let labels: Vec<String> = net.units().iter().map(|u| u.role.to_string()).collect();
+        assert_eq!(
+            labels,
+            [
+                "stem",
+                "stack0-cell",
+                "downsample1",
+                "stack1-cell-widen",
+                "stack1-cell",
+                "downsample2",
+                "stack2-cell-widen",
+                "stack2-cell",
+                "classifier-pool",
+                "classifier-fc",
+            ]
+        );
     }
 
     #[test]
@@ -289,7 +362,7 @@ mod tests {
         let widen: Vec<&NetworkUnit> = net
             .units()
             .iter()
-            .filter(|u| u.label.ends_with("widen"))
+            .filter(|u| matches!(u.role, UnitRole::WidenCell { .. }))
             .collect();
         assert_eq!(widen.len(), 2);
         assert!(widen.iter().all(|u| u.count == 1));

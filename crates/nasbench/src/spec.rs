@@ -52,7 +52,7 @@ impl CellSpec {
     /// * [`SpecError::Disconnected`] — input cannot reach output,
     /// * [`SpecError::TooManyEdges`] — pruned cell exceeds [`MAX_EDGES`],
     /// * vertex-count and triangularity errors from [`AdjMatrix`].
-    pub fn new(matrix: AdjMatrix, ops: Vec<Op>) -> Result<Self, SpecError> {
+    pub fn new(matrix: AdjMatrix, mut ops: Vec<Op>) -> Result<Self, SpecError> {
         let interior = matrix.num_vertices() - 2;
         if ops.len() != interior {
             return Err(SpecError::OpCountMismatch {
@@ -67,16 +67,19 @@ impl CellSpec {
                 max: MAX_EDGES,
             });
         }
-        // Keep only the ops of surviving interior vertices.
-        let pruned_ops: Vec<Op> = kept
-            .iter()
-            .filter(|&&v| v != 0 && v != matrix.num_vertices() - 1)
-            .map(|&v| ops[v - 1])
-            .collect();
-        let canonical = canonical_hash(&pruned, &pruned_ops);
+        // Keep only the ops of surviving interior vertices, compacted in
+        // place: `kept` ascends, so no write lands on an op still to be read.
+        let last = matrix.num_vertices() - 1;
+        let mut len = 0;
+        for v in kept.iter().filter(|&v| v != 0 && v != last) {
+            ops[len] = ops[v - 1];
+            len += 1;
+        }
+        ops.truncate(len);
+        let canonical = canonical_hash(&pruned, &ops);
         Ok(Self {
             matrix: pruned,
-            ops: pruned_ops,
+            ops,
             canonical,
         })
     }
