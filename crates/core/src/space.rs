@@ -97,7 +97,12 @@ impl CnnSpace {
         }
         let ops: Vec<Op> = actions[self.num_edge_slots()..]
             .iter()
-            .map(|&a| Op::from_label(a as u8).expect("op decision out of vocabulary"))
+            .map(|&a| {
+                u8::try_from(a)
+                    .ok()
+                    .and_then(Op::from_label)
+                    .expect("op decision out of vocabulary")
+            })
             .collect();
         CellSpec::new(matrix, ops)
     }
@@ -327,6 +332,16 @@ mod tests {
         // No edges at all: disconnected.
         let actions = vec![0usize; space.vocab_sizes().len()];
         assert!(space.decode(&actions).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "op decision out of vocabulary")]
+    fn op_action_past_the_vocabulary_panics() {
+        // A 4-vertex chain whose first op action would wrap to conv3x3 as a u8.
+        let space = CnnSpace::new(4);
+        let mut actions = vec![1, 0, 0, 1, 0, 1];
+        actions.extend([256, 1]);
+        let _ = space.decode(&actions);
     }
 
     #[test]
