@@ -19,8 +19,10 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-// `realloc` goes through the default implementation, i.e. through `alloc`,
-// so a growing buffer counts once per growth.
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees hold; counting touches only a thread-local `Cell`,
+// which never allocates. `realloc` goes through the default implementation,
+// i.e. through `alloc`, so a growing buffer counts once per growth.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
