@@ -11,7 +11,10 @@
 //! flow, and the network latencies of the scheduler and its serial
 //! baseline together with the §II-C latency validation. A tenth pins the
 //! cell pipeline at seven vertices: decode, prune, hash, lowering and
-//! scheduling of random genomes of the paper's space.
+//! scheduling of random genomes of the paper's space. The last two pin the
+//! latency model over the whole configuration space: every op the searched
+//! networks use, priced at every config, and the network latencies of the
+//! 4- and 5-vertex spaces on both skeletons.
 //!
 //! Campaigns run on one worker: with several, the order in which two
 //! labellings of one cell reach the shared cache can differ between runs,
@@ -21,6 +24,8 @@
 //! purpose re-pins the affected constants in the same commit and says why.
 
 use std::sync::Arc;
+
+use std::collections::HashSet;
 
 use codesign_accel::{
     schedule_serial, validate_latency_model, AcceleratorConfig, ConfigSpace, LatencyModel,
@@ -32,7 +37,9 @@ use codesign_core::{
 };
 use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind, CACHE_SHARD_FILES};
 use codesign_nasbench::byteio::{fnv1a64, put_f64, put_u128, put_u64};
-use codesign_nasbench::{known_cells, Json, NasbenchDatabase, Network, NetworkConfig};
+use codesign_nasbench::{
+    known_cells, CellSpec, Json, NasbenchDatabase, Network, NetworkConfig, OpInstance, SpecError,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,6 +65,12 @@ const SCHEDULES: u64 = 0x9489_2e87_a2b0_5a79;
 /// (i) 20,000 random 7-vertex genomes: each decode outcome, pruned matrix,
 /// lowered network and two network latencies.
 const CELL_PIPELINE_V7: u64 = 0x224b_3b8e_7691_de1b;
+/// (j) every op of the ≤5-vertex and (i)'s 7-vertex networks on both
+/// skeletons, priced by the latency model at every config.
+const OP_LATENCIES: u64 = 0xc6ee_0b32_efb2_00e9;
+/// (k) the scheduler's latency of every 4-vertex network at every config,
+/// and of every 5-vertex network at every 97th, on both skeletons.
+const NETWORK_LATENCIES: u64 = 0x2315_3de6_5623_75db;
 
 const STEPS: usize = 64;
 const NSGA: StrategyKind = StrategyKind::Nsga { population: 16 };
@@ -257,21 +270,29 @@ fn greedy_and_serial_schedules_and_the_latency_validation() {
     check(&[("schedules", fnv1a64(&bytes), SCHEDULES)]);
 }
 
-#[test]
-fn decoded_lowered_and_scheduled_cells_at_seven_vertices() {
+/// The decode outcomes of 20,000 random genomes of the paper's 7-vertex
+/// space (seed 7): 14,795 of them are valid cells.
+fn seven_vertex_decodes() -> impl Iterator<Item = Result<CellSpec, SpecError>> {
     let space = CodesignSpace::paper();
     let vocab = space.cnn().vocab_sizes();
+    let mut rng = SmallRng::seed_from_u64(7);
+    (0..20_000).map(move |_| {
+        let genome: Vec<usize> = vocab.iter().map(|&v| rng.gen_range(0..v)).collect();
+        space.cnn().decode(&genome)
+    })
+}
+
+#[test]
+fn decoded_lowered_and_scheduled_cells_at_seven_vertices() {
     let configs = ConfigSpace::chaidnn();
     let (fastest, slowest) = (configs.get(0), configs.get(8639));
-    let mut rng = SmallRng::seed_from_u64(7);
     let mut digests = Vec::new();
     let mut valid = 0;
-    for _ in 0..20_000 {
-        let genome: Vec<usize> = vocab.iter().map(|&v| rng.gen_range(0..v)).collect();
+    for decoded in seven_vertex_decodes() {
         // Per genome: the error text, or the cell's hash, pruned matrix,
         // ops, lowered units and latencies at two configs.
         let mut bytes = Vec::new();
-        match space.cnn().decode(&genome) {
+        match decoded {
             Err(err) => bytes.extend(format!("{err:?}").bytes()),
             Ok(cell) => {
                 valid += 1;
@@ -304,4 +325,64 @@ fn decoded_lowered_and_scheduled_cells_at_seven_vertices() {
     assert_eq!(valid, 14_795);
     assert_eq!(digests.len(), 160_000);
     check(&[("cell pipeline v7", fnv1a64(&digests), CELL_PIPELINE_V7)]);
+}
+
+#[test]
+fn op_and_network_latencies_over_the_config_space() {
+    let skeletons = [NetworkConfig::default(), NetworkConfig::cifar100()];
+    let (v4, v5) = (
+        NasbenchDatabase::exhaustive(4),
+        NasbenchDatabase::exhaustive(5),
+    );
+    let v7: Vec<CellSpec> = seven_vertex_decodes().filter_map(Result::ok).collect();
+    assert_eq!(v7.len(), 14_795);
+
+    // The distinct ops of every network below, in first-appearance order.
+    let mut catalog: Vec<OpInstance> = Vec::new();
+    let mut seen = HashSet::new();
+    for net_config in &skeletons {
+        for cell in v5.iter().map(|entry| &entry.spec).chain(&v7) {
+            for unit in Network::assemble(cell, net_config).units() {
+                for node in unit.program.nodes() {
+                    if seen.insert(node.op) {
+                        catalog.push(node.op);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(catalog.len(), 112);
+
+    let model = LatencyModel::default();
+    let space = ConfigSpace::chaidnn();
+    let mut ops = Vec::new();
+    for config in space.iter() {
+        for op in &catalog {
+            let engine = LatencyModel::primary_engine(op, &config);
+            put_f64(&mut ops, model.op_latency_ns(op, engine, &config));
+        }
+    }
+    assert_eq!(ops.len(), 7_741_440);
+
+    let mut networks = Vec::new();
+    for net_config in &skeletons {
+        let assemble = |db: &NasbenchDatabase| -> Vec<Network> {
+            db.iter()
+                .map(|entry| Network::assemble(&entry.spec, net_config))
+                .collect()
+        };
+        let (nets4, nets5) = (assemble(&v4), assemble(&v5));
+        for (index, config) in space.iter().enumerate() {
+            let mut scheduler = Scheduler::new(model, config);
+            let sampled: &[Network] = if index % 97 == 0 { &nets5 } else { &[] };
+            for network in nets4.iter().chain(sampled) {
+                put_f64(&mut networks, scheduler.network_latency_ms(network));
+            }
+        }
+    }
+    assert_eq!(networks.len(), 8 * 2_028_240);
+    check(&[
+        ("op latencies", fnv1a64(&ops), OP_LATENCIES),
+        ("network latencies", fnv1a64(&networks), NETWORK_LATENCIES),
+    ]);
 }
