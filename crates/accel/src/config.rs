@@ -247,43 +247,27 @@ impl ConfigSpace {
     /// Panics if the configuration's values are not members of this space.
     #[must_use]
     pub fn encode(&self, config: &AcceleratorConfig) -> [usize; NUM_DECISIONS] {
-        let pos = |opts: &[usize], v: usize, name: &str| {
-            opts.iter()
-                .position(|&o| o == v)
-                .unwrap_or_else(|| panic!("{name} value {v} is not in the configuration space"))
-        };
-        [
-            pos(&self.filter_par, config.filter_par, "filter_par"),
-            pos(&self.pixel_par, config.pixel_par, "pixel_par"),
-            pos(
-                &self.input_buffer_depth,
-                config.input_buffer_depth,
-                "input_buffer_depth",
-            ),
-            pos(
-                &self.weight_buffer_depth,
-                config.weight_buffer_depth,
-                "weight_buffer_depth",
-            ),
-            pos(
-                &self.output_buffer_depth,
-                config.output_buffer_depth,
-                "output_buffer_depth",
-            ),
-            pos(
-                &self.mem_interface_width,
-                config.mem_interface_width,
-                "mem_interface_width",
-            ),
-            self.pool_enable
-                .iter()
-                .position(|&b| b == config.pool_enable)
-                .expect("pool_enable option missing"),
-            self.ratio_conv_engines
-                .iter()
-                .position(|&r| r == config.ratio_conv_engines)
-                .expect("ratio option missing"),
-        ]
+        self.try_encode(config)
+            .unwrap_or_else(|| panic!("configuration {config} is not in the configuration space"))
+    }
+
+    /// Encodes a configuration into per-dimension indices, or `None` when
+    /// one of its values is not an option of this space.
+    #[must_use]
+    pub fn try_encode(&self, config: &AcceleratorConfig) -> Option<[usize; NUM_DECISIONS]> {
+        fn pos<T: PartialEq>(options: &[T], value: &T) -> Option<usize> {
+            options.iter().position(|option| option == value)
+        }
+        Some([
+            pos(&self.filter_par, &config.filter_par)?,
+            pos(&self.pixel_par, &config.pixel_par)?,
+            pos(&self.input_buffer_depth, &config.input_buffer_depth)?,
+            pos(&self.weight_buffer_depth, &config.weight_buffer_depth)?,
+            pos(&self.output_buffer_depth, &config.output_buffer_depth)?,
+            pos(&self.mem_interface_width, &config.mem_interface_width)?,
+            pos(&self.pool_enable, &config.pool_enable)?,
+            pos(&self.ratio_conv_engines, &config.ratio_conv_engines)?,
+        ])
     }
 
     /// The configuration at flat index `i` (row-major over the dimensions).
@@ -349,6 +333,20 @@ mod tests {
             let idx = space.encode(&c);
             assert_eq!(space.decode(&idx), c);
         }
+    }
+
+    #[test]
+    fn try_encode_rejects_values_outside_the_space() {
+        let space = ConfigSpace::chaidnn();
+        let config = AcceleratorConfig {
+            pixel_par: 12,
+            ..space.get(8639)
+        };
+        assert_eq!(space.try_encode(&config), None);
+        assert_eq!(
+            space.try_encode(&space.get(8639)),
+            Some(space.encode(&space.get(8639)))
+        );
     }
 
     #[test]

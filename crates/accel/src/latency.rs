@@ -136,22 +136,12 @@ impl LatencyModel {
         }
     }
 
-    /// Engines an operation may execute on under `config`.
-    ///
-    /// In the CHaiDNN model every op has exactly one placement (see
-    /// [`LatencyModel::primary_engine`]); richer accelerator families may
-    /// return several candidates, which the greedy scheduler arbitrates.
-    #[must_use]
-    pub fn eligible_engines(op: &OpInstance, config: &AcceleratorConfig) -> Vec<EngineKind> {
-        vec![Self::primary_engine(op, config)]
-    }
-
     /// Latency of `op` on `engine` under `config`, nanoseconds.
     ///
     /// # Panics
     ///
     /// Panics (debug builds) when the op/engine pairing is not one
-    /// [`LatencyModel::eligible_engines`] would produce.
+    /// [`LatencyModel::primary_engine`] would produce.
     #[must_use]
     pub fn op_latency_ns(
         &self,
@@ -160,21 +150,13 @@ impl LatencyModel {
         config: &AcceleratorConfig,
     ) -> f64 {
         match (op.kind, engine) {
-            (OpKind::Conv { kernel, .. }, EngineKind::GeneralConv) => {
-                // The general engine pays a small mode-switch penalty on 1x1.
-                let slack = if kernel == 1 { 1.1 } else { 1.0 };
-                self.conv_ns(op, config.filter_par, config.pixel_par, config, slack)
-            }
-            (OpKind::Conv { kernel, .. }, EngineKind::Conv3x3) => {
-                debug_assert_eq!(kernel, 3, "3x3 engine only runs 3x3 convolutions");
-                let pp = (config.macs_3x3() / config.filter_par).max(1);
-                self.conv_ns(op, config.filter_par, pp, config, 1.0)
-            }
-            (OpKind::Conv { kernel, .. }, EngineKind::Conv1x1) => {
-                debug_assert_eq!(kernel, 1, "1x1 engine only runs 1x1 convolutions");
-                let pp = (config.macs_1x1() / config.filter_par).max(1);
-                self.conv_ns(op, config.filter_par, pp, config, 1.0)
-            }
+            (
+                OpKind::Conv { .. },
+                EngineKind::GeneralConv | EngineKind::Conv3x3 | EngineKind::Conv1x1,
+            ) => self.accelerator_ns(
+                self.conv_compute_cycles(op, engine, config),
+                self.conv_memory_cycles(op, config),
+            ),
             (OpKind::MaxPool { .. }, EngineKind::Pool) => self.pool_engine_ns(op, config),
             (_, EngineKind::Cpu) => self.cpu_ns(op),
             (kind, engine) => {
@@ -184,28 +166,50 @@ impl LatencyModel {
         }
     }
 
-    /// Convolution on a MAC array of `fp × pp`: max of compute and memory,
-    /// assuming double-buffered overlap, plus dispatch overhead.
-    fn conv_ns(
+    /// Latency of an accelerator op whose compute and memory traffic
+    /// overlap (double buffering), plus dispatch overhead, ns.
+    pub(crate) fn accelerator_ns(&self, compute_cycles: f64, memory_cycles: f64) -> f64 {
+        (compute_cycles.max(memory_cycles) + self.op_overhead_cycles) * self.ns_per_cycle()
+    }
+
+    /// Compute cycles of a convolution on the MAC array of `engine`; reads
+    /// only `filter_par`, `pixel_par` and `ratio_conv_engines`.
+    pub(crate) fn conv_compute_cycles(
         &self,
         op: &OpInstance,
-        fp: usize,
-        pp: usize,
+        engine: EngineKind,
         config: &AcceleratorConfig,
-        slack: f64,
     ) -> f64 {
         let OpKind::Conv { kernel, .. } = op.kind else {
             unreachable!("conv op")
         };
+        let fp = config.filter_par;
+        let (pp, slack) = match engine {
+            // The general engine pays a small mode-switch penalty on 1x1.
+            EngineKind::GeneralConv => (config.pixel_par, if kernel == 1 { 1.1 } else { 1.0 }),
+            EngineKind::Conv3x3 => {
+                debug_assert_eq!(kernel, 3, "3x3 engine only runs 3x3 convolutions");
+                ((config.macs_3x3() / fp).max(1), 1.0)
+            }
+            EngineKind::Conv1x1 => {
+                debug_assert_eq!(kernel, 1, "1x1 engine only runs 1x1 convolutions");
+                ((config.macs_1x1() / fp).max(1), 1.0)
+            }
+            EngineKind::Pool | EngineKind::Cpu => unreachable!("{engine:?} runs no convolution"),
+        };
         let (oh, ow) = op.out_hw();
         let opix = (oh * ow) as f64;
-        let compute_cycles = (op.out_channels as f64 / fp as f64).ceil()
+        (op.out_channels as f64 / fp as f64).ceil()
             * (opix / pp as f64).ceil()
             * (op.in_channels * kernel * kernel) as f64
             * slack
-            / self.compute_efficiency;
-        let mem_cycles = self.conv_traffic_bytes(op, config) / self.dram_bytes_per_cycle(config);
-        (compute_cycles.max(mem_cycles) + self.op_overhead_cycles) * self.ns_per_cycle()
+            / self.compute_efficiency
+    }
+
+    /// Memory cycles of a convolution's external traffic; reads only the
+    /// three buffer depths and `mem_interface_width`.
+    pub(crate) fn conv_memory_cycles(&self, op: &OpInstance, config: &AcceleratorConfig) -> f64 {
+        self.conv_traffic_bytes(op, config) / self.dram_bytes_per_cycle(config)
     }
 
     /// External-memory traffic of a convolution after tiling into the
@@ -248,12 +252,12 @@ impl LatencyModel {
         let traffic =
             ((op.in_channels * op.height * op.width) as f64 + out_elems) * self.bytes_per_elem;
         let mem_cycles = traffic / self.dram_bytes_per_cycle(config);
-        (compute_cycles.max(mem_cycles) + self.op_overhead_cycles) * self.ns_per_cycle()
+        self.accelerator_ns(compute_cycles, mem_cycles)
     }
 
     /// CPU fallback: memory-throughput-bound element-wise work plus a MAC
     /// term for the classifier.
-    fn cpu_ns(&self, op: &OpInstance) -> f64 {
+    pub(crate) fn cpu_ns(&self, op: &OpInstance) -> f64 {
         let (oh, ow) = op.out_hw();
         let out_elems = (op.out_channels * oh * ow) as f64;
         let in_elems = (op.in_channels * op.height * op.width) as f64;
@@ -385,26 +389,12 @@ mod tests {
         let conv3 = OpInstance::conv(3, 64, 64, 8, 8);
         let conv1 = OpInstance::conv(1, 64, 64, 8, 8);
         let pool = OpInstance::maxpool3x3(64, 8, 8);
-        assert_eq!(
-            LatencyModel::eligible_engines(&conv3, &split),
-            vec![EngineKind::Conv3x3]
-        );
-        assert_eq!(
-            LatencyModel::eligible_engines(&conv1, &split),
-            vec![EngineKind::Conv1x1]
-        );
-        assert_eq!(
-            LatencyModel::eligible_engines(&conv3, &big_config()),
-            vec![EngineKind::GeneralConv]
-        );
-        assert_eq!(
-            LatencyModel::eligible_engines(&pool, &big_config()),
-            vec![EngineKind::Pool]
-        );
-        assert_eq!(
-            LatencyModel::eligible_engines(&pool, &small_config()),
-            vec![EngineKind::Cpu]
-        );
+        let engine = LatencyModel::primary_engine;
+        assert_eq!(engine(&conv3, &split), EngineKind::Conv3x3);
+        assert_eq!(engine(&conv1, &split), EngineKind::Conv1x1);
+        assert_eq!(engine(&conv3, &big_config()), EngineKind::GeneralConv);
+        assert_eq!(engine(&pool, &big_config()), EngineKind::Pool);
+        assert_eq!(engine(&pool, &small_config()), EngineKind::Cpu);
     }
 
     #[test]
@@ -440,6 +430,7 @@ mod tests {
 
     #[test]
     fn every_op_has_at_least_one_engine_everywhere() {
+        // Every op lands on an engine the configuration instantiates.
         let ops = [
             OpInstance::conv(3, 64, 64, 16, 16),
             OpInstance::conv(1, 64, 64, 16, 16),
@@ -454,8 +445,15 @@ mod tests {
             },
         ];
         for c in ConfigSpace::chaidnn().iter().step_by(97) {
+            let split = c.ratio_conv_engines.is_split();
             for op in &ops {
-                assert!(!LatencyModel::eligible_engines(op, &c).is_empty());
+                let exists = match LatencyModel::primary_engine(op, &c) {
+                    EngineKind::GeneralConv => !split,
+                    EngineKind::Conv3x3 | EngineKind::Conv1x1 => split,
+                    EngineKind::Pool => c.pool_enable,
+                    EngineKind::Cpu => true,
+                };
+                assert!(exists, "{op:?} placed on a missing engine of {c}");
             }
         }
     }

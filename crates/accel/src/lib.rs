@@ -11,12 +11,13 @@
 //!
 //! - [`config`]: the accelerator parameters and the 8,640-point space;
 //! - [`device`] and [`area`]: the Zynq UltraScale+ device and the area model;
-//! - [`latency`], [`lut`] and [`scheduler`]: per-op latencies, their
-//!   memoized table, and the one network-latency entry,
-//!   [`Scheduler::network_latency_ms`];
+//! - [`latency`] and [`scheduler`]: per-op latencies and the one
+//!   network-latency entry, [`Scheduler::network_latency_ms`]. The
+//!   scheduler reads op latencies from one process-wide lookup table with a
+//!   row per distinct op (keyed by the `OpId` lowering assigns), filled
+//!   from [`LatencyModel`] on the op's first use;
 //! - [`power`]: the peak-power extension;
-//! - [`validation`]: the §II-C validation against a synthetic reference;
-//! - [`hash`]: the fast hasher behind the lookup table.
+//! - [`validation`]: the §II-C validation against a synthetic reference.
 //!
 //! Pairing a network with its best accelerator (Table II) and scoring
 //! pairs for search is the evaluator's job, in `codesign-core`.
@@ -41,9 +42,8 @@
 pub mod area;
 pub mod config;
 pub mod device;
-pub mod hash;
 pub mod latency;
-pub mod lut;
+mod lut;
 pub mod power;
 pub mod scheduler;
 pub mod validation;
@@ -52,7 +52,6 @@ pub use area::{AreaBreakdown, AreaModel};
 pub use config::{AcceleratorConfig, ConfigSpace, ConvEngineRatio, NUM_DECISIONS};
 pub use device::{FpgaDevice, ResourceUsage};
 pub use latency::{EngineKind, LatencyModel};
-pub use lut::LatencyLut;
 pub use power::{PowerEstimate, PowerModel};
 pub use scheduler::{schedule_serial, Scheduler};
 pub use validation::{validate_area_model, validate_latency_model, ValidationReport};

@@ -1,123 +1,269 @@
-//! The per-operation latency lookup table.
+//! The per-operation latency lookup table, one per process.
 //!
 //! §II-C2: "The latency model consists of two parts: 1) latency lookup table
-//! of operations and 2) scheduler." The paper populates its table by running
-//! each of the 85 unique op variations on the FPGA; here the table memoizes
-//! the analytical [`LatencyModel`], keyed by `(op signature, engine)` because
-//! a split configuration runs the same convolution at a different width than
-//! the general engine would.
+//! of operations and 2) scheduler." The paper fills its table once, by
+//! running each of the space's 85 op variations on the FPGA. Here one
+//! process-wide table has a row per distinct op, indexed by the [`OpId`]
+//! lowering assigns, and a row is filled from the default [`LatencyModel`]
+//! on the op's first use. A row holds the model's terms split by the config
+//! fields each term reads, so it serves all 8,640 configurations of
+//! [`ConfigSpace::chaidnn`]:
+//!
+//! - a convolution's compute cycles on its engine, per `(filter_par,
+//!   pixel_par, ratio_conv_engines)`: 60 entries;
+//! - its memory cycles, per `(input, weight, output buffer depth,
+//!   mem_interface_width)`: 72 entries;
+//! - a max-pool's latency on the pooling engine, per `(pixel_par,
+//!   mem_interface_width)`: 10 entries, plus its CPU latency;
+//! - one CPU latency for every other op.
+//!
+//! A convolution's latency is [`LatencyModel::accelerator_ns`] of its two
+//! terms, the formula [`LatencyModel::op_latency_ns`] uses, so a table
+//! entry has the model's bits. A row is a pure function of its op: a racing
+//! first fill computes the same bits, and the first one wins.
 
-use codesign_nasbench::OpInstance;
+use std::sync::{LazyLock, OnceLock};
 
-use crate::hash::FxHashMap;
+use codesign_nasbench::{OpId, OpInstance, OpKind, ProgramNode};
 
-use crate::config::AcceleratorConfig;
+use crate::config::{AcceleratorConfig, ConfigSpace, NUM_DECISIONS};
 use crate::latency::{EngineKind, LatencyModel};
 
-/// A memoized latency table for one accelerator configuration.
-///
-/// # Examples
-///
-/// ```
-/// use codesign_accel::{ConfigSpace, LatencyLut, LatencyModel, EngineKind};
-/// use codesign_nasbench::OpInstance;
-///
-/// let config = ConfigSpace::chaidnn().get(8639);
-/// let mut lut = LatencyLut::new(LatencyModel::default(), config);
-/// let conv = OpInstance::conv(3, 128, 128, 32, 32);
-/// let engine = LatencyModel::eligible_engines(&conv, lut.config())[0];
-/// let first = lut.lookup(&conv, engine);
-/// assert_eq!(first, lut.lookup(&conv, engine)); // memoized, deterministic
-/// assert_eq!(lut.len(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct LatencyLut {
-    model: LatencyModel,
-    config: AcceleratorConfig,
-    entries: FxHashMap<(OpInstance, EngineKind), f64>,
+/// The space whose option values the table indexes, built once.
+static SPACE: LazyLock<ConfigSpace> = LazyLock::new(ConfigSpace::chaidnn);
+
+// Config dimensions, in `ConfigSpace` decode order.
+const FILTER_PAR: usize = 0;
+const PIXEL_PAR: usize = 1;
+const INPUT_BUFFER: usize = 2;
+const WEIGHT_BUFFER: usize = 3;
+const OUTPUT_BUFFER: usize = 4;
+const MEM_WIDTH: usize = 5;
+const RATIO: usize = 7;
+
+/// The dimensions a convolution's compute term reads.
+const COMPUTE_DIMS: [usize; 3] = [FILTER_PAR, PIXEL_PAR, RATIO];
+/// The dimensions a convolution's memory term reads.
+const MEMORY_DIMS: [usize; 4] = [INPUT_BUFFER, WEIGHT_BUFFER, OUTPUT_BUFFER, MEM_WIDTH];
+/// The dimensions the pooling engine's latency reads.
+const POOL_DIMS: [usize; 2] = [PIXEL_PAR, MEM_WIDTH];
+
+/// Entries per term: the option counts of its dimensions multiplied.
+const COMPUTE_TERMS: usize = 2 * 5 * 6;
+const MEMORY_TERMS: usize = 4 * 3 * 3 * 2;
+const POOL_TERMS: usize = 5 * 2;
+
+/// One op's row.
+#[derive(Debug)]
+enum OpRow {
+    /// A convolution's compute and memory cycles.
+    Conv(Box<ConvTerms>),
+    /// A max-pool's latency on the pooling engine and on the CPU, ns.
+    MaxPool { engine: [f64; POOL_TERMS], cpu: f64 },
+    /// Any other op's latency on the CPU, ns.
+    Cpu(f64),
 }
 
-impl LatencyLut {
-    /// Creates an empty table for `config`.
-    #[must_use]
-    pub fn new(model: LatencyModel, config: AcceleratorConfig) -> Self {
-        Self {
-            model,
-            config,
-            entries: FxHashMap::default(),
+/// A convolution's two terms, by the config fields each reads.
+#[derive(Debug)]
+struct ConvTerms {
+    compute: [f64; COMPUTE_TERMS],
+    memory: [f64; MEMORY_TERMS],
+}
+
+/// The rows, indexed by op id.
+static ROWS: [OnceLock<OpRow>; OpId::CAPACITY] = [const { OnceLock::new() }; OpId::CAPACITY];
+
+/// The index of a term's entry: `indices` over `dims`, row-major.
+fn term_index(indices: &[usize; NUM_DECISIONS], dims: &[usize]) -> usize {
+    let counts = SPACE.option_counts();
+    dims.iter()
+        .fold(0, |term, &d| term * counts[d] + indices[d])
+}
+
+/// A configuration whose `dims` hold `term`'s values (the other
+/// dimensions take their first option).
+fn term_config(term: usize, dims: &[usize]) -> AcceleratorConfig {
+    let counts = SPACE.option_counts();
+    let mut indices = [0; NUM_DECISIONS];
+    let mut rest = term;
+    for &d in dims.iter().rev() {
+        indices[d] = rest % counts[d];
+        rest /= counts[d];
+    }
+    SPACE.decode(&indices)
+}
+
+impl OpRow {
+    /// Prices `op` with the default model at every entry.
+    fn fill(op: &OpInstance) -> Self {
+        let model = LatencyModel::default();
+        match op.kind {
+            OpKind::Conv { .. } => Self::Conv(Box::new(ConvTerms {
+                compute: std::array::from_fn(|term| {
+                    let config = term_config(term, &COMPUTE_DIMS);
+                    let engine = LatencyModel::primary_engine(op, &config);
+                    model.conv_compute_cycles(op, engine, &config)
+                }),
+                memory: std::array::from_fn(|term| {
+                    model.conv_memory_cycles(op, &term_config(term, &MEMORY_DIMS))
+                }),
+            })),
+            OpKind::MaxPool { .. } => Self::MaxPool {
+                engine: std::array::from_fn(|term| {
+                    let config = term_config(term, &POOL_DIMS);
+                    model.op_latency_ns(op, EngineKind::Pool, &config)
+                }),
+                cpu: model.cpu_ns(op),
+            },
+            OpKind::GlobalAvgPool | OpKind::Dense | OpKind::Add { .. } | OpKind::Concat { .. } => {
+                Self::Cpu(model.cpu_ns(op))
+            }
         }
     }
+}
 
-    /// The configuration this table describes.
-    #[must_use]
-    pub fn config(&self) -> &AcceleratorConfig {
-        &self.config
+/// `node`'s row, filled on its op's first use.
+fn row(node: &ProgramNode) -> &'static OpRow {
+    ROWS[node.id.index()].get_or_init(|| OpRow::fill(&node.op))
+}
+
+/// Where one configuration's entries sit in every row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConfigTerms {
+    compute: usize,
+    memory: usize,
+    pool: usize,
+}
+
+impl ConfigTerms {
+    /// The entries of `config` under `model`, or `None` when the table does
+    /// not hold them: it serves `LatencyModel::default()` over the option
+    /// values of [`ConfigSpace::chaidnn`] only.
+    pub(crate) fn of(model: &LatencyModel, config: &AcceleratorConfig) -> Option<Self> {
+        if *model != LatencyModel::default() {
+            return None;
+        }
+        let indices = SPACE.try_encode(config)?;
+        Some(Self {
+            compute: term_index(&indices, &COMPUTE_DIMS),
+            memory: term_index(&indices, &MEMORY_DIMS),
+            pool: term_index(&indices, &POOL_DIMS),
+        })
     }
 
-    /// The underlying analytical model.
-    #[must_use]
-    pub fn model(&self) -> &LatencyModel {
-        &self.model
-    }
-
-    /// Latency of `op` on `engine`, nanoseconds, computing and caching the
-    /// entry on first use.
-    pub fn lookup(&mut self, op: &OpInstance, engine: EngineKind) -> f64 {
-        let model = self.model;
-        let config = self.config;
-        *self
-            .entries
-            .entry((*op, engine))
-            .or_insert_with(|| model.op_latency_ns(op, engine, &config))
-    }
-
-    /// Number of distinct `(op, engine)` rows materialized so far — the
-    /// analog of the paper's "85 unique variations".
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` when no entry has been materialized.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// Latency of `node`'s op on `engine`, the config's primary engine for
+    /// it, ns.
+    pub(crate) fn op_latency_ns(self, node: &ProgramNode, engine: EngineKind) -> f64 {
+        match row(node) {
+            OpRow::Conv(terms) => LatencyModel::default()
+                .accelerator_ns(terms.compute[self.compute], terms.memory[self.memory]),
+            OpRow::MaxPool {
+                engine: on_engine,
+                cpu,
+            } => {
+                if engine == EngineKind::Pool {
+                    on_engine[self.pool]
+                } else {
+                    *cpu
+                }
+            }
+            OpRow::Cpu(ns) => *ns,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ConfigSpace;
     use codesign_nasbench::{known_cells, Network, NetworkConfig};
 
     #[test]
-    fn lut_grows_only_with_unique_signatures() {
-        let config = ConfigSpace::chaidnn().get(0);
-        let mut lut = LatencyLut::new(LatencyModel::default(), config);
-        let conv = OpInstance::conv(3, 64, 64, 16, 16);
-        let engine = LatencyModel::eligible_engines(&conv, &config)[0];
-        for _ in 0..10 {
-            let _ = lut.lookup(&conv, engine);
+    fn term_sizes_follow_the_space() {
+        let counts = SPACE.option_counts();
+        let terms = |dims: &[usize]| dims.iter().map(|&d| counts[d]).product::<usize>();
+        assert_eq!(terms(&COMPUTE_DIMS), COMPUTE_TERMS);
+        assert_eq!(terms(&MEMORY_DIMS), MEMORY_TERMS);
+        assert_eq!(terms(&POOL_DIMS), POOL_TERMS);
+        // Each term's configs round-trip to their own index.
+        for (dims, len) in [
+            (&COMPUTE_DIMS[..], COMPUTE_TERMS),
+            (&MEMORY_DIMS[..], MEMORY_TERMS),
+            (&POOL_DIMS[..], POOL_TERMS),
+        ] {
+            for term in 0..len {
+                let indices = SPACE.encode(&term_config(term, dims));
+                assert_eq!(term_index(&indices, dims), term);
+            }
         }
-        assert_eq!(lut.len(), 1);
+    }
+
+    #[test]
+    fn every_entry_has_the_model_bits() {
+        let model = LatencyModel::default();
+        let network = Network::assemble(&known_cells::cod2_cell(), &NetworkConfig::default());
+        for config in SPACE.iter().step_by(7) {
+            let terms = ConfigTerms::of(&model, &config).expect("in the space");
+            for unit in network.units() {
+                for node in unit.program.nodes() {
+                    let engine = LatencyModel::primary_engine(&node.op, &config);
+                    let direct = model.op_latency_ns(&node.op, engine, &config);
+                    let table = terms.op_latency_ns(node, engine);
+                    assert_eq!(
+                        table.to_bits(),
+                        direct.to_bits(),
+                        "{:?} at {config}",
+                        node.op
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lut_grows_only_with_unique_signatures() {
+        let conv = OpInstance::conv(3, 64, 64, 16, 16);
+        let node = ProgramNode::new(conv, Default::default());
+        let first: *const OpRow = row(&node);
+        for _ in 0..10 {
+            let again = ProgramNode::new(conv, Default::default());
+            assert_eq!(again.id, node.id);
+            assert!(std::ptr::eq(row(&again), first));
+        }
+        let other = ProgramNode::new(OpInstance::conv(1, 64, 64, 16, 16), Default::default());
+        assert!(!std::ptr::eq(row(&other), first));
     }
 
     #[test]
     fn network_materializes_tens_of_entries_like_the_paper() {
-        let config = ConfigSpace::chaidnn().get(8639);
-        let mut lut = LatencyLut::new(LatencyModel::default(), config);
         let net = Network::assemble(&known_cells::googlenet_cell(), &NetworkConfig::default());
-        for unit in net.units() {
-            for node in unit.program.nodes() {
-                let engine = LatencyModel::eligible_engines(&node.op, &config)[0];
-                let _ = lut.lookup(&node.op, engine);
-            }
-        }
+        let mut rows: Vec<OpId> = net
+            .units()
+            .iter()
+            .flat_map(|unit| unit.program.nodes().iter().map(|node| node.id))
+            .collect();
+        rows.sort_by_key(|id| id.index());
+        rows.dedup();
         assert!(
-            lut.len() >= 10 && lut.len() <= 85,
+            (10..=85).contains(&rows.len()),
             "one network should use tens of unique ops, got {}",
-            lut.len()
+            rows.len()
         );
+    }
+
+    #[test]
+    fn other_models_and_values_are_not_served() {
+        let config = SPACE.get(8639);
+        let slower = LatencyModel {
+            clock_mhz: 150.0,
+            ..LatencyModel::default()
+        };
+        let off_space = AcceleratorConfig {
+            pixel_par: 12,
+            ..config
+        };
+        assert!(ConfigTerms::of(&LatencyModel::default(), &config).is_some());
+        assert!(ConfigTerms::of(&slower, &config).is_none());
+        assert!(ConfigTerms::of(&LatencyModel::default(), &off_space).is_none());
     }
 }

@@ -9,13 +9,18 @@
 //! counts — scheduling each *distinct* cell parameterization exactly once,
 //! which is what makes exhaustive enumeration of the codesign space feasible.
 
-use codesign_nasbench::{CellProgram, Network};
+use codesign_nasbench::{CellProgram, Network, ProgramNode, MAX_PROGRAM_NODES};
 
 use crate::config::AcceleratorConfig;
 use crate::latency::{EngineKind, LatencyModel};
-use crate::lut::LatencyLut;
+use crate::lut::ConfigTerms;
 
 /// Greedy list scheduler bound to one accelerator configuration.
+///
+/// Op latencies come from the process-wide lookup table when it holds the
+/// model and configuration (the default model over the values of
+/// `ConfigSpace::chaidnn()`), and from [`LatencyModel::op_latency_ns`]
+/// otherwise, with the same bits. Scheduling neither hashes nor allocates.
 ///
 /// # Examples
 ///
@@ -24,57 +29,60 @@ use crate::lut::LatencyLut;
 /// use codesign_nasbench::{known_cells, Network, NetworkConfig};
 ///
 /// let config = ConfigSpace::chaidnn().get(8639);
-/// let mut scheduler = Scheduler::new(LatencyModel::default(), config);
+/// let scheduler = Scheduler::new(LatencyModel::default(), config);
 /// let net = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
 /// let ms = scheduler.network_latency_ms(&net);
 /// assert!(ms > 1.0 && ms < 1000.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Scheduler {
-    lut: LatencyLut,
-    finish_scratch: Vec<f64>,
+    model: LatencyModel,
+    config: AcceleratorConfig,
+    /// The config's entries in the lookup table, if the table holds them.
+    terms: Option<ConfigTerms>,
 }
 
 impl Scheduler {
-    /// Creates a scheduler (and its latency table) for `config`.
+    /// Creates a scheduler for `config`.
     #[must_use]
     pub fn new(model: LatencyModel, config: AcceleratorConfig) -> Self {
         Self {
-            lut: LatencyLut::new(model, config),
-            finish_scratch: Vec::new(),
+            model,
+            config,
+            terms: ConfigTerms::of(&model, &config),
         }
     }
 
     /// The bound configuration.
     #[must_use]
     pub fn config(&self) -> &AcceleratorConfig {
-        self.lut.config()
+        &self.config
     }
 
-    /// Read access to the memoized latency table.
-    #[must_use]
-    pub fn lut(&self) -> &LatencyLut {
-        &self.lut
+    /// Latency of `node`'s op on its engine, ns.
+    fn op_latency_ns(&self, node: &ProgramNode, engine: EngineKind) -> f64 {
+        match self.terms {
+            Some(terms) => terms.op_latency_ns(node, engine),
+            None => self.model.op_latency_ns(&node.op, engine, &self.config),
+        }
     }
 
     /// The scheduling kernel: greedy list scheduling of one op program
     /// with dense per-engine state. Returns the makespan, ns.
-    fn program_makespan_ns(&mut self, program: &CellProgram) -> f64 {
-        let config = *self.lut.config();
+    fn program_makespan_ns(&self, program: &CellProgram) -> f64 {
         let mut engine_free = [0.0f64; EngineKind::COUNT];
-        self.finish_scratch.clear();
-        self.finish_scratch.reserve(program.nodes().len());
+        let mut finish = [0.0f64; MAX_PROGRAM_NODES];
         let mut makespan = 0.0f64;
-        for node in program.nodes() {
+        for (i, node) in program.nodes().iter().enumerate() {
             let mut ready = 0.0f64;
             for d in node.deps.iter() {
-                ready = ready.max(self.finish_scratch[d]);
+                ready = ready.max(finish[d]);
             }
-            let engine = LatencyModel::primary_engine(&node.op, &config);
+            let engine = LatencyModel::primary_engine(&node.op, &self.config);
             let idx = engine.index();
-            let end = ready.max(engine_free[idx]) + self.lut.lookup(&node.op, engine);
+            let end = ready.max(engine_free[idx]) + self.op_latency_ns(node, engine);
             engine_free[idx] = end;
-            self.finish_scratch.push(end);
+            finish[i] = end;
             makespan = makespan.max(end);
         }
         makespan
@@ -84,7 +92,8 @@ impl Scheduler {
     /// units' makespans times their repeat counts (units are serially
     /// dependent by construction). This is the one network-latency entry
     /// point.
-    pub fn network_latency_ms(&mut self, network: &Network) -> f64 {
+    #[must_use]
+    pub fn network_latency_ms(&self, network: &Network) -> f64 {
         let mut total_ns = 0.0;
         for unit in network.units() {
             total_ns += self.program_makespan_ns(&unit.program) * unit.count as f64;
@@ -98,9 +107,10 @@ impl Scheduler {
 ///
 /// This is the ablation baseline for the greedy multi-engine scheduler — it
 /// answers "how much does engine-level parallelism buy?" for a given pair.
+/// It prices ops exactly as [`Scheduler`] does.
 #[must_use]
 pub fn schedule_serial(model: &LatencyModel, config: &AcceleratorConfig, network: &Network) -> f64 {
-    let mut lut = LatencyLut::new(*model, *config);
+    let scheduler = Scheduler::new(*model, *config);
     let mut total_ns = 0.0;
     for unit in network.units() {
         let mut unit_ns = 0.0;
@@ -108,7 +118,7 @@ pub fn schedule_serial(model: &LatencyModel, config: &AcceleratorConfig, network
             // Serial baseline uses the same placement, it just never
             // overlaps two ops in time.
             let engine = LatencyModel::primary_engine(&node.op, config);
-            unit_ns += lut.lookup(&node.op, engine);
+            unit_ns += scheduler.op_latency_ns(node, engine);
         }
         total_ns += unit_ns * unit.count as f64;
     }
@@ -120,6 +130,50 @@ mod tests {
     use super::*;
     use crate::config::{ConfigSpace, ConvEngineRatio};
     use codesign_nasbench::{known_cells, NetworkConfig};
+
+    /// The greedy schedule with every op priced by the model itself: the
+    /// reference the lookup table is filled from.
+    fn reference_ms(model: &LatencyModel, config: &AcceleratorConfig, network: &Network) -> f64 {
+        let mut total_ns = 0.0;
+        for unit in network.units() {
+            let mut engine_free = [0.0f64; EngineKind::COUNT];
+            let mut finish = Vec::new();
+            let mut makespan = 0.0f64;
+            for node in unit.program.nodes() {
+                let mut ready = 0.0f64;
+                for d in node.deps.iter() {
+                    ready = ready.max(finish[d]);
+                }
+                let engine = LatencyModel::primary_engine(&node.op, config);
+                let end = ready.max(engine_free[engine.index()])
+                    + model.op_latency_ns(&node.op, engine, config);
+                engine_free[engine.index()] = end;
+                finish.push(end);
+                makespan = makespan.max(end);
+            }
+            total_ns += makespan * unit.count as f64;
+        }
+        total_ns / 1e6
+    }
+
+    /// Asserts the scheduler gives `reference_ms`'s bits for every named
+    /// cell on `skeleton`.
+    fn assert_reference_bits(
+        model: LatencyModel,
+        config: AcceleratorConfig,
+        skeleton: &NetworkConfig,
+    ) {
+        for (name, cell) in known_cells::all_named() {
+            let network = Network::assemble(&cell, skeleton);
+            let scheduled = Scheduler::new(model, config).network_latency_ms(&network);
+            let reference = reference_ms(&model, &config, &network);
+            assert_eq!(
+                scheduled.to_bits(),
+                reference.to_bits(),
+                "{name} at {config}"
+            );
+        }
+    }
 
     fn big_config() -> AcceleratorConfig {
         AcceleratorConfig {
@@ -141,19 +195,61 @@ mod tests {
     #[test]
     fn schedule_respects_dependencies() {
         // A chain program's makespan is the sum of its op latencies.
-        let mut s = Scheduler::new(LatencyModel::default(), big_config());
+        let s = Scheduler::new(LatencyModel::default(), big_config());
         let cell = known_cells::plain_cell();
-        let prog = codesign_nasbench::CellProgram::lower(&cell, 128, 128, 32, 32);
+        let prog = CellProgram::lower(&cell, 128, 128, 32, 32);
         let makespan = s.program_makespan_ns(&prog);
         let sum: f64 = prog
             .nodes()
             .iter()
             .map(|n| {
-                let e = LatencyModel::eligible_engines(&n.op, &big_config())[0];
+                let e = LatencyModel::primary_engine(&n.op, &big_config());
                 LatencyModel::default().op_latency_ns(&n.op, e, &big_config())
             })
             .sum();
         assert!((makespan - sum).abs() < 1.0, "chain must serialize");
+    }
+
+    #[test]
+    fn table_and_model_give_the_same_bits() {
+        let space = ConfigSpace::chaidnn();
+        for index in [0, 1234, 5000, 8639] {
+            assert_reference_bits(
+                LatencyModel::default(),
+                space.get(index),
+                &NetworkConfig::default(),
+            );
+        }
+    }
+
+    #[test]
+    fn a_config_outside_the_space_schedules_with_the_model() {
+        let off_space = AcceleratorConfig {
+            pixel_par: 12,
+            ..big_config()
+        };
+        assert_reference_bits(
+            LatencyModel::default(),
+            off_space,
+            &NetworkConfig::default(),
+        );
+        let slower = LatencyModel {
+            clock_mhz: 150.0,
+            ..LatencyModel::default()
+        };
+        assert_reference_bits(slower, big_config(), &NetworkConfig::default());
+    }
+
+    #[test]
+    fn a_custom_skeleton_schedules_with_the_model_bits() {
+        let skeleton = NetworkConfig {
+            stem_channels: 96,
+            ..NetworkConfig::default()
+        };
+        let space = ConfigSpace::chaidnn();
+        for index in [0, 5000, 8639] {
+            assert_reference_bits(LatencyModel::default(), space.get(index), &skeleton);
+        }
     }
 
     #[test]
@@ -177,7 +273,7 @@ mod tests {
 
     #[test]
     fn greedy_never_beats_critical_path_bound() {
-        let mut s = Scheduler::new(LatencyModel::default(), big_config());
+        let s = Scheduler::new(LatencyModel::default(), big_config());
         let net = resnet_network();
         let greedy = s.network_latency_ms(&net);
         let serial = schedule_serial(&LatencyModel::default(), &big_config(), &net);
@@ -190,7 +286,7 @@ mod tests {
         // Table II: ResNet cell on its best accelerator = 42 ms. The best
         // config is found by DSE; the biggest single-engine config must land
         // in the same decade.
-        let mut s = Scheduler::new(LatencyModel::default(), big_config());
+        let s = Scheduler::new(LatencyModel::default(), big_config());
         let ms = s.network_latency_ms(&resnet_network());
         assert!((15.0..=80.0).contains(&ms), "resnet latency {ms} ms");
     }

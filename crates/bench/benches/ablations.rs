@@ -2,8 +2,7 @@
 //! ablations live in the `ablations` binary):
 //!
 //! * greedy multi-engine scheduling vs. serial single-queue execution,
-//! * per-CNN 2-D dominance pre-pruning vs. direct 3-D filtering,
-//! * latency LUT memoization on vs. off.
+//! * per-CNN 2-D dominance pre-pruning vs. direct 3-D filtering.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
@@ -19,7 +18,7 @@ fn bench_scheduler_vs_serial(c: &mut Criterion) {
     let config = ConfigSpace::chaidnn().get(8639);
     let network = Network::assemble(&known_cells::cod1_cell(), &NetworkConfig::default());
     c.bench_function("ablation/scheduler_greedy", |b| {
-        let mut s = Scheduler::new(model, config);
+        let s = Scheduler::new(model, config);
         b.iter(|| s.network_latency_ms(black_box(&network)))
     });
     c.bench_function("ablation/scheduler_serial", |b| {
@@ -66,36 +65,5 @@ fn bench_prune_strategies(c: &mut Criterion) {
     });
 }
 
-fn bench_lut_memoization(c: &mut Criterion) {
-    let model = LatencyModel::default();
-    let config = ConfigSpace::chaidnn().get(4242);
-    let network = Network::assemble(&known_cells::googlenet_cell(), &NetworkConfig::default());
-    c.bench_function("ablation/lut_memoized_10_networks", |b| {
-        b.iter(|| {
-            let mut s = Scheduler::new(model, config);
-            let mut total = 0.0;
-            for _ in 0..10 {
-                total += s.network_latency_ms(black_box(&network));
-            }
-            total
-        })
-    });
-    c.bench_function("ablation/lut_cold_10_networks", |b| {
-        b.iter(|| {
-            let mut total = 0.0;
-            for _ in 0..10 {
-                let mut s = Scheduler::new(model, config);
-                total += s.network_latency_ms(black_box(&network));
-            }
-            total
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_scheduler_vs_serial,
-    bench_prune_strategies,
-    bench_lut_memoization
-);
+criterion_group!(benches, bench_scheduler_vs_serial, bench_prune_strategies);
 criterion_main!(benches);

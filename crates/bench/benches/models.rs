@@ -28,16 +28,11 @@ fn bench_latency_schedule(c: &mut Criterion) {
     let space = ConfigSpace::chaidnn();
     let config = space.get(8639);
     let network = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
-    c.bench_function("latency/schedule_resnet_cold_lut", |b| {
+    c.bench_function("latency/schedule_resnet", |b| {
         b.iter(|| {
-            let mut s = Scheduler::new(LatencyModel::default(), config);
+            let s = Scheduler::new(LatencyModel::default(), config);
             s.network_latency_ms(black_box(&network))
         })
-    });
-    c.bench_function("latency/schedule_resnet_warm_lut", |b| {
-        let mut s = Scheduler::new(LatencyModel::default(), config);
-        let _ = s.network_latency_ms(&network);
-        b.iter(|| s.network_latency_ms(black_box(&network)))
     });
 }
 

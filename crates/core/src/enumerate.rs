@@ -7,8 +7,8 @@
 //! a scenario's own metric axes; the paper's `(−area, −lat, acc)` front is
 //! the front on the Unconstrained preset's axes. Work parallelizes over CNN
 //! chunks with `std::thread::scope`; within a chunk the accelerator loop is
-//! outermost so each configuration's latency lookup table stays warm across
-//! cells.
+//! outermost, so each configuration's scheduler is built once for all its
+//! cells. Every op latency comes from the process-wide lookup table.
 //!
 //! Fig. 5 plots the best point of each search run against the top-100
 //! Pareto points under that scenario's reward; [`top_pareto_points`] ranks
@@ -139,10 +139,9 @@ pub fn enumerate_scenario_front(
                 // latency (e.g. acc × power) — the field is then left at
                 // 0.0 and never extracted.
                 let needs_latency = scenario.metrics().iter().any(MetricId::uses_latency);
-                // Accelerator loop outermost so each configuration's latency
-                // lookup table stays warm across cells.
+                // Accelerator loop outermost: one scheduler per configuration.
                 for (config_index, config) in configs.iter().enumerate() {
-                    let mut scheduler = Scheduler::new(*latency_model, *config);
+                    let scheduler = Scheduler::new(*latency_model, *config);
                     let (area_mm2, power_w) = hw[config_index];
                     for (cell_index, network, accuracy) in &networks {
                         let eval = PairEvaluation {

@@ -38,7 +38,8 @@ use codesign_core::{
 use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind, CACHE_SHARD_FILES};
 use codesign_nasbench::byteio::{fnv1a64, put_f64, put_u128, put_u64};
 use codesign_nasbench::{
-    known_cells, CellSpec, Json, NasbenchDatabase, Network, NetworkConfig, OpInstance, SpecError,
+    known_cells, CellSpec, Json, NasbenchDatabase, Network, NetworkConfig, OpId, OpInstance,
+    SpecError,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -352,6 +353,8 @@ fn op_and_network_latencies_over_the_config_space() {
         }
     }
     assert_eq!(catalog.len(), 112);
+    let ids: HashSet<OpId> = catalog.iter().map(OpId::of).collect();
+    assert_eq!(ids.len(), 112, "distinct ops get distinct ids");
 
     let model = LatencyModel::default();
     let space = ConfigSpace::chaidnn();
@@ -373,7 +376,7 @@ fn op_and_network_latencies_over_the_config_space() {
         };
         let (nets4, nets5) = (assemble(&v4), assemble(&v5));
         for (index, config) in space.iter().enumerate() {
-            let mut scheduler = Scheduler::new(model, config);
+            let scheduler = Scheduler::new(model, config);
             let sampled: &[Network] = if index % 97 == 0 { &nets5 } else { &[] };
             for network in nets4.iter().chain(sampled) {
                 put_f64(&mut networks, scheduler.network_latency_ms(network));

@@ -9,7 +9,11 @@
 //! the reference implementation) so the accelerator latency model sees the
 //! exact multiset of convolutions the paper's lookup table contains.
 //! Lowering keeps its temporaries on the stack: a program is one `Vec` of
-//! nodes whose dependency lists are inline.
+//! nodes whose dependency lists are inline. Each node carries the dense
+//! [`OpId`] of its op, interned as the node is built.
+
+use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::OnceLock;
 
 use crate::graph::{AdjMatrix, IndexList, MAX_VERTICES};
 use crate::{CellSpec, Op};
@@ -160,6 +164,98 @@ impl OpInstance {
     }
 }
 
+/// The process-wide dense id of an [`OpInstance`]: equal ops get equal
+/// ids, so a table indexed by id holds one row per distinct op.
+///
+/// Lowering interns every op it emits. Ids count up from 0 in the order
+/// ops are first interned, so their values differ between processes and
+/// thread interleavings: nothing that reaches an output may depend on
+/// them.
+///
+/// # Examples
+///
+/// ```
+/// use codesign_nasbench::cell::{OpId, OpInstance};
+///
+/// let conv = OpInstance::conv(3, 128, 128, 32, 32);
+/// assert_eq!(OpId::of(&conv), OpId::of(&conv));
+/// assert_ne!(OpId::of(&conv), OpId::of(&OpInstance::conv(1, 128, 128, 32, 32)));
+/// assert!(OpId::of(&conv).index() < OpId::CAPACITY);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct OpId(u16);
+
+/// log2 of [`OpId::CAPACITY`].
+const OP_SLOT_BITS: u32 = 10;
+
+/// The interner: slots probed linearly from a multiply-shift hash of the
+/// op's fields. A slot is written once, by the first thread to claim it,
+/// with its op and the next id; a read of a filled slot takes no lock.
+static OP_SLOTS: [OnceLock<(OpInstance, OpId)>; OpId::CAPACITY] =
+    [const { OnceLock::new() }; OpId::CAPACITY];
+
+/// The id the next newly interned op gets.
+static NEXT_OP_ID: AtomicU16 = AtomicU16::new(0);
+
+impl OpId {
+    /// How many distinct ops one process can intern. The networks of the
+    /// ≤7-vertex space use 112 on the CIFAR-10 and CIFAR-100 skeletons
+    /// together.
+    pub const CAPACITY: usize = 1 << OP_SLOT_BITS;
+
+    /// Interns `op` and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `op` is new and [`OpId::CAPACITY`] distinct ops are
+    /// already interned.
+    #[must_use]
+    pub fn of(op: &OpInstance) -> Self {
+        let mut slot = op_slot_hash(op);
+        for _ in 0..Self::CAPACITY {
+            let (interned, id) = OP_SLOTS[slot]
+                .get_or_init(|| (*op, OpId(NEXT_OP_ID.fetch_add(1, Ordering::Relaxed))));
+            if interned == op {
+                return *id;
+            }
+            slot = (slot + 1) % Self::CAPACITY;
+        }
+        panic!("the op interner is full: {} distinct ops", Self::CAPACITY);
+    }
+
+    /// The id as a dense index, `0..OpId::CAPACITY`.
+    #[must_use]
+    pub fn index(self) -> usize {
+        usize::from(self.0)
+    }
+}
+
+/// The interner's first probe slot for `op`: its fields folded by
+/// multiply-rotate, then the top [`OP_SLOT_BITS`] bits.
+fn op_slot_hash(op: &OpInstance) -> usize {
+    let (tag, a, b) = match op.kind {
+        OpKind::Conv { kernel, stride } => (0, kernel, stride),
+        OpKind::MaxPool { kernel, stride } => (1, kernel, stride),
+        OpKind::GlobalAvgPool => (2, 0, 0),
+        OpKind::Dense => (3, 0, 0),
+        OpKind::Add { arity } => (4, arity, 0),
+        OpKind::Concat { arity } => (5, arity, 0),
+    };
+    let fields = [
+        tag,
+        a,
+        b,
+        op.in_channels,
+        op.out_channels,
+        op.height,
+        op.width,
+    ];
+    let hash = fields.iter().fold(0u64, |hash, &field| {
+        (hash.rotate_left(5) ^ field as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    });
+    (hash >> (u64::BITS - OP_SLOT_BITS)) as usize
+}
+
 /// The in-cell dependencies of a [`ProgramNode`]: program node indices,
 /// stored inline.
 ///
@@ -168,7 +264,12 @@ impl OpInstance {
 /// more than `MAX_VERTICES - 2` others.
 pub type NodeDeps = IndexList<{ MAX_VERTICES - 2 }>;
 
-/// One node of a lowered cell program: an op plus its in-cell dependencies.
+/// The most nodes a lowered cell has: a projection, an add and the op per
+/// interior vertex, then the output's concat, projection and add.
+pub const MAX_PROGRAM_NODES: usize = 3 * (MAX_VERTICES - 2) + 3;
+
+/// One node of a lowered cell program: an op, its interned id and its
+/// in-cell dependencies.
 ///
 /// A node is a plain `Copy` value: its dependency list is inline, so a
 /// lowered program is one `Vec` of nodes.
@@ -190,8 +291,22 @@ pub type NodeDeps = IndexList<{ MAX_VERTICES - 2 }>;
 pub struct ProgramNode {
     /// The concrete operation.
     pub op: OpInstance,
+    /// The op's interned id.
+    pub id: OpId,
     /// Indices of program nodes that must complete first, in operand order.
     pub deps: NodeDeps,
+}
+
+impl ProgramNode {
+    /// A node running `op` after `deps`, with the op interned.
+    #[must_use]
+    pub fn new(op: OpInstance, deps: NodeDeps) -> Self {
+        Self {
+            op,
+            id: OpId::of(&op),
+            deps,
+        }
+    }
 }
 
 /// A cell lowered to concrete ops with dependencies — the unit the
@@ -227,7 +342,7 @@ impl CellProgram {
         let n = matrix.num_vertices();
         let ch = compute_vertex_channels(c_in, c_out, matrix);
         // At most a projection, an add and the op per interior vertex, then
-        // the output's concat, projection and add.
+        // the output's concat, projection and add (`MAX_PROGRAM_NODES`).
         let mut nodes: Vec<ProgramNode> = Vec::with_capacity(3 * (n - 2) + 3);
         // result[v] = node index producing interior vertex v's tensor.
         let mut result = [0usize; MAX_VERTICES];
@@ -237,10 +352,10 @@ impl CellProgram {
             for u in matrix.in_neighbors(v) {
                 if u == 0 {
                     // Edge from the cell input: 1x1 projection to ch[v].
-                    nodes.push(ProgramNode {
-                        op: OpInstance::conv(1, c_in, ch[v], h, w),
-                        deps: NodeDeps::new(),
-                    });
+                    nodes.push(ProgramNode::new(
+                        OpInstance::conv(1, c_in, ch[v], h, w),
+                        NodeDeps::new(),
+                    ));
                     operands.push(nodes.len() - 1);
                 } else {
                     // Interior edge: channel truncation is free; depend on u.
@@ -248,18 +363,16 @@ impl CellProgram {
                 }
             }
             let combined = if operands.len() > 1 {
-                nodes.push(ProgramNode {
-                    op: OpInstance {
-                        kind: OpKind::Add {
-                            arity: operands.len(),
-                        },
-                        in_channels: ch[v],
-                        out_channels: ch[v],
-                        height: h,
-                        width: w,
+                let add = OpInstance {
+                    kind: OpKind::Add {
+                        arity: operands.len(),
                     },
-                    deps: operands,
-                });
+                    in_channels: ch[v],
+                    out_channels: ch[v],
+                    height: h,
+                    width: w,
+                };
+                nodes.push(ProgramNode::new(add, operands));
                 nodes.len() - 1
             } else {
                 operands.first().expect("pruned vertex has an input")
@@ -269,10 +382,7 @@ impl CellProgram {
                 Op::Conv1x1 => OpInstance::conv(1, ch[v], ch[v], h, w),
                 Op::MaxPool3x3 => OpInstance::maxpool3x3(ch[v], h, w),
             };
-            nodes.push(ProgramNode {
-                op,
-                deps: [combined].into_iter().collect(),
-            });
+            nodes.push(ProgramNode::new(op, [combined].into_iter().collect()));
             result[v] = nodes.len() - 1;
         }
 
@@ -287,37 +397,33 @@ impl CellProgram {
         if interior_feeders.len() == 1 {
             final_node = interior_feeders.first();
         } else if !interior_feeders.is_empty() {
-            nodes.push(ProgramNode {
-                op: OpInstance {
-                    kind: OpKind::Concat {
-                        arity: interior_feeders.len(),
-                    },
+            let concat = OpInstance {
+                kind: OpKind::Concat {
+                    arity: interior_feeders.len(),
+                },
+                in_channels: c_out,
+                out_channels: c_out,
+                height: h,
+                width: w,
+            };
+            nodes.push(ProgramNode::new(concat, interior_feeders));
+            final_node = Some(nodes.len() - 1);
+        }
+        if matrix.has_edge(0, n - 1) {
+            nodes.push(ProgramNode::new(
+                OpInstance::conv(1, c_in, c_out, h, w),
+                NodeDeps::new(),
+            ));
+            let proj = nodes.len() - 1;
+            if let Some(concat) = final_node {
+                let add = OpInstance {
+                    kind: OpKind::Add { arity: 2 },
                     in_channels: c_out,
                     out_channels: c_out,
                     height: h,
                     width: w,
-                },
-                deps: interior_feeders,
-            });
-            final_node = Some(nodes.len() - 1);
-        }
-        if matrix.has_edge(0, n - 1) {
-            nodes.push(ProgramNode {
-                op: OpInstance::conv(1, c_in, c_out, h, w),
-                deps: NodeDeps::new(),
-            });
-            let proj = nodes.len() - 1;
-            if let Some(concat) = final_node {
-                nodes.push(ProgramNode {
-                    op: OpInstance {
-                        kind: OpKind::Add { arity: 2 },
-                        in_channels: c_out,
-                        out_channels: c_out,
-                        height: h,
-                        width: w,
-                    },
-                    deps: [concat, proj].into_iter().collect(),
-                });
+                };
+                nodes.push(ProgramNode::new(add, [concat, proj].into_iter().collect()));
             }
         }
         Self { nodes }
@@ -327,10 +433,7 @@ impl CellProgram {
     #[must_use]
     pub fn single(op: OpInstance) -> Self {
         Self {
-            nodes: vec![ProgramNode {
-                op,
-                deps: NodeDeps::new(),
-            }],
+            nodes: vec![ProgramNode::new(op, NodeDeps::new())],
         }
     }
 
@@ -465,6 +568,24 @@ mod tests {
         };
         assert_eq!(d.macs(), 512 * 100);
         assert_eq!(d.params(), 512 * 100 + 100);
+    }
+
+    #[test]
+    fn interning_the_same_op_twice_gives_the_same_id() {
+        let conv = OpInstance::conv(3, 40, 40, 6, 6);
+        let id = OpId::of(&conv);
+        assert_eq!(OpId::of(&conv), id);
+        assert_ne!(OpId::of(&OpInstance::conv(3, 40, 41, 6, 6)), id);
+        assert_eq!(ProgramNode::new(conv, NodeDeps::new()).id, id);
+    }
+
+    #[test]
+    fn lowered_nodes_carry_their_ops_ids() {
+        let prog = CellProgram::lower(&known_cells::googlenet_cell(), 128, 256, 16, 16);
+        assert!(prog.nodes().len() <= MAX_PROGRAM_NODES);
+        for node in prog.nodes() {
+            assert_eq!(node.id, OpId::of(&node.op));
+        }
     }
 
     #[test]

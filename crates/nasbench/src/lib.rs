@@ -45,7 +45,7 @@ pub mod surrogate;
 
 mod error;
 
-pub use cell::{CellProgram, OpInstance, OpKind};
+pub use cell::{CellProgram, OpId, OpInstance, OpKind, ProgramNode, MAX_PROGRAM_NODES};
 pub use database::{DbEntry, NasbenchDatabase};
 pub use error::SpecError;
 pub use features::CellFeatures;
