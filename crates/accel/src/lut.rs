@@ -20,7 +20,9 @@
 //! A convolution's latency is [`LatencyModel::accelerator_ns`] of its two
 //! terms, the formula [`LatencyModel::op_latency_ns`] uses, so a table
 //! entry has the model's bits. A row is a pure function of its op: a racing
-//! first fill computes the same bits, and the first one wins.
+//! first fill computes the same bits, and the first one wins. Rows sit
+//! inline in one static array, so filling one never allocates, and the 112
+//! ops of the ≤7-vertex space take 117 KiB.
 
 use std::sync::{LazyLock, OnceLock};
 
@@ -53,22 +55,19 @@ const COMPUTE_TERMS: usize = 2 * 5 * 6;
 const MEMORY_TERMS: usize = 4 * 3 * 3 * 2;
 const POOL_TERMS: usize = 5 * 2;
 
-/// One op's row.
-#[derive(Debug)]
-enum OpRow {
-    /// A convolution's compute and memory cycles.
-    Conv(Box<ConvTerms>),
-    /// A max-pool's latency on the pooling engine and on the CPU, ns.
-    MaxPool { engine: [f64; POOL_TERMS], cpu: f64 },
-    /// Any other op's latency on the CPU, ns.
-    Cpu(f64),
-}
+/// Where a convolution's memory cycles start among a row's accelerator
+/// entries; its compute cycles start at 0, and so do a max-pool's
+/// pooling-engine latencies.
+const MEMORY: usize = COMPUTE_TERMS;
 
-/// A convolution's two terms, by the config fields each reads.
+/// One op's row. `NaN` marks an accelerator entry the op has no use for.
 #[derive(Debug)]
-struct ConvTerms {
-    compute: [f64; COMPUTE_TERMS],
-    memory: [f64; MEMORY_TERMS],
+struct OpRow {
+    /// A convolution's compute cycles, then its memory cycles; or a
+    /// max-pool's latency on the pooling engine, ns.
+    accelerator: [f64; COMPUTE_TERMS + MEMORY_TERMS],
+    /// The op's latency on the CPU, ns.
+    cpu: f64,
 }
 
 /// The rows, indexed by op id.
@@ -98,27 +97,30 @@ impl OpRow {
     /// Prices `op` with the default model at every entry.
     fn fill(op: &OpInstance) -> Self {
         let model = LatencyModel::default();
+        let mut accelerator = [f64::NAN; COMPUTE_TERMS + MEMORY_TERMS];
         match op.kind {
-            OpKind::Conv { .. } => Self::Conv(Box::new(ConvTerms {
-                compute: std::array::from_fn(|term| {
+            OpKind::Conv { .. } => {
+                let (compute, memory) = accelerator.split_at_mut(MEMORY);
+                for (term, entry) in compute.iter_mut().enumerate() {
                     let config = term_config(term, &COMPUTE_DIMS);
                     let engine = LatencyModel::primary_engine(op, &config);
-                    model.conv_compute_cycles(op, engine, &config)
-                }),
-                memory: std::array::from_fn(|term| {
-                    model.conv_memory_cycles(op, &term_config(term, &MEMORY_DIMS))
-                }),
-            })),
-            OpKind::MaxPool { .. } => Self::MaxPool {
-                engine: std::array::from_fn(|term| {
-                    let config = term_config(term, &POOL_DIMS);
-                    model.op_latency_ns(op, EngineKind::Pool, &config)
-                }),
-                cpu: model.cpu_ns(op),
-            },
-            OpKind::GlobalAvgPool | OpKind::Dense | OpKind::Add { .. } | OpKind::Concat { .. } => {
-                Self::Cpu(model.cpu_ns(op))
+                    *entry = model.conv_compute_cycles(op, engine, &config);
+                }
+                for (term, entry) in memory.iter_mut().enumerate() {
+                    *entry = model.conv_memory_cycles(op, &term_config(term, &MEMORY_DIMS));
+                }
             }
+            OpKind::MaxPool { .. } => {
+                for (term, entry) in accelerator[..POOL_TERMS].iter_mut().enumerate() {
+                    let config = term_config(term, &POOL_DIMS);
+                    *entry = model.op_latency_ns(op, EngineKind::Pool, &config);
+                }
+            }
+            OpKind::GlobalAvgPool | OpKind::Dense | OpKind::Add { .. } | OpKind::Concat { .. } => {}
+        }
+        Self {
+            accelerator,
+            cpu: model.cpu_ns(op),
         }
     }
 }
@@ -147,7 +149,7 @@ impl ConfigTerms {
         let indices = SPACE.try_encode(config)?;
         Some(Self {
             compute: term_index(&indices, &COMPUTE_DIMS),
-            memory: term_index(&indices, &MEMORY_DIMS),
+            memory: MEMORY + term_index(&indices, &MEMORY_DIMS),
             pool: term_index(&indices, &POOL_DIMS),
         })
     }
@@ -155,20 +157,15 @@ impl ConfigTerms {
     /// Latency of `node`'s op on `engine`, the config's primary engine for
     /// it, ns.
     pub(crate) fn op_latency_ns(self, node: &ProgramNode, engine: EngineKind) -> f64 {
-        match row(node) {
-            OpRow::Conv(terms) => LatencyModel::default()
-                .accelerator_ns(terms.compute[self.compute], terms.memory[self.memory]),
-            OpRow::MaxPool {
-                engine: on_engine,
-                cpu,
-            } => {
-                if engine == EngineKind::Pool {
-                    on_engine[self.pool]
-                } else {
-                    *cpu
-                }
+        let row = row(node);
+        match engine {
+            EngineKind::GeneralConv | EngineKind::Conv3x3 | EngineKind::Conv1x1 => {
+                let (compute, memory) =
+                    (row.accelerator[self.compute], row.accelerator[self.memory]);
+                LatencyModel::default().accelerator_ns(compute, memory)
             }
-            OpRow::Cpu(ns) => *ns,
+            EngineKind::Pool => row.accelerator[self.pool],
+            EngineKind::Cpu => row.cpu,
         }
     }
 }
@@ -185,6 +182,8 @@ mod tests {
         assert_eq!(terms(&COMPUTE_DIMS), COMPUTE_TERMS);
         assert_eq!(terms(&MEMORY_DIMS), MEMORY_TERMS);
         assert_eq!(terms(&POOL_DIMS), POOL_TERMS);
+        // The rows of the 112 ops of the ≤7-vertex space stay in L2.
+        assert!(112 * std::mem::size_of::<OnceLock<OpRow>>() <= 118 * 1024);
         // Each term's configs round-trip to their own index.
         for (dims, len) in [
             (&COMPUTE_DIMS[..], COMPUTE_TERMS),

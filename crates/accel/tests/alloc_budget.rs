@@ -1,7 +1,7 @@
-//! Pins the allocation budget of pricing a network: once one warm-up call
-//! has filled the lookup table's rows for the network's ops, building a
-//! scheduler and scheduling the network, greedy or serial, allocates
-//! nothing.
+//! Pins the allocation budget of pricing a network: after one warm-up call,
+//! which builds the configuration space the lookup table indexes, building
+//! a scheduler and scheduling a network, greedy or serial, allocates
+//! nothing, including the first fill of an op's row.
 //!
 //! This lives in its own integration-test binary so the counting global
 //! allocator sees only this crate's code. Counts are kept per thread, so
@@ -49,18 +49,21 @@ fn scheduling_a_network_does_not_allocate() {
     let model = LatencyModel::default();
     let space = ConfigSpace::chaidnn();
     let configs = [0, 5000, 8639].map(|index| space.get(index));
-    for (name, cell) in known_cells::all_named() {
-        let network = Network::assemble(&cell, &NetworkConfig::default());
-        let _ = Scheduler::new(model, configs[0]).network_latency_ms(&network);
+    let networks: Vec<_> = known_cells::all_named()
+        .into_iter()
+        .map(|(name, cell)| (name, Network::assemble(&cell, &NetworkConfig::default())))
+        .collect();
+    let _ = Scheduler::new(model, configs[0]).network_latency_ms(&networks[0].1);
+    for (name, network) in &networks {
         for config in configs {
             let (greedy, count) =
-                allocations(|| Scheduler::new(model, config).network_latency_ms(&network));
+                allocations(|| Scheduler::new(model, config).network_latency_ms(network));
             assert!(greedy > 0.0);
             assert_eq!(
                 count, 0,
                 "greedy {name} at {config} allocated {count} times"
             );
-            let (serial, count) = allocations(|| schedule_serial(&model, &config, &network));
+            let (serial, count) = allocations(|| schedule_serial(&model, &config, network));
             assert!(serial >= greedy);
             assert_eq!(
                 count, 0,

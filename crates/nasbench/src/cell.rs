@@ -230,8 +230,9 @@ impl OpId {
     }
 }
 
-/// The interner's first probe slot for `op`: its fields folded by
-/// multiply-rotate, then the top [`OP_SLOT_BITS`] bits.
+/// The interner's first probe slot for `op`: its fields packed into one
+/// word (wrapping, so large values only collide), multiplied by a 64-bit
+/// odd constant, then the top [`OP_SLOT_BITS`] bits.
 fn op_slot_hash(op: &OpInstance) -> usize {
     let (tag, a, b) = match op.kind {
         OpKind::Conv { kernel, stride } => (0, kernel, stride),
@@ -241,19 +242,12 @@ fn op_slot_hash(op: &OpInstance) -> usize {
         OpKind::Add { arity } => (4, arity, 0),
         OpKind::Concat { arity } => (5, arity, 0),
     };
-    let fields = [
-        tag,
-        a,
-        b,
-        op.in_channels,
-        op.out_channels,
-        op.height,
-        op.width,
-    ];
-    let hash = fields.iter().fold(0u64, |hash, &field| {
-        (hash.rotate_left(5) ^ field as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-    });
-    (hash >> (u64::BITS - OP_SLOT_BITS)) as usize
+    let word = (op.in_channels as u64)
+        ^ (op.out_channels as u64).rotate_left(16)
+        ^ (op.height as u64).rotate_left(32)
+        ^ (op.width as u64).rotate_left(40)
+        ^ ((tag | a << 3 | b << 7) as u64).rotate_left(48);
+    (word.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (u64::BITS - OP_SLOT_BITS)) as usize
 }
 
 /// The in-cell dependencies of a [`ProgramNode`]: program node indices,
