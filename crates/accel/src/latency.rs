@@ -10,7 +10,8 @@
 //! the layer tiles into the configured on-chip buffers; pooling runs on the
 //! dedicated engine when present; everything CHaiDNN does not accelerate
 //! (element-wise adds, concats, global pooling, the classifier) falls back to
-//! the embedded CPU.
+//! the embedded CPU. The scheduler reads these latencies from one
+//! process-wide table, filled from this model on each op's first use.
 
 use codesign_nasbench::{OpInstance, OpKind};
 

@@ -14,17 +14,19 @@
 //! - its memory cycles, per `(input, weight, output buffer depth,
 //!   mem_interface_width)`: 72 entries;
 //! - a max-pool's latency on the pooling engine, per `(pixel_par,
-//!   mem_interface_width)`: 10 entries, plus its CPU latency;
-//! - one CPU latency for every other op.
+//!   mem_interface_width)`: 10 entries;
+//! - the op's CPU latency, the one entry of an op the accelerator does not
+//!   run.
 //!
 //! A convolution's latency is [`LatencyModel::accelerator_ns`] of its two
 //! terms, the formula [`LatencyModel::op_latency_ns`] uses, so a table
 //! entry has the model's bits. A row is a pure function of its op: a racing
-//! first fill computes the same bits, and the first one wins. Rows sit
-//! inline in one static array, so filling one never allocates, and the 112
+//! first fill stores the same bits. Rows sit inline in one zero-initialized
+//! static array, so filling one never allocates, and the rows of the 112
 //! ops of the ≤7-vertex space take 117 KiB.
 
-use std::sync::{LazyLock, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::LazyLock;
 
 use codesign_nasbench::{OpId, OpInstance, OpKind, ProgramNode};
 
@@ -60,18 +62,22 @@ const POOL_TERMS: usize = 5 * 2;
 /// pooling-engine latencies.
 const MEMORY: usize = COMPUTE_TERMS;
 
-/// One op's row. `NaN` marks an accelerator entry the op has no use for.
+/// One op's row, as `f64` bits. A row is a pure function of its op, so
+/// threads that find it empty may fill it at the same time: they store the
+/// same bits. Every field starts at zero, so the table takes memory only
+/// for the rows in use.
 #[derive(Debug)]
 struct OpRow {
+    filled: AtomicBool,
     /// A convolution's compute cycles, then its memory cycles; or a
     /// max-pool's latency on the pooling engine, ns.
-    accelerator: [f64; COMPUTE_TERMS + MEMORY_TERMS],
+    accelerator: [AtomicU64; COMPUTE_TERMS + MEMORY_TERMS],
     /// The op's latency on the CPU, ns.
-    cpu: f64,
+    cpu: AtomicU64,
 }
 
 /// The rows, indexed by op id.
-static ROWS: [OnceLock<OpRow>; OpId::CAPACITY] = [const { OnceLock::new() }; OpId::CAPACITY];
+static ROWS: [OpRow; OpId::CAPACITY] = [const { OpRow::empty() }; OpId::CAPACITY];
 
 /// The index of a term's entry: `indices` over `dims`, row-major.
 fn term_index(indices: &[usize; NUM_DECISIONS], dims: &[usize]) -> usize {
@@ -94,40 +100,59 @@ fn term_config(term: usize, dims: &[usize]) -> AcceleratorConfig {
 }
 
 impl OpRow {
-    /// Prices `op` with the default model at every entry.
-    fn fill(op: &OpInstance) -> Self {
+    const fn empty() -> Self {
+        Self {
+            filled: AtomicBool::new(false),
+            accelerator: [const { AtomicU64::new(0) }; COMPUTE_TERMS + MEMORY_TERMS],
+            cpu: AtomicU64::new(0),
+        }
+    }
+
+    /// Prices `op` with the default model at every entry it uses.
+    fn fill(&self, op: &OpInstance) {
         let model = LatencyModel::default();
-        let mut accelerator = [f64::NAN; COMPUTE_TERMS + MEMORY_TERMS];
+        let store = |entry: &AtomicU64, value: f64| entry.store(value.to_bits(), Ordering::Relaxed);
         match op.kind {
             OpKind::Conv { .. } => {
-                let (compute, memory) = accelerator.split_at_mut(MEMORY);
-                for (term, entry) in compute.iter_mut().enumerate() {
+                let (compute, memory) = self.accelerator.split_at(MEMORY);
+                for (term, entry) in compute.iter().enumerate() {
                     let config = term_config(term, &COMPUTE_DIMS);
                     let engine = LatencyModel::primary_engine(op, &config);
-                    *entry = model.conv_compute_cycles(op, engine, &config);
+                    store(entry, model.conv_compute_cycles(op, engine, &config));
                 }
-                for (term, entry) in memory.iter_mut().enumerate() {
-                    *entry = model.conv_memory_cycles(op, &term_config(term, &MEMORY_DIMS));
+                for (term, entry) in memory.iter().enumerate() {
+                    let config = term_config(term, &MEMORY_DIMS);
+                    store(entry, model.conv_memory_cycles(op, &config));
                 }
             }
             OpKind::MaxPool { .. } => {
-                for (term, entry) in accelerator[..POOL_TERMS].iter_mut().enumerate() {
+                for (term, entry) in self.accelerator[..POOL_TERMS].iter().enumerate() {
                     let config = term_config(term, &POOL_DIMS);
-                    *entry = model.op_latency_ns(op, EngineKind::Pool, &config);
+                    store(entry, model.op_latency_ns(op, EngineKind::Pool, &config));
                 }
             }
             OpKind::GlobalAvgPool | OpKind::Dense | OpKind::Add { .. } | OpKind::Concat { .. } => {}
         }
-        Self {
-            accelerator,
-            cpu: model.cpu_ns(op),
-        }
+        store(&self.cpu, model.cpu_ns(op));
+        self.filled.store(true, Ordering::Release);
+    }
+
+    fn accelerator(&self, entry: usize) -> f64 {
+        f64::from_bits(self.accelerator[entry].load(Ordering::Relaxed))
+    }
+
+    fn cpu(&self) -> f64 {
+        f64::from_bits(self.cpu.load(Ordering::Relaxed))
     }
 }
 
 /// `node`'s row, filled on its op's first use.
 fn row(node: &ProgramNode) -> &'static OpRow {
-    ROWS[node.id.index()].get_or_init(|| OpRow::fill(&node.op))
+    let row = &ROWS[node.id.index()];
+    if !row.filled.load(Ordering::Acquire) {
+        row.fill(&node.op);
+    }
+    row
 }
 
 /// Where one configuration's entries sit in every row.
@@ -161,11 +186,11 @@ impl ConfigTerms {
         match engine {
             EngineKind::GeneralConv | EngineKind::Conv3x3 | EngineKind::Conv1x1 => {
                 let (compute, memory) =
-                    (row.accelerator[self.compute], row.accelerator[self.memory]);
+                    (row.accelerator(self.compute), row.accelerator(self.memory));
                 LatencyModel::default().accelerator_ns(compute, memory)
             }
-            EngineKind::Pool => row.accelerator[self.pool],
-            EngineKind::Cpu => row.cpu,
+            EngineKind::Pool => row.accelerator(self.pool),
+            EngineKind::Cpu => row.cpu(),
         }
     }
 }
@@ -183,7 +208,7 @@ mod tests {
         assert_eq!(terms(&MEMORY_DIMS), MEMORY_TERMS);
         assert_eq!(terms(&POOL_DIMS), POOL_TERMS);
         // The rows of the 112 ops of the ≤7-vertex space stay in L2.
-        assert!(112 * std::mem::size_of::<OnceLock<OpRow>>() <= 118 * 1024);
+        assert!(112 * std::mem::size_of::<OpRow>() <= 118 * 1024);
         // Each term's configs round-trip to their own index.
         for (dims, len) in [
             (&COMPUTE_DIMS[..], COMPUTE_TERMS),
@@ -248,21 +273,5 @@ mod tests {
             "one network should use tens of unique ops, got {}",
             rows.len()
         );
-    }
-
-    #[test]
-    fn other_models_and_values_are_not_served() {
-        let config = SPACE.get(8639);
-        let slower = LatencyModel {
-            clock_mhz: 150.0,
-            ..LatencyModel::default()
-        };
-        let off_space = AcceleratorConfig {
-            pixel_par: 12,
-            ..config
-        };
-        assert!(ConfigTerms::of(&LatencyModel::default(), &config).is_some());
-        assert!(ConfigTerms::of(&slower, &config).is_none());
-        assert!(ConfigTerms::of(&LatencyModel::default(), &off_space).is_none());
     }
 }

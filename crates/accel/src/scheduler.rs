@@ -211,18 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn table_and_model_give_the_same_bits() {
-        let space = ConfigSpace::chaidnn();
-        for index in [0, 1234, 5000, 8639] {
-            assert_reference_bits(
-                LatencyModel::default(),
-                space.get(index),
-                &NetworkConfig::default(),
-            );
-        }
-    }
-
-    #[test]
     fn a_config_outside_the_space_schedules_with_the_model() {
         let off_space = AcceleratorConfig {
             pixel_par: 12,
