@@ -34,7 +34,7 @@ use crate::lut::ConfigTerms;
 /// let ms = scheduler.network_latency_ms(&net);
 /// assert!(ms > 1.0 && ms < 1000.0);
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Scheduler {
     model: LatencyModel,
     config: AcceleratorConfig,
@@ -197,7 +197,7 @@ mod tests {
         // A chain program's makespan is the sum of its op latencies.
         let s = Scheduler::new(LatencyModel::default(), big_config());
         let cell = known_cells::plain_cell();
-        let prog = CellProgram::lower(&cell, 128, 128, 32, 32);
+        let prog = codesign_nasbench::CellProgram::lower(&cell, 128, 128, 32, 32);
         let makespan = s.program_makespan_ns(&prog);
         let sum: f64 = prog
             .nodes()
