@@ -14,7 +14,9 @@
 //! scheduling of random genomes of the paper's space. The last two pin the
 //! latency model over the whole configuration space: every op the searched
 //! networks use, priced at every config, and the network latencies of the
-//! 4- and 5-vertex spaces on both skeletons.
+//! 4- and 5-vertex spaces on both skeletons. A thirteenth pins the cell
+//! enumerator: the canonical hash of every cell it yields at two to six
+//! vertices, in order.
 //!
 //! Campaigns run on one worker: with several, the order in which two
 //! labellings of one cell reach the shared cache can differ between runs,
@@ -38,8 +40,8 @@ use codesign_core::{
 use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind, CACHE_SHARD_FILES};
 use codesign_nasbench::byteio::{fnv1a64, put_f64, put_u128, put_u64};
 use codesign_nasbench::{
-    known_cells, CellSpec, Json, NasbenchDatabase, Network, NetworkConfig, OpId, OpInstance,
-    SpecError,
+    enumerate_cells, known_cells, CellSpec, Json, NasbenchDatabase, Network, NetworkConfig, OpId,
+    OpInstance, SpecError,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -72,6 +74,9 @@ const OP_LATENCIES: u64 = 0xc6ee_0b32_efb2_00e9;
 /// (k) the scheduler's latency of every 4-vertex network at every config,
 /// and of every 5-vertex network at every 97th, on both skeletons.
 const NETWORK_LATENCIES: u64 = 0x2315_3de6_5623_75db;
+/// (l) the canonical hash of every cell `enumerate_cells` yields at 2 to 6
+/// vertices, in its order.
+const ENUMERATION_V6: u64 = 0x20af_389d_18cb_53d7;
 
 const STEPS: usize = 64;
 const NSGA: StrategyKind = StrategyKind::Nsga { population: 16 };
@@ -388,4 +393,18 @@ fn op_and_network_latencies_over_the_config_space() {
         ("op latencies", fnv1a64(&ops), OP_LATENCIES),
         ("network latencies", fnv1a64(&networks), NETWORK_LATENCIES),
     ]);
+}
+
+#[test]
+fn enumerated_cells_up_to_six_vertices() {
+    let mut hashes = Vec::new();
+    for (vertices, expected) in (2..=6).zip([1, 6, 84, 2_441, 62_010]) {
+        let cells = enumerate_cells(vertices);
+        assert_eq!(cells.len(), expected, "cells at {vertices} vertices");
+        for cell in &cells {
+            put_u128(&mut hashes, cell.canonical_hash());
+        }
+    }
+    assert_eq!(hashes.len(), 1_032_672);
+    check(&[("enumeration v6", fnv1a64(&hashes), ENUMERATION_V6)]);
 }
