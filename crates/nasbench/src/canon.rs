@@ -8,6 +8,16 @@
 //! the same scheme with a 128-bit FNV-style mixer instead of MD5 — collisions
 //! are astronomically unlikely at the scale of this search space, and the
 //! property tests in this module verify invariance under vertex relabeling.
+//!
+//! [`canonical_hash`] is the reference. [`CellSpec::new`](crate::CellSpec::new)
+//! reads it through one process-wide table from a pruned cell, packed into a
+//! 62-bit key, to its hash: a search decodes hundreds of thousands of
+//! genomes into a few thousand distinct cells, and the byte-wise hash costs
+//! several times a lookup. The table is filled only from
+//! [`canonical_hash`]. What it holds depends on which thread got there
+//! first; what it returns never does.
+
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::graph::{AdjMatrix, MAX_VERTICES};
 use crate::Op;
@@ -112,6 +122,119 @@ pub fn canonical_hash(matrix: &AdjMatrix, ops: &[Op]) -> u128 {
     fnv128_words(FNV_OFFSET, &hashes[..n])
 }
 
+/// Where a memo key keeps the vertex count: above the edge mask.
+const KEY_VERTICES: u32 = (MAX_VERTICES * MAX_VERTICES) as u32;
+/// Where a memo key keeps interior vertex `i + 1`'s op label: 2 bits at
+/// `KEY_OPS + 2 * i`.
+const KEY_OPS: u32 = KEY_VERTICES + 3;
+
+// The vertex count takes 3 bits and each op label 2, so a key fits in 62
+// bits and bit 63 is free for `CLAIMED`.
+const _: () = assert!(MAX_VERTICES < 8 && Op::COUNT <= 4);
+const _: () = assert!(KEY_OPS as usize + 2 * (MAX_VERTICES - 2) <= 62);
+
+/// log2 of the memo's slot count.
+const MEMO_BITS: u32 = 13;
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
+/// The memo inserts while at most this many slots are filled, so every
+/// probe meets an empty slot after a short run: once the table stops
+/// growing, a miss costs the reference hash and a few loads.
+const MEMO_CAP: usize = MEMO_SLOTS / 2;
+/// A slot's key while its writer stores the hash.
+const CLAIMED: u64 = 1 << 63;
+
+/// One memo entry. A slot is written once: its key goes from 0 to
+/// `CLAIMED`, by the one thread that claims it, and then to the cell's key,
+/// published after both hash halves.
+struct MemoSlot {
+    key: AtomicU64,
+    lo: AtomicU64,
+    hi: AtomicU64,
+}
+
+impl MemoSlot {
+    const fn empty() -> Self {
+        Self {
+            key: AtomicU64::new(0),
+            lo: AtomicU64::new(0),
+            hi: AtomicU64::new(0),
+        }
+    }
+}
+
+/// The memo: slots probed linearly from a multiply-shift hash of the key.
+/// Every field starts at zero, so the table takes memory only for the
+/// slots in use.
+static MEMO: [MemoSlot; MEMO_SLOTS] = [const { MemoSlot::empty() }; MEMO_SLOTS];
+
+/// Slots claimed so far. It publishes no data, so it is `Relaxed`.
+static MEMO_FILLED: AtomicUsize = AtomicUsize::new(0);
+
+/// A pruned cell as one word: the edge mask, the vertex count, then 2 bits
+/// per interior op label. Distinct cells get distinct keys, and no key is 0
+/// because a cell has at least 2 vertices.
+fn memo_key(matrix: &AdjMatrix, ops: &[Op]) -> u64 {
+    let n = matrix.num_vertices();
+    debug_assert_eq!(ops.len(), n - 2);
+    ops.iter().enumerate().fold(
+        matrix.edge_bits() | (n as u64) << KEY_VERTICES,
+        |key, (i, op)| key | u64::from(op.label()) << (KEY_OPS as usize + 2 * i),
+    )
+}
+
+/// The memo's first probe slot for `key`: the top [`MEMO_BITS`] bits of
+/// `key` times a 64-bit odd constant.
+fn memo_slot(key: u64) -> usize {
+    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (u64::BITS - MEMO_BITS)) as usize
+}
+
+/// [`canonical_hash`] of a pruned cell, read from the memo when a thread
+/// has hashed the same cell before.
+pub(crate) fn memoized_hash(matrix: &AdjMatrix, ops: &[Op]) -> u128 {
+    let key = memo_key(matrix, ops);
+    let mut slot = memo_slot(key);
+    // At most `MEMO_CAP` slots are ever claimed, so the probe meets an empty
+    // one. A claimed slot or another key's slot is passed over.
+    loop {
+        let entry = &MEMO[slot];
+        let found = entry.key.load(Ordering::Acquire);
+        if found == key {
+            let (lo, hi) = (
+                entry.lo.load(Ordering::Relaxed),
+                entry.hi.load(Ordering::Relaxed),
+            );
+            return u128::from(hi) << 64 | u128::from(lo);
+        }
+        if found == 0 {
+            break;
+        }
+        slot = (slot + 1) % MEMO_SLOTS;
+    }
+    let hash = canonical_hash(matrix, ops);
+    if MEMO_FILLED.load(Ordering::Relaxed) < MEMO_CAP
+        && MEMO_FILLED.fetch_add(1, Ordering::Relaxed) < MEMO_CAP
+    {
+        // Claim the first empty slot from where the probe stopped. Another
+        // thread may have claimed it meanwhile, perhaps for this very key:
+        // two slots holding one key are harmless.
+        loop {
+            let entry = &MEMO[slot];
+            if entry
+                .key
+                .compare_exchange(0, CLAIMED, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+            {
+                entry.lo.store(hash as u64, Ordering::Relaxed);
+                entry.hi.store((hash >> 64) as u64, Ordering::Relaxed);
+                entry.key.store(key, Ordering::Release);
+                break;
+            }
+            slot = (slot + 1) % MEMO_SLOTS;
+        }
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,6 +320,57 @@ mod tests {
             &[Op::Conv3x3, Op::Conv1x1, Op::MaxPool3x3],
         );
         assert_eq!(h1, h2);
+    }
+
+    #[test]
+    fn cells_differing_in_one_edge_op_or_vertex_count_get_distinct_keys() {
+        assert!(Op::ALL.iter().all(|op| usize::from(op.label()) < 4));
+        let key = |n: usize, edges: &[(usize, usize)], ops: &[Op]| {
+            memo_key(&AdjMatrix::from_edges(n, edges).unwrap(), ops)
+        };
+        let chain = key(4, &[(0, 1), (1, 2), (2, 3)], &[Op::Conv3x3, Op::Conv1x1]);
+        let skip = key(
+            4,
+            &[(0, 1), (1, 2), (2, 3), (0, 3)],
+            &[Op::Conv3x3, Op::Conv1x1],
+        );
+        let relabelled = key(4, &[(0, 1), (1, 2), (2, 3)], &[Op::Conv3x3, Op::MaxPool3x3]);
+        assert_ne!(chain, skip);
+        assert_ne!(chain, relabelled);
+        // Same edge bits and op labels: only the vertex count tells them
+        // apart.
+        let three = key(3, &[(0, 1), (1, 2)], &[Op::Conv3x3]);
+        let four = key(4, &[(0, 1), (1, 2)], &[Op::Conv3x3, Op::Conv3x3]);
+        assert_ne!(three, four);
+
+        // Every raw (edges, ops) pair of up to 5 vertices: distinct,
+        // nonzero keys without the `CLAIMED` bit.
+        let mut keys = std::collections::HashSet::new();
+        for n in 2..=5 {
+            let pairs: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .collect();
+            for mask in 0u32..1 << pairs.len() {
+                let edges: Vec<(usize, usize)> = (0..pairs.len())
+                    .filter(|&b| mask >> b & 1 == 1)
+                    .map(|b| pairs[b])
+                    .collect();
+                for combo in 0..3usize.pow(n as u32 - 2) {
+                    let ops: Vec<Op> = (0..n - 2)
+                        .map(|i| Op::ALL[combo / 3usize.pow(i as u32) % 3])
+                        .collect();
+                    let k = key(n, &edges, &ops);
+                    assert!(k != 0 && k & CLAIMED == 0);
+                    assert!(keys.insert(k), "duplicate key {k:#x}");
+                }
+            }
+        }
+        assert_eq!(keys.len(), 2 + 8 * 3 + 64 * 9 + 1024 * 27);
+    }
+
+    #[test]
+    fn memo_takes_192_kib() {
+        assert_eq!(std::mem::size_of_val(&MEMO), 192 * 1024);
     }
 
     #[test]

@@ -136,6 +136,13 @@ impl AdjMatrix {
         self.edges.count_ones() as usize
     }
 
+    /// The edge mask: bit `src * MAX_VERTICES + dst` is the edge
+    /// `src -> dst`, so only the low `MAX_VERTICES * MAX_VERTICES` bits are
+    /// ever set.
+    pub(crate) fn edge_bits(&self) -> u64 {
+        self.edges
+    }
+
     /// Returns `true` when the edge `src -> dst` exists.
     #[must_use]
     pub fn has_edge(&self, src: usize, dst: usize) -> bool {

@@ -8,7 +8,7 @@
 //! are removed, exactly as NASBench-101 does before training, so two raw
 //! matrices that prune to the same graph compare equal.
 
-use crate::canon::canonical_hash;
+use crate::canon::memoized_hash;
 use crate::graph::AdjMatrix;
 use crate::{Op, SpecError};
 
@@ -76,7 +76,7 @@ impl CellSpec {
             len += 1;
         }
         ops.truncate(len);
-        let canonical = canonical_hash(&pruned, &ops);
+        let canonical = memoized_hash(&pruned, &ops);
         Ok(Self {
             matrix: pruned,
             ops,
