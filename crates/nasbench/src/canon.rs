@@ -197,6 +197,8 @@ pub(crate) fn memoized_hash(matrix: &AdjMatrix, ops: &[Op]) -> u128 {
     // one. A claimed slot or another key's slot is passed over.
     loop {
         let entry = &MEMO[slot];
+        // Pairs with the `Release` store of the key below: a reader that
+        // sees the key sees both halves of its hash.
         let found = entry.key.load(Ordering::Acquire);
         if found == key {
             let (lo, hi) = (
