@@ -5,6 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use codesign_accel::{AreaModel, ConfigSpace, LatencyModel, Scheduler};
+use codesign_nasbench::canon::canonical_hash;
 use codesign_nasbench::{
     known_cells, CellFeatures, CellSpec, Dataset, Network, NetworkConfig, SurrogateModel,
 };
@@ -70,10 +71,16 @@ fn bench_surrogate(c: &mut Criterion) {
 
 fn bench_canonical_hash(c: &mut Criterion) {
     let cell = known_cells::googlenet_cell();
+    // `CellSpec::new` reads the hash from the process-wide memo: a hit
+    // after the first iteration.
     c.bench_function("spec/validate_and_hash_7v_cell", |b| {
         b.iter(|| {
             CellSpec::new(cell.matrix().clone(), cell.ops().to_vec()).map(|s| s.canonical_hash())
         })
+    });
+    // The reference hash, which a memo miss pays.
+    c.bench_function("spec/canonical_hash_7v_cell", |b| {
+        b.iter(|| canonical_hash(black_box(cell.matrix()), black_box(cell.ops())))
     });
 }
 
