@@ -13,7 +13,7 @@
 //! reads it through one process-wide table from a pruned cell, packed into a
 //! 62-bit key, to its hash: a search decodes hundreds of thousands of
 //! genomes into a few thousand distinct cells, and the byte-wise hash costs
-//! several times a lookup. The table is filled only from
+//! far more than a lookup. The table is filled only from
 //! [`canonical_hash`]. What it holds depends on which thread got there
 //! first; what it returns never does.
 
@@ -132,6 +132,8 @@ const KEY_OPS: u32 = KEY_VERTICES + 3;
 // bits and bit 63 is free for `CLAIMED`.
 const _: () = assert!(MAX_VERTICES < 8 && Op::COUNT <= 4);
 const _: () = assert!(KEY_OPS as usize + 2 * (MAX_VERTICES - 2) <= 62);
+// The slots take 192 KiB.
+const _: () = assert!(std::mem::size_of::<[MemoSlot; MEMO_SLOTS]>() == 192 * 1024);
 
 /// log2 of the memo's slot count.
 const MEMO_BITS: u32 = 13;
@@ -167,7 +169,9 @@ impl MemoSlot {
 /// slots in use.
 static MEMO: [MemoSlot; MEMO_SLOTS] = [const { MemoSlot::empty() }; MEMO_SLOTS];
 
-/// Slots claimed so far. It publishes no data, so it is `Relaxed`.
+/// Slots reserved so far: a miss reserves one before it claims a slot, and
+/// once `MEMO_CAP` are reserved no miss inserts. It publishes no data, so
+/// it is `Relaxed`.
 static MEMO_FILLED: AtomicUsize = AtomicUsize::new(0);
 
 /// A pruned cell as one word: the edge mask, the vertex count, then 2 bits
@@ -326,53 +330,27 @@ mod tests {
 
     #[test]
     fn cells_differing_in_one_edge_op_or_vertex_count_get_distinct_keys() {
-        assert!(Op::ALL.iter().all(|op| usize::from(op.label()) < 4));
+        assert!(Op::ALL.iter().all(|op| op.label() < 4));
         let key = |n: usize, edges: &[(usize, usize)], ops: &[Op]| {
             memo_key(&AdjMatrix::from_edges(n, edges).unwrap(), ops)
         };
-        let chain = key(4, &[(0, 1), (1, 2), (2, 3)], &[Op::Conv3x3, Op::Conv1x1]);
-        let skip = key(
-            4,
-            &[(0, 1), (1, 2), (2, 3), (0, 3)],
-            &[Op::Conv3x3, Op::Conv1x1],
-        );
-        let relabelled = key(4, &[(0, 1), (1, 2), (2, 3)], &[Op::Conv3x3, Op::MaxPool3x3]);
-        assert_ne!(chain, skip);
-        assert_ne!(chain, relabelled);
-        // Same edge bits and op labels: only the vertex count tells them
-        // apart.
-        let three = key(3, &[(0, 1), (1, 2)], &[Op::Conv3x3]);
-        let four = key(4, &[(0, 1), (1, 2)], &[Op::Conv3x3, Op::Conv3x3]);
-        assert_ne!(three, four);
-
-        // Every raw (edges, ops) pair of up to 5 vertices: distinct,
-        // nonzero keys without the `CLAIMED` bit.
-        let mut keys = std::collections::HashSet::new();
-        for n in 2..=5 {
-            let pairs: Vec<(usize, usize)> = (0..n)
-                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
-                .collect();
-            for mask in 0u32..1 << pairs.len() {
-                let edges: Vec<(usize, usize)> = (0..pairs.len())
-                    .filter(|&b| mask >> b & 1 == 1)
-                    .map(|b| pairs[b])
-                    .collect();
-                for combo in 0..3usize.pow(n as u32 - 2) {
-                    let ops: Vec<Op> = (0..n - 2)
-                        .map(|i| Op::ALL[combo / 3usize.pow(i as u32) % 3])
-                        .collect();
-                    let k = key(n, &edges, &ops);
-                    assert!(k != 0 && k & CLAIMED == 0);
-                    assert!(keys.insert(k), "duplicate key {k:#x}");
-                }
-            }
+        // A 7-vertex chain of max-pools sets the key's highest bits.
+        let chain: Vec<(usize, usize)> = (0..6).map(|v| (v, v + 1)).collect();
+        let ops = [Op::MaxPool3x3; 5];
+        let base = key(7, &chain, &ops);
+        assert!(base != 0 && base & CLAIMED == 0);
+        let skip = [&chain[..], &[(0, 6)]].concat();
+        assert_ne!(base, key(7, &skip, &ops));
+        for i in 0..ops.len() {
+            let mut relabelled = ops;
+            relabelled[i] = Op::Conv1x1;
+            assert_ne!(base, key(7, &chain, &relabelled));
         }
-        assert_eq!(keys.len(), 2 + 8 * 3 + 64 * 9 + 1024 * 27);
-    }
-
-    #[test]
-    fn memo_takes_192_kib() {
-        assert_eq!(std::mem::size_of_val(&MEMO), 192 * 1024);
+        // Same edge bits and op labels (the extra op has label 0): only the
+        // vertex count tells them apart.
+        let pools = [Op::MaxPool3x3; 4];
+        let padded = [pools[0], pools[1], pools[2], pools[3], Op::Conv3x3];
+        assert_ne!(key(6, &chain[..5], &pools), key(7, &chain[..5], &padded));
     }
 
     #[test]

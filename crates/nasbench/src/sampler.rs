@@ -177,10 +177,10 @@ pub fn enumerate_cells(vertices: usize) -> Vec<CellSpec> {
             continue;
         };
         // Only masks that lose no vertex to pruning count: pruned duplicates
-        // are enumerated at their smaller size.
-        match matrix.prune() {
-            Ok((pruned, kept)) if kept.len() == vertices && pruned.num_edges() <= MAX_EDGES => {}
-            _ => continue,
+        // are enumerated at their smaller size. Such a mask keeps its
+        // ≤ MAX_EDGES edges, so every labelling of it is a valid cell.
+        if !matches!(matrix.prune(), Ok((_, kept)) if kept.len() == vertices) {
+            continue;
         }
         for combo in 0..op_combos {
             let mut ops = Vec::with_capacity(interior);
