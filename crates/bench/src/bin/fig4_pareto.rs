@@ -2,14 +2,13 @@
 //!
 //! Enumerates `CNN database × 8640 accelerators` exactly and extracts the 3-D
 //! Pareto front over (area, latency, accuracy): the front on the
-//! Unconstrained preset's axes `(−area, −lat, acc)`. By default the CNN universe
-//! is the *complete* set of cells with up to 5 vertices (exact consistency
-//! with the Fig. 5/6 search experiments); pass `--cells N` to use an
-//! N-cell sampled database over the full 7-vertex space instead (the paper's
-//! 423k-cell census is `--cells 423000` — expect a long run).
+//! Unconstrained preset's axes `(−area, −lat, acc)`. The CNN universe is the
+//! *complete* set of cells with up to `--max-vertices` vertices, 5 by default
+//! (exact consistency with the Fig. 5/6 search experiments); the paper's
+//! 423,624-cell census is `--max-vertices 7` — expect a long run.
 //!
 //! Run: `cargo run --release -p codesign-bench --bin fig4_pareto`
-//! Args: `--max-vertices 5 | --cells N [--seed S] [--threads T]`
+//! Args: `[--max-vertices 5] [--threads T]`
 
 use std::collections::HashSet;
 
@@ -20,16 +19,11 @@ use codesign_core::{enumerate_scenario_front, ScenarioSpec};
 use codesign_nasbench::NasbenchDatabase;
 
 fn main() {
-    let args = Args::parse("--max-vertices V, --cells N, --seed S, --threads T");
+    let args = Args::parse("--max-vertices V, --threads T");
     let threads = args.get_usize("threads", 0);
     let max_v = args.max_vertices(5);
-    let db = if let Some(cells) = args_cells(&args) {
-        println!("building sampled database of {cells} unique 7-vertex-space cells...");
-        NasbenchDatabase::build(cells, args.get_u64("seed", 2020))
-    } else {
-        println!("building exhaustive database of all cells with <= {max_v} vertices...");
-        NasbenchDatabase::exhaustive(max_v)
-    };
+    println!("building exhaustive database of all cells with <= {max_v} vertices...");
+    let db = NasbenchDatabase::exhaustive(max_v);
     println!("database: {} unique cells", db.len());
 
     let start = std::time::Instant::now();
@@ -121,10 +115,4 @@ fn main() {
     )
     .expect("write fig4 csv");
     println!("frontier written to {}", path.display());
-}
-
-/// `--cells N`, when given; exits 2 on zero.
-fn args_cells(args: &Args) -> Option<usize> {
-    args.value("cells")
-        .map(|_| args.get_usize_in("cells", 0, 1..))
 }

@@ -161,7 +161,7 @@ fn bad_cache_input_exits_2_without_a_panic() {
 #[test]
 fn bad_figure_sweep_input_exits_2_without_a_panic() {
     let cwd = scratch("figures");
-    let cases: [(&str, &str, &[&str], &str); 9] = [
+    let cases: [(&str, &str, &[&str], &str); 10] = [
         (
             "fig4 on nine vertices",
             env!("CARGO_BIN_EXE_fig4_pareto"),
@@ -193,10 +193,16 @@ fn bad_figure_sweep_input_exits_2_without_a_panic() {
             "invalid value '0' for --window: expected 1..",
         ),
         (
-            "fig4 on zero cells",
+            "fig4 with the removed cell sample",
             env!("CARGO_BIN_EXE_fig4_pareto"),
-            &["--cells", "0"],
-            "invalid value '0' for --cells: expected 1..",
+            &["--cells", "500"],
+            "unknown flag --cells",
+        ),
+        (
+            "fig4 with the removed sample seed",
+            env!("CARGO_BIN_EXE_fig4_pareto"),
+            &["--seed", "1"],
+            "unknown flag --seed",
         ),
         (
             "fig7 with zero repeats",

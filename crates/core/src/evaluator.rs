@@ -476,8 +476,9 @@ mod tests {
     /// models (see `power_metric_is_plumbed_and_pinned`).
     const PINNED_POWER_W_4321: f64 = 2.454975;
 
+    /// Every cell up to 5 vertices: holds resnet and cod1.
     fn db_evaluator() -> Evaluator {
-        Evaluator::with_database(NasbenchDatabase::build(50, 3))
+        Evaluator::with_database(NasbenchDatabase::exhaustive(5))
     }
 
     fn some_config() -> AcceleratorConfig {
@@ -496,13 +497,14 @@ mod tests {
 
     #[test]
     fn database_evaluator_rejects_unknown_cells() {
-        // A database too small to contain an arbitrary 7-vertex cell.
-        let mut ev = Evaluator::with_database(NasbenchDatabase::build(0, 3));
+        // A database that holds no 7-vertex cell.
+        let mut ev = Evaluator::with_database(NasbenchDatabase::exhaustive(4));
         let space = CodesignSpace::paper();
         let mut actions = space.cnn().encode(&known_cells::googlenet_cell());
-        // Perturb one op to get a cell that is valid but (almost surely) absent.
+        // Perturb one op: still a valid 7-vertex cell, so absent.
         actions[22] = (actions[22] + 1) % 3;
         let cnn = space.cnn().decode(&actions).unwrap();
+        assert_eq!(cnn.num_vertices(), 7);
         assert!(ev.evaluate_pair(&cnn, &some_config()).is_none());
     }
 
@@ -600,7 +602,7 @@ mod tests {
 
     #[test]
     fn shared_database_is_refcounted_not_cloned() {
-        let db = Arc::new(NasbenchDatabase::build(20, 1));
+        let db = Arc::new(NasbenchDatabase::exhaustive(3));
         assert_eq!(Arc::strong_count(&db), 1);
         let a = Evaluator::with_shared_database(Arc::clone(&db));
         let b = Evaluator::with_shared_database(Arc::clone(&db));

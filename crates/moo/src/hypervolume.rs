@@ -125,84 +125,7 @@ pub fn hypervolume_3d(points: &[[f64; 3]], reference: [f64; 3]) -> f64 {
 /// ```
 #[must_use]
 pub fn hypervolume_dyn<P: AsRef<[f64]>>(points: &[P], reference: &[f64]) -> f64 {
-    let dims = reference.len();
-    assert!(
-        points.iter().all(|p| p.as_ref().len() == dims),
-        "all points must match the reference dimension ({dims})"
-    );
-    match dims {
-        0 => 0.0,
-        1 => {
-            let best = points
-                .iter()
-                .map(|p| p.as_ref()[0])
-                .fold(f64::NEG_INFINITY, f64::max);
-            if best > reference[0] {
-                best - reference[0]
-            } else {
-                0.0
-            }
-        }
-        2 => {
-            let pts: Vec<[f64; 2]> = points
-                .iter()
-                .map(|p| {
-                    let s = p.as_ref();
-                    [s[0], s[1]]
-                })
-                .collect();
-            hypervolume_2d(&pts, [reference[0], reference[1]])
-        }
-        3 => {
-            let pts: Vec<[f64; 3]> = points
-                .iter()
-                .map(|p| {
-                    let s = p.as_ref();
-                    [s[0], s[1], s[2]]
-                })
-                .collect();
-            hypervolume_3d(&pts, [reference[0], reference[1], reference[2]])
-        }
-        _ => {
-            let mut pts: Vec<&[f64]> = points
-                .iter()
-                .map(AsRef::as_ref)
-                .filter(|p| p.iter().zip(reference.iter()).all(|(a, r)| a > r))
-                .collect();
-            if pts.is_empty() {
-                return 0.0;
-            }
-            let last = dims - 1;
-            // Sweep the last objective from high to low; between consecutive
-            // levels the dominated cross-section is constant.
-            pts.sort_by(|a, b| {
-                b[last]
-                    .partial_cmp(&a[last])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let mut hv = 0.0;
-            let mut active: Vec<&[f64]> = Vec::new();
-            let mut i = 0;
-            while i < pts.len() {
-                let z_hi = pts[i][last];
-                while i < pts.len() && pts[i][last] == z_hi {
-                    active.push(pts[i]);
-                    i += 1;
-                }
-                let z_lo = if i < pts.len() {
-                    pts[i][last]
-                } else {
-                    reference[last]
-                };
-                let slab = z_hi - z_lo;
-                if slab > 0.0 {
-                    let projections: Vec<&[f64]> = active.iter().map(|p| &p[..last]).collect();
-                    hv += slab * hypervolume_dyn(&projections, &reference[..last]);
-                }
-            }
-            hv
-        }
-    }
+    hypervolume_dyn_iter(points.iter().map(AsRef::as_ref), reference)
 }
 
 /// [`hypervolume_dyn`] over borrowed point slices, without materializing a
@@ -210,9 +133,7 @@ pub fn hypervolume_dyn<P: AsRef<[f64]>>(points: &[P], reference: &[f64]) -> f64 
 ///
 /// For one, two, and three objectives — every registry-sized scenario — the
 /// points are read straight out of the iterator into the fixed-dimension
-/// kernels, performing the exact same floating-point operations as
-/// [`hypervolume_dyn`] (bit-identical results). Four or more objectives
-/// collect once and delegate.
+/// kernels. Four or more objectives collect once and sweep slabs.
 ///
 /// # Panics
 ///
@@ -233,22 +154,20 @@ where
     I: IntoIterator<Item = &'a [f64]>,
 {
     let dims = reference.len();
-    let check = |p: &[f64]| {
+    let points = points.into_iter().inspect(|p| {
         assert!(
             p.len() == dims,
             "all points must match the reference dimension ({dims})"
         );
-    };
+    });
     match dims {
-        0 => 0.0,
+        0 => {
+            // Consumed only for the dimension check.
+            points.for_each(drop);
+            0.0
+        }
         1 => {
-            let best = points
-                .into_iter()
-                .map(|p| {
-                    check(p);
-                    p[0]
-                })
-                .fold(f64::NEG_INFINITY, f64::max);
+            let best = points.map(|p| p[0]).fold(f64::NEG_INFINITY, f64::max);
             if best > reference[0] {
                 best - reference[0]
             } else {
@@ -256,30 +175,48 @@ where
             }
         }
         2 => {
-            let pts: Vec<[f64; 2]> = points
-                .into_iter()
-                .map(|p| {
-                    check(p);
-                    [p[0], p[1]]
-                })
-                .collect();
+            let pts: Vec<[f64; 2]> = points.map(|p| [p[0], p[1]]).collect();
             hypervolume_2d(&pts, [reference[0], reference[1]])
         }
         3 => {
-            let pts: Vec<[f64; 3]> = points
-                .into_iter()
-                .map(|p| {
-                    check(p);
-                    [p[0], p[1], p[2]]
-                })
-                .collect();
+            let pts: Vec<[f64; 3]> = points.map(|p| [p[0], p[1], p[2]]).collect();
             hypervolume_3d(&pts, [reference[0], reference[1], reference[2]])
         }
-        _ => {
-            let pts: Vec<&[f64]> = points.into_iter().collect();
-            hypervolume_dyn(&pts, reference)
+        _ => hypervolume_slabs(points.collect(), reference),
+    }
+}
+
+/// [`hypervolume_dyn`]'s slicing recursion for four or more objectives,
+/// over points already checked against the reference dimension.
+fn hypervolume_slabs(mut pts: Vec<&[f64]>, reference: &[f64]) -> f64 {
+    pts.retain(|p| p.iter().zip(reference.iter()).all(|(a, r)| a > r));
+    let last = reference.len() - 1;
+    pts.sort_by(|a, b| {
+        b[last]
+            .partial_cmp(&a[last])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let mut hv = 0.0;
+    let mut active: Vec<&[f64]> = Vec::new();
+    let mut i = 0;
+    while i < pts.len() {
+        let z_hi = pts[i][last];
+        while i < pts.len() && pts[i][last] == z_hi {
+            active.push(pts[i]);
+            i += 1;
+        }
+        let z_lo = if i < pts.len() {
+            pts[i][last]
+        } else {
+            reference[last]
+        };
+        let slab = z_hi - z_lo;
+        if slab > 0.0 {
+            hv +=
+                slab * hypervolume_dyn_iter(active.iter().map(|p| &p[..last]), &reference[..last]);
         }
     }
+    hv
 }
 
 #[cfg(test)]

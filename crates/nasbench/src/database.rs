@@ -3,28 +3,22 @@
 //! §III of the paper uses "the NASBench database of precomputed accuracy" to
 //! enumerate the codesign space exactly. [`NasbenchDatabase`] plays that
 //! role: a canonically-deduplicated set of cells with surrogate accuracies
-//! (CIFAR-10 and CIFAR-100 heads) and simulated training times. The database
-//! size is configurable — the full 423k-cell census is a scale knob, not a
-//! different code path.
+//! (CIFAR-10 and CIFAR-100 heads) and simulated training times. It holds
+//! every cell up to a vertex bound, enumerated exhaustively; at 7 vertices
+//! that is the full 423,624-cell census.
 
 use std::collections::HashMap;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
 use crate::features::CellFeatures;
 use crate::network::NetworkConfig;
-use crate::sampler::SpecSampler;
 use crate::surrogate::{Dataset, SurrogateModel, NUM_SEEDS};
-use crate::{known_cells, CellSpec, SpecError};
+use crate::{CellSpec, SpecError};
 
 /// One database row: a unique cell with everything the evaluator needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DbEntry {
     /// The (pruned) cell.
     pub spec: CellSpec,
-    /// Structural features (CIFAR-10 skeleton).
-    pub features: CellFeatures,
     /// CIFAR-10 test accuracy per training seed.
     pub cifar10_accuracy: [f64; NUM_SEEDS],
     /// CIFAR-100 test accuracy per training seed.
@@ -53,9 +47,9 @@ impl DbEntry {
 /// use codesign_nasbench::{known_cells, Dataset, NasbenchDatabase};
 ///
 /// # fn main() -> Result<(), codesign_nasbench::SpecError> {
-/// let db = NasbenchDatabase::build(200, 42);
-/// assert!(db.len() >= 200);
-/// // Reference cells are always present.
+/// let db = NasbenchDatabase::exhaustive(4);
+/// assert_eq!(db.len(), 91);
+/// // The 4-vertex ResNet-style cell is among them.
 /// let entry = db.query(&known_cells::resnet_cell())?;
 /// assert!(entry.mean_accuracy(Dataset::Cifar10) > 0.9);
 /// # Ok(())
@@ -68,45 +62,6 @@ pub struct NasbenchDatabase {
 }
 
 impl NasbenchDatabase {
-    /// Builds a database of at least `size` unique cells (reference cells
-    /// from [`known_cells`] are always included on top) using the default
-    /// surrogate, sampling with the given `seed`.
-    #[must_use]
-    pub fn build(size: usize, seed: u64) -> Self {
-        Self::build_with(
-            size,
-            seed,
-            &SurrogateModel::default(),
-            &SpecSampler::default(),
-        )
-    }
-
-    /// Builds a database with explicit surrogate and sampler configurations.
-    #[must_use]
-    pub fn build_with(
-        size: usize,
-        seed: u64,
-        surrogate: &SurrogateModel,
-        sampler: &SpecSampler,
-    ) -> Self {
-        let mut db = Self {
-            entries: Vec::new(),
-            index: HashMap::new(),
-        };
-        for (_, cell) in known_cells::all_named() {
-            db.insert_cell(cell, surrogate);
-        }
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let budget = size.saturating_mul(60).max(1000);
-        let mut attempts = 0usize;
-        while db.entries.len() < size + known_cells::all_named().len() && attempts < budget {
-            let cell = sampler.sample(&mut rng);
-            db.insert_cell(cell, surrogate);
-            attempts += 1;
-        }
-        db
-    }
-
     /// Builds the **complete** database of every unique valid cell with up to
     /// `max_vertices` vertices — the exact-enumeration analog of the NASBench
     /// census: 2,532 cells at 5 vertices, 64,542 at 6 and all 423,624 at 7.
@@ -137,10 +92,10 @@ impl NasbenchDatabase {
         db
     }
 
-    fn insert_cell(&mut self, cell: CellSpec, surrogate: &SurrogateModel) -> bool {
+    fn insert_cell(&mut self, cell: CellSpec, surrogate: &SurrogateModel) {
         let hash = cell.canonical_hash();
         if self.index.contains_key(&hash) {
-            return false;
+            return;
         }
         let features = CellFeatures::extract(&cell, &NetworkConfig::default());
         let e10 = surrogate.evaluate_features(&features, hash, Dataset::Cifar10);
@@ -148,12 +103,10 @@ impl NasbenchDatabase {
         self.index.insert(hash, self.entries.len());
         self.entries.push(DbEntry {
             spec: cell,
-            features,
             cifar10_accuracy: e10.accuracy,
             cifar100_accuracy: e100.accuracy,
             training_seconds: e100.training_seconds,
         });
-        true
     }
 
     /// Number of unique cells stored.
@@ -256,30 +209,11 @@ impl NasbenchDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn build_is_deterministic() {
-        let a = NasbenchDatabase::build(50, 123);
-        let b = NasbenchDatabase::build(50, 123);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.spec.canonical_hash(), y.spec.canonical_hash());
-            assert_eq!(x.cifar10_accuracy, y.cifar10_accuracy);
-        }
-    }
-
-    #[test]
-    fn different_seeds_give_different_databases() {
-        let a = NasbenchDatabase::build(50, 1);
-        let b = NasbenchDatabase::build(50, 2);
-        let ha: Vec<u128> = a.iter().map(|e| e.spec.canonical_hash()).collect();
-        let hb: Vec<u128> = b.iter().map(|e| e.spec.canonical_hash()).collect();
-        assert_ne!(ha, hb);
-    }
+    use crate::known_cells;
 
     #[test]
     fn entries_are_unique() {
-        let db = NasbenchDatabase::build(300, 7);
+        let db = NasbenchDatabase::exhaustive(5);
         let mut hashes: Vec<u128> = db.iter().map(|e| e.spec.canonical_hash()).collect();
         let n = hashes.len();
         hashes.sort_unstable();
@@ -289,15 +223,22 @@ mod tests {
 
     #[test]
     fn reference_cells_always_present() {
-        let db = NasbenchDatabase::build(10, 5);
+        // A named cell is in the census exactly when it fits the bound.
+        let db = NasbenchDatabase::exhaustive(5);
+        let mut present = Vec::new();
         for (name, cell) in known_cells::all_named() {
-            assert!(db.query(&cell).is_ok(), "{name} missing from database");
+            match db.query(&cell) {
+                Ok(_) => present.push(name),
+                Err(err) => assert_eq!(err, SpecError::UnknownSpec, "{name}"),
+            }
+            assert_eq!(db.query(&cell).is_ok(), cell.num_vertices() <= 5, "{name}");
         }
+        assert_eq!(present, ["resnet", "cod1", "plain"]);
     }
 
     #[test]
     fn unknown_spec_query_fails() {
-        let db = NasbenchDatabase::build(5, 5);
+        let db = NasbenchDatabase::exhaustive(2);
         assert_eq!(
             db.query_hash(0xDEAD_BEEF).unwrap_err(),
             SpecError::UnknownSpec
@@ -306,17 +247,22 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_cell_set_not_order() {
-        let a = NasbenchDatabase::build(40, 11);
-        let b = NasbenchDatabase::build(40, 11);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        // A different sample set fingerprints differently.
-        let c = NasbenchDatabase::build(40, 12);
+        let a = NasbenchDatabase::exhaustive(4);
+        let mut reversed = a.clone();
+        reversed.entries.reverse();
+        assert_ne!(
+            reversed.entry(0).map(|e| e.spec.canonical_hash()),
+            a.entry(0).map(|e| e.spec.canonical_hash())
+        );
+        assert_eq!(a.fingerprint(), reversed.fingerprint());
+        // A different cell set fingerprints differently.
+        let c = NasbenchDatabase::exhaustive(3);
         assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
     #[test]
     fn fingerprint_covers_stored_accuracies_not_just_cells() {
-        let db = NasbenchDatabase::build(5, 3);
+        let db = NasbenchDatabase::exhaustive(3);
         // Perturb one stored accuracy value without touching the cell set.
         let mut tampered = db.clone();
         tampered.entries[0].cifar10_accuracy[0] += 0.001;
@@ -340,19 +286,5 @@ mod tests {
         );
         // No cell exceeds the bound.
         assert!(db.iter().all(|e| e.spec.num_vertices() <= 4));
-    }
-
-    #[test]
-    fn accuracy_distribution_matches_paper_axes() {
-        let db = NasbenchDatabase::build(500, 2020);
-        let (lo, mean, hi) = db.accuracy_stats(Dataset::Cifar10);
-        assert!(hi <= 0.955, "max accuracy {hi} above Fig. 4 ceiling");
-        assert!(hi >= 0.935, "max accuracy {hi} below Fig. 4 top region");
-        assert!(lo >= 0.5, "min {lo} absurdly low");
-        assert!(lo < 0.91, "min {lo}: need a low-accuracy tail like Fig. 5a");
-        assert!(
-            (0.895..0.945).contains(&mean),
-            "mean {mean} off the Fig. 4 bulk"
-        );
     }
 }

@@ -21,8 +21,10 @@
 //! let network = Network::assemble(&cell, &NetworkConfig::default());
 //! println!("{} MMACs", network.macs() / 1_000_000);
 //!
-//! // The database answers accuracy queries like NASBench-101.
-//! let db = NasbenchDatabase::build(100, 0);
+//! // The database enumerates every cell up to a vertex bound (91 cells at 4;
+//! // all 423,624 of NASBench-101's census at 7) and answers accuracy
+//! // queries like NASBench-101.
+//! let db = NasbenchDatabase::exhaustive(4);
 //! let acc = db.query(&cell)?.mean_accuracy(Dataset::Cifar10);
 //! assert!(acc > 0.9);
 //! # Ok(())
@@ -53,6 +55,6 @@ pub use graph::{AdjMatrix, IndexList, MAX_VERTICES};
 pub use jsonio::Json;
 pub use network::{Network, NetworkConfig, NetworkUnit, UnitRole};
 pub use ops::Op;
-pub use sampler::{enumerate_cells, SpecSampler};
+pub use sampler::enumerate_cells;
 pub use spec::{CellSpec, MAX_EDGES};
 pub use surrogate::{Dataset, Evaluation, SurrogateModel, NUM_SEEDS};
