@@ -16,7 +16,10 @@
 //! networks use, priced at every config, and the network latencies of the
 //! 4- and 5-vertex spaces on both skeletons. A thirteenth pins the cell
 //! enumerator: the canonical hash of every cell it yields at two to six
-//! vertices, in order.
+//! vertices, in order. A fourteenth runs the benchmark's resident-server
+//! job shape on the 5-vertex space: random and NSGA-II at its default
+//! population for 1,000 steps, long enough for many ranks, crowding ties
+//! and fronts of about a hundred members.
 //!
 //! Campaigns run on one worker: with several, the order in which two
 //! labellings of one cell reach the shared cache can differ between runs,
@@ -77,6 +80,9 @@ const NETWORK_LATENCIES: u64 = 0x2315_3de6_5623_75db;
 /// (l) the canonical hash of every cell `enumerate_cells` yields at 2 to 6
 /// vertices, in its order.
 const ENUMERATION_V6: u64 = 0x20af_389d_18cb_53d7;
+/// (m) random + nsga at the default population, seeds {0, 1}, 1,000 steps
+/// on the 5-vertex space: the JSONL.
+const LONG_NSGA_V5_JSONL: u64 = 0x3c17_bb4b_3e89_ae2e;
 
 const STEPS: usize = 64;
 const NSGA: StrategyKind = StrategyKind::Nsga { population: 16 };
@@ -185,6 +191,19 @@ fn guided_grid_and_its_shard_files() {
         ("guided-grid jsonl", jsonl, GUIDED_GRID_JSONL),
         ("guided-grid shard files", shards, GUIDED_GRID_SHARDS),
     ]);
+}
+
+#[test]
+fn long_random_and_nsga_grid_on_five_vertices() {
+    let db = Arc::new(NasbenchDatabase::exhaustive(5));
+    let nsga = StrategyKind::from_name("nsga").expect("a strategy name");
+    let grid = Campaign::new(CodesignSpace::with_max_vertices(5))
+        .scenarios(ScenarioSpec::paper_presets())
+        .strategies(vec![StrategyKind::Random, nsga])
+        .seeds(vec![0, 1])
+        .steps(1000);
+    let (jsonl, _) = run(&grid, &db);
+    check(&[("long nsga grid v5 jsonl", jsonl, LONG_NSGA_V5_JSONL)]);
 }
 
 #[test]
