@@ -16,7 +16,7 @@
 //! sharded campaign (`codesign_engine::Campaign`).
 
 use codesign_accel::{AcceleratorConfig, AreaModel, ConfigSpace, LatencyModel, Scheduler};
-use codesign_moo::{DynParetoFront, DynStreamingParetoFilter, MetricVector, RewardOutcome};
+use codesign_moo::{DynParetoFront, DynStreamingParetoFilter, RewardOutcome};
 use codesign_nasbench::{Dataset, NasbenchDatabase, Network, NetworkConfig};
 
 use crate::evaluator::PairEvaluation;
@@ -188,7 +188,7 @@ pub fn top_pareto_points<'a>(
     scenario: &ScenarioSpec,
     front: &'a DynParetoFront<(usize, AcceleratorConfig)>,
     k: usize,
-) -> Vec<&'a (MetricVector, (usize, AcceleratorConfig))> {
+) -> Vec<(&'a [f64], &'a (usize, AcceleratorConfig))> {
     let compiled = scenario.compile();
     assert_eq!(
         front.schema(),
@@ -199,12 +199,12 @@ pub fn top_pareto_points<'a>(
     let reward = compiled.reward_spec();
     let mut scored: Vec<_> = front
         .iter()
-        .filter_map(|member| match reward.evaluate(&member.0) {
+        .filter_map(|member| match reward.evaluate(member.0) {
             RewardOutcome::Feasible(r) => Some((r, member)),
             RewardOutcome::Punished(_) => None,
         })
         .collect();
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1 .1.cmp(&b.1 .1)));
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1 .1.cmp(b.1 .1)));
     scored.truncate(k);
     scored.into_iter().map(|(_, member)| member).collect()
 }
@@ -223,6 +223,10 @@ mod tests {
         let scenario = ScenarioSpec::unconstrained().compile();
         let front = enumerate_scenario_front(&db, &scenario, threads);
         (db, front)
+    }
+
+    fn bits(metrics: &[f64]) -> Vec<u64> {
+        metrics.iter().map(|x| x.to_bits()).collect()
     }
 
     fn distinct<T: Ord>(values: impl Iterator<Item = T>) -> usize {
@@ -265,7 +269,7 @@ mod tests {
         // The member sequence itself, not just the set: metric bits and
         // payloads in order.
         let sequence = |front: Front| -> Vec<(Vec<u64>, (usize, AcceleratorConfig))> {
-            front.iter().map(|(m, p)| (m.to_bits(), *p)).collect()
+            front.iter().map(|(m, p)| (bits(m), *p)).collect()
         };
         let one = sequence(small_front(1).1);
         assert!(one.windows(2).all(|w| w[0].1 < w[1].1), "sorted by payload");
@@ -310,7 +314,7 @@ mod tests {
                 .map(|i| (triples[i].map(f64::to_bits).to_vec(), pairs[i]))
                 .collect();
         exact.sort_by_key(|member| member.1);
-        let native: Vec<_> = front.iter().map(|(m, p)| (m.to_bits(), *p)).collect();
+        let native: Vec<_> = front.iter().map(|(m, p)| (bits(m), *p)).collect();
         assert_eq!(native, exact);
     }
 

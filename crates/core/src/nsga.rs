@@ -47,6 +47,12 @@ use crate::evolution::{mutate_genome, random_genome};
 use crate::search::{SearchConfig, SearchContext, SearchOutcome, SearchRecorder, SearchStrategy};
 use crate::surrogate::{pair_features, SurrogateConfig, SurrogateGuide};
 
+/// Telemetry: wall-clock of NSGA-II selection, µs — each
+/// [`selection_keys`] call and each predicted-rank ordering of a guided
+/// generation's candidates.
+static SELECT_US: codesign_telemetry::Histogram =
+    codesign_telemetry::Histogram::new("nsga.select_us");
+
 /// NSGA-II-style multi-objective search over the joint codesign genome.
 ///
 /// # Examples
@@ -244,7 +250,9 @@ impl SearchStrategy for NsgaSearch {
             population.extend(offspring);
             let keys = selection_keys(&population);
             let mut order: Vec<usize> = (0..population.len()).collect();
-            order.sort_by(|&a, &b| {
+            // A total order (ties broken by index): the unstable sort gives
+            // the one sorted order.
+            order.sort_unstable_by(|&a, &b| {
                 (keys[a].class, keys[a].rank)
                     .cmp(&(keys[b].class, keys[b].rank))
                     .then(keys[b].crowding.total_cmp(&keys[a].crowding))
@@ -313,6 +321,7 @@ fn select_predicted(
             }
         })
         .collect();
+    let timer = codesign_telemetry::enabled().then(std::time::Instant::now);
     let feasible: Vec<usize> = (0..predictions.len())
         .filter(|&i| predictions[i].class == 0)
         .collect();
@@ -325,7 +334,7 @@ fn select_predicted(
         ranks[i] = rank;
     }
     let mut order: Vec<usize> = (0..predictions.len()).collect();
-    order.sort_by(|&a, &b| {
+    order.sort_unstable_by(|&a, &b| {
         (predictions[a].class, ranks[a])
             .cmp(&(predictions[b].class, ranks[b]))
             .then(predictions[b].reward.total_cmp(&predictions[a].reward))
@@ -333,6 +342,9 @@ fn select_predicted(
     });
     order.truncate(budget);
     order.sort_unstable();
+    if let Some(t) = timer {
+        SELECT_US.record_duration(t.elapsed());
+    }
     let mut pool: Vec<Option<Vec<usize>>> = candidates.into_iter().map(Some).collect();
     order
         .into_iter()
@@ -394,6 +406,7 @@ fn evaluate(
 /// infeasible-but-valid points form one band ordered by punished reward;
 /// invalid proposals trail.
 fn selection_keys(population: &[Individual]) -> Vec<SelectionKey> {
+    let timer = codesign_telemetry::enabled().then(std::time::Instant::now);
     let feasible: Vec<usize> = (0..population.len())
         .filter(|&i| population[i].feasible && population[i].objectives.is_some())
         .collect();
@@ -403,15 +416,17 @@ fn selection_keys(population: &[Individual]) -> Vec<SelectionKey> {
         .collect();
     let ranks = rank_dyn(&points);
 
-    // Crowding is only comparable within one front: group by rank.
+    // Crowding is only comparable within one front: sort the points by
+    // (rank, index) once, then score each run of equal rank.
     let mut crowding = vec![0.0f64; feasible.len()];
-    if let Some(&max_rank) = ranks.iter().max() {
-        for rank in 0..=max_rank {
-            let members: Vec<usize> = (0..feasible.len()).filter(|&i| ranks[i] == rank).collect();
-            let front_points: Vec<&MetricVector> = members.iter().map(|&i| points[i]).collect();
-            for (member, distance) in members.iter().zip(crowding_distance_dyn(&front_points)) {
-                crowding[*member] = distance;
-            }
+    let mut by_rank: Vec<usize> = (0..feasible.len()).collect();
+    by_rank.sort_unstable_by_key(|&i| (ranks[i], i));
+    let mut front_points: Vec<&MetricVector> = Vec::new();
+    for members in by_rank.chunk_by(|&a, &b| ranks[a] == ranks[b]) {
+        front_points.clear();
+        front_points.extend(members.iter().map(|&i| points[i]));
+        for (&member, distance) in members.iter().zip(crowding_distance_dyn(&front_points)) {
+            crowding[member] = distance;
         }
     }
 
@@ -440,6 +455,9 @@ fn selection_keys(population: &[Individual]) -> Vec<SelectionKey> {
                 crowding: individual.reward,
             };
         }
+    }
+    if let Some(t) = timer {
+        SELECT_US.record_duration(t.elapsed());
     }
     keys
 }

@@ -363,14 +363,14 @@ impl SearchRecorder {
                 let feasible = scored.is_feasible();
                 let mut shaped = scored.value();
                 if let Some(cell) = proposal_cell {
+                    // The front builds the payload only for a point it
+                    // keeps, so a rejected step clones no cell.
                     let point = scenario.metric_point(eval);
+                    let payload = || (cell.clone(), *config);
                     let hv_delta = if self.shaping.is_active() {
-                        let (_, delta) = self
-                            .front
-                            .insert_with_hv_delta(point, (cell.clone(), *config));
-                        delta
+                        self.front.insert_with_hv_delta(&point, payload).1
                     } else {
-                        self.front.insert(point, (cell.clone(), *config));
+                        self.front.insert_with(&point, payload);
                         0.0
                     };
                     if let RewardShaping::HypervolumeGradient { weight } = self.shaping {
@@ -665,7 +665,7 @@ mod tests {
         let base0 = spec.reward(&pe0).value();
         let mut front: DynParetoFront<()> = spec.empty_front();
         front.enable_hv_cache(&reference);
-        let (_, d0) = front.insert_with_hv_delta(spec.metric_point(&pe0), ());
+        let (_, d0) = front.insert_with_hv_delta(&spec.metric_point(&pe0), || ());
         assert!(d0 > 0.0);
         assert!((r0 - (base0 + 2.0 * d0)).abs() < 1e-12);
 

@@ -309,7 +309,9 @@ impl CampaignReport {
             .iter()
             .filter(|s| s.spec.scenario_name() == scenario)
         {
-            merged.extend(shard.front.iter().cloned());
+            for (m, p) in shard.front.iter() {
+                merged.insert_with(m, || p.clone());
+            }
         }
         merged
     }
@@ -409,7 +411,9 @@ impl CampaignReport {
                 .unwrap_or_else(|| AxisSchema::new(std::iter::empty::<String>()));
             let mut group_front = DynParetoFront::new(schema.clone());
             for member in &members {
-                group_front.extend(member.front.iter().cloned());
+                for (m, p) in member.front.iter() {
+                    group_front.insert_with(m, || p.clone());
+                }
             }
             let group_hv = members.first().map_or(0.0, |m| {
                 group_front.hypervolume(&m.spec.scenario.hypervolume_reference())
@@ -709,7 +713,7 @@ mod tests {
         let front = report.merged_front("Unconstrained");
         assert!(!front.is_empty());
         assert_eq!(front.schema().names(), ["area", "lat", "acc"]);
-        let points: Vec<&codesign_moo::MetricVector> = front.iter().map(|(m, _)| m).collect();
+        let points: Vec<&[f64]> = front.iter().map(|(m, _)| m).collect();
         for (i, a) in points.iter().enumerate() {
             for (j, b) in points.iter().enumerate() {
                 if i != j {

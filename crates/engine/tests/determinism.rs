@@ -23,7 +23,10 @@ fn sweep_campaign() -> Campaign {
 }
 
 fn front_bits<T>(front: &DynParetoFront<T>) -> Vec<Vec<u64>> {
-    let mut bits: Vec<Vec<u64>> = front.iter().map(|(m, _)| m.to_bits()).collect();
+    let mut bits: Vec<Vec<u64>> = front
+        .iter()
+        .map(|(m, _)| m.iter().map(|x| x.to_bits()).collect())
+        .collect();
     bits.sort_unstable();
     bits
 }
@@ -317,7 +320,10 @@ fn merged_shard_fronts_equal_front_of_concatenated_histories() {
             }
         }
     }
-    let mut history_bits: Vec<Vec<u64>> = concatenated.iter().map(|(m, ())| m.to_bits()).collect();
+    let mut history_bits: Vec<Vec<u64>> = concatenated
+        .iter()
+        .map(|(m, ())| m.iter().map(|x| x.to_bits()).collect())
+        .collect();
     history_bits.sort_unstable();
     assert_eq!(
         front_bits(&report.merged_front("Unconstrained")),

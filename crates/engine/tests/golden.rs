@@ -218,8 +218,8 @@ fn exhaustive_front_on_the_unconstrained_axes() {
         assert_eq!(front.len(), 401);
         let mut bytes = Vec::new();
         for (metrics, (cell_index, config)) in front.iter() {
-            for bits in metrics.to_bits() {
-                bytes.extend(bits.to_le_bytes());
+            for value in metrics {
+                bytes.extend(value.to_bits().to_le_bytes());
             }
             bytes.extend((*cell_index as u64).to_le_bytes());
             bytes.extend(space.encode(config).map(|i| i as u8));

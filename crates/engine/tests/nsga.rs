@@ -45,8 +45,16 @@ fn assert_reports_identical(a: &CampaignReport, b: &CampaignReport) {
             "shard {} generation curve diverged",
             x.spec.index
         );
-        let xb: Vec<Vec<u64>> = x.front.iter().map(|(m, _)| m.to_bits()).collect();
-        let yb: Vec<Vec<u64>> = y.front.iter().map(|(m, _)| m.to_bits()).collect();
+        let xb: Vec<Vec<u64>> = x
+            .front
+            .iter()
+            .map(|(m, _)| m.iter().map(|x| x.to_bits()).collect())
+            .collect();
+        let yb: Vec<Vec<u64>> = y
+            .front
+            .iter()
+            .map(|(m, _)| m.iter().map(|x| x.to_bits()).collect())
+            .collect();
         assert_eq!(xb, yb, "shard {} front diverged", x.spec.index);
     }
 }

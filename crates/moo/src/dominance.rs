@@ -133,6 +133,27 @@ pub fn compare_dyn(a: &[f64], b: &[f64]) -> Dominance {
     }
 }
 
+/// Whether `a` is better than `b` in some objective, and whether `b` is
+/// better than `a` in some objective: the exact comparisons [`compare_dyn`]
+/// classifies by, made on every objective with no early exit: on the short
+/// vectors of the front scan and `rank_dyn`, the exit's hard-to-predict
+/// branch costs more than the comparisons it saves.
+#[inline]
+pub(crate) fn better_somewhere(a: &[f64], b: &[f64]) -> (bool, bool) {
+    debug_assert_eq!(a.len(), b.len(), "dominance between different dimensions");
+    debug_assert!(
+        a.iter().chain(b.iter()).all(|v| !v.is_nan()),
+        "NaN metric in dominance comparison"
+    );
+    let mut a_better = false;
+    let mut b_better = false;
+    for (&x, &y) in a.iter().zip(b) {
+        a_better |= x > y;
+        b_better |= y > x;
+    }
+    (a_better, b_better)
+}
+
 /// [`dominates`] over runtime-dimension slices.
 ///
 /// # Panics
@@ -164,7 +185,9 @@ pub fn dominates_dyn(a: &[f64], b: &[f64]) -> bool {
 /// stay bit-identical across worker counts.
 ///
 /// Runs the Deb et al. bookkeeping: one `O(n²·d)` pairwise-dominance pass
-/// building per-point domination counts, then a linear peel per front.
+/// over a flat copy of the points, building per-point domination counts
+/// and a bitset row per point of the points it dominates, then a linear
+/// peel per front.
 ///
 /// # Panics
 ///
@@ -192,39 +215,59 @@ pub fn rank_dyn<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
     if n == 0 {
         return ranks;
     }
+    let dims = points[0].as_ref().len();
+    let mut flat = Vec::with_capacity(n * dims);
+    for p in points {
+        let p = p.as_ref();
+        assert_eq!(
+            p.len(),
+            dims,
+            "dominance between different dimensions ({} vs {dims})",
+            p.len()
+        );
+        flat.extend_from_slice(p);
+    }
+    let row = |i: usize| &flat[i * dims..(i + 1) * dims];
     // dominated_by[i]: how many points strictly dominate i.
-    // dominates[i]: the points i strictly dominates.
+    // Bit j of row i of `beats`: i strictly dominates j.
+    let words = n.div_ceil(64);
     let mut dominated_by = vec![0usize; n];
-    let mut dominates_list: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut beats = vec![0u64; n * words];
     for i in 0..n {
         for j in (i + 1)..n {
-            match compare_dyn(points[i].as_ref(), points[j].as_ref()) {
-                Dominance::Dominates => {
-                    dominates_list[i].push(j);
+            match better_somewhere(row(i), row(j)) {
+                (true, false) => {
+                    beats[i * words + j / 64] |= 1u64 << (j % 64);
                     dominated_by[j] += 1;
                 }
-                Dominance::DominatedBy => {
-                    dominates_list[j].push(i);
+                (false, true) => {
+                    beats[j * words + i / 64] |= 1u64 << (i % 64);
                     dominated_by[i] += 1;
                 }
-                Dominance::Equal | Dominance::Incomparable => {}
+                _ => {}
             }
         }
     }
     let mut current: Vec<usize> = (0..n).filter(|&i| dominated_by[i] == 0).collect();
+    let mut next = Vec::new();
     let mut rank = 0usize;
     while !current.is_empty() {
-        let mut next = Vec::new();
         for &i in &current {
             ranks[i] = rank;
-            for &j in &dominates_list[i] {
-                dominated_by[j] -= 1;
-                if dominated_by[j] == 0 {
-                    next.push(j);
+            for (w, &bits) in beats[i * words..(i + 1) * words].iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    let j = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    dominated_by[j] -= 1;
+                    if dominated_by[j] == 0 {
+                        next.push(j);
+                    }
                 }
             }
         }
-        current = next;
+        std::mem::swap(&mut current, &mut next);
+        next.clear();
         rank += 1;
     }
     ranks

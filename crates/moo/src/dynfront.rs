@@ -13,7 +13,8 @@
 //!   [`MetricVector::INLINE_DIMS`] values live inline (no heap allocation for
 //!   any registry-sized scenario), larger vectors spill to a `Vec`.
 //! * [`DynParetoFront`] — an incrementally-maintained front: insertion with
-//!   dominated-member eviction, duplicate metric vectors retained.
+//!   dominated-member eviction, duplicate metric vectors retained, members'
+//!   metrics in one flat array scanned in a single pass.
 //! * [`DynStreamingParetoFilter`] — bounded-memory exact filtering for
 //!   enumeration-scale streams, in whatever axes the scenario declares.
 //!
@@ -39,7 +40,7 @@ use std::sync::Arc;
 
 use codesign_telemetry::Histogram;
 
-use crate::dominance::dominates_dyn;
+use crate::dominance::{better_somewhere, dominates_dyn};
 use crate::hv_incremental::IncrementalHypervolume;
 use crate::hypervolume::hypervolume_dyn_iter;
 use crate::pareto::pareto_filter_dyn;
@@ -265,6 +266,13 @@ impl FromIterator<f64> for MetricVector {
 /// front size, which stays small in practice (the paper's full-space front
 /// has 3,096 members).
 ///
+/// The members' metrics live in one contiguous `Vec<f64>`, row-major with
+/// a stride of the schema's axis count, and their payloads in a parallel
+/// `Vec<T>`. An insert reads the rows in one pass: it stops at the first
+/// member that dominates the point, and otherwise notes the first member
+/// the point dominates, so only an accepted point that evicts something
+/// pays a compaction pass. Members keep their insertion order.
+///
 /// # Examples
 ///
 /// ```
@@ -275,11 +283,16 @@ impl FromIterator<f64> for MetricVector {
 /// assert!(front.insert([-90.0, 0.94].into(), "accurate"));
 /// assert!(!front.insert([-95.0, 0.93].into(), "dominated"));
 /// assert_eq!(front.len(), 2);
+/// let (metrics, payload) = front.iter().next().expect("two members");
+/// assert_eq!((metrics, *payload), (&[-20.0, 0.91][..], "fast"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct DynParetoFront<T> {
     schema: AxisSchema,
-    entries: Vec<(MetricVector, T)>,
+    /// Member `i`'s metrics are `metrics[i * dims..(i + 1) * dims]`.
+    metrics: Vec<f64>,
+    /// Member `i`'s payload, in the same order as the metric rows.
+    payloads: Vec<T>,
     hv_cache: Option<IncrementalHypervolume>,
 }
 
@@ -289,7 +302,25 @@ impl<T> DynParetoFront<T> {
     pub fn new(schema: AxisSchema) -> Self {
         Self {
             schema,
-            entries: Vec::new(),
+            metrics: Vec::new(),
+            payloads: Vec::new(),
+            hv_cache: None,
+        }
+    }
+
+    /// A front holding `entries` as they are, in order: the caller
+    /// guarantees that no entry dominates another.
+    fn from_entries(schema: AxisSchema, entries: Vec<(MetricVector, T)>) -> Self {
+        let mut metrics = Vec::with_capacity(entries.len() * schema.len());
+        let mut payloads = Vec::with_capacity(entries.len());
+        for (m, p) in entries {
+            metrics.extend_from_slice(&m);
+            payloads.push(p);
+        }
+        Self {
+            schema,
+            metrics,
+            payloads,
             hv_cache: None,
         }
     }
@@ -309,6 +340,18 @@ impl<T> DynParetoFront<T> {
     ///
     /// Panics if the point's dimension differs from the schema's.
     pub fn insert(&mut self, metrics: MetricVector, payload: T) -> bool {
+        self.insert_with(&metrics, || payload)
+    }
+
+    /// [`Self::insert`] with a lazily built payload: `payload` runs only
+    /// when the point joins the front, so a search loop pays for the
+    /// payload of the few points the front keeps, not of every point it
+    /// rejects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the point's dimension differs from the schema's.
+    pub fn insert_with(&mut self, metrics: &[f64], payload: impl FnOnce() -> T) -> bool {
         let timer = codesign_telemetry::enabled().then(std::time::Instant::now);
         let (accepted, _) = self.insert_untimed(metrics, payload);
         if let Some(t) = timer {
@@ -317,16 +360,21 @@ impl<T> DynParetoFront<T> {
         accepted
     }
 
-    /// Inserts a point like [`Self::insert`], returning `(accepted, delta)`
-    /// where `delta` is the point's marginal hypervolume contribution
-    /// against the cached tracker's reference — the per-step signal behind
-    /// hypervolume-gradient reward shaping. Rejected points price at `0.0`.
+    /// Inserts a point like [`Self::insert_with`], returning
+    /// `(accepted, delta)` where `delta` is the point's marginal
+    /// hypervolume contribution against the cached tracker's reference —
+    /// the per-step signal behind hypervolume-gradient reward shaping.
+    /// Rejected points price at `0.0` and never build their payload.
     ///
     /// # Panics
     ///
     /// Panics if [`Self::enable_hv_cache`] was never called, or if the
     /// point's dimension differs from the schema's.
-    pub fn insert_with_hv_delta(&mut self, metrics: MetricVector, payload: T) -> (bool, f64) {
+    pub fn insert_with_hv_delta(
+        &mut self,
+        metrics: &[f64],
+        payload: impl FnOnce() -> T,
+    ) -> (bool, f64) {
         assert!(
             self.hv_cache.is_some(),
             "insert_with_hv_delta requires enable_hv_cache first"
@@ -340,25 +388,61 @@ impl<T> DynParetoFront<T> {
     }
 
     /// The single delta-aware insert core: every mutation path (`insert`,
-    /// `insert_with_hv_delta`, `merge`, `extend`) lands here, so an enabled
-    /// hypervolume cache stays coherent with the member set.
-    fn insert_untimed(&mut self, metrics: MetricVector, payload: T) -> (bool, f64) {
-        self.check_dims(&metrics);
-        for (m, _) in &self.entries {
-            if dominates_dyn(m, &metrics) {
-                // A rejected point is dominated by an existing member, so
-                // its marginal volume is exactly zero — the cache never
-                // needs to see it.
-                return (false, 0.0);
+    /// `insert_with`, `insert_with_hv_delta`, `merge`, `extend`) lands
+    /// here, so an enabled hypervolume cache stays coherent with the member
+    /// set.
+    ///
+    /// Members never dominate one another, so a point that some member
+    /// dominates cannot itself dominate a member: one pass over the rows
+    /// either rejects the point or finds the first member it evicts.
+    fn insert_untimed(&mut self, metrics: &[f64], payload: impl FnOnce() -> T) -> (bool, f64) {
+        self.check_dims(metrics);
+        let dims = metrics.len();
+        let mut first_evicted = None;
+        if dims > 0 {
+            for (i, row) in self.metrics.chunks_exact(dims).enumerate() {
+                match better_somewhere(row, metrics) {
+                    // A rejected point is dominated by an existing member,
+                    // so its marginal volume is exactly zero — the cache
+                    // never needs to see it.
+                    (true, false) => return (false, 0.0),
+                    (false, true) if first_evicted.is_none() => first_evicted = Some(i),
+                    _ => {}
+                }
             }
         }
         let delta = match &mut self.hv_cache {
-            Some(cache) => cache.insert(metrics.as_slice()),
+            Some(cache) => cache.insert(metrics),
             None => 0.0,
         };
-        self.entries.retain(|(m, _)| !dominates_dyn(&metrics, m));
-        self.entries.push((metrics, payload));
+        if let Some(first) = first_evicted {
+            self.evict_dominated_from(first, metrics);
+        }
+        self.metrics.extend_from_slice(metrics);
+        self.payloads.push(payload());
         (true, delta)
+    }
+
+    /// Removes every member from row `first` on that `point` dominates,
+    /// keeping the survivors' order. Rows before `first` all survive.
+    fn evict_dominated_from(&mut self, first: usize, point: &[f64]) {
+        let dims = point.len();
+        let Self {
+            metrics, payloads, ..
+        } = self;
+        let mut row = 0;
+        let mut kept = 0;
+        payloads.retain(|_| {
+            let r = row;
+            row += 1;
+            let keep = r < first || !dominates_dyn(point, &metrics[r * dims..(r + 1) * dims]);
+            if keep {
+                metrics.copy_within(r * dims..(r + 1) * dims, kept * dims);
+                kept += 1;
+            }
+            keep
+        });
+        metrics.truncate(kept * dims);
     }
 
     /// Returns `true` if `metrics` would be rejected (some member dominates
@@ -370,30 +454,44 @@ impl<T> DynParetoFront<T> {
     #[must_use]
     pub fn would_reject(&self, metrics: &[f64]) -> bool {
         assert_eq!(metrics.len(), self.schema.len(), "dimension mismatch");
-        self.entries.iter().any(|(m, _)| dominates_dyn(m, metrics))
+        self.rows().any(|m| dominates_dyn(m, metrics))
     }
 
     /// Number of points currently on the front.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.payloads.len()
     }
 
     /// Returns `true` when the front holds no points.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.payloads.is_empty()
     }
 
     /// Iterates over `(metrics, payload)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &(MetricVector, T)> {
-        self.entries.iter()
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[f64], &T)> + '_ {
+        self.rows().zip(&self.payloads)
     }
 
-    /// Consumes the front and returns its entries.
+    /// The members' metric rows, in insertion order.
+    fn rows(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
+        let dims = self.schema.len();
+        (0..self.payloads.len()).map(move |i| &self.metrics[i * dims..(i + 1) * dims])
+    }
+
+    /// Consumes the front and returns its entries, in insertion order.
     #[must_use]
     pub fn into_vec(self) -> Vec<(MetricVector, T)> {
-        self.entries
+        let dims = self.schema.len();
+        self.payloads
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let row = &self.metrics[i * dims..(i + 1) * dims];
+                (MetricVector::from_slice(row), p)
+            })
+            .collect()
     }
 
     /// Merges another front of the *same schema* into this one (the merged
@@ -409,8 +507,9 @@ impl<T> DynParetoFront<T> {
             self.schema, other.schema,
             "cannot merge fronts with different axes"
         );
-        for (m, p) in other.entries {
-            self.insert(m, p);
+        let dims = other.schema.len();
+        for (i, p) in other.payloads.into_iter().enumerate() {
+            self.insert_with(&other.metrics[i * dims..(i + 1) * dims], || p);
         }
     }
 
@@ -429,7 +528,7 @@ impl<T> DynParetoFront<T> {
     pub fn hypervolume(&self, reference: &[f64]) -> f64 {
         assert_eq!(reference.len(), self.schema.len(), "dimension mismatch");
         let timer = codesign_telemetry::enabled().then(std::time::Instant::now);
-        let hv = hypervolume_dyn_iter(self.entries.iter().map(|(m, _)| m.as_slice()), reference);
+        let hv = hypervolume_dyn_iter(self.rows(), reference);
         if let Some(t) = timer {
             HYPERVOLUME_US.record_duration(t.elapsed());
         }
@@ -460,10 +559,7 @@ impl<T> DynParetoFront<T> {
         match &self.hv_cache {
             Some(cache) if cache.reference() == reference => cache.hypervolume(),
             _ => {
-                let cache = IncrementalHypervolume::from_points(
-                    reference,
-                    self.entries.iter().map(|(m, _)| m.as_slice()),
-                );
+                let cache = IncrementalHypervolume::from_points(reference, self.rows());
                 let hv = cache.hypervolume();
                 self.hv_cache = Some(cache);
                 hv
@@ -495,7 +591,7 @@ impl<T> DynParetoFront<T> {
         }
     }
 
-    fn check_dims(&self, metrics: &MetricVector) {
+    fn check_dims(&self, metrics: &[f64]) {
         assert_eq!(
             metrics.len(),
             self.schema.len(),
@@ -634,12 +730,7 @@ impl<T> DynStreamingParetoFilter<T> {
     #[must_use]
     pub fn finish_front(self) -> DynParetoFront<T> {
         let schema = self.schema.clone();
-        let entries = self.finish();
-        DynParetoFront {
-            schema,
-            entries,
-            hv_cache: None,
-        }
+        DynParetoFront::from_entries(schema, self.finish())
     }
 
     fn compact(&mut self) {
@@ -688,16 +779,16 @@ pub fn crowding_distance_dyn<P: AsRef<[f64]>>(points: &[P]) -> Vec<f64> {
         return Vec::new();
     }
     let dims = points[0].as_ref().len();
+    // A flat copy, so the per-objective sorts read one contiguous array.
+    let mut flat = Vec::with_capacity(n * dims);
     for p in points {
-        assert_eq!(
-            p.as_ref().len(),
-            dims,
-            "crowding distance across mixed dimensions"
-        );
+        let p = p.as_ref();
+        assert_eq!(p.len(), dims, "crowding distance across mixed dimensions");
         debug_assert!(
-            p.as_ref().iter().all(|v| !v.is_nan()),
+            p.iter().all(|v| !v.is_nan()),
             "NaN metric in crowding distance"
         );
+        flat.extend_from_slice(p);
     }
     if n <= 2 {
         return vec![f64::INFINITY; n];
@@ -705,8 +796,10 @@ pub fn crowding_distance_dyn<P: AsRef<[f64]>>(points: &[P]) -> Vec<f64> {
     let mut distance = vec![0.0f64; n];
     let mut order: Vec<usize> = (0..n).collect();
     for m in 0..dims {
-        let value = |i: usize| points[i].as_ref()[m];
-        order.sort_by(|&a, &b| value(a).total_cmp(&value(b)).then(a.cmp(&b)));
+        let value = |i: usize| flat[i * dims + m];
+        // A total order (ties broken by index), so an unstable sort gives
+        // the one sorted order a stable sort would.
+        order.sort_unstable_by(|&a, &b| value(a).total_cmp(&value(b)).then(a.cmp(&b)));
         let (first, last) = (order[0], order[n - 1]);
         let span = value(last) - value(first);
         distance[first] = f64::INFINITY;
@@ -793,6 +886,28 @@ mod tests {
         assert_eq!(members, fixed);
         assert!(front.would_reject(&[0.5, 0.5, 0.5]));
         assert!(!front.would_reject(&[9.0, 0.0, 0.0]));
+    }
+
+    #[test]
+    fn rejected_points_never_build_their_payload() {
+        let mut front: DynParetoFront<String> = DynParetoFront::new(AxisSchema::new(["x", "y"]));
+        assert!(front.insert_with(&[1.0, 1.0], || "kept".to_owned()));
+        let dominated = || -> String { panic!("a dominated point built its payload") };
+        assert!(!front.insert_with(&[0.5, 1.0], dominated));
+        front.enable_hv_cache(&[0.0, 0.0]);
+        assert_eq!(
+            front.insert_with_hv_delta(&[1.0, 0.0], dominated),
+            (false, 0.0)
+        );
+        // An accepted point builds its payload once, after evicting.
+        let mut built = 0;
+        assert!(front.insert_with(&[2.0, 2.0], || {
+            built += 1;
+            "evicts".to_owned()
+        }));
+        assert_eq!(built, 1);
+        let members: Vec<(&[f64], &String)> = front.iter().collect();
+        assert_eq!(members, [(&[2.0, 2.0][..], &"evicts".to_owned())]);
     }
 
     #[test]
@@ -951,10 +1066,10 @@ mod tests {
         assert!((hv0 - 2.0).abs() < 1e-12);
         // Re-enabling with the same reference is a cache read.
         assert_eq!(front.enable_hv_cache(&[0.0, 0.0]), hv0);
-        let (accepted, delta) = front.insert_with_hv_delta([2.0, 1.0].into(), 1);
+        let (accepted, delta) = front.insert_with_hv_delta(&[2.0, 1.0], || 1);
         assert!(accepted);
         assert!((delta - 1.0).abs() < 1e-12);
-        let (rejected, zero) = front.insert_with_hv_delta([0.5, 0.5].into(), 2);
+        let (rejected, zero) = front.insert_with_hv_delta(&[0.5, 0.5], || 2);
         assert!(!rejected);
         assert_eq!(zero, 0.0);
         // Merge routes through the same delta-aware core.
@@ -977,6 +1092,6 @@ mod tests {
     #[should_panic(expected = "enable_hv_cache")]
     fn insert_with_hv_delta_requires_the_cache() {
         let mut front: DynParetoFront<()> = DynParetoFront::new(AxisSchema::new(["x", "y"]));
-        let _ = front.insert_with_hv_delta([1.0, 1.0].into(), ());
+        let _ = front.insert_with_hv_delta(&[1.0, 1.0], || ());
     }
 }

@@ -5,7 +5,7 @@ use codesign_moo::pareto::{pareto_filter_dyn, pareto_indices_3d, pareto_indices_
 use codesign_moo::{
     crowding_distance_dyn, dominates, dominates_dyn, hypervolume_3d, hypervolume_dyn, rank_dyn,
     AxisSchema, DynParetoFront, DynRewardSpec, DynStreamingParetoFilter, IncrementalHypervolume,
-    LinearNorm,
+    LinearNorm, MetricVector,
 };
 use proptest::prelude::*;
 
@@ -24,6 +24,42 @@ fn point3() -> impl Strategy<Value = [f64; 3]> {
 
 fn point4() -> impl Strategy<Value = [f64; 4]> {
     [metric(), metric(), metric(), metric()]
+}
+
+fn point5() -> impl Strategy<Value = [f64; 5]> {
+    [metric(), metric(), metric(), metric(), metric()]
+}
+
+/// A stream at 1–6 axes, with its axis count, over the tie-heavy grid.
+/// Every point is drawn from a small pool, so exact duplicates recur
+/// throughout the stream.
+fn duplicate_heavy_stream() -> impl Strategy<Value = (usize, Vec<Vec<f64>>)> {
+    (1usize..=6)
+        .prop_flat_map(|dims| {
+            (
+                Just(dims),
+                prop::collection::vec(prop::collection::vec(metric(), dims), 1..48),
+                prop::collection::vec(0usize..64, 0..150),
+            )
+        })
+        .prop_map(|(dims, pool, picks)| {
+            let stream = picks
+                .iter()
+                .map(|&k| pool[k % pool.len()].clone())
+                .collect();
+            (dims, stream)
+        })
+}
+
+/// The naive incremental front: a point some member dominates is
+/// rejected; otherwise the members it dominates leave and it is appended.
+fn naive_insert(front: &mut Vec<(MetricVector, usize)>, point: &[f64], payload: usize) -> bool {
+    if front.iter().any(|(m, _)| dominates_dyn(m, point)) {
+        return false;
+    }
+    front.retain(|(m, _)| !dominates_dyn(point, m));
+    front.push((MetricVector::from_slice(point), payload));
+    true
 }
 
 /// A point in the paper-triple value ranges (signed `(−area, −lat, acc)`),
@@ -162,6 +198,42 @@ proptest! {
         prop_assert_eq!(got, pareto_indices_dyn(&pts));
     }
 
+    // Shard fronts are exported in insertion order, so the front must keep
+    // the naive reference's members in its order, with its payloads, and
+    // build a payload only for a point it accepts.
+    #[test]
+    fn dyn_front_matches_the_naive_reference_in_order((dims, stream) in duplicate_heavy_stream()) {
+        let schema = AxisSchema::new((0..dims).map(|k| format!("m{k}")));
+        let mut front: DynParetoFront<usize> = DynParetoFront::new(schema);
+        let mut reference: Vec<(MetricVector, usize)> = Vec::new();
+        let mut built = 0;
+        let mut accepted = 0;
+        for (i, p) in stream.iter().enumerate() {
+            let joins = naive_insert(&mut reference, p, i);
+            accepted += usize::from(joins);
+            prop_assert_eq!(front.would_reject(p), !joins);
+            let inserted = front.insert_with(p, || {
+                built += 1;
+                i
+            });
+            prop_assert_eq!(inserted, joins);
+        }
+        prop_assert_eq!(built, accepted);
+        let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let got: Vec<(Vec<u64>, usize)> = front.iter().map(|(m, &i)| (bits(m), i)).collect();
+        let want: Vec<(Vec<u64>, usize)> =
+            reference.iter().map(|(m, i)| (bits(m), *i)).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(front.into_vec(), reference);
+    }
+
+    #[test]
+    fn crowding_dyn_equals_brute_force_bitwise((_dims, stream) in duplicate_heavy_stream()) {
+        let got: Vec<u64> = crowding_distance_dyn(&stream).iter().map(|d| d.to_bits()).collect();
+        let want: Vec<u64> = brute_force_crowding(&stream).iter().map(|d| d.to_bits()).collect();
+        prop_assert_eq!(got, want);
+    }
+
     #[test]
     fn dominance_is_antisymmetric(a in point3(), b in point3()) {
         let fwd = compare(&a, &b);
@@ -285,6 +357,12 @@ proptest! {
     // dimension scenarios use (the integer grid maximizes ties, the hard
     // case for rank peeling).
     #[test]
+    fn rank_dyn_equals_brute_force_1d(pts in prop::collection::vec([metric()], 0..80)) {
+        let dyn_pts: Vec<Vec<f64>> = pts.iter().map(|p| p.to_vec()).collect();
+        prop_assert_eq!(rank_dyn(&pts), brute_force_ranks(&dyn_pts));
+    }
+
+    #[test]
     fn rank_dyn_equals_brute_force_2d(pts in prop::collection::vec(point2(), 0..80)) {
         let dyn_pts: Vec<Vec<f64>> = pts.iter().map(|p| p.to_vec()).collect();
         prop_assert_eq!(rank_dyn(&pts), brute_force_ranks(&dyn_pts));
@@ -298,6 +376,13 @@ proptest! {
 
     #[test]
     fn rank_dyn_equals_brute_force_4d(pts in prop::collection::vec(point4(), 0..80)) {
+        let dyn_pts: Vec<Vec<f64>> = pts.iter().map(|p| p.to_vec()).collect();
+        prop_assert_eq!(rank_dyn(&pts), brute_force_ranks(&dyn_pts));
+    }
+
+    // 5 axes and up to 130 points: bitset rows span three 64-bit words.
+    #[test]
+    fn rank_dyn_equals_brute_force_5d(pts in prop::collection::vec(point5(), 0..130)) {
         let dyn_pts: Vec<Vec<f64>> = pts.iter().map(|p| p.to_vec()).collect();
         prop_assert_eq!(rank_dyn(&pts), brute_force_ranks(&dyn_pts));
     }
@@ -407,7 +492,7 @@ proptest! {
         prop_assert!(relative_close(seeded, front.hypervolume(&reference)));
         for (i, p) in pts[split..].iter().enumerate() {
             let before = front.hypervolume_cached(&reference);
-            let (_, delta) = front.insert_with_hv_delta((*p).into(), split + i);
+            let (_, delta) = front.insert_with_hv_delta(p, || split + i);
             prop_assert!(delta >= 0.0);
             let after = front.hypervolume_cached(&reference);
             prop_assert!(relative_close(before + delta, after));

@@ -21,7 +21,7 @@ fn front_fingerprint(report: &CampaignReport, scenario: &str) -> Vec<Vec<u64>> {
     let mut bits: Vec<Vec<u64>> = report
         .merged_front(scenario)
         .iter()
-        .map(|(m, _)| m.to_bits())
+        .map(|(m, _)| m.iter().map(|x| x.to_bits()).collect())
         .collect();
     bits.sort_unstable();
     bits

@@ -36,7 +36,9 @@ fn search_never_beats_the_exact_front() {
                 continue;
             };
             let m = reward.metric_point(&eval);
-            let beats_front = front.iter().all(|(f, _)| m != *f && !dominates_dyn(f, &m))
+            let beats_front = front
+                .iter()
+                .all(|(f, _)| m.as_slice() != f && !dominates_dyn(f, &m))
                 && front.iter().any(|(f, _)| dominates_dyn(&m, f));
             assert!(
                 !beats_front,
