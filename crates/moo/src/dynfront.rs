@@ -399,6 +399,8 @@ impl<T> DynParetoFront<T> {
         self.check_dims(metrics);
         let dims = metrics.len();
         let mut first_evicted = None;
+        // `chunks_exact` needs a positive stride; a zero-axis point
+        // dominates nothing and is dominated by nothing.
         if dims > 0 {
             for (i, row) in self.metrics.chunks_exact(dims).enumerate() {
                 match better_somewhere(row, metrics) {
