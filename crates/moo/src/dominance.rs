@@ -83,9 +83,10 @@ pub fn dominates<const N: usize>(a: &[f64; N], b: &[f64; N]) -> bool {
 /// [`compare`] with the dimension chosen at runtime: classifies the dominance
 /// relation of two equal-length metric slices.
 ///
-/// The comparison loop is the same sequence of `f64` comparisons as the
-/// fixed-array [`compare`], so the two can never disagree on points of the
-/// same dimension.
+/// It makes the exact comparisons of the fixed-array [`compare`], so the two
+/// can never disagree on points of the same dimension, but on every
+/// objective with no early exit: metric vectors are short, and on them the
+/// exit's hard-to-predict branch costs more than the comparisons it saves.
 ///
 /// # Panics
 ///
@@ -101,6 +102,7 @@ pub fn dominates<const N: usize>(a: &[f64; N], b: &[f64; N]) -> bool {
 /// assert_eq!(compare_dyn(&[1.0, 0.0], &[0.0, 1.0]), Dominance::Incomparable);
 /// ```
 #[must_use]
+#[inline]
 pub fn compare_dyn(a: &[f64], b: &[f64]) -> Dominance {
     assert_eq!(
         a.len(),
@@ -115,43 +117,16 @@ pub fn compare_dyn(a: &[f64], b: &[f64]) -> Dominance {
     );
     let mut a_better = false;
     let mut b_better = false;
-    for i in 0..a.len() {
-        if a[i] > b[i] {
-            a_better = true;
-        } else if a[i] < b[i] {
-            b_better = true;
-        }
-        if a_better && b_better {
-            return Dominance::Incomparable;
-        }
+    for (&x, &y) in a.iter().zip(b) {
+        a_better |= x > y;
+        b_better |= y > x;
     }
     match (a_better, b_better) {
         (true, false) => Dominance::Dominates,
         (false, true) => Dominance::DominatedBy,
         (false, false) => Dominance::Equal,
-        (true, true) => unreachable!("early return above"),
+        (true, true) => Dominance::Incomparable,
     }
-}
-
-/// Whether `a` is better than `b` in some objective, and whether `b` is
-/// better than `a` in some objective: the exact comparisons [`compare_dyn`]
-/// classifies by, made on every objective with no early exit: on the short
-/// vectors of the front scan and `rank_dyn`, the exit's hard-to-predict
-/// branch costs more than the comparisons it saves.
-#[inline]
-pub(crate) fn better_somewhere(a: &[f64], b: &[f64]) -> (bool, bool) {
-    debug_assert_eq!(a.len(), b.len(), "dominance between different dimensions");
-    debug_assert!(
-        a.iter().chain(b.iter()).all(|v| !v.is_nan()),
-        "NaN metric in dominance comparison"
-    );
-    let mut a_better = false;
-    let mut b_better = false;
-    for (&x, &y) in a.iter().zip(b) {
-        a_better |= x > y;
-        b_better |= y > x;
-    }
-    (a_better, b_better)
 }
 
 /// [`dominates`] over runtime-dimension slices.
@@ -235,16 +210,16 @@ pub fn rank_dyn<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
     let mut beats = vec![0u64; n * words];
     for i in 0..n {
         for j in (i + 1)..n {
-            match better_somewhere(row(i), row(j)) {
-                (true, false) => {
+            match compare_dyn(row(i), row(j)) {
+                Dominance::Dominates => {
                     beats[i * words + j / 64] |= 1u64 << (j % 64);
                     dominated_by[j] += 1;
                 }
-                (false, true) => {
+                Dominance::DominatedBy => {
                     beats[j * words + i / 64] |= 1u64 << (i % 64);
                     dominated_by[i] += 1;
                 }
-                _ => {}
+                Dominance::Equal | Dominance::Incomparable => {}
             }
         }
     }

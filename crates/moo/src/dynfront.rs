@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use codesign_telemetry::Histogram;
 
-use crate::dominance::{better_somewhere, dominates_dyn};
+use crate::dominance::{compare_dyn, dominates_dyn, Dominance};
 use crate::hv_incremental::IncrementalHypervolume;
 use crate::hypervolume::hypervolume_dyn_iter;
 use crate::pareto::pareto_filter_dyn;
@@ -268,10 +268,10 @@ impl FromIterator<f64> for MetricVector {
 ///
 /// The members' metrics live in one contiguous `Vec<f64>`, row-major with
 /// a stride of the schema's axis count, and their payloads in a parallel
-/// `Vec<T>`. An insert reads the rows in one pass: it stops at the first
-/// member that dominates the point, and otherwise notes the first member
-/// the point dominates, so only an accepted point that evicts something
-/// pays a compaction pass. Members keep their insertion order.
+/// `Vec<T>`. An insert reads the rows until it meets a member that
+/// dominates the point, which rejects it, or one that the point dominates,
+/// from which one compaction pass evicts; a point that dominates nothing
+/// is appended after a full scan. Members keep their insertion order.
 ///
 /// # Examples
 ///
@@ -392,9 +392,11 @@ impl<T> DynParetoFront<T> {
     /// here, so an enabled hypervolume cache stays coherent with the member
     /// set.
     ///
-    /// Members never dominate one another, so a point that some member
-    /// dominates cannot itself dominate a member: one pass over the rows
-    /// either rejects the point or finds the first member it evicts.
+    /// Members never dominate one another and dominance is transitive on
+    /// NaN-free points, so once the point dominates a member no later
+    /// member can dominate the point (it would dominate that member too):
+    /// the scan stops at the first member the point dominates, and the
+    /// compaction pass classifies the rows from there.
     fn insert_untimed(&mut self, metrics: &[f64], payload: impl FnOnce() -> T) -> (bool, f64) {
         self.check_dims(metrics);
         let dims = metrics.len();
@@ -403,13 +405,16 @@ impl<T> DynParetoFront<T> {
         // dominates nothing and is dominated by nothing.
         if dims > 0 {
             for (i, row) in self.metrics.chunks_exact(dims).enumerate() {
-                match better_somewhere(row, metrics) {
+                match compare_dyn(row, metrics) {
                     // A rejected point is dominated by an existing member,
                     // so its marginal volume is exactly zero — the cache
                     // never needs to see it.
-                    (true, false) => return (false, 0.0),
-                    (false, true) if first_evicted.is_none() => first_evicted = Some(i),
-                    _ => {}
+                    Dominance::Dominates => return (false, 0.0),
+                    Dominance::DominatedBy => {
+                        first_evicted = Some(i);
+                        break;
+                    }
+                    Dominance::Equal | Dominance::Incomparable => {}
                 }
             }
         }
@@ -781,16 +786,16 @@ pub fn crowding_distance_dyn<P: AsRef<[f64]>>(points: &[P]) -> Vec<f64> {
         return Vec::new();
     }
     let dims = points[0].as_ref().len();
-    // A flat copy, so the per-objective sorts read one contiguous array.
-    let mut flat = Vec::with_capacity(n * dims);
     for p in points {
-        let p = p.as_ref();
-        assert_eq!(p.len(), dims, "crowding distance across mixed dimensions");
+        assert_eq!(
+            p.as_ref().len(),
+            dims,
+            "crowding distance across mixed dimensions"
+        );
         debug_assert!(
-            p.iter().all(|v| !v.is_nan()),
+            p.as_ref().iter().all(|v| !v.is_nan()),
             "NaN metric in crowding distance"
         );
-        flat.extend_from_slice(p);
     }
     if n <= 2 {
         return vec![f64::INFINITY; n];
@@ -798,7 +803,7 @@ pub fn crowding_distance_dyn<P: AsRef<[f64]>>(points: &[P]) -> Vec<f64> {
     let mut distance = vec![0.0f64; n];
     let mut order: Vec<usize> = (0..n).collect();
     for m in 0..dims {
-        let value = |i: usize| flat[i * dims + m];
+        let value = |i: usize| points[i].as_ref()[m];
         // A total order (ties broken by index), so an unstable sort gives
         // the one sorted order a stable sort would.
         order.sort_unstable_by(|&a, &b| value(a).total_cmp(&value(b)).then(a.cmp(&b)));
