@@ -145,17 +145,11 @@ impl SearchStrategy for EvolutionSearch {
     ) -> SearchOutcome {
         let vocab = ctx.space.vocab_sizes();
         let mut recorder = SearchRecorder::new(self.name(), config.steps, ctx.reward);
-        // When guided, draw exactly one u64 for the guide's model seed (a
-        // disabled guide draws nothing — the stream, and hence the run, is
-        // bit-identical to classic evolution), then warm-start from the
-        // preloaded entries of the shared cache, if any.
-        let mut guide = self.surrogate.map(|cfg| {
-            let mut g = SurrogateGuide::from_stream(cfg, rng);
-            if let Some(shared) = ctx.evaluator.shared_cache() {
-                g.warm_start(&shared.snapshot_labeled());
-            }
-            g
-        });
+        // A disabled guide draws nothing: the stream, and hence the run, is
+        // bit-identical to classic evolution.
+        let mut guide = self
+            .surrogate
+            .map(|cfg| SurrogateGuide::for_run(cfg, ctx.evaluator, rng));
         // Aging queue of (genome, reward); the oldest dies on overflow.
         let mut population: VecDeque<(Vec<usize>, f64)> = VecDeque::with_capacity(self.population);
 
@@ -209,16 +203,7 @@ impl SearchStrategy for EvolutionSearch {
                 &proposal.config,
             );
             if let Some(g) = guide.as_mut() {
-                g.note_verified();
-                if let (Ok(cell), Some(eval)) = (&proposal.cell, outcome.evaluation()) {
-                    if let Some(score) = predicted {
-                        g.note_prediction(score, ctx.reward.reward(eval).value());
-                    }
-                    g.observe(
-                        pair_features(cell, ctx.evaluator.net_config(), &proposal.config),
-                        eval,
-                    );
-                }
+                g.observe_verified(ctx, &proposal, &outcome, predicted);
             }
             population.push_back((genome, reward));
             if population.len() > self.population {

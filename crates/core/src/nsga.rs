@@ -175,17 +175,11 @@ impl SearchStrategy for NsgaSearch {
         let vocab = ctx.space.vocab_sizes();
         let mut recorder = SearchRecorder::new(self.name(), config.steps, ctx.reward);
         let pop_size = self.population.max(2);
-        // When guided, draw exactly one u64 for the guide's model seed (a
-        // disabled guide draws nothing — the stream, and hence the run, is
-        // bit-identical to classic NSGA-II), then warm-start from the
-        // preloaded entries of the shared cache, if any.
-        let mut guide = self.surrogate.map(|cfg| {
-            let mut g = SurrogateGuide::from_stream(cfg, rng);
-            if let Some(shared) = ctx.evaluator.shared_cache() {
-                g.warm_start(&shared.snapshot_labeled());
-            }
-            g
-        });
+        // A disabled guide draws nothing: the stream, and hence the run, is
+        // bit-identical to classic NSGA-II.
+        let mut guide = self
+            .surrogate
+            .map(|cfg| SurrogateGuide::for_run(cfg, ctx.evaluator, rng));
 
         // Generation 0: uniform random seeding (capped by the step budget).
         let mut population: Vec<Individual> = {
@@ -375,16 +369,7 @@ fn evaluate(
         &proposal.config,
     );
     if let Some(g) = guide {
-        g.note_verified();
-        if let (Ok(cell), Some(eval)) = (&proposal.cell, outcome.evaluation()) {
-            if let Some(score) = predicted {
-                g.note_prediction(score, ctx.reward.reward(eval).value());
-            }
-            g.observe(
-                pair_features(cell, ctx.evaluator.net_config(), &proposal.config),
-                eval,
-            );
-        }
+        g.observe_verified(ctx, &proposal, &outcome, predicted);
     }
     let (objectives, feasible) = match (outcome.evaluation(), proposal.cell.is_ok()) {
         (Some(eval), true) => (

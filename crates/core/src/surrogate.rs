@@ -47,7 +47,9 @@ use codesign_accel::AcceleratorConfig;
 use codesign_nasbench::{CellFeatures, CellSpec, NetworkConfig};
 use codesign_rl::{MlpRegressor, RegressorConfig};
 
-use crate::evaluator::PairEvaluation;
+use crate::evaluator::{EvalOutcome, Evaluator, PairEvaluation};
+use crate::search::SearchContext;
+use crate::space::Proposal;
 
 /// Structural cell descriptors per feature vector.
 pub const CELL_FEATURE_DIM: usize = 10;
@@ -441,13 +443,40 @@ impl SurrogateGuide {
         }
     }
 
-    /// Draws the guide's model-initialization seed from a strategy's
-    /// injected stream — exactly one `u64`, so enabling guidance perturbs
-    /// the stream identically across strategies, and disabling it draws
-    /// nothing.
+    /// The guide of one generational run: draws the model-initialization
+    /// seed from the run's injected stream — exactly one `u64`, so enabling
+    /// guidance perturbs the stream identically across strategies, and
+    /// disabling it draws nothing — then warm-starts from the preloaded
+    /// entries of the evaluator's shared cache, if any.
     #[must_use]
-    pub fn from_stream(config: SurrogateConfig, rng: &mut SmallRng) -> Self {
-        Self::new(config, rng.gen::<u64>())
+    pub fn for_run(config: SurrogateConfig, evaluator: &Evaluator, rng: &mut SmallRng) -> Self {
+        let mut guide = Self::new(config, rng.gen::<u64>());
+        if let Some(shared) = evaluator.shared_cache() {
+            guide.warm_start(&shared.snapshot_labeled());
+        }
+        guide
+    }
+
+    /// Feeds one real evaluation back: accounts it, scores the reward
+    /// `predicted` for it when it was a guided pick, and observes the pair
+    /// when it is valid.
+    pub fn observe_verified(
+        &mut self,
+        ctx: &SearchContext<'_>,
+        proposal: &Proposal,
+        outcome: &EvalOutcome,
+        predicted: Option<f64>,
+    ) {
+        self.note_verified();
+        if let (Ok(cell), Some(eval)) = (&proposal.cell, outcome.evaluation()) {
+            if let Some(score) = predicted {
+                self.note_prediction(score, ctx.reward.reward(eval).value());
+            }
+            self.observe(
+                pair_features(cell, ctx.evaluator.net_config(), &proposal.config),
+                eval,
+            );
+        }
     }
 }
 
