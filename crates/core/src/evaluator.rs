@@ -25,8 +25,9 @@ static EVAL_US: codesign_telemetry::Histogram = codesign_telemetry::Histogram::n
 static EVALUATIONS: codesign_telemetry::Counter =
     codesign_telemetry::Counter::new("core.evaluations");
 
-/// A pluggable cache backend consulted *before* the evaluator's private
-/// memoization, keyed by `(canonical cell hash, accelerator config)`.
+/// A pluggable pair memo keyed by `(canonical cell hash, accelerator
+/// config)`: attached to an evaluator, it is where that evaluator looks
+/// pairs up and stores them, in place of its private map.
 ///
 /// Implementations are shared across evaluators (and threads — hence
 /// `Send + Sync`), letting a whole campaign of searches reuse each other's
@@ -163,20 +164,23 @@ impl EvalOutcome {
 
 /// The Fig. 1 evaluator with memoization.
 ///
-/// Latency is cached per `(cell, accelerator)` and accuracy per cell, so a
-/// 10,000-step search re-visits points for free — mirroring how the paper
-/// re-reads NASBench rather than re-training revisited models.
+/// Each pair's metrics are memoized in one place — the attached
+/// [`EvalCache`], or else a private map — and accuracy per cell, so a
+/// 10,000-step search re-visits points for free, mirroring how the paper
+/// re-reads NASBench rather than re-training revisited models. A miss
+/// recomputes latency, area and peak power from the models.
 pub struct Evaluator {
     accuracy: AccuracySource,
     area_model: AreaModel,
     latency_model: LatencyModel,
     power_model: PowerModel,
     net_config: NetworkConfig,
-    latency_cache: HashMap<(u128, AcceleratorConfig), f64>,
     accuracy_cache: HashMap<u128, f64>,
-    /// Per-configuration `(area mm², peak power W)` — both are functions of
-    /// the accelerator alone, so they share one cache entry.
-    hw_cache: HashMap<AcceleratorConfig, (f64, f64)>,
+    /// The pair memo when no shared cache is attached. Two labellings of
+    /// one cell share a canonical hash but may schedule to different
+    /// latencies, so this map, keyed like the shared cache, makes a
+    /// relabelled revisit answer the same with and without one.
+    pairs: HashMap<(u128, AcceleratorConfig), PairEvaluation>,
     /// Optional process-wide cache shared with other evaluators.
     shared_cache: Option<Arc<dyn EvalCache>>,
     /// Salt mixed into shared-cache keys so evaluators with different
@@ -255,9 +259,8 @@ impl Evaluator {
             latency_model: LatencyModel::default(),
             power_model: PowerModel::default(),
             net_config,
-            latency_cache: HashMap::new(),
             accuracy_cache: HashMap::new(),
-            hw_cache: HashMap::new(),
+            pairs: HashMap::new(),
             shared_cache: None,
             cache_salt,
             resolved_cells: 0,
@@ -266,7 +269,8 @@ impl Evaluator {
         }
     }
 
-    /// Attaches a process-wide cache consulted before the private caches.
+    /// Attaches a process-wide cache, which then memoizes this evaluator's
+    /// pairs in place of its private map.
     ///
     /// With a database accuracy source a hit is exactly equivalent to a
     /// recomputation. With a trainer source, a hit also skips the simulated
@@ -357,8 +361,8 @@ impl Evaluator {
         self.resolve_pair(cell, config)
     }
 
-    /// Resolves the metrics of a structurally-valid pair: shared cache
-    /// first, then the private per-metric caches / models.
+    /// Resolves the metrics of a structurally-valid pair: from the pair
+    /// memo, or else from the accuracy source and the hardware models.
     fn resolve_pair(
         &mut self,
         cell: &CellSpec,
@@ -378,28 +382,39 @@ impl Evaluator {
         cell: &CellSpec,
         config: &AcceleratorConfig,
     ) -> Option<PairEvaluation> {
-        let salted = cell.canonical_hash() ^ self.cache_salt;
-        if let Some(shared) = &self.shared_cache {
-            if let Some(eval) = shared.get(salted, config) {
-                return Some(eval);
-            }
+        let hash = cell.canonical_hash();
+        let salted = hash ^ self.cache_salt;
+        let memo = match &self.shared_cache {
+            Some(shared) => shared.get(salted, config),
+            None => self.pairs.get(&(hash, *config)).copied(),
+        };
+        if memo.is_some() {
+            return memo;
         }
         let accuracy = self.resolve_accuracy(cell)?;
-        let (area_mm2, power_w) = self.resolve_hw(config);
+        let network = Network::assemble(cell, &self.net_config);
         let eval = PairEvaluation {
             accuracy,
-            latency_ms: self.resolve_latency(cell, config),
-            area_mm2,
-            power_w,
+            latency_ms: Scheduler::new(self.latency_model, *config).network_latency_ms(&network),
+            area_mm2: self.area_model.area_mm2(config),
+            power_w: self
+                .power_model
+                .peak_power(&self.area_model, config)
+                .total_w(),
         };
-        if let Some(shared) = &self.shared_cache {
-            if shared.wants_cell_features() {
-                shared.put_cell_features(
-                    salted,
-                    crate::surrogate::cell_feature_vec(cell, &self.net_config),
-                );
+        match &self.shared_cache {
+            Some(shared) => {
+                if shared.wants_cell_features() {
+                    shared.put_cell_features(
+                        salted,
+                        crate::surrogate::cell_feature_vec(cell, &self.net_config),
+                    );
+                }
+                shared.put(salted, config, eval);
             }
-            shared.put(salted, config, eval);
+            None => {
+                self.pairs.insert((hash, *config), eval);
+            }
         }
         Some(eval)
     }
@@ -439,30 +454,6 @@ impl Evaluator {
         }
         self.training_seconds += train_secs;
         Some(acc)
-    }
-
-    fn resolve_latency(&mut self, cell: &CellSpec, config: &AcceleratorConfig) -> f64 {
-        let key = (cell.canonical_hash(), *config);
-        if let Some(&ms) = self.latency_cache.get(&key) {
-            return ms;
-        }
-        let network = Network::assemble(cell, &self.net_config);
-        let ms = Scheduler::new(self.latency_model, *config).network_latency_ms(&network);
-        self.latency_cache.insert(key, ms);
-        ms
-    }
-
-    fn resolve_hw(&mut self, config: &AcceleratorConfig) -> (f64, f64) {
-        if let Some(&pair) = self.hw_cache.get(config) {
-            return pair;
-        }
-        let area = self.area_model.area_mm2(config);
-        let power = self
-            .power_model
-            .peak_power(&self.area_model, config)
-            .total_w();
-        self.hw_cache.insert(*config, (area, power));
-        (area, power)
     }
 }
 

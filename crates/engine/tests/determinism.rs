@@ -2,17 +2,20 @@
 //! bookkeeping, cache transparency, database sharing, and Pareto-merge
 //! equivalence.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use codesign_accel::AcceleratorConfig;
 use codesign_core::{
-    CodesignSpace, Evaluator, ScenarioSpec, SearchConfig, SearchContext, INVALID_PROPOSAL_REWARD,
+    CodesignSpace, Evaluator, PairEvaluation, ScenarioSpec, SearchConfig, SearchContext,
+    INVALID_PROPOSAL_REWARD,
 };
-use codesign_engine::{Campaign, CampaignReport, ShardedDriver, StrategyKind};
+use codesign_engine::{Campaign, CampaignReport, ShardedDriver, SharedEvalCache, StrategyKind};
 use codesign_moo::DynParetoFront;
-use codesign_nasbench::NasbenchDatabase;
+use codesign_nasbench::{AdjMatrix, CellSpec, NasbenchDatabase, Op};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn sweep_campaign() -> Campaign {
     Campaign::new(CodesignSpace::with_max_vertices(4))
@@ -184,6 +187,62 @@ fn shared_cache_is_transparent_to_results() {
         .run(&campaign, &db);
     assert!(cached.cache.is_some() && uncached.cache.is_none());
     assert_reports_identical(&cached, &uncached);
+}
+
+/// An evaluator memoizes each pair in one place: its private map, or the
+/// shared cache when one is attached. Both answer one stream of pairs, with
+/// revisits and with two labellings of one class at one config, with the
+/// same bits, and the shared cache stores each distinct key once.
+#[test]
+fn one_pair_memo_answers_alike_with_and_without_a_shared_cache() {
+    let space = CodesignSpace::with_max_vertices(4);
+    let vocab = space.vocab_sizes();
+    let mut rng = SmallRng::seed_from_u64(29);
+    let mut stream: Vec<(CellSpec, AcceleratorConfig)> = Vec::new();
+    while stream.len() < 300 {
+        let actions: Vec<usize> = vocab.iter().map(|&v| rng.gen_range(0..v)).collect();
+        let proposal = space.decode(&actions);
+        if let Ok(cell) = proposal.cell {
+            stream.push((cell, proposal.config));
+        }
+        // Revisit an earlier pair every third step.
+        if stream.len().is_multiple_of(3) {
+            let earlier = stream[rng.gen_range(0..stream.len())].clone();
+            stream.push(earlier);
+        }
+    }
+    // Two parallel branches, labelled both ways round.
+    let branches = AdjMatrix::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
+    let config = stream[0].1;
+    for ops in [[Op::Conv3x3, Op::Conv1x1], [Op::Conv1x1, Op::Conv3x3]] {
+        stream.push((
+            CellSpec::new(branches.clone(), ops.to_vec()).unwrap(),
+            config,
+        ));
+    }
+    let [.., (first, _), (second, _)] = stream.as_slice() else {
+        unreachable!("the stream ends with the two labellings")
+    };
+    assert_ne!(first, second);
+    assert_eq!(first.canonical_hash(), second.canonical_hash());
+
+    let db = Arc::new(NasbenchDatabase::exhaustive(4));
+    let cache = Arc::new(SharedEvalCache::new());
+    let mut private = Evaluator::with_shared_database(Arc::clone(&db));
+    let mut shared = Evaluator::with_shared_database(db).with_shared_cache(Arc::clone(&cache) as _);
+    let bits =
+        |e: PairEvaluation| [e.accuracy, e.latency_ms, e.area_mm2, e.power_w].map(f64::to_bits);
+    let mut keys = HashSet::new();
+    for (step, (cell, config)) in stream.iter().enumerate() {
+        let alone = private
+            .evaluate_pair(cell, config)
+            .expect("a 4-vertex cell");
+        let backed = shared.evaluate_pair(cell, config).expect("a 4-vertex cell");
+        assert_eq!(bits(alone), bits(backed), "step {step}");
+        keys.insert((cell.canonical_hash(), *config));
+    }
+    assert!(keys.len() < stream.len() - 1, "the stream revisits pairs");
+    assert_eq!(cache.stats().inserts, keys.len() as u64);
 }
 
 /// The warm-start contract end to end through the v3 binary format: a
