@@ -65,9 +65,9 @@
 //! alias; `reinforce` = `combined`), `--seed-base S`, `--repeats R`,
 //! `--steps N`, `--population P`, `--generations G`, `--reward-shaping
 //! hv:W`, `--surrogate k:R`. Run flags: `--max-vertices V`, `--workers W`,
-//! `--no-cache`, `--cache-path DIR`, `--cache-capacity N`,
-//! `--list-scenarios`, `--check-scenarios`, `--trace-out FILE`,
-//! `--metrics-out FILE`, `--progress`.
+//! `--no-cache`, `--cache-path DIR`, `--list-scenarios`,
+//! `--check-scenarios`, `--trace-out FILE`, `--metrics-out FILE`,
+//! `--progress`.
 //!
 //! Telemetry is off by default (a disabled check is one relaxed atomic
 //! load; the campaign's exports are bit-identical either way). Any of the
@@ -131,7 +131,7 @@ const JOB_FLAGS: [(&str, &str, &str, bool); 9] = [
 /// The rest of the flag table: the scenario flags, and how and where the
 /// job runs.
 const RUN_FLAGS: &str = "--scenario SPEC, --scenarios-file FILE, --max-vertices V, \
-    --workers W, --no-cache, --cache-path DIR, --cache-capacity N, --list-scenarios, \
+    --workers W, --no-cache, --cache-path DIR, --list-scenarios, \
     --check-scenarios, --trace-out FILE, --metrics-out FILE, --progress, --stdio, \
     --listen SOCKET, --queue-capacity N, --cache-sync-secs S, --connect SOCKET";
 
@@ -141,10 +141,14 @@ const GRID_ORDER: &str = "shards always dispatch in grid order";
 
 /// Flags of earlier releases, each with why it went. They are checked
 /// before the flag table, so each keeps its own hint.
-const REMOVED_FLAGS: [(&str, &str); 7] = [
+const REMOVED_FLAGS: [(&str, &str); 8] = [
     ("--cache-format", CACHE_IS_A_DIRECTORY),
     ("--cache-mmap", CACHE_IS_A_DIRECTORY),
     ("--cache-migrate", CACHE_IS_A_DIRECTORY),
+    (
+        "--cache-capacity",
+        "the evaluation cache keeps every pair it computes",
+    ),
     ("--backend", GRID_ORDER),
     ("--calibrate", GRID_ORDER),
     ("--probe-steps", GRID_ORDER),
@@ -170,7 +174,6 @@ fn exit_usage(message: &str) -> ! {
 fn open_cache(
     cache_path: &str,
     salt: u64,
-    cache_capacity: usize,
     log_to_stderr: bool,
 ) -> Result<Option<Arc<SharedEvalCache>>, String> {
     if cache_path.is_empty() {
@@ -185,19 +188,12 @@ fn open_cache(
             println!("{line}");
         }
     };
-    let bounded = |cache: SharedEvalCache| {
-        if cache_capacity > 0 {
-            cache.bounded(cache_capacity)
-        } else {
-            cache
-        }
-    };
     let path = std::path::Path::new(cache_path);
     if !path.exists() {
         log(format!(
             "cache: cold start ({cache_path} not found; will create it)"
         ));
-        return Ok(Some(Arc::new(bounded(SharedEvalCache::new()))));
+        return Ok(Some(Arc::new(SharedEvalCache::new())));
     }
     if !path.is_dir() {
         return Err(format!(
@@ -216,7 +212,6 @@ fn open_cache(
         }
         Err(e) => return Err(format!("cache: cannot reuse {cache_path}: {e}")),
     };
-    let loaded = bounded(loaded);
     if loaded.stats().preloaded > 0 {
         log(format!(
             "cache: warm start from {cache_path} ({} pair entries preloaded; built by: {})",
@@ -340,7 +335,6 @@ fn run_serve(args: &Args) -> ! {
     let workers = args.get_usize("workers", 0);
     let queue_capacity = args.get_usize_in("queue-capacity", 16, 1..);
     let cache_path = args.get_str("cache-path", "");
-    let cache_capacity = args.get_usize("cache-capacity", 0);
     let sync_secs = args.get_usize("cache-sync-secs", 0);
     let telemetry = Arc::new(TelemetryOutputs::create(args));
     if telemetry.any() {
@@ -351,7 +345,7 @@ fn run_serve(args: &Args) -> ! {
     eprintln!("serve: building exhaustive <= {max_v}-vertex database...");
     let db = Arc::new(NasbenchDatabase::exhaustive(max_v));
     let salt = db.fingerprint();
-    let cache = open_cache(&cache_path, salt, cache_capacity, true)
+    let cache = open_cache(&cache_path, salt, true)
         .unwrap_or_else(|err| exit_usage(&err))
         .unwrap_or_else(|| Arc::new(SharedEvalCache::new()));
     let server = CampaignServer::start(
@@ -567,7 +561,6 @@ fn main() {
     let max_v = args.max_vertices(4);
     let workers = args.get_usize("workers", 0);
     let cache_path = args.get_str("cache-path", "");
-    let cache_capacity = args.get_usize("cache-capacity", 0);
 
     // Telemetry: any of the three flags enables the subsystem for the whole
     // process. Off, every instrumentation site is a single relaxed atomic
@@ -636,8 +629,7 @@ fn main() {
     }
 
     let salt = db.fingerprint();
-    let cache =
-        open_cache(&cache_path, salt, cache_capacity, false).unwrap_or_else(|err| exit_usage(&err));
+    let cache = open_cache(&cache_path, salt, false).unwrap_or_else(|err| exit_usage(&err));
     if let Some(cache) = &cache {
         driver = driver.with_cache(Arc::clone(cache));
     }

@@ -16,13 +16,11 @@
 //! [`ShardCacheView`], which is what lets a warm-started campaign report
 //! how much work the previous invocation saved it.
 //!
-//! The cache is unbounded by default; [`SharedEvalCache::bounded`] caps the
-//! entry count with deterministic first-in-first-out eviction per map
-//! shard. Eviction is transparent for the same reason hits are: an evicted
-//! entry simply becomes a miss that recomputes the identical value.
+//! The cache keeps every entry it is given: attached to an evaluator, it
+//! is that evaluator's only pair memo.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -71,8 +69,6 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Pair entries preloaded from a persisted cache file.
     pub preloaded: u64,
-    /// Entries dropped by the capacity bound (pair and accuracy combined).
-    pub evictions: u64,
     /// Pair entries currently stored.
     pub entries: usize,
     /// Per-cell accuracy lookups answered from the cache.
@@ -132,11 +128,7 @@ impl std::fmt::Display for CacheStats {
             self.total_warm_hits(),
             self.accuracy_entries,
             self.accuracy_hit_rate() * 100.0
-        )?;
-        if self.evictions > 0 {
-            write!(f, "; {} evictions", self.evictions)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -148,71 +140,22 @@ struct Slot<V> {
     warm: bool,
 }
 
-/// One independently-locked map shard with first-insertion FIFO order for
-/// capacity eviction.
-#[derive(Debug)]
-struct ShardMap<K, V> {
-    map: HashMap<K, Slot<V>>,
-    /// Keys in first-insertion order; the front is evicted first when the
-    /// shard is at capacity. Maintained **only** for bounded caches — in
-    /// the (default) unbounded configuration eviction can never run, so
-    /// duplicating every key here would be pure memory overhead.
-    order: VecDeque<K>,
-}
+/// One independently-locked map shard.
+type ShardMap<K, V> = HashMap<K, Slot<V>>;
 
-impl<K: Hash + Eq + Clone + Ord, V: Copy> ShardMap<K, V> {
-    fn new() -> Self {
-        Self {
-            map: HashMap::new(),
-            order: VecDeque::new(),
+/// Stores `value` under `key` and returns whether the key is new. A
+/// re-insertion refreshes the value (bit-identical by contract) but keeps
+/// the entry's provenance.
+fn insert_slot<K: Hash + Eq, V>(map: &mut ShardMap<K, V>, key: K, value: V, warm: bool) -> bool {
+    match map.entry(key) {
+        Entry::Occupied(mut entry) => {
+            entry.get_mut().value = value;
+            false
         }
-    }
-
-    fn get(&self, key: &K) -> Option<(V, bool)> {
-        self.map.get(key).map(|slot| (slot.value, slot.warm))
-    }
-
-    /// Inserts an entry, evicting the oldest first when `capacity` is
-    /// reached. Returns `(newly inserted, evicted)`.
-    fn insert(&mut self, key: K, value: V, warm: bool, capacity: Option<usize>) -> (bool, u64) {
-        if let Some(slot) = self.map.get_mut(&key) {
-            // Re-insertion: refresh the value (bit-identical by contract)
-            // but keep the original FIFO position and provenance.
-            slot.value = value;
-            return (false, 0);
+        Entry::Vacant(entry) => {
+            entry.insert(Slot { value, warm });
+            true
         }
-        let mut evicted = 0;
-        if let Some(cap) = capacity {
-            while self.map.len() >= cap.max(1) {
-                let Some(oldest) = self.order.pop_front() else {
-                    break;
-                };
-                self.map.remove(&oldest);
-                evicted += 1;
-            }
-            self.order.push_back(key.clone());
-        }
-        self.map.insert(key, Slot { value, warm });
-        (true, evicted)
-    }
-
-    /// Applies a capacity to a shard that may hold entries inserted while
-    /// unbounded: rebuilds the eviction order over every present key (in
-    /// sorted-key order, so the result is a pure function of the contents)
-    /// and evicts down to `cap`. Returns the eviction count.
-    fn rebuild_order_and_trim(&mut self, cap: usize) -> u64 {
-        let mut keys: Vec<K> = self.map.keys().cloned().collect();
-        keys.sort_unstable();
-        self.order = keys.into();
-        let mut evicted = 0;
-        while self.map.len() > cap.max(1) {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            self.map.remove(&oldest);
-            evicted += 1;
-        }
-        evicted
     }
 }
 
@@ -256,15 +199,11 @@ pub struct SharedEvalCache {
     /// scenario-independent (keyed by `(cell, config)` only); the list
     /// records *which sweeps paid* for them.
     provenance: Mutex<Vec<String>>,
-    /// Per-map-shard entry bound derived from the user-facing total
-    /// capacity; `None` means unbounded.
-    shard_capacity: Option<usize>,
     hits: AtomicU64,
     warm_hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
     preloaded: AtomicU64,
-    evictions: AtomicU64,
     accuracy_hits: AtomicU64,
     accuracy_warm_hits: AtomicU64,
     accuracy_misses: AtomicU64,
@@ -277,81 +216,37 @@ impl Default for SharedEvalCache {
 }
 
 impl SharedEvalCache {
-    /// An unbounded cache with the default shard count.
+    /// An empty cache with the default shard count.
     #[must_use]
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_SHARDS)
     }
 
-    /// An unbounded cache with an explicit shard count (rounded up to at
-    /// least 1).
+    /// An empty cache with an explicit shard count (rounded up to at least
+    /// 1).
     #[must_use]
     pub fn with_shards(shards: usize) -> Self {
         Self {
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(ShardMap::new()))
+                .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             accuracy_shards: (0..shards.max(1))
-                .map(|_| Mutex::new(ShardMap::new()))
+                .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             feature_shards: (0..shards.max(1))
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             record_features: AtomicBool::new(false),
             provenance: Mutex::new(Vec::new()),
-            shard_capacity: None,
             hits: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             preloaded: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             accuracy_hits: AtomicU64::new(0),
             accuracy_warm_hits: AtomicU64::new(0),
             accuracy_misses: AtomicU64::new(0),
         }
-    }
-
-    /// Bounds the cache to roughly `capacity` pair entries (and the same
-    /// bound on per-cell accuracy entries), evicting oldest-first within
-    /// each map shard once full.
-    ///
-    /// The bound is split evenly across the map shards, so the effective
-    /// limit rounds up to a multiple of the shard count. Eviction is
-    /// deterministic for a deterministic insertion sequence — each shard
-    /// drops its entries in first-insertion order — and is always
-    /// *transparent*: an evicted key becomes a miss whose recomputation
-    /// yields the identical value, so search results never change.
-    ///
-    /// Bounding an already-populated cache (e.g. one reloaded from disk)
-    /// trims it immediately: each shard keeps at most its share of the
-    /// capacity, dropping the excess in sorted-key order (the trimmed
-    /// result is a pure function of the contents).
-    #[must_use]
-    pub fn bounded(mut self, capacity: usize) -> Self {
-        let per_shard = capacity.max(1).div_ceil(self.shards.len());
-        self.shard_capacity = Some(per_shard);
-        let mut evicted = 0;
-        for shard in &mut self.shards {
-            evicted += shard
-                .get_mut()
-                .expect("cache shard poisoned")
-                .rebuild_order_and_trim(per_shard);
-        }
-        for shard in &mut self.accuracy_shards {
-            evicted += shard
-                .get_mut()
-                .expect("cache shard poisoned")
-                .rebuild_order_and_trim(per_shard);
-        }
-        *self.evictions.get_mut() += evicted;
-        self
-    }
-
-    /// The configured total capacity bound, if any.
-    #[must_use]
-    pub fn capacity(&self) -> Option<usize> {
-        self.shard_capacity.map(|per| per * self.shards.len())
     }
 
     /// Total entries currently stored (sums across shards; O(shards)).
@@ -359,7 +254,7 @@ impl SharedEvalCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
+            .map(|s| s.lock().expect("cache shard poisoned").len())
             .sum()
     }
 
@@ -378,7 +273,6 @@ impl SharedEvalCache {
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             preloaded: self.preloaded.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len(),
             accuracy_hits: self.accuracy_hits.load(Ordering::Relaxed),
             accuracy_warm_hits: self.accuracy_warm_hits.load(Ordering::Relaxed),
@@ -386,11 +280,15 @@ impl SharedEvalCache {
             accuracy_entries: self
                 .accuracy_shards
                 .iter()
-                .map(|s| s.lock().expect("cache shard poisoned").map.len())
+                .map(|s| s.lock().expect("cache shard poisoned").len())
                 .sum(),
         }
     }
 
+    /// The map shard of a pair key, picked by SipHash of the whole key.
+    /// Picking it from the cell hash alone, as the accuracy map does, puts
+    /// every config of a cell in one shard; a variant that did so raised
+    /// the serve-mix benchmark's peak RSS from 100–103 MB to 113–116 MB.
     fn shard(
         &self,
         key: &(u128, AcceleratorConfig),
@@ -414,7 +312,7 @@ impl SharedEvalCache {
         if let Some(t) = timer {
             TM_LOCK_WAIT_US.record_duration(t.elapsed());
         }
-        let found = guard.get(&key);
+        let found = guard.get(&key).map(|slot| (slot.value, slot.warm));
         drop(guard);
         if let Some(t) = timer {
             TM_LOOKUP_US.record_duration(t.elapsed());
@@ -443,7 +341,8 @@ impl SharedEvalCache {
         let found = self.accuracy_shards[index]
             .lock()
             .expect("cache shard poisoned")
-            .get(&cell_hash);
+            .get(&cell_hash)
+            .map(|slot| (slot.value, slot.warm));
         match found {
             Some((acc, warm)) => {
                 self.accuracy_hits.fetch_add(1, Ordering::Relaxed);
@@ -469,29 +368,21 @@ impl SharedEvalCache {
         warm: bool,
     ) {
         let key = (cell_hash, *config);
-        let (inserted, evicted) = self
-            .shard(&key)
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(key, eval, warm, self.shard_capacity);
+        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+        let inserted = insert_slot(&mut shard, key, eval, warm);
+        drop(shard);
         if inserted {
             let counter = if warm { &self.preloaded } else { &self.inserts };
             counter.fetch_add(1, Ordering::Relaxed);
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
     }
 
     fn insert_accuracy(&self, cell_hash: u128, accuracy: f64, warm: bool) {
         let index = (cell_hash % self.accuracy_shards.len() as u128) as usize;
-        let (_, evicted) = self.accuracy_shards[index]
+        let mut shard = self.accuracy_shards[index]
             .lock()
-            .expect("cache shard poisoned")
-            .insert(cell_hash, accuracy, warm, self.shard_capacity);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+            .expect("cache shard poisoned");
+        insert_slot(&mut shard, cell_hash, accuracy, warm);
     }
 
     /// Records scenario names into the cache's provenance (deduplicated,
@@ -540,7 +431,6 @@ impl SharedEvalCache {
             .flat_map(|s| {
                 let shard = s.lock().expect("cache shard poisoned");
                 shard
-                    .map
                     .iter()
                     .map(|(k, slot)| (*k, slot.value))
                     .collect::<Vec<_>>()
@@ -555,7 +445,6 @@ impl SharedEvalCache {
             .flat_map(|s| {
                 let shard = s.lock().expect("cache shard poisoned");
                 shard
-                    .map
                     .iter()
                     .map(|(k, slot)| (*k, slot.value))
                     .collect::<Vec<_>>()
@@ -650,7 +539,6 @@ impl EvalCache for SharedEvalCache {
             .flat_map(|s| {
                 let shard = s.lock().expect("cache shard poisoned");
                 shard
-                    .map
                     .iter()
                     .filter(|(_, slot)| slot.warm)
                     .map(|(k, slot)| (*k, slot.value))
@@ -674,7 +562,6 @@ impl std::fmt::Debug for SharedEvalCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedEvalCache")
             .field("shards", &self.shards.len())
-            .field("capacity", &self.capacity())
             .field("stats", &self.stats())
             .finish()
     }
@@ -813,10 +700,7 @@ mod tests {
         );
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         // Nothing was preloaded, so no hit is warm.
-        assert_eq!(
-            (stats.warm_hits, stats.preloaded, stats.evictions),
-            (0, 0, 0)
-        );
+        assert_eq!((stats.warm_hits, stats.preloaded), (0, 0));
     }
 
     #[test]
@@ -957,79 +841,6 @@ mod tests {
         assert_eq!(stats.accuracy_entries, 2);
         // Pair-level counters are untouched.
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
-    }
-
-    #[test]
-    fn bounded_cache_evicts_oldest_first_and_stats_stay_consistent() {
-        // One map shard makes the FIFO order global and exact.
-        let cache = SharedEvalCache::with_shards(1).bounded(3);
-        assert_eq!(cache.capacity(), Some(3));
-        let config = ConfigSpace::chaidnn().get(0);
-        for k in 0..5u128 {
-            cache.put(k, &config, eval(k as f64));
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 3, "capacity must bound the entry count");
-        assert_eq!(stats.evictions, 2);
-        assert_eq!(stats.inserts, 5, "every distinct key was inserted once");
-        // Oldest two evicted, newest three retained.
-        assert!(cache.get(0, &config).is_none());
-        assert!(cache.get(1, &config).is_none());
-        for k in 2..5u128 {
-            assert_eq!(cache.get(k, &config), Some(eval(k as f64)), "key {k}");
-        }
-        // Hit/miss accounting reflects the post-eviction reality exactly:
-        // the two evicted keys miss, the three retained keys hit.
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (3, 2));
-        // Deterministic: the same insertion sequence evicts the same keys.
-        let again = SharedEvalCache::with_shards(1).bounded(3);
-        for k in 0..5u128 {
-            again.put(k, &config, eval(k as f64));
-        }
-        for k in 0..5u128 {
-            assert_eq!(
-                again.get(k, &config).is_some(),
-                cache.get(k, &config).is_some(),
-                "eviction order diverged at key {k}"
-            );
-        }
-    }
-
-    #[test]
-    fn bounding_a_populated_cache_trims_it_immediately() {
-        let cache = SharedEvalCache::with_shards(1);
-        let config = ConfigSpace::chaidnn().get(0);
-        for k in 0..10u128 {
-            cache.put(k, &config, eval(k as f64));
-        }
-        cache.put_accuracy(99, 0.9);
-        let cache = cache.bounded(4);
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 4, "bound must apply to existing entries");
-        assert_eq!(stats.accuracy_entries, 1, "under-cap shard untouched");
-        assert_eq!(stats.evictions, 6);
-        // Sorted-key order: the smallest keys were dropped first.
-        for k in 0..6u128 {
-            assert!(cache.get(k, &config).is_none(), "key {k} should be gone");
-        }
-        for k in 6..10u128 {
-            assert_eq!(cache.get(k, &config), Some(eval(k as f64)), "key {k}");
-        }
-        // The bound keeps holding for subsequent inserts.
-        cache.put(100, &config, eval(1.0));
-        assert!(cache.len() <= 4);
-    }
-
-    #[test]
-    fn reinsertion_does_not_evict() {
-        let cache = SharedEvalCache::with_shards(1).bounded(2);
-        let config = ConfigSpace::chaidnn().get(0);
-        cache.put(1, &config, eval(0.1));
-        cache.put(2, &config, eval(0.2));
-        cache.put(1, &config, eval(0.1)); // refresh, not a new entry
-        let stats = cache.stats();
-        assert_eq!((stats.entries, stats.evictions), (2, 0));
     }
 
     #[test]

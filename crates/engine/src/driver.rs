@@ -149,9 +149,9 @@ impl ShardedDriver {
         self
     }
 
-    /// Disables the shared evaluation cache (each shard then relies only on
-    /// its evaluator's private memoization) — used for benchmarking the
-    /// cache itself; results are identical either way.
+    /// Disables the shared evaluation cache (each shard's evaluator then
+    /// memoizes its pairs in its own private map) — used for benchmarking
+    /// the cache itself; results are identical either way.
     #[must_use]
     pub fn without_shared_cache(mut self) -> Self {
         self.shared_cache = false;
@@ -161,8 +161,8 @@ impl ShardedDriver {
 
     /// Runs the campaign against an existing cache instance — typically one
     /// reloaded from disk (`SharedEvalCache::load`) for a warm start, but
-    /// any pre-populated (or bounded) cache works. Implies the shared cache
-    /// is enabled.
+    /// any pre-populated cache works. Every shard's evaluator memoizes its
+    /// pairs there. Implies the shared cache is enabled.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<SharedEvalCache>) -> Self {
         self.shared_cache = true;

@@ -16,9 +16,8 @@
 //!   any worker count** — and shard spin-up is a refcount bump, never a
 //!   copy of the cell table;
 //! * [`SharedEvalCache`] — a process-wide, sharded-mutex evaluation cache
-//!   (with warm/cold hit accounting and an optional capacity bound) that
-//!   every evaluator consults before its private memoization, so shards
-//!   reuse each other's work. It persists across processes as a cache
+//!   (with warm/cold hit accounting) that is every evaluator's one pair
+//!   memo, so shards reuse each other's work. It persists across processes as a cache
 //!   directory of shard files — [`SharedEvalCache::save_sharded`] /
 //!   [`SharedEvalCache::load_sharded`] / [`SharedEvalCache::sync_sharded`]
 //!   in the [`persist`] module — so successive CLI invocations warm-start

@@ -367,8 +367,8 @@ impl SharedEvalCache {
     /// marked *warm*, so hits against them are reported as work saved by
     /// the previous invocation.
     ///
-    /// The returned cache is unbounded with the default shard count; chain
-    /// [`SharedEvalCache::bounded`] afterwards to cap a warm-started cache.
+    /// The returned cache has the default shard count and keeps every
+    /// entry it is given.
     ///
     /// # Errors
     ///

@@ -468,7 +468,6 @@ impl CampaignReport {
                 ("misses", Json::Num(stats.misses as f64)),
                 ("inserts", Json::Num(stats.inserts as f64)),
                 ("preloaded", Json::Num(stats.preloaded as f64)),
-                ("evictions", Json::Num(stats.evictions as f64)),
                 ("entries", Json::Num(stats.entries as f64)),
                 ("hit_rate", Json::Num(stats.hit_rate())),
                 ("accuracy_hits", Json::Num(stats.accuracy_hits as f64)),

@@ -50,13 +50,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// (a) every strategy × seeds {0, 1}: the campaign's JSONL.
-const STRATEGY_GRID_JSONL: u64 = 0xc602_5caf_c7a4_196e;
+const STRATEGY_GRID_JSONL: u64 = 0x44a9_4ce8_3774_bc3a;
 /// (d) the shard files of (a)'s cache.
 const STRATEGY_GRID_SHARDS: u64 = 0x48e2_a5c6_fe8f_21a3;
 /// (b) combined + nsga, seed 0, `hv:0.5` reward shaping: the JSONL.
-const SHAPED_GRID_JSONL: u64 = 0x5767_521e_33be_74b0;
+const SHAPED_GRID_JSONL: u64 = 0xa0c2_c790_d04c_28b0;
 /// (c) evolution + nsga, seed 0, `--surrogate 4:16`: the JSONL.
-const GUIDED_GRID_JSONL: u64 = 0x9e99_fd93_9c56_47ae;
+const GUIDED_GRID_JSONL: u64 = 0x24b6_04f3_fac5_4e72;
 /// (d) the shard files of (c)'s cache, cell features included.
 const GUIDED_GRID_SHARDS: u64 = 0x5064_04f7_d5da_aacb;
 /// (e) the exact front of the 4-vertex space on the Unconstrained axes.
@@ -82,7 +82,7 @@ const NETWORK_LATENCIES: u64 = 0x2315_3de6_5623_75db;
 const ENUMERATION_V6: u64 = 0x20af_389d_18cb_53d7;
 /// (m) random + nsga at the default population, seeds {0, 1}, 1,000 steps
 /// on the 5-vertex space: the JSONL.
-const LONG_NSGA_V5_JSONL: u64 = 0x3c17_bb4b_3e89_ae2e;
+const LONG_NSGA_V5_JSONL: u64 = 0xa0ff_75cc_a9c0_d2a6;
 
 const STEPS: usize = 64;
 const NSGA: StrategyKind = StrategyKind::Nsga { population: 16 };
