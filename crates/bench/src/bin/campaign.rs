@@ -7,7 +7,10 @@
 //! through `JobSpec::from_json`: one parser, one set of defaults and one
 //! set of checks, so the same flags give the same shard records from a
 //! server as from a one-shot run. An unknown flag, a value that does not
-//! parse or a job the spec rejects exits with code 2.
+//! parse or a job the spec rejects exits with code 2, and so does a flag
+//! the mode does not read: `campaign serve` takes no job flags,
+//! `campaign submit` only the job and `--connect`, and a one-shot run none
+//! of the server's.
 //!
 //! Scenarios are open: beyond the paper's three presets, any declarative
 //! `ScenarioSpec` runs — from a versioned JSON file (`--scenarios-file`) or
@@ -128,12 +131,18 @@ const JOB_FLAGS: [(&str, &str, &str, bool); 9] = [
     ("surrogate", "k:R", "surrogate", false),
 ];
 
-/// The rest of the flag table: the scenario flags, and how and where the
-/// job runs.
-const RUN_FLAGS: &str = "--scenario SPEC, --scenarios-file FILE, --max-vertices V, \
-    --workers W, --no-cache, --cache-path DIR, --list-scenarios, \
-    --check-scenarios, --trace-out FILE, --metrics-out FILE, --progress, --stdio, \
-    --listen SOCKET, --queue-capacity N, --cache-sync-secs S, --connect SOCKET";
+/// The scenario flags, which one-shot runs and `campaign submit` read with
+/// the job flags.
+const SCENARIO_FLAGS: &str = "--scenario SPEC, --scenarios-file FILE";
+
+/// How and where a one-shot run goes.
+const ONE_SHOT_FLAGS: &str = "--max-vertices V, --workers W, --no-cache, --cache-path DIR, \
+    --list-scenarios, --check-scenarios, --trace-out FILE, --metrics-out FILE, --progress";
+
+/// What `campaign serve` reads; its jobs come in frames.
+const SERVE_FLAGS: &str = "--max-vertices V, --workers W, --cache-path DIR, \
+    --trace-out FILE, --metrics-out FILE, --stdio, --listen SOCKET, --queue-capacity N, \
+    --cache-sync-secs S";
 
 const CACHE_IS_A_DIRECTORY: &str =
     "the evaluation cache is always a directory of v4 shard files; pass --cache-path DIR";
@@ -529,7 +538,13 @@ fn main() {
         .iter()
         .map(|(flag, value, _, _)| format!("--{flag} {value}, "))
         .collect();
-    let args = Args::parse(&format!("serve, submit, {job_flags}{RUN_FLAGS}"));
+    // Each mode checks its flags against the ones it reads, so a flag of
+    // another mode exits 2 instead of being ignored.
+    let args = Args::parse(&match raw.get(1).map(String::as_str) {
+        Some("serve") => format!("serve, {SERVE_FLAGS}"),
+        Some("submit") => format!("submit, --connect SOCKET, {job_flags}{SCENARIO_FLAGS}"),
+        _ => format!("serve, submit, {job_flags}{SCENARIO_FLAGS}, {ONE_SHOT_FLAGS}"),
+    });
     if args.flag("no-cache") && !args.get_str("cache-path", "").is_empty() {
         exit_usage("--no-cache and --cache-path are contradictory");
     }

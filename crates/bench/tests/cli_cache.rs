@@ -1,7 +1,8 @@
 //! The `campaign` CLI's input contract: bad CLI input — a bad cache path,
 //! a telemetry output file that cannot be created, a removed or unknown
-//! flag, a value that does not parse or is out of range, a job that
-//! `JobSpec` rejects — exits with code 2 and a message, never a panic;
+//! flag, a flag of another mode, a value that does not parse or is out of
+//! range, a job that `JobSpec` rejects — exits with code 2 and a message,
+//! never a panic;
 //! `--help` runs nothing; and a directory holding a stale format version
 //! cold-starts. The figure binaries reject bad sweep input the same way.
 //!
@@ -12,8 +13,9 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
-/// The sweep every invocation runs (serve mode ignores it), as
-/// `(flag, value)` pairs; a case that passes the same flag overrides it.
+/// The sweep every one-shot invocation runs, as `(flag, value)` pairs; a
+/// case that passes the same flag overrides it. `serve` and `submit` get
+/// none of it.
 const SWEEP: [(&str, &str); 3] = [
     ("--steps", "5"),
     ("--repeats", "1"),
@@ -28,12 +30,13 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `campaign ARGS SWEEP` in `cwd`, leaving out the sweep flags that
-/// `args` already sets.
+/// Runs `campaign ARGS` in `cwd`, followed by the sweep flags that `args`
+/// does not set when it is a one-shot run.
 fn campaign(cwd: &Path, args: &[&str]) -> Output {
+    let one_shot = !matches!(args.first(), Some(&("serve" | "submit")));
     let sweep = SWEEP
         .iter()
-        .filter(|(flag, _)| !args.contains(flag))
+        .filter(|(flag, _)| one_shot && !args.contains(flag))
         .flat_map(|&(flag, value)| [flag, value]);
     Command::new(env!("CARGO_BIN_EXE_campaign"))
         .current_dir(cwd)
@@ -61,7 +64,7 @@ fn bad_cache_input_exits_2_without_a_panic() {
     let removed = "pass --cache-path DIR";
     let grid_order = "always dispatch in grid order";
     let vertices = "for --max-vertices: expected 2..=7";
-    let cases: [(&str, &[&str], &str); 24] = [
+    let cases: [(&str, &[&str], &str); 28] = [
         (
             "regular file",
             &["--cache-path", "eval-cache.bin"],
@@ -89,6 +92,26 @@ fn bad_cache_input_exits_2_without_a_panic() {
         ("--backend", &["--backend", "atomic"], grid_order),
         ("--calibrate", &["--calibrate"], grid_order),
         ("--probe-steps", &["--probe-steps", "20"], grid_order),
+        (
+            "--cache-capacity",
+            &["--cache-capacity", "8"],
+            "--cache-capacity was removed: the evaluation cache keeps every pair",
+        ),
+        (
+            "serve with a sweep flag",
+            &["serve", "--stdio", "--steps", "5"],
+            "unknown flag --steps",
+        ),
+        (
+            "submit with a run flag",
+            &["submit", "--connect", "none.sock", "--workers", "4"],
+            "unknown flag --workers",
+        ),
+        (
+            "one-shot with a serve flag",
+            &["--stdio"],
+            "unknown flag --stdio",
+        ),
         (
             "unknown strategy",
             &["--strategies", "bogus"],
