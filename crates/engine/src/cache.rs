@@ -189,8 +189,7 @@ pub struct SharedEvalCache {
     /// written on cold evaluations when [`SharedEvalCache::set_record_features`]
     /// is on (surrogate-guided campaigns), persisted alongside the metric
     /// entries, and joined with *warm* pair entries by
-    /// [`EvalCache::snapshot_labeled`]. Unbounded: feature rows are small
-    /// and only distinct cells produce them.
+    /// [`EvalCache::snapshot_labeled`].
     feature_shards: Vec<Mutex<HashMap<u128, [f64; CELL_FEATURE_DIM]>>>,
     /// Whether evaluators should record cell features on cold computes.
     record_features: AtomicBool,
@@ -288,7 +287,8 @@ impl SharedEvalCache {
     /// The map shard of a pair key, picked by SipHash of the whole key.
     /// Picking it from the cell hash alone, as the accuracy map does, puts
     /// every config of a cell in one shard; a variant that did so raised
-    /// the serve-mix benchmark's peak RSS from 100–103 MB to 113–116 MB.
+    /// the serve-mix benchmark's peak RSS from 100–101 MB to 113–115 MB
+    /// (release build, 2 vCPUs).
     fn shard(
         &self,
         key: &(u128, AcceleratorConfig),
