@@ -13,8 +13,22 @@
 //! vectors of a batched product, or a block of up to 16 columns of a
 //! result kept in registers. No kernel reassociates a sum or fuses a
 //! multiply-add, so the results are bit-identical on every CPU and build
-//! profile; `tests/proptests.rs` compares each kernel with its naive
-//! definition through `to_bits`.
+//! profile.
+//!
+//! **Two paths.** Each kernel has a portable version, compiled for the
+//! build's target, and on x86-64 an AVX version, taken at run time when
+//! `is_x86_feature_detected!("avx")` holds; nothing else selects a path.
+//! The AVX versions put independent output elements in the four lanes of
+//! a 256-bit vector. The batched, transposed and outer-product kernels
+//! are the portable bodies compiled a second time with AVX enabled; the
+//! matrix–vector product loads two columns of four rows and unpacks their
+//! products in registers, so each lane receives its own row's terms in
+//! column order. A vector multiply or add rounds each lane exactly as the
+//! scalar instruction does, and AVX has no fused multiply-add (that is
+//! the separate FMA feature, which no kernel enables), so both paths give
+//! the same bits. This module's unit tests check both paths against the
+//! naive definitions; `tests/proptests.rs` checks the path this CPU
+//! takes.
 
 use rand::Rng;
 
@@ -154,30 +168,13 @@ impl Matrix {
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
-        let cols = self.cols;
-        let mut blocks = self.data.chunks_exact(ROW_BLOCK * cols);
-        let mut outs = y.chunks_exact_mut(ROW_BLOCK);
-        for (out, block) in outs.by_ref().zip(blocks.by_ref()) {
-            let (r0, rest) = block.split_at(cols);
-            let (r1, rest) = rest.split_at(cols);
-            let (r2, r3) = rest.split_at(cols);
-            let mut acc = [0.0; ROW_BLOCK];
-            for ((((a0, a1), a2), a3), xc) in r0.iter().zip(r1).zip(r2).zip(r3).zip(x) {
-                acc[0] += a0 * xc;
-                acc[1] += a1 * xc;
-                acc[2] += a2 * xc;
-                acc[3] += a3 * xc;
-            }
-            out.copy_from_slice(&acc);
+        #[cfg(target_arch = "x86_64")]
+        if avx::detected() {
+            // SAFETY: the CPU has AVX, the only feature the kernel enables.
+            unsafe { avx::matvec(self, x, y) };
+            return;
         }
-        let rows = blocks.remainder().chunks_exact(cols);
-        for (yr, row) in outs.into_remainder().iter_mut().zip(rows) {
-            let mut acc = 0.0;
-            for (a, xc) in row.iter().zip(x) {
-                acc += a * xc;
-            }
-            *yr = acc;
-        }
+        portable::matvec(self, x, y);
     }
 
     /// `y = A·x_s` for `n` vectors at once, each exactly as
@@ -192,30 +189,13 @@ impl Matrix {
     pub fn matvec_batch_into(&self, xt: &[f64], n: usize, y: &mut [f64]) {
         assert_eq!(xt.len(), self.cols * n, "batch input dimension mismatch");
         assert_eq!(y.len(), self.rows * n, "batch output dimension mismatch");
-        if n == 0 {
+        #[cfg(target_arch = "x86_64")]
+        if avx::detected() {
+            // SAFETY: the CPU has AVX, the only feature the kernel enables.
+            unsafe { avx::matvec_batch(self, xt, n, y) };
             return;
         }
-        let full = n - n % BATCH;
-        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
-            for s0 in (0..full).step_by(BATCH) {
-                let mut acc = [0.0; BATCH];
-                for (a, xc) in row.iter().zip(xt.chunks_exact(n)) {
-                    for (s, v) in acc.iter_mut().zip(&xc[s0..s0 + BATCH]) {
-                        *s += a * v;
-                    }
-                }
-                for (i, v) in acc.into_iter().enumerate() {
-                    y[(s0 + i) * self.rows + r] = v;
-                }
-            }
-            for s in full..n {
-                let mut acc = 0.0;
-                for (a, xc) in row.iter().zip(xt.chunks_exact(n)) {
-                    acc += a * xc[s];
-                }
-                y[s * self.rows + r] = acc;
-            }
-        }
+        portable::matvec_batch(self, xt, n, y);
     }
 
     /// `y += Aᵀ·x`: `y[c] = y[c] + A[0][c]·x[0] + A[1][c]·x[1] + …`, added
@@ -232,18 +212,13 @@ impl Matrix {
             self.cols,
             "matvec_transpose output dimension mismatch"
         );
-        let mut c0 = 0;
-        for w in block_widths(self.cols) {
-            let out = &mut y[c0..c0 + w];
-            match w {
-                LANES => transpose_block::<LANES>(self, x, c0, out),
-                8 => transpose_block::<8>(self, x, c0, out),
-                4 => transpose_block::<4>(self, x, c0, out),
-                2 => transpose_block::<2>(self, x, c0, out),
-                _ => transpose_block::<1>(self, x, c0, out),
-            }
-            c0 += w;
+        #[cfg(target_arch = "x86_64")]
+        if avx::detected() {
+            // SAFETY: the CPU has AVX, the only feature the kernel enables.
+            unsafe { avx::add_matvec_transpose(self, x, y) };
+            return;
         }
+        portable::add_matvec_transpose(self, x, y);
     }
 
     /// Rank-`k` accumulation `A += Σ_t col(t) ⊗ row(t)` (the weight
@@ -261,7 +236,7 @@ impl Matrix {
         col: impl Fn(usize) -> &'a [f64],
         row: impl Fn(usize) -> &'a [f64],
     ) {
-        // Resolved once: the loops below visit every term once per block.
+        // Resolved once: the kernel visits every term once per block.
         let terms: Vec<(&[f64], &[f64])> = (0..k)
             .map(|t| {
                 let (c, r) = (col(t), row(t));
@@ -270,21 +245,13 @@ impl Matrix {
                 (c, r)
             })
             .collect();
-        let cols = self.cols;
-        for (r, dst) in self.data.chunks_exact_mut(cols).enumerate() {
-            let mut c0 = 0;
-            for w in block_widths(cols) {
-                let out = &mut dst[c0..c0 + w];
-                match w {
-                    LANES => outer_block::<LANES>(&terms, r, c0, out),
-                    8 => outer_block::<8>(&terms, r, c0, out),
-                    4 => outer_block::<4>(&terms, r, c0, out),
-                    2 => outer_block::<2>(&terms, r, c0, out),
-                    _ => outer_block::<1>(&terms, r, c0, out),
-                }
-                c0 += w;
-            }
+        #[cfg(target_arch = "x86_64")]
+        if avx::detected() {
+            // SAFETY: the CPU has AVX, the only feature the kernel enables.
+            unsafe { avx::add_outer_sum(self, &terms) };
+            return;
         }
+        portable::add_outer_sum(self, &terms);
     }
 
     /// Flat parameter view.
@@ -304,41 +271,246 @@ impl Matrix {
     }
 }
 
-/// Widths of the column blocks that cover `cols` columns, left to right:
-/// blocks of [`LANES`] (16), then one block per set bit of the remainder,
-/// widest first (15 = 8 + 4 + 2 + 1). Every width is a compile-time
-/// constant of a block kernel, so the block's accumulators stay in
-/// registers.
-fn block_widths(cols: usize) -> impl Iterator<Item = usize> {
-    let tail = [8, 4, 2, 1]
-        .into_iter()
-        .filter(move |&w| (cols % LANES) & w != 0);
-    std::iter::repeat_n(LANES, cols / LANES).chain(tail)
-}
+/// The reference kernels, compiled for the build's target. Dimensions are
+/// checked by the [`Matrix`] methods that call them.
+///
+/// The three blocked kernels are `#[inline(always)]`, so that the AVX path
+/// compiles their bodies a second time with 256-bit registers.
+mod portable {
+    use super::{Matrix, BATCH, LANES, ROW_BLOCK};
 
-/// Columns `c0..c0 + W` of [`Matrix::add_matvec_transpose`].
-fn transpose_block<const W: usize>(a: &Matrix, x: &[f64], c0: usize, out: &mut [f64]) {
-    let mut acc = [0.0; W];
-    acc.copy_from_slice(out);
-    for (row, xr) in a.data.chunks_exact(a.cols).zip(x) {
-        for (s, v) in acc.iter_mut().zip(&row[c0..c0 + W]) {
-            *s += v * xr;
+    /// [`Matrix::matvec_into`]: four rows at once, then the rest one by one.
+    pub(super) fn matvec(a: &Matrix, x: &[f64], y: &mut [f64]) {
+        let cols = a.cols;
+        let mut blocks = a.data.chunks_exact(ROW_BLOCK * cols);
+        let mut outs = y.chunks_exact_mut(ROW_BLOCK);
+        for (out, block) in outs.by_ref().zip(blocks.by_ref()) {
+            let (r0, rest) = block.split_at(cols);
+            let (r1, rest) = rest.split_at(cols);
+            let (r2, r3) = rest.split_at(cols);
+            let mut acc = [0.0; ROW_BLOCK];
+            for ((((a0, a1), a2), a3), xc) in r0.iter().zip(r1).zip(r2).zip(r3).zip(x) {
+                acc[0] += a0 * xc;
+                acc[1] += a1 * xc;
+                acc[2] += a2 * xc;
+                acc[3] += a3 * xc;
+            }
+            out.copy_from_slice(&acc);
+        }
+        matvec_rows(blocks.remainder(), x, outs.into_remainder());
+    }
+
+    /// `y = A·x` over the whole rows in `data`, one row at a time.
+    pub(super) fn matvec_rows(data: &[f64], x: &[f64], y: &mut [f64]) {
+        for (yr, row) in y.iter_mut().zip(data.chunks_exact(x.len())) {
+            let mut acc = 0.0;
+            for (a, xc) in row.iter().zip(x) {
+                acc += a * xc;
+            }
+            *yr = acc;
         }
     }
-    out.copy_from_slice(&acc);
-}
 
-/// Columns `c0..c0 + W` of row `r` of [`Matrix::add_outer_sum`].
-fn outer_block<const W: usize>(terms: &[(&[f64], &[f64])], r: usize, c0: usize, out: &mut [f64]) {
-    let mut acc = [0.0; W];
-    acc.copy_from_slice(out);
-    for (col_t, row_t) in terms {
-        let cr = col_t[r];
-        for (s, v) in acc.iter_mut().zip(&row_t[c0..c0 + W]) {
-            *s += cr * v;
+    /// [`Matrix::matvec_batch_into`].
+    #[inline(always)]
+    pub(super) fn matvec_batch(a: &Matrix, xt: &[f64], n: usize, y: &mut [f64]) {
+        if n == 0 {
+            return;
+        }
+        let full = n - n % BATCH;
+        for (r, row) in a.data.chunks_exact(a.cols).enumerate() {
+            for s0 in (0..full).step_by(BATCH) {
+                let mut acc = [0.0; BATCH];
+                for (a, xc) in row.iter().zip(xt.chunks_exact(n)) {
+                    for (s, v) in acc.iter_mut().zip(&xc[s0..s0 + BATCH]) {
+                        *s += a * v;
+                    }
+                }
+                for (i, v) in acc.into_iter().enumerate() {
+                    y[(s0 + i) * a.rows + r] = v;
+                }
+            }
+            for s in full..n {
+                let mut acc = 0.0;
+                for (a, xc) in row.iter().zip(xt.chunks_exact(n)) {
+                    acc += a * xc[s];
+                }
+                y[s * a.rows + r] = acc;
+            }
         }
     }
-    out.copy_from_slice(&acc);
+
+    /// [`Matrix::add_matvec_transpose`].
+    #[inline(always)]
+    pub(super) fn add_matvec_transpose(a: &Matrix, x: &[f64], y: &mut [f64]) {
+        let mut c0 = 0;
+        for w in block_widths(a.cols) {
+            let out = &mut y[c0..c0 + w];
+            match w {
+                LANES => transpose_block::<LANES>(a, x, c0, out),
+                8 => transpose_block::<8>(a, x, c0, out),
+                4 => transpose_block::<4>(a, x, c0, out),
+                2 => transpose_block::<2>(a, x, c0, out),
+                _ => transpose_block::<1>(a, x, c0, out),
+            }
+            c0 += w;
+        }
+    }
+
+    /// [`Matrix::add_outer_sum`] over its resolved `(col(t), row(t))`
+    /// terms.
+    #[inline(always)]
+    pub(super) fn add_outer_sum(a: &mut Matrix, terms: &[(&[f64], &[f64])]) {
+        let cols = a.cols;
+        for (r, dst) in a.data.chunks_exact_mut(cols).enumerate() {
+            let mut c0 = 0;
+            for w in block_widths(cols) {
+                let out = &mut dst[c0..c0 + w];
+                match w {
+                    LANES => outer_block::<LANES>(terms, r, c0, out),
+                    8 => outer_block::<8>(terms, r, c0, out),
+                    4 => outer_block::<4>(terms, r, c0, out),
+                    2 => outer_block::<2>(terms, r, c0, out),
+                    _ => outer_block::<1>(terms, r, c0, out),
+                }
+                c0 += w;
+            }
+        }
+    }
+
+    /// Widths of the column blocks that cover `cols` columns, left to
+    /// right: blocks of [`LANES`] (16), then one block per set bit of the
+    /// remainder, widest first (15 = 8 + 4 + 2 + 1). Every width is a
+    /// compile-time constant of a block kernel, so the block's
+    /// accumulators stay in registers.
+    fn block_widths(cols: usize) -> impl Iterator<Item = usize> {
+        let tail = [8, 4, 2, 1]
+            .into_iter()
+            .filter(move |&w| (cols % LANES) & w != 0);
+        std::iter::repeat_n(LANES, cols / LANES).chain(tail)
+    }
+
+    /// Columns `c0..c0 + W` of [`Matrix::add_matvec_transpose`].
+    #[inline(always)]
+    fn transpose_block<const W: usize>(a: &Matrix, x: &[f64], c0: usize, out: &mut [f64]) {
+        let mut acc = [0.0; W];
+        acc.copy_from_slice(out);
+        for (row, xr) in a.data.chunks_exact(a.cols).zip(x) {
+            for (s, v) in acc.iter_mut().zip(&row[c0..c0 + W]) {
+                *s += v * xr;
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+
+    /// Columns `c0..c0 + W` of row `r` of [`Matrix::add_outer_sum`].
+    #[inline(always)]
+    fn outer_block<const W: usize>(
+        terms: &[(&[f64], &[f64])],
+        r: usize,
+        c0: usize,
+        out: &mut [f64],
+    ) {
+        let mut acc = [0.0; W];
+        acc.copy_from_slice(out);
+        for (col_t, row_t) in terms {
+            let cr = col_t[r];
+            for (s, v) in acc.iter_mut().zip(&row_t[c0..c0 + W]) {
+                *s += cr * v;
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+}
+
+/// The same kernels on 256-bit AVX vectors, for x86-64 CPUs that have
+/// AVX. Each lane holds one output element, with the terms, their order,
+/// the operands of each multiply and add, and the start value of the
+/// portable kernel; none of them enables FMA.
+#[cfg(target_arch = "x86_64")]
+mod avx {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_loadu2_m128d, _mm256_mul_pd, _mm256_set1_pd, _mm256_set_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
+    };
+
+    use super::{portable, Matrix, ROW_BLOCK};
+
+    /// Whether this CPU can run the kernels below: one cached load after
+    /// the first call.
+    pub(super) fn detected() -> bool {
+        std::arch::is_x86_feature_detected!("avx")
+    }
+
+    /// [`Matrix::matvec_batch_into`]: the portable body, 16 vectors in
+    /// four registers.
+    #[target_feature(enable = "avx")]
+    pub(super) fn matvec_batch(a: &Matrix, xt: &[f64], n: usize, y: &mut [f64]) {
+        portable::matvec_batch(a, xt, n, y);
+    }
+
+    /// [`Matrix::add_matvec_transpose`]: the portable body, 16 columns in
+    /// four registers.
+    #[target_feature(enable = "avx")]
+    pub(super) fn add_matvec_transpose(a: &Matrix, x: &[f64], y: &mut [f64]) {
+        portable::add_matvec_transpose(a, x, y);
+    }
+
+    /// [`Matrix::add_outer_sum`]: the portable body, 16 columns in four
+    /// registers.
+    #[target_feature(enable = "avx")]
+    pub(super) fn add_outer_sum(a: &mut Matrix, terms: &[(&[f64], &[f64])]) {
+        portable::add_outer_sum(a, terms);
+    }
+
+    /// [`Matrix::matvec_into`]: four rows at once in one vector, then the
+    /// last rows one by one as the portable kernel sums them.
+    #[target_feature(enable = "avx")]
+    pub(super) fn matvec(a: &Matrix, x: &[f64], y: &mut [f64]) {
+        let mut blocks = a.data.chunks_exact(ROW_BLOCK * a.cols);
+        let mut outs = y.chunks_exact_mut(ROW_BLOCK);
+        for (out, block) in outs.by_ref().zip(blocks.by_ref()) {
+            row_block(block, x, out);
+        }
+        portable::matvec_rows(blocks.remainder(), x, outs.into_remainder());
+    }
+
+    /// `y = A·x` for the four rows of `block`, lane `i` holding row `i`.
+    /// Two columns at a time: rows 0 and 2, and rows 1 and 3, are each
+    /// loaded as one vector of two columns per row and multiplied by `x`
+    /// entrywise; an in-lane unpack then gathers each column's four terms,
+    /// which are added in column order.
+    #[target_feature(enable = "avx")]
+    fn row_block(block: &[f64], x: &[f64], y: &mut [f64]) {
+        let cols = x.len();
+        assert!(block.len() == ROW_BLOCK * cols && y.len() == ROW_BLOCK);
+        let mut acc = _mm256_setzero_pd();
+        for c in (0..cols - cols % 2).step_by(2) {
+            // SAFETY: `c + 2 <= cols`, so each half reads `x[c..c + 2]`, and
+            // `block` holds four rows of `cols` entries (asserted above), so
+            // each half of a row pair reads entries `c..c + 2` of one row.
+            let (xx, a02, a13) = unsafe {
+                let (xc, a0) = (x.as_ptr().add(c), block.as_ptr().add(c));
+                (
+                    _mm256_loadu2_m128d(xc, xc),
+                    _mm256_loadu2_m128d(a0.add(2 * cols), a0),
+                    _mm256_loadu2_m128d(a0.add(3 * cols), a0.add(cols)),
+                )
+            };
+            let (p02, p13) = (_mm256_mul_pd(a02, xx), _mm256_mul_pd(a13, xx));
+            acc = _mm256_add_pd(acc, _mm256_unpacklo_pd(p02, p13));
+            acc = _mm256_add_pd(acc, _mm256_unpackhi_pd(p02, p13));
+        }
+        if cols % 2 == 1 {
+            let c = cols - 1;
+            let a = |r: usize| block[r * cols + c];
+            let a = _mm256_set_pd(a(3), a(2), a(1), a(0));
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(a, _mm256_set1_pd(x[c])));
+        }
+        // SAFETY: `y` holds the four entries the store writes (asserted
+        // above).
+        unsafe { _mm256_storeu_pd(y.as_mut_ptr(), acc) };
+    }
 }
 
 /// Numerically stable softmax of `values[..live]`, in place. The entries
@@ -400,6 +572,178 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// A kernel path: the portable kernels, or their AVX versions.
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        Portable,
+        #[cfg(target_arch = "x86_64")]
+        Avx,
+    }
+
+    /// The paths this CPU can run: the portable one, and the AVX one when
+    /// the CPU has AVX.
+    fn paths() -> Vec<Path> {
+        #[cfg(target_arch = "x86_64")]
+        if avx::detected() {
+            return vec![Path::Portable, Path::Avx];
+        }
+        vec![Path::Portable]
+    }
+
+    /// Calls kernel `$kernel` of `$path` with the given arguments.
+    macro_rules! run {
+        ($path:expr, $kernel:ident($($arg:expr),*)) => {
+            match $path {
+                Path::Portable => portable::$kernel($($arg),*),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `paths` yields `Avx` only when the CPU has AVX.
+                Path::Avx => unsafe { avx::$kernel($($arg),*) },
+            }
+        };
+    }
+
+    /// `len` mixed-sign values over six decades, about one in eight a
+    /// signed zero; or, with `zeros`, only signed zeros, whose sums keep
+    /// the sign of their start value.
+    fn values(rng: &mut SmallRng, len: usize, zeros: bool) -> Vec<f64> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..8) {
+                _ if zeros && rng.gen::<bool>() => 0.0,
+                _ if zeros => -0.0,
+                0 if rng.gen::<bool>() => 0.0,
+                0 => -0.0,
+                _ => rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-3..3)),
+            })
+            .collect()
+    }
+
+    /// Every `(rows, cols)` of the ranges, once with mixed values and once
+    /// with signed zeros.
+    fn shapes(
+        rows: std::ops::Range<usize>,
+        cols: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (usize, usize, bool)> {
+        rows.flat_map(move |r| cols.clone().map(move |c| (r, c)))
+            .flat_map(|(r, c)| [(r, c, false), (r, c, true)])
+    }
+
+    fn matrix(rng: &mut SmallRng, rows: usize, cols: usize, zeros: bool) -> Matrix {
+        let data = values(rng, rows * cols, zeros);
+        let slices: Vec<&[f64]> = data.chunks(cols).collect();
+        Matrix::from_rows(&slices)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `A·x` by its definition: one row at a time, from 0.
+    fn naive_matvec(a: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..a.rows())
+            .map(|r| {
+                let mut acc = 0.0;
+                for (c, xc) in x.iter().enumerate() {
+                    acc += a.get(r, c) * xc;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    // The kernel tests below cover every remainder the blocked loops
+    // have: rows mod 4, columns mod 2 and mod 16, vectors mod 16, and
+    // k = 1; each shape runs on mixed values and on signed zeros.
+
+    #[test]
+    fn matvec_paths_match_the_definition() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        for path in paths() {
+            for (rows, cols, zeros) in shapes(1..14, 1..36) {
+                let a = matrix(&mut rng, rows, cols, zeros);
+                let x = values(&mut rng, cols, zeros);
+                let mut y = values(&mut rng, rows, false);
+                run!(path, matvec(&a, &x, &mut y));
+                let want = naive_matvec(&a, &x);
+                assert_eq!(bits(&y), bits(&want), "{path:?} {rows}x{cols}");
+            }
+        }
+    }
+
+    #[test]
+    fn matvec_batch_paths_match_the_definition() {
+        let mut rng = SmallRng::seed_from_u64(2);
+        for path in paths() {
+            for (rows, cols, zeros) in shapes(1..6, 1..20) {
+                for n in 0..36 {
+                    let a = matrix(&mut rng, rows, cols, zeros);
+                    let xs: Vec<Vec<f64>> = (0..n).map(|_| values(&mut rng, cols, zeros)).collect();
+                    let xt: Vec<f64> = (0..cols)
+                        .flat_map(|c| xs.iter().map(move |x| x[c]))
+                        .collect();
+                    let mut y = values(&mut rng, rows * n, false);
+                    run!(path, matvec_batch(&a, &xt, n, &mut y));
+                    let want: Vec<f64> = xs.iter().flat_map(|x| naive_matvec(&a, x)).collect();
+                    assert_eq!(bits(&y), bits(&want), "{path:?} {rows}x{cols} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn add_matvec_transpose_paths_match_the_definition() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        for path in paths() {
+            for (rows, cols, zeros) in shapes(1..10, 1..41) {
+                let a = matrix(&mut rng, rows, cols, zeros);
+                let x = values(&mut rng, rows, zeros);
+                let mut y = values(&mut rng, cols, zeros);
+                let mut want = y.clone();
+                for (r, xr) in x.iter().enumerate() {
+                    for (c, w) in want.iter_mut().enumerate() {
+                        *w += a.get(r, c) * xr;
+                    }
+                }
+                run!(path, add_matvec_transpose(&a, &x, &mut y));
+                assert_eq!(bits(&y), bits(&want), "{path:?} {rows}x{cols}");
+            }
+        }
+    }
+
+    #[test]
+    fn add_outer_sum_paths_match_the_definition() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        for path in paths() {
+            for (rows, cols, zeros) in shapes(1..7, 1..41) {
+                for k in 1..5 {
+                    let mut a = matrix(&mut rng, rows, cols, zeros);
+                    let col: Vec<Vec<f64>> =
+                        (0..k).map(|_| values(&mut rng, rows, zeros)).collect();
+                    let row: Vec<Vec<f64>> =
+                        (0..k).map(|_| values(&mut rng, cols, zeros)).collect();
+                    let mut want = a.clone();
+                    for (col_t, row_t) in col.iter().zip(&row) {
+                        for (r, cr) in col_t.iter().enumerate() {
+                            for (c, v) in row_t.iter().enumerate() {
+                                want.set(r, c, want.get(r, c) + cr * v);
+                            }
+                        }
+                    }
+                    let terms: Vec<(&[f64], &[f64])> = col
+                        .iter()
+                        .zip(&row)
+                        .map(|(c, r)| (&c[..], &r[..]))
+                        .collect();
+                    run!(path, add_outer_sum(&mut a, &terms));
+                    assert_eq!(
+                        bits(a.as_slice()),
+                        bits(want.as_slice()),
+                        "{path:?} {rows}x{cols} k={k}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn matvec_identity() {
