@@ -153,10 +153,16 @@ fn exports_are_bit_identical_with_telemetry_on_or_off() {
 
     // 4) The metrics registry agrees with the engine's own accounting:
     // 3 telemetry-on campaigns x 12 shards each, and one controller
-    // proposal and update per step of the 12 combined shards.
+    // proposal and update (one backward pass and one optimizer step) per
+    // step of the 12 combined shards.
     assert_eq!(metrics.counter("engine.shards_total"), Some(36));
     assert_eq!(metrics.counter("engine.shards_done"), Some(36));
-    for name in ["rl.propose_us", "rl.learn_us"] {
+    for name in [
+        "rl.propose_us",
+        "rl.learn_us",
+        "rl.backward_us",
+        "rl.optimizer_us",
+    ] {
         let calls = metrics.histogram(name).map(|h| h.count());
         assert_eq!(calls, Some(12 * 50), "{name} observations");
     }

@@ -18,6 +18,14 @@ static PROPOSE_US: codesign_telemetry::Histogram =
     codesign_telemetry::Histogram::new("rl.propose_us");
 /// Telemetry: wall-clock of [`ReinforceTrainer::learn`], µs.
 static LEARN_US: codesign_telemetry::Histogram = codesign_telemetry::Histogram::new("rl.learn_us");
+/// Telemetry: the backward pass of each [`ReinforceTrainer::learn`]
+/// (clearing and accumulating the policy's gradients), µs.
+static BACKWARD_US: codesign_telemetry::Histogram =
+    codesign_telemetry::Histogram::new("rl.backward_us");
+/// Telemetry: the optimizer step of each [`ReinforceTrainer::learn`]
+/// (gradient-norm clip and Adam update), µs.
+static OPTIMIZER_US: codesign_telemetry::Histogram =
+    codesign_telemetry::Histogram::new("rl.optimizer_us");
 
 /// Hyper-parameters of the REINFORCE trainer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,12 +106,16 @@ impl ReinforceTrainer {
         } else {
             0.0
         });
+        let backward = timer.map(|_| Instant::now());
         self.policy.zero_grad();
         self.policy
             .accumulate_grad(rollout, advantage, self.config.entropy_beta);
+        let optimizer = timer.map(|_| Instant::now());
         self.optimizer.step(&mut self.policy);
         self.steps += 1;
-        if let Some(t) = timer {
+        if let (Some(t), Some(b), Some(o)) = (timer, backward, optimizer) {
+            BACKWARD_US.record_duration(o - b);
+            OPTIMIZER_US.record_duration(o.elapsed());
             LEARN_US.record_duration(t.elapsed());
         }
     }
