@@ -9,8 +9,10 @@
 //! server as from a one-shot run. An unknown flag, a value that does not
 //! parse or a job the spec rejects exits with code 2, and so does a flag
 //! the mode does not read: `campaign serve` takes no job flags,
-//! `campaign submit` only the job and `--connect`, and a one-shot run none
-//! of the server's.
+//! `campaign submit` only the job and `--connect`, `--check-scenarios`
+//! only the job, `--list-scenarios` nothing else, and a one-shot run none
+//! of the server's. `--cache-sync-secs` needs a `--cache-path` to
+//! re-merge.
 //!
 //! Scenarios are open: beyond the paper's three presets, any declarative
 //! `ScenarioSpec` runs — from a versioned JSON file (`--scenarios-file`) or
@@ -345,6 +347,9 @@ fn run_serve(args: &Args) -> ! {
     let queue_capacity = args.get_usize_in("queue-capacity", 16, 1..);
     let cache_path = args.get_str("cache-path", "");
     let sync_secs = args.get_usize("cache-sync-secs", 0);
+    if sync_secs > 0 && cache_path.is_empty() {
+        exit_usage("--cache-sync-secs needs --cache-path: there is no cache directory to re-merge");
+    }
     let telemetry = Arc::new(TelemetryOutputs::create(args));
     if telemetry.any() {
         codesign_telemetry::set_enabled(true);
@@ -374,7 +379,7 @@ fn run_serve(args: &Args) -> ! {
 
     // Periodic re-merge: while serving, fold sibling processes' entries in
     // (and publish ours) every --cache-sync-secs.
-    if sync_secs > 0 && !cache_path.is_empty() {
+    if sync_secs > 0 {
         let cache = Arc::clone(&cache);
         let path = cache_path.clone();
         let inner = server.inner();
@@ -539,10 +544,16 @@ fn main() {
         .map(|(flag, value, _, _)| format!("--{flag} {value}, "))
         .collect();
     // Each mode checks its flags against the ones it reads, so a flag of
-    // another mode exits 2 instead of being ignored.
+    // another mode exits 2 instead of being ignored. `--list-scenarios`
+    // reads no other flag, and `--check-scenarios` only the job.
+    let given = |flag: &str| raw.iter().any(|arg| arg == flag);
     let args = Args::parse(&match raw.get(1).map(String::as_str) {
         Some("serve") => format!("serve, {SERVE_FLAGS}"),
         Some("submit") => format!("submit, --connect SOCKET, {job_flags}{SCENARIO_FLAGS}"),
+        _ if given("--list-scenarios") => "--list-scenarios".to_owned(),
+        _ if given("--check-scenarios") => {
+            format!("--check-scenarios, {job_flags}{SCENARIO_FLAGS}")
+        }
         _ => format!("serve, submit, {job_flags}{SCENARIO_FLAGS}, {ONE_SHOT_FLAGS}"),
     });
     if args.flag("no-cache") && !args.get_str("cache-path", "").is_empty() {

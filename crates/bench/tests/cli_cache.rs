@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
 /// The sweep every one-shot invocation runs, as `(flag, value)` pairs; a
-/// case that passes the same flag overrides it. `serve` and `submit` get
-/// none of it.
+/// case that passes the same flag overrides it. `serve`, `submit` and
+/// `--list-scenarios` get none of it.
 const SWEEP: [(&str, &str); 3] = [
     ("--steps", "5"),
     ("--repeats", "1"),
@@ -33,7 +33,8 @@ fn scratch(tag: &str) -> PathBuf {
 /// Runs `campaign ARGS` in `cwd`, followed by the sweep flags that `args`
 /// does not set when it is a one-shot run.
 fn campaign(cwd: &Path, args: &[&str]) -> Output {
-    let one_shot = !matches!(args.first(), Some(&("serve" | "submit")));
+    let one_shot =
+        !matches!(args.first(), Some(&("serve" | "submit"))) && !args.contains(&"--list-scenarios");
     let sweep = SWEEP
         .iter()
         .filter(|(flag, _)| one_shot && !args.contains(flag))
@@ -64,7 +65,7 @@ fn bad_cache_input_exits_2_without_a_panic() {
     let removed = "pass --cache-path DIR";
     let grid_order = "always dispatch in grid order";
     let vertices = "for --max-vertices: expected 2..=7";
-    let cases: [(&str, &[&str], &str); 28] = [
+    let cases: [(&str, &[&str], &str); 38] = [
         (
             "regular file",
             &["--cache-path", "eval-cache.bin"],
@@ -164,6 +165,63 @@ fn bad_cache_input_exits_2_without_a_panic() {
             "serve with no queue",
             &["serve", "--stdio", "--queue-capacity", "0"],
             "invalid value '0' for --queue-capacity: expected 1..",
+        ),
+        (
+            "serve syncing no cache",
+            &[
+                "serve",
+                "--stdio",
+                "--cache-sync-secs",
+                "5",
+                "--max-vertices",
+                "3",
+            ],
+            "--cache-sync-secs needs --cache-path",
+        ),
+        (
+            "list with a job flag",
+            &["--list-scenarios", "--steps", "5"],
+            "unknown flag --steps",
+        ),
+        (
+            "list with a run flag",
+            &["--list-scenarios", "--cache-path", "x.d"],
+            "unknown flag --cache-path",
+        ),
+        (
+            "check on nine vertices",
+            &["--check-scenarios", "--max-vertices", "9"],
+            "unknown flag --max-vertices",
+        ),
+        (
+            "check with workers",
+            &["--check-scenarios", "--workers", "3"],
+            "unknown flag --workers",
+        ),
+        (
+            "check without a cache",
+            &["--check-scenarios", "--no-cache"],
+            "unknown flag --no-cache",
+        ),
+        (
+            "check with a cache",
+            &["--check-scenarios", "--cache-path", "x.d"],
+            "unknown flag --cache-path",
+        ),
+        (
+            "check with a trace",
+            &["--check-scenarios", "--trace-out", "t.json"],
+            "unknown flag --trace-out",
+        ),
+        (
+            "check with metrics",
+            &["--check-scenarios", "--metrics-out", "m.jsonl"],
+            "unknown flag --metrics-out",
+        ),
+        (
+            "check with progress",
+            &["--check-scenarios", "--progress"],
+            "unknown flag --progress",
         ),
     ];
     for (case, args, message) in cases {
@@ -293,6 +351,20 @@ fn unwritable_telemetry_paths_exit_2_before_any_work() {
         );
         let _ = std::fs::remove_dir_all(&cwd);
     }
+}
+
+#[test]
+fn scenario_modes_take_the_flags_they_read() {
+    let cwd = scratch("scenario-modes");
+    let list = campaign(&cwd, &["--list-scenarios"]);
+    assert_eq!(list.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&list.stdout).contains("built-in presets"));
+    // The sweep's job flags come with it.
+    let check = campaign(&cwd, &["--check-scenarios", "--scenario", "1"]);
+    assert_eq!(check.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&check.stdout).contains("1 scenario(s) valid"));
+    assert!(!cwd.join("x.d").exists() && !cwd.join("target").exists());
+    let _ = std::fs::remove_dir_all(&cwd);
 }
 
 #[test]
