@@ -40,6 +40,39 @@ const LANES: usize = 16;
 /// Vectors that [`Matrix::matvec_batch_into`] multiplies at once.
 const BATCH: usize = 16;
 
+/// Which version of the kernels runs. An `Avx` value is made only once
+/// the CPU is known to have AVX.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx,
+}
+
+impl Path {
+    /// The AVX path when the CPU has AVX, else the portable one.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if avx::detected() {
+            return Self::Avx;
+        }
+        Self::Portable
+    }
+}
+
+/// Runs kernel `$kernel` of `$path` on the given arguments.
+macro_rules! run {
+    ($path:expr, $kernel:ident($($arg:expr),*)) => {
+        match $path {
+            Path::Portable => portable::$kernel($($arg),*),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx` path exists only on a CPU with AVX, the one
+            // feature the AVX kernels enable.
+            Path::Avx => unsafe { avx::$kernel($($arg),*) },
+        }
+    };
+}
+
 /// A row-major dense matrix.
 ///
 /// # Examples
@@ -168,13 +201,7 @@ impl Matrix {
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if avx::detected() {
-            // SAFETY: the CPU has AVX, the only feature the kernel enables.
-            unsafe { avx::matvec(self, x, y) };
-            return;
-        }
-        portable::matvec(self, x, y);
+        run!(Path::detect(), matvec(self, x, y));
     }
 
     /// `y = A·x_s` for `n` vectors at once, each exactly as
@@ -189,13 +216,7 @@ impl Matrix {
     pub fn matvec_batch_into(&self, xt: &[f64], n: usize, y: &mut [f64]) {
         assert_eq!(xt.len(), self.cols * n, "batch input dimension mismatch");
         assert_eq!(y.len(), self.rows * n, "batch output dimension mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if avx::detected() {
-            // SAFETY: the CPU has AVX, the only feature the kernel enables.
-            unsafe { avx::matvec_batch(self, xt, n, y) };
-            return;
-        }
-        portable::matvec_batch(self, xt, n, y);
+        run!(Path::detect(), matvec_batch(self, xt, n, y));
     }
 
     /// `y += Aᵀ·x`: `y[c] = y[c] + A[0][c]·x[0] + A[1][c]·x[1] + …`, added
@@ -212,13 +233,7 @@ impl Matrix {
             self.cols,
             "matvec_transpose output dimension mismatch"
         );
-        #[cfg(target_arch = "x86_64")]
-        if avx::detected() {
-            // SAFETY: the CPU has AVX, the only feature the kernel enables.
-            unsafe { avx::add_matvec_transpose(self, x, y) };
-            return;
-        }
-        portable::add_matvec_transpose(self, x, y);
+        run!(Path::detect(), add_matvec_transpose(self, x, y));
     }
 
     /// Rank-`k` accumulation `A += Σ_t col(t) ⊗ row(t)` (the weight
@@ -245,13 +260,7 @@ impl Matrix {
                 (c, r)
             })
             .collect();
-        #[cfg(target_arch = "x86_64")]
-        if avx::detected() {
-            // SAFETY: the CPU has AVX, the only feature the kernel enables.
-            unsafe { avx::add_outer_sum(self, &terms) };
-            return;
-        }
-        portable::add_outer_sum(self, &terms);
+        run!(Path::detect(), add_outer_sum(self, &terms));
     }
 
     /// Flat parameter view.
@@ -573,14 +582,6 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    /// A kernel path: the portable kernels, or their AVX versions.
-    #[derive(Debug, Clone, Copy)]
-    enum Path {
-        Portable,
-        #[cfg(target_arch = "x86_64")]
-        Avx,
-    }
-
     /// The paths this CPU can run: the portable one, and the AVX one when
     /// the CPU has AVX.
     fn paths() -> Vec<Path> {
@@ -589,18 +590,6 @@ mod tests {
             return vec![Path::Portable, Path::Avx];
         }
         vec![Path::Portable]
-    }
-
-    /// Calls kernel `$kernel` of `$path` with the given arguments.
-    macro_rules! run {
-        ($path:expr, $kernel:ident($($arg:expr),*)) => {
-            match $path {
-                Path::Portable => portable::$kernel($($arg),*),
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `paths` yields `Avx` only when the CPU has AVX.
-                Path::Avx => unsafe { avx::$kernel($($arg),*) },
-            }
-        };
     }
 
     /// `len` mixed-sign values over six decades, about one in eight a
