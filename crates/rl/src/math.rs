@@ -9,9 +9,9 @@
 //! same terms, added one at a time in the same order from the same start
 //! value, as the naive loop in its documentation. Blocking only
 //! interleaves *independent* elements, so that their additions run as
-//! separate dependency chains: four rows of a matrix–vector product, 16
-//! vectors of a batched product, or a block of up to 16 columns of a
-//! result kept in registers. No kernel reassociates a sum or fuses a
+//! separate dependency chains: four rows of a matrix–vector product (eight
+//! on the AVX path), 16 vectors of a batched product, or a block of up to
+//! 16 columns of a result kept in registers (32 on the AVX path). No kernel reassociates a sum or fuses a
 //! multiply-add, so the results are bit-identical on every CPU and build
 //! profile.
 //!
@@ -20,10 +20,10 @@
 //! `is_x86_feature_detected!("avx")` holds; nothing else selects a path.
 //! The AVX versions put independent output elements in the four lanes of
 //! a 256-bit vector. The batched, transposed and outer-product kernels
-//! are the portable bodies compiled a second time with AVX enabled; the
-//! matrix–vector product loads two columns of four rows and unpacks their
-//! products in registers, so each lane receives its own row's terms in
-//! column order. A vector multiply or add rounds each lane exactly as the
+//! are the portable bodies compiled a second time with AVX enabled, the
+//! last two with column blocks twice as wide; the matrix–vector product
+//! loads two columns of four rows and unpacks their products in
+//! registers, so each lane receives its own row's terms in column order. A vector multiply or add rounds each lane exactly as the
 //! scalar instruction does, and AVX has no fused multiply-add (that is
 //! the separate FMA feature, which no kernel enables), so both paths give
 //! the same bits. This module's unit tests check both paths against the
@@ -34,8 +34,8 @@ use rand::Rng;
 
 /// Rows of `A` that [`Matrix::matvec_into`] sums at once.
 const ROW_BLOCK: usize = 4;
-/// Widest block of result columns that the transposed and outer-product
-/// kernels keep in registers.
+/// Widest block of result columns that the portable transposed and
+/// outer-product kernels keep in registers.
 const LANES: usize = 16;
 /// Vectors that [`Matrix::matvec_batch_into`] multiplies at once.
 const BATCH: usize = 16;
@@ -193,7 +193,7 @@ impl Matrix {
     }
 
     /// `y = A·x`: `y[r] = 0 + A[r][0]·x[0] + A[r][1]·x[1] + …`, summed in
-    /// column order. Four rows run at once.
+    /// column order. Four rows run at once, eight on the AVX path.
     ///
     /// # Panics
     ///
@@ -220,8 +220,8 @@ impl Matrix {
     }
 
     /// `y += Aᵀ·x`: `y[c] = y[c] + A[0][c]·x[0] + A[1][c]·x[1] + …`, added
-    /// in row order. Blocks of up to 16 entries of `y` stay in registers
-    /// across all rows.
+    /// in row order. Blocks of up to 16 entries of `y` (32 on the AVX path)
+    /// stay in registers across all rows.
     ///
     /// # Panics
     ///
@@ -239,8 +239,8 @@ impl Matrix {
     /// Rank-`k` accumulation `A += Σ_t col(t) ⊗ row(t)` (the weight
     /// gradient of `k` products `A·row(t)`): `A[r][c]` adds
     /// `col(t)[r]·row(t)[c]` for `t = 0, 1, …, k − 1`, one `t` at a time.
-    /// Blocks of up to 16 columns of each row of `A` stay in registers across
-    /// all `t`.
+    /// Blocks of up to 16 columns of each row of `A` (32 on the AVX path)
+    /// stay in registers across all `t`.
     ///
     /// # Panics
     ///
@@ -283,8 +283,9 @@ impl Matrix {
 /// The reference kernels, compiled for the build's target. Dimensions are
 /// checked by the [`Matrix`] methods that call them.
 ///
-/// The three blocked kernels are `#[inline(always)]`, so that the AVX path
-/// compiles their bodies a second time with 256-bit registers.
+/// The blocked bodies (`matvec_batch`, `transpose_blocks` and
+/// `outer_blocks`) are `#[inline(always)]`, so that the AVX path compiles
+/// them a second time with 256-bit registers.
 mod portable {
     use super::{Matrix, BATCH, LANES, ROW_BLOCK};
 
@@ -350,13 +351,19 @@ mod portable {
     }
 
     /// [`Matrix::add_matvec_transpose`].
-    #[inline(always)]
     pub(super) fn add_matvec_transpose(a: &Matrix, x: &[f64], y: &mut [f64]) {
+        transpose_blocks(a, x, y, LANES);
+    }
+
+    /// [`Matrix::add_matvec_transpose`], in column blocks of up to `lanes`.
+    #[inline(always)]
+    pub(super) fn transpose_blocks(a: &Matrix, x: &[f64], y: &mut [f64], lanes: usize) {
         let mut c0 = 0;
-        for w in block_widths(a.cols) {
+        for w in block_widths(a.cols, lanes) {
             let out = &mut y[c0..c0 + w];
             match w {
-                LANES => transpose_block::<LANES>(a, x, c0, out),
+                32 => transpose_block::<32>(a, x, c0, out),
+                16 => transpose_block::<16>(a, x, c0, out),
                 8 => transpose_block::<8>(a, x, c0, out),
                 4 => transpose_block::<4>(a, x, c0, out),
                 2 => transpose_block::<2>(a, x, c0, out),
@@ -368,15 +375,21 @@ mod portable {
 
     /// [`Matrix::add_outer_sum`] over its resolved `(col(t), row(t))`
     /// terms.
-    #[inline(always)]
     pub(super) fn add_outer_sum(a: &mut Matrix, terms: &[(&[f64], &[f64])]) {
+        outer_blocks(a, terms, LANES);
+    }
+
+    /// [`Matrix::add_outer_sum`], in column blocks of up to `lanes`.
+    #[inline(always)]
+    pub(super) fn outer_blocks(a: &mut Matrix, terms: &[(&[f64], &[f64])], lanes: usize) {
         let cols = a.cols;
         for (r, dst) in a.data.chunks_exact_mut(cols).enumerate() {
             let mut c0 = 0;
-            for w in block_widths(cols) {
+            for w in block_widths(cols, lanes) {
                 let out = &mut dst[c0..c0 + w];
                 match w {
-                    LANES => outer_block::<LANES>(terms, r, c0, out),
+                    32 => outer_block::<32>(terms, r, c0, out),
+                    16 => outer_block::<16>(terms, r, c0, out),
                     8 => outer_block::<8>(terms, r, c0, out),
                     4 => outer_block::<4>(terms, r, c0, out),
                     2 => outer_block::<2>(terms, r, c0, out),
@@ -388,15 +401,15 @@ mod portable {
     }
 
     /// Widths of the column blocks that cover `cols` columns, left to
-    /// right: blocks of [`LANES`] (16), then one block per set bit of the
-    /// remainder, widest first (15 = 8 + 4 + 2 + 1). Every width is a
-    /// compile-time constant of a block kernel, so the block's
+    /// right: blocks of `lanes` (16 or 32), then one block per set bit of
+    /// the remainder, widest first (31 = 16 + 8 + 4 + 2 + 1). Every width
+    /// is a compile-time constant of a block kernel, so the block's
     /// accumulators stay in registers.
-    fn block_widths(cols: usize) -> impl Iterator<Item = usize> {
-        let tail = [8, 4, 2, 1]
+    fn block_widths(cols: usize, lanes: usize) -> impl Iterator<Item = usize> {
+        let tail = [16, 8, 4, 2, 1]
             .into_iter()
-            .filter(move |&w| (cols % LANES) & w != 0);
-        std::iter::repeat_n(LANES, cols / LANES).chain(tail)
+            .filter(move |&w| (cols % lanes) & w != 0);
+        std::iter::repeat_n(lanes, cols / lanes).chain(tail)
     }
 
     /// Columns `c0..c0 + W` of [`Matrix::add_matvec_transpose`].
@@ -445,6 +458,13 @@ mod avx {
 
     use super::{portable, Matrix, ROW_BLOCK};
 
+    /// Widest block of result columns that the AVX transposed and
+    /// outer-product kernels keep in registers: eight 256-bit vectors, half
+    /// of the 16 that AVX has.
+    const LANES: usize = 32;
+    /// Row blocks of four that [`matvec`] sums at once, one vector each.
+    const GROUPS: usize = 2;
+
     /// Whether this CPU can run the kernels below: one cached load after
     /// the first call.
     pub(super) fn detected() -> bool {
@@ -458,67 +478,85 @@ mod avx {
         portable::matvec_batch(a, xt, n, y);
     }
 
-    /// [`Matrix::add_matvec_transpose`]: the portable body, 16 columns in
-    /// four registers.
+    /// [`Matrix::add_matvec_transpose`]: the portable body, 32 columns in
+    /// eight registers.
     #[target_feature(enable = "avx")]
     pub(super) fn add_matvec_transpose(a: &Matrix, x: &[f64], y: &mut [f64]) {
-        portable::add_matvec_transpose(a, x, y);
+        portable::transpose_blocks(a, x, y, LANES);
     }
 
-    /// [`Matrix::add_outer_sum`]: the portable body, 16 columns in four
+    /// [`Matrix::add_outer_sum`]: the portable body, 32 columns in eight
     /// registers.
     #[target_feature(enable = "avx")]
     pub(super) fn add_outer_sum(a: &mut Matrix, terms: &[(&[f64], &[f64])]) {
-        portable::add_outer_sum(a, terms);
+        portable::outer_blocks(a, terms, LANES);
     }
 
-    /// [`Matrix::matvec_into`]: four rows at once in one vector, then the
-    /// last rows one by one as the portable kernel sums them.
+    /// [`Matrix::matvec_into`]: eight rows at once in two vectors of four,
+    /// then a block of four, then the last rows one by one as the portable
+    /// kernel sums them.
     #[target_feature(enable = "avx")]
     pub(super) fn matvec(a: &Matrix, x: &[f64], y: &mut [f64]) {
-        let mut blocks = a.data.chunks_exact(ROW_BLOCK * a.cols);
-        let mut outs = y.chunks_exact_mut(ROW_BLOCK);
+        let cols = a.cols;
+        let mut blocks = a.data.chunks_exact(GROUPS * ROW_BLOCK * cols);
+        let mut outs = y.chunks_exact_mut(GROUPS * ROW_BLOCK);
         for (out, block) in outs.by_ref().zip(blocks.by_ref()) {
-            row_block(block, x, out);
+            row_blocks::<GROUPS>(block, x, out);
+        }
+        let mut blocks = blocks.remainder().chunks_exact(ROW_BLOCK * cols);
+        let mut outs = outs.into_remainder().chunks_exact_mut(ROW_BLOCK);
+        for (out, block) in outs.by_ref().zip(blocks.by_ref()) {
+            row_blocks::<1>(block, x, out);
         }
         portable::matvec_rows(blocks.remainder(), x, outs.into_remainder());
     }
 
-    /// `y = A·x` for the four rows of `block`, lane `i` holding row `i`.
-    /// Two columns at a time: rows 0 and 2, and rows 1 and 3, are each
-    /// loaded as one vector of two columns per row and multiplied by `x`
-    /// entrywise; an in-lane unpack then gathers each column's four terms,
-    /// which are added in column order.
+    /// `y = A·x` for the `4·G` rows of `block`, lane `i` of vector `g`
+    /// holding row `4g + i`. Two columns at a time: in each block of four,
+    /// rows 0 and 2, and rows 1 and 3, are each loaded as one vector of two
+    /// columns per row and multiplied by `x` entrywise; an in-lane unpack
+    /// then gathers each column's four terms, which are added in column
+    /// order.
     #[target_feature(enable = "avx")]
-    fn row_block(block: &[f64], x: &[f64], y: &mut [f64]) {
+    fn row_blocks<const G: usize>(block: &[f64], x: &[f64], y: &mut [f64]) {
         let cols = x.len();
-        assert!(block.len() == ROW_BLOCK * cols && y.len() == ROW_BLOCK);
-        let mut acc = _mm256_setzero_pd();
+        assert!(block.len() == G * ROW_BLOCK * cols && y.len() == G * ROW_BLOCK);
+        let mut acc = [_mm256_setzero_pd(); G];
         for c in (0..cols - cols % 2).step_by(2) {
-            // SAFETY: `c + 2 <= cols`, so each half reads `x[c..c + 2]`, and
-            // `block` holds four rows of `cols` entries (asserted above), so
-            // each half of a row pair reads entries `c..c + 2` of one row.
-            let (xx, a02, a13) = unsafe {
-                let (xc, a0) = (x.as_ptr().add(c), block.as_ptr().add(c));
-                (
-                    _mm256_loadu2_m128d(xc, xc),
-                    _mm256_loadu2_m128d(a0.add(2 * cols), a0),
-                    _mm256_loadu2_m128d(a0.add(3 * cols), a0.add(cols)),
-                )
+            // SAFETY: `c + 2 <= cols`, so each half reads `x[c..c + 2]`.
+            let xx = unsafe {
+                let xc = x.as_ptr().add(c);
+                _mm256_loadu2_m128d(xc, xc)
             };
-            let (p02, p13) = (_mm256_mul_pd(a02, xx), _mm256_mul_pd(a13, xx));
-            acc = _mm256_add_pd(acc, _mm256_unpacklo_pd(p02, p13));
-            acc = _mm256_add_pd(acc, _mm256_unpackhi_pd(p02, p13));
+            for (g, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: `block` holds `4·G` rows of `cols` entries
+                // (asserted above) and `c + 2 <= cols`, so each half reads
+                // entries `c..c + 2` of one row of block `g`.
+                let (a02, a13) = unsafe {
+                    let a0 = block.as_ptr().add(g * ROW_BLOCK * cols + c);
+                    (
+                        _mm256_loadu2_m128d(a0.add(2 * cols), a0),
+                        _mm256_loadu2_m128d(a0.add(3 * cols), a0.add(cols)),
+                    )
+                };
+                let (p02, p13) = (_mm256_mul_pd(a02, xx), _mm256_mul_pd(a13, xx));
+                *acc = _mm256_add_pd(*acc, _mm256_unpacklo_pd(p02, p13));
+                *acc = _mm256_add_pd(*acc, _mm256_unpackhi_pd(p02, p13));
+            }
         }
         if cols % 2 == 1 {
             let c = cols - 1;
-            let a = |r: usize| block[r * cols + c];
-            let a = _mm256_set_pd(a(3), a(2), a(1), a(0));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(a, _mm256_set1_pd(x[c])));
+            let xc = _mm256_set1_pd(x[c]);
+            for (acc, rows) in acc.iter_mut().zip(block.chunks_exact(ROW_BLOCK * cols)) {
+                let a = |r: usize| rows[r * cols + c];
+                let a = _mm256_set_pd(a(3), a(2), a(1), a(0));
+                *acc = _mm256_add_pd(*acc, _mm256_mul_pd(a, xc));
+            }
         }
-        // SAFETY: `y` holds the four entries the store writes (asserted
-        // above).
-        unsafe { _mm256_storeu_pd(y.as_mut_ptr(), acc) };
+        for (out, acc) in y.chunks_exact_mut(ROW_BLOCK).zip(acc) {
+            // SAFETY: `out` holds the four entries the store writes.
+            unsafe { _mm256_storeu_pd(out.as_mut_ptr(), acc) };
+        }
     }
 }
 
@@ -641,14 +679,15 @@ mod tests {
     }
 
     // The kernel tests below cover every remainder the blocked loops
-    // have: rows mod 4, columns mod 2 and mod 16, vectors mod 16, and
-    // k = 1; each shape runs on mixed values and on signed zeros.
+    // have: rows mod 4 and mod 8, columns mod 2, mod 16 and mod 32, vectors
+    // mod 16, and k = 1; each shape runs on mixed values and on signed
+    // zeros.
 
     #[test]
     fn matvec_paths_match_the_definition() {
         let mut rng = SmallRng::seed_from_u64(1);
         for path in paths() {
-            for (rows, cols, zeros) in shapes(1..14, 1..36) {
+            for (rows, cols, zeros) in shapes(1..18, 1..36) {
                 let a = matrix(&mut rng, rows, cols, zeros);
                 let x = values(&mut rng, cols, zeros);
                 let mut y = values(&mut rng, rows, false);
