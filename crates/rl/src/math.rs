@@ -9,11 +9,11 @@
 //! same terms, added one at a time in the same order from the same start
 //! value, as the naive loop in its documentation. Blocking only
 //! interleaves *independent* elements, so that their additions run as
-//! separate dependency chains: four rows of a matrix–vector product (eight
-//! on the AVX path), 16 vectors of a batched product, or a block of up to
-//! 16 columns of a result kept in registers (32 on the AVX path). No kernel reassociates a sum or fuses a
-//! multiply-add, so the results are bit-identical on every CPU and build
-//! profile.
+//! separate dependency chains: four rows of a matrix–vector product
+//! (eight on the AVX path), 16 vectors of a batched product, or a block
+//! of up to 16 columns of a result kept in registers (32 on the AVX
+//! path). No kernel reassociates a sum or fuses a multiply-add, so the
+//! results are bit-identical on every CPU and build profile.
 //!
 //! **Two paths.** Each kernel has a portable version, compiled for the
 //! build's target, and on x86-64 an AVX version, taken at run time when
@@ -23,16 +23,17 @@
 //! are the portable bodies compiled a second time with AVX enabled, the
 //! last two with column blocks twice as wide; the matrix–vector product
 //! loads two columns of four rows and unpacks their products in
-//! registers, so each lane receives its own row's terms in column order. A vector multiply or add rounds each lane exactly as the
-//! scalar instruction does, and AVX has no fused multiply-add (that is
-//! the separate FMA feature, which no kernel enables), so both paths give
-//! the same bits. This module's unit tests check both paths against the
-//! naive definitions; `tests/proptests.rs` checks the path this CPU
-//! takes.
+//! registers, so each lane receives its own row's terms in column order.
+//! A vector multiply or add rounds each lane exactly as the scalar
+//! instruction does, and AVX has no fused multiply-add (that is the
+//! separate FMA feature, which no kernel enables), so both paths give the
+//! same bits. This module's unit tests check both paths against the naive
+//! definitions; `tests/proptests.rs` checks the path this CPU takes.
 
 use rand::Rng;
 
-/// Rows of `A` that [`Matrix::matvec_into`] sums at once.
+/// Rows of `A` that the portable [`Matrix::matvec_into`] sums at once, and
+/// that one vector of its AVX version holds.
 const ROW_BLOCK: usize = 4;
 /// Widest block of result columns that the portable transposed and
 /// outer-product kernels keep in registers.
