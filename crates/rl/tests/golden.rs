@@ -11,6 +11,9 @@
 //!   and 512 samples: the fitted model and its predictions. The model's
 //!   `Debug` form prints every weight at round-trip precision, so its
 //!   digest pins the weights; a change to the model's fields re-pins it.
+//! * `tanh` over the 3,019,559 inputs of `tanh_inputs`: every output's
+//!   bits. The constant was taken from glibc 2.36's `tanh` on an x86-64
+//!   CPU with FMA.
 //!
 //! The engine digests (`crates/engine/tests/golden.rs`) reach only the
 //! 16-decision 4-vertex space and training sets whose size is a multiple
@@ -25,12 +28,16 @@ use codesign_rl::{
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+mod tanh_inputs;
+
 /// Adam through `ReinforceTrainer`: rollouts, then parameters.
 const TRAINER_ADAM: u64 = 0xfd24_80a9_9f8b_e9fb;
 /// SGD with momentum: rollouts, then parameters.
 const POLICY_SGD: u64 = 0x454e_61f9_bac9_d76c;
 /// `MlpRegressor::fit` at every training-set size: model and predictions.
 const REGRESSOR_FITS: u64 = 0x6635_e4e6_a5bb_57eb;
+/// `tanh` over `tanh_inputs::inputs()`: every output's bits.
+const TANH_BITS: u64 = 0x821b_d5c8_80c8_3d62;
 
 const STEPS: usize = 300;
 /// Both optimizers' default global-norm clip.
@@ -223,4 +230,13 @@ fn regressor_fits() {
         }
     }
     check(&[("regressor fits", digest.0, REGRESSOR_FITS)]);
+}
+
+#[test]
+fn tanh_bits() {
+    let mut digest = Digest::new();
+    for x in tanh_inputs::inputs() {
+        digest.float(x.tanh());
+    }
+    check(&[("tanh", digest.0, TANH_BITS)]);
 }
