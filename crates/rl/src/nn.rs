@@ -12,7 +12,7 @@
 
 use rand::Rng;
 
-use crate::math::{sigmoid, Matrix};
+use crate::math::{sigmoid, tanh, Matrix};
 
 /// A fully-connected layer `y = W·x + b` with gradient accumulators.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,22 +211,20 @@ impl LstmCell {
         let (i, rest) = z.split_at_mut(hsz);
         let (f, rest) = rest.split_at_mut(hsz);
         let (g, o) = rest.split_at_mut(hsz);
-        for (((i, f), g), o) in i
-            .iter_mut()
-            .zip(f.iter_mut())
-            .zip(g.iter_mut())
-            .zip(o.iter_mut())
-        {
+        for ((i, f), o) in i.iter_mut().zip(f.iter_mut()).zip(o.iter_mut()) {
             *i = sigmoid(*i);
             *f = sigmoid(*f);
-            *g = g.tanh();
             *o = sigmoid(*o);
         }
+        tanh(g);
         let (c, rest) = state.split_at_mut(hsz);
         let (h, tc) = rest.split_at_mut(hsz);
         for k in 0..hsz {
             c[k] = f[k] * c_prev[k] + i[k] * g[k];
-            tc[k] = c[k].tanh();
+        }
+        tc.copy_from_slice(c);
+        tanh(tc);
+        for k in 0..hsz {
             h[k] = o[k] * tc[k];
         }
     }

@@ -15,6 +15,7 @@
 
 use rand::Rng;
 
+use crate::math::tanh;
 use crate::nn::Linear;
 
 /// Hyperparameters of [`MlpRegressor`] training.
@@ -153,9 +154,10 @@ impl MlpRegressor {
             self.l1.w.matvec_batch_into(&xt, rows, &mut h);
             for hs in h.chunks_exact_mut(hidden) {
                 for (v, b) in hs.iter_mut().zip(self.l1.b.iter()) {
-                    *v = (*v + b).tanh();
+                    *v += b;
                 }
             }
+            tanh(&mut h);
             let samples = h
                 .chunks_exact(hidden)
                 .zip(yn.chunks_exact(outputs))
@@ -197,7 +199,7 @@ impl MlpRegressor {
         let xn = standardize(x, &self.x_mean, &self.x_std);
         let mut h = vec![0.0; self.config.hidden];
         self.l1.forward_into(&xn, &mut h);
-        h.iter_mut().for_each(|v| *v = v.tanh());
+        tanh(&mut h);
         let mut out = vec![0.0; self.outputs()];
         self.l2.forward_into(&h, &mut out);
         for (o, (m, s)) in out

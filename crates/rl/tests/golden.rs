@@ -11,9 +11,10 @@
 //!   and 512 samples: the fitted model and its predictions. The model's
 //!   `Debug` form prints every weight at round-trip precision, so its
 //!   digest pins the weights; a change to the model's fields re-pins it.
-//! * `tanh` over the 3,019,559 inputs of `tanh_inputs`: every output's
-//!   bits. The constant was taken from glibc 2.36's `tanh` on an x86-64
-//!   CPU with FMA.
+//! * [`math::tanh`] over the 3,019,559 inputs of `tanh_inputs`: every
+//!   output's bits. The constant was taken from `f64::tanh`, which is
+//!   glibc 2.36's `tanh` on the x86-64 CPU with FMA it was pinned on;
+//!   `math::tanh` ports that function and must keep it.
 //!
 //! The engine digests (`crates/engine/tests/golden.rs`) reach only the
 //! 16-decision 4-vertex space and training sets whose size is a multiple
@@ -22,8 +23,8 @@
 //! constants in the same commit and says why.
 
 use codesign_rl::{
-    LstmPolicy, MlpRegressor, PolicyConfig, RegressorConfig, ReinforceConfig, ReinforceTrainer,
-    Rollout, Sgd,
+    math, LstmPolicy, MlpRegressor, PolicyConfig, RegressorConfig, ReinforceConfig,
+    ReinforceTrainer, Rollout, Sgd,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -36,7 +37,8 @@ const TRAINER_ADAM: u64 = 0xfd24_80a9_9f8b_e9fb;
 const POLICY_SGD: u64 = 0x454e_61f9_bac9_d76c;
 /// `MlpRegressor::fit` at every training-set size: model and predictions.
 const REGRESSOR_FITS: u64 = 0x6635_e4e6_a5bb_57eb;
-/// `tanh` over `tanh_inputs::inputs()`: every output's bits.
+/// `tanh` over `tanh_inputs::inputs()`: every output's bits, as glibc
+/// 2.36 computes them with FMA.
 const TANH_BITS: u64 = 0x821b_d5c8_80c8_3d62;
 
 const STEPS: usize = 300;
@@ -234,9 +236,9 @@ fn regressor_fits() {
 
 #[test]
 fn tanh_bits() {
+    let mut values = tanh_inputs::inputs();
+    math::tanh(&mut values);
     let mut digest = Digest::new();
-    for x in tanh_inputs::inputs() {
-        digest.float(x.tanh());
-    }
+    values.iter().for_each(|&v| digest.float(v));
     check(&[("tanh", digest.0, TANH_BITS)]);
 }
