@@ -73,17 +73,18 @@ impl EventSink {
         }
     }
 
-    /// Writes one event line. Returns `false` (and marks the sink broken)
-    /// if the client is gone.
+    /// Writes one event line, newline included, in one `write_all`, so a
+    /// socket reader wakes once per event. Returns `false` (and marks the
+    /// sink broken) if the client is gone.
     pub fn emit(&self, event: &Event) -> bool {
         if self.broken.load(Ordering::Relaxed) {
             return false;
         }
-        let line = event.to_line();
+        let mut line = event.to_line();
+        line.push('\n');
         let mut writer = self.writer.lock().expect("event sink poisoned");
         let result = writer
             .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush());
         drop(writer);
         if result.is_err() {
@@ -561,6 +562,36 @@ mod tests {
             Json::parse(r#"{"scenarios":["0"],"strategies":["random"],"seeds":[0],"steps":30}"#)
                 .expect("literal json");
         JobSpec::from_json(&doc).expect("valid job")
+    }
+
+    #[test]
+    fn each_event_is_one_write_of_its_line_and_newline() {
+        #[derive(Clone)]
+        struct Writes(Arc<Mutex<Vec<Vec<u8>>>>);
+        impl Write for Writes {
+            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().expect("writes poisoned").push(data.to_vec());
+                Ok(data.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        let sink = EventSink::new(Box::new(Writes(Arc::clone(&writes))));
+        let events = [
+            Event::Pong,
+            Event::from_error(Some(3), &ProtocolError::QueueFull { capacity: 2 }),
+            Event::Pong,
+        ];
+        for event in &events {
+            assert!(sink.emit(event));
+        }
+        let want: Vec<Vec<u8>> = events
+            .iter()
+            .map(|e| format!("{}\n", e.to_line()).into_bytes())
+            .collect();
+        assert_eq!(*writes.lock().expect("writes poisoned"), want);
     }
 
     #[test]
