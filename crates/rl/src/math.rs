@@ -966,13 +966,13 @@ pub fn sigmoid(x: f64) -> f64 {
 /// assert_eq!(v, [0.0, 0.5f64.tanh(), -1.0]);
 /// ```
 pub fn tanh(values: &mut [f64]) {
-    match Path::detect() {
-        #[cfg(target_arch = "x86_64")]
+    #[cfg(target_arch = "x86_64")]
+    if let Path::Fma = Path::detect() {
         // SAFETY: an `Fma` path exists only on a CPU with AVX2 and FMA, the
         // features `fma::tanh` enables.
-        Path::Fma => unsafe { fma::tanh(values) },
-        _ => values.iter_mut().for_each(|v| *v = portable::tanh(*v)),
+        return unsafe { fma::tanh(values) };
     }
+    values.iter_mut().for_each(|v| *v = portable::tanh(*v));
 }
 
 #[cfg(test)]
