@@ -566,7 +566,6 @@ mod tests {
 
     #[test]
     fn each_event_is_one_write_of_its_line_and_newline() {
-        #[derive(Clone)]
         struct Writes(Arc<Mutex<Vec<Vec<u8>>>>);
         impl Write for Writes {
             fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
