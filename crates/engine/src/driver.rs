@@ -2,16 +2,23 @@
 //!
 //! Shards are placed on a lock-free work queue (an atomic cursor over the
 //! campaign's grid order) and executed by `std::thread` workers. Every
-//! shard runs with its own RNG stream and its own evaluator, so *which*
-//! worker runs a shard — and when — cannot affect results; the only
-//! cross-shard state is the [`SharedEvalCache`], whose hits return
-//! bit-identical values to recomputation, and the [`Arc`]'d database every
-//! evaluator shares by reference. The same campaign therefore produces the
-//! same report at any worker count.
+//! shard runs with its own RNG stream and its own evaluator; the only
+//! cross-shard state is the [`SharedEvalCache`] and the [`Arc`]'d
+//! database every evaluator shares by reference. Without the shared
+//! cache, *which* worker runs a shard, and when, cannot affect results,
+//! and the same campaign produces the same report at any worker count.
 //!
-//! Workers pull shards in grid order. A shard's cost depends mostly on its
-//! strategy (an RL shard costs about 100× a random one), so the order is
-//! deliberately not tuned to a cost estimate.
+//! Workers pull shards in grid order, and the order is visible. With the
+//! shared cache on, the shard that runs first pays a pair's miss and
+//! later shards get the hit, so the cache counters of each shard and of
+//! the JSONL header follow the order; and a hit returns the latency of
+//! whichever labelling of a cell was evaluated first (the label-dependent
+//! latency defect), so a front can follow it too. The order also decides
+//! how long workers idle: a shard's cost depends mostly on its strategy
+//! (an RL shard costs about 100× a random one, an NSGA shard about twice
+//! a random one), and nothing reorders the grid by cost, so a long shard
+//! can start last. Traced serve-mix runs (seed 7) read
+//! `engine.driver.idle_frac` 0.21.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

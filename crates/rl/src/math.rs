@@ -963,7 +963,7 @@ pub fn sigmoid(x: f64) -> f64 {
 ///
 /// let mut v = [0.0, 0.5, -30.0];
 /// tanh(&mut v);
-/// assert_eq!(v, [0.0, 0.5f64.tanh(), -1.0]);
+/// assert_eq!(v, [0.0, 0.462_117_157_260_009_74, -1.0]);
 /// ```
 pub fn tanh(values: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
