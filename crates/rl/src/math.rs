@@ -744,19 +744,25 @@ mod fma {
     pub(super) fn tanh(values: &mut [f64]) {
         let mut chunks = values.chunks_exact_mut(WIDTH);
         for chunk in chunks.by_ref() {
-            // SAFETY: `chunk` holds the four entries that the load reads and
-            // the store writes.
-            unsafe { _mm256_storeu_pd(chunk.as_mut_ptr(), tanh4(_mm256_loadu_pd(chunk.as_ptr()))) };
+            tanh_lanes(chunk.try_into().expect("chunks of one vector"));
         }
         let tail = chunks.into_remainder();
         if !tail.is_empty() {
             let mut lanes = [0.0; WIDTH];
             lanes[..tail.len()].copy_from_slice(tail);
-            // SAFETY: `lanes` holds the four entries that the load reads and
-            // the store writes.
-            unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), tanh4(_mm256_loadu_pd(lanes.as_ptr()))) };
+            tanh_lanes(&mut lanes);
             tail.copy_from_slice(&lanes[..tail.len()]);
         }
+    }
+
+    /// The scalar port's `tanh` of four values, in place.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn tanh_lanes(lanes: &mut [f64; WIDTH]) {
+        let p = lanes.as_mut_ptr();
+        // SAFETY: `p` points at the four values that the load reads and the
+        // store writes.
+        unsafe { _mm256_storeu_pd(p, tanh4(_mm256_loadu_pd(p))) };
     }
 
     /// The scalar port's `tanh` in each lane of `x`.
