@@ -37,7 +37,7 @@
 //! `expm1` whose compiler fused twelve multiply-adds. Its reference is
 //! that library function, not a naive loop, so the port fuses exactly
 //! where the reference does, with `f64::mul_add` or FMA instructions, and
-//! nowhere else; it is the only code here that fuses. The portable path
+//! nowhere else. The portable path
 //! is a scalar port, with the branches that `tanh` can reach; on x86-64
 //! CPUs with AVX2 and FMA (the `Path` detection again) four lanes each
 //! run every branch and keep theirs by a blend. `mul_add` rounds
@@ -51,6 +51,15 @@
 //! still come from the platform's libm. In glibc 2.36 both go through an
 //! ifunc too (`exp` and `log` call one), so their bits may also depend on
 //! the CPU.
+//!
+//! **Adam.** `adam` is [`crate::Adam`]'s per-parameter update. Its
+//! reference is the portable loop, which divides each moment by its bias
+//! correction. On the AVX2 + FMA path the two bias-corrected moments come
+//! from a product by the correction's reciprocal and two FMA corrections,
+//! which return the IEEE quotient exactly on the operands the kernel
+//! admits (the proof is in `adam`'s documentation); every other operation
+//! keeps the loop's order and stays unfused. This module's unit tests
+//! check that path against the loop bit for bit.
 
 use rand::Rng;
 
@@ -78,16 +87,26 @@ const Q5: f64 = f64::from_bits(0xbe8a_fdb7_6e09_c32d);
 /// rounds to 1.
 const TANH_SATURATED: f64 = 1.0 - 1e-300;
 
+// The operands on which `adam`'s FMA quotient is proven to equal the
+// division: bias corrections in [2⁻²³, 1], and moments whose magnitude
+// lies in [2⁻⁹⁶⁸, 2¹⁰⁰⁰].
+#[cfg(target_arch = "x86_64")]
+const DIVISOR_MIN: f64 = f64::from_bits((1023 - 23) << 52);
+#[cfg(target_arch = "x86_64")]
+const MOMENT_MIN: f64 = f64::from_bits((1023 - 968) << 52);
+#[cfg(target_arch = "x86_64")]
+const MOMENT_MAX: f64 = f64::from_bits((1023 + 1000) << 52);
+
 /// Which version of the kernels runs. An `Avx` value is made only once
 /// the CPU is known to have AVX, and an `Fma` value once it is known to
 /// have AVX, AVX2 and FMA.
 #[derive(Debug, Clone, Copy)]
 enum Path {
     Portable,
-    /// The AVX dense kernels, and the scalar [`tanh`].
+    /// The AVX dense kernels, the scalar [`tanh`] and the portable `adam`.
     #[cfg(target_arch = "x86_64")]
     Avx,
-    /// The AVX dense kernels, and the AVX2 + FMA [`tanh`].
+    /// The AVX dense kernels, and the AVX2 + FMA [`tanh`] and `adam`.
     #[cfg(target_arch = "x86_64")]
     Fma,
 }
@@ -335,7 +354,8 @@ impl Matrix {
 /// them a second time with 256-bit registers.
 mod portable {
     use super::{
-        Matrix, BATCH, INVLN2, LANES, LN2_HI, LN2_LO, Q1, Q2, Q3, Q4, Q5, ROW_BLOCK, TANH_SATURATED,
+        AdamStep, Matrix, BATCH, INVLN2, LANES, LN2_HI, LN2_LO, Q1, Q2, Q3, Q4, Q5, ROW_BLOCK,
+        TANH_SATURATED,
     };
 
     /// [`Matrix::matvec_into`]: four rows at once, then the rest one by one.
@@ -591,6 +611,34 @@ mod portable {
     fn scale(y: f64, k: i32) -> f64 {
         f64::from_bits(y.to_bits().wrapping_add((k as u64) << 52))
     }
+
+    /// [`super::adam`]: the reference loop, one parameter at a time.
+    pub(super) fn adam(
+        s: &AdamStep,
+        params: &mut [f64],
+        grads: &[f64],
+        m: &mut [f64],
+        v: &mut [f64],
+    ) {
+        let AdamStep {
+            scale,
+            beta1: b1,
+            beta2: b2,
+            bc1,
+            bc2,
+            learning_rate: lr,
+            epsilon: eps,
+        } = *s;
+        let moments = m.iter_mut().zip(v.iter_mut());
+        for ((p, g), (m, v)) in params.iter_mut().zip(grads.iter()).zip(moments) {
+            let g = g * scale;
+            *m = b1 * *m + (1.0 - b1) * g;
+            *v = b2 * *v + (1.0 - b2) * g * g;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            *p -= lr * mhat / (vhat.sqrt() + eps);
+        }
+    }
 }
 
 /// The same kernels on 256-bit AVX vectors, for x86-64 CPUs that have
@@ -722,12 +770,15 @@ mod fma {
         _mm256_cvtepi32_epi64, _mm256_cvttpd_epi32, _mm256_div_pd, _mm256_fmadd_pd,
         _mm256_fmsub_pd, _mm256_fnmadd_pd, _mm256_loadu_pd, _mm256_movemask_pd, _mm256_mul_pd,
         _mm256_or_pd, _mm256_round_pd, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_slli_epi64,
-        _mm256_srlv_epi64, _mm256_storeu_pd, _mm256_sub_epi64, _mm256_sub_pd, _mm256_xor_pd,
-        _CMP_EQ_OQ, _CMP_GE_OQ, _CMP_GT_OQ, _CMP_LT_OQ, _CMP_NLE_UQ, _MM_FROUND_NO_EXC,
-        _MM_FROUND_TO_ZERO,
+        _mm256_sqrt_pd, _mm256_srlv_epi64, _mm256_storeu_pd, _mm256_sub_epi64, _mm256_sub_pd,
+        _mm256_xor_pd, _CMP_EQ_OQ, _CMP_GE_OQ, _CMP_GT_OQ, _CMP_LE_OQ, _CMP_LT_OQ, _CMP_NLE_UQ,
+        _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
     };
 
-    use super::{INVLN2, LN2_HI, LN2_LO, Q1, Q2, Q3, Q4, Q5, TANH_SATURATED};
+    use super::{
+        portable, AdamStep, DIVISOR_MIN, INVLN2, LN2_HI, LN2_LO, MOMENT_MAX, MOMENT_MIN, Q1, Q2,
+        Q3, Q4, Q5, TANH_SATURATED,
+    };
 
     /// Lanes of one vector.
     const WIDTH: usize = 4;
@@ -900,6 +951,183 @@ mod fma {
             _mm256_slli_epi64::<52>(k),
         ))
     }
+
+    /// [`super::adam`]: four parameters at a time, and the last partial
+    /// vector through the portable loop. Bias corrections outside
+    /// [`DIVISOR_MIN`, 1] send the whole step to the portable loop.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn adam(
+        s: &AdamStep,
+        params: &mut [f64],
+        grads: &[f64],
+        m: &mut [f64],
+        v: &mut [f64],
+    ) {
+        let divisors = DIVISOR_MIN..=1.0;
+        if !divisors.contains(&s.bc1) || !divisors.contains(&s.bc2) {
+            return portable::adam(s, params, grads, m, v);
+        }
+        let k = AdamLanes::new(s);
+        let body = params.len() - params.len() % WIDTH;
+        let (params, p_tail) = params.split_at_mut(body);
+        let (grads, g_tail) = grads.split_at(body);
+        let (m, m_tail) = m.split_at_mut(body);
+        let (v, v_tail) = v.split_at_mut(body);
+        let lanes = params
+            .chunks_exact_mut(WIDTH)
+            .zip(grads.chunks_exact(WIDTH))
+            .zip(m.chunks_exact_mut(WIDTH).zip(v.chunks_exact_mut(WIDTH)));
+        for ((p, g), (m, v)) in lanes {
+            let (p, m, v) = (p.as_mut_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
+            // SAFETY: each chunk holds the four values that its pointer's
+            // load reads and store writes.
+            unsafe {
+                let g = _mm256_mul_pd(_mm256_loadu_pd(g.as_ptr()), k.scale);
+                let mt = _mm256_add_pd(
+                    _mm256_mul_pd(k.beta1, _mm256_loadu_pd(m)),
+                    _mm256_mul_pd(k.one_minus_beta1, g),
+                );
+                let vt = _mm256_add_pd(
+                    _mm256_mul_pd(k.beta2, _mm256_loadu_pd(v)),
+                    _mm256_mul_pd(_mm256_mul_pd(k.one_minus_beta2, g), g),
+                );
+                _mm256_storeu_pd(m, mt);
+                _mm256_storeu_pd(v, vt);
+                let (mhat, vhat) = bias_corrected(&k, mt, vt);
+                let step = _mm256_div_pd(
+                    _mm256_mul_pd(k.learning_rate, mhat),
+                    _mm256_add_pd(_mm256_sqrt_pd(vhat), k.epsilon),
+                );
+                _mm256_storeu_pd(p, _mm256_sub_pd(_mm256_loadu_pd(p), step));
+            }
+        }
+        portable::adam(s, p_tail, g_tail, m_tail, v_tail);
+    }
+
+    /// One Adam step's constants, in every lane, with the reciprocals of
+    /// the bias corrections.
+    struct AdamLanes {
+        scale: __m256d,
+        beta1: __m256d,
+        one_minus_beta1: __m256d,
+        beta2: __m256d,
+        one_minus_beta2: __m256d,
+        bc1: __m256d,
+        bc2: __m256d,
+        inv_bc1: __m256d,
+        inv_bc2: __m256d,
+        learning_rate: __m256d,
+        epsilon: __m256d,
+    }
+
+    impl AdamLanes {
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn new(s: &AdamStep) -> Self {
+            Self {
+                scale: _mm256_set1_pd(s.scale),
+                beta1: _mm256_set1_pd(s.beta1),
+                one_minus_beta1: _mm256_set1_pd(1.0 - s.beta1),
+                beta2: _mm256_set1_pd(s.beta2),
+                one_minus_beta2: _mm256_set1_pd(1.0 - s.beta2),
+                bc1: _mm256_set1_pd(s.bc1),
+                bc2: _mm256_set1_pd(s.bc2),
+                inv_bc1: _mm256_set1_pd(1.0 / s.bc1),
+                inv_bc2: _mm256_set1_pd(1.0 / s.bc2),
+                learning_rate: _mm256_set1_pd(s.learning_rate),
+                epsilon: _mm256_set1_pd(s.epsilon),
+            }
+        }
+    }
+
+    /// `(m / bc1, v / bc2)` in each lane: by [`quotient`] when every
+    /// moment of the vector has a magnitude in [`MOMENT_MIN`,
+    /// `MOMENT_MAX`], else by two divisions. Zeros, subnormals, NaN and ±∞
+    /// all lie outside that range.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn bias_corrected(k: &AdamLanes, m: __m256d, v: __m256d) -> (__m256d, __m256d) {
+        let sign = _mm256_set1_pd(-0.0);
+        let (lo, hi) = (_mm256_set1_pd(MOMENT_MIN), _mm256_set1_pd(MOMENT_MAX));
+        let (am, av) = (_mm256_andnot_pd(sign, m), _mm256_andnot_pd(sign, v));
+        let inside = _mm256_and_pd(
+            _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GE_OQ>(am, lo),
+                _mm256_cmp_pd::<_CMP_LE_OQ>(am, hi),
+            ),
+            _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GE_OQ>(av, lo),
+                _mm256_cmp_pd::<_CMP_LE_OQ>(av, hi),
+            ),
+        );
+        if _mm256_movemask_pd(inside) != 0b1111 {
+            return (_mm256_div_pd(m, k.bc1), _mm256_div_pd(v, k.bc2));
+        }
+        (quotient(m, k.bc1, k.inv_bc1), quotient(v, k.bc2, k.inv_bc2))
+    }
+
+    /// `a / b` in each lane, rounded to nearest, from `y = 1/b` (rounded to
+    /// nearest), for `b` in [2⁻²³, 1] and `|a|` in [2⁻⁹⁶⁸, 2¹⁰⁰⁰]: a first
+    /// guess `q₀ = a·y` and two corrections `qᵢ₊₁ = qᵢ + (a − qᵢ·b)·y`,
+    /// each remainder and each correction one FMA.
+    ///
+    /// Why it is exact (u = 2⁻⁵³; every rounding below has relative error
+    /// at most u, for the reasons in the last paragraph):
+    ///
+    /// * `y = (1/b)(1 + δ)` and `q₀ = (a/b)(1 + δ)(1 + δ₀)`, so
+    ///   `ε = a/b − q₀` has `|ε| ≤ (2u + u²)·|a/b|`. `q₀` may be more than
+    ///   one ulp off: its two roundings add up.
+    /// * The first FMA gives `r₀ = bε(1 + δ₁)`, and the second rounds
+    ///   `q₀ + r₀·y = a/b + ε((1 + δ₁)(1 + δ) − 1)`, which lies within
+    ///   `(2u + u²)²·|a/b| < 2⁻¹⁰³·|a/b|` of `a/b`. That is far less than
+    ///   half the gap between the floats around `a/b`, so `q₁` is one of
+    ///   the two floats that bracket `a/b`: a faithful quotient.
+    /// * Markstein's theorem (P. Markstein, IBM J. Res. Dev. 34(1), 1990;
+    ///   Muller et al., *Handbook of Floating-Point Arithmetic*, on
+    ///   FMA-based division): when `y` is `1/b` rounded to nearest and `q₁`
+    ///   is faithful, the remainder `a − q₁·b` is a float, so the third FMA
+    ///   computes it exactly, and the fourth returns `a/b` rounded to
+    ///   nearest: the IEEE quotient.
+    ///
+    /// The ranges keep every step inside that argument. With `b ≤ 1` and
+    /// `|a| ≥ 2⁻⁹⁶⁸`, every `qᵢ` and `a/b` are normal. Each remainder
+    /// `a − qᵢ·b` is an integer multiple of the smaller of `ulp(a)` and
+    /// `ulp(qᵢ)·ulp(b)`, both at least `2⁻¹⁰⁷⁴` (since `|qᵢ| > 2⁻¹·|a|/b`),
+    /// so a remainder too small to be normal is a subnormal float, computed
+    /// exactly, and one in the normal range rounds with relative error u.
+    /// With `b ≥ 2⁻²³` and `|a| ≤ 2¹⁰⁰⁰`, `|a/b| ≤ 2¹⁰²³`, and no `qᵢ`
+    /// overflows. Zero numerators are outside the range because the FMAs
+    /// would turn −0 into +0.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn quotient(a: __m256d, b: __m256d, y: __m256d) -> __m256d {
+        let q = _mm256_mul_pd(a, y);
+        let q = _mm256_fmadd_pd(_mm256_fnmadd_pd(q, b, a), y, q);
+        _mm256_fmadd_pd(_mm256_fnmadd_pd(q, b, a), y, q)
+    }
+
+    /// `(m / bc1, v / bc2)` of four lanes as [`adam`] computes them.
+    #[cfg(test)]
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn bias_corrected_lanes(
+        s: &AdamStep,
+        m: [f64; WIDTH],
+        v: [f64; WIDTH],
+    ) -> ([f64; WIDTH], [f64; WIDTH]) {
+        let (mut mhat, mut vhat) = ([0.0; WIDTH], [0.0; WIDTH]);
+        // SAFETY: each array holds the four values its load reads or its
+        // store writes.
+        unsafe {
+            let (mq, vq) = bias_corrected(
+                &AdamLanes::new(s),
+                _mm256_loadu_pd(m.as_ptr()),
+                _mm256_loadu_pd(v.as_ptr()),
+            );
+            _mm256_storeu_pd(mhat.as_mut_ptr(), mq);
+            _mm256_storeu_pd(vhat.as_mut_ptr(), vq);
+        }
+        (mhat, vhat)
+    }
 }
 
 /// Numerically stable softmax of `values[..live]`, in place. The entries
@@ -979,6 +1207,56 @@ pub fn tanh(values: &mut [f64]) {
         return unsafe { fma::tanh(values) };
     }
     values.iter_mut().for_each(|v| *v = portable::tanh(*v));
+}
+
+/// The constants of one Adam step, shared by every parameter.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AdamStep {
+    /// Multiplier of every gradient (the global-norm clip's scale).
+    pub(crate) scale: f64,
+    pub(crate) beta1: f64,
+    pub(crate) beta2: f64,
+    /// The bias corrections `1 − β₁ᵗ` and `1 − β₂ᵗ`.
+    pub(crate) bc1: f64,
+    pub(crate) bc2: f64,
+    pub(crate) learning_rate: f64,
+    pub(crate) epsilon: f64,
+}
+
+/// One Adam update of `params` and of their moments `m` and `v`, in place:
+/// for each parameter, with `g` its gradient times `scale`,
+///
+/// ```text
+/// m = β₁·m + (1 − β₁)·g
+/// v = β₂·v + (1 − β₂)·g·g
+/// p = p − lr·(m / bc1) / (√(v / bc2) + ε)
+/// ```
+///
+/// each operation rounded on its own, left to right. On x86-64 CPUs with
+/// AVX2 and FMA four parameters run at once, and `m / bc1` and `v / bc2`
+/// cost no division: they are the IEEE quotients computed from `1/bc` by
+/// FMA corrections, exact for bias corrections in [2⁻²³, 1] and moments
+/// whose magnitude lies in [2⁻⁹⁶⁸, 2¹⁰⁰⁰]. A vector with a moment outside
+/// that range (zero, subnormal, huge, NaN or ±∞) divides; a step whose
+/// bias corrections are outside it runs the portable loop. So both paths
+/// give the same bits.
+///
+/// # Panics
+///
+/// Panics when the four slices differ in length.
+pub(crate) fn adam(s: &AdamStep, params: &mut [f64], grads: &[f64], m: &mut [f64], v: &mut [f64]) {
+    let n = params.len();
+    assert!(
+        grads.len() == n && m.len() == n && v.len() == n,
+        "adam slices differ in length"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if let Path::Fma = Path::detect() {
+        // SAFETY: an `Fma` path exists only on a CPU with AVX2 and FMA, the
+        // features `fma::adam` enables.
+        return unsafe { fma::adam(s, params, grads, m, v) };
+    }
+    portable::adam(s, params, grads, m, v);
 }
 
 #[cfg(test)]
@@ -1184,6 +1462,232 @@ mod tests {
             assert_eq!(bits(&buf[..n]), bits(&want[..n]), "slices of {len}");
             assert_eq!(bits(&buf[n..]), bits(&sample[n..]), "past slices of {len}");
         }
+    }
+
+    /// The bias corrections `1 − βᵗ` that `Adam::step` computes for
+    /// t = 1..=40,000, in pairs (β = 0.9, β = 0.999).
+    fn bias_corrections() -> impl Iterator<Item = (f64, f64)> {
+        (1..=40_000).map(|t| {
+            let t = f64::from(t);
+            (1.0 - 0.9f64.powf(t), 1.0 - 0.999f64.powf(t))
+        })
+    }
+
+    fn adam_step(bc1: f64, bc2: f64) -> AdamStep {
+        AdamStep {
+            scale: 1.0,
+            beta1: 0.9,
+            beta2: 0.999,
+            bc1,
+            bc2,
+            learning_rate: 0.01,
+            epsilon: 1e-8,
+        }
+    }
+
+    /// A float whose magnitude lies in [2⁻⁹⁶⁸, 2¹⁰⁰⁰), uniform in its
+    /// exponent and its significand, with a random sign.
+    fn moment(rng: &mut SmallRng) -> f64 {
+        let exponent = rng.gen_range(1023 - 968..1023 + 1000u64);
+        let bits = exponent << 52 | rng.gen_range(0..1u64 << 52);
+        let sign = u64::from(rng.gen::<bool>()) << 63;
+        f64::from_bits(bits | sign)
+    }
+
+    /// Checks the vector path's bias-corrected moments of four lanes
+    /// against the divisions.
+    #[cfg(target_arch = "x86_64")]
+    fn check_quotients(s: &AdamStep, m: [f64; 4], v: [f64; 4]) {
+        // SAFETY: the callers run only on CPUs with AVX2 and FMA.
+        let (mhat, vhat) = unsafe { fma::bias_corrected_lanes(s, m, v) };
+        let want_m = m.map(|x| x / s.bc1);
+        let want_v = v.map(|x| x / s.bc2);
+        assert_eq!(
+            bits(&mhat),
+            bits(&want_m),
+            "m {m:?} / {:e} ({:#x})",
+            s.bc1,
+            s.bc1.to_bits()
+        );
+        assert_eq!(
+            bits(&vhat),
+            bits(&want_v),
+            "v {v:?} / {:e} ({:#x})",
+            s.bc2,
+            s.bc2.to_bits()
+        );
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn adam_quotients_match_the_division() {
+        if !fma::detected() {
+            return;
+        }
+        let mut rng = SmallRng::seed_from_u64(5);
+        // Every bias correction of either moment, as the divisor of
+        // either, over random moments of the admitted range.
+        for (c1, c2) in bias_corrections() {
+            for s in [adam_step(c1, c2), adam_step(c2, c1)] {
+                let m = [(); 4].map(|()| moment(&mut rng));
+                let v = [(); 4].map(|()| moment(&mut rng));
+                check_quotients(&s, m, v);
+            }
+        }
+        // Values at and past the ends of the admitted range, in each lane
+        // of either moment beside three admitted ones, over every 97th
+        // correction and the ends of the admitted divisors.
+        let ulps =
+            |x: f64| (-4..=4).map(move |k: i64| f64::from_bits(x.to_bits().wrapping_add_signed(k)));
+        let mut specials = vec![
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::from_bits((1023 + 1023) << 52),
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        specials.extend(
+            ulps(MOMENT_MIN)
+                .chain(ulps(MOMENT_MAX))
+                .chain(ulps(f64::MAX / 2.0)),
+        );
+        specials.extend((0..16).map(|_| f64::from_bits(rng.gen_range(1..1u64 << 52))));
+        specials.extend((0..16).map(|_| f64::from_bits(rng.gen_range(1..(1023 - 968) << 52))));
+        let specials: Vec<f64> = specials.iter().flat_map(|&x| [x, -x]).collect();
+        let divisors: Vec<f64> = bias_corrections()
+            .step_by(97)
+            .flat_map(|(c1, c2)| [c1, c2])
+            .chain([
+                DIVISOR_MIN,
+                f64::from_bits(DIVISOR_MIN.to_bits() + 1),
+                0.5,
+                1.0,
+            ])
+            .collect();
+        for (i, &bc) in divisors.iter().enumerate() {
+            let s = adam_step(bc, divisors[(i + 1) % divisors.len()]);
+            for &x in &specials {
+                for lane in 0..4 {
+                    let mut m = [(); 4].map(|()| moment(&mut rng));
+                    let mut v = [(); 4].map(|()| moment(&mut rng).abs());
+                    m[lane] = x;
+                    check_quotients(&s, m, v);
+                    m[lane] = moment(&mut rng);
+                    v[lane] = x;
+                    check_quotients(&s, m, v);
+                }
+            }
+        }
+    }
+
+    /// Runs `adam` on the vector path and on the portable loop from one
+    /// state and checks that both give the same bits.
+    #[cfg(target_arch = "x86_64")]
+    fn check_adam(s: &AdamStep, p: &[f64], g: &[f64], m: &[f64], v: &[f64]) {
+        let (mut p0, mut m0, mut v0) = (p.to_vec(), m.to_vec(), v.to_vec());
+        let (mut p1, mut m1, mut v1) = (p.to_vec(), m.to_vec(), v.to_vec());
+        portable::adam(s, &mut p0, g, &mut m0, &mut v0);
+        // SAFETY: the callers run only on CPUs with AVX2 and FMA.
+        unsafe { fma::adam(s, &mut p1, g, &mut m1, &mut v1) };
+        let what = || format!("{s:?}, g {g:?}, m {m:?}, v {v:?}");
+        assert_eq!(bits(&p1), bits(&p0), "p: {}", what());
+        assert_eq!(bits(&m1), bits(&m0), "m: {}", what());
+        assert_eq!(bits(&v1), bits(&v0), "v: {}", what());
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn adam_vector_path_matches_the_loop() {
+        if !fma::detected() {
+            return;
+        }
+        let mut rng = SmallRng::seed_from_u64(6);
+        let special = [
+            0.0,
+            -0.0,
+            1e-310,
+            -1e-310,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // Bias corrections outside the admitted divisors run the loop.
+        let others = [
+            (DIVISOR_MIN / 2.0, 0.5),
+            (0.5, 1.5),
+            (0.0, 0.5),
+            (0.5, f64::NAN),
+        ];
+        let corrections = bias_corrections().chain(others);
+        for (t, (bc1, bc2)) in corrections.enumerate() {
+            let len = t % 10;
+            let mut s = adam_step(bc1, bc2);
+            s.scale = if t % 3 == 0 { 0.37 } else { 1.0 };
+            let p: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let g: Vec<f64> = (0..len)
+                .map(|_| match rng.gen_range(0..12) {
+                    0 => special[rng.gen_range(0..special.len())],
+                    _ => rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-8..2)),
+                })
+                .collect();
+            let m: Vec<f64> = (0..len)
+                .map(|_| match rng.gen_range(0..12) {
+                    0 => 0.0,
+                    1 => 1e-300 * rng.gen_range(-1.0..1.0),
+                    _ => rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-8..1)),
+                })
+                .collect();
+            let v: Vec<f64> = (0..len)
+                .map(|_| match rng.gen_range(0..12) {
+                    0 => 0.0,
+                    _ => rng.gen_range(0.0..1.0) * 10f64.powi(rng.gen_range(-16..1)),
+                })
+                .collect();
+            check_adam(&s, &p, &g, &m, &v);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn adam_vector_path_matches_the_loop_as_moments_decay() {
+        if !fma::detected() {
+            return;
+        }
+        // 7,500 steps of 37 parameters; from step 100 on, parameters 8-23
+        // get zero gradients, so their first moments decay by 0.9 a step
+        // out of the admitted range and into the subnormals.
+        let mut rng = SmallRng::seed_from_u64(7);
+        let n = 37;
+        let mut p0: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let (mut m0, mut v0) = (vec![0.0; n], vec![0.0; n]);
+        let (mut p1, mut m1, mut v1) = (p0.clone(), m0.clone(), v0.clone());
+        let mut subnormal = 0;
+        for (t, (bc1, bc2)) in bias_corrections().take(7_500).enumerate() {
+            let s = adam_step(bc1, bc2);
+            let g: Vec<f64> = (0..n)
+                .map(|i| match i {
+                    8..24 if t >= 100 => 0.0,
+                    _ => rng.gen_range(-1.0..1.0) * 1e-2,
+                })
+                .collect();
+            portable::adam(&s, &mut p0, &g, &mut m0, &mut v0);
+            // SAFETY: the CPU has AVX2 and FMA.
+            unsafe { fma::adam(&s, &mut p1, &g, &mut m1, &mut v1) };
+            assert_eq!(bits(&p1), bits(&p0), "p at step {t}");
+            assert_eq!(bits(&m1), bits(&m0), "m at step {t}");
+            assert_eq!(bits(&v1), bits(&v0), "v at step {t}");
+            // The decayed moments are too small to move a parameter, so
+            // check their quotients too.
+            for (m, v) in m1.chunks_exact(4).zip(v1.chunks_exact(4)) {
+                let (m, v) = (m.try_into().expect("4"), v.try_into().expect("4"));
+                check_quotients(&s, m, v);
+            }
+            subnormal += m1.iter().filter(|m| m.is_subnormal()).count();
+        }
+        assert!(subnormal > 1000, "{subnormal} subnormal first moments");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! First-order optimizers over the policy's parameter slices.
 
+use crate::math::{self, AdamStep};
 use crate::policy::LstmPolicy;
 
 /// Stochastic gradient descent with optional momentum and gradient clipping.
@@ -40,6 +41,11 @@ impl Sgd {
             if velocity.len() <= slot {
                 velocity.push(vec![0.0; params.len()]);
             }
+            assert_eq!(
+                velocity[slot].len(),
+                params.len(),
+                "optimizer state from a policy of another shape"
+            );
             for ((p, g), v) in params
                 .iter_mut()
                 .zip(grads.iter())
@@ -88,16 +94,27 @@ impl Adam {
         }
     }
 
-    /// Applies one update from the policy's accumulated gradients.
+    /// Applies one update from the policy's accumulated gradients: the
+    /// global-norm clip's scale, then `math::adam` on each parameter slice,
+    /// with the bias corrections `1 − β₁ᵗ` and `1 − β₂ᵗ` of this step.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `policy` has another shape than the policy of the first
+    /// step.
     pub fn step(&mut self, policy: &mut LstmPolicy) {
         let scale = grad_scale(policy, self.clip_norm);
         self.t += 1;
         let t = self.t as f64;
-        let (b1, b2) = (self.beta1, self.beta2);
-        let bc1 = 1.0 - b1.powf(t);
-        let bc2 = 1.0 - b2.powf(t);
-        let lr = self.learning_rate;
-        let eps = self.epsilon;
+        let s = AdamStep {
+            scale,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            bc1: 1.0 - self.beta1.powf(t),
+            bc2: 1.0 - self.beta2.powf(t),
+            learning_rate: self.learning_rate,
+            epsilon: self.epsilon,
+        };
         let mut slot = 0usize;
         let m_all = &mut self.m;
         let v_all = &mut self.v;
@@ -106,15 +123,12 @@ impl Adam {
                 m_all.push(vec![0.0; params.len()]);
                 v_all.push(vec![0.0; params.len()]);
             }
-            let moments = m_all[slot].iter_mut().zip(v_all[slot].iter_mut());
-            for ((p, g), (m, v)) in params.iter_mut().zip(grads.iter()).zip(moments) {
-                let g = g * scale;
-                *m = b1 * *m + (1.0 - b1) * g;
-                *v = b2 * *v + (1.0 - b2) * g * g;
-                let mhat = *m / bc1;
-                let vhat = *v / bc2;
-                *p -= lr * mhat / (vhat.sqrt() + eps);
-            }
+            assert_eq!(
+                m_all[slot].len(),
+                params.len(),
+                "optimizer state from a policy of another shape"
+            );
+            math::adam(&s, params, grads, &mut m_all[slot], &mut v_all[slot]);
             slot += 1;
         });
     }
@@ -123,12 +137,32 @@ impl Adam {
 /// Returns the multiplier that clips the global gradient norm to `clip_norm`
 /// (1.0 when clipping is disabled or unnecessary).
 ///
-/// The squared norm is one serial sum over every gradient in
-/// `visit_params` order. That order is part of the output: a blocked or
-/// multi-accumulator sum would round differently and move the trained
-/// weights.
+/// The norm that decides, and that the scale divides by, is the square
+/// root of one serial sum of the squared gradients in `visit_params`
+/// order. A sum in another order rounds differently, and a clip by it
+/// would move the trained weights. So a faster sum, eight accumulators per
+/// slice, only rules clipping out. Both sums add the same rounded products
+/// `g·g ≥ 0`, and any order of adding n such terms errs by at most
+/// `γₙ₋₁ = (n−1)u / (1 − (n−1)u)` times their exact sum T (Higham,
+/// *Accuracy and Stability of Numerical Algorithms*, §4.2; u = 2⁻⁵³,
+/// and the accumulators' zero start values add exactly). So the serial
+/// sum is at most `fast·(1 + γ)/(1 − γ)`, which for n < 10⁹ is at most
+/// `fast·(1 + 2.3·10⁻⁷)`. The limit `clip²·(1 − 10⁻⁶)`, computed with
+/// two roundings and checked to be normal, is at most `clip²·(1 − 10⁻⁶ +
+/// 3u)`. When `fast` is at most that limit, the serial sum is at most
+/// `clip²`, its square root at most `clip`, and the scale exactly 1. Any
+/// other `fast`, NaN and ∞ included, computes the serial sum.
 fn grad_scale(policy: &mut LstmPolicy, clip_norm: f64) -> f64 {
     if clip_norm <= 0.0 {
+        return 1.0;
+    }
+    let (mut fast, mut n) = (0.0, 0usize);
+    policy.visit_params(&mut |_, grads| {
+        fast += sum_of_squares(grads);
+        n += grads.len();
+    });
+    let limit = clip_norm * clip_norm * (1.0 - 1e-6);
+    if n < 1_000_000_000 && limit.is_normal() && fast <= limit {
         return 1.0;
     }
     let mut sq = 0.0;
@@ -145,23 +179,118 @@ fn grad_scale(policy: &mut LstmPolicy, clip_norm: f64) -> f64 {
     }
 }
 
+/// `Σ g·g` over `grads` in eight interleaved partial sums, each product
+/// rounded before it is added.
+fn sum_of_squares(grads: &[f64]) -> f64 {
+    let mut acc = [0.0; 8];
+    let mut chunks = grads.chunks_exact(8);
+    for chunk in chunks.by_ref() {
+        for (a, g) in acc.iter_mut().zip(chunk) {
+            *a += g * g;
+        }
+    }
+    for (a, g) in acc.iter_mut().zip(chunks.remainder()) {
+        *a += g * g;
+    }
+    acc.iter().fold(0.0, |sum, a| sum + a)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::PolicyConfig;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn policy(seed: u64) -> LstmPolicy {
+        policy_of_width(seed, 5)
+    }
+
+    fn policy_of_width(seed: u64, hidden: usize) -> LstmPolicy {
         let mut rng = SmallRng::seed_from_u64(seed);
         LstmPolicy::new(
             PolicyConfig {
-                hidden: 5,
+                hidden,
                 embed: 3,
                 vocab_sizes: vec![3, 3],
             },
             &mut rng,
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "policy of another shape")]
+    fn sgd_rejects_a_policy_of_another_shape() {
+        let mut sgd = Sgd::new(0.1);
+        sgd.step(&mut policy(1));
+        sgd.step(&mut policy_of_width(1, 6));
+    }
+
+    #[test]
+    #[should_panic(expected = "policy of another shape")]
+    fn adam_rejects_a_policy_of_another_shape() {
+        let mut adam = Adam::new(0.1);
+        adam.step(&mut policy(1));
+        adam.step(&mut policy_of_width(1, 4));
+    }
+
+    /// The gradient norm from one serial sum.
+    fn serial_norm(p: &mut LstmPolicy) -> f64 {
+        let mut sq = 0.0;
+        p.visit_params(&mut |_, grads| grads.iter().for_each(|g| sq += g * g));
+        sq.sqrt()
+    }
+
+    /// The clip's scale from the serial sum alone.
+    fn serial_scale(p: &mut LstmPolicy, clip_norm: f64) -> f64 {
+        let norm = serial_norm(p);
+        if norm > clip_norm {
+            clip_norm / norm
+        } else {
+            1.0
+        }
+    }
+
+    #[test]
+    fn grad_scale_is_the_serial_scale() {
+        let mut p = policy(9);
+        let mut rng = SmallRng::seed_from_u64(10);
+        let mut checked = 0;
+        for case in 0..40 {
+            let magnitude = 10f64.powi(case % 13 - 6);
+            p.visit_params(&mut |_, grads| {
+                for g in grads.iter_mut() {
+                    *g = rng.gen_range(-1.0..1.0) * magnitude;
+                }
+            });
+            match case % 10 {
+                7 => p.visit_params(&mut |_, grads| grads[0] = f64::NAN),
+                8 => p.visit_params(&mut |_, grads| grads[1] = f64::INFINITY),
+                9 => p.visit_params(&mut |_, grads| grads.fill(0.0)),
+                _ => {}
+            }
+            let norm = serial_norm(&mut p);
+            let mut clips = vec![1e-160, 1e-300, 1e155, 1e200, f64::MAX, f64::INFINITY];
+            if norm.is_finite() && norm > 0.0 {
+                for k in 0..6u64 {
+                    clips.push(f64::from_bits(norm.to_bits() + k));
+                    clips.push(f64::from_bits(norm.to_bits() - k));
+                }
+                for f in [1e-7, 3e-7, 5e-7, 1e-6, 2e-6, 1e-3, 0.5, 4.0, 1e6] {
+                    clips.push(norm * (1.0 + f));
+                    clips.push(norm * (1.0 - f.min(0.5)));
+                }
+            }
+            for clip in clips {
+                assert_eq!(
+                    grad_scale(&mut p, clip).to_bits(),
+                    serial_scale(&mut p, clip).to_bits(),
+                    "case {case}: norm {norm:e}, clip {clip:e}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 1000);
     }
 
     fn snapshot(p: &mut LstmPolicy) -> Vec<f64> {

@@ -98,9 +98,13 @@ impl ReinforceTrainer {
     /// Updates the policy from one `(rollout, reward)` observation.
     pub fn learn(&mut self, rollout: &Rollout, reward: f64) {
         let timer = codesign_telemetry::enabled().then(Instant::now);
-        let baseline = self.baseline.unwrap_or(reward);
-        let advantage = reward - baseline;
         let decay = self.config.baseline_decay;
+        // The first reward seeds the moving average; with the baseline
+        // disabled it is 0 from the first step.
+        let baseline = self
+            .baseline
+            .unwrap_or(if decay > 0.0 { reward } else { 0.0 });
+        let advantage = reward - baseline;
         self.baseline = Some(if decay > 0.0 {
             decay * baseline + (1.0 - decay) * reward
         } else {
@@ -172,6 +176,24 @@ mod tests {
             b < 1.0 && b > 0.5,
             "EMA should move toward 0 slowly, got {b}"
         );
+    }
+
+    #[test]
+    fn disabled_baseline_keeps_the_first_update() {
+        let config = ReinforceConfig {
+            baseline_decay: 0.0,
+            ..ReinforceConfig::default()
+        };
+        let trained = |reward: f64| {
+            let mut rng = SmallRng::seed_from_u64(8);
+            let policy = LstmPolicy::new(PolicyConfig::new(vec![3, 3]), &mut rng);
+            let mut t = ReinforceTrainer::new(policy, config);
+            let r = t.propose(&mut rng);
+            t.learn(&r, reward);
+            assert_eq!(t.baseline(), Some(0.0));
+            t.into_policy()
+        };
+        assert_ne!(trained(1.0), trained(0.0));
     }
 
     #[test]
