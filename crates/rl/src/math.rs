@@ -37,10 +37,10 @@
 //! `expm1` whose compiler fused twelve multiply-adds. Its reference is
 //! that library function, not a naive loop, so the port fuses exactly
 //! where the reference does, with `f64::mul_add` or FMA instructions, and
-//! nowhere else. The portable path
-//! is a scalar port, with the branches that `tanh` can reach; on x86-64
-//! CPUs with AVX2 and FMA (the `Path` detection again) four lanes each
-//! run every branch and keep theirs by a blend. `mul_add` rounds
+//! nowhere else. The portable path is a scalar port, with the branches
+//! that `tanh` can reach; on x86-64 CPUs with AVX2 and FMA (the `Path`
+//! detection again) four lanes each run every branch and keep theirs by
+//! a blend. `mul_add` rounds
 //! correctly on every target (through a libm `fma` call where the CPU
 //! has no FMA), so both paths give the same bits everywhere, which
 //! `f64::tanh` does not: on a CPU without FMA, glibc's ifunc picks an
@@ -57,9 +57,9 @@
 //! correction. On the AVX2 + FMA path the two bias-corrected moments come
 //! from a product by the correction's reciprocal and two FMA corrections,
 //! which return the IEEE quotient exactly on the operands the kernel
-//! admits (the proof is in `adam`'s documentation); every other operation
-//! keeps the loop's order and stays unfused. This module's unit tests
-//! check that path against the loop bit for bit.
+//! admits (the proof is in the documentation of `fma::quotient`); every
+//! other operation keeps the loop's order and stays unfused. This
+//! module's unit tests check that path against the loop bit for bit.
 
 use rand::Rng;
 
@@ -1092,9 +1092,11 @@ mod fma {
     /// The ranges keep every step inside that argument. With `b ≤ 1` and
     /// `|a| ≥ 2⁻⁹⁶⁸`, every `qᵢ` and `a/b` are normal. Each remainder
     /// `a − qᵢ·b` is an integer multiple of the smaller of `ulp(a)` and
-    /// `ulp(qᵢ)·ulp(b)`, both at least `2⁻¹⁰⁷⁴` (since `|qᵢ| > 2⁻¹·|a|/b`),
-    /// so a remainder too small to be normal is a subnormal float, computed
-    /// exactly, and one in the normal range rounds with relative error u.
+    /// `ulp(qᵢ)·ulp(b)`. Both are at least `2⁻¹⁰⁷⁴`: a normal `x` has
+    /// `ulp(x) > 2⁻⁵³·|x|`, and `|qᵢ| > |a|/(2b)`, so `ulp(qᵢ)·ulp(b) >
+    /// 2⁻¹⁰⁷·|a| ≥ 2⁻¹⁰⁷⁵`, and it is a power of two. So a remainder too
+    /// small to be normal is a subnormal float, computed exactly, and one in
+    /// the normal range rounds with relative error at most u.
     /// With `b ≥ 2⁻²³` and `|a| ≤ 2¹⁰⁰⁰`, `|a/b| ≤ 2¹⁰²³`, and no `qᵢ`
     /// overflows. Zero numerators are outside the range because the FMAs
     /// would turn −0 into +0.
@@ -1466,6 +1468,7 @@ mod tests {
 
     /// The bias corrections `1 − βᵗ` that `Adam::step` computes for
     /// t = 1..=40,000, in pairs (β = 0.9, β = 0.999).
+    #[cfg(target_arch = "x86_64")]
     fn bias_corrections() -> impl Iterator<Item = (f64, f64)> {
         (1..=40_000).map(|t| {
             let t = f64::from(t);
@@ -1473,6 +1476,7 @@ mod tests {
         })
     }
 
+    #[cfg(target_arch = "x86_64")]
     fn adam_step(bc1: f64, bc2: f64) -> AdamStep {
         AdamStep {
             scale: 1.0,
@@ -1487,6 +1491,7 @@ mod tests {
 
     /// A float whose magnitude lies in [2⁻⁹⁶⁸, 2¹⁰⁰⁰), uniform in its
     /// exponent and its significand, with a random sign.
+    #[cfg(target_arch = "x86_64")]
     fn moment(rng: &mut SmallRng) -> f64 {
         let exponent = rng.gen_range(1023 - 968..1023 + 1000u64);
         let bits = exponent << 52 | rng.gen_range(0..1u64 << 52);
@@ -1656,20 +1661,24 @@ mod tests {
         if !fma::detected() {
             return;
         }
-        // 7,500 steps of 37 parameters; from step 100 on, parameters 8-23
+        // 7,500 steps of 37 parameters. From step 100 on, parameters 8-23
         // get zero gradients, so their first moments decay by 0.9 a step
-        // out of the admitted range and into the subnormals.
+        // out of the admitted range and into the subnormals (by then
+        // `bc1` is 1). Parameters 24-31 get gradients near 1e-152, so
+        // their second moments stay normal but below the admitted range,
+        // beside a `bc2` below 1.
         let mut rng = SmallRng::seed_from_u64(7);
         let n = 37;
         let mut p0: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let (mut m0, mut v0) = (vec![0.0; n], vec![0.0; n]);
         let (mut p1, mut m1, mut v1) = (p0.clone(), m0.clone(), v0.clone());
-        let mut subnormal = 0;
+        let (mut subnormal, mut tiny) = (0, 0);
         for (t, (bc1, bc2)) in bias_corrections().take(7_500).enumerate() {
             let s = adam_step(bc1, bc2);
             let g: Vec<f64> = (0..n)
                 .map(|i| match i {
                     8..24 if t >= 100 => 0.0,
+                    24..32 => rng.gen_range(-1.0..1.0) * 1e-152,
                     _ => rng.gen_range(-1.0..1.0) * 1e-2,
                 })
                 .collect();
@@ -1686,8 +1695,15 @@ mod tests {
                 check_quotients(&s, m, v);
             }
             subnormal += m1.iter().filter(|m| m.is_subnormal()).count();
+            tiny += v1
+                .iter()
+                .filter(|&&v| v.is_normal() && v < MOMENT_MIN)
+                .count();
         }
-        assert!(subnormal > 1000, "{subnormal} subnormal first moments");
+        assert!(
+            subnormal > 1000 && tiny > 1000,
+            "{subnormal} subnormal first moments, {tiny} tiny second moments"
+        );
     }
 
     #[test]

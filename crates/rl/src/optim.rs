@@ -31,6 +31,11 @@ impl Sgd {
     }
 
     /// Applies one update from the policy's accumulated gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `policy` has another shape than the policy of the first
+    /// step.
     pub fn step(&mut self, policy: &mut LstmPolicy) {
         let scale = grad_scale(policy, self.clip_norm);
         let mut slot = 0usize;
@@ -147,11 +152,12 @@ impl Adam {
 /// *Accuracy and Stability of Numerical Algorithms*, §4.2; u = 2⁻⁵³,
 /// and the accumulators' zero start values add exactly). So the serial
 /// sum is at most `fast·(1 + γ)/(1 − γ)`, which for n < 10⁹ is at most
-/// `fast·(1 + 2.3·10⁻⁷)`. The limit `clip²·(1 − 10⁻⁶)`, computed with
-/// two roundings and checked to be normal, is at most `clip²·(1 − 10⁻⁶ +
-/// 3u)`. When `fast` is at most that limit, the serial sum is at most
-/// `clip²`, its square root at most `clip`, and the scale exactly 1. Any
-/// other `fast`, NaN and ∞ included, computes the serial sum.
+/// `fast·(1 + 2.3·10⁻⁷)`. The limit `clip·clip·(1 − 10⁻⁶)`, whose
+/// constant and two products each round once, is at most `clip²·(1 −
+/// 10⁻⁶ + 3u)` when it is normal. When `fast` is at most a normal limit,
+/// the serial sum is at most `clip²`, its square root at most `clip`, and
+/// the scale exactly 1. Any other `fast`, NaN and ∞ included, computes the
+/// serial sum.
 fn grad_scale(policy: &mut LstmPolicy, clip_norm: f64) -> f64 {
     if clip_norm <= 0.0 {
         return 1.0;

@@ -32,7 +32,8 @@ static OPTIMIZER_US: codesign_telemetry::Histogram =
 pub struct ReinforceConfig {
     /// Optimizer learning rate.
     pub learning_rate: f64,
-    /// EMA decay of the reward baseline (0 disables the baseline).
+    /// EMA decay of the reward baseline (0 disables the baseline: every
+    /// advantage is the reward itself, the first one included).
     pub baseline_decay: f64,
     /// Entropy-bonus coefficient (0 disables).
     pub entropy_beta: f64,
