@@ -19,7 +19,8 @@
 //! vertices, in order. A fourteenth runs the benchmark's resident-server
 //! job shape on the 5-vertex space: random and NSGA-II at its default
 //! population for 1,000 steps, long enough for many ranks, crowding ties
-//! and fronts of about a hundred members.
+//! and fronts of about a hundred members. A fifteenth pins the area and
+//! power models at every config, with the §II-C area validation.
 //!
 //! Campaigns run on one worker: with several, the order in which two
 //! labellings of one cell reach the shared cache can differ between runs,
@@ -33,8 +34,8 @@ use std::sync::Arc;
 use std::collections::HashSet;
 
 use codesign_accel::{
-    schedule_serial, validate_latency_model, AcceleratorConfig, ConfigSpace, LatencyModel,
-    Scheduler,
+    schedule_serial, validate_area_model, validate_latency_model, AcceleratorConfig, AreaModel,
+    ConfigSpace, LatencyModel, PowerModel, Scheduler,
 };
 use codesign_core::{
     enumerate_scenario_front, run_cifar100_codesign, table2_baselines, Cifar100Config,
@@ -83,6 +84,9 @@ const ENUMERATION_V6: u64 = 0x20af_389d_18cb_53d7;
 /// (m) random + nsga at the default population, seeds {0, 1}, 1,000 steps
 /// on the 5-vertex space: the JSONL.
 const LONG_NSGA_V5_JSONL: u64 = 0xa0ff_75cc_a9c0_d2a6;
+/// (n) every config's component resources, area and peak power, then the
+/// §II-C area validation errors.
+const HW_COSTS: u64 = 0x4516_2a3c_2b9a_04a8;
 
 const STEPS: usize = 64;
 const NSGA: StrategyKind = StrategyKind::Nsga { population: 16 };
@@ -293,6 +297,35 @@ fn greedy_and_serial_schedules_and_the_latency_validation() {
     put_f64(&mut bytes, validation.max_abs_pct_error);
     assert_eq!(bytes.len(), 256);
     check(&[("schedules", fnv1a64(&bytes), SCHEDULES)]);
+}
+
+#[test]
+fn area_and_power_over_the_config_space() {
+    let (area_model, power_model) = (AreaModel::default(), PowerModel::default());
+    let mut bytes = Vec::new();
+    for config in ConfigSpace::chaidnn().iter() {
+        let breakdown = area_model.breakdown(&config);
+        for usage in [
+            breakdown.conv_engines,
+            breakdown.pooling_engine,
+            breakdown.buffers,
+            breakdown.mem_interface,
+            breakdown.platform,
+        ] {
+            put_u64(&mut bytes, usage.clbs);
+            put_u64(&mut bytes, usage.brams);
+            put_u64(&mut bytes, usage.dsps);
+        }
+        put_f64(&mut bytes, area_model.area_mm2(&config));
+        let power = power_model.peak_power(&area_model, &config);
+        put_f64(&mut bytes, power.static_w);
+        put_f64(&mut bytes, power.dynamic_w);
+    }
+    let validation = validate_area_model(&area_model);
+    put_f64(&mut bytes, validation.mean_abs_pct_error);
+    put_f64(&mut bytes, validation.max_abs_pct_error);
+    assert_eq!(bytes.len(), 1_244_176);
+    check(&[("hw costs", fnv1a64(&bytes), HW_COSTS)]);
 }
 
 /// The decode outcomes of 20,000 random genomes of the paper's 7-vertex
