@@ -12,7 +12,7 @@
 //! against 10 full FPGA compilations".
 
 use crate::config::AcceleratorConfig;
-use crate::device::{FpgaDevice, ResourceUsage};
+use crate::device::{ResourceUsage, DEVICE};
 
 /// Per-component resource breakdown of one accelerator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,166 +37,132 @@ impl AreaBreakdown {
     }
 }
 
-/// The component-level area model.
+/// DSPs per MAC slot (16-bit multiply-accumulate uses a DSP pair).
+const DSPS_PER_MAC: u64 = 2;
+/// Glue CLBs per DSP in the MAC array datapath.
+const CLBS_PER_DSP: u64 = 4;
+
+/// Component-level resource estimate for `config`.
+#[must_use]
+pub fn breakdown(config: &AcceleratorConfig) -> AreaBreakdown {
+    AreaBreakdown {
+        conv_engines: conv_engines(config),
+        pooling_engine: pooling_engine(config),
+        buffers: buffers(config),
+        mem_interface: mem_interface(config),
+        platform: platform(),
+    }
+}
+
+/// Total resource estimate for `config`.
+#[must_use]
+pub fn resources(config: &AcceleratorConfig) -> ResourceUsage {
+    breakdown(config).total()
+}
+
+/// Estimated silicon area, mm² (Table I conversion).
 ///
 /// # Examples
 ///
 /// ```
-/// use codesign_accel::{AreaModel, ConfigSpace};
+/// use codesign_accel::{area, ConfigSpace};
 ///
-/// let model = AreaModel::default();
-/// let space = ConfigSpace::chaidnn();
-/// let area = model.area_mm2(&space.get(0));
+/// let area = area::area_mm2(&ConfigSpace::chaidnn().get(0));
 /// assert!(area > 40.0 && area < 250.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AreaModel {
-    device: FpgaDevice,
-    /// DSPs per MAC slot (16-bit multiply-accumulate uses a DSP pair).
-    dsps_per_mac: u64,
-    /// Glue CLBs per DSP in the MAC array datapath.
-    clbs_per_dsp: u64,
+#[must_use]
+pub fn area_mm2(config: &AcceleratorConfig) -> f64 {
+    DEVICE.silicon_area_mm2(&resources(config))
 }
 
-impl Default for AreaModel {
-    fn default() -> Self {
-        Self {
-            device: FpgaDevice::zynq_ultrascale_plus(),
-            dsps_per_mac: 2,
-            clbs_per_dsp: 4,
-        }
+/// Returns `true` when the configuration fits the device budget.
+#[must_use]
+pub fn fits_device(config: &AcceleratorConfig) -> bool {
+    DEVICE.fits(&resources(config))
+}
+
+fn conv_engines(config: &AcceleratorConfig) -> ResourceUsage {
+    let fp = config.filter_par as u64;
+    let pp = config.pixel_par as u64;
+    if config.ratio_conv_engines.is_split() {
+        let macs3 = config.macs_3x3() as u64;
+        let macs1 = config.macs_1x1() as u64;
+        // Engine pixel width scales with its MAC share.
+        let pp3 = (macs3 / fp).max(1);
+        let pp1 = (macs1 / fp).max(1);
+        let e3 = one_engine(fp, pp3, macs3, EngineFlavor::Spatial3x3);
+        let e1 = one_engine(fp, pp1, macs1, EngineFlavor::Pointwise);
+        e3 + e1
+    } else {
+        one_engine(fp, pp, config.mac_count() as u64, EngineFlavor::General)
     }
 }
 
-impl AreaModel {
-    /// Creates a model for a specific device.
-    #[must_use]
-    pub fn new(device: FpgaDevice) -> Self {
-        Self {
-            device,
-            ..Self::default()
-        }
-    }
+fn one_engine(fp: u64, pp: u64, macs: u64, flavor: EngineFlavor) -> ResourceUsage {
+    let dsps = macs * DSPS_PER_MAC;
+    let (base_clbs, window_clbs_per_pixel) = match flavor {
+        // A general engine needs the full 3x3 window machinery plus mode
+        // muxing; the 1x1 engine has no sliding window at all.
+        EngineFlavor::General => (2000, 25),
+        EngineFlavor::Spatial3x3 => (1800, 25),
+        EngineFlavor::Pointwise => (1200, 10),
+    };
+    let clbs = base_clbs + CLBS_PER_DSP * dsps + window_clbs_per_pixel * pp + 12 * fp;
+    // Line buffers for the sliding window.
+    let brams = match flavor {
+        EngineFlavor::Pointwise => 2 + fp / 4,
+        _ => 2 + pp / 4 + fp / 4,
+    };
+    ResourceUsage { clbs, brams, dsps }
+}
 
-    /// The device whose Table-I constants are used.
-    #[must_use]
-    pub fn device(&self) -> &FpgaDevice {
-        &self.device
-    }
-
-    /// Component-level resource estimate for `config`.
-    #[must_use]
-    pub fn breakdown(&self, config: &AcceleratorConfig) -> AreaBreakdown {
-        AreaBreakdown {
-            conv_engines: self.conv_engines(config),
-            pooling_engine: self.pooling_engine(config),
-            buffers: self.buffers(config),
-            mem_interface: self.mem_interface(config),
-            platform: Self::platform(),
-        }
-    }
-
-    /// Total resource estimate for `config`.
-    #[must_use]
-    pub fn resources(&self, config: &AcceleratorConfig) -> ResourceUsage {
-        self.breakdown(config).total()
-    }
-
-    /// Estimated silicon area, mm² (Table I conversion).
-    #[must_use]
-    pub fn area_mm2(&self, config: &AcceleratorConfig) -> f64 {
-        self.device.silicon_area_mm2(&self.resources(config))
-    }
-
-    /// Returns `true` when the configuration fits the device budget.
-    #[must_use]
-    pub fn fits_device(&self, config: &AcceleratorConfig) -> bool {
-        self.device.fits(&self.resources(config))
-    }
-
-    fn conv_engines(&self, config: &AcceleratorConfig) -> ResourceUsage {
-        let fp = config.filter_par as u64;
-        let pp = config.pixel_par as u64;
-        if config.ratio_conv_engines.is_split() {
-            let macs3 = config.macs_3x3() as u64;
-            let macs1 = config.macs_1x1() as u64;
-            // Engine pixel width scales with its MAC share.
-            let pp3 = (macs3 / fp).max(1);
-            let pp1 = (macs1 / fp).max(1);
-            let e3 = self.one_engine(fp, pp3, macs3, EngineFlavor::Spatial3x3);
-            let e1 = self.one_engine(fp, pp1, macs1, EngineFlavor::Pointwise);
-            e3 + e1
-        } else {
-            self.one_engine(fp, pp, config.mac_count() as u64, EngineFlavor::General)
-        }
-    }
-
-    fn one_engine(&self, fp: u64, pp: u64, macs: u64, flavor: EngineFlavor) -> ResourceUsage {
-        let dsps = macs * self.dsps_per_mac;
-        let (base_clbs, window_clbs_per_pixel) = match flavor {
-            // A general engine needs the full 3x3 window machinery plus mode
-            // muxing; the 1x1 engine has no sliding window at all.
-            EngineFlavor::General => (2000, 25),
-            EngineFlavor::Spatial3x3 => (1800, 25),
-            EngineFlavor::Pointwise => (1200, 10),
-        };
-        let clbs = base_clbs + self.clbs_per_dsp * dsps + window_clbs_per_pixel * pp + 12 * fp;
-        // Line buffers for the sliding window.
-        let brams = match flavor {
-            EngineFlavor::Pointwise => 2 + fp / 4,
-            _ => 2 + pp / 4 + fp / 4,
-        };
-        ResourceUsage { clbs, brams, dsps }
-    }
-
-    fn pooling_engine(&self, config: &AcceleratorConfig) -> ResourceUsage {
-        if config.pool_enable {
-            ResourceUsage {
-                clbs: 1500 + 10 * config.pixel_par as u64,
-                brams: 4,
-                dsps: 0,
-            }
-        } else {
-            ResourceUsage::zero()
-        }
-    }
-
-    fn buffers(&self, config: &AcceleratorConfig) -> ResourceUsage {
-        let pp = config.pixel_par as u64;
-        let fp = config.filter_par as u64;
-        let depth_brams = |depth: usize| (depth as u64).div_ceil(1024);
-        let input = depth_brams(config.input_buffer_depth) * (pp / 2).max(1);
-        let weights = depth_brams(config.weight_buffer_depth) * (fp / 2).max(1);
-        let output = depth_brams(config.output_buffer_depth) * (pp / 4).max(1);
+fn pooling_engine(config: &AcceleratorConfig) -> ResourceUsage {
+    if config.pool_enable {
         ResourceUsage {
-            // Address generation and banking glue per buffer.
-            clbs: 3 * 200,
-            brams: input + weights + output,
+            clbs: 1500 + 10 * config.pixel_par as u64,
+            brams: 4,
             dsps: 0,
         }
+    } else {
+        ResourceUsage::zero()
     }
+}
 
-    fn mem_interface(&self, config: &AcceleratorConfig) -> ResourceUsage {
-        match config.mem_interface_width {
-            512 => ResourceUsage {
-                clbs: 2400,
-                brams: 16,
-                dsps: 0,
-            },
-            _ => ResourceUsage {
-                clbs: 1200,
-                brams: 8,
-                dsps: 0,
-            },
-        }
+fn buffers(config: &AcceleratorConfig) -> ResourceUsage {
+    let pp = config.pixel_par as u64;
+    let fp = config.filter_par as u64;
+    let depth_brams = |depth: usize| (depth as u64).div_ceil(1024);
+    let input = depth_brams(config.input_buffer_depth) * (pp / 2).max(1);
+    let weights = depth_brams(config.weight_buffer_depth) * (fp / 2).max(1);
+    let output = depth_brams(config.output_buffer_depth) * (pp / 4).max(1);
+    ResourceUsage {
+        // Address generation and banking glue per buffer.
+        clbs: 3 * 200,
+        brams: input + weights + output,
+        dsps: 0,
     }
+}
 
-    fn platform() -> ResourceUsage {
-        ResourceUsage {
-            clbs: 6500,
-            brams: 40,
-            dsps: 32,
-        }
+fn mem_interface(config: &AcceleratorConfig) -> ResourceUsage {
+    match config.mem_interface_width {
+        512 => ResourceUsage {
+            clbs: 2400,
+            brams: 16,
+            dsps: 0,
+        },
+        _ => ResourceUsage {
+            clbs: 1200,
+            brams: 8,
+            dsps: 0,
+        },
+    }
+}
+
+fn platform() -> ResourceUsage {
+    ResourceUsage {
+        clbs: 6500,
+        brams: 40,
+        dsps: 32,
     }
 }
 
@@ -244,23 +210,17 @@ mod tests {
 
     #[test]
     fn every_config_fits_the_device() {
-        let model = AreaModel::default();
         for c in space().iter() {
-            assert!(
-                model.fits_device(&c),
-                "{c} does not fit: {}",
-                model.resources(&c)
-            );
+            assert!(fits_device(&c), "{c} does not fit: {}", resources(&c));
         }
     }
 
     #[test]
     fn area_range_matches_fig4_color_bar() {
-        let model = AreaModel::default();
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for c in space().iter() {
-            let a = model.area_mm2(&c);
+            let a = area_mm2(&c);
             lo = lo.min(a);
             hi = hi.max(a);
         }
@@ -276,13 +236,11 @@ mod tests {
 
     #[test]
     fn extreme_configs_order_correctly() {
-        let model = AreaModel::default();
-        assert!(model.area_mm2(&max_config()) > 2.5 * model.area_mm2(&min_config()));
+        assert!(area_mm2(&max_config()) > 2.5 * area_mm2(&min_config()));
     }
 
     #[test]
     fn area_is_monotone_in_each_parameter() {
-        let model = AreaModel::default();
         let base = min_config();
         let bumps: Vec<AcceleratorConfig> = vec![
             AcceleratorConfig {
@@ -314,42 +272,36 @@ mod tests {
                 ..base
             },
         ];
-        let a0 = model.area_mm2(&base);
+        let a0 = area_mm2(&base);
         for c in bumps {
-            assert!(
-                model.area_mm2(&c) > a0,
-                "bumping a parameter must grow area: {c}"
-            );
+            assert!(area_mm2(&c) > a0, "bumping a parameter must grow area: {c}");
         }
     }
 
     #[test]
     fn splitting_engines_costs_area_but_conserves_dsps() {
-        let model = AreaModel::default();
         let single = min_config();
         let split = AcceleratorConfig {
             ratio_conv_engines: ConvEngineRatio::R50,
             ..single
         };
-        let rs = model.resources(&single);
-        let rp = model.resources(&split);
+        let rs = resources(&single);
+        let rp = resources(&split);
         assert_eq!(rs.dsps, rp.dsps, "MAC budget is shared, not duplicated");
         assert!(rp.clbs > rs.clbs, "control duplication costs CLBs");
     }
 
     #[test]
     fn breakdown_sums_to_total() {
-        let model = AreaModel::default();
         for c in [min_config(), max_config()] {
-            let b = model.breakdown(&c);
-            assert_eq!(b.total(), model.resources(&c));
+            let b = breakdown(&c);
+            assert_eq!(b.total(), resources(&c));
         }
     }
 
     #[test]
     fn pooling_engine_is_free_when_disabled() {
-        let model = AreaModel::default();
-        let b = model.breakdown(&min_config());
+        let b = breakdown(&min_config());
         assert_eq!(b.pooling_engine, ResourceUsage::zero());
     }
 
@@ -357,8 +309,7 @@ mod tests {
     fn resnet_class_accelerator_area_near_table2() {
         // Table II pairs ResNet with a 186 mm^2 accelerator and GoogLeNet /
         // Cod-1 with ~132 mm^2 ones; the model must reach both regimes.
-        let model = AreaModel::default();
-        let areas: Vec<f64> = space().iter().map(|c| model.area_mm2(&c)).collect();
+        let areas: Vec<f64> = space().iter().map(|c| area_mm2(&c)).collect();
         assert!(
             areas.iter().any(|&a| (180.0..=195.0).contains(&a)),
             "no ~186mm2 config"

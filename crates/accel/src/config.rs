@@ -157,22 +157,21 @@ impl fmt::Display for AcceleratorConfig {
     }
 }
 
-/// The discrete option lists defining a configurable accelerator family.
-///
-/// [`ConfigSpace::chaidnn`] reproduces Fig. 3 exactly; custom spaces support
-/// the "more parameter-rich hardware design space" direction the paper's
-/// conclusion calls for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigSpace {
-    filter_par: Vec<usize>,
-    pixel_par: Vec<usize>,
-    input_buffer_depth: Vec<usize>,
-    weight_buffer_depth: Vec<usize>,
-    output_buffer_depth: Vec<usize>,
-    mem_interface_width: Vec<usize>,
-    pool_enable: Vec<bool>,
-    ratio_conv_engines: Vec<ConvEngineRatio>,
-}
+// Fig. 3's option lists, per decision dimension in decode order; the ratio
+// options are `ConvEngineRatio::ALL`.
+const FILTER_PAR: [usize; 2] = [8, 16];
+const PIXEL_PAR: [usize; 5] = [4, 8, 16, 32, 64];
+const INPUT_BUFFER_DEPTH: [usize; 4] = [1024, 2048, 4096, 8192];
+const WEIGHT_BUFFER_DEPTH: [usize; 3] = [1024, 2048, 4096];
+const OUTPUT_BUFFER_DEPTH: [usize; 3] = [1024, 2048, 4096];
+const MEM_INTERFACE_WIDTH: [usize; 2] = [256, 512];
+const POOL_ENABLE: [bool; 2] = [false, true];
+
+/// The paper's CHaiDNN accelerator space (Fig. 3): 8,640 configurations
+/// over eight `const` option lists, so a value holds no data and building
+/// one allocates nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ConfigSpace;
 
 /// Number of decision dimensions an accelerator config exposes to the
 /// controller.
@@ -181,17 +180,8 @@ pub const NUM_DECISIONS: usize = 8;
 impl ConfigSpace {
     /// The paper's CHaiDNN space (Fig. 3): 8,640 combinations.
     #[must_use]
-    pub fn chaidnn() -> Self {
-        Self {
-            filter_par: vec![8, 16],
-            pixel_par: vec![4, 8, 16, 32, 64],
-            input_buffer_depth: vec![1024, 2048, 4096, 8192],
-            weight_buffer_depth: vec![1024, 2048, 4096],
-            output_buffer_depth: vec![1024, 2048, 4096],
-            mem_interface_width: vec![256, 512],
-            pool_enable: vec![false, true],
-            ratio_conv_engines: ConvEngineRatio::ALL.to_vec(),
-        }
+    pub const fn chaidnn() -> Self {
+        Self
     }
 
     /// Number of configurations in the space.
@@ -200,7 +190,7 @@ impl ConfigSpace {
         self.option_counts().iter().product()
     }
 
-    /// Returns `true` for a degenerate space with no options.
+    /// Always `false`: every dimension has options.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -210,14 +200,14 @@ impl ConfigSpace {
     #[must_use]
     pub fn option_counts(&self) -> [usize; NUM_DECISIONS] {
         [
-            self.filter_par.len(),
-            self.pixel_par.len(),
-            self.input_buffer_depth.len(),
-            self.weight_buffer_depth.len(),
-            self.output_buffer_depth.len(),
-            self.mem_interface_width.len(),
-            self.pool_enable.len(),
-            self.ratio_conv_engines.len(),
+            FILTER_PAR.len(),
+            PIXEL_PAR.len(),
+            INPUT_BUFFER_DEPTH.len(),
+            WEIGHT_BUFFER_DEPTH.len(),
+            OUTPUT_BUFFER_DEPTH.len(),
+            MEM_INTERFACE_WIDTH.len(),
+            POOL_ENABLE.len(),
+            ConvEngineRatio::ALL.len(),
         ]
     }
 
@@ -229,14 +219,14 @@ impl ConfigSpace {
     #[must_use]
     pub fn decode(&self, indices: &[usize; NUM_DECISIONS]) -> AcceleratorConfig {
         AcceleratorConfig {
-            filter_par: self.filter_par[indices[0]],
-            pixel_par: self.pixel_par[indices[1]],
-            input_buffer_depth: self.input_buffer_depth[indices[2]],
-            weight_buffer_depth: self.weight_buffer_depth[indices[3]],
-            output_buffer_depth: self.output_buffer_depth[indices[4]],
-            mem_interface_width: self.mem_interface_width[indices[5]],
-            pool_enable: self.pool_enable[indices[6]],
-            ratio_conv_engines: self.ratio_conv_engines[indices[7]],
+            filter_par: FILTER_PAR[indices[0]],
+            pixel_par: PIXEL_PAR[indices[1]],
+            input_buffer_depth: INPUT_BUFFER_DEPTH[indices[2]],
+            weight_buffer_depth: WEIGHT_BUFFER_DEPTH[indices[3]],
+            output_buffer_depth: OUTPUT_BUFFER_DEPTH[indices[4]],
+            mem_interface_width: MEM_INTERFACE_WIDTH[indices[5]],
+            pool_enable: POOL_ENABLE[indices[6]],
+            ratio_conv_engines: ConvEngineRatio::ALL[indices[7]],
         }
     }
 
@@ -259,14 +249,14 @@ impl ConfigSpace {
             options.iter().position(|option| option == value)
         }
         Some([
-            pos(&self.filter_par, &config.filter_par)?,
-            pos(&self.pixel_par, &config.pixel_par)?,
-            pos(&self.input_buffer_depth, &config.input_buffer_depth)?,
-            pos(&self.weight_buffer_depth, &config.weight_buffer_depth)?,
-            pos(&self.output_buffer_depth, &config.output_buffer_depth)?,
-            pos(&self.mem_interface_width, &config.mem_interface_width)?,
-            pos(&self.pool_enable, &config.pool_enable)?,
-            pos(&self.ratio_conv_engines, &config.ratio_conv_engines)?,
+            pos(&FILTER_PAR, &config.filter_par)?,
+            pos(&PIXEL_PAR, &config.pixel_par)?,
+            pos(&INPUT_BUFFER_DEPTH, &config.input_buffer_depth)?,
+            pos(&WEIGHT_BUFFER_DEPTH, &config.weight_buffer_depth)?,
+            pos(&OUTPUT_BUFFER_DEPTH, &config.output_buffer_depth)?,
+            pos(&MEM_INTERFACE_WIDTH, &config.mem_interface_width)?,
+            pos(&POOL_ENABLE, &config.pool_enable)?,
+            pos(&ConvEngineRatio::ALL, &config.ratio_conv_engines)?,
         ])
     }
 
@@ -295,12 +285,6 @@ impl ConfigSpace {
     /// Iterates over every configuration in the space.
     pub fn iter(&self) -> impl Iterator<Item = AcceleratorConfig> + '_ {
         (0..self.len()).map(move |i| self.get(i))
-    }
-}
-
-impl Default for ConfigSpace {
-    fn default() -> Self {
-        Self::chaidnn()
     }
 }
 

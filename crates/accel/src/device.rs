@@ -84,21 +84,18 @@ pub struct FpgaDevice {
     pub dsp_budget: u64,
 }
 
-impl FpgaDevice {
-    /// The Zynq UltraScale+ device of Table I (64,922 CLB-equivalents,
-    /// ≈ 286 mm² total).
-    #[must_use]
-    pub fn zynq_ultrascale_plus() -> Self {
-        Self {
-            clb_area_mm2: 0.0044,
-            bram_area_mm2: 0.026,
-            dsp_area_mm2: 0.044,
-            clb_budget: 34_250,
-            bram_budget: 912,
-            dsp_budget: 2_520,
-        }
-    }
+/// The Zynq UltraScale+ device of Table I, the one device every model
+/// prices: 64,922 CLB-equivalents, ≈ 286 mm².
+pub const DEVICE: FpgaDevice = FpgaDevice {
+    clb_area_mm2: 0.0044,
+    bram_area_mm2: 0.026,
+    dsp_area_mm2: 0.044,
+    clb_budget: 34_250,
+    bram_budget: 912,
+    dsp_budget: 2_520,
+};
 
+impl FpgaDevice {
     /// Estimated silicon area of a resource vector, mm² (Table I conversion).
     #[must_use]
     pub fn silicon_area_mm2(&self, usage: &ResourceUsage) -> f64 {
@@ -110,22 +107,15 @@ impl FpgaDevice {
     /// Total CLB-equivalents of the device (Table I reports 64,922).
     #[must_use]
     pub fn total_clb_equivalents(&self) -> u64 {
-        ResourceUsage {
-            clbs: self.clb_budget,
-            brams: self.bram_budget,
-            dsps: self.dsp_budget,
-        }
-        .clb_equivalents()
+        self.budget().clb_equivalents()
     }
 
-    /// Total silicon area of the device, mm² (Table I reports 286).
+    /// Total silicon area of the device, mm²: the sum of its tiles, 285.29.
+    /// Table I's 286 is its CLB-equivalents times a CLB's area, which
+    /// counts a BRAM as 6 CLBs where its tile is 5.91.
     #[must_use]
     pub fn total_area_mm2(&self) -> f64 {
-        self.silicon_area_mm2(&ResourceUsage {
-            clbs: self.clb_budget,
-            brams: self.bram_budget,
-            dsps: self.dsp_budget,
-        })
+        self.silicon_area_mm2(&self.budget())
     }
 
     /// Returns `true` when `usage` fits the device budget.
@@ -136,20 +126,13 @@ impl FpgaDevice {
             && usage.dsps <= self.dsp_budget
     }
 
-    /// Utilization fractions `(clb, bram, dsp)` of a resource vector.
-    #[must_use]
-    pub fn utilization(&self, usage: &ResourceUsage) -> (f64, f64, f64) {
-        (
-            usage.clbs as f64 / self.clb_budget as f64,
-            usage.brams as f64 / self.bram_budget as f64,
-            usage.dsps as f64 / self.dsp_budget as f64,
-        )
-    }
-}
-
-impl Default for FpgaDevice {
-    fn default() -> Self {
-        Self::zynq_ultrascale_plus()
+    /// The whole device as a resource vector.
+    fn budget(&self) -> ResourceUsage {
+        ResourceUsage {
+            clbs: self.clb_budget,
+            brams: self.bram_budget,
+            dsps: self.dsp_budget,
+        }
     }
 }
 
@@ -159,13 +142,12 @@ mod tests {
 
     #[test]
     fn table1_totals_match_paper() {
-        let dev = FpgaDevice::zynq_ultrascale_plus();
-        let clb_eq = dev.total_clb_equivalents();
+        let clb_eq = DEVICE.total_clb_equivalents();
         assert!(
             (64_900..=65_000).contains(&clb_eq),
             "Table I says 64,922 CLB-equivalents, got {clb_eq}"
         );
-        let area = dev.total_area_mm2();
+        let area = DEVICE.total_area_mm2();
         assert!(
             (283.0..=289.0).contains(&area),
             "Table I says 286 mm^2, got {area}"
@@ -174,9 +156,8 @@ mod tests {
 
     #[test]
     fn table1_relative_areas() {
-        let dev = FpgaDevice::zynq_ultrascale_plus();
-        assert!((dev.bram_area_mm2 / dev.clb_area_mm2 - 6.0).abs() < 0.1);
-        assert!((dev.dsp_area_mm2 / dev.clb_area_mm2 - 10.0).abs() < 0.1);
+        assert!((DEVICE.bram_area_mm2 / DEVICE.clb_area_mm2 - 6.0).abs() < 0.1);
+        assert!((DEVICE.dsp_area_mm2 / DEVICE.clb_area_mm2 - 10.0).abs() < 0.1);
     }
 
     #[test]
@@ -202,23 +183,22 @@ mod tests {
 
     #[test]
     fn fits_checks_every_budget() {
-        let dev = FpgaDevice::zynq_ultrascale_plus();
-        assert!(dev.fits(&ResourceUsage {
+        assert!(DEVICE.fits(&ResourceUsage {
             clbs: 1000,
             brams: 10,
             dsps: 10
         }));
-        assert!(!dev.fits(&ResourceUsage {
+        assert!(!DEVICE.fits(&ResourceUsage {
             clbs: 40_000,
             brams: 0,
             dsps: 0
         }));
-        assert!(!dev.fits(&ResourceUsage {
+        assert!(!DEVICE.fits(&ResourceUsage {
             clbs: 0,
             brams: 1000,
             dsps: 0
         }));
-        assert!(!dev.fits(&ResourceUsage {
+        assert!(!DEVICE.fits(&ResourceUsage {
             clbs: 0,
             brams: 0,
             dsps: 3000
@@ -227,15 +207,14 @@ mod tests {
 
     #[test]
     fn area_is_linear_in_resources() {
-        let dev = FpgaDevice::zynq_ultrascale_plus();
         let one = ResourceUsage {
             clbs: 100,
             brams: 10,
             dsps: 10,
         };
         let two = one + one;
-        let a1 = dev.silicon_area_mm2(&one);
-        let a2 = dev.silicon_area_mm2(&two);
+        let a1 = DEVICE.silicon_area_mm2(&one);
+        let a2 = DEVICE.silicon_area_mm2(&two);
         assert!((a2 - 2.0 * a1).abs() < 1e-9);
     }
 }

@@ -15,17 +15,20 @@
 //!   network-latency entry, [`Scheduler::network_latency_ms`]. The
 //!   scheduler reads op latencies from one process-wide lookup table with a
 //!   row per distinct op (keyed by the `OpId` lowering assigns), filled
-//!   from [`LatencyModel`] on the op's first use;
+//!   from [`latency::op_latency_ns`]'s terms on the op's first use;
 //! - [`power`]: the peak-power extension;
 //! - [`validation`]: the §II-C validation against a synthetic reference.
 //!
-//! Pairing a network with its best accelerator (Table II) and scoring
-//! pairs for search is the evaluator's job, in `codesign-core`.
+//! The accelerator half is one set of constants: Fig. 3's option lists, the
+//! Table I device ([`DEVICE`]) and the models' parameters, so every model is
+//! a free function of the config (and the op). Pairing a network with its
+//! best accelerator (Table II) and scoring pairs for search is the
+//! evaluator's job, in `codesign-core`.
 //!
 //! # Quick tour
 //!
 //! ```
-//! use codesign_accel::{AreaModel, ConfigSpace, LatencyModel, Scheduler};
+//! use codesign_accel::{area, power, ConfigSpace, Scheduler};
 //! use codesign_nasbench::{known_cells, Network, NetworkConfig};
 //!
 //! let space = ConfigSpace::chaidnn();
@@ -34,9 +37,10 @@
 //! // Evaluate one model-accelerator pair.
 //! let network = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
 //! let config = space.get(8639);
-//! let area = AreaModel::default().area_mm2(&config);
-//! let latency = Scheduler::new(LatencyModel::default(), config).network_latency_ms(&network);
-//! assert!(area > 0.0 && latency > 0.0);
+//! let area = area::area_mm2(&config);
+//! let latency = Scheduler::new(config).network_latency_ms(&network);
+//! let watts = power::peak_power(&config).total_w();
+//! assert!(area > 0.0 && latency > 0.0 && watts > 0.0);
 //! ```
 
 pub mod area;
@@ -48,10 +52,10 @@ pub mod power;
 pub mod scheduler;
 pub mod validation;
 
-pub use area::{AreaBreakdown, AreaModel};
+pub use area::AreaBreakdown;
 pub use config::{AcceleratorConfig, ConfigSpace, ConvEngineRatio, NUM_DECISIONS};
-pub use device::{FpgaDevice, ResourceUsage};
-pub use latency::{EngineKind, LatencyModel};
-pub use power::{PowerEstimate, PowerModel};
+pub use device::{FpgaDevice, ResourceUsage, DEVICE};
+pub use latency::EngineKind;
+pub use power::PowerEstimate;
 pub use scheduler::{schedule_serial, Scheduler};
 pub use validation::{validate_area_model, validate_latency_model, ValidationReport};

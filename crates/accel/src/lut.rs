@@ -4,9 +4,9 @@
 //! of operations and 2) scheduler." The paper fills its table once, by
 //! running each of the space's 85 op variations on the FPGA. Here one
 //! process-wide table has a row per distinct op, indexed by the [`OpId`]
-//! lowering assigns, and a row is filled from the default [`LatencyModel`]
-//! on the op's first use. A row holds the model's terms split by the config
-//! fields each term reads, so it serves all 8,640 configurations of
+//! lowering assigns, and a row is filled from the [`latency`] model on the
+//! op's first use. A row holds the model's terms split by the config fields
+//! each term reads, so it serves all 8,640 configurations of
 //! [`ConfigSpace::chaidnn`]:
 //!
 //! - a convolution's compute cycles on its engine, per `(filter_par,
@@ -18,23 +18,22 @@
 //! - the op's CPU latency, the one entry of an op the accelerator does not
 //!   run.
 //!
-//! A convolution's latency is [`LatencyModel::accelerator_ns`] of its two
-//! terms, the formula [`LatencyModel::op_latency_ns`] uses, so a table
-//! entry has the model's bits. A row is a pure function of its op: a racing
-//! first fill stores the same bits. Rows sit inline in one zero-initialized
-//! static array, so filling one never allocates, and the rows of the 112
-//! ops of the ≤7-vertex space take 117 KiB.
+//! A convolution's latency is [`latency::accelerator_ns`] of its two terms,
+//! the formula [`latency::op_latency_ns`] uses, so a table entry has the
+//! model's bits. A row is a pure function of its op: a racing first fill
+//! stores the same bits. Rows sit inline in one zero-initialized static
+//! array, so filling one never allocates, and the rows of the 112 ops of
+//! the ≤7-vertex space take 117 KiB.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::LazyLock;
 
 use codesign_nasbench::{OpId, OpInstance, OpKind, ProgramNode};
 
 use crate::config::{AcceleratorConfig, ConfigSpace, NUM_DECISIONS};
-use crate::latency::{EngineKind, LatencyModel};
+use crate::latency::{self, EngineKind};
 
-/// The space whose option values the table indexes, built once.
-static SPACE: LazyLock<ConfigSpace> = LazyLock::new(ConfigSpace::chaidnn);
+/// The space whose option values the table indexes.
+const SPACE: ConfigSpace = ConfigSpace::chaidnn();
 
 // Config dimensions, in `ConfigSpace` decode order.
 const FILTER_PAR: usize = 0;
@@ -108,32 +107,31 @@ impl OpRow {
         }
     }
 
-    /// Prices `op` with the default model at every entry it uses.
+    /// Prices `op` with the model at every entry it uses.
     fn fill(&self, op: &OpInstance) {
-        let model = LatencyModel::default();
         let store = |entry: &AtomicU64, value: f64| entry.store(value.to_bits(), Ordering::Relaxed);
         match op.kind {
             OpKind::Conv { .. } => {
                 let (compute, memory) = self.accelerator.split_at(MEMORY);
                 for (term, entry) in compute.iter().enumerate() {
                     let config = term_config(term, &COMPUTE_DIMS);
-                    let engine = LatencyModel::primary_engine(op, &config);
-                    store(entry, model.conv_compute_cycles(op, engine, &config));
+                    let engine = latency::primary_engine(op, &config);
+                    store(entry, latency::conv_compute_cycles(op, engine, &config));
                 }
                 for (term, entry) in memory.iter().enumerate() {
                     let config = term_config(term, &MEMORY_DIMS);
-                    store(entry, model.conv_memory_cycles(op, &config));
+                    store(entry, latency::conv_memory_cycles(op, &config));
                 }
             }
             OpKind::MaxPool { .. } => {
                 for (term, entry) in self.accelerator[..POOL_TERMS].iter().enumerate() {
                     let config = term_config(term, &POOL_DIMS);
-                    store(entry, model.op_latency_ns(op, EngineKind::Pool, &config));
+                    store(entry, latency::op_latency_ns(op, EngineKind::Pool, &config));
                 }
             }
             OpKind::GlobalAvgPool | OpKind::Dense | OpKind::Add { .. } | OpKind::Concat { .. } => {}
         }
-        store(&self.cpu, model.cpu_ns(op));
+        store(&self.cpu, latency::cpu_ns(op));
         self.filled.store(true, Ordering::Release);
     }
 
@@ -164,13 +162,9 @@ pub(crate) struct ConfigTerms {
 }
 
 impl ConfigTerms {
-    /// The entries of `config` under `model`, or `None` when the table does
-    /// not hold them: it serves `LatencyModel::default()` over the option
-    /// values of [`ConfigSpace::chaidnn`] only.
-    pub(crate) fn of(model: &LatencyModel, config: &AcceleratorConfig) -> Option<Self> {
-        if *model != LatencyModel::default() {
-            return None;
-        }
+    /// The entries of `config`, or `None` when the table does not hold
+    /// them: it serves the option values of [`ConfigSpace::chaidnn`] only.
+    pub(crate) fn of(config: &AcceleratorConfig) -> Option<Self> {
         let indices = SPACE.try_encode(config)?;
         Some(Self {
             compute: term_index(&indices, &COMPUTE_DIMS),
@@ -187,7 +181,7 @@ impl ConfigTerms {
             EngineKind::GeneralConv | EngineKind::Conv3x3 | EngineKind::Conv1x1 => {
                 let (compute, memory) =
                     (row.accelerator(self.compute), row.accelerator(self.memory));
-                LatencyModel::default().accelerator_ns(compute, memory)
+                latency::accelerator_ns(compute, memory)
             }
             EngineKind::Pool => row.accelerator(self.pool),
             EngineKind::Cpu => row.cpu(),
@@ -224,14 +218,13 @@ mod tests {
 
     #[test]
     fn every_entry_has_the_model_bits() {
-        let model = LatencyModel::default();
         let network = Network::assemble(&known_cells::cod2_cell(), &NetworkConfig::default());
         for config in SPACE.iter().step_by(7) {
-            let terms = ConfigTerms::of(&model, &config).expect("in the space");
+            let terms = ConfigTerms::of(&config).expect("in the space");
             for unit in network.units() {
                 for node in unit.program.nodes() {
-                    let engine = LatencyModel::primary_engine(&node.op, &config);
-                    let direct = model.op_latency_ns(&node.op, engine, &config);
+                    let engine = latency::primary_engine(&node.op, &config);
+                    let direct = latency::op_latency_ns(&node.op, engine, &config);
                     let table = terms.op_latency_ns(node, engine);
                     assert_eq!(
                         table.to_bits(),

@@ -13,7 +13,7 @@
 //! watts — the regime Xilinx reports for CHaiDNN-class Zynq UltraScale+
 //! deployments.
 
-use crate::area::AreaModel;
+use crate::area;
 use crate::config::AcceleratorConfig;
 
 /// Power estimate for one accelerator configuration under a workload.
@@ -33,71 +33,53 @@ impl PowerEstimate {
     }
 }
 
-/// The power model: per-resource leakage plus per-engine dynamic cost scaled
-/// by measured utilization.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerModel {
-    /// Static watts per CLB.
-    pub clb_static_w: f64,
-    /// Static watts per BRAM36.
-    pub bram_static_w: f64,
-    /// Static watts per DSP.
-    pub dsp_static_w: f64,
-    /// Dynamic watts per DSP at 100% utilization.
-    pub dsp_dynamic_w: f64,
-    /// Dynamic watts per BRAM at 100% utilization.
-    pub bram_dynamic_w: f64,
-    /// DRAM interface dynamic watts per bit of interface width.
-    pub dram_w_per_bit: f64,
-    /// Embedded CPU power when running fallback layers, watts.
-    pub cpu_w: f64,
+/// Static watts per CLB.
+const CLB_STATIC_W: f64 = 25e-6;
+/// Static watts per BRAM36.
+const BRAM_STATIC_W: f64 = 350e-6;
+/// Static watts per DSP.
+const DSP_STATIC_W: f64 = 250e-6;
+/// Dynamic watts per DSP at 100% utilization.
+const DSP_DYNAMIC_W: f64 = 1.6e-3;
+/// Dynamic watts per BRAM at 100% utilization.
+const BRAM_DYNAMIC_W: f64 = 0.9e-3;
+/// DRAM interface dynamic watts per bit of interface width.
+const DRAM_W_PER_BIT: f64 = 2.2e-3;
+/// Embedded CPU power when running fallback layers, watts.
+const CPU_W: f64 = 1.2;
+
+/// Worst-case (fully-utilized) power for a configuration.
+///
+/// # Examples
+///
+/// ```
+/// use codesign_accel::{power, ConfigSpace};
+///
+/// let peak = power::peak_power(&ConfigSpace::chaidnn().get(8639));
+/// assert!(peak.total_w() > peak.static_w && peak.total_w() < 20.0);
+/// ```
+#[must_use]
+pub fn peak_power(config: &AcceleratorConfig) -> PowerEstimate {
+    power(config, 1.0, 1.0)
 }
 
-impl Default for PowerModel {
-    fn default() -> Self {
-        Self {
-            clb_static_w: 25e-6,
-            bram_static_w: 350e-6,
-            dsp_static_w: 250e-6,
-            dsp_dynamic_w: 1.6e-3,
-            bram_dynamic_w: 0.9e-3,
-            dram_w_per_bit: 2.2e-3,
-            cpu_w: 1.2,
-        }
-    }
-}
-
-impl PowerModel {
-    /// Worst-case (fully-utilized) power for a configuration.
-    #[must_use]
-    pub fn peak_power(&self, area_model: &AreaModel, config: &AcceleratorConfig) -> PowerEstimate {
-        self.power(area_model, config, 1.0, 1.0)
-    }
-
-    /// Power at given utilizations: `compute_util` for the MAC arrays /
-    /// BRAMs and `cpu_util` for the fallback core, each clamped to `0..=1`.
-    #[must_use]
-    pub fn power(
-        &self,
-        area_model: &AreaModel,
-        config: &AcceleratorConfig,
-        compute_util: f64,
-        cpu_util: f64,
-    ) -> PowerEstimate {
-        let usage = area_model.resources(config);
-        let static_w = usage.clbs as f64 * self.clb_static_w
-            + usage.brams as f64 * self.bram_static_w
-            + usage.dsps as f64 * self.dsp_static_w;
-        let compute_util = compute_util.clamp(0.0, 1.0);
-        let cpu_util = cpu_util.clamp(0.0, 1.0);
-        let dynamic_w = usage.dsps as f64 * self.dsp_dynamic_w * compute_util
-            + usage.brams as f64 * self.bram_dynamic_w * compute_util
-            + config.mem_interface_width as f64 * self.dram_w_per_bit * compute_util
-            + self.cpu_w * cpu_util;
-        PowerEstimate {
-            static_w,
-            dynamic_w,
-        }
+/// Power at given utilizations: `compute_util` for the MAC arrays / BRAMs
+/// and `cpu_util` for the fallback core, each clamped to `0..=1`.
+#[must_use]
+pub fn power(config: &AcceleratorConfig, compute_util: f64, cpu_util: f64) -> PowerEstimate {
+    let usage = area::resources(config);
+    let static_w = usage.clbs as f64 * CLB_STATIC_W
+        + usage.brams as f64 * BRAM_STATIC_W
+        + usage.dsps as f64 * DSP_STATIC_W;
+    let compute_util = compute_util.clamp(0.0, 1.0);
+    let cpu_util = cpu_util.clamp(0.0, 1.0);
+    let dynamic_w = usage.dsps as f64 * DSP_DYNAMIC_W * compute_util
+        + usage.brams as f64 * BRAM_DYNAMIC_W * compute_util
+        + config.mem_interface_width as f64 * DRAM_W_PER_BIT * compute_util
+        + CPU_W * cpu_util;
+    PowerEstimate {
+        static_w,
+        dynamic_w,
     }
 }
 
@@ -106,45 +88,37 @@ mod tests {
     use super::*;
     use crate::config::ConfigSpace;
 
-    fn models() -> (AreaModel, PowerModel) {
-        (AreaModel::default(), PowerModel::default())
-    }
-
     #[test]
     fn peak_power_is_single_digit_watts() {
-        let (area, power) = models();
         let space = ConfigSpace::chaidnn();
         for idx in [0usize, 4000, 8639] {
             let config = space.get(idx);
-            let p = power.peak_power(&area, &config).total_w();
+            let p = peak_power(&config).total_w();
             assert!((0.5..20.0).contains(&p), "config {idx}: {p} W");
         }
     }
 
     #[test]
     fn bigger_configs_draw_more_power() {
-        let (area, power) = models();
         let space = ConfigSpace::chaidnn();
-        let small = power.peak_power(&area, &space.get(0)).total_w();
-        let large = power.peak_power(&area, &space.get(8639)).total_w();
+        let small = peak_power(&space.get(0)).total_w();
+        let large = peak_power(&space.get(8639)).total_w();
         assert!(large > 2.0 * small, "{small} vs {large}");
     }
 
     #[test]
     fn idle_fabric_still_leaks() {
-        let (area, power) = models();
         let config = ConfigSpace::chaidnn().get(8639);
-        let idle = power.power(&area, &config, 0.0, 0.0);
+        let idle = power(&config, 0.0, 0.0);
         assert_eq!(idle.dynamic_w, 0.0);
         assert!(idle.static_w > 0.1);
     }
 
     #[test]
     fn utilization_scales_dynamic_power_linearly() {
-        let (area, power) = models();
         let config = ConfigSpace::chaidnn().get(100);
-        let half = power.power(&area, &config, 0.5, 0.0).dynamic_w;
-        let full = power.power(&area, &config, 1.0, 0.0).dynamic_w;
+        let half = power(&config, 0.5, 0.0).dynamic_w;
+        let full = power(&config, 1.0, 0.0).dynamic_w;
         assert!((full - 2.0 * half).abs() < 1e-12);
     }
 }

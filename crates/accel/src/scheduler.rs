@@ -12,31 +12,30 @@
 use codesign_nasbench::{CellProgram, Network, ProgramNode, MAX_PROGRAM_NODES};
 
 use crate::config::AcceleratorConfig;
-use crate::latency::{EngineKind, LatencyModel};
+use crate::latency::{self, EngineKind};
 use crate::lut::ConfigTerms;
 
 /// Greedy list scheduler bound to one accelerator configuration.
 ///
-/// Op latencies come from the process-wide lookup table when it holds the
-/// model and configuration (the default model over the values of
-/// `ConfigSpace::chaidnn()`), and from [`LatencyModel::op_latency_ns`]
-/// otherwise, with the same bits. Scheduling neither hashes nor allocates.
+/// Op latencies come from the process-wide lookup table when every value of
+/// the configuration is an option of `ConfigSpace::chaidnn()`, and from
+/// [`latency::op_latency_ns`] otherwise, with the same bits. Scheduling
+/// neither hashes nor allocates.
 ///
 /// # Examples
 ///
 /// ```
-/// use codesign_accel::{ConfigSpace, LatencyModel, Scheduler};
+/// use codesign_accel::{ConfigSpace, Scheduler};
 /// use codesign_nasbench::{known_cells, Network, NetworkConfig};
 ///
 /// let config = ConfigSpace::chaidnn().get(8639);
-/// let scheduler = Scheduler::new(LatencyModel::default(), config);
+/// let scheduler = Scheduler::new(config);
 /// let net = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
 /// let ms = scheduler.network_latency_ms(&net);
 /// assert!(ms > 1.0 && ms < 1000.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scheduler {
-    model: LatencyModel,
     config: AcceleratorConfig,
     /// The config's entries in the lookup table, if the table holds them.
     terms: Option<ConfigTerms>,
@@ -45,11 +44,10 @@ pub struct Scheduler {
 impl Scheduler {
     /// Creates a scheduler for `config`.
     #[must_use]
-    pub fn new(model: LatencyModel, config: AcceleratorConfig) -> Self {
+    pub fn new(config: AcceleratorConfig) -> Self {
         Self {
-            model,
             config,
-            terms: ConfigTerms::of(&model, &config),
+            terms: ConfigTerms::of(&config),
         }
     }
 
@@ -63,7 +61,7 @@ impl Scheduler {
     fn op_latency_ns(&self, node: &ProgramNode, engine: EngineKind) -> f64 {
         match self.terms {
             Some(terms) => terms.op_latency_ns(node, engine),
-            None => self.model.op_latency_ns(&node.op, engine, &self.config),
+            None => latency::op_latency_ns(&node.op, engine, &self.config),
         }
     }
 
@@ -78,7 +76,7 @@ impl Scheduler {
             for d in node.deps.iter() {
                 ready = ready.max(finish[d]);
             }
-            let engine = LatencyModel::primary_engine(&node.op, &self.config);
+            let engine = latency::primary_engine(&node.op, &self.config);
             let idx = engine.index();
             let end = ready.max(engine_free[idx]) + self.op_latency_ns(node, engine);
             engine_free[idx] = end;
@@ -109,15 +107,15 @@ impl Scheduler {
 /// answers "how much does engine-level parallelism buy?" for a given pair.
 /// It prices ops exactly as [`Scheduler`] does.
 #[must_use]
-pub fn schedule_serial(model: &LatencyModel, config: &AcceleratorConfig, network: &Network) -> f64 {
-    let scheduler = Scheduler::new(*model, *config);
+pub fn schedule_serial(config: &AcceleratorConfig, network: &Network) -> f64 {
+    let scheduler = Scheduler::new(*config);
     let mut total_ns = 0.0;
     for unit in network.units() {
         let mut unit_ns = 0.0;
         for node in unit.program.nodes() {
             // Serial baseline uses the same placement, it just never
             // overlaps two ops in time.
-            let engine = LatencyModel::primary_engine(&node.op, config);
+            let engine = latency::primary_engine(&node.op, config);
             unit_ns += scheduler.op_latency_ns(node, engine);
         }
         total_ns += unit_ns * unit.count as f64;
@@ -133,7 +131,7 @@ mod tests {
 
     /// The greedy schedule with every op priced by the model itself: the
     /// reference the lookup table is filled from.
-    fn reference_ms(model: &LatencyModel, config: &AcceleratorConfig, network: &Network) -> f64 {
+    fn reference_ms(config: &AcceleratorConfig, network: &Network) -> f64 {
         let mut total_ns = 0.0;
         for unit in network.units() {
             let mut engine_free = [0.0f64; EngineKind::COUNT];
@@ -144,9 +142,9 @@ mod tests {
                 for d in node.deps.iter() {
                     ready = ready.max(finish[d]);
                 }
-                let engine = LatencyModel::primary_engine(&node.op, config);
+                let engine = latency::primary_engine(&node.op, config);
                 let end = ready.max(engine_free[engine.index()])
-                    + model.op_latency_ns(&node.op, engine, config);
+                    + latency::op_latency_ns(&node.op, engine, config);
                 engine_free[engine.index()] = end;
                 finish.push(end);
                 makespan = makespan.max(end);
@@ -158,15 +156,11 @@ mod tests {
 
     /// Asserts the scheduler gives `reference_ms`'s bits for every named
     /// cell on `skeleton`.
-    fn assert_reference_bits(
-        model: LatencyModel,
-        config: AcceleratorConfig,
-        skeleton: &NetworkConfig,
-    ) {
+    fn assert_reference_bits(config: AcceleratorConfig, skeleton: &NetworkConfig) {
         for (name, cell) in known_cells::all_named() {
             let network = Network::assemble(&cell, skeleton);
-            let scheduled = Scheduler::new(model, config).network_latency_ms(&network);
-            let reference = reference_ms(&model, &config, &network);
+            let scheduled = Scheduler::new(config).network_latency_ms(&network);
+            let reference = reference_ms(&config, &network);
             assert_eq!(
                 scheduled.to_bits(),
                 reference.to_bits(),
@@ -195,7 +189,7 @@ mod tests {
     #[test]
     fn schedule_respects_dependencies() {
         // A chain program's makespan is the sum of its op latencies.
-        let s = Scheduler::new(LatencyModel::default(), big_config());
+        let s = Scheduler::new(big_config());
         let cell = known_cells::plain_cell();
         let prog = codesign_nasbench::CellProgram::lower(&cell, 128, 128, 32, 32);
         let makespan = s.program_makespan_ns(&prog);
@@ -203,8 +197,8 @@ mod tests {
             .nodes()
             .iter()
             .map(|n| {
-                let e = LatencyModel::primary_engine(&n.op, &big_config());
-                LatencyModel::default().op_latency_ns(&n.op, e, &big_config())
+                let e = latency::primary_engine(&n.op, &big_config());
+                latency::op_latency_ns(&n.op, e, &big_config())
             })
             .sum();
         assert!((makespan - sum).abs() < 1.0, "chain must serialize");
@@ -216,16 +210,7 @@ mod tests {
             pixel_par: 12,
             ..big_config()
         };
-        assert_reference_bits(
-            LatencyModel::default(),
-            off_space,
-            &NetworkConfig::default(),
-        );
-        let slower = LatencyModel {
-            clock_mhz: 150.0,
-            ..LatencyModel::default()
-        };
-        assert_reference_bits(slower, big_config(), &NetworkConfig::default());
+        assert_reference_bits(off_space, &NetworkConfig::default());
     }
 
     #[test]
@@ -236,7 +221,7 @@ mod tests {
         };
         let space = ConfigSpace::chaidnn();
         for index in [0, 5000, 8639] {
-            assert_reference_bits(LatencyModel::default(), space.get(index), &skeleton);
+            assert_reference_bits(space.get(index), &skeleton);
         }
     }
 
@@ -244,15 +229,14 @@ mod tests {
     fn split_engines_overlap_parallel_branches() {
         // Cod-2-like cells mix 1x1 and 3x3 branches; with split engines the
         // greedy scheduler overlaps them, with a single engine it cannot.
-        let model = LatencyModel::default();
         let net = Network::assemble(&known_cells::cod1_cell(), &NetworkConfig::default());
         let single = big_config();
         let split = AcceleratorConfig {
             ratio_conv_engines: ConvEngineRatio::R50,
             ..single
         };
-        let greedy_split = Scheduler::new(model, split).network_latency_ms(&net);
-        let serial_split = schedule_serial(&model, &split, &net);
+        let greedy_split = Scheduler::new(split).network_latency_ms(&net);
+        let serial_split = schedule_serial(&split, &net);
         assert!(
             greedy_split < serial_split,
             "greedy {greedy_split} must beat serial {serial_split} when branches overlap"
@@ -261,10 +245,10 @@ mod tests {
 
     #[test]
     fn greedy_never_beats_critical_path_bound() {
-        let s = Scheduler::new(LatencyModel::default(), big_config());
+        let s = Scheduler::new(big_config());
         let net = resnet_network();
         let greedy = s.network_latency_ms(&net);
-        let serial = schedule_serial(&LatencyModel::default(), &big_config(), &net);
+        let serial = schedule_serial(&big_config(), &net);
         assert!(greedy <= serial + 1e-9, "greedy {greedy} > serial {serial}");
         assert!(greedy > 0.25 * serial, "overlap cannot exceed engine count");
     }
@@ -274,32 +258,30 @@ mod tests {
         // Table II: ResNet cell on its best accelerator = 42 ms. The best
         // config is found by DSE; the biggest single-engine config must land
         // in the same decade.
-        let s = Scheduler::new(LatencyModel::default(), big_config());
+        let s = Scheduler::new(big_config());
         let ms = s.network_latency_ms(&resnet_network());
         assert!((15.0..=80.0).contains(&ms), "resnet latency {ms} ms");
     }
 
     #[test]
     fn googlenet_is_faster_than_resnet() {
-        let model = LatencyModel::default();
-        let g = Scheduler::new(model, big_config()).network_latency_ms(&Network::assemble(
+        let g = Scheduler::new(big_config()).network_latency_ms(&Network::assemble(
             &known_cells::googlenet_cell(),
             &NetworkConfig::default(),
         ));
-        let r = Scheduler::new(model, big_config()).network_latency_ms(&resnet_network());
+        let r = Scheduler::new(big_config()).network_latency_ms(&resnet_network());
         assert!(g < 0.7 * r, "googlenet {g} vs resnet {r}");
     }
 
     #[test]
     fn latency_spread_matches_fig4_axis() {
         // Fig 4's x-axis spans ~10..400 ms across configs for mid-size CNNs.
-        let model = LatencyModel::default();
         let net = resnet_network();
         let space = ConfigSpace::chaidnn();
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for i in (0..space.len()).step_by(111) {
-            let ms = Scheduler::new(model, space.get(i)).network_latency_ms(&net);
+            let ms = Scheduler::new(space.get(i)).network_latency_ms(&net);
             lo = lo.min(ms);
             hi = hi.max(ms);
         }

@@ -13,9 +13,8 @@
 
 use codesign_nasbench::{known_cells, Network, NetworkConfig};
 
-use crate::area::AreaModel;
+use crate::area;
 use crate::config::{AcceleratorConfig, ConfigSpace};
-use crate::latency::LatencyModel;
 use crate::scheduler::Scheduler;
 
 /// Error statistics of a model against the reference.
@@ -57,20 +56,16 @@ fn unit_noise(config: &AcceleratorConfig, salt: u64) -> f64 {
 /// "Measured" silicon area of a configuration: the model plus ±2% of
 /// unmodeled placement-and-routing effects.
 #[must_use]
-pub fn reference_area_mm2(model: &AreaModel, config: &AcceleratorConfig) -> f64 {
-    let base = model.area_mm2(config);
+pub fn reference_area_mm2(config: &AcceleratorConfig) -> f64 {
+    let base = area::area_mm2(config);
     base * (1.0 + 0.02 * unit_noise(config, 0xA12A))
 }
 
 /// "Measured" latency of a network: the model plus ±12% of unmodeled DDR and
 /// runtime scheduling effects (the paper's latency model is 85% accurate).
 #[must_use]
-pub fn reference_latency_ms(
-    model: &LatencyModel,
-    config: &AcceleratorConfig,
-    network: &Network,
-) -> f64 {
-    let base = Scheduler::new(*model, *config).network_latency_ms(network);
+pub fn reference_latency_ms(config: &AcceleratorConfig, network: &Network) -> f64 {
+    let base = Scheduler::new(*config).network_latency_ms(network);
     base * (1.0 + 0.12 * unit_noise(config, 0x1A7E))
 }
 
@@ -85,13 +80,13 @@ pub fn validation_configs() -> Vec<AcceleratorConfig> {
 
 /// Validates the area model against the 10 reference compilations.
 #[must_use]
-pub fn validate_area_model(model: &AreaModel) -> ValidationReport {
+pub fn validate_area_model() -> ValidationReport {
     let configs = validation_configs();
     let errors: Vec<f64> = configs
         .iter()
         .map(|c| {
-            let predicted = model.area_mm2(c);
-            let measured = reference_area_mm2(model, c);
+            let predicted = area::area_mm2(c);
+            let measured = reference_area_mm2(c);
             ((predicted - measured) / measured).abs() * 100.0
         })
         .collect();
@@ -101,14 +96,14 @@ pub fn validate_area_model(model: &AreaModel) -> ValidationReport {
 /// Validates the latency model on the GoogLeNet-cell network across the 10
 /// reference configurations, exactly like §II-C2's validation set.
 #[must_use]
-pub fn validate_latency_model(model: &LatencyModel) -> ValidationReport {
+pub fn validate_latency_model() -> ValidationReport {
     let network = Network::assemble(&known_cells::googlenet_cell(), &NetworkConfig::default());
     let configs = validation_configs();
     let errors: Vec<f64> = configs
         .iter()
         .map(|c| {
-            let predicted = Scheduler::new(*model, *c).network_latency_ms(&network);
-            let measured = reference_latency_ms(model, c, &network);
+            let predicted = Scheduler::new(*c).network_latency_ms(&network);
+            let measured = reference_latency_ms(c, &network);
             ((predicted - measured) / measured).abs() * 100.0
         })
         .collect();
@@ -140,7 +135,7 @@ mod tests {
     #[test]
     fn area_model_error_matches_paper_band() {
         // Paper: 1.6% average error. Accept anything clearly under 5%.
-        let report = validate_area_model(&AreaModel::default());
+        let report = validate_area_model();
         assert_eq!(report.samples, 10);
         assert!(
             report.mean_abs_pct_error < 5.0,
@@ -152,7 +147,7 @@ mod tests {
     #[test]
     fn latency_model_error_matches_paper_band() {
         // Paper: "85% accurate" => ~15% error. Accept under 25%.
-        let report = validate_latency_model(&LatencyModel::default());
+        let report = validate_latency_model();
         assert_eq!(report.samples, 10);
         assert!(
             report.mean_abs_pct_error < 25.0,
@@ -168,16 +163,14 @@ mod tests {
     #[test]
     fn reference_noise_is_deterministic() {
         let c = ConfigSpace::chaidnn().get(1234);
-        let m = AreaModel::default();
-        assert_eq!(reference_area_mm2(&m, &c), reference_area_mm2(&m, &c));
+        assert_eq!(reference_area_mm2(&c), reference_area_mm2(&c));
     }
 
     #[test]
     fn reference_noise_varies_across_configs() {
         let space = ConfigSpace::chaidnn();
-        let m = AreaModel::default();
-        let a = reference_area_mm2(&m, &space.get(0)) / m.area_mm2(&space.get(0));
-        let b = reference_area_mm2(&m, &space.get(4321)) / m.area_mm2(&space.get(4321));
+        let a = reference_area_mm2(&space.get(0)) / area::area_mm2(&space.get(0));
+        let b = reference_area_mm2(&space.get(4321)) / area::area_mm2(&space.get(4321));
         assert_ne!(a, b);
     }
 }

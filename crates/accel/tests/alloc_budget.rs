@@ -1,7 +1,7 @@
-//! Pins the allocation budget of pricing a network: after one warm-up call,
-//! which builds the configuration space the lookup table indexes, building
-//! a scheduler and scheduling a network, greedy or serial, allocates
-//! nothing, including the first fill of an op's row.
+//! Pins the allocation budget of the accelerator half: walking the
+//! configuration space, building a scheduler and scheduling a network,
+//! greedy or serial, allocate nothing, including the first fill of an op's
+//! row.
 //!
 //! This lives in its own integration-test binary so the counting global
 //! allocator sees only this crate's code. Counts are kept per thread, so
@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use codesign_accel::{schedule_serial, ConfigSpace, LatencyModel, Scheduler};
+use codesign_accel::{schedule_serial, ConfigSpace, Scheduler};
 use codesign_nasbench::{known_cells, Network, NetworkConfig};
 
 struct CountingAlloc;
@@ -45,25 +45,40 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 #[test]
+fn config_space_does_not_allocate() {
+    let (visited, count) = allocations(|| {
+        let space = ConfigSpace::chaidnn();
+        let mut visited = 0;
+        for (index, config) in space.iter().enumerate() {
+            assert_eq!(space.get(index), config);
+            assert_eq!(space.try_encode(&config), Some(space.encode(&config)));
+            visited += 1;
+        }
+        assert_eq!(visited, space.len());
+        visited
+    });
+    assert_eq!(visited, 8640);
+    assert_eq!(count, 0, "walking the space allocated {count} times");
+}
+
+#[test]
 fn scheduling_a_network_does_not_allocate() {
-    let model = LatencyModel::default();
     let space = ConfigSpace::chaidnn();
     let configs = [0, 5000, 8639].map(|index| space.get(index));
     let networks: Vec<_> = known_cells::all_named()
         .into_iter()
         .map(|(name, cell)| (name, Network::assemble(&cell, &NetworkConfig::default())))
         .collect();
-    let _ = Scheduler::new(model, configs[0]).network_latency_ms(&networks[0].1);
     for (name, network) in &networks {
         for config in configs {
             let (greedy, count) =
-                allocations(|| Scheduler::new(model, config).network_latency_ms(network));
+                allocations(|| Scheduler::new(config).network_latency_ms(network));
             assert!(greedy > 0.0);
             assert_eq!(
                 count, 0,
                 "greedy {name} at {config} allocated {count} times"
             );
-            let (serial, count) = allocations(|| schedule_serial(&model, &config, network));
+            let (serial, count) = allocations(|| schedule_serial(&config, network));
             assert!(serial >= greedy);
             assert_eq!(
                 count, 0,

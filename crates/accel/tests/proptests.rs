@@ -1,8 +1,9 @@
 //! Property-based tests over random accelerator configurations and ops.
 
+use codesign_accel::latency::{op_latency_ns, primary_engine};
 use codesign_accel::{
-    schedule_serial, AcceleratorConfig, AreaModel, ConfigSpace, ConvEngineRatio, FpgaDevice,
-    LatencyModel, PowerModel, Scheduler,
+    area, power, schedule_serial, AcceleratorConfig, ConfigSpace, ConvEngineRatio, Scheduler,
+    DEVICE,
 };
 use codesign_nasbench::{known_cells, Network, NetworkConfig, OpInstance};
 use proptest::prelude::*;
@@ -26,24 +27,21 @@ proptest! {
 
     #[test]
     fn every_config_fits_and_has_positive_area(config in arb_config()) {
-        let model = AreaModel::default();
-        prop_assert!(model.fits_device(&config));
-        let area = model.area_mm2(&config);
-        prop_assert!(area > 0.0 && area < FpgaDevice::zynq_ultrascale_plus().total_area_mm2());
+        prop_assert!(area::fits_device(&config));
+        let area = area::area_mm2(&config);
+        prop_assert!(area > 0.0 && area < DEVICE.total_area_mm2());
     }
 
     #[test]
     fn op_latency_is_positive_and_finite(config in arb_config(), op in arb_conv()) {
-        let model = LatencyModel::default();
-        let engine = LatencyModel::primary_engine(&op, &config);
-        let ns = model.op_latency_ns(&op, engine, &config);
+        let engine = primary_engine(&op, &config);
+        let ns = op_latency_ns(&op, engine, &config);
         prop_assert!(ns.is_finite() && ns > 0.0);
     }
 
     #[test]
     fn bigger_mac_array_never_slows_a_conv(op in arb_conv()) {
         // Fix everything but the MAC array size on a single-engine config.
-        let model = LatencyModel::default();
         let base = AcceleratorConfig {
             filter_par: 8,
             pixel_par: 8,
@@ -55,18 +53,17 @@ proptest! {
             ratio_conv_engines: ConvEngineRatio::Single,
         };
         let big = AcceleratorConfig { filter_par: 16, pixel_par: 64, ..base };
-        let engine = LatencyModel::primary_engine(&op, &base);
-        let slow = model.op_latency_ns(&op, engine, &base);
-        let fast = model.op_latency_ns(&op, engine, &big);
+        let engine = primary_engine(&op, &base);
+        let slow = op_latency_ns(&op, engine, &base);
+        let fast = op_latency_ns(&op, engine, &big);
         prop_assert!(fast <= slow + 1e-9, "fast {fast} > slow {slow}");
     }
 
     #[test]
     fn greedy_schedule_never_exceeds_serial(config in arb_config()) {
-        let model = LatencyModel::default();
         let network = Network::assemble(&known_cells::cod2_cell(), &NetworkConfig::default());
-        let greedy = Scheduler::new(model, config).network_latency_ms(&network);
-        let serial = schedule_serial(&model, &config, &network);
+        let greedy = Scheduler::new(config).network_latency_ms(&network);
+        let serial = schedule_serial(&config, &network);
         prop_assert!(greedy <= serial + 1e-9);
         // Overlap is bounded by the number of parallel units.
         prop_assert!(greedy >= serial / 4.0);
@@ -74,9 +71,7 @@ proptest! {
 
     #[test]
     fn power_is_positive_and_bounded(config in arb_config()) {
-        let power = PowerModel::default();
-        let area = AreaModel::default();
-        let p = power.peak_power(&area, &config);
+        let p = power::peak_power(&config);
         prop_assert!(p.static_w > 0.0);
         prop_assert!(p.dynamic_w > 0.0);
         prop_assert!(p.total_w() < 25.0, "implausible power {}", p.total_w());

@@ -8,21 +8,20 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use codesign_accel::{schedule_serial, ConfigSpace, LatencyModel, Scheduler};
+use codesign_accel::{schedule_serial, ConfigSpace, Scheduler};
 use codesign_moo::pareto::pareto_indices_3d;
 use codesign_moo::{AxisSchema, DynParetoFront};
 use codesign_nasbench::{known_cells, Network, NetworkConfig};
 
 fn bench_scheduler_vs_serial(c: &mut Criterion) {
-    let model = LatencyModel::default();
     let config = ConfigSpace::chaidnn().get(8639);
     let network = Network::assemble(&known_cells::cod1_cell(), &NetworkConfig::default());
     c.bench_function("ablation/scheduler_greedy", |b| {
-        let s = Scheduler::new(model, config);
+        let s = Scheduler::new(config);
         b.iter(|| s.network_latency_ms(black_box(&network)))
     });
     c.bench_function("ablation/scheduler_serial", |b| {
-        b.iter(|| schedule_serial(&model, &config, black_box(&network)))
+        b.iter(|| schedule_serial(&config, black_box(&network)))
     });
 }
 

@@ -4,21 +4,20 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use codesign_accel::{AreaModel, ConfigSpace, LatencyModel, Scheduler};
+use codesign_accel::{area, ConfigSpace, Scheduler};
 use codesign_nasbench::canon::canonical_hash;
 use codesign_nasbench::{
     known_cells, CellFeatures, CellSpec, Dataset, Network, NetworkConfig, SurrogateModel,
 };
 
 fn bench_area_model(c: &mut Criterion) {
-    let model = AreaModel::default();
     let space = ConfigSpace::chaidnn();
     let configs: Vec<_> = (0..64).map(|i| space.get(i * 135)).collect();
     c.bench_function("area_model/64_configs", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for cfg in &configs {
-                acc += model.area_mm2(black_box(cfg));
+                acc += area::area_mm2(black_box(cfg));
             }
             acc
         })
@@ -31,7 +30,7 @@ fn bench_latency_schedule(c: &mut Criterion) {
     let network = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
     c.bench_function("latency/schedule_resnet", |b| {
         b.iter(|| {
-            let s = Scheduler::new(LatencyModel::default(), config);
+            let s = Scheduler::new(config);
             s.network_latency_ms(black_box(&network))
         })
     });

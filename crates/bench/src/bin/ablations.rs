@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p codesign-bench --bin ablations`
 //! Args: `[--steps N] [--repeats R]`
 
-use codesign_accel::{schedule_serial, ConfigSpace, LatencyModel, Scheduler};
+use codesign_accel::{schedule_serial, ConfigSpace, Scheduler};
 use codesign_bench::Args;
 use codesign_core::report::{fmt_f, TextTable};
 use codesign_core::{
@@ -115,7 +115,6 @@ fn punishment_ablation(steps: usize, repeats: usize) {
 
 fn schedule_ablation() {
     println!("=== Ablation 3: greedy multi-engine scheduler vs serial execution ===");
-    let model = LatencyModel::default();
     let space = ConfigSpace::chaidnn();
     let mut table = TextTable::new(vec![
         "cell",
@@ -128,8 +127,8 @@ fn schedule_ablation() {
         let network = Network::assemble(&cell, &NetworkConfig::default());
         for idx in [8639, 5000] {
             let config = space.get(idx);
-            let greedy = Scheduler::new(model, config).network_latency_ms(&network);
-            let serial = schedule_serial(&model, &config, &network);
+            let greedy = Scheduler::new(config).network_latency_ms(&network);
+            let serial = schedule_serial(&config, &network);
             table.add_row(vec![
                 name.into(),
                 config.ratio_conv_engines.to_string(),

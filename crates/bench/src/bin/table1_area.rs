@@ -5,41 +5,41 @@
 //!
 //! Run: `cargo run --release -p codesign-bench --bin table1_area`
 
-use codesign_accel::{validate_area_model, AreaModel, ConfigSpace, FpgaDevice};
+use codesign_accel::{area, validate_area_model, ConfigSpace, DEVICE};
 use codesign_bench::Args;
 use codesign_core::report::{fmt_f, TextTable};
 
 fn main() {
     // No flags, but an unknown one still exits 2 and `--help` answers.
     let _ = Args::parse("");
-    let device = FpgaDevice::zynq_ultrascale_plus();
 
     println!("Table I: Estimated FPGA block area for Zynq UltraScale+\n");
     let mut table = TextTable::new(vec!["Resource", "Relative Area (CLB)", "Tile Area (mm2)"]);
     table.add_row(vec![
         "CLB".into(),
         "1".into(),
-        fmt_f(device.clb_area_mm2, 4),
+        fmt_f(DEVICE.clb_area_mm2, 4),
     ]);
     table.add_row(vec![
         "BRAM - 36 Kbit".into(),
-        fmt_f(device.bram_area_mm2 / device.clb_area_mm2, 0),
-        fmt_f(device.bram_area_mm2, 3),
+        fmt_f(DEVICE.bram_area_mm2 / DEVICE.clb_area_mm2, 0),
+        fmt_f(DEVICE.bram_area_mm2, 3),
     ]);
     table.add_row(vec![
         "DSP".into(),
-        fmt_f(device.dsp_area_mm2 / device.clb_area_mm2, 0),
-        fmt_f(device.dsp_area_mm2, 3),
+        fmt_f(DEVICE.dsp_area_mm2 / DEVICE.clb_area_mm2, 0),
+        fmt_f(DEVICE.dsp_area_mm2, 3),
     ]);
+    // Table I's total: the device's CLB-equivalents at a CLB's area.
+    let clb_equivalents = DEVICE.total_clb_equivalents();
     table.add_row(vec![
         "Total".into(),
-        format!("{}", device.total_clb_equivalents()),
-        fmt_f(device.total_area_mm2(), 0),
+        format!("{clb_equivalents}"),
+        fmt_f(clb_equivalents as f64 * DEVICE.clb_area_mm2, 0),
     ]);
     println!("{table}");
 
-    let model = AreaModel::default();
-    let report = validate_area_model(&model);
+    let report = validate_area_model();
     println!(
         "Area-model validation vs {} reference compilations: mean {:.2}% / max {:.2}% error",
         report.samples, report.mean_abs_pct_error, report.max_abs_pct_error
@@ -48,7 +48,7 @@ fn main() {
 
     let space = ConfigSpace::chaidnn();
     let config = space.get(space.len() - 1);
-    let breakdown = model.breakdown(&config);
+    let breakdown = area::breakdown(&config);
     println!("Component breakdown of the largest configuration ({config}):\n");
     let mut comp = TextTable::new(vec!["Component", "CLB", "BRAM", "DSP", "mm2"]);
     for (name, usage) in [
@@ -64,7 +64,7 @@ fn main() {
             usage.clbs.to_string(),
             usage.brams.to_string(),
             usage.dsps.to_string(),
-            fmt_f(device.silicon_area_mm2(&usage), 1),
+            fmt_f(DEVICE.silicon_area_mm2(&usage), 1),
         ]);
     }
     println!("{comp}");
@@ -72,7 +72,7 @@ fn main() {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for c in space.iter() {
-        let a = model.area_mm2(&c);
+        let a = area::area_mm2(&c);
         lo = lo.min(a);
         hi = hi.max(a);
     }

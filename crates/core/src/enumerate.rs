@@ -15,7 +15,7 @@
 //! them from an enumerated front. The runs themselves execute as one
 //! sharded campaign (`codesign_engine::Campaign`).
 
-use codesign_accel::{AcceleratorConfig, AreaModel, ConfigSpace, LatencyModel, Scheduler};
+use codesign_accel::{area, power, AcceleratorConfig, ConfigSpace, Scheduler};
 use codesign_moo::{DynParetoFront, DynStreamingParetoFilter, RewardOutcome};
 use codesign_nasbench::{Dataset, NasbenchDatabase, Network, NetworkConfig};
 
@@ -36,9 +36,6 @@ use crate::scenarios::{CompiledScenario, MetricId, ScenarioSpec};
 #[must_use]
 pub fn probe_pair_evaluations(database: &NasbenchDatabase, samples: usize) -> Vec<PairEvaluation> {
     let space = ConfigSpace::chaidnn();
-    let area_model = AreaModel::default();
-    let power_model = codesign_accel::PowerModel::default();
-    let latency_model = LatencyModel::default();
     let net_config = NetworkConfig::default();
     let n_cells = database.len() as u64;
     let n_configs = space.len() as u64;
@@ -62,9 +59,9 @@ pub fn probe_pair_evaluations(database: &NasbenchDatabase, samples: usize) -> Ve
         let network = Network::assemble(&entry.spec, &net_config);
         out.push(PairEvaluation {
             accuracy: entry.mean_accuracy(Dataset::Cifar10),
-            latency_ms: Scheduler::new(latency_model, config).network_latency_ms(&network),
-            area_mm2: area_model.area_mm2(&config),
-            power_w: power_model.peak_power(&area_model, &config).total_w(),
+            latency_ms: Scheduler::new(config).network_latency_ms(&network),
+            area_mm2: area::area_mm2(&config),
+            power_w: power::peak_power(&config).total_w(),
         });
     }
     out
@@ -89,20 +86,11 @@ pub fn enumerate_scenario_front(
     scenario: &CompiledScenario,
     threads: usize,
 ) -> DynParetoFront<(usize, AcceleratorConfig)> {
-    let space = ConfigSpace::chaidnn();
-    let area_model = AreaModel::default();
-    let power_model = codesign_accel::PowerModel::default();
-    let latency_model = LatencyModel::default();
     let net_config = NetworkConfig::default();
-    let configs: Vec<AcceleratorConfig> = space.iter().collect();
+    let configs: Vec<AcceleratorConfig> = ConfigSpace::chaidnn().iter().collect();
     let hw: Vec<(f64, f64)> = configs
         .iter()
-        .map(|c| {
-            (
-                area_model.area_mm2(c),
-                power_model.peak_power(&area_model, c).total_w(),
-            )
-        })
+        .map(|c| (area::area_mm2(c), power::peak_power(c).total_w()))
         .collect();
 
     let threads = if threads == 0 {
@@ -121,7 +109,6 @@ pub fn enumerate_scenario_front(
         for chunk in indices.chunks(chunk_size) {
             let configs = &configs;
             let hw = &hw;
-            let latency_model = &latency_model;
             let net_config = &net_config;
             let handle = scope.spawn(move || {
                 let mut filter: DynStreamingParetoFilter<(usize, AcceleratorConfig)> =
@@ -141,7 +128,7 @@ pub fn enumerate_scenario_front(
                 let needs_latency = scenario.metrics().iter().any(MetricId::uses_latency);
                 // Accelerator loop outermost: one scheduler per configuration.
                 for (config_index, config) in configs.iter().enumerate() {
-                    let scheduler = Scheduler::new(*latency_model, *config);
+                    let scheduler = Scheduler::new(*config);
                     let (area_mm2, power_w) = hw[config_index];
                     for (cell_index, network, accuracy) in &networks {
                         let eval = PairEvaluation {

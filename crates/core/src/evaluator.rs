@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use codesign_accel::{AcceleratorConfig, AreaModel, LatencyModel, PowerModel, Scheduler};
+use codesign_accel::{area, power, AcceleratorConfig, Scheduler};
 use codesign_nasbench::{
     CellSpec, Dataset, NasbenchDatabase, Network, NetworkConfig, SpecError, SurrogateModel,
 };
@@ -127,8 +127,8 @@ pub struct PairEvaluation {
     pub area_mm2: f64,
     /// Worst-case (fully-utilized) accelerator power draw, watts — Fig. 1
     /// lists power among the evaluator outputs; this is the
-    /// `codesign_accel::PowerModel` peak estimate, a deterministic function
-    /// of the accelerator configuration.
+    /// `codesign_accel::power::peak_power` estimate, a deterministic
+    /// function of the accelerator configuration.
     pub power_w: f64,
 }
 
@@ -171,9 +171,6 @@ impl EvalOutcome {
 /// recomputes latency, area and peak power from the models.
 pub struct Evaluator {
     accuracy: AccuracySource,
-    area_model: AreaModel,
-    latency_model: LatencyModel,
-    power_model: PowerModel,
     net_config: NetworkConfig,
     accuracy_cache: HashMap<u128, f64>,
     /// The pair memo when no shared cache is attached. Two labellings of
@@ -238,9 +235,7 @@ impl Evaluator {
         // Namespace shared-cache keys by everything the metrics depend on
         // that varies across constructors: the accuracy source kind, its
         // dataset, and the network skeleton's class count (which changes
-        // both accuracy heads and latency). Evaluators with custom
-        // area/latency models must not share a cache (the defaults are the
-        // only models constructible today).
+        // both accuracy heads and latency).
         let kind: u128 = match &accuracy {
             AccuracySource::Database(_) => 1,
             AccuracySource::Trainer {
@@ -255,9 +250,6 @@ impl Evaluator {
         let cache_salt = (kind << 64) | ((net_config.num_classes as u128) << 32);
         Self {
             accuracy,
-            area_model: AreaModel::default(),
-            latency_model: LatencyModel::default(),
-            power_model: PowerModel::default(),
             net_config,
             accuracy_cache: HashMap::new(),
             pairs: HashMap::new(),
@@ -395,12 +387,9 @@ impl Evaluator {
         let network = Network::assemble(cell, &self.net_config);
         let eval = PairEvaluation {
             accuracy,
-            latency_ms: Scheduler::new(self.latency_model, *config).network_latency_ms(&network),
-            area_mm2: self.area_model.area_mm2(config),
-            power_w: self
-                .power_model
-                .peak_power(&self.area_model, config)
-                .total_w(),
+            latency_ms: Scheduler::new(*config).network_latency_ms(&network),
+            area_mm2: area::area_mm2(config),
+            power_w: power::peak_power(config).total_w(),
         };
         match &self.shared_cache {
             Some(shared) => {
@@ -463,8 +452,8 @@ mod tests {
     use crate::space::CodesignSpace;
     use codesign_nasbench::known_cells;
 
-    /// Peak power of `ConfigSpace::chaidnn().get(4321)` under the default
-    /// models (see `power_metric_is_plumbed_and_pinned`).
+    /// Peak power of `ConfigSpace::chaidnn().get(4321)` (see
+    /// `power_metric_is_plumbed_and_pinned`).
     const PINNED_POWER_W_4321: f64 = 2.454975;
 
     /// Every cell up to 5 vertices: holds resnet and cod1.
@@ -539,9 +528,7 @@ mod tests {
         let e = ev
             .evaluate_pair(&known_cells::resnet_cell(), &config)
             .expect("resnet is always in the database");
-        let expected = codesign_accel::PowerModel::default()
-            .peak_power(&codesign_accel::AreaModel::default(), &config)
-            .total_w();
+        let expected = power::peak_power(&config).total_w();
         assert!(e.power_w > 0.0);
         assert_eq!(e.power_w.to_bits(), expected.to_bits());
         // Numeric pin for ConfigSpace::chaidnn().get(4321): single-digit

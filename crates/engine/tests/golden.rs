@@ -33,9 +33,10 @@ use std::sync::Arc;
 
 use std::collections::HashSet;
 
+use codesign_accel::latency::{op_latency_ns, primary_engine};
 use codesign_accel::{
-    schedule_serial, validate_area_model, validate_latency_model, AcceleratorConfig, AreaModel,
-    ConfigSpace, LatencyModel, PowerModel, Scheduler,
+    area, power, schedule_serial, validate_area_model, validate_latency_model, AcceleratorConfig,
+    ConfigSpace, Scheduler,
 };
 use codesign_core::{
     enumerate_scenario_front, run_cifar100_codesign, table2_baselines, Cifar100Config,
@@ -278,7 +279,6 @@ fn table2_baselines_and_the_section_iv_flow() {
 
 #[test]
 fn greedy_and_serial_schedules_and_the_latency_validation() {
-    let model = LatencyModel::default();
     let space = ConfigSpace::chaidnn();
     let mut bytes = Vec::new();
     for (_, cell) in known_cells::all_named() {
@@ -287,12 +287,12 @@ fn greedy_and_serial_schedules_and_the_latency_validation() {
             let config = space.get(index);
             put_f64(
                 &mut bytes,
-                Scheduler::new(model, config).network_latency_ms(&network),
+                Scheduler::new(config).network_latency_ms(&network),
             );
-            put_f64(&mut bytes, schedule_serial(&model, &config, &network));
+            put_f64(&mut bytes, schedule_serial(&config, &network));
         }
     }
-    let validation = validate_latency_model(&model);
+    let validation = validate_latency_model();
     put_f64(&mut bytes, validation.mean_abs_pct_error);
     put_f64(&mut bytes, validation.max_abs_pct_error);
     assert_eq!(bytes.len(), 256);
@@ -301,10 +301,9 @@ fn greedy_and_serial_schedules_and_the_latency_validation() {
 
 #[test]
 fn area_and_power_over_the_config_space() {
-    let (area_model, power_model) = (AreaModel::default(), PowerModel::default());
     let mut bytes = Vec::new();
     for config in ConfigSpace::chaidnn().iter() {
-        let breakdown = area_model.breakdown(&config);
+        let breakdown = area::breakdown(&config);
         for usage in [
             breakdown.conv_engines,
             breakdown.pooling_engine,
@@ -316,12 +315,12 @@ fn area_and_power_over_the_config_space() {
             put_u64(&mut bytes, usage.brams);
             put_u64(&mut bytes, usage.dsps);
         }
-        put_f64(&mut bytes, area_model.area_mm2(&config));
-        let power = power_model.peak_power(&area_model, &config);
+        put_f64(&mut bytes, area::area_mm2(&config));
+        let power = power::peak_power(&config);
         put_f64(&mut bytes, power.static_w);
         put_f64(&mut bytes, power.dynamic_w);
     }
-    let validation = validate_area_model(&area_model);
+    let validation = validate_area_model();
     put_f64(&mut bytes, validation.mean_abs_pct_error);
     put_f64(&mut bytes, validation.max_abs_pct_error);
     assert_eq!(bytes.len(), 1_244_176);
@@ -372,8 +371,7 @@ fn decoded_lowered_and_scheduled_cells_at_seven_vertices() {
                     }
                 }
                 for config in [fastest, slowest] {
-                    let latency = Scheduler::new(LatencyModel::default(), config)
-                        .network_latency_ms(&network);
+                    let latency = Scheduler::new(config).network_latency_ms(&network);
                     put_f64(&mut bytes, latency);
                 }
             }
@@ -413,13 +411,12 @@ fn op_and_network_latencies_over_the_config_space() {
     let ids: HashSet<OpId> = catalog.iter().map(OpId::of).collect();
     assert_eq!(ids.len(), 112, "distinct ops get distinct ids");
 
-    let model = LatencyModel::default();
     let space = ConfigSpace::chaidnn();
     let mut ops = Vec::new();
     for config in space.iter() {
         for op in &catalog {
-            let engine = LatencyModel::primary_engine(op, &config);
-            put_f64(&mut ops, model.op_latency_ns(op, engine, &config));
+            let engine = primary_engine(op, &config);
+            put_f64(&mut ops, op_latency_ns(op, engine, &config));
         }
     }
     assert_eq!(ops.len(), 7_741_440);
@@ -433,7 +430,7 @@ fn op_and_network_latencies_over_the_config_space() {
         };
         let (nets4, nets5) = (assemble(&v4), assemble(&v5));
         for (index, config) in space.iter().enumerate() {
-            let scheduler = Scheduler::new(model, config);
+            let scheduler = Scheduler::new(config);
             let sampled: &[Network] = if index % 97 == 0 { &nets5 } else { &[] };
             for network in nets4.iter().chain(sampled) {
                 put_f64(&mut networks, scheduler.network_latency_ms(network));

@@ -1,11 +1,11 @@
 //! Extension test: four-objective codesign with the power model.
 //!
 //! Fig. 1 of the paper lists power among the evaluator outputs but the
-//! evaluation never uses it; this test wires `codesign_accel::PowerModel`
+//! evaluation never uses it; this test wires `codesign_accel::power`
 //! into a four-objective `DynRewardSpec` over `(-area, -lat, acc, -power)`
 //! and checks the machinery composes end to end.
 
-use codesign_nas::accel::{AreaModel, ConfigSpace, LatencyModel, PowerModel, Scheduler};
+use codesign_nas::accel::{area, power, ConfigSpace, Scheduler};
 use codesign_nas::moo::{pareto_indices_dyn, DynRewardSpec, LinearNorm};
 use codesign_nas::nasbench::{known_cells, Dataset, Network, NetworkConfig, SurrogateModel};
 
@@ -33,15 +33,12 @@ fn metrics_for(cell_name: &str, config_idx: usize) -> [f64; 4] {
         .1;
     let config = ConfigSpace::chaidnn().get(config_idx);
     let network = Network::assemble(&cell, &NetworkConfig::default());
-    let area_model = AreaModel::default();
-    let area = area_model.area_mm2(&config);
-    let latency = Scheduler::new(LatencyModel::default(), config).network_latency_ms(&network);
+    let area = area::area_mm2(&config);
+    let latency = Scheduler::new(config).network_latency_ms(&network);
     let accuracy = SurrogateModel::default()
         .evaluate(&cell, Dataset::Cifar10)
         .mean_accuracy();
-    let power = PowerModel::default()
-        .peak_power(&area_model, &config)
-        .total_w();
+    let power = power::peak_power(&config).total_w();
     [-area, -latency, accuracy, -power]
 }
 
@@ -87,20 +84,18 @@ fn power_adds_a_real_tradeoff_dimension() {
 fn energy_ranks_differently_than_latency() {
     // The fastest configuration is not the most energy-efficient one:
     // energy = power x latency penalizes oversized arrays.
-    let area_model = AreaModel::default();
-    let power_model = PowerModel::default();
     let network = Network::assemble(&known_cells::googlenet_cell(), &NetworkConfig::default());
     let space = ConfigSpace::chaidnn();
     let mut best_latency = (f64::INFINITY, 0usize);
     let mut energies: Vec<(usize, f64)> = Vec::new();
     for idx in (0..8640).step_by(97) {
         let config = space.get(idx);
-        let latency = Scheduler::new(LatencyModel::default(), config).network_latency_ms(&network);
+        let latency = Scheduler::new(config).network_latency_ms(&network);
         if latency < best_latency.0 {
             best_latency = (latency, idx);
         }
         // Energy per inference, mJ: watts times milliseconds.
-        let energy = power_model.power(&area_model, &config, 0.6, 0.2).total_w() * latency;
+        let energy = power::power(&config, 0.6, 0.2).total_w() * latency;
         energies.push((idx, energy));
     }
     let best_energy = energies

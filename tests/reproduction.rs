@@ -5,9 +5,7 @@
 
 use std::collections::HashSet;
 
-use codesign_nas::accel::{
-    validate_area_model, validate_latency_model, AreaModel, ConfigSpace, FpgaDevice, LatencyModel,
-};
+use codesign_nas::accel::{validate_area_model, validate_latency_model, ConfigSpace, DEVICE};
 use codesign_nas::core::{
     enumerate_scenario_front, run_cifar100_codesign, table2_baselines, top_pareto_points,
     Cifar100Config, ScenarioSpec, ThresholdSchedule,
@@ -18,28 +16,34 @@ use codesign_nas::nasbench::NasbenchDatabase;
 
 #[test]
 fn table1_device_constants() {
-    let dev = FpgaDevice::zynq_ultrascale_plus();
-    assert_eq!(dev.clb_area_mm2, 0.0044);
-    assert_eq!(dev.bram_area_mm2, 0.026);
-    assert_eq!(dev.dsp_area_mm2, 0.044);
-    let clb_eq = dev.total_clb_equivalents();
-    assert!(
-        (64_900..=65_000).contains(&clb_eq),
-        "paper: 64,922, got {clb_eq}"
+    assert_eq!(DEVICE.clb_area_mm2, 0.0044);
+    assert_eq!(DEVICE.bram_area_mm2, 0.026);
+    assert_eq!(DEVICE.dsp_area_mm2, 0.044);
+    let clb_eq = DEVICE.total_clb_equivalents();
+    assert_eq!(clb_eq, 64_922, "paper: 64,922 CLB-equivalents");
+    // Table I's total area is its CLB-equivalents at a CLB's area.
+    let table1_area = clb_eq as f64 * DEVICE.clb_area_mm2;
+    assert_eq!(
+        table1_area.round(),
+        286.0,
+        "paper: 286 mm2, got {table1_area}"
     );
-    assert!((dev.total_area_mm2() - 286.0).abs() < 3.0, "paper: 286 mm2");
+    assert!(
+        (DEVICE.total_area_mm2() - 286.0).abs() < 3.0,
+        "the tile sum stays near Table I's 286 mm2"
+    );
 }
 
 #[test]
 fn section2c_model_validation_errors() {
     // Paper: area model 1.6% mean error; latency model "85% accurate".
-    let area = validate_area_model(&AreaModel::default());
+    let area = validate_area_model();
     assert!(
         area.mean_abs_pct_error < 5.0,
         "area error {}",
         area.mean_abs_pct_error
     );
-    let latency = validate_latency_model(&LatencyModel::default());
+    let latency = validate_latency_model();
     assert!(
         latency.mean_abs_pct_error < 25.0,
         "latency error {}",
