@@ -12,24 +12,30 @@
 //! separate dependency chains: four rows of a matrix–vector product
 //! (eight on the AVX path), 16 vectors of a batched product, or a block
 //! of up to 16 columns of a result kept in registers (32 on the AVX
-//! path). No dense kernel reassociates a sum or fuses a multiply-add, so
-//! the results are bit-identical on every CPU and build profile.
+//! path, 64 on the AVX-512 path). No dense kernel reassociates a sum or
+//! fuses a multiply-add, so the results are bit-identical on every CPU
+//! and build profile.
 //!
 //! **Paths.** Each dense kernel has a portable version, compiled for the
 //! build's target, and on x86-64 an AVX version, taken at run time when
-//! `is_x86_feature_detected!("avx")` holds; one private `Path`, detected
-//! at run time, is all that selects a version. The AVX versions put
-//! independent output elements in the four lanes of a 256-bit vector. The
-//! batched, transposed and outer-product kernels are the portable bodies
-//! compiled a second time with AVX enabled, the last two with column
-//! blocks twice as wide; the matrix–vector product loads two columns of
-//! four rows and unpacks their products in registers, so each lane
-//! receives its own row's terms in column order. A vector multiply or add
-//! rounds each lane exactly as the scalar instruction does, and AVX has
-//! no fused multiply-add (that is the separate FMA feature, which no dense
-//! kernel enables), so both paths give the same bits. This module's unit
-//! tests check both paths against the naive definitions;
-//! `tests/proptests.rs` checks the path this CPU takes.
+//! `is_x86_feature_detected!("avx")` holds; the batched, transposed and
+//! outer-product kernels also have an AVX-512 version, taken when the CPU
+//! also has AVX2, FMA and AVX-512F. One private `Path`, detected at run
+//! time, is all that selects a version. The AVX versions put independent
+//! output elements in the four lanes of a 256-bit vector. The batched,
+//! transposed and outer-product kernels are the portable bodies compiled
+//! a second time with AVX enabled, the last two with column blocks twice
+//! as wide, and a third time with AVX-512F enabled, with blocks of 64
+//! columns in eight 512-bit registers; the matrix–vector product loads
+//! two columns of four rows and unpacks their products in registers, so
+//! each lane receives its own row's terms in column order, and the
+//! AVX-512 path keeps that AVX version. A vector
+//! multiply or add rounds each lane exactly as the scalar instruction
+//! does, and no dense kernel fuses a multiply-add (the compiler contracts
+//! none, even where AVX-512F makes FMA available), so every path gives
+//! the same bits. This module's unit tests check every path this CPU can
+//! run against the naive definitions; `tests/proptests.rs` checks the
+//! path this CPU takes.
 //!
 //! **`tanh`.** [`tanh`] reproduces, operation for operation, the `tanh`
 //! of glibc 2.36 on an x86-64 CPU with FMA: fdlibm's `tanh` over the
@@ -40,13 +46,15 @@
 //! nowhere else. The portable path is a scalar port, with the branches
 //! that `tanh` can reach; on x86-64 CPUs with AVX2 and FMA (the `Path`
 //! detection again) four lanes each run every branch and keep theirs by
-//! a blend. `mul_add` rounds
+//! a blend, and on CPUs that also have AVX-512F eight lanes run the same
+//! operations in the same order, keep their branch by a mask blend and
+//! read and write a last partial vector through a mask. `mul_add` rounds
 //! correctly on every target (through a libm `fma` call where the CPU
-//! has no FMA), so both paths give the same bits everywhere, which
+//! has no FMA), so every path gives the same bits everywhere, which
 //! `f64::tanh` does not: on a CPU without FMA, glibc's ifunc picks an
 //! unfused `expm1`. `tests/golden.rs` pins the bits over three million
 //! inputs (`TANH_BITS`, taken from `f64::tanh` on a CPU with FMA); this
-//! module's unit tests check the vector path against the scalar port.
+//! module's unit tests check both vector paths against the scalar port.
 //! `exp` and `ln` (in [`sigmoid`], [`masked_softmax`] and [`entropy`])
 //! still come from the platform's libm. In glibc 2.36 both go through an
 //! ifunc too (`exp` and `log` call one), so their bits may also depend on
@@ -71,6 +79,8 @@ const ROW_BLOCK: usize = 4;
 const LANES: usize = 16;
 /// Vectors that [`Matrix::matvec_batch_into`] multiplies at once.
 const BATCH: usize = 16;
+/// Terms of [`Matrix::add_outer_sum`] that one kernel call adds.
+const TERMS: usize = 64;
 
 // fdlibm's constants for `tanh` and `expm1`, by bit pattern: 1/ln 2,
 // ln 2 split into a high part whose multiples by small integers are exact
@@ -98,8 +108,9 @@ const MOMENT_MIN: f64 = f64::from_bits((1023 - 968) << 52);
 const MOMENT_MAX: f64 = f64::from_bits((1023 + 1000) << 52);
 
 /// Which version of the kernels runs. An `Avx` value is made only once
-/// the CPU is known to have AVX, and an `Fma` value once it is known to
-/// have AVX, AVX2 and FMA.
+/// the CPU is known to have AVX, an `Fma` value once it is known to have
+/// AVX, AVX2 and FMA, and an `Avx512` value once it is known to have
+/// those and AVX-512F and F16C too.
 #[derive(Debug, Clone, Copy)]
 enum Path {
     Portable,
@@ -109,6 +120,10 @@ enum Path {
     /// The AVX dense kernels, and the AVX2 + FMA [`tanh`] and `adam`.
     #[cfg(target_arch = "x86_64")]
     Fma,
+    /// The AVX-512 batched, transposed and outer-product kernels and
+    /// [`tanh`], the AVX matrix–vector product and the AVX2 + FMA `adam`.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Path {
@@ -116,10 +131,12 @@ impl Path {
     fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         if avx::detected() {
-            return if fma::detected() {
-                Self::Fma
-            } else {
+            return if !fma::detected() {
                 Self::Avx
+            } else if avx512::detected() {
+                Self::Avx512
+            } else {
+                Self::Fma
             };
         }
         Self::Portable
@@ -135,6 +152,11 @@ macro_rules! run {
             // SAFETY: an `Avx` or `Fma` path exists only on a CPU with AVX,
             // the one feature the AVX kernels enable.
             Path::Avx | Path::Fma => unsafe { avx::$kernel($($arg),*) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx512` path exists only on a CPU with AVX, AVX2,
+            // FMA, F16C and AVX-512F, the features that the AVX-512 kernels
+            // enable or imply and that the AVX kernels enable.
+            Path::Avx512 => unsafe { avx512::$kernel($($arg),*) },
         }
     };
 }
@@ -259,7 +281,8 @@ impl Matrix {
     }
 
     /// `y = A·x`: `y[r] = 0 + A[r][0]·x[0] + A[r][1]·x[1] + …`, summed in
-    /// column order. Four rows run at once, eight on the AVX path.
+    /// column order. Four rows run at once, eight on the AVX and AVX-512
+    /// paths.
     ///
     /// # Panics
     ///
@@ -286,8 +309,8 @@ impl Matrix {
     }
 
     /// `y += Aᵀ·x`: `y[c] = y[c] + A[0][c]·x[0] + A[1][c]·x[1] + …`, added
-    /// in row order. Blocks of up to 16 entries of `y` (32 on the AVX path)
-    /// stay in registers across all rows.
+    /// in row order. Blocks of up to 16 entries of `y` (32 on the AVX path,
+    /// 64 on the AVX-512 path) stay in registers across all rows.
     ///
     /// # Panics
     ///
@@ -305,8 +328,9 @@ impl Matrix {
     /// Rank-`k` accumulation `A += Σ_t col(t) ⊗ row(t)` (the weight
     /// gradient of `k` products `A·row(t)`): `A[r][c]` adds
     /// `col(t)[r]·row(t)[c]` for `t = 0, 1, …, k − 1`, one `t` at a time.
-    /// Blocks of up to 16 columns of each row of `A` (32 on the AVX path)
-    /// stay in registers across all `t`.
+    /// Blocks of up to 16 columns of each row of `A` (32 on the AVX path,
+    /// 64 on the AVX-512 path) stay in registers across up to 64 terms.
+    /// Allocates nothing.
     ///
     /// # Panics
     ///
@@ -317,16 +341,21 @@ impl Matrix {
         col: impl Fn(usize) -> &'a [f64],
         row: impl Fn(usize) -> &'a [f64],
     ) {
-        // Resolved once: the kernel visits every term once per block.
-        let terms: Vec<(&[f64], &[f64])> = (0..k)
-            .map(|t| {
+        // Resolved a chunk at a time, on the stack: the kernel visits every
+        // term once per block. Each entry adds a chunk's terms onto what the
+        // previous chunk stored, so it still adds every term in `t` order.
+        let path = Path::detect();
+        let mut terms: [(&[f64], &[f64]); TERMS] = [(&[], &[]); TERMS];
+        for t0 in (0..k).step_by(TERMS) {
+            let chunk = &mut terms[..TERMS.min(k - t0)];
+            for (t, term) in (t0..).zip(chunk.iter_mut()) {
                 let (c, r) = (col(t), row(t));
                 assert_eq!(c.len(), self.rows, "add_outer row count mismatch");
                 assert_eq!(r.len(), self.cols, "add_outer col count mismatch");
-                (c, r)
-            })
-            .collect();
-        run!(Path::detect(), add_outer_sum(self, &terms));
+                *term = (c, r);
+            }
+            run!(path, add_outer_sum(self, chunk));
+        }
     }
 
     /// Flat parameter view.
@@ -350,8 +379,8 @@ impl Matrix {
 /// checked by the [`Matrix`] methods that call them.
 ///
 /// The blocked bodies (`matvec_batch`, `transpose_blocks` and
-/// `outer_blocks`) are `#[inline(always)]`, so that the AVX path compiles
-/// them a second time with 256-bit registers.
+/// `outer_blocks`) are `#[inline(always)]`, so that the AVX and AVX-512
+/// paths compile them again with 256-bit and 512-bit registers.
 mod portable {
     use super::{
         AdamStep, Matrix, BATCH, INVLN2, LANES, LN2_HI, LN2_LO, Q1, Q2, Q3, Q4, Q5, ROW_BLOCK,
@@ -431,6 +460,7 @@ mod portable {
         for w in block_widths(a.cols, lanes) {
             let out = &mut y[c0..c0 + w];
             match w {
+                64 => transpose_block::<64>(a, x, c0, out),
                 32 => transpose_block::<32>(a, x, c0, out),
                 16 => transpose_block::<16>(a, x, c0, out),
                 8 => transpose_block::<8>(a, x, c0, out),
@@ -457,6 +487,7 @@ mod portable {
             for w in block_widths(cols, lanes) {
                 let out = &mut dst[c0..c0 + w];
                 match w {
+                    64 => outer_block::<64>(terms, r, c0, out),
                     32 => outer_block::<32>(terms, r, c0, out),
                     16 => outer_block::<16>(terms, r, c0, out),
                     8 => outer_block::<8>(terms, r, c0, out),
@@ -470,12 +501,12 @@ mod portable {
     }
 
     /// Widths of the column blocks that cover `cols` columns, left to
-    /// right: blocks of `lanes` (16 or 32), then one block per set bit of
-    /// the remainder, widest first (31 = 16 + 8 + 4 + 2 + 1). Every width
-    /// is a compile-time constant of a block kernel, so the block's
+    /// right: blocks of `lanes` (16, 32 or 64), then one block per set bit
+    /// of the remainder, widest first (63 = 32 + 16 + 8 + 4 + 2 + 1). Every
+    /// width is a compile-time constant of a block kernel, so the block's
     /// accumulators stay in registers.
     fn block_widths(cols: usize, lanes: usize) -> impl Iterator<Item = usize> {
-        let tail = [16, 8, 4, 2, 1]
+        let tail = [32, 16, 8, 4, 2, 1]
             .into_iter()
             .filter(move |&w| (cols % lanes) & w != 0);
         std::iter::repeat_n(lanes, cols / lanes).chain(tail)
@@ -1132,6 +1163,239 @@ mod fma {
     }
 }
 
+/// The batched, transposed and outer-product kernels and [`tanh`] on
+/// 512-bit vectors, for x86-64 CPUs that have AVX-512F. The dense kernels
+/// are the portable bodies, as on the AVX path, with 64-column blocks;
+/// none of their operations fuses. [`tanh`] runs the four-lane version's
+/// operations, fused where it fuses, in eight lanes: a mask blend keeps
+/// each lane's branch, and a masked load and store carry a last partial
+/// vector, so each lane gives the scalar port's bits.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::{
+        __m512d, __m512i, __mmask8, _mm512_abs_pd, _mm512_add_epi64, _mm512_add_pd,
+        _mm512_castpd_si512, _mm512_castsi512_pd, _mm512_cmp_pd_mask, _mm512_cvtepi32_epi64,
+        _mm512_cvttpd_epi32, _mm512_div_pd, _mm512_fmadd_pd, _mm512_fmsub_pd, _mm512_fnmadd_pd,
+        _mm512_loadu_pd, _mm512_mask_blend_pd, _mm512_mask_storeu_pd, _mm512_mask_xor_epi64,
+        _mm512_maskz_loadu_pd, _mm512_mul_pd, _mm512_roundscale_pd, _mm512_set1_epi64,
+        _mm512_set1_pd, _mm512_slli_epi64, _mm512_srlv_epi64, _mm512_storeu_pd, _mm512_sub_epi64,
+        _mm512_sub_pd, _mm512_test_epi64_mask, _CMP_EQ_OQ, _CMP_GE_OQ, _CMP_GT_OQ, _CMP_LT_OQ,
+        _CMP_NLE_UQ, _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
+    };
+
+    pub(super) use super::avx::matvec;
+    use super::{portable, Matrix, INVLN2, LN2_HI, LN2_LO, Q1, Q2, Q3, Q4, Q5, TANH_SATURATED};
+
+    /// Widest block of result columns that the transposed and
+    /// outer-product kernels keep in registers: eight 512-bit vectors, a
+    /// quarter of the 32 that AVX-512 has.
+    const LANES: usize = 64;
+    /// Lanes of one vector.
+    const WIDTH: usize = 8;
+
+    /// Whether a CPU known to have AVX2 and FMA can run the kernels below:
+    /// whether it has AVX-512F and F16C, which AVX-512F implies to the
+    /// compiler along with AVX2 and FMA. Cached loads after the first
+    /// call.
+    pub(super) fn detected() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("f16c")
+    }
+
+    /// [`Matrix::matvec_batch_into`]: the portable body, 16 vectors in two
+    /// registers.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn matvec_batch(a: &Matrix, xt: &[f64], n: usize, y: &mut [f64]) {
+        portable::matvec_batch(a, xt, n, y);
+    }
+
+    /// [`Matrix::add_matvec_transpose`]: the portable body, 64 columns in
+    /// eight registers.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn add_matvec_transpose(a: &Matrix, x: &[f64], y: &mut [f64]) {
+        portable::transpose_blocks(a, x, y, LANES);
+    }
+
+    /// [`Matrix::add_outer_sum`]: the portable body, 64 columns in eight
+    /// registers.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn add_outer_sum(a: &mut Matrix, terms: &[(&[f64], &[f64])]) {
+        portable::outer_blocks(a, terms, LANES);
+    }
+
+    /// [`super::tanh`]: eight values at a time, and a last partial vector
+    /// through a masked load and store.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn tanh(values: &mut [f64]) {
+        let mut chunks = values.chunks_exact_mut(WIDTH);
+        for chunk in chunks.by_ref() {
+            let p = chunk.as_mut_ptr();
+            // SAFETY: `p` points at the eight values that the load reads
+            // and the store writes.
+            unsafe { _mm512_storeu_pd(p, tanh8(_mm512_loadu_pd(p))) };
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            let live: __mmask8 = (1 << tail.len()) - 1;
+            let p = tail.as_mut_ptr();
+            // SAFETY: the mask selects the lanes of the tail's values, the
+            // only ones that the load reads and the store writes.
+            unsafe { _mm512_mask_storeu_pd(p, live, tanh8(_mm512_maskz_loadu_pd(live, p))) };
+        }
+    }
+
+    /// The scalar port's `tanh` in each lane of `x`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn tanh8(x: __m512d) -> __m512d {
+        let one = _mm512_set1_pd(1.0);
+        let two = _mm512_set1_pd(2.0);
+        let ax = _mm512_abs_pd(x);
+        let negative = negative(x);
+        let below_one = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(ax, one);
+        let arg = _mm512_mask_blend_pd(
+            below_one,
+            _mm512_add_pd(ax, ax),
+            _mm512_mul_pd(ax, _mm512_set1_pd(-2.0)),
+        );
+        let t = expm1(arg);
+        // One quotient serves both branches: −t/(t + 2) below 1, and
+        // 1 − 2/(t + 2) from 1 to 22.
+        let q = _mm512_div_pd(negate_or(two, below_one, t), _mm512_add_pd(t, two));
+        let z = _mm512_mask_blend_pd(below_one, _mm512_sub_pd(one, q), q);
+        let saturated = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(ax, _mm512_set1_pd(22.0));
+        let z = _mm512_mask_blend_pd(saturated, z, _mm512_set1_pd(TANH_SATURATED));
+        let z = negate_or(z, negative, z);
+        // x·(1 + x) below 2⁻⁵⁵, which also gives ±0 for ±0.
+        let tiny =
+            _mm512_cmp_pd_mask::<_CMP_LT_OQ>(ax, _mm512_set1_pd(f64::from_bits(0x3c80 << 48)));
+        let z = _mm512_mask_blend_pd(tiny, z, _mm512_mul_pd(x, _mm512_add_pd(one, x)));
+        // 1/x + 1 or 1/x − 1, by sign, on ±∞ and NaN.
+        let nonfinite = _mm512_cmp_pd_mask::<_CMP_NLE_UQ>(ax, _mm512_set1_pd(f64::MAX));
+        if nonfinite == 0 {
+            return z;
+        }
+        let r = _mm512_div_pd(one, x);
+        let r = _mm512_mask_blend_pd(negative, _mm512_add_pd(r, one), _mm512_sub_pd(r, one));
+        _mm512_mask_blend_pd(nonfinite, z, r)
+    }
+
+    /// The scalar port's `expm1` in each lane of `x`, for the arguments
+    /// `tanh` passes, as the four-lane version computes it.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn expm1(x: __m512d) -> __m512d {
+        let one = _mm512_set1_pd(1.0);
+        let ax = _mm512_abs_pd(x);
+        let half = _mm512_mask_blend_pd(negative(x), _mm512_set1_pd(0.5), _mm512_set1_pd(-0.5));
+        let k = _mm512_roundscale_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(_mm512_add_pd(
+            _mm512_mul_pd(x, _mm512_set1_pd(INVLN2)),
+            half,
+        ));
+        // High word below 0x3ff0a2b2: k = −1; at most 0x3fd62e42: k = 0.
+        let k = _mm512_mask_blend_pd(below(ax, 0x3ff0_a2b2), k, _mm512_set1_pd(-1.0));
+        let k = _mm512_mask_blend_pd(below(ax, 0x3fd6_2e43), k, _mm512_set1_pd(0.0));
+        let hi = _mm512_fnmadd_pd(k, _mm512_set1_pd(LN2_HI), x);
+        let lo = _mm512_mul_pd(k, _mm512_set1_pd(LN2_LO));
+        let x = _mm512_sub_pd(hi, lo);
+        let c = _mm512_sub_pd(_mm512_sub_pd(hi, x), lo);
+        let hfx = _mm512_mul_pd(x, _mm512_set1_pd(0.5));
+        let hxs = _mm512_mul_pd(x, hfx);
+        let r1 = _mm512_fmadd_pd(hxs, _mm512_set1_pd(Q1), one);
+        let h2 = _mm512_mul_pd(hxs, hxs);
+        let r2 = _mm512_fmadd_pd(hxs, _mm512_set1_pd(Q3), _mm512_set1_pd(Q2));
+        let h4 = _mm512_mul_pd(h2, h2);
+        let r3 = _mm512_fmadd_pd(hxs, _mm512_set1_pd(Q5), _mm512_set1_pd(Q4));
+        let r1 = _mm512_fmadd_pd(h4, r3, _mm512_fmadd_pd(h2, r2, r1));
+        let t = _mm512_fnmadd_pd(r1, hfx, _mm512_set1_pd(3.0));
+        let e = _mm512_mul_pd(
+            hxs,
+            _mm512_div_pd(
+                _mm512_sub_pd(r1, t),
+                _mm512_fnmadd_pd(x, t, _mm512_set1_pd(6.0)),
+            ),
+        );
+        let y0 = _mm512_sub_pd(x, _mm512_fmsub_pd(x, e, hxs));
+        let e = _mm512_sub_pd(_mm512_fmsub_pd(_mm512_sub_pd(e, c), x, c), hxs);
+        let e_minus_x = _mm512_sub_pd(e, x);
+        let y_minus1 = _mm512_fmadd_pd(
+            _mm512_set1_pd(0.5),
+            _mm512_sub_pd(x, e),
+            _mm512_set1_pd(-0.5),
+        );
+        let ki = _mm512_cvtepi32_epi64(_mm512_cvttpd_epi32(k));
+        let y_wide = _mm512_sub_pd(scale(_mm512_sub_pd(one, e_minus_x), ki), one);
+        // 1 − 2⁻ᵏ, for k from 3 to 19.
+        let t_low = _mm512_castsi512_pd(_mm512_slli_epi64::<32>(_mm512_sub_epi64(
+            _mm512_set1_epi64(0x3ff0_0000),
+            _mm512_srlv_epi64(_mm512_set1_epi64(0x20_0000), ki),
+        )));
+        let y_low = scale(_mm512_sub_pd(t_low, e_minus_x), ki);
+        // 2⁻ᵏ, for k from 20 to 56.
+        let t_mid = _mm512_castsi512_pd(_mm512_slli_epi64::<52>(_mm512_sub_epi64(
+            _mm512_set1_epi64(0x3ff),
+            ki,
+        )));
+        let y_mid = scale(
+            _mm512_add_pd(_mm512_sub_pd(x, _mm512_add_pd(e, t_mid)), one),
+            ki,
+        );
+        let y = _mm512_mask_blend_pd(
+            _mm512_cmp_pd_mask::<_CMP_LT_OQ>(k, _mm512_set1_pd(19.5)),
+            y_mid,
+            y_low,
+        );
+        let wide = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(k, _mm512_set1_pd(-1.5))
+            | _mm512_cmp_pd_mask::<_CMP_GT_OQ>(k, _mm512_set1_pd(56.5));
+        let y = _mm512_mask_blend_pd(wide, y, y_wide);
+        let y = _mm512_mask_blend_pd(
+            _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(k, _mm512_set1_pd(-1.0)),
+            y,
+            y_minus1,
+        );
+        _mm512_mask_blend_pd(
+            _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(k, _mm512_set1_pd(0.0)),
+            y,
+            y0,
+        )
+    }
+
+    /// The lanes of `x` whose sign bit is set, NaN included.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn negative(x: __m512d) -> __mmask8 {
+        _mm512_test_epi64_mask(_mm512_castpd_si512(x), _mm512_set1_epi64(i64::MIN))
+    }
+
+    /// `−v` in the lanes of `m`, and `src` in the others: `v` with its
+    /// sign bit flipped, as the scalar negation flips it.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn negate_or(src: __m512d, m: __mmask8, v: __m512d) -> __m512d {
+        let (src, v) = (_mm512_castpd_si512(src), _mm512_castpd_si512(v));
+        let sign = _mm512_set1_epi64(i64::MIN);
+        _mm512_castsi512_pd(_mm512_mask_xor_epi64(src, m, v, sign))
+    }
+
+    /// The lanes of `ax` (non-negative) whose high word is below `high`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn below(ax: __m512d, high: u64) -> __mmask8 {
+        _mm512_cmp_pd_mask::<_CMP_LT_OQ>(ax, _mm512_set1_pd(f64::from_bits(high << 32)))
+    }
+
+    /// `y·2ᵏ` in each lane, made as `expm1` makes it: `k` added to the
+    /// exponent field.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn scale(y: __m512d, k: __m512i) -> __m512d {
+        _mm512_castsi512_pd(_mm512_add_epi64(
+            _mm512_castpd_si512(y),
+            _mm512_slli_epi64::<52>(k),
+        ))
+    }
+}
+
 /// Numerically stable softmax of `values[..live]`, in place. The entries
 /// from `live` on are masked: their probability is exactly 0.
 ///
@@ -1188,9 +1452,9 @@ pub fn sigmoid(x: f64) -> f64 {
 
 /// Hyperbolic tangent of every entry, in place, with the bits of glibc
 /// 2.36's `tanh` on an x86-64 CPU with FMA: a port of it, operation for
-/// operation, with its fused multiply-adds. On x86-64 CPUs with AVX2 and
-/// FMA it runs four entries at a time, else one by one; both give the
-/// same bits on every target.
+/// operation, with its fused multiply-adds. On x86-64 CPUs with AVX-512F
+/// it runs eight entries at a time, on those with AVX2 and FMA four, else
+/// one by one; all give the same bits on every target.
 ///
 /// # Examples
 ///
@@ -1202,13 +1466,22 @@ pub fn sigmoid(x: f64) -> f64 {
 /// assert_eq!(v, [0.0, 0.462_117_157_260_009_74, -1.0]);
 /// ```
 pub fn tanh(values: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if let Path::Fma = Path::detect() {
+    tanh_on(Path::detect(), values);
+}
+
+/// [`tanh`] on `path`.
+fn tanh_on(path: Path, values: &mut [f64]) {
+    match path {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Avx512` path exists only on a CPU with AVX-512F and
+        // what it implies, the features `avx512::tanh` enables.
+        Path::Avx512 => unsafe { avx512::tanh(values) },
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: an `Fma` path exists only on a CPU with AVX2 and FMA, the
         // features `fma::tanh` enables.
-        return unsafe { fma::tanh(values) };
+        Path::Fma => unsafe { fma::tanh(values) },
+        _ => values.iter_mut().for_each(|v| *v = portable::tanh(*v)),
     }
-    values.iter_mut().for_each(|v| *v = portable::tanh(*v));
 }
 
 /// The constants of one Adam step, shared by every parameter.
@@ -1253,9 +1526,9 @@ pub(crate) fn adam(s: &AdamStep, params: &mut [f64], grads: &[f64], m: &mut [f64
         "adam slices differ in length"
     );
     #[cfg(target_arch = "x86_64")]
-    if let Path::Fma = Path::detect() {
-        // SAFETY: an `Fma` path exists only on a CPU with AVX2 and FMA, the
-        // features `fma::adam` enables.
+    if let Path::Fma | Path::Avx512 = Path::detect() {
+        // SAFETY: an `Fma` or `Avx512` path exists only on a CPU with AVX2
+        // and FMA, the features `fma::adam` enables.
         return unsafe { fma::adam(s, params, grads, m, v) };
     }
     portable::adam(s, params, grads, m, v);
@@ -1267,14 +1540,20 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    /// The paths this CPU can run: the portable one, and the AVX one when
-    /// the CPU has AVX.
+    /// Every path this CPU can run, narrowest first.
     fn paths() -> Vec<Path> {
+        let mut paths = vec![Path::Portable];
         #[cfg(target_arch = "x86_64")]
         if avx::detected() {
-            return vec![Path::Portable, Path::Avx];
+            paths.push(Path::Avx);
+            if fma::detected() {
+                paths.push(Path::Fma);
+                if avx512::detected() {
+                    paths.push(Path::Avx512);
+                }
+            }
         }
-        vec![Path::Portable]
+        paths
     }
 
     /// `len` mixed-sign values over six decades, about one in eight a
@@ -1326,9 +1605,9 @@ mod tests {
     }
 
     // The kernel tests below cover every remainder the blocked loops
-    // have: rows mod 4 and mod 8, columns mod 2, mod 16 and mod 32, vectors
-    // mod 16, and k = 1; each shape runs on mixed values and on signed
-    // zeros.
+    // have: rows mod 4 and mod 8, columns mod 2, mod 16, mod 32 and mod 64
+    // (past 127 = 64 + 32 + 16 + 8 + 4 + 2 + 1 columns), vectors mod 16,
+    // and k = 1; each shape runs on mixed values and on signed zeros.
 
     #[test]
     fn matvec_paths_match_the_definition() {
@@ -1369,7 +1648,7 @@ mod tests {
     fn add_matvec_transpose_paths_match_the_definition() {
         let mut rng = SmallRng::seed_from_u64(3);
         for path in paths() {
-            for (rows, cols, zeros) in shapes(1..10, 1..41) {
+            for (rows, cols, zeros) in shapes(1..10, 1..131) {
                 let a = matrix(&mut rng, rows, cols, zeros);
                 let x = values(&mut rng, rows, zeros);
                 let mut y = values(&mut rng, cols, zeros);
@@ -1385,25 +1664,31 @@ mod tests {
         }
     }
 
+    /// `A + Σ_t col(t) ⊗ row(t)` by its definition: one `t` at a time.
+    fn naive_outer_sum(a: &Matrix, col: &[Vec<f64>], row: &[Vec<f64>]) -> Matrix {
+        let mut sum = a.clone();
+        for (col_t, row_t) in col.iter().zip(row) {
+            for (r, cr) in col_t.iter().enumerate() {
+                for (c, v) in row_t.iter().enumerate() {
+                    sum.set(r, c, sum.get(r, c) + cr * v);
+                }
+            }
+        }
+        sum
+    }
+
     #[test]
     fn add_outer_sum_paths_match_the_definition() {
         let mut rng = SmallRng::seed_from_u64(4);
         for path in paths() {
-            for (rows, cols, zeros) in shapes(1..7, 1..41) {
+            for (rows, cols, zeros) in shapes(1..7, 1..131) {
                 for k in 1..5 {
                     let mut a = matrix(&mut rng, rows, cols, zeros);
                     let col: Vec<Vec<f64>> =
                         (0..k).map(|_| values(&mut rng, rows, zeros)).collect();
                     let row: Vec<Vec<f64>> =
                         (0..k).map(|_| values(&mut rng, cols, zeros)).collect();
-                    let mut want = a.clone();
-                    for (col_t, row_t) in col.iter().zip(&row) {
-                        for (r, cr) in col_t.iter().enumerate() {
-                            for (c, v) in row_t.iter().enumerate() {
-                                want.set(r, c, want.get(r, c) + cr * v);
-                            }
-                        }
-                    }
+                    let want = naive_outer_sum(&a, &col, &row);
                     let terms: Vec<(&[f64], &[f64])> = col
                         .iter()
                         .zip(&row)
@@ -1428,41 +1713,100 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn tanh_vector_path_matches_the_scalar_port() {
-        if !fma::detected() {
-            return;
-        }
         let xs = tanh_inputs::inputs();
         let want: Vec<f64> = xs.iter().map(|&x| portable::tanh(x)).collect();
-        let mut ys = xs.clone();
-        // SAFETY: the CPU has AVX2 and FMA.
-        unsafe { fma::tanh(&mut ys) };
-        for (i, (y, w)) in ys.iter().zip(&want).enumerate() {
-            let x = xs[i];
-            assert_eq!(
-                y.to_bits(),
-                w.to_bits(),
-                "input {i}: {x:e} ({:#x})",
-                x.to_bits()
-            );
-        }
-        // Every 61st input, in consecutive slices of each length 1-9, so
-        // that every length of a last partial vector meets every family;
-        // the last seven values lie past the slices and must stay.
+        // Every 61st input, in consecutive slices of each length 1-17, so
+        // that every length of a last partial vector of four or eight
+        // meets every family; the last seven values lie past the slices
+        // and must stay.
         let sample: Vec<f64> = xs.iter().step_by(61).copied().collect();
-        let want: Vec<f64> = want.iter().step_by(61).copied().collect();
+        let sample_want: Vec<f64> = want.iter().step_by(61).copied().collect();
         let n = sample.len() - 7;
-        let mut empty = sample.clone();
-        // SAFETY: as above.
-        unsafe { fma::tanh(&mut empty[3..3]) };
-        assert_eq!(bits(&empty), bits(&sample), "empty slice");
-        for len in 1..10 {
-            let mut buf = sample.clone();
-            for slice in buf[..n].chunks_mut(len) {
-                // SAFETY: as above.
-                unsafe { fma::tanh(slice) };
+        for path in paths() {
+            let mut ys = xs.clone();
+            tanh_on(path, &mut ys);
+            for (i, (y, w)) in ys.iter().zip(&want).enumerate() {
+                let x = xs[i];
+                assert_eq!(
+                    y.to_bits(),
+                    w.to_bits(),
+                    "{path:?} input {i}: {x:e} ({:#x})",
+                    x.to_bits()
+                );
             }
-            assert_eq!(bits(&buf[..n]), bits(&want[..n]), "slices of {len}");
-            assert_eq!(bits(&buf[n..]), bits(&sample[n..]), "past slices of {len}");
+            let mut empty = sample.clone();
+            tanh_on(path, &mut empty[3..3]);
+            assert_eq!(bits(&empty), bits(&sample), "{path:?} empty slice");
+            for len in 1..18 {
+                let mut buf = sample.clone();
+                for slice in buf[..n].chunks_mut(len) {
+                    tanh_on(path, slice);
+                }
+                let (done, past) = buf.split_at(n);
+                assert_eq!(
+                    bits(done),
+                    bits(&sample_want[..n]),
+                    "{path:?} slices of {len}"
+                );
+                assert_eq!(
+                    bits(past),
+                    bits(&sample[n..]),
+                    "{path:?} past slices of {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tanh_special_inputs_match_the_scalar_port() {
+        let ulps =
+            |x: f64| (-2..=2).map(move |k: i64| f64::from_bits(x.to_bits().wrapping_add_signed(k)));
+        let mut specials = vec![
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x0008_0000_0000_0000),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        specials.extend(
+            ulps(f64::from_bits(0x3c80 << 48))
+                .chain(ulps(1.0))
+                .chain(ulps(22.0)),
+        );
+        let specials: Vec<f64> = specials.iter().flat_map(|&x| [x, -x]).collect();
+        let mut rng = SmallRng::seed_from_u64(8);
+        // Each special value in each lane of slices of 1-17 values (every
+        // length of a last partial vector, after zero, one and two whole
+        // vectors of eight), beside random values; the slice sits between
+        // guard values that must stay.
+        for path in paths() {
+            for &x in &specials {
+                for len in 1..18 {
+                    for lane in 0..len {
+                        let mut buf: Vec<f64> =
+                            (0..len + 2).map(|_| rng.gen_range(-4.0..4.0)).collect();
+                        buf[1 + lane] = x;
+                        let want: Vec<f64> = buf
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &v)| {
+                                if (1..=len).contains(&i) {
+                                    portable::tanh(v)
+                                } else {
+                                    v
+                                }
+                            })
+                            .collect();
+                        tanh_on(path, &mut buf[1..=len]);
+                        assert_eq!(
+                            bits(&buf),
+                            bits(&want),
+                            "{path:?} {x:e} in lane {lane} of {len}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -1729,6 +2073,32 @@ mod tests {
         m.add_outer_sum(1, |_| &[1.0, 2.0], |_| &[1.0, 10.0, 100.0]);
         assert_eq!(m.row(0), &[1.0, 10.0, 100.0]);
         assert_eq!(m.row(1), &[2.0, 20.0, 200.0]);
+    }
+
+    #[test]
+    fn add_outer_sum_adds_chunks_of_terms_in_order() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        for k in [63, 64, 65, 128, 129, 272] {
+            let (rows, cols) = (3, 67);
+            let mut a = matrix(&mut rng, rows, cols, false);
+            let col: Vec<Vec<f64>> = (0..k).map(|_| values(&mut rng, rows, false)).collect();
+            let row: Vec<Vec<f64>> = (0..k).map(|_| values(&mut rng, cols, false)).collect();
+            let want = naive_outer_sum(&a, &col, &row);
+            a.add_outer_sum(k, |t| &col[t], |t| &row[t]);
+            assert_eq!(bits(a.as_slice()), bits(want.as_slice()), "k={k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "col count mismatch")]
+    fn add_outer_sum_checks_every_term() {
+        let mut m = Matrix::zeros(2, 3);
+        let long = [1.0; 4];
+        m.add_outer_sum(
+            70,
+            |_| &[1.0, 2.0],
+            |t| if t == 69 { &long } else { &long[..3] },
+        );
     }
 
     #[test]

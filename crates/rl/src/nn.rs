@@ -5,10 +5,11 @@
 //! explicit gradients; `tests` include finite-difference checks of every
 //! layer, and the policy-level gradient check lives in [`crate::policy`].
 //!
-//! Passes write into caller-owned buffers and allocate nothing. Backward
-//! passes carry only the gradients that flow between steps or layers; each
-//! layer's `accumulate` then adds a whole sequence's weight gradients in
-//! one rank-`k` pass ([`Matrix::add_outer_sum`]), in the caller's step order.
+//! Passes write into caller-owned buffers and allocate nothing
+//! (`tests/alloc_budget.rs` counts). Backward passes carry only the
+//! gradients that flow between steps or layers; each layer's `accumulate`
+//! then adds a whole sequence's weight gradients in one rank-`k` pass
+//! ([`Matrix::add_outer_sum`]), in the caller's step order.
 
 use rand::Rng;
 
