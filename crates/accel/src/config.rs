@@ -282,6 +282,22 @@ impl ConfigSpace {
         self.decode(&idx)
     }
 
+    /// The flat index of `config`, the inverse of [`ConfigSpace::get`], or
+    /// `None` when one of its values is not an option of this space.
+    ///
+    /// Flat-index order is `AcceleratorConfig`'s `Ord` order: the fields
+    /// come in decode order and every option list is ascending.
+    #[must_use]
+    pub fn index_of(&self, config: &AcceleratorConfig) -> Option<usize> {
+        let indices = self.try_encode(config)?;
+        Some(
+            indices
+                .iter()
+                .zip(self.option_counts())
+                .fold(0, |flat, (&index, count)| flat * count + index),
+        )
+    }
+
     /// Iterates over every configuration in the space.
     pub fn iter(&self) -> impl Iterator<Item = AcceleratorConfig> + '_ {
         (0..self.len()).map(move |i| self.get(i))
@@ -331,6 +347,24 @@ mod tests {
             space.try_encode(&space.get(8639)),
             Some(space.encode(&space.get(8639)))
         );
+    }
+
+    /// Persisted cache records keep their `(hash, config)` order only
+    /// because flat-index order is config order.
+    #[test]
+    fn index_of_inverts_get_in_config_order() {
+        let space = ConfigSpace::chaidnn();
+        for i in 0..space.len() {
+            assert_eq!(space.index_of(&space.get(i)), Some(i));
+            if i + 1 < space.len() {
+                assert!(space.get(i) < space.get(i + 1), "configs {i} and {}", i + 1);
+            }
+        }
+        let off_space = AcceleratorConfig {
+            pixel_par: 12,
+            ..space.get(8639)
+        };
+        assert_eq!(space.index_of(&off_space), None);
     }
 
     #[test]

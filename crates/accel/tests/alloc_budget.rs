@@ -52,6 +52,7 @@ fn config_space_does_not_allocate() {
         for (index, config) in space.iter().enumerate() {
             assert_eq!(space.get(index), config);
             assert_eq!(space.try_encode(&config), Some(space.encode(&config)));
+            assert_eq!(space.index_of(&config), Some(index));
             visited += 1;
         }
         assert_eq!(visited, space.len());

@@ -1,14 +1,17 @@
 //! Criterion benchmarks of the controller and the end-to-end search step:
-//! what a "GPU-hour" of the paper's search loop costs in this reproduction.
+//! what a "GPU-hour" of the paper's search loop costs in this reproduction,
+//! and what the shared cache answering a revisited pair costs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use codesign_accel::ConfigSpace;
 use codesign_core::{
-    CodesignSpace, CombinedSearch, Evaluator, ScenarioSpec, SearchConfig, SearchContext,
-    SearchStrategy,
+    CodesignSpace, CombinedSearch, EvalCache, Evaluator, PairEvaluation, ScenarioSpec,
+    SearchConfig, SearchContext, SearchStrategy,
 };
+use codesign_engine::{mix64, SharedEvalCache};
 use codesign_nasbench::NasbenchDatabase;
 use codesign_rl::{LstmPolicy, PolicyConfig, ReinforceConfig, ReinforceTrainer};
 
@@ -70,5 +73,52 @@ fn bench_search_steps(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_policy, bench_evaluator, bench_search_steps);
+/// Pair entries in the serve-mix benchmark's cache at the end of a session.
+const SERVE_MIX_PAIRS: u64 = 203_878;
+
+fn bench_cache(c: &mut Criterion) {
+    let space = ConfigSpace::chaidnn();
+    // Hashes spread like canonical hashes; configs cycle through the space.
+    let pairs: Vec<_> = (0..SERVE_MIX_PAIRS)
+        .map(|i| {
+            let hash = u128::from(mix64(i)) << 64 | u128::from(mix64(!i));
+            (hash, space.get(usize::try_from(i).unwrap() % space.len()))
+        })
+        .collect();
+    let cache = SharedEvalCache::new();
+    for (i, (hash, config)) in pairs.iter().enumerate() {
+        let x = i as f64;
+        let eval = PairEvaluation {
+            accuracy: x,
+            latency_ms: x,
+            area_mm2: x,
+            power_w: x,
+        };
+        cache.put(*hash, config, eval);
+    }
+    let mut group = c.benchmark_group("cache");
+    let mut next = 0;
+    group.bench_function("get_hit_204k", |b| {
+        b.iter(|| {
+            let (hash, config) = &pairs[next];
+            next = (next + 1) % pairs.len();
+            cache.get(black_box(*hash), config)
+        })
+    });
+    let dir = std::env::temp_dir().join(format!("codesign-bench-cache-{}.d", std::process::id()));
+    group.sample_size(10);
+    group.bench_function("save_sharded_204k", |b| {
+        b.iter(|| cache.save_sharded(&dir, 1).expect("save the cache"))
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+criterion_group!(
+    benches,
+    bench_policy,
+    bench_evaluator,
+    bench_search_steps,
+    bench_cache
+);
 criterion_main!(benches);

@@ -8,8 +8,11 @@
 //! Measurement is a plain warmup + timed-batch loop around
 //! `std::time::Instant` — robust enough to compare implementations and
 //! track regressions, without upstream criterion's statistical machinery.
-//! Each benchmark prints `name ... <mean time>/iter (N iters)` and appends
-//! a JSON line to `target/criterion-shim.jsonl` for scripted consumption.
+//! Batches are sized from a warm call, after one untimed call has filled
+//! caches and lazy state. Each benchmark prints the median time per
+//! iteration over its samples, their quartiles and the mean, and appends
+//! the same figures as a JSON line to `target/criterion-shim.jsonl` for
+//! scripted consumption.
 
 use std::fmt::Display;
 use std::io::Write as _;
@@ -154,7 +157,8 @@ impl Bencher {
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         match self.mode {
             BenchMode::Calibrate => {
-                // One timed invocation to size the batches.
+                // A cold first call would size the batches too small.
+                black_box(routine());
                 let t0 = Instant::now();
                 black_box(routine());
                 self.samples.push(t0.elapsed());
@@ -197,11 +201,33 @@ fn run_bench(id: &str, sample_size: usize, budget: Duration, f: &mut dyn FnMut(&
     let total: Duration = bencher.samples.iter().sum();
     let total_iters = iters * bencher.samples.len().max(1) as u64;
     let mean_ns = total.as_nanos() as f64 / total_iters.max(1) as f64;
+    let mut per_iter: Vec<f64> = bencher
+        .samples
+        .iter()
+        .map(|sample| sample.as_nanos() as f64 / iters as f64)
+        .collect();
+    per_iter.sort_by(f64::total_cmp);
+    let [q1_ns, median_ns, q3_ns] = [0.25, 0.5, 0.75].map(|q| quantile(&per_iter, q));
     println!(
-        "bench: {id:<48} {:>14}/iter ({total_iters} iters)",
+        "bench: {id:<48} {:>12}/iter (quartiles {} .. {}, mean {}; {total_iters} iters)",
+        fmt_ns(median_ns),
+        fmt_ns(q1_ns),
+        fmt_ns(q3_ns),
         fmt_ns(mean_ns)
     );
-    append_json(id, mean_ns, total_iters);
+    append_json(id, [mean_ns, median_ns, q1_ns, q3_ns], total_iters);
+}
+
+/// The `q` quantile of ascending `sorted`, interpolated linearly between
+/// the two nearest samples (0 when there are none).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let Some(last) = sorted.len().checked_sub(1) else {
+        return 0.0;
+    };
+    let rank = q * last as f64;
+    let (below, frac) = (rank.floor() as usize, rank.fract());
+    let above = (below + 1).min(last);
+    sorted[below] + (sorted[above] - sorted[below]) * frac
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -216,7 +242,9 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-fn append_json(id: &str, mean_ns: f64, iters: u64) {
+/// Appends one result line; `times` are the mean, median, first and third
+/// quartile per iteration, ns.
+fn append_json(id: &str, times: [f64; 4], iters: u64) {
     let Ok(mut file) = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -231,9 +259,11 @@ fn append_json(id: &str, mean_ns: f64, iters: u64) {
             _ => vec![c],
         })
         .collect();
+    let [mean_ns, median_ns, q1_ns, q3_ns] = times;
     let _ = writeln!(
         file,
-        "{{\"id\":\"{escaped}\",\"mean_ns\":{mean_ns:.1},\"iters\":{iters}}}"
+        "{{\"id\":\"{escaped}\",\"mean_ns\":{mean_ns:.1},\"median_ns\":{median_ns:.1},\
+         \"q1_ns\":{q1_ns:.1},\"q3_ns\":{q3_ns:.1},\"iters\":{iters}}}"
     );
 }
 
@@ -270,6 +300,33 @@ mod tests {
         let mut count = 0u64;
         c.bench_function("shim/self_test", |b| b.iter(|| count += 1));
         assert!(count > 0);
+    }
+
+    #[test]
+    fn batches_are_sized_from_a_warm_call() {
+        let mut c = Criterion::default();
+        c.sample_size(2).measurement_time(Duration::from_millis(40));
+        let mut calls = 0u64;
+        c.bench_function("shim/cold_first_call", |b| {
+            b.iter(|| {
+                calls += 1;
+                if calls == 1 {
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            })
+        });
+        // Sized from the 100 ms call, each sample would run one iteration.
+        assert!(calls > 4, "{calls} calls");
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_samples() {
+        let sorted = [1.0, 2.0, 4.0, 8.0, 16.0];
+        assert_eq!(quantile(&sorted, 0.5), 4.0);
+        assert_eq!(quantile(&sorted, 0.25), 2.0);
+        assert_eq!(quantile(&sorted, 0.875), 12.0);
+        assert_eq!(quantile(&[3.0], 0.75), 3.0);
+        assert_eq!(quantile(&[], 0.5), 0.0);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! scratch" and its simulated GPU-time is accounted).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
-use codesign_accel::{area, power, AcceleratorConfig, Scheduler};
+use codesign_accel::{area, power, AcceleratorConfig, ConfigSpace, Scheduler};
 use codesign_nasbench::{
     CellSpec, Dataset, NasbenchDatabase, Network, NetworkConfig, SpecError, SurrogateModel,
 };
@@ -83,6 +84,123 @@ pub trait EvalCache: Send + Sync {
         Vec::new()
     }
 }
+
+/// SplitMix64's output mix: scatters neighbouring inputs across the full
+/// 64-bit range.
+///
+/// Campaign shards feed it `seed ^ f(grid position)`, so their RNG streams
+/// are decorrelated even when the user's seed list is `[0, 1, 2]`, and
+/// [`PairKey`] hashes itself with it.
+#[must_use]
+pub fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The key of one memoized pair: a canonical cell hash (salted, in a
+/// shared cache) and the config's flat index in [`ConfigSpace::chaidnn`].
+///
+/// A key takes 24 bytes and is hashed once, when it is made: 32 bits of
+/// [`mix64`] of its fields fill what would be padding.
+/// [`PairKey::lock_shard`] reads six of them and [`PairKeyHasher`] hands
+/// them to the map, so neither hashes the key again. Keys order as
+/// `(cell hash, config)` do, because flat-index order is config order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct PairKey {
+    cell_hi: u64,
+    cell_lo: u64,
+    config: u32,
+    /// `mix64` of the fields above, high half; a function of them, so it
+    /// never decides an order or an equality.
+    hash: u32,
+}
+
+impl PairKey {
+    /// The number of lock shards [`PairKey::lock_shard`] spreads keys over.
+    pub const LOCK_SHARDS: usize = 64;
+
+    /// The key of `(cell_hash, config)`, or `None` when `config` is not in
+    /// [`ConfigSpace::chaidnn`] (such a pair is not memoized).
+    #[must_use]
+    pub fn new(cell_hash: u128, config: &AcceleratorConfig) -> Option<Self> {
+        let index = ConfigSpace::chaidnn().index_of(config)?;
+        let config = u32::try_from(index).expect("the config space has under 2^32 members");
+        #[allow(clippy::cast_possible_truncation)]
+        let (cell_hi, cell_lo) = ((cell_hash >> 64) as u64, cell_hash as u64);
+        #[allow(clippy::cast_possible_truncation)]
+        let hash = (mix64(cell_lo ^ mix64(cell_hi ^ u64::from(config))) >> 32) as u32;
+        Some(Self {
+            cell_hi,
+            cell_lo,
+            config,
+            hash,
+        })
+    }
+
+    /// The cell hash the key was made from.
+    #[must_use]
+    pub fn cell_hash(&self) -> u128 {
+        u128::from(self.cell_hi) << 64 | u128::from(self.cell_lo)
+    }
+
+    /// The config the key was made from.
+    #[must_use]
+    pub fn config(&self) -> AcceleratorConfig {
+        ConfigSpace::chaidnn().get(self.config as usize)
+    }
+
+    /// The key's hash as a map reads it: the 32 stored bits, and bits 0–25
+    /// of them again from bit 38 up. A SwissTable map (std's `HashMap`)
+    /// picks the bucket from the low bits and a probe tag from the top
+    /// seven, bits 19–25 of the stored hash; under 2^19 buckets the two
+    /// share no bit with each other or with [`PairKey::lock_shard`].
+    fn hash64(&self) -> u64 {
+        let hash = u64::from(self.hash);
+        hash | hash << 38
+    }
+
+    /// The lock shard of the key, below [`PairKey::LOCK_SHARDS`]: bits
+    /// 26–31 of the stored hash, which no map probe reads, so the keys of
+    /// one shard still spread over their map's buckets.
+    #[must_use]
+    pub fn lock_shard(&self) -> usize {
+        (self.hash >> 26) as usize
+    }
+}
+
+impl Hash for PairKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash64());
+    }
+}
+
+/// The `Hasher` of [`PairKeyMap`]: passes a [`PairKey`]'s hash through,
+/// so the map does not hash the key again.
+///
+/// The hash is unkeyed, unlike std's default, so whoever writes the keys
+/// can make them collide. Keys come from this program's evaluations and
+/// its own persisted caches, which are trusted like the metrics they hold.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PairKeyHasher(u64);
+
+impl Hasher for PairKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("PairKeyHasher only hashes PairKey, which writes one u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// A map keyed by [`PairKey`], hashed once per access.
+pub type PairKeyMap<V> = HashMap<PairKey, V, BuildHasherDefault<PairKeyHasher>>;
 
 /// Where accuracies come from.
 pub enum AccuracySource {
@@ -177,7 +295,7 @@ pub struct Evaluator {
     /// one cell share a canonical hash but may schedule to different
     /// latencies, so this map, keyed like the shared cache, makes a
     /// relabelled revisit answer the same with and without one.
-    pairs: HashMap<(u128, AcceleratorConfig), PairEvaluation>,
+    pairs: PairKeyMap<PairEvaluation>,
     /// Optional process-wide cache shared with other evaluators.
     shared_cache: Option<Arc<dyn EvalCache>>,
     /// Salt mixed into shared-cache keys so evaluators with different
@@ -252,7 +370,7 @@ impl Evaluator {
             accuracy,
             net_config,
             accuracy_cache: HashMap::new(),
-            pairs: HashMap::new(),
+            pairs: PairKeyMap::default(),
             shared_cache: None,
             cache_salt,
             resolved_cells: 0,
@@ -354,7 +472,9 @@ impl Evaluator {
     }
 
     /// Resolves the metrics of a structurally-valid pair: from the pair
-    /// memo, or else from the accuracy source and the hardware models.
+    /// memo, or else from the accuracy source and the hardware models. A
+    /// config outside [`ConfigSpace::chaidnn`] has no [`PairKey`], so its
+    /// pairs are priced every time and never memoized.
     fn resolve_pair(
         &mut self,
         cell: &CellSpec,
@@ -378,7 +498,7 @@ impl Evaluator {
         let salted = hash ^ self.cache_salt;
         let memo = match &self.shared_cache {
             Some(shared) => shared.get(salted, config),
-            None => self.pairs.get(&(hash, *config)).copied(),
+            None => PairKey::new(hash, config).and_then(|key| self.pairs.get(&key).copied()),
         };
         if memo.is_some() {
             return memo;
@@ -402,7 +522,9 @@ impl Evaluator {
                 shared.put(salted, config, eval);
             }
             None => {
-                self.pairs.insert((hash, *config), eval);
+                if let Some(key) = PairKey::new(hash, config) {
+                    self.pairs.insert(key, eval);
+                }
             }
         }
         Some(eval)

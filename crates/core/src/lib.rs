@@ -61,7 +61,10 @@ pub use cifar100::{
     DiscoveredPoint, StageResult, ThresholdSchedule,
 };
 pub use enumerate::{enumerate_scenario_front, probe_pair_evaluations, top_pareto_points};
-pub use evaluator::{AccuracySource, EvalCache, EvalOutcome, Evaluator, PairEvaluation};
+pub use evaluator::{
+    mix64, AccuracySource, EvalCache, EvalOutcome, Evaluator, PairEvaluation, PairKey,
+    PairKeyHasher, PairKeyMap,
+};
 pub use evolution::EvolutionSearch;
 pub use nsga::NsgaSearch;
 pub use scenarios::{

@@ -6,8 +6,14 @@
 //! across concurrent searches never changes any search's results — only
 //! how much work the campaign does.
 //!
-//! Lock contention is kept low by splitting the map into independently
-//! locked shards selected by key hash, so worker threads rarely collide.
+//! The key is a [`PairKey`]: the cell hash and the config's flat index in
+//! `ConfigSpace::chaidnn()`, 24 bytes, hashed once when it is made, so a
+//! map entry takes 64 bytes. A config outside that space has no key and
+//! is never stored; its lookups miss.
+//!
+//! Lock contention is kept low by splitting the map into 64 independently
+//! locked shards, picked by six bits of the key's hash, so worker threads
+//! rarely collide.
 //!
 //! Entries carry a *warm* flag: entries preloaded from a persisted cache
 //! file (see [`SharedEvalCache::load`] in the `persist` module) are warm,
@@ -19,19 +25,22 @@
 //! The cache keeps every entry it is given: attached to an evaluator, it
 //! is that evaluator's only pair memo.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use codesign_accel::AcceleratorConfig;
 use codesign_core::{
-    features_with_config, EvalCache, LabeledSample, PairEvaluation, CELL_FEATURE_DIM,
+    features_with_config, EvalCache, LabeledSample, PairEvaluation, PairKey, PairKeyMap,
+    CELL_FEATURE_DIM,
 };
 
-/// Default number of independently-locked map shards.
-const DEFAULT_SHARDS: usize = 64;
+/// Independently locked shards of each map. A pair's shard is
+/// [`PairKey::lock_shard`], six bits of its hash; a cell's is its hash's
+/// low six bits.
+const SHARDS: usize = PairKey::LOCK_SHARDS;
 
 /// Telemetry: pair lookups answered from the cache.
 static TM_HITS: codesign_telemetry::Counter = codesign_telemetry::Counter::new("cache.pair_hits");
@@ -140,13 +149,23 @@ struct Slot<V> {
     warm: bool,
 }
 
-/// One independently-locked map shard.
-type ShardMap<K, V> = HashMap<K, Slot<V>>;
+// A pair entry, as the map stores it: a 24-byte key and a 40-byte slot.
+const _: () = assert!(std::mem::size_of::<(PairKey, Slot<PairEvaluation>)>() <= 64);
+
+/// The shard of a per-cell map that holds `cell_hash`.
+fn cell_shard(cell_hash: u128) -> usize {
+    (cell_hash % SHARDS as u128) as usize
+}
 
 /// Stores `value` under `key` and returns whether the key is new. A
 /// re-insertion refreshes the value (bit-identical by contract) but keeps
 /// the entry's provenance.
-fn insert_slot<K: Hash + Eq, V>(map: &mut ShardMap<K, V>, key: K, value: V, warm: bool) -> bool {
+fn insert_slot<K: Hash + Eq, V, S: BuildHasher>(
+    map: &mut HashMap<K, Slot<V>, S>,
+    key: K,
+    value: V,
+    warm: bool,
+) -> bool {
     match map.entry(key) {
         Entry::Occupied(mut entry) => {
             entry.get_mut().value = value;
@@ -183,14 +202,19 @@ fn insert_slot<K: Hash + Eq, V>(map: &mut ShardMap<K, V>, key: K, value: V, warm
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
 pub struct SharedEvalCache {
-    shards: Vec<Mutex<ShardMap<(u128, AcceleratorConfig), PairEvaluation>>>,
-    accuracy_shards: Vec<Mutex<ShardMap<u128, f64>>>,
+    /// Picked by [`PairKey::lock_shard`], the hash of the whole key. A
+    /// variant that picked it from the cell hash alone, as the per-cell maps
+    /// do, put every config of a cell in one shard and raised the serve-mix
+    /// benchmark's peak RSS from 100–101 MB to 113–115 MB (release build,
+    /// 2 vCPUs).
+    shards: [Mutex<PairKeyMap<Slot<PairEvaluation>>>; SHARDS],
+    accuracy_shards: [Mutex<HashMap<u128, Slot<f64>>>; SHARDS],
     /// Per-cell structural featurizations keyed by salted cell hash —
     /// written on cold evaluations when [`SharedEvalCache::set_record_features`]
     /// is on (surrogate-guided campaigns), persisted alongside the metric
     /// entries, and joined with *warm* pair entries by
     /// [`EvalCache::snapshot_labeled`].
-    feature_shards: Vec<Mutex<HashMap<u128, [f64; CELL_FEATURE_DIM]>>>,
+    feature_shards: [Mutex<HashMap<u128, [f64; CELL_FEATURE_DIM]>>; SHARDS],
     /// Whether evaluators should record cell features on cold computes.
     record_features: AtomicBool,
     /// Names of the scenarios whose campaigns populated this cache —
@@ -215,26 +239,13 @@ impl Default for SharedEvalCache {
 }
 
 impl SharedEvalCache {
-    /// An empty cache with the default shard count.
+    /// An empty cache.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty cache with an explicit shard count (rounded up to at least
-    /// 1).
-    #[must_use]
-    pub fn with_shards(shards: usize) -> Self {
         Self {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            accuracy_shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            feature_shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            shards: std::array::from_fn(|_| Mutex::default()),
+            accuracy_shards: std::array::from_fn(|_| Mutex::default()),
+            feature_shards: std::array::from_fn(|_| Mutex::default()),
             record_features: AtomicBool::new(false),
             provenance: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
@@ -284,36 +295,24 @@ impl SharedEvalCache {
         }
     }
 
-    /// The map shard of a pair key, picked by SipHash of the whole key.
-    /// Picking it from the cell hash alone, as the accuracy map does, puts
-    /// every config of a cell in one shard; a variant that did so raised
-    /// the serve-mix benchmark's peak RSS from 100–101 MB to 113–115 MB
-    /// (release build, 2 vCPUs).
-    fn shard(
-        &self,
-        key: &(u128, AcceleratorConfig),
-    ) -> &Mutex<ShardMap<(u128, AcceleratorConfig), PairEvaluation>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        let index = (hasher.finish() as usize) % self.shards.len();
-        &self.shards[index]
-    }
-
     /// A pair lookup that also reports whether the hit came from a
-    /// preloaded (warm) entry. Counts into the cache-wide statistics.
+    /// preloaded (warm) entry. Counts into the cache-wide statistics; a
+    /// config outside `ConfigSpace::chaidnn()` counts as a miss.
     pub fn get_flagged(
         &self,
         cell_hash: u128,
         config: &AcceleratorConfig,
     ) -> Option<(PairEvaluation, bool)> {
         let timer = codesign_telemetry::enabled().then(std::time::Instant::now);
-        let key = (cell_hash, *config);
-        let guard = self.shard(&key).lock().expect("cache shard poisoned");
-        if let Some(t) = timer {
-            TM_LOCK_WAIT_US.record_duration(t.elapsed());
-        }
-        let found = guard.get(&key).map(|slot| (slot.value, slot.warm));
-        drop(guard);
+        let found = PairKey::new(cell_hash, config).and_then(|key| {
+            let guard = self.shards[key.lock_shard()]
+                .lock()
+                .expect("cache shard poisoned");
+            if let Some(t) = timer {
+                TM_LOCK_WAIT_US.record_duration(t.elapsed());
+            }
+            guard.get(&key).map(|slot| (slot.value, slot.warm))
+        });
         if let Some(t) = timer {
             TM_LOOKUP_US.record_duration(t.elapsed());
         }
@@ -337,8 +336,7 @@ impl SharedEvalCache {
 
     /// An accuracy lookup that also reports warm provenance.
     pub fn get_accuracy_flagged(&self, cell_hash: u128) -> Option<(f64, bool)> {
-        let index = (cell_hash % self.accuracy_shards.len() as u128) as usize;
-        let found = self.accuracy_shards[index]
+        let found = self.accuracy_shards[cell_shard(cell_hash)]
             .lock()
             .expect("cache shard poisoned")
             .get(&cell_hash)
@@ -360,15 +358,10 @@ impl SharedEvalCache {
         }
     }
 
-    fn insert_pair(
-        &self,
-        cell_hash: u128,
-        config: &AcceleratorConfig,
-        eval: PairEvaluation,
-        warm: bool,
-    ) {
-        let key = (cell_hash, *config);
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+    fn insert_pair(&self, key: PairKey, eval: PairEvaluation, warm: bool) {
+        let mut shard = self.shards[key.lock_shard()]
+            .lock()
+            .expect("cache shard poisoned");
         let inserted = insert_slot(&mut shard, key, eval, warm);
         drop(shard);
         if inserted {
@@ -378,8 +371,7 @@ impl SharedEvalCache {
     }
 
     fn insert_accuracy(&self, cell_hash: u128, accuracy: f64, warm: bool) {
-        let index = (cell_hash % self.accuracy_shards.len() as u128) as usize;
-        let mut shard = self.accuracy_shards[index]
+        let mut shard = self.accuracy_shards[cell_shard(cell_hash)]
             .lock()
             .expect("cache shard poisoned");
         insert_slot(&mut shard, cell_hash, accuracy, warm);
@@ -410,13 +402,8 @@ impl SharedEvalCache {
     }
 
     /// Stores a pair entry preloaded from a persisted cache (warm).
-    pub(crate) fn put_preloaded(
-        &self,
-        cell_hash: u128,
-        config: &AcceleratorConfig,
-        eval: PairEvaluation,
-    ) {
-        self.insert_pair(cell_hash, config, eval, true);
+    pub(crate) fn put_preloaded(&self, key: PairKey, eval: PairEvaluation) {
+        self.insert_pair(key, eval, true);
     }
 
     /// Stores an accuracy entry preloaded from a persisted cache (warm).
@@ -424,18 +411,22 @@ impl SharedEvalCache {
         self.insert_accuracy(cell_hash, accuracy, true);
     }
 
-    /// Every stored pair entry, unordered (persistence sorts them).
-    pub(crate) fn snapshot_pairs(&self) -> Vec<((u128, AcceleratorConfig), PairEvaluation)> {
-        self.shards
+    /// Every stored pair entry, sorted by key: one copy of each, in a `Vec`
+    /// of exactly their number. Every shard stays locked while it is
+    /// filled, so the count cannot move under it.
+    pub(crate) fn sorted_pairs(&self) -> Vec<(PairKey, PairEvaluation)> {
+        let guards: Vec<_> = self
+            .shards
             .iter()
-            .flat_map(|s| {
-                let shard = s.lock().expect("cache shard poisoned");
-                shard
-                    .iter()
-                    .map(|(k, slot)| (*k, slot.value))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+            .map(|s| s.lock().expect("cache shard poisoned"))
+            .collect();
+        let mut pairs = Vec::with_capacity(guards.iter().map(|g| g.len()).sum());
+        for guard in &guards {
+            pairs.extend(guard.iter().map(|(key, slot)| (*key, slot.value)));
+        }
+        drop(guards);
+        pairs.sort_unstable_by_key(|&(key, _)| key);
+        pairs
     }
 
     /// Every stored per-cell accuracy entry, unordered.
@@ -471,8 +462,7 @@ impl SharedEvalCache {
     }
 
     fn insert_features(&self, cell_hash: u128, features: [f64; CELL_FEATURE_DIM]) {
-        let index = (cell_hash % self.feature_shards.len() as u128) as usize;
-        self.feature_shards[index]
+        self.feature_shards[cell_shard(cell_hash)]
             .lock()
             .expect("cache shard poisoned")
             .insert(cell_hash, features);
@@ -504,8 +494,12 @@ impl EvalCache for SharedEvalCache {
         self.get_flagged(cell_hash, config).map(|(eval, _)| eval)
     }
 
+    /// Stores the pair, unless its config is outside
+    /// `ConfigSpace::chaidnn()`.
     fn put(&self, cell_hash: u128, config: &AcceleratorConfig, eval: PairEvaluation) {
-        self.insert_pair(cell_hash, config, eval, false);
+        if let Some(key) = PairKey::new(cell_hash, config) {
+            self.insert_pair(key, eval, false);
+        }
     }
 
     fn get_accuracy(&self, cell_hash: u128) -> Option<f64> {
@@ -533,7 +527,7 @@ impl EvalCache for SharedEvalCache {
     fn snapshot_labeled(&self) -> Vec<LabeledSample> {
         let features: HashMap<u128, [f64; CELL_FEATURE_DIM]> =
             self.snapshot_features().into_iter().collect();
-        let mut warm: Vec<((u128, AcceleratorConfig), PairEvaluation)> = self
+        let mut warm: Vec<(PairKey, PairEvaluation)> = self
             .shards
             .iter()
             .flat_map(|s| {
@@ -545,12 +539,12 @@ impl EvalCache for SharedEvalCache {
                     .collect::<Vec<_>>()
             })
             .collect();
-        warm.sort_unstable_by_key(|a| a.0);
+        warm.sort_unstable_by_key(|&(key, _)| key);
         warm.into_iter()
-            .filter_map(|((hash, config), eval)| {
-                let cell = features.get(&hash)?;
+            .filter_map(|(key, eval)| {
+                let cell = features.get(&key.cell_hash())?;
                 Some(LabeledSample::from_eval(
-                    features_with_config(cell, &config),
+                    features_with_config(cell, &key.config()),
                     &eval,
                 ))
             })
@@ -561,7 +555,7 @@ impl EvalCache for SharedEvalCache {
 impl std::fmt::Debug for SharedEvalCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedEvalCache")
-            .field("shards", &self.shards.len())
+            .field("shards", &SHARDS)
             .field("stats", &self.stats())
             .finish()
     }
@@ -685,9 +679,13 @@ mod tests {
         }
     }
 
+    fn key(cell_hash: u128, config: &AcceleratorConfig) -> PairKey {
+        PairKey::new(cell_hash, config).expect("config in the space")
+    }
+
     #[test]
     fn hit_miss_and_insert_accounting() {
-        let cache = SharedEvalCache::with_shards(4);
+        let cache = SharedEvalCache::new();
         let config = ConfigSpace::chaidnn().get(0);
         assert!(cache.get(1, &config).is_none());
         cache.put(1, &config, eval(0.9));
@@ -729,15 +727,15 @@ mod tests {
             .collect();
         let feats = |hash: u128| [(hash % 97) as f64; CELL_FEATURE_DIM];
 
-        let forward = SharedEvalCache::with_shards(4);
+        let forward = SharedEvalCache::new();
         for (hash, config, e) in &entries {
-            forward.put_preloaded(*hash, config, *e);
+            forward.put_preloaded(key(*hash, config), *e);
             forward.put_features_preloaded(*hash, feats(*hash));
         }
-        let backward = SharedEvalCache::with_shards(4);
+        let backward = SharedEvalCache::new();
         for (hash, config, e) in entries.iter().rev() {
             backward.put_features_preloaded(*hash, feats(*hash));
-            backward.put_preloaded(*hash, config, *e);
+            backward.put_preloaded(key(*hash, config), *e);
         }
 
         let a = forward.snapshot_labeled();
@@ -749,7 +747,7 @@ mod tests {
         // entries are both excluded.
         forward.put(7777, &space.get(3), eval(0.9));
         forward.put_cell_features(7777, feats(7777));
-        forward.put_preloaded(8888, &space.get(4), eval(0.8));
+        forward.put_preloaded(key(8888, &space.get(4)), eval(0.8));
         assert_eq!(forward.snapshot_labeled(), a);
     }
 
@@ -830,7 +828,7 @@ mod tests {
 
     #[test]
     fn accuracy_entries_are_cell_scoped() {
-        let cache = SharedEvalCache::with_shards(3);
+        let cache = SharedEvalCache::new();
         assert_eq!(cache.get_accuracy(9), None);
         cache.put_accuracy(9, 0.91);
         cache.put_accuracy(10, 0.88);
@@ -847,7 +845,7 @@ mod tests {
     fn shard_view_attributes_warm_and_cold_hits() {
         let cache = Arc::new(SharedEvalCache::new());
         let config = ConfigSpace::chaidnn().get(0);
-        cache.put_preloaded(1, &config, eval(0.9)); // warm entry
+        cache.put_preloaded(key(1, &config), eval(0.9)); // warm entry
         let view = ShardCacheView::new(Arc::clone(&cache));
         view.put(2, &config, eval(0.8)); // cold entry through the view
         assert_eq!(view.get(1, &config), Some(eval(0.9)));
@@ -876,5 +874,57 @@ mod tests {
             (1, 1, 1)
         );
         assert_eq!(cache.stats().accuracy_warm_hits, 1);
+    }
+
+    #[test]
+    fn off_space_configs_are_priced_but_not_memoized() {
+        use codesign_core::Evaluator;
+        use codesign_nasbench::{known_cells, Dataset, SurrogateModel};
+
+        let cell = known_cells::resnet_cell();
+        let config = AcceleratorConfig {
+            pixel_par: 12,
+            ..ConfigSpace::chaidnn().get(8639)
+        };
+        let trainer = || Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar10);
+        let cache = Arc::new(SharedEvalCache::new());
+        let mut with_cache = trainer().with_shared_cache(Arc::clone(&cache) as _);
+        let mut without = trainer();
+        let bits =
+            |e: PairEvaluation| [e.accuracy, e.latency_ms, e.area_mm2, e.power_w].map(f64::to_bits);
+        for _ in 0..2 {
+            let a = with_cache.evaluate_pair(&cell, &config).expect("trained");
+            let b = without.evaluate_pair(&cell, &config).expect("trained");
+            assert_eq!(bits(a), bits(b));
+        }
+        assert!(cache.is_empty(), "an off-space pair was stored");
+    }
+
+    /// Unbalanced lock shards cost memory: see the `shards` field.
+    #[test]
+    fn pair_keys_fill_the_lock_shards_evenly() {
+        use codesign_nasbench::NasbenchDatabase;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let space = ConfigSpace::chaidnn();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut configs: Vec<usize> = (0..100).map(|_| rng.gen_range(0..space.len())).collect();
+        configs.sort_unstable();
+        configs.dedup();
+        let db = NasbenchDatabase::exhaustive(5);
+        let mut counts = [0usize; SHARDS];
+        for entry in db.iter() {
+            for &config in &configs {
+                counts[key(entry.spec.canonical_hash(), &space.get(config)).lock_shard()] += 1;
+            }
+        }
+        let mean = (db.len() * configs.len()) as f64 / SHARDS as f64;
+        for (shard, &count) in counts.iter().enumerate() {
+            assert!(
+                (count as f64 - mean).abs() <= 0.1 * mean,
+                "lock shard {shard} holds {count} keys against a mean of {mean}"
+            );
+        }
     }
 }

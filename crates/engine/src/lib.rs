@@ -92,18 +92,7 @@ pub use persist::{CacheLoadError, CACHE_MAGIC, CACHE_SHARD_FILES, CACHE_VERSION}
 pub use report::{CampaignReport, ShardResult};
 pub use sys::FileLock;
 
-/// SplitMix64: the stream-derivation mix used for per-shard RNG seeds.
-///
-/// Shard streams must be decorrelated even when the user's seed list is
-/// `[0, 1, 2]`; feeding `seed ^ f(grid position)` through SplitMix64
-/// scatters neighboring grid points across the full 64-bit state space.
-#[must_use]
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use codesign_core::mix64;
 
 #[cfg(test)]
 mod tests {

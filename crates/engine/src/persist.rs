@@ -37,26 +37,30 @@
 //! A pair record is `cell hash u128 | filter_par u16 | pixel_par u16 |
 //! input/weight/output buffer depths u32×3 | mem width u16 | pool u8 |
 //! ratio index u8 | accuracy/latency/area/power f64×4` — metrics travel as
-//! raw IEEE 754 bit patterns, so a reload is bit-exact. An accuracy record
-//! is `cell hash u128 | accuracy f64`. A cell-feature record is
-//! `cell hash u128 | feature f64 ×`[`CELL_FEATURE_DIM`]\.
+//! raw IEEE 754 bit patterns, so a reload is bit-exact. The config must be
+//! a member of `ConfigSpace::chaidnn()`, the only configs the cache keys.
+//! An accuracy record is `cell hash u128 | accuracy f64`. A cell-feature
+//! record is `cell hash u128 | feature f64 ×`[`CELL_FEATURE_DIM`]\.
 //!
 //! All record sections are sorted, so equal cache contents always
-//! serialize to byte-identical files. Truncated files fail the
-//! length-vs-counts consistency check and bit flips fail the checksum;
-//! both reject with a typed [`CacheLoadError`] rather than loading
-//! garbage.
+//! serialize to byte-identical files. Pair records sort by their
+//! [`PairKey`], whose config index orders as the config does. Truncated
+//! files fail the length-vs-counts consistency check and bit flips fail
+//! the checksum; both reject with a typed [`CacheLoadError`] rather than
+//! loading garbage, and so does a record with a field no save writes.
 //!
 //! # The cache directory
 //!
 //! [`SharedEvalCache::save_sharded`] splits the records across the shard
 //! files by the top 4 bits of the cell hash; every file carries the salt
-//! and the full scenario provenance. Because the files partition the key
-//! space, [`SharedEvalCache::load_sharded`] reconstructs one cache
-//! bit-identically in any merge order. [`SharedEvalCache::sync_sharded`]
-//! is the merge-on-save that lets several processes share one directory:
-//! under per-shard file locks it pulls the on-disk entries in, then writes
-//! the union back.
+//! and the full scenario provenance. A save copies every pair once, into
+//! one `Vec` sorted by key, and since the top 4 bits lead that order, each
+//! file is encoded from one contiguous run of it. Because the files
+//! partition the key space, [`SharedEvalCache::load_sharded`]
+//! reconstructs one cache bit-identically in any merge order.
+//! [`SharedEvalCache::sync_sharded`] is the merge-on-save that lets
+//! several processes share one directory: under per-shard file locks it
+//! pulls the on-disk entries in, then writes the union back.
 //!
 //! # Versioning and the salt contract
 //!
@@ -80,7 +84,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use codesign_accel::{AcceleratorConfig, ConvEngineRatio};
-use codesign_core::{PairEvaluation, CELL_FEATURE_DIM};
+use codesign_core::{PairEvaluation, PairKey, CELL_FEATURE_DIM};
 use codesign_nasbench::byteio::{self, ByteReader};
 
 use crate::cache::SharedEvalCache;
@@ -201,6 +205,14 @@ fn persist_shard_of(hash: u128) -> usize {
     index
 }
 
+/// The run of `records`, sorted by cell hash, that persistence shard
+/// `index` holds.
+fn shard_run<T>(records: &[T], index: usize, hash: impl Fn(&T) -> u128) -> &[T] {
+    let start = records.partition_point(|r| persist_shard_of(hash(r)) < index);
+    let end = records.partition_point(|r| persist_shard_of(hash(r)) <= index);
+    &records[start..end]
+}
+
 /// The file name of persistence shard `index`.
 fn shard_file_name(index: usize) -> String {
     format!("shard-{index:02}.bin")
@@ -261,7 +273,7 @@ fn read_config(reader: &mut ByteReader<'_>) -> Result<AcceleratorConfig, String>
 
 /// Encodes sorted records as one complete v4 document.
 fn encode_records(
-    pairs: &[((u128, AcceleratorConfig), PairEvaluation)],
+    pairs: &[PairRecord],
     accuracies: &[(u128, f64)],
     features: &[(u128, [f64; CELL_FEATURE_DIM])],
     scenarios: &[String],
@@ -291,9 +303,9 @@ fn encode_records(
     byteio::put_u64(&mut buf, accuracies.len() as u64);
     byteio::put_u64(&mut buf, features.len() as u64);
     byteio::put_u64(&mut buf, scenario_section.len() as u64);
-    for ((hash, config), eval) in pairs {
-        byteio::put_u128(&mut buf, *hash);
-        put_config(&mut buf, config);
+    for (key, eval) in pairs {
+        byteio::put_u128(&mut buf, key.cell_hash());
+        put_config(&mut buf, &key.config());
         byteio::put_f64(&mut buf, eval.accuracy);
         byteio::put_f64(&mut buf, eval.latency_ms);
         byteio::put_f64(&mut buf, eval.area_mm2);
@@ -316,7 +328,7 @@ fn encode_records(
 }
 
 /// A pair-cache entry as snapshotted for persistence: key plus metrics.
-type PairRecord = ((u128, AcceleratorConfig), PairEvaluation);
+type PairRecord = (PairKey, PairEvaluation);
 
 /// A cell-feature entry as snapshotted for persistence.
 type FeatRecord = (u128, [f64; CELL_FEATURE_DIM]);
@@ -326,8 +338,7 @@ impl SharedEvalCache {
     /// hash, and every cell-feature row sorted by hash — the canonical
     /// record order of persisted documents.
     fn sorted_records(&self) -> (Vec<PairRecord>, Vec<(u128, f64)>, Vec<FeatRecord>) {
-        let mut pairs = self.snapshot_pairs();
-        pairs.sort_unstable_by_key(|&(key, _)| key);
+        let pairs = self.sorted_pairs();
         let mut accuracies = self.snapshot_accuracies();
         accuracies.sort_unstable_by_key(|&(key, _)| key);
         let mut features = self.snapshot_features();
@@ -367,8 +378,7 @@ impl SharedEvalCache {
     /// marked *warm*, so hits against them are reported as work saved by
     /// the previous invocation.
     ///
-    /// The returned cache has the default shard count and keeps every
-    /// entry it is given.
+    /// The returned cache keeps every entry it is given.
     ///
     /// # Errors
     ///
@@ -472,13 +482,15 @@ impl SharedEvalCache {
             let context = |e: String| malformed(format!("pair {i}: {e}"));
             let hash = reader.u128().map_err(context)?;
             let config = read_config(&mut reader).map_err(context)?;
+            let key = PairKey::new(hash, &config)
+                .ok_or_else(|| context(format!("config {config} is outside the space")))?;
             let eval = PairEvaluation {
                 accuracy: reader.f64().map_err(context)?,
                 latency_ms: reader.f64().map_err(context)?,
                 area_mm2: reader.f64().map_err(context)?,
                 power_w: reader.f64().map_err(context)?,
             };
-            self.put_preloaded(hash, &config, eval);
+            self.put_preloaded(key, eval);
         }
         for i in 0..acc_count {
             let context = |e: String| malformed(format!("accuracy {i}: {e}"));
@@ -538,29 +550,17 @@ impl SharedEvalCache {
     }
 
     /// One v4 document per persistence shard, in shard order, encoded
-    /// lazily so a save holds one shard's bytes at a time. Records are
-    /// bucketed by hash prefix and stay sorted, so each document is
+    /// lazily so a save holds one shard's bytes at a time. Each document
+    /// reads its shard's contiguous run of the sorted records, so it is
     /// canonical on its own.
     fn shard_documents(&self, salt: u64) -> impl Iterator<Item = (usize, Vec<u8>)> {
         let (pairs, accuracies, features) = self.sorted_records();
-        let mut pair_buckets: Vec<Vec<PairRecord>> = vec![Vec::new(); CACHE_SHARD_FILES];
-        for entry in pairs {
-            pair_buckets[persist_shard_of(entry.0 .0)].push(entry);
-        }
-        let mut acc_buckets: Vec<Vec<(u128, f64)>> = vec![Vec::new(); CACHE_SHARD_FILES];
-        for entry in accuracies {
-            acc_buckets[persist_shard_of(entry.0)].push(entry);
-        }
-        let mut feat_buckets: Vec<Vec<FeatRecord>> = vec![Vec::new(); CACHE_SHARD_FILES];
-        for entry in features {
-            feat_buckets[persist_shard_of(entry.0)].push(entry);
-        }
         let scenarios = self.provenance();
         (0..CACHE_SHARD_FILES).map(move |index| {
             let bytes = encode_records(
-                &pair_buckets[index],
-                &acc_buckets[index],
-                &feat_buckets[index],
+                shard_run(&pairs, index, |(key, _)| key.cell_hash()),
+                shard_run(&accuracies, index, |&(hash, _)| hash),
+                shard_run(&features, index, |&(hash, _)| hash),
                 &scenarios,
                 salt,
             );
@@ -970,6 +970,27 @@ mod tests {
             // The error formats without panicking.
             let _ = err.to_string();
         }
+    }
+
+    #[test]
+    fn off_space_pair_records_are_malformed() {
+        let cache = SharedEvalCache::new();
+        cache.put(1, &ConfigSpace::chaidnn().get(0), eval(0.9));
+        let mut buf = Vec::new();
+        cache.save(&mut buf, 4).unwrap();
+        // The record's pixel_par follows its cell hash and filter_par.
+        let pixel_par = HEADER_LEN + 18;
+        buf[pixel_par..pixel_par + 2].copy_from_slice(&12u16.to_le_bytes());
+        let checksum = byteio::fnv1a64(&buf[CHECKSUM_START..]);
+        buf[16..24].copy_from_slice(&checksum.to_le_bytes());
+        let fresh = SharedEvalCache::new();
+        match fresh.merge_bytes(&buf, 4) {
+            Err(CacheLoadError::Malformed(reason)) => {
+                assert!(reason.starts_with("pair 0: config fp8 pp12 "), "{reason}");
+            }
+            other => panic!("expected a malformed pair record, got {other:?}"),
+        }
+        assert!(fresh.is_empty());
     }
 
     #[test]

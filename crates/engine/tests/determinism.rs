@@ -3,15 +3,18 @@
 //! equivalence.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 use codesign_accel::AcceleratorConfig;
 use codesign_core::{
     CodesignSpace, Evaluator, PairEvaluation, ScenarioSpec, SearchConfig, SearchContext,
     INVALID_PROPOSAL_REWARD,
 };
-use codesign_engine::{Campaign, CampaignReport, ShardedDriver, SharedEvalCache, StrategyKind};
+use codesign_engine::{
+    Campaign, CampaignReport, ShardObserver, ShardResult, ShardedDriver, SharedEvalCache,
+    StrategyKind,
+};
 use codesign_moo::DynParetoFront;
 use codesign_nasbench::{AdjMatrix, CellSpec, NasbenchDatabase, Op};
 use rand::rngs::SmallRng;
@@ -144,7 +147,9 @@ fn recorded_histories_rederive_shard_bookkeeping() {
 
 /// The acceptance check for shared ownership: running a campaign grows the
 /// database's `Arc` refcount (one bump per worker) and never duplicates the
-/// data. A probe thread watches the strong count while the campaign runs.
+/// data. Each of the four workers runs one shard, and the shard observer
+/// reads the strong count only once all four have reached it, so every
+/// worker still holds its bump.
 #[test]
 fn driver_shares_the_database_by_refcount_not_by_clone() {
     let campaign = Campaign::new(CodesignSpace::with_max_vertices(4))
@@ -155,20 +160,21 @@ fn driver_shares_the_database_by_refcount_not_by_clone() {
     let db = Arc::new(NasbenchDatabase::exhaustive(4));
     assert_eq!(Arc::strong_count(&db), 1);
 
-    let done = AtomicBool::new(false);
-    let mut peak = 1usize;
-    std::thread::scope(|scope| {
-        let driver_db = Arc::clone(&db);
-        let done_ref = &done;
-        scope.spawn(move || {
-            let _ = ShardedDriver::new(4).run(&campaign, &driver_db);
-            done_ref.store(true, Ordering::Release);
-        });
-        while !done.load(Ordering::Acquire) {
-            peak = peak.max(Arc::strong_count(&db));
-            std::thread::yield_now();
-        }
-    });
+    let workers = campaign.shards().len();
+    let all_in = Arc::new(Barrier::new(workers));
+    let seen = Arc::new(AtomicUsize::new(0));
+    let observer: ShardObserver = {
+        let (db, all_in, seen) = (Arc::downgrade(&db), Arc::clone(&all_in), Arc::clone(&seen));
+        Arc::new(move |_: &ShardResult| {
+            all_in.wait();
+            seen.fetch_max(db.strong_count(), Ordering::Relaxed);
+            all_in.wait();
+        })
+    };
+    let _ = ShardedDriver::new(workers)
+        .with_shard_observer(observer)
+        .run(&campaign, &db);
+    let peak = seen.load(Ordering::Relaxed);
     assert!(
         peak > 2,
         "workers must share the database through refcount bumps (peak {peak})"
