@@ -73,7 +73,7 @@ fn bench_search_steps(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pair entries in the serve-mix benchmark's cache at the end of a session.
+/// Pair entries in the serve-mix benchmark's cache when its server stops.
 const SERVE_MIX_PAIRS: u64 = 203_878;
 
 fn bench_cache(c: &mut Criterion) {
