@@ -20,7 +20,9 @@
 //! job shape on the 5-vertex space: random and NSGA-II at its default
 //! population for 1,000 steps, long enough for many ranks, crowding ties
 //! and fronts of about a hundred members. A fifteenth pins the area and
-//! power models at every config, with the §II-C area validation.
+//! power models at every config, with the §II-C area validation. A
+//! sixteenth pins the exact 4-vertex fronts in the axes of two-axis and
+//! four-axis scenarios, where the sixth pins only the paper's three.
 //!
 //! Campaigns run on one worker: with several, the order in which two
 //! labellings of one cell reach the shared cache can differ between runs,
@@ -43,6 +45,7 @@ use codesign_core::{
     CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig,
 };
 use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind, CACHE_SHARD_FILES};
+use codesign_moo::DynParetoFront;
 use codesign_nasbench::byteio::{fnv1a64, put_f64, put_u128, put_u64};
 use codesign_nasbench::{
     enumerate_cells, known_cells, CellSpec, Json, NasbenchDatabase, Network, NetworkConfig, OpId,
@@ -88,6 +91,10 @@ const LONG_NSGA_V5_JSONL: u64 = 0xa0ff_75cc_a9c0_d2a6;
 /// (n) every config's component resources, area and peak power, then the
 /// §II-C area validation errors.
 const HW_COSTS: u64 = 0x4516_2a3c_2b9a_04a8;
+/// (o) the exact fronts of the 4-vertex space in the axes of both
+/// scenarios of `examples/scenarios/custom.json` and of
+/// acc/lat/area/power, one after the other.
+const SCENARIO_FRONTS_V4: u64 = 0x64d1_3470_3bd4_4366;
 
 const STEPS: usize = 64;
 const NSGA: StrategyKind = StrategyKind::Nsga { population: 16 };
@@ -215,26 +222,67 @@ fn long_random_and_nsga_grid_on_five_vertices() {
 fn exhaustive_front_on_the_unconstrained_axes() {
     let db = NasbenchDatabase::exhaustive(4);
     let scenario = ScenarioSpec::unconstrained().compile();
-    let space = ConfigSpace::chaidnn();
-    // Per member, in the enumerator's `(cell_index, config)` order: its
-    // metric bits, the cell index and the config's decision indices.
     let digest = |threads| {
         let front = enumerate_scenario_front(&db, &scenario, threads);
         assert_eq!(front.len(), 401);
         let mut bytes = Vec::new();
-        for (metrics, (cell_index, config)) in front.iter() {
-            for value in metrics {
-                bytes.extend(value.to_bits().to_le_bytes());
-            }
-            bytes.extend((*cell_index as u64).to_le_bytes());
-            bytes.extend(space.encode(config).map(|i| i as u8));
-        }
+        put_front(&mut bytes, &front);
         fnv1a64(&bytes)
     };
     check(&[
         ("front at 1 thread", digest(1), FRONT_V4),
         ("front at 2 threads", digest(2), FRONT_V4),
     ]);
+}
+
+#[test]
+fn exhaustive_fronts_in_two_and_four_axes() {
+    let db = NasbenchDatabase::exhaustive(4);
+    let file = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scenarios/custom.json"
+    );
+    let mut scenarios = ScenarioSpec::load_file(file).expect("custom.json loads");
+    scenarios.push(ScenarioSpec::parse_compact("w=acc:1,lat:1,area:1,power:1").expect("valid"));
+    let axes: Vec<Vec<String>> = scenarios
+        .iter()
+        .map(|s| s.compile().axis_schema().names().to_vec())
+        .collect();
+    assert_eq!(
+        axes,
+        [
+            vec!["acc", "power"],
+            vec!["perf_per_area", "acc"],
+            vec!["acc", "lat", "area", "power"]
+        ]
+    );
+    let digest = |threads| {
+        let mut bytes = Vec::new();
+        for scenario in &scenarios {
+            put_front(
+                &mut bytes,
+                &enumerate_scenario_front(&db, &scenario.compile(), threads),
+            );
+        }
+        fnv1a64(&bytes)
+    };
+    check(&[
+        ("fronts at 1 thread", digest(1), SCENARIO_FRONTS_V4),
+        ("fronts at 2 threads", digest(2), SCENARIO_FRONTS_V4),
+    ]);
+}
+
+/// Appends each member of `front`, in the enumerator's `(cell_index,
+/// config)` order: its metric bits, the cell index and the config's
+/// decision indices.
+fn put_front(bytes: &mut Vec<u8>, front: &DynParetoFront<(usize, AcceleratorConfig)>) {
+    for (metrics, (cell_index, config)) in front.iter() {
+        for &value in metrics {
+            put_f64(bytes, value);
+        }
+        put_u64(bytes, *cell_index as u64);
+        put_config(bytes, config);
+    }
 }
 
 /// Appends `config`'s decision indices, one byte each.
