@@ -425,9 +425,9 @@ impl SharedEvalCache {
     /// # Errors
     ///
     /// Same rejection contract as [`SharedEvalCache::load`]. Validation
-    /// (version, salt, length and checksum) runs before any insertion, so a
-    /// rejected document contributes nothing — the cache keeps exactly the
-    /// entries earlier merges added.
+    /// (version, salt, length, checksum and every record's fields) runs
+    /// before any insertion, so a rejected document contributes nothing —
+    /// the cache keeps exactly the entries earlier merges added.
     pub fn merge_bytes(&self, bytes: &[u8], expected_salt: u64) -> Result<(), CacheLoadError> {
         let malformed = |reason: String| CacheLoadError::Malformed(reason);
         if !bytes.starts_with(&CACHE_MAGIC) {
@@ -476,8 +476,10 @@ impl SharedEvalCache {
             ));
         }
 
-        // Validated: walk the records in place and insert as warm entries.
+        // Validated: decode every record before inserting any, so a record
+        // that a field rejects leaves the cache as it was.
         let mut reader = ByteReader::new(&bytes[HEADER_LEN..]);
+        let mut pairs = Vec::with_capacity(pair_count as usize);
         for i in 0..pair_count {
             let context = |e: String| malformed(format!("pair {i}: {e}"));
             let hash = reader.u128().map_err(context)?;
@@ -490,14 +492,15 @@ impl SharedEvalCache {
                 area_mm2: reader.f64().map_err(context)?,
                 power_w: reader.f64().map_err(context)?,
             };
-            self.put_preloaded(key, eval);
+            pairs.push((key, eval));
         }
+        let mut accuracies = Vec::with_capacity(acc_count as usize);
         for i in 0..acc_count {
             let context = |e: String| malformed(format!("accuracy {i}: {e}"));
             let hash = reader.u128().map_err(context)?;
-            let acc = reader.f64().map_err(context)?;
-            self.put_accuracy_preloaded(hash, acc);
+            accuracies.push((hash, reader.f64().map_err(context)?));
         }
+        let mut features = Vec::with_capacity(feat_count as usize);
         for i in 0..feat_count {
             let context = |e: String| malformed(format!("feature {i}: {e}"));
             let hash = reader.u128().map_err(context)?;
@@ -505,7 +508,7 @@ impl SharedEvalCache {
             for value in &mut feats {
                 *value = reader.f64().map_err(context)?;
             }
-            self.put_features_preloaded(hash, feats);
+            features.push((hash, feats));
         }
         let mut scenarios = Vec::new();
         while !reader.is_empty() {
@@ -514,6 +517,15 @@ impl SharedEvalCache {
             let name =
                 std::str::from_utf8(raw).map_err(|e| malformed(format!("scenario name: {e}")))?;
             scenarios.push(name.to_owned());
+        }
+        for (key, eval) in pairs {
+            self.put_preloaded(key, eval);
+        }
+        for (hash, accuracy) in accuracies {
+            self.put_accuracy_preloaded(hash, accuracy);
+        }
+        for (hash, feats) in features {
+            self.put_features_preloaded(hash, feats);
         }
         self.note_scenarios(scenarios);
         Ok(())
@@ -991,6 +1003,30 @@ mod tests {
             other => panic!("expected a malformed pair record, got {other:?}"),
         }
         assert!(fresh.is_empty());
+    }
+
+    #[test]
+    fn a_rejected_record_leaves_the_cache_as_it_was() {
+        let cache = SharedEvalCache::new();
+        let space = ConfigSpace::chaidnn();
+        cache.put(1, &space.get(0), eval(0.9));
+        cache.put(2, &space.get(1), eval(0.8));
+        let mut buf = Vec::new();
+        cache.save(&mut buf, 4).unwrap();
+        // Pair record 1's pool flag follows its 16-byte cell hash and the
+        // 18 bytes of six config fields.
+        let pool_flag = HEADER_LEN + PAIR_RECORD_LEN + 16 + 18;
+        buf[pool_flag] = 7;
+        let checksum = byteio::fnv1a64(&buf[CHECKSUM_START..]);
+        buf[16..24].copy_from_slice(&checksum.to_le_bytes());
+        let fresh = SharedEvalCache::new();
+        match fresh.merge_bytes(&buf, 4) {
+            Err(CacheLoadError::Malformed(reason)) => {
+                assert_eq!(reason, "pair 1: bad pool flag 7");
+            }
+            other => panic!("expected a malformed pair record, got {other:?}"),
+        }
+        assert!(fresh.is_empty(), "merged {} of 2 pairs", fresh.len());
     }
 
     #[test]
