@@ -9,7 +9,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use codesign_accel::{schedule_serial, ConfigSpace, Scheduler};
-use codesign_moo::pareto::pareto_indices_3d;
 use codesign_moo::{AxisSchema, DynParetoFront};
 use codesign_nasbench::{known_cells, Network, NetworkConfig};
 
@@ -42,24 +41,31 @@ fn bench_prune_strategies(c: &mut Criterion) {
         }
         grouped.push(per_cnn);
     }
+    let schema3 = AxisSchema::new(["area", "lat", "acc"]);
     c.bench_function("ablation/pareto_direct_3d_100k", |b| {
-        b.iter(|| pareto_indices_3d(black_box(&all)).len())
+        b.iter(|| {
+            let mut front: DynParetoFront<()> = DynParetoFront::new(schema3.clone());
+            for p in black_box(&all) {
+                front.insert_with(p, || ());
+            }
+            front.len()
+        })
     });
     c.bench_function("ablation/pareto_2d_prepruned", |b| {
-        let schema = AxisSchema::new(["area", "lat"]);
+        let schema2 = AxisSchema::new(["area", "lat"]);
         b.iter(|| {
-            let mut candidates: Vec<[f64; 3]> = Vec::new();
+            let mut front3: DynParetoFront<()> = DynParetoFront::new(schema3.clone());
             for (g, pts) in grouped.iter().enumerate() {
-                let mut front: DynParetoFront<()> = DynParetoFront::new(schema.clone());
+                let mut front2: DynParetoFront<()> = DynParetoFront::new(schema2.clone());
                 for p in pts {
-                    front.insert((*p).into(), ());
+                    front2.insert_with(p, || ());
                 }
                 let acc = all[g * 1000][2];
-                for (m, ()) in front.into_vec() {
-                    candidates.push([m[0], m[1], acc]);
+                for (m, ()) in front2.iter() {
+                    front3.insert_with(&[m[0], m[1], acc], || ());
                 }
             }
-            pareto_indices_3d(&candidates).len()
+            front3.len()
         })
     });
 }

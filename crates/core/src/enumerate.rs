@@ -3,12 +3,13 @@
 //!
 //! "This allows us to enumerate the entire search space ... and find the
 //! Pareto-optimal points within that space." Every `(cell, accelerator)`
-//! pair is evaluated and streamed through a bounded-memory Pareto filter in
-//! a scenario's own metric axes; the paper's `(−area, −lat, acc)` front is
-//! the front on the Unconstrained preset's axes. Work parallelizes over CNN
-//! chunks with `std::thread::scope`; within a chunk the accelerator loop is
-//! outermost, so each configuration's scheduler is built once for all its
-//! cells. Every op latency comes from the process-wide lookup table.
+//! pair is evaluated and inserted into a Pareto front in a scenario's own
+//! metric axes, which keeps only the non-dominated pairs; the paper's
+//! `(−area, −lat, acc)` front is the front on the Unconstrained preset's
+//! axes. Work parallelizes over CNN chunks with `std::thread::scope`, one
+//! front per thread, merged at the end; within a chunk the accelerator loop
+//! is outermost, so each configuration's scheduler is built once for all
+//! its cells. Every op latency comes from the process-wide lookup table.
 //!
 //! Fig. 5 plots the best point of each search run against the top-100
 //! Pareto points under that scenario's reward; [`top_pareto_points`] ranks
@@ -16,7 +17,7 @@
 //! sharded campaign (`codesign_engine::Campaign`).
 
 use codesign_accel::{area, power, AcceleratorConfig, ConfigSpace, Scheduler};
-use codesign_moo::{DynParetoFront, DynStreamingParetoFilter, RewardOutcome};
+use codesign_moo::{DynParetoFront, RewardOutcome};
 use codesign_nasbench::{Dataset, NasbenchDatabase, Network, NetworkConfig};
 
 use crate::evaluator::PairEvaluation;
@@ -74,10 +75,12 @@ pub fn probe_pair_evaluations(database: &NasbenchDatabase, samples: usize) -> Ve
 /// the default network skeleton.
 ///
 /// Every pair's full evaluation (accuracy, latency, area, power) is
-/// streamed through a bounded-memory [`DynStreamingParetoFilter`], so a
-/// power-capped or efficiency-first scenario gets an exact front too.
-/// Payloads are `(cell_index, AcceleratorConfig)`, and the members come
-/// sorted by them, so the front is the same sequence at any thread count.
+/// inserted into a [`DynParetoFront`] in the scenario's axes, so a
+/// power-capped or efficiency-first scenario gets an exact front too; a
+/// front holds only its members, so memory stays that of the front, not
+/// of the space. Payloads are `(cell_index, AcceleratorConfig)`, built
+/// only for the pairs a front keeps, and the members come sorted by them,
+/// so the front is the same sequence at any thread count.
 ///
 /// `threads = 0` uses the machine's available parallelism.
 #[must_use]
@@ -102,8 +105,7 @@ pub fn enumerate_scenario_front(
     let chunk_size = n.div_ceil(threads.max(1)).max(1);
     let indices: Vec<usize> = (0..n).collect();
 
-    let mut merged: DynStreamingParetoFilter<(usize, AcceleratorConfig)> =
-        DynStreamingParetoFilter::new(scenario.axis_schema());
+    let mut merged = scenario.empty_front();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for chunk in indices.chunks(chunk_size) {
@@ -111,8 +113,7 @@ pub fn enumerate_scenario_front(
             let hw = &hw;
             let net_config = &net_config;
             let handle = scope.spawn(move || {
-                let mut filter: DynStreamingParetoFilter<(usize, AcceleratorConfig)> =
-                    DynStreamingParetoFilter::new(scenario.axis_schema());
+                let mut front = scenario.empty_front();
                 let networks: Vec<(usize, Network, f64)> = chunk
                     .iter()
                     .map(|&i| {
@@ -141,10 +142,10 @@ pub fn enumerate_scenario_front(
                             area_mm2,
                             power_w,
                         };
-                        filter.push(scenario.metric_point(&eval), (*cell_index, *config));
+                        front.insert_with(&scenario.metric_point(&eval), || (*cell_index, *config));
                     }
                 }
-                filter
+                front
             });
             handles.push(handle);
         }
@@ -152,7 +153,7 @@ pub fn enumerate_scenario_front(
             merged.merge(handle.join().expect("enumeration worker panicked"));
         }
     });
-    let mut members = merged.finish();
+    let mut members = merged.into_vec();
     members.sort_by_key(|member| member.1);
     let mut front = scenario.empty_front();
     front.extend(members);
@@ -277,6 +278,37 @@ mod tests {
         assert!(a.iter().all(|e| e.power_w > 0.0 && e.latency_ms > 0.0));
     }
 
+    /// Checks `front` against the definition of the exact front of
+    /// `db × ConfigSpace::chaidnn()` in `scenario`'s axes, with no filter:
+    /// every member's metrics are its own pair's as the evaluator scores
+    /// it, and a pair is a member if and only if no member dominates it.
+    /// `O(pairs × front)`.
+    fn assert_exact_front(db: &NasbenchDatabase, scenario: &CompiledScenario, front: &Front) {
+        assert_eq!(front.schema(), &scenario.axis_schema());
+        let members: Vec<_> = front.iter().collect();
+        let mut evaluator = crate::Evaluator::with_database(db.clone());
+        // Pairs are walked in `(cell_index, config)` order, the members'
+        // order, so one walk meets each member at its own pair.
+        let mut next = 0;
+        for (cell_index, entry) in db.iter().enumerate() {
+            for config in ConfigSpace::chaidnn().iter() {
+                let e = evaluator
+                    .evaluate_pair(&entry.spec, &config)
+                    .expect("known");
+                let point = scenario.metric_point(&e);
+                let pair = (cell_index, config);
+                let is_member = members.get(next).is_some_and(|m| *m.1 == pair);
+                if is_member {
+                    assert_eq!(bits(members[next].0), bits(&point), "{pair:?}");
+                    next += 1;
+                }
+                let dominated = members.iter().any(|(m, _)| dominates_dyn(m, &point));
+                assert_eq!(is_member, !dominated, "{pair:?}");
+            }
+        }
+        assert_eq!(next, members.len(), "a member is no enumerated pair");
+    }
+
     #[test]
     fn scenario_front_on_the_paper_axes_matches_the_triple_enumeration() {
         // The Unconstrained preset's axes are the signed paper triple of
@@ -284,25 +316,23 @@ mod tests {
         // `(-area, -lat, acc)` as the evaluator scores it.
         let (db, front) = small_front(2);
         assert_eq!(front.schema().names(), ["area", "lat", "acc"]);
-        let configs: Vec<AcceleratorConfig> = ConfigSpace::chaidnn().iter().collect();
-        let mut evaluator = crate::Evaluator::with_database(db.clone());
-        let mut pairs = Vec::new();
-        let mut triples = Vec::new();
-        for (cell_index, entry) in db.iter().enumerate() {
-            for config in &configs {
-                let e = evaluator.evaluate_pair(&entry.spec, config).expect("known");
-                pairs.push((cell_index, *config));
-                triples.push([-e.area_mm2, -e.latency_ms, e.accuracy]);
-            }
+        assert_exact_front(&db, &ScenarioSpec::unconstrained().compile(), &front);
+    }
+
+    #[test]
+    fn scenario_fronts_in_two_and_four_axes_are_exact() {
+        let db = NasbenchDatabase::exhaustive(3);
+        let file = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/scenarios/custom.json"
+        );
+        let mut scenarios = ScenarioSpec::load_file(file).expect("custom.json loads");
+        scenarios.push(ScenarioSpec::parse_compact("w=acc:1,lat:1,area:1,power:1").expect("valid"));
+        for spec in &scenarios {
+            let scenario = spec.compile();
+            let front = enumerate_scenario_front(&db, &scenario, 2);
+            assert_exact_front(&db, &scenario, &front);
         }
-        let mut exact: Vec<(Vec<u64>, (usize, AcceleratorConfig))> =
-            codesign_moo::pareto::pareto_indices_3d(&triples)
-                .into_iter()
-                .map(|i| (triples[i].map(f64::to_bits).to_vec(), pairs[i]))
-                .collect();
-        exact.sort_by_key(|member| member.1);
-        let native: Vec<_> = front.iter().map(|(m, p)| (bits(m), *p)).collect();
-        assert_eq!(native, exact);
     }
 
     fn power_capped() -> ScenarioSpec {
@@ -321,14 +351,6 @@ mod tests {
         assert!(!front.is_empty());
         for (m, _) in front.iter() {
             assert_eq!(m.len(), 2);
-        }
-        // Mutually non-dominated in the declared axes.
-        for (i, (a, _)) in front.iter().enumerate() {
-            for (j, (b, _)) in front.iter().enumerate() {
-                if i != j {
-                    assert!(!dominates_dyn(a, b), "{i} dominates {j}");
-                }
-            }
         }
         // A power scenario has a Fig. 5 reference set of its own.
         assert!(!top_pareto_points(&power_capped(), &front, 10).is_empty());

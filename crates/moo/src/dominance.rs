@@ -346,6 +346,10 @@ mod tests {
         ];
         let ranks = rank_dyn(&pts);
         let rank0: Vec<usize> = (0..pts.len()).filter(|&i| ranks[i] == 0).collect();
-        assert_eq!(rank0, crate::pareto::pareto_indices_dyn(&pts));
+        let front: Vec<usize> = (0..pts.len())
+            .filter(|&i| !pts.iter().any(|q| dominates(q, &pts[i])))
+            .collect();
+        assert_eq!(rank0, front);
+        assert_eq!(rank0, [0, 1, 2, 4]);
     }
 }

@@ -14,9 +14,10 @@
 //!   any registry-sized scenario), larger vectors spill to a `Vec`.
 //! * [`DynParetoFront`] — an incrementally-maintained front: insertion with
 //!   dominated-member eviction, duplicate metric vectors retained, members'
-//!   metrics in one flat array scanned in a single pass.
-//! * [`DynStreamingParetoFilter`] — bounded-memory exact filtering for
-//!   enumeration-scale streams, in whatever axes the scenario declares.
+//!   metrics in one flat array scanned in a single pass. It is the one
+//!   front type, from a search shard's to the exhaustive enumeration's,
+//!   which inserts every pair of the codesign space and so holds only the
+//!   members, never the stream.
 //!
 //! All points use the all-maximize convention of the rest of the crate.
 //!
@@ -43,7 +44,6 @@ use codesign_telemetry::Histogram;
 use crate::dominance::{compare_dyn, dominates_dyn, Dominance};
 use crate::hv_incremental::IncrementalHypervolume;
 use crate::hypervolume::hypervolume_dyn_iter;
-use crate::pareto::pareto_filter_dyn;
 
 /// Latency of [`DynParetoFront::insert`] (dominance scan + eviction), µs.
 static FRONT_INSERT_US: Histogram = Histogram::new("moo.front.insert_us");
@@ -54,8 +54,8 @@ static HYPERVOLUME_US: Histogram = Histogram::new("moo.hypervolume_us");
 /// runtime-dimension front.
 ///
 /// Schemas are cheap to clone (`Arc` bump) and compare (pointer equality
-/// fast path, name-by-name fallback), so every front, filter, and export of
-/// one scenario can carry the same schema without duplicating strings.
+/// fast path, name-by-name fallback), so every front and export of one
+/// scenario can carry the same schema without duplicating strings.
 ///
 /// # Examples
 ///
@@ -304,23 +304,6 @@ impl<T> DynParetoFront<T> {
             schema,
             metrics: Vec::new(),
             payloads: Vec::new(),
-            hv_cache: None,
-        }
-    }
-
-    /// A front holding `entries` as they are, in order: the caller
-    /// guarantees that no entry dominates another.
-    fn from_entries(schema: AxisSchema, entries: Vec<(MetricVector, T)>) -> Self {
-        let mut metrics = Vec::with_capacity(entries.len() * schema.len());
-        let mut payloads = Vec::with_capacity(entries.len());
-        for (m, p) in entries {
-            metrics.extend_from_slice(&m);
-            payloads.push(p);
-        }
-        Self {
-            schema,
-            metrics,
-            payloads,
             hv_cache: None,
         }
     }
@@ -618,134 +601,6 @@ impl<T> Extend<(MetricVector, T)> for DynParetoFront<T> {
     }
 }
 
-/// A bounded-memory exact Pareto filter whose dimension is chosen at
-/// runtime, for streams far larger than RAM (the Fig. 4 enumeration of the
-/// codesign space).
-///
-/// Points accumulate in a buffer; when the buffer exceeds its capacity it
-/// is compacted with the runtime-dimension batch filter (which itself
-/// drops to the `O(n log n)` 3-D staircase sweep when the schema has three
-/// axes). Dominance is transitive, so intermediate compaction never
-/// discards a globally non-dominated point: [`DynStreamingParetoFilter::finish`]
-/// returns the exact front of everything pushed.
-///
-/// # Examples
-///
-/// ```
-/// use codesign_moo::{AxisSchema, DynStreamingParetoFilter};
-///
-/// let schema = AxisSchema::new(["acc", "power"]);
-/// let mut filter: DynStreamingParetoFilter<u32> =
-///     DynStreamingParetoFilter::with_capacity(schema, 4);
-/// for i in 0..100u32 {
-///     let x = f64::from(i % 10);
-///     filter.push([x, -x].into(), i);
-/// }
-/// assert!(filter.finish().len() >= 10);
-/// ```
-#[derive(Debug)]
-pub struct DynStreamingParetoFilter<T> {
-    schema: AxisSchema,
-    buffer: Vec<(MetricVector, T)>,
-    capacity: usize,
-}
-
-impl<T> DynStreamingParetoFilter<T> {
-    /// Default buffer capacity before a compaction pass runs.
-    pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
-    /// Creates a filter over `schema`'s axes with
-    /// [`Self::DEFAULT_CAPACITY`].
-    #[must_use]
-    pub fn new(schema: AxisSchema) -> Self {
-        Self::with_capacity(schema, Self::DEFAULT_CAPACITY)
-    }
-
-    /// Creates a filter that compacts whenever more than `capacity`
-    /// candidate points are buffered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_capacity(schema: AxisSchema, capacity: usize) -> Self {
-        assert!(capacity > 0, "streaming filter capacity must be positive");
-        Self {
-            schema,
-            buffer: Vec::new(),
-            capacity,
-        }
-    }
-
-    /// The axis schema every pushed point conforms to.
-    #[must_use]
-    pub fn schema(&self) -> &AxisSchema {
-        &self.schema
-    }
-
-    /// Adds one candidate point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the point's dimension differs from the schema's.
-    pub fn push(&mut self, metrics: MetricVector, payload: T) {
-        assert_eq!(
-            metrics.len(),
-            self.schema.len(),
-            "point dimension {} does not match the {}-axis schema [{}]",
-            metrics.len(),
-            self.schema.len(),
-            self.schema
-        );
-        self.buffer.push((metrics, payload));
-        if self.buffer.len() > self.capacity {
-            self.compact();
-        }
-    }
-
-    /// Merges another filter's surviving candidates into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schemas disagree.
-    pub fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.schema, other.schema,
-            "cannot merge filters with different axes"
-        );
-        for (m, p) in other.buffer {
-            self.push(m, p);
-        }
-    }
-
-    /// Number of candidates currently buffered (post any compaction).
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Compacts and returns the exact Pareto front of all pushed points,
-    /// preserving input order among survivors.
-    #[must_use]
-    pub fn finish(mut self) -> Vec<(MetricVector, T)> {
-        self.compact();
-        self.buffer
-    }
-
-    /// Compacts and returns the front as a [`DynParetoFront`] carrying the
-    /// filter's schema.
-    #[must_use]
-    pub fn finish_front(self) -> DynParetoFront<T> {
-        let schema = self.schema.clone();
-        DynParetoFront::from_entries(schema, self.finish())
-    }
-
-    fn compact(&mut self) {
-        let buf = std::mem::take(&mut self.buffer);
-        self.buffer = pareto_filter_dyn(buf);
-    }
-}
-
 /// Crowding distance of every point in one front (the diversity half of
 /// NSGA-II selection), under the all-maximize convention.
 ///
@@ -825,10 +680,9 @@ pub fn crowding_distance_dyn<P: AsRef<[f64]>>(points: &[P]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pareto::pareto_indices_dyn;
 
     /// The non-dominated indices by direct pairwise checks.
-    fn brute_force(points: &[[f64; 3]]) -> Vec<usize> {
+    fn brute_force<const N: usize>(points: &[[f64; N]]) -> Vec<usize> {
         (0..points.len())
             .filter(|&i| !points.iter().any(|q| dominates_dyn(q, &points[i])))
             .collect()
@@ -947,59 +801,47 @@ mod tests {
         }
         a.merge(b);
         let all: Vec<[f64; 2]> = pts_a.iter().chain(pts_b.iter()).copied().collect();
-        let expected = pareto_indices_dyn(&all).len();
-        assert_eq!(a.len(), expected);
+        assert_eq!(a.len(), brute_force(&all).len());
+    }
+
+    fn front_2d<T>() -> DynParetoFront<T> {
+        DynParetoFront::new(AxisSchema::new(["x", "y"]))
     }
 
     #[test]
-    fn dyn_streaming_filter_is_exact_under_tiny_buffer() {
-        let schema = AxisSchema::new(["a", "b", "c"]);
-        let pts: Vec<[f64; 3]> = (0..200)
-            .map(|i| {
-                let t = f64::from(i) * 0.1;
-                [t.sin(), t.cos(), (t * 0.37).sin()]
-            })
-            .collect();
-        let mut filter: DynStreamingParetoFilter<usize> =
-            DynStreamingParetoFilter::with_capacity(schema, 8);
-        for (i, p) in pts.iter().enumerate() {
-            filter.push((*p).into(), i);
-        }
-        let mut got: Vec<usize> = filter.finish().into_iter().map(|(_, i)| i).collect();
-        got.sort_unstable();
-        assert_eq!(got, brute_force(&pts));
+    fn front_insert_evicts_dominated_members() {
+        let mut front = front_2d();
+        front.insert([0.0, 0.0].into(), 0u8);
+        front.insert([1.0, 1.0].into(), 1); // evicts the first point
+        assert_eq!(front.len(), 1);
+        assert_eq!(front.iter().next().map(|(_, p)| *p), Some(1));
     }
 
     #[test]
-    fn streaming_merge_combines_partial_fronts() {
-        let schema = AxisSchema::new(["x", "y"]);
-        let mut a: DynStreamingParetoFilter<u32> =
-            DynStreamingParetoFilter::with_capacity(schema.clone(), 16);
-        let mut b: DynStreamingParetoFilter<u32> =
-            DynStreamingParetoFilter::with_capacity(schema, 16);
-        a.push([1.0, 0.0].into(), 1);
-        b.push([0.0, 1.0].into(), 2);
-        b.push([-1.0, -1.0].into(), 3);
-        a.merge(b);
-        assert_eq!(a.finish().len(), 2);
+    fn front_rejects_dominated_insert() {
+        let mut front = front_2d();
+        assert!(front.insert([1.0, 1.0].into(), 0u8));
+        assert!(!front.insert([0.5, 0.5].into(), 1));
+        assert!(front.would_reject(&[0.0, 0.0]));
+        assert!(!front.would_reject(&[2.0, 0.0]));
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let _ = DynStreamingParetoFilter::<()>::with_capacity(AxisSchema::new(["x"]), 0);
-    }
-
-    #[test]
-    fn dyn_streaming_finish_front_carries_the_schema() {
-        let schema = AxisSchema::new(["acc", "power"]);
-        let mut filter: DynStreamingParetoFilter<u8> =
-            DynStreamingParetoFilter::new(schema.clone());
-        filter.push([0.9, -3.0].into(), 1);
-        filter.push([0.8, -1.0].into(), 2);
-        let front = filter.finish_front();
-        assert_eq!(front.schema(), &schema);
+    fn front_keeps_equal_metric_payloads() {
+        let mut front = front_2d();
+        assert!(front.insert([1.0, 1.0].into(), 0u8));
+        assert!(front.insert([1.0, 1.0].into(), 1));
         assert_eq!(front.len(), 2);
+    }
+
+    #[test]
+    fn front_from_iterator_matches_batch_filter() {
+        let pts = [[3.0, 1.0], [1.0, 3.0], [2.0, 2.0], [1.0, 1.0]];
+        let mut front = front_2d();
+        front.extend(pts.iter().enumerate().map(|(i, &m)| (m.into(), i)));
+        let members: Vec<usize> = front.iter().map(|(_, &i)| i).collect();
+        assert_eq!(members, brute_force(&pts));
+        assert_eq!(members, [0, 1, 2]);
     }
 
     #[test]

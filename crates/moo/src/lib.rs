@@ -6,13 +6,10 @@
 //!
 //! * [`dominance`] — Pareto dominance between metric vectors, plus
 //!   [`rank_dyn`] fast non-dominated sorting,
-//! * [`pareto`] — batch Pareto-front extraction ([`pareto_indices_dyn`] for
-//!   any objective count, with an `O(n log n)` sweep for three) used to
-//!   filter the ~billions-of-points codesign space,
 //! * [`dynfront`] — fronts in whatever named axes a scenario declares
-//!   ([`AxisSchema`], [`MetricVector`], the incremental [`DynParetoFront`],
-//!   the bounded-memory [`DynStreamingParetoFilter`] and
-//!   [`crowding_distance_dyn`]),
+//!   ([`AxisSchema`], [`MetricVector`], [`crowding_distance_dyn`] and the
+//!   incremental [`DynParetoFront`], which also filters the
+//!   ~billions-of-points codesign space one pair at a time),
 //! * [`normalize`] — the element-wise linear normalization `N` of Eq. 3,
 //! * [`reward`] — the ε-constraint + weighted-sum reward `R` of Eq. 3/4
 //!   ([`DynRewardSpec`]) and the punishment function `Rv` for infeasible
@@ -33,15 +30,20 @@
 //! reward, `w = (0.1, 0.8, 0.1)` over `(−area, −lat, acc)`:
 //!
 //! ```
-//! use codesign_moo::{pareto_indices_dyn, DynRewardSpec, LinearNorm, RewardOutcome};
+//! use codesign_moo::{AxisSchema, DynParetoFront, DynRewardSpec, LinearNorm, RewardOutcome};
 //!
 //! # fn main() -> Result<(), codesign_moo::MooError> {
-//! let points = vec![
-//!     vec![-100.0, -50.0, 0.94], // area 100, latency 50ms, accuracy 94%
-//!     vec![-200.0, -20.0, 0.93],
-//!     vec![-200.0, -60.0, 0.92], // dominated by the first point
+//! let points = [
+//!     [-100.0, -50.0, 0.94], // area 100, latency 50ms, accuracy 94%
+//!     [-200.0, -20.0, 0.93],
+//!     [-200.0, -60.0, 0.92], // dominated by the first point
 //! ];
-//! assert_eq!(pareto_indices_dyn(&points), vec![0, 1]);
+//! let mut front = DynParetoFront::new(AxisSchema::new(["area", "lat", "acc"]));
+//! for (i, point) in points.iter().enumerate() {
+//!     front.insert_with(point, || i);
+//! }
+//! let members: Vec<usize> = front.iter().map(|(_, &i)| i).collect();
+//! assert_eq!(members, [0, 1]);
 //!
 //! let spec = DynRewardSpec::builder()
 //!     .weights(vec![0.1, 0.8, 0.1])?
@@ -64,20 +66,16 @@ pub mod dynfront;
 pub mod hv_incremental;
 pub mod hypervolume;
 pub mod normalize;
-pub mod pareto;
 pub mod reward;
 
 mod error;
 
 pub use dominance::{dominates, dominates_dyn, rank_dyn, Dominance};
-pub use dynfront::{
-    crowding_distance_dyn, AxisSchema, DynParetoFront, DynStreamingParetoFilter, MetricVector,
-};
+pub use dynfront::{crowding_distance_dyn, AxisSchema, DynParetoFront, MetricVector};
 pub use error::MooError;
 pub use hv_incremental::IncrementalHypervolume;
 pub use hypervolume::{hypervolume_2d, hypervolume_3d, hypervolume_dyn, hypervolume_dyn_iter};
 pub use normalize::LinearNorm;
-pub use pareto::{pareto_filter_dyn, pareto_indices_dyn};
 pub use reward::{
     validate_punishment, validate_weights, DynRewardSpec, DynRewardSpecBuilder, Punishment,
     RewardOutcome,

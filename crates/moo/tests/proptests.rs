@@ -1,11 +1,9 @@
 //! Property-based tests for the multi-objective primitives.
 
 use codesign_moo::dominance::{compare, Dominance};
-use codesign_moo::pareto::{pareto_filter_dyn, pareto_indices_3d, pareto_indices_dyn};
 use codesign_moo::{
     crowding_distance_dyn, dominates, dominates_dyn, hypervolume_3d, hypervolume_dyn, rank_dyn,
-    AxisSchema, DynParetoFront, DynRewardSpec, DynStreamingParetoFilter, IncrementalHypervolume,
-    LinearNorm, MetricVector,
+    AxisSchema, DynParetoFront, DynRewardSpec, IncrementalHypervolume, LinearNorm, MetricVector,
 };
 use proptest::prelude::*;
 
@@ -88,6 +86,16 @@ fn brute_force_fixed<const N: usize>(points: &[[f64; N]]) -> Vec<usize> {
         .collect()
 }
 
+/// The indices of `points` that a [`DynParetoFront`] keeps when they are
+/// inserted in order, in its member order.
+fn front_indices<const N: usize>(points: &[[f64; N]]) -> Vec<usize> {
+    let mut front = DynParetoFront::new(AxisSchema::new((0..N).map(|k| format!("m{k}"))));
+    for (i, p) in points.iter().enumerate() {
+        front.insert_with(p, || i);
+    }
+    front.iter().map(|(_, &i)| i).collect()
+}
+
 /// Brute-force non-dominated-sorting oracle: peel the non-dominated set of
 /// the remainder, one rank at a time, by direct pairwise dominance checks
 /// (`O(n³)` — fine at test sizes).
@@ -151,42 +159,6 @@ fn brute_force_crowding(points: &[Vec<f64>]) -> Vec<f64> {
 
 proptest! {
     #[test]
-    fn sweep_equals_brute_force(pts in prop::collection::vec(point3(), 0..120)) {
-        prop_assert_eq!(pareto_indices_3d(&pts), brute_force(&pts));
-    }
-
-    // The pair filter keeps exactly the brute-force survivors, in input
-    // order, at the dimensions without a fast path.
-    #[test]
-    fn generic_filter_equals_brute_force(
-        pts2 in prop::collection::vec(point2(), 0..120),
-        pts4 in prop::collection::vec(point4(), 0..120),
-    ) {
-        let kept2: Vec<usize> = pareto_filter_dyn(pts2.iter().copied().zip(0..).collect())
-            .into_iter()
-            .map(|(_, i)| i)
-            .collect();
-        prop_assert_eq!(kept2, brute_force(&pts2));
-        let kept4: Vec<usize> = pareto_filter_dyn(pts4.iter().copied().zip(0..).collect())
-            .into_iter()
-            .map(|(_, i)| i)
-            .collect();
-        prop_assert_eq!(kept4, brute_force(&pts4));
-    }
-
-    #[test]
-    fn streaming_filter_is_exact(pts in prop::collection::vec(point3(), 0..200)) {
-        let mut filter: DynStreamingParetoFilter<usize> =
-            DynStreamingParetoFilter::with_capacity(AxisSchema::new(["a", "b", "c"]), 7);
-        for (i, p) in pts.iter().enumerate() {
-            filter.push((*p).into(), i);
-        }
-        let mut got: Vec<usize> = filter.finish().into_iter().map(|(_, i)| i).collect();
-        got.sort_unstable();
-        prop_assert_eq!(got, brute_force(&pts));
-    }
-
-    #[test]
     fn incremental_front_matches_batch(pts in prop::collection::vec(point4(), 0..120)) {
         let mut front: DynParetoFront<usize> =
             DynParetoFront::new(AxisSchema::new(["area", "lat", "acc", "power"]));
@@ -195,7 +167,7 @@ proptest! {
         }
         let mut got: Vec<usize> = front.iter().map(|(_, i)| *i).collect();
         got.sort_unstable();
-        prop_assert_eq!(got, pareto_indices_dyn(&pts));
+        prop_assert_eq!(got, brute_force(&pts));
     }
 
     // Shard fronts are exported in insertion order, so the front must keep
@@ -294,22 +266,22 @@ proptest! {
         prop_assert!(hypervolume_3d(&more, reference) >= base - 1e-9);
     }
 
-    // The runtime-dimension filter agrees with the const-generic dominance
-    // kernel at every dimension scenarios use.
+    // The runtime-dimension front agrees with the const-generic dominance
+    // kernel at every dimension scenarios use; its members keep their
+    // insertion order.
     #[test]
     fn dyn_indices_equal_const_generic_2d(pts in prop::collection::vec(point2(), 0..120)) {
-        prop_assert_eq!(pareto_indices_dyn(&pts), brute_force_fixed(&pts));
+        prop_assert_eq!(front_indices(&pts), brute_force_fixed(&pts));
     }
 
     #[test]
     fn dyn_indices_equal_const_generic_3d(pts in prop::collection::vec(point3(), 0..120)) {
-        // dims == 3 takes the automatic staircase fast path.
-        prop_assert_eq!(pareto_indices_dyn(&pts), brute_force_fixed(&pts));
+        prop_assert_eq!(front_indices(&pts), brute_force_fixed(&pts));
     }
 
     #[test]
     fn dyn_indices_equal_const_generic_4d(pts in prop::collection::vec(point4(), 0..120)) {
-        prop_assert_eq!(pareto_indices_dyn(&pts), brute_force_fixed(&pts));
+        prop_assert_eq!(front_indices(&pts), brute_force_fixed(&pts));
     }
 
     #[test]
@@ -424,7 +396,7 @@ proptest! {
     fn rank_zero_matches_pareto_indices_dyn(pts in prop::collection::vec(point3(), 0..80)) {
         let ranks = rank_dyn(&pts);
         let rank0: Vec<usize> = (0..pts.len()).filter(|&i| ranks[i] == 0).collect();
-        prop_assert_eq!(rank0, pareto_indices_dyn(&pts));
+        prop_assert_eq!(rank0, brute_force(&pts));
     }
 
     #[test]
@@ -432,7 +404,7 @@ proptest! {
         pts in prop::collection::vec([0.01f64..2.0, 0.01f64..2.0, 0.01f64..2.0], 1..40),
     ) {
         let reference = [0.0, 0.0, 0.0];
-        let front: Vec<[f64; 3]> = pareto_indices_3d(&pts).into_iter().map(|i| pts[i]).collect();
+        let front: Vec<[f64; 3]> = brute_force(&pts).into_iter().map(|i| pts[i]).collect();
         let a = hypervolume_3d(&pts, reference);
         let b = hypervolume_3d(&front, reference);
         prop_assert!((a - b).abs() < 1e-9);

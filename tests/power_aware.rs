@@ -6,7 +6,7 @@
 //! and checks the machinery composes end to end.
 
 use codesign_nas::accel::{area, power, ConfigSpace, Scheduler};
-use codesign_nas::moo::{pareto_indices_dyn, DynRewardSpec, LinearNorm};
+use codesign_nas::moo::{AxisSchema, DynParetoFront, DynRewardSpec, LinearNorm};
 use codesign_nas::nasbench::{known_cells, Dataset, Network, NetworkConfig, SurrogateModel};
 
 fn four_objective_spec() -> DynRewardSpec {
@@ -71,9 +71,15 @@ fn power_adds_a_real_tradeoff_dimension() {
     for idx in (0..8640).step_by(160) {
         four_d.push(metrics_for("resnet", idx));
     }
-    let three_d: Vec<[f64; 3]> = four_d.iter().map(|m| [m[0], m[1], m[2]]).collect();
-    let front4 = pareto_indices_dyn(&four_d).len();
-    let front3 = pareto_indices_dyn(&three_d).len();
+    let front_len = |axes: &[&str]| {
+        let mut front = DynParetoFront::new(AxisSchema::new(axes.iter().copied()));
+        for m in &four_d {
+            front.insert_with(&m[..axes.len()], || ());
+        }
+        front.len()
+    };
+    let front4 = front_len(&["area", "lat", "acc", "power"]);
+    let front3 = front_len(&["area", "lat", "acc"]);
     assert!(
         front4 >= front3,
         "adding an objective cannot shrink the front"
