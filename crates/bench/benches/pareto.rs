@@ -10,6 +10,7 @@ use rand::{Rng, SeedableRng};
 use codesign_core::{enumerate_scenario_front, ScenarioSpec};
 use codesign_moo::{AxisSchema, DynParetoFront};
 use codesign_nasbench::NasbenchDatabase;
+
 fn random_points(n: usize, seed: u64) -> Vec<[f64; 3]> {
     let mut rng = SmallRng::seed_from_u64(seed);
     (0..n)

@@ -77,10 +77,10 @@ pub fn probe_pair_evaluations(database: &NasbenchDatabase, samples: usize) -> Ve
 /// Every pair's full evaluation (accuracy, latency, area, power) is
 /// inserted into a [`DynParetoFront`] in the scenario's axes, so a
 /// power-capped or efficiency-first scenario gets an exact front too; a
-/// front holds only its members, so memory stays that of the front, not
-/// of the space. Payloads are `(cell_index, AcceleratorConfig)`, built
-/// only for the pairs a front keeps, and the members come sorted by them,
-/// so the front is the same sequence at any thread count.
+/// front holds only its members, never the stream of pairs. Payloads are
+/// `(cell_index, AcceleratorConfig)`, built only for the pairs a front
+/// keeps, and the members come sorted by them, so the front is the same
+/// sequence at any thread count.
 ///
 /// `threads = 0` uses the machine's available parallelism.
 #[must_use]

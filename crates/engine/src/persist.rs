@@ -477,7 +477,9 @@ impl SharedEvalCache {
         }
 
         // Validated: decode every record before inserting any, so a record
-        // that a field rejects leaves the cache as it was.
+        // that a field rejects leaves the cache as it was. The length check
+        // bounds each count by the document's size, so each `Vec` can be
+        // sized up front.
         let mut reader = ByteReader::new(&bytes[HEADER_LEN..]);
         let mut pairs = Vec::with_capacity(pair_count as usize);
         for i in 0..pair_count {
