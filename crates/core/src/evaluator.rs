@@ -714,6 +714,19 @@ mod tests {
     }
 
     #[test]
+    fn shared_cache_salts_are_pinned() {
+        // Persisted caches and every evaluator sharing one cache key pairs
+        // by these salts: the source kind above bit 64, the class count
+        // above bit 32.
+        let database = Evaluator::with_database(NasbenchDatabase::exhaustive(2));
+        let cifar10 = Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar10);
+        let cifar100 = Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar100);
+        assert_eq!(database.cache_salt, 0x1_0000_000a_0000_0000);
+        assert_eq!(cifar10.cache_salt, 0x2_0000_000a_0000_0000);
+        assert_eq!(cifar100.cache_salt, 0x3_0000_0064_0000_0000);
+    }
+
+    #[test]
     fn caching_is_transparent() {
         let mut ev = db_evaluator();
         let cfg = some_config();

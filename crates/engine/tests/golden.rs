@@ -22,7 +22,10 @@
 //! and fronts of about a hundred members. A fifteenth pins the area and
 //! power models at every config, with the §II-C area validation. A
 //! sixteenth pins the exact 4-vertex fronts in the axes of two-axis and
-//! four-axis scenarios, where the sixth pins only the paper's three.
+//! four-axis scenarios, where the sixth pins only the paper's three. A
+//! seventeenth pins the CNN half over the 5-vertex census: the database's
+//! stored columns, the trainer's answers and the cell features on both
+//! skeletons, and the database's fingerprint.
 //!
 //! Campaigns run on one worker: with several, the order in which two
 //! labellings of one cell reach the shared cache can differ between runs,
@@ -41,15 +44,15 @@ use codesign_accel::{
     ConfigSpace, Scheduler,
 };
 use codesign_core::{
-    enumerate_scenario_front, run_cifar100_codesign, table2_baselines, Cifar100Config,
-    CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig,
+    cell_feature_vec, enumerate_scenario_front, run_cifar100_codesign, table2_baselines,
+    Cifar100Config, CodesignSpace, RewardShaping, ScenarioSpec, SurrogateConfig,
 };
 use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind, CACHE_SHARD_FILES};
 use codesign_moo::DynParetoFront;
 use codesign_nasbench::byteio::{fnv1a64, put_f64, put_u128, put_u64};
 use codesign_nasbench::{
-    enumerate_cells, known_cells, CellSpec, Json, NasbenchDatabase, Network, NetworkConfig, OpId,
-    OpInstance, SpecError,
+    enumerate_cells, known_cells, CellFeatures, CellSpec, Dataset, Json, NasbenchDatabase, Network,
+    NetworkConfig, OpId, OpInstance, SpecError, SurrogateModel,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -95,6 +98,10 @@ const HW_COSTS: u64 = 0x4516_2a3c_2b9a_04a8;
 /// scenarios of `examples/scenarios/custom.json` and of
 /// acc/lat/area/power, one after the other.
 const SCENARIO_FRONTS_V4: u64 = 0x64d1_3470_3bd4_4366;
+/// (p) every cell of the 5-vertex census: its hash, stored accuracies and
+/// training time, the trainer's answers and the cell features on both
+/// skeletons; then the database's fingerprint.
+const CNN_SURROGATE: u64 = 0x1798_f37f_5672_023b;
 
 const STEPS: usize = 64;
 const NSGA: StrategyKind = StrategyKind::Nsga { population: 16 };
@@ -504,4 +511,56 @@ fn enumerated_cells_up_to_six_vertices() {
     }
     assert_eq!(hashes.len(), 1_032_672);
     check(&[("enumeration v6", fnv1a64(&hashes), ENUMERATION_V6)]);
+}
+
+#[test]
+fn cnn_surrogate_over_the_five_vertex_census() {
+    let db = NasbenchDatabase::exhaustive(5);
+    let model = SurrogateModel::default();
+    let skeletons = [
+        (Dataset::Cifar10, NetworkConfig::default()),
+        (Dataset::Cifar100, NetworkConfig::cifar100()),
+    ];
+    let mut bytes = Vec::new();
+    for entry in db.iter() {
+        let cell = &entry.spec;
+        put_u128(&mut bytes, cell.canonical_hash());
+        for &accuracy in entry
+            .cifar10_accuracy
+            .iter()
+            .chain(&entry.cifar100_accuracy)
+        {
+            put_f64(&mut bytes, accuracy);
+        }
+        put_f64(&mut bytes, entry.training_seconds);
+        for (dataset, skeleton) in &skeletons {
+            let trained = model.evaluate(cell, *dataset);
+            for &accuracy in &trained.accuracy {
+                put_f64(&mut bytes, accuracy);
+            }
+            put_f64(&mut bytes, trained.training_seconds);
+            let f = CellFeatures::extract(cell, skeleton);
+            for count in [
+                f.num_vertices,
+                f.num_edges,
+                f.depth,
+                f.width,
+                f.conv3_count,
+                f.conv1_count,
+                f.pool_count,
+                usize::from(f.has_skip),
+            ] {
+                put_u64(&mut bytes, count as u64);
+            }
+            put_u64(&mut bytes, f.macs);
+            put_u64(&mut bytes, f.params);
+            for value in cell_feature_vec(cell, skeleton) {
+                put_f64(&mut bytes, value);
+            }
+        }
+    }
+    put_u64(&mut bytes, db.fingerprint());
+    assert_eq!(db.len(), 2_532);
+    assert_eq!(bytes.len(), 2_532 * 456 + 8);
+    check(&[("cnn surrogate", fnv1a64(&bytes), CNN_SURROGATE)]);
 }
