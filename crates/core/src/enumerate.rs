@@ -7,9 +7,11 @@
 //! metric axes, which keeps only the non-dominated pairs; the paper's
 //! `(−area, −lat, acc)` front is the front on the Unconstrained preset's
 //! axes. Work parallelizes over CNN chunks with `std::thread::scope`, one
-//! front per thread, merged at the end; within a chunk the accelerator loop
-//! is outermost, so each configuration's scheduler is built once for all
-//! its cells. Every op latency comes from the process-wide lookup table.
+//! front per thread, merged at the end. A thread walks its chunk in blocks
+//! of `CELL_BLOCK` cells and holds only one block's networks; within a
+//! block the accelerator loop is outermost, so each configuration's
+//! scheduler is built once for the block's cells. Every op latency comes
+//! from the process-wide lookup table.
 //!
 //! Fig. 5 plots the best point of each search run against the top-100
 //! Pareto points under that scenario's reward; [`top_pareto_points`] ranks
@@ -22,6 +24,11 @@ use codesign_nasbench::{Dataset, NasbenchDatabase, Network, NetworkConfig};
 
 use crate::evaluator::PairEvaluation;
 use crate::scenarios::{CompiledScenario, MetricId, ScenarioSpec};
+
+/// Cells per block of an enumeration thread's walk: the thread assembles
+/// one block's networks at a time, so its memory does not grow with the
+/// census.
+const CELL_BLOCK: usize = 16;
 
 /// Evaluates a deterministic stride of `(cell, accelerator)` pairs and
 /// returns their full metric evaluations — the enumeration probe sample
@@ -114,35 +121,39 @@ pub fn enumerate_scenario_front(
             let net_config = &net_config;
             let handle = scope.spawn(move || {
                 let mut front = scenario.empty_front();
-                let networks: Vec<(usize, Network, f64)> = chunk
-                    .iter()
-                    .map(|&i| {
-                        let entry = database.entry(i).expect("index in range");
-                        let network = Network::assemble(&entry.spec, net_config);
-                        (i, network, entry.mean_accuracy(Dataset::Cifar10))
-                    })
-                    .collect();
                 // Per-pair scheduling dominates the enumeration cost; skip
                 // it entirely for scenarios whose metrics never read
                 // latency (e.g. acc × power) — the field is then left at
                 // 0.0 and never extracted.
                 let needs_latency = scenario.metrics().iter().any(MetricId::uses_latency);
-                // Accelerator loop outermost: one scheduler per configuration.
-                for (config_index, config) in configs.iter().enumerate() {
-                    let scheduler = Scheduler::new(*config);
-                    let (area_mm2, power_w) = hw[config_index];
-                    for (cell_index, network, accuracy) in &networks {
-                        let eval = PairEvaluation {
-                            accuracy: *accuracy,
-                            latency_ms: if needs_latency {
-                                scheduler.network_latency_ms(network)
-                            } else {
-                                0.0
-                            },
-                            area_mm2,
-                            power_w,
-                        };
-                        front.insert_with(&scenario.metric_point(&eval), || (*cell_index, *config));
+                let mut networks: Vec<(usize, Network, f64)> = Vec::with_capacity(CELL_BLOCK);
+                for block in chunk.chunks(CELL_BLOCK) {
+                    networks.clear();
+                    networks.extend(block.iter().map(|&i| {
+                        let entry = database.entry(i).expect("index in range");
+                        let network = Network::assemble(&entry.spec, net_config);
+                        (i, network, entry.mean_accuracy(Dataset::Cifar10))
+                    }));
+                    // Accelerator loop outermost: one scheduler per
+                    // configuration and block.
+                    for (config_index, config) in configs.iter().enumerate() {
+                        let scheduler = Scheduler::new(*config);
+                        let (area_mm2, power_w) = hw[config_index];
+                        for (cell_index, network, accuracy) in &networks {
+                            let eval = PairEvaluation {
+                                accuracy: *accuracy,
+                                latency_ms: if needs_latency {
+                                    scheduler.network_latency_ms(network)
+                                } else {
+                                    0.0
+                                },
+                                area_mm2,
+                                power_w,
+                            };
+                            front.insert_with(&scenario.metric_point(&eval), || {
+                                (*cell_index, *config)
+                            });
+                        }
                     }
                 }
                 front
