@@ -29,13 +29,13 @@
 //!
 //! ```
 //! use codesign_accel::{area, power, ConfigSpace, Scheduler};
-//! use codesign_nasbench::{known_cells, Network, NetworkConfig};
+//! use codesign_nasbench::{known_cells, Dataset, Network};
 //!
 //! let space = ConfigSpace::chaidnn();
 //! assert_eq!(space.len(), 8640);
 //!
 //! // Evaluate one model-accelerator pair.
-//! let network = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
+//! let network = Network::assemble(&known_cells::resnet_cell(), Dataset::Cifar10);
 //! let config = space.get(8639);
 //! let area = area::area_mm2(&config);
 //! let latency = Scheduler::new(config).network_latency_ms(&network);

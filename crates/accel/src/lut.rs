@@ -192,7 +192,7 @@ impl ConfigTerms {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use codesign_nasbench::{known_cells, Network, NetworkConfig};
+    use codesign_nasbench::{known_cells, Dataset, Network};
 
     #[test]
     fn term_sizes_follow_the_space() {
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn every_entry_has_the_model_bits() {
-        let network = Network::assemble(&known_cells::cod2_cell(), &NetworkConfig::default());
+        let network = Network::assemble(&known_cells::cod2_cell(), Dataset::Cifar10);
         for config in SPACE.iter().step_by(7) {
             let terms = ConfigTerms::of(&config).expect("in the space");
             for unit in network.units() {
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn network_materializes_tens_of_entries_like_the_paper() {
-        let net = Network::assemble(&known_cells::googlenet_cell(), &NetworkConfig::default());
+        let net = Network::assemble(&known_cells::googlenet_cell(), Dataset::Cifar10);
         let mut rows: Vec<OpId> = net
             .units()
             .iter()

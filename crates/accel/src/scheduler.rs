@@ -26,11 +26,11 @@ use crate::lut::ConfigTerms;
 ///
 /// ```
 /// use codesign_accel::{ConfigSpace, Scheduler};
-/// use codesign_nasbench::{known_cells, Network, NetworkConfig};
+/// use codesign_nasbench::{known_cells, Dataset, Network};
 ///
 /// let config = ConfigSpace::chaidnn().get(8639);
 /// let scheduler = Scheduler::new(config);
-/// let net = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
+/// let net = Network::assemble(&known_cells::resnet_cell(), Dataset::Cifar10);
 /// let ms = scheduler.network_latency_ms(&net);
 /// assert!(ms > 1.0 && ms < 1000.0);
 /// ```
@@ -127,7 +127,7 @@ pub fn schedule_serial(config: &AcceleratorConfig, network: &Network) -> f64 {
 mod tests {
     use super::*;
     use crate::config::{ConfigSpace, ConvEngineRatio};
-    use codesign_nasbench::{known_cells, NetworkConfig};
+    use codesign_nasbench::{known_cells, Dataset};
 
     /// The greedy schedule with every op priced by the model itself: the
     /// reference the lookup table is filled from.
@@ -155,10 +155,10 @@ mod tests {
     }
 
     /// Asserts the scheduler gives `reference_ms`'s bits for every named
-    /// cell on `skeleton`.
-    fn assert_reference_bits(config: AcceleratorConfig, skeleton: &NetworkConfig) {
+    /// cell on `dataset`'s skeleton.
+    fn assert_reference_bits(config: AcceleratorConfig, dataset: Dataset) {
         for (name, cell) in known_cells::all_named() {
-            let network = Network::assemble(&cell, skeleton);
+            let network = Network::assemble(&cell, dataset);
             let scheduled = Scheduler::new(config).network_latency_ms(&network);
             let reference = reference_ms(&config, &network);
             assert_eq!(
@@ -183,7 +183,7 @@ mod tests {
     }
 
     fn resnet_network() -> Network {
-        Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default())
+        Network::assemble(&known_cells::resnet_cell(), Dataset::Cifar10)
     }
 
     #[test]
@@ -210,18 +210,14 @@ mod tests {
             pixel_par: 12,
             ..big_config()
         };
-        assert_reference_bits(off_space, &NetworkConfig::default());
+        assert_reference_bits(off_space, Dataset::Cifar10);
     }
 
     #[test]
-    fn a_custom_skeleton_schedules_with_the_model_bits() {
-        let skeleton = NetworkConfig {
-            stem_channels: 96,
-            ..NetworkConfig::default()
-        };
+    fn the_cifar100_skeleton_schedules_with_the_model_bits() {
         let space = ConfigSpace::chaidnn();
         for index in [0, 5000, 8639] {
-            assert_reference_bits(space.get(index), &skeleton);
+            assert_reference_bits(space.get(index), Dataset::Cifar100);
         }
     }
 
@@ -229,7 +225,7 @@ mod tests {
     fn split_engines_overlap_parallel_branches() {
         // Cod-2-like cells mix 1x1 and 3x3 branches; with split engines the
         // greedy scheduler overlaps them, with a single engine it cannot.
-        let net = Network::assemble(&known_cells::cod1_cell(), &NetworkConfig::default());
+        let net = Network::assemble(&known_cells::cod1_cell(), Dataset::Cifar10);
         let single = big_config();
         let split = AcceleratorConfig {
             ratio_conv_engines: ConvEngineRatio::R50,
@@ -267,7 +263,7 @@ mod tests {
     fn googlenet_is_faster_than_resnet() {
         let g = Scheduler::new(big_config()).network_latency_ms(&Network::assemble(
             &known_cells::googlenet_cell(),
-            &NetworkConfig::default(),
+            Dataset::Cifar10,
         ));
         let r = Scheduler::new(big_config()).network_latency_ms(&resnet_network());
         assert!(g < 0.7 * r, "googlenet {g} vs resnet {r}");

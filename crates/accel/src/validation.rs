@@ -11,7 +11,7 @@
 //! the paper's §II-C methodology exactly; the substitution rationale is
 //! documented in the [`crate::latency`] module docs.
 
-use codesign_nasbench::{known_cells, Network, NetworkConfig};
+use codesign_nasbench::{known_cells, Dataset, Network};
 
 use crate::area;
 use crate::config::{AcceleratorConfig, ConfigSpace};
@@ -97,7 +97,7 @@ pub fn validate_area_model() -> ValidationReport {
 /// reference configurations, exactly like §II-C2's validation set.
 #[must_use]
 pub fn validate_latency_model() -> ValidationReport {
-    let network = Network::assemble(&known_cells::googlenet_cell(), &NetworkConfig::default());
+    let network = Network::assemble(&known_cells::googlenet_cell(), Dataset::Cifar10);
     let configs = validation_configs();
     let errors: Vec<f64> = configs
         .iter()

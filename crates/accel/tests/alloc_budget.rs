@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use codesign_accel::{schedule_serial, ConfigSpace, Scheduler};
-use codesign_nasbench::{known_cells, Network, NetworkConfig};
+use codesign_nasbench::{known_cells, Dataset, Network};
 
 struct CountingAlloc;
 
@@ -68,7 +68,7 @@ fn scheduling_a_network_does_not_allocate() {
     let configs = [0, 5000, 8639].map(|index| space.get(index));
     let networks: Vec<_> = known_cells::all_named()
         .into_iter()
-        .map(|(name, cell)| (name, Network::assemble(&cell, &NetworkConfig::default())))
+        .map(|(name, cell)| (name, Network::assemble(&cell, Dataset::Cifar10)))
         .collect();
     for (name, network) in &networks {
         for config in configs {

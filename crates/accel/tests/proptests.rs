@@ -5,7 +5,7 @@ use codesign_accel::{
     area, power, schedule_serial, AcceleratorConfig, ConfigSpace, ConvEngineRatio, Scheduler,
     DEVICE,
 };
-use codesign_nasbench::{known_cells, Network, NetworkConfig, OpInstance};
+use codesign_nasbench::{known_cells, Dataset, Network, OpInstance};
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = AcceleratorConfig> {
@@ -61,7 +61,7 @@ proptest! {
 
     #[test]
     fn greedy_schedule_never_exceeds_serial(config in arb_config()) {
-        let network = Network::assemble(&known_cells::cod2_cell(), &NetworkConfig::default());
+        let network = Network::assemble(&known_cells::cod2_cell(), Dataset::Cifar10);
         let greedy = Scheduler::new(config).network_latency_ms(&network);
         let serial = schedule_serial(&config, &network);
         prop_assert!(greedy <= serial + 1e-9);

@@ -10,11 +10,11 @@ use rand::{Rng, SeedableRng};
 
 use codesign_accel::{schedule_serial, ConfigSpace, Scheduler};
 use codesign_moo::{AxisSchema, DynParetoFront};
-use codesign_nasbench::{known_cells, Network, NetworkConfig};
+use codesign_nasbench::{known_cells, Dataset, Network};
 
 fn bench_scheduler_vs_serial(c: &mut Criterion) {
     let config = ConfigSpace::chaidnn().get(8639);
-    let network = Network::assemble(&known_cells::cod1_cell(), &NetworkConfig::default());
+    let network = Network::assemble(&known_cells::cod1_cell(), Dataset::Cifar10);
     c.bench_function("ablation/scheduler_greedy", |b| {
         let s = Scheduler::new(config);
         b.iter(|| s.network_latency_ms(black_box(&network)))

@@ -9,9 +9,7 @@ use rand::SeedableRng;
 
 use codesign_accel::{area, ConfigSpace, Scheduler};
 use codesign_nasbench::canon::canonical_hash;
-use codesign_nasbench::{
-    known_cells, CellFeatures, CellSpec, Dataset, Network, NetworkConfig, SurrogateModel,
-};
+use codesign_nasbench::{known_cells, surrogate, CellFeatures, CellSpec, Dataset, Network};
 use codesign_rl::{math, MlpRegressor, RegressorConfig};
 
 /// Samples, features and targets of one guided-evo surrogate refit.
@@ -36,7 +34,7 @@ fn bench_area_model(c: &mut Criterion) {
 fn bench_latency_schedule(c: &mut Criterion) {
     let space = ConfigSpace::chaidnn();
     let config = space.get(8639);
-    let network = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
+    let network = Network::assemble(&known_cells::resnet_cell(), Dataset::Cifar10);
     c.bench_function("latency/schedule_resnet", |b| {
         b.iter(|| {
             let s = Scheduler::new(config);
@@ -47,32 +45,25 @@ fn bench_latency_schedule(c: &mut Criterion) {
 
 fn bench_network_assembly(c: &mut Criterion) {
     let cell = known_cells::googlenet_cell();
-    let cfg = NetworkConfig::default();
     c.bench_function("network/assemble_googlenet", |b| {
-        b.iter(|| Network::assemble(black_box(&cell), &cfg).macs())
+        b.iter(|| Network::assemble(black_box(&cell), Dataset::Cifar10).macs())
     });
 }
 
 fn bench_surrogate(c: &mut Criterion) {
-    let model = SurrogateModel::default();
     let cell = known_cells::cod1_cell();
     c.bench_function("surrogate/evaluate_cifar100", |b| {
-        b.iter(|| {
-            model
-                .evaluate(black_box(&cell), Dataset::Cifar100)
-                .mean_accuracy()
-        })
+        b.iter(|| surrogate::evaluate(black_box(&cell), Dataset::Cifar100).mean_accuracy())
     });
-    let features = CellFeatures::extract(&cell, &NetworkConfig::default());
+    let features = CellFeatures::extract(&cell, Dataset::Cifar10);
     c.bench_function("surrogate/evaluate_from_features", |b| {
         b.iter(|| {
-            model
-                .evaluate_features(
-                    black_box(&features),
-                    cell.canonical_hash(),
-                    Dataset::Cifar10,
-                )
-                .mean_accuracy()
+            surrogate::evaluate_features(
+                black_box(&features),
+                cell.canonical_hash(),
+                Dataset::Cifar10,
+            )
+            .mean_accuracy()
         })
     });
 }

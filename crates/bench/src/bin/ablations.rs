@@ -16,7 +16,7 @@ use codesign_core::{
     run_cifar100_codesign, Cifar100Config, CodesignSpace, CombinedSearch, Evaluator, RandomSearch,
     ScenarioSpec, SearchConfig, SearchContext, SearchStrategy, ThresholdSchedule,
 };
-use codesign_nasbench::{known_cells, NasbenchDatabase, Network, NetworkConfig};
+use codesign_nasbench::{known_cells, Dataset, NasbenchDatabase, Network};
 
 fn main() {
     let args = Args::parse("--steps N, --repeats R, --seed S");
@@ -124,7 +124,7 @@ fn schedule_ablation() {
         "speedup",
     ]);
     for (name, cell) in known_cells::all_named() {
-        let network = Network::assemble(&cell, &NetworkConfig::default());
+        let network = Network::assemble(&cell, Dataset::Cifar10);
         for idx in [8639, 5000] {
             let config = space.get(idx);
             let greedy = Scheduler::new(config).network_latency_ms(&network);

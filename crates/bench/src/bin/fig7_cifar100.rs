@@ -23,7 +23,7 @@ use codesign_core::{
     Evaluator, PairEvaluation,
 };
 use codesign_engine::SharedEvalCache;
-use codesign_nasbench::{Dataset, SurrogateModel};
+use codesign_nasbench::Dataset;
 
 fn main() {
     let args = Args::parse("--quick, --seed S, --repeats R, --workers W");
@@ -63,9 +63,8 @@ fn main() {
             let make_config = &make_config;
             scope.spawn(move || {
                 for &s in chunk {
-                    let mut evaluator =
-                        Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar100)
-                            .with_shared_cache(Arc::clone(&cache) as _);
+                    let mut evaluator = Evaluator::with_trainer(Dataset::Cifar100)
+                        .with_shared_cache(Arc::clone(&cache) as _);
                     let result =
                         run_cifar100_codesign_with_evaluator(&make_config(s), &mut evaluator);
                     results.lock().expect("results poisoned").push((s, result));

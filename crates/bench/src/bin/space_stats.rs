@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use codesign_bench::Args;
 use codesign_core::report::TextTable;
-use codesign_nasbench::{enumerate_cells, Network, NetworkConfig, OpInstance, OpKind};
+use codesign_nasbench::{enumerate_cells, Dataset, Network, OpInstance, OpKind};
 
 fn main() {
     let args = Args::parse("--max-vertices V");
@@ -22,13 +22,12 @@ fn main() {
     let mut census = TextTable::new(vec!["vertices", "unique cells"]);
     let mut all_ops: HashMap<OpInstance, usize> = HashMap::new();
     let mut total_cells = 0usize;
-    let net_config = NetworkConfig::default();
     for v in 2..=max_v {
         let cells = enumerate_cells(v);
         census.add_row(vec![v.to_string(), cells.len().to_string()]);
         total_cells += cells.len();
         for cell in &cells {
-            let network = Network::assemble(cell, &net_config);
+            let network = Network::assemble(cell, Dataset::Cifar10);
             for (op, count) in network.op_histogram() {
                 *all_ops.entry(op).or_insert(0) += count;
             }

@@ -3,7 +3,7 @@
 //! space), evaluated on CIFAR-100.
 
 use codesign_accel::{AcceleratorConfig, ConfigSpace};
-use codesign_nasbench::{known_cells, CellSpec, Dataset, SurrogateModel};
+use codesign_nasbench::{known_cells, CellSpec, Dataset};
 
 use crate::evaluator::{Evaluator, PairEvaluation};
 
@@ -27,7 +27,7 @@ pub struct BaselineRow {
 /// to the first configuration in space order.
 #[must_use]
 pub fn baseline_row(name: &str, cell: CellSpec, dataset: Dataset) -> BaselineRow {
-    let mut evaluator = Evaluator::with_trainer(SurrogateModel::default(), dataset);
+    let mut evaluator = Evaluator::with_trainer(dataset);
     let mut best: Option<(AcceleratorConfig, PairEvaluation)> = None;
     for config in ConfigSpace::chaidnn().iter() {
         let evaluation = evaluator

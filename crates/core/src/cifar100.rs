@@ -17,7 +17,7 @@ use rand::SeedableRng;
 
 use codesign_accel::AcceleratorConfig;
 use codesign_moo::Punishment;
-use codesign_nasbench::{CellSpec, Dataset, SurrogateModel};
+use codesign_nasbench::{CellSpec, Dataset};
 use codesign_rl::{LstmPolicy, PolicyConfig, ReinforceConfig, ReinforceTrainer};
 
 use crate::baselines::BaselineRow;
@@ -214,7 +214,7 @@ fn stage_scenario(threshold: f64) -> CompiledScenario {
 /// Runs the §IV Codesign-NAS flow with the combined strategy.
 #[must_use]
 pub fn run_cifar100_codesign(config: &Cifar100Config) -> Cifar100Result {
-    let mut evaluator = Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar100);
+    let mut evaluator = Evaluator::with_trainer(Dataset::Cifar100);
     run_cifar100_codesign_with_evaluator(config, &mut evaluator)
 }
 

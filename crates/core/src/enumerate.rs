@@ -20,7 +20,7 @@
 
 use codesign_accel::{area, power, AcceleratorConfig, ConfigSpace, Scheduler};
 use codesign_moo::{DynParetoFront, RewardOutcome};
-use codesign_nasbench::{Dataset, NasbenchDatabase, Network, NetworkConfig};
+use codesign_nasbench::{Dataset, NasbenchDatabase, Network};
 
 use crate::evaluator::PairEvaluation;
 use crate::scenarios::{CompiledScenario, MetricId, ScenarioSpec};
@@ -38,13 +38,12 @@ const CELL_BLOCK: usize = 16;
 /// The stride walks the flattened `cells × configs` grid so the sample
 /// spans both axes; the same `(database, samples)` input always yields the
 /// same sample. Metrics are computed by the same models a database-backed
-/// evaluator uses (area, scheduler latency, peak power, CIFAR-10 database
-/// accuracy on the default skeleton), so probe-fed normalizations range
+/// evaluator uses (area, scheduler latency on the 10-class classifier, peak
+/// power, CIFAR-10 database accuracy), so probe-fed normalizations range
 /// exactly the values search will see.
 #[must_use]
 pub fn probe_pair_evaluations(database: &NasbenchDatabase, samples: usize) -> Vec<PairEvaluation> {
     let space = ConfigSpace::chaidnn();
-    let net_config = NetworkConfig::default();
     let n_cells = database.len() as u64;
     let n_configs = space.len() as u64;
     let total = n_cells.saturating_mul(n_configs);
@@ -64,7 +63,7 @@ pub fn probe_pair_evaluations(database: &NasbenchDatabase, samples: usize) -> Ve
         let config_index = (flat % n_configs) as usize;
         let entry = database.entry(cell_index).expect("index in range");
         let config = space.get(config_index);
-        let network = Network::assemble(&entry.spec, &net_config);
+        let network = Network::assemble(&entry.spec, Dataset::Cifar10);
         out.push(PairEvaluation {
             accuracy: entry.mean_accuracy(Dataset::Cifar10),
             latency_ms: Scheduler::new(config).network_latency_ms(&network),
@@ -78,8 +77,8 @@ pub fn probe_pair_evaluations(database: &NasbenchDatabase, samples: usize) -> Ve
 /// Enumerates `database × ConfigSpace::chaidnn()` and extracts the exact
 /// Pareto front **in the scenario's own metric axes**; Fig. 4's front is
 /// the one on [`ScenarioSpec::unconstrained`]'s axes. Pairs are scored in
-/// the NASBench setting Fig. 4 enumerates: CIFAR-10 database accuracy on
-/// the default network skeleton.
+/// the NASBench setting Fig. 4 enumerates: CIFAR-10 database accuracy and
+/// networks with the 10-class classifier.
 ///
 /// Every pair's full evaluation (accuracy, latency, area, power) is
 /// inserted into a [`DynParetoFront`] in the scenario's axes, so a
@@ -96,7 +95,6 @@ pub fn enumerate_scenario_front(
     scenario: &CompiledScenario,
     threads: usize,
 ) -> DynParetoFront<(usize, AcceleratorConfig)> {
-    let net_config = NetworkConfig::default();
     let configs: Vec<AcceleratorConfig> = ConfigSpace::chaidnn().iter().collect();
     let hw: Vec<(f64, f64)> = configs
         .iter()
@@ -118,7 +116,6 @@ pub fn enumerate_scenario_front(
         for chunk in indices.chunks(chunk_size) {
             let configs = &configs;
             let hw = &hw;
-            let net_config = &net_config;
             let handle = scope.spawn(move || {
                 let mut front = scenario.empty_front();
                 // Per-pair scheduling dominates the enumeration cost; skip
@@ -131,7 +128,7 @@ pub fn enumerate_scenario_front(
                     networks.clear();
                     networks.extend(block.iter().map(|&i| {
                         let entry = database.entry(i).expect("index in range");
-                        let network = Network::assemble(&entry.spec, net_config);
+                        let network = Network::assemble(&entry.spec, Dataset::Cifar10);
                         (i, network, entry.mean_accuracy(Dataset::Cifar10))
                     }));
                     // Accelerator loop outermost: one scheduler per

@@ -13,9 +13,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use codesign_accel::{area, power, AcceleratorConfig, ConfigSpace, Scheduler};
-use codesign_nasbench::{
-    CellSpec, Dataset, NasbenchDatabase, Network, NetworkConfig, SpecError, SurrogateModel,
-};
+use codesign_nasbench::{surrogate, CellSpec, Dataset, NasbenchDatabase, Network, SpecError};
 
 use crate::space::Proposal;
 
@@ -203,22 +201,28 @@ impl Hasher for PairKeyHasher {
 pub type PairKeyMap<V> = HashMap<PairKey, V, BuildHasherDefault<PairKeyHasher>>;
 
 /// Where accuracies come from.
-pub enum AccuracySource {
-    /// Query the precomputed database; unknown cells are invalid proposals
-    /// (the §III setting, mirroring NASBench membership).
+enum AccuracySource {
+    /// Query the precomputed database's CIFAR-10 column; unknown cells are
+    /// invalid proposals (the §III setting, mirroring NASBench membership).
     ///
     /// The database is behind an [`Arc`] so that fleets of evaluators — one
     /// per campaign shard — share a single copy: spinning an evaluator up is
     /// a refcount bump, never a deep clone of a 423k-cell table.
     Database(Arc<NasbenchDatabase>),
-    /// Evaluate the surrogate trainer on demand and account its simulated
-    /// training cost (the §IV setting).
-    Trainer {
-        /// The surrogate standing in for from-scratch training.
-        model: SurrogateModel,
-        /// Which dataset head to use.
-        dataset: Dataset,
-    },
+    /// Evaluate the surrogate trainer on the dataset on demand and account
+    /// its simulated training cost (the §IV setting).
+    Trainer(Dataset),
+}
+
+impl AccuracySource {
+    /// The dataset whose accuracies the source answers, and whose
+    /// classifier proposals are assembled with.
+    fn dataset(&self) -> Dataset {
+        match self {
+            AccuracySource::Database(_) => Dataset::Cifar10,
+            AccuracySource::Trainer(dataset) => *dataset,
+        }
+    }
 }
 
 impl std::fmt::Debug for AccuracySource {
@@ -227,7 +231,7 @@ impl std::fmt::Debug for AccuracySource {
             AccuracySource::Database(db) => {
                 write!(f, "AccuracySource::Database({} cells)", db.len())
             }
-            AccuracySource::Trainer { dataset, .. } => {
+            AccuracySource::Trainer(dataset) => {
                 write!(f, "AccuracySource::Trainer({dataset:?})")
             }
         }
@@ -289,7 +293,6 @@ impl EvalOutcome {
 /// recomputes latency, area and peak power from the models.
 pub struct Evaluator {
     accuracy: AccuracySource,
-    net_config: NetworkConfig,
     accuracy_cache: HashMap<u128, f64>,
     /// The pair memo when no shared cache is attached. Two labellings of
     /// one cell share a canonical hash but may schedule to different
@@ -299,7 +302,7 @@ pub struct Evaluator {
     /// Optional process-wide cache shared with other evaluators.
     shared_cache: Option<Arc<dyn EvalCache>>,
     /// Salt mixed into shared-cache keys so evaluators with different
-    /// accuracy sources / datasets / network skeletons never collide.
+    /// accuracy sources or datasets never collide.
     cache_salt: u128,
     /// Distinct cells resolved by this evaluator's own source (shared-cache
     /// hits excluded).
@@ -320,8 +323,8 @@ impl std::fmt::Debug for Evaluator {
 }
 
 impl Evaluator {
-    /// Database-backed evaluator (the §III NASBench setting), taking
-    /// ownership of the database. Prefer
+    /// Database-backed evaluator (the §III NASBench setting: CIFAR-10),
+    /// taking ownership of the database. Prefer
     /// [`Evaluator::with_shared_database`] when several evaluators run
     /// against the same table.
     #[must_use]
@@ -334,41 +337,28 @@ impl Evaluator {
     /// `Arc` only bumps a refcount; the cell table itself is never copied.
     #[must_use]
     pub fn with_shared_database(db: Arc<NasbenchDatabase>) -> Self {
-        Self::new(AccuracySource::Database(db), NetworkConfig::default())
+        Self::new(AccuracySource::Database(db))
     }
 
     /// Trainer-backed evaluator (the §IV CIFAR-100 setting).
     #[must_use]
-    pub fn with_trainer(model: SurrogateModel, dataset: Dataset) -> Self {
-        let net_config = match dataset {
-            Dataset::Cifar10 => NetworkConfig::default(),
-            Dataset::Cifar100 => NetworkConfig::cifar100(),
-        };
-        Self::new(AccuracySource::Trainer { model, dataset }, net_config)
+    pub fn with_trainer(dataset: Dataset) -> Self {
+        Self::new(AccuracySource::Trainer(dataset))
     }
 
-    /// Fully-custom construction.
-    #[must_use]
-    pub fn new(accuracy: AccuracySource, net_config: NetworkConfig) -> Self {
+    fn new(accuracy: AccuracySource) -> Self {
         // Namespace shared-cache keys by everything the metrics depend on
-        // that varies across constructors: the accuracy source kind, its
-        // dataset, and the network skeleton's class count (which changes
-        // both accuracy heads and latency).
+        // that varies across constructors: the accuracy source kind and
+        // its dataset, whose class count changes both the accuracy head
+        // and the latency.
         let kind: u128 = match &accuracy {
             AccuracySource::Database(_) => 1,
-            AccuracySource::Trainer {
-                dataset: Dataset::Cifar10,
-                ..
-            } => 2,
-            AccuracySource::Trainer {
-                dataset: Dataset::Cifar100,
-                ..
-            } => 3,
+            AccuracySource::Trainer(Dataset::Cifar10) => 2,
+            AccuracySource::Trainer(Dataset::Cifar100) => 3,
         };
-        let cache_salt = (kind << 64) | ((net_config.num_classes as u128) << 32);
+        let cache_salt = (kind << 64) | ((accuracy.dataset().num_classes() as u128) << 32);
         Self {
             accuracy,
-            net_config,
             accuracy_cache: HashMap::new(),
             pairs: PairKeyMap::default(),
             shared_cache: None,
@@ -388,9 +378,9 @@ impl Evaluator {
     /// populated the cache — so [`Evaluator::gpu_hours`] then reports only
     /// this evaluator's *new* training work.
     ///
-    /// Keys are salted with the evaluator's accuracy-source kind, dataset,
-    /// and class count, so one cache may safely back evaluators of
-    /// different configurations — a CIFAR-10 evaluator never reads a
+    /// Keys are salted with the evaluator's accuracy-source kind and
+    /// dataset, so one cache may safely back evaluators of different
+    /// configurations — a CIFAR-10 evaluator never reads a
     /// CIFAR-100 evaluator's entries.
     #[must_use]
     pub fn with_shared_cache(mut self, cache: Arc<dyn EvalCache>) -> Self {
@@ -411,14 +401,15 @@ impl Evaluator {
     pub fn database(&self) -> Option<&Arc<NasbenchDatabase>> {
         match &self.accuracy {
             AccuracySource::Database(db) => Some(db),
-            AccuracySource::Trainer { .. } => None,
+            AccuracySource::Trainer(_) => None,
         }
     }
 
-    /// The network skeleton proposals are assembled into.
+    /// The dataset accuracies come from, whose classifier proposals are
+    /// assembled with: CIFAR-10 for a database-backed evaluator.
     #[must_use]
-    pub fn net_config(&self) -> &NetworkConfig {
-        &self.net_config
+    pub fn dataset(&self) -> Dataset {
+        self.accuracy.dataset()
     }
 
     /// Total proposals evaluated (including invalid ones).
@@ -504,7 +495,7 @@ impl Evaluator {
             return memo;
         }
         let accuracy = self.resolve_accuracy(cell)?;
-        let network = Network::assemble(cell, &self.net_config);
+        let network = Network::assemble(cell, self.dataset());
         let eval = PairEvaluation {
             accuracy,
             latency_ms: Scheduler::new(*config).network_latency_ms(&network),
@@ -516,7 +507,7 @@ impl Evaluator {
                 if shared.wants_cell_features() {
                     shared.put_cell_features(
                         salted,
-                        crate::surrogate::cell_feature_vec(cell, &self.net_config),
+                        crate::surrogate::cell_feature_vec(cell, self.dataset()),
                     );
                 }
                 shared.put(salted, config, eval);
@@ -546,15 +537,10 @@ impl Evaluator {
         let (acc, train_secs) = match &self.accuracy {
             AccuracySource::Database(db) => {
                 let entry = db.query_hash(hash).ok()?;
-                let dataset = if self.net_config.num_classes == 100 {
-                    Dataset::Cifar100
-                } else {
-                    Dataset::Cifar10
-                };
-                (entry.mean_accuracy(dataset), 0.0)
+                (entry.mean_accuracy(Dataset::Cifar10), 0.0)
             }
-            AccuracySource::Trainer { model, dataset } => {
-                let eval = model.evaluate(cell, *dataset);
+            AccuracySource::Trainer(dataset) => {
+                let eval = surrogate::evaluate(cell, *dataset);
                 (eval.mean_accuracy(), eval.training_seconds)
             }
         };
@@ -612,7 +598,7 @@ mod tests {
 
     #[test]
     fn trainer_evaluator_accounts_gpu_time_once_per_cell() {
-        let mut ev = Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar100);
+        let mut ev = Evaluator::with_trainer(Dataset::Cifar100);
         let cfg = some_config();
         assert_eq!(ev.gpu_hours(), 0.0);
         ev.evaluate_pair(&known_cells::resnet_cell(), &cfg);
@@ -719,8 +705,8 @@ mod tests {
         // by these salts: the source kind above bit 64, the class count
         // above bit 32.
         let database = Evaluator::with_database(NasbenchDatabase::exhaustive(2));
-        let cifar10 = Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar10);
-        let cifar100 = Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar100);
+        let cifar10 = Evaluator::with_trainer(Dataset::Cifar10);
+        let cifar100 = Evaluator::with_trainer(Dataset::Cifar100);
         assert_eq!(database.cache_salt, 0x1_0000_000a_0000_0000);
         assert_eq!(cifar10.cache_salt, 0x2_0000_000a_0000_0000);
         assert_eq!(cifar100.cache_salt, 0x3_0000_0064_0000_0000);

@@ -125,7 +125,7 @@ pub(crate) fn predict_reward(
     let proposal = ctx.space.decode(genome);
     match &proposal.cell {
         Ok(cell) => {
-            let features = pair_features(cell, ctx.evaluator.net_config(), &proposal.config);
+            let features = pair_features(cell, ctx.evaluator.dataset(), &proposal.config);
             ctx.reward.reward(&guide.predict_eval(&features)).value()
         }
         Err(_) => f64::NEG_INFINITY,

@@ -62,8 +62,7 @@ pub use cifar100::{
 };
 pub use enumerate::{enumerate_scenario_front, probe_pair_evaluations, top_pareto_points};
 pub use evaluator::{
-    mix64, AccuracySource, EvalCache, EvalOutcome, Evaluator, PairEvaluation, PairKey,
-    PairKeyHasher, PairKeyMap,
+    mix64, EvalCache, EvalOutcome, Evaluator, PairEvaluation, PairKey, PairKeyHasher, PairKeyMap,
 };
 pub use evolution::EvolutionSearch;
 pub use nsga::NsgaSearch;

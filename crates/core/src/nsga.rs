@@ -297,8 +297,7 @@ fn select_predicted(
             let proposal = ctx.space.decode(genome);
             match &proposal.cell {
                 Ok(cell) => {
-                    let features =
-                        pair_features(cell, ctx.evaluator.net_config(), &proposal.config);
+                    let features = pair_features(cell, ctx.evaluator.dataset(), &proposal.config);
                     let eval = guide.predict_eval(&features);
                     let scored = ctx.reward.reward(&eval);
                     Predicted {

@@ -345,11 +345,11 @@ mod tests {
     use crate::evaluator::Evaluator;
     use crate::scenarios::ScenarioSpec;
     use crate::space::CodesignSpace;
-    use codesign_nasbench::{Dataset, SurrogateModel};
+    use codesign_nasbench::Dataset;
 
     fn run_strategy(strategy: &dyn SearchStrategy, steps: usize, seed: u64) -> SearchOutcome {
         let space = CodesignSpace::with_max_vertices(5);
-        let mut evaluator = Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar10);
+        let mut evaluator = Evaluator::with_trainer(Dataset::Cifar10);
         let reward = ScenarioSpec::unconstrained().compile();
         let mut ctx = SearchContext {
             space: &space,
@@ -388,10 +388,7 @@ mod tests {
         let out = strategy.run(
             &mut SearchContext {
                 space: &CodesignSpace::with_max_vertices(5),
-                evaluator: &mut Evaluator::with_trainer(
-                    SurrogateModel::default(),
-                    Dataset::Cifar10,
-                ),
+                evaluator: &mut Evaluator::with_trainer(Dataset::Cifar10),
                 reward: &ScenarioSpec::unconstrained().compile(),
             },
             &SearchConfig::quick(100, 1),

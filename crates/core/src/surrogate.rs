@@ -44,7 +44,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng as _};
 
 use codesign_accel::AcceleratorConfig;
-use codesign_nasbench::{CellFeatures, CellSpec, NetworkConfig};
+use codesign_nasbench::{CellFeatures, CellSpec, Dataset};
 use codesign_rl::{MlpRegressor, RegressorConfig};
 
 use crate::evaluator::{EvalOutcome, Evaluator, PairEvaluation};
@@ -75,15 +75,15 @@ static TRAIN_US: codesign_telemetry::Histogram =
 static PRED_US: codesign_telemetry::Histogram =
     codesign_telemetry::Histogram::new("surrogate.pred_us");
 
-/// The structural feature vector of a CNN cell, the first
-/// [`CELL_FEATURE_DIM`] entries of [`pair_features`].
+/// The structural feature vector of a CNN cell on `dataset`'s skeleton,
+/// the first [`CELL_FEATURE_DIM`] entries of [`pair_features`].
 ///
 /// Extracted once per cold evaluation and stored in the shared cache (the
 /// raw `CellSpec` is unrecoverable from a salted cache key), so cache
 /// snapshots can hand back `(features, metrics)` pairs.
 #[must_use]
-pub fn cell_feature_vec(cell: &CellSpec, net: &NetworkConfig) -> [f64; CELL_FEATURE_DIM] {
-    let f = CellFeatures::extract(cell, net);
+pub fn cell_feature_vec(cell: &CellSpec, dataset: Dataset) -> [f64; CELL_FEATURE_DIM] {
+    let f = CellFeatures::extract(cell, dataset);
     [
         f.num_vertices as f64,
         f.num_edges as f64,
@@ -129,8 +129,8 @@ pub fn features_with_config(
 
 /// The full surrogate feature vector of one `(cell, config)` pair.
 #[must_use]
-pub fn pair_features(cell: &CellSpec, net: &NetworkConfig, config: &AcceleratorConfig) -> Vec<f64> {
-    features_with_config(&cell_feature_vec(cell, net), config)
+pub fn pair_features(cell: &CellSpec, dataset: Dataset, config: &AcceleratorConfig) -> Vec<f64> {
+    features_with_config(&cell_feature_vec(cell, dataset), config)
 }
 
 /// The regression targets of one evaluation:
@@ -473,7 +473,7 @@ impl SurrogateGuide {
                 self.note_prediction(score, ctx.reward.reward(eval).value());
             }
             self.observe(
-                pair_features(cell, ctx.evaluator.net_config(), &proposal.config),
+                pair_features(cell, ctx.evaluator.dataset(), &proposal.config),
                 eval,
             );
         }
@@ -526,12 +526,11 @@ mod tests {
     #[test]
     fn feature_vectors_have_the_documented_dims() {
         let cell = known_cells::resnet_cell();
-        let net = NetworkConfig::default();
         let config = ConfigSpace::chaidnn().get(123);
-        let cf = cell_feature_vec(&cell, &net);
+        let cf = cell_feature_vec(&cell, Dataset::Cifar10);
         assert!(cf.iter().all(|v| v.is_finite()));
         assert_eq!(cf[7], 1.0, "resnet cell has an input→output skip");
-        let full = pair_features(&cell, &net, &config);
+        let full = pair_features(&cell, Dataset::Cifar10, &config);
         assert_eq!(full.len(), FEATURE_DIM);
         assert_eq!(full[..CELL_FEATURE_DIM], cf);
         assert_eq!(

@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
 use codesign_core::{enumerate_scenario_front, MetricId, ScenarioSpec};
-use codesign_nasbench::{NasbenchDatabase, Network, NetworkConfig};
+use codesign_nasbench::{Dataset, NasbenchDatabase, Network};
 
 struct CountingAlloc;
 
@@ -78,7 +78,7 @@ fn an_enumeration_thread_holds_one_block_of_networks() {
     let assemble_all = || -> Vec<Network> {
         all_cells
             .iter()
-            .map(|entry| Network::assemble(&entry.spec, &NetworkConfig::default()))
+            .map(|entry| Network::assemble(&entry.spec, Dataset::Cifar10))
             .collect()
     };
     // Interning the ops of every network fills process-wide tables that

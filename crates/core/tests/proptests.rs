@@ -1,7 +1,7 @@
 //! Property-based tests of the joint codesign space and the evaluator.
 
 use codesign_core::{CodesignSpace, Evaluator, ScenarioSpec, INVALID_PROPOSAL_REWARD};
-use codesign_nasbench::{Dataset, SurrogateModel};
+use codesign_nasbench::Dataset;
 use proptest::prelude::*;
 
 fn arb_actions(space: &CodesignSpace) -> impl Strategy<Value = Vec<usize>> {
@@ -47,7 +47,7 @@ proptest! {
     ) {
         let space = CodesignSpace::with_max_vertices(5);
         let mut evaluator =
-            Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar10);
+            Evaluator::with_trainer(Dataset::Cifar10);
         let proposal = space.decode(&actions);
         if let Some(eval) = evaluator.evaluate(&proposal).evaluation() {
             prop_assert!((0.0..=1.0).contains(&eval.accuracy));
@@ -63,7 +63,7 @@ proptest! {
     ) {
         let space = CodesignSpace::with_max_vertices(5);
         let mut evaluator =
-            Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar10);
+            Evaluator::with_trainer(Dataset::Cifar10);
         let proposal = space.decode(&actions);
         let outcome = evaluator.evaluate(&proposal);
         for scenario in ScenarioSpec::paper_presets() {

@@ -800,15 +800,15 @@ mod tests {
     #[test]
     fn cache_is_partitioned_by_evaluator_configuration() {
         use codesign_core::Evaluator;
-        use codesign_nasbench::{known_cells, Dataset, SurrogateModel};
+        use codesign_nasbench::{known_cells, Dataset};
 
         let cache = Arc::new(SharedEvalCache::new());
         let cell = known_cells::resnet_cell();
         let config = ConfigSpace::chaidnn().get(0);
-        let mut e10 = Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar10)
-            .with_shared_cache(Arc::clone(&cache) as _);
-        let mut e100 = Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar100)
-            .with_shared_cache(Arc::clone(&cache) as _);
+        let mut e10 =
+            Evaluator::with_trainer(Dataset::Cifar10).with_shared_cache(Arc::clone(&cache) as _);
+        let mut e100 =
+            Evaluator::with_trainer(Dataset::Cifar100).with_shared_cache(Arc::clone(&cache) as _);
         let a10 = e10.evaluate_pair(&cell, &config).unwrap();
         // Without key salting this would read the CIFAR-10 entry back.
         let a100 = e100.evaluate_pair(&cell, &config).unwrap();
@@ -817,8 +817,8 @@ mod tests {
             "datasets must not share entries"
         );
         // Same-configuration evaluators do share.
-        let mut e10b = Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar10)
-            .with_shared_cache(Arc::clone(&cache) as _);
+        let mut e10b =
+            Evaluator::with_trainer(Dataset::Cifar10).with_shared_cache(Arc::clone(&cache) as _);
         assert_eq!(e10b.evaluate_pair(&cell, &config), Some(a10));
         assert!(cache.stats().hits > 0);
         // The second evaluator trained its own cell; the third trained none.
@@ -879,14 +879,14 @@ mod tests {
     #[test]
     fn off_space_configs_are_priced_but_not_memoized() {
         use codesign_core::Evaluator;
-        use codesign_nasbench::{known_cells, Dataset, SurrogateModel};
+        use codesign_nasbench::{known_cells, Dataset};
 
         let cell = known_cells::resnet_cell();
         let config = AcceleratorConfig {
             pixel_par: 12,
             ..ConfigSpace::chaidnn().get(8639)
         };
-        let trainer = || Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar10);
+        let trainer = || Evaluator::with_trainer(Dataset::Cifar10);
         let cache = Arc::new(SharedEvalCache::new());
         let mut with_cache = trainer().with_shared_cache(Arc::clone(&cache) as _);
         let mut without = trainer();

@@ -51,8 +51,8 @@ use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind, CA
 use codesign_moo::DynParetoFront;
 use codesign_nasbench::byteio::{fnv1a64, put_f64, put_u128, put_u64};
 use codesign_nasbench::{
-    enumerate_cells, known_cells, CellFeatures, CellSpec, Dataset, Json, NasbenchDatabase, Network,
-    NetworkConfig, OpId, OpInstance, SpecError, SurrogateModel,
+    enumerate_cells, known_cells, surrogate, CellFeatures, CellSpec, Dataset, Json,
+    NasbenchDatabase, Network, OpId, OpInstance, SpecError,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -337,7 +337,7 @@ fn greedy_and_serial_schedules_and_the_latency_validation() {
     let space = ConfigSpace::chaidnn();
     let mut bytes = Vec::new();
     for (_, cell) in known_cells::all_named() {
-        let network = Network::assemble(&cell, &NetworkConfig::default());
+        let network = Network::assemble(&cell, Dataset::Cifar10);
         for index in [0, 5000, 8639] {
             let config = space.get(index);
             put_f64(
@@ -413,7 +413,7 @@ fn decoded_lowered_and_scheduled_cells_at_seven_vertices() {
                     bytes.extend(row);
                 }
                 bytes.extend(cell.ops().iter().map(|op| op.label()));
-                let network = Network::assemble(&cell, &NetworkConfig::default());
+                let network = Network::assemble(&cell, Dataset::Cifar10);
                 for unit in network.units() {
                     bytes.extend(unit.role.to_string().bytes());
                     put_u64(&mut bytes, unit.count as u64);
@@ -440,7 +440,7 @@ fn decoded_lowered_and_scheduled_cells_at_seven_vertices() {
 
 #[test]
 fn op_and_network_latencies_over_the_config_space() {
-    let skeletons = [NetworkConfig::default(), NetworkConfig::cifar100()];
+    let datasets = [Dataset::Cifar10, Dataset::Cifar100];
     let (v4, v5) = (
         NasbenchDatabase::exhaustive(4),
         NasbenchDatabase::exhaustive(5),
@@ -451,9 +451,9 @@ fn op_and_network_latencies_over_the_config_space() {
     // The distinct ops of every network below, in first-appearance order.
     let mut catalog: Vec<OpInstance> = Vec::new();
     let mut seen = HashSet::new();
-    for net_config in &skeletons {
+    for dataset in datasets {
         for cell in v5.iter().map(|entry| &entry.spec).chain(&v7) {
-            for unit in Network::assemble(cell, net_config).units() {
+            for unit in Network::assemble(cell, dataset).units() {
                 for node in unit.program.nodes() {
                     if seen.insert(node.op) {
                         catalog.push(node.op);
@@ -477,10 +477,10 @@ fn op_and_network_latencies_over_the_config_space() {
     assert_eq!(ops.len(), 7_741_440);
 
     let mut networks = Vec::new();
-    for net_config in &skeletons {
+    for dataset in datasets {
         let assemble = |db: &NasbenchDatabase| -> Vec<Network> {
             db.iter()
-                .map(|entry| Network::assemble(&entry.spec, net_config))
+                .map(|entry| Network::assemble(&entry.spec, dataset))
                 .collect()
         };
         let (nets4, nets5) = (assemble(&v4), assemble(&v5));
@@ -516,11 +516,6 @@ fn enumerated_cells_up_to_six_vertices() {
 #[test]
 fn cnn_surrogate_over_the_five_vertex_census() {
     let db = NasbenchDatabase::exhaustive(5);
-    let model = SurrogateModel::default();
-    let skeletons = [
-        (Dataset::Cifar10, NetworkConfig::default()),
-        (Dataset::Cifar100, NetworkConfig::cifar100()),
-    ];
     let mut bytes = Vec::new();
     for entry in db.iter() {
         let cell = &entry.spec;
@@ -533,13 +528,13 @@ fn cnn_surrogate_over_the_five_vertex_census() {
             put_f64(&mut bytes, accuracy);
         }
         put_f64(&mut bytes, entry.training_seconds);
-        for (dataset, skeleton) in &skeletons {
-            let trained = model.evaluate(cell, *dataset);
+        for dataset in [Dataset::Cifar10, Dataset::Cifar100] {
+            let trained = surrogate::evaluate(cell, dataset);
             for &accuracy in &trained.accuracy {
                 put_f64(&mut bytes, accuracy);
             }
             put_f64(&mut bytes, trained.training_seconds);
-            let f = CellFeatures::extract(cell, skeleton);
+            let f = CellFeatures::extract(cell, dataset);
             for count in [
                 f.num_vertices,
                 f.num_edges,
@@ -554,7 +549,7 @@ fn cnn_surrogate_over_the_five_vertex_census() {
             }
             put_u64(&mut bytes, f.macs);
             put_u64(&mut bytes, f.params);
-            for value in cell_feature_vec(cell, skeleton) {
+            for value in cell_feature_vec(cell, dataset) {
                 put_f64(&mut bytes, value);
             }
         }

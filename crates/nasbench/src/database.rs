@@ -10,8 +10,7 @@
 use std::collections::HashMap;
 
 use crate::features::CellFeatures;
-use crate::network::NetworkConfig;
-use crate::surrogate::{Dataset, SurrogateModel, NUM_SEEDS};
+use crate::surrogate::{self, Dataset, NUM_SEEDS};
 use crate::{CellSpec, SpecError};
 
 /// One database row: a unique cell with everything the evaluator needs.
@@ -79,27 +78,30 @@ impl NasbenchDatabase {
             (2..=crate::MAX_VERTICES).contains(&max_vertices),
             "max_vertices must be in 2..=7"
         );
-        let surrogate = SurrogateModel::default();
         let mut db = Self {
             entries: Vec::new(),
             index: HashMap::new(),
         };
         for v in 2..=max_vertices {
             for cell in crate::sampler::enumerate_cells(v) {
-                db.insert_cell(cell, &surrogate);
+                db.insert_cell(cell);
             }
         }
         db
     }
 
-    fn insert_cell(&mut self, cell: CellSpec, surrogate: &SurrogateModel) {
+    fn insert_cell(&mut self, cell: CellSpec) {
         let hash = cell.canonical_hash();
         if self.index.contains_key(&hash) {
             return;
         }
-        let features = CellFeatures::extract(&cell, &NetworkConfig::default());
-        let e10 = surrogate.evaluate_features(&features, hash, Dataset::Cifar10);
-        let e100 = surrogate.evaluate_features(&features, hash, Dataset::Cifar100);
+        // Both columns come from the CIFAR-10 skeleton's features, so the
+        // CIFAR-100 column differs slightly from what the trainer answers
+        // on the 100-class skeleton. Nothing reads the column but
+        // `fingerprint`, which persisted caches are salted with.
+        let features = CellFeatures::extract(&cell, Dataset::Cifar10);
+        let e10 = surrogate::evaluate_features(&features, hash, Dataset::Cifar10);
+        let e100 = surrogate::evaluate_features(&features, hash, Dataset::Cifar100);
         self.index.insert(hash, self.entries.len());
         self.entries.push(DbEntry {
             spec: cell,
@@ -187,22 +189,6 @@ impl NasbenchDatabase {
             acc ^= z ^ (z >> 31);
         }
         acc
-    }
-
-    /// Summary statistics of the stored CIFAR-10 accuracies
-    /// `(min, mean, max)` — used to configure reward normalization ranges.
-    #[must_use]
-    pub fn accuracy_stats(&self, dataset: Dataset) -> (f64, f64, f64) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        for e in &self.entries {
-            let a = e.mean_accuracy(dataset);
-            lo = lo.min(a);
-            hi = hi.max(a);
-            sum += a;
-        }
-        (lo, sum / self.entries.len().max(1) as f64, hi)
     }
 }
 

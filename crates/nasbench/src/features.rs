@@ -1,21 +1,21 @@
 //! Structural features of a cell, the inputs to the surrogate accuracy model.
 
-use crate::network::{Network, NetworkConfig};
-use crate::{CellSpec, Op};
+use crate::network::Network;
+use crate::{CellSpec, Dataset, Op};
 
 /// Structural descriptors of a cell and its assembled network.
 ///
-/// These drive the surrogate accuracy model
-/// ([`crate::surrogate::SurrogateModel`]) and are also useful for analyzing
+/// These drive the surrogate accuracy model ([`crate::surrogate`]) and are
+/// also useful for analyzing
 /// what the search discovers (e.g. the paper's observation that Cod-1 reuses
 /// ResNet's skip-connection idiom).
 ///
 /// # Examples
 ///
 /// ```
-/// use codesign_nasbench::{known_cells, CellFeatures, NetworkConfig};
+/// use codesign_nasbench::{known_cells, CellFeatures, Dataset};
 ///
-/// let f = CellFeatures::extract(&known_cells::resnet_cell(), &NetworkConfig::default());
+/// let f = CellFeatures::extract(&known_cells::resnet_cell(), Dataset::Cifar10);
 /// assert_eq!(f.conv3_count, 2);
 /// assert!(f.has_skip);
 /// assert!(f.params > 1_000_000);
@@ -45,10 +45,10 @@ pub struct CellFeatures {
 }
 
 impl CellFeatures {
-    /// Extracts features from `cell` assembled into `config`'s skeleton.
+    /// Extracts features from `cell` assembled with `dataset`'s classifier.
     #[must_use]
-    pub fn extract(cell: &CellSpec, config: &NetworkConfig) -> Self {
-        let network = Network::assemble(cell, config);
+    pub fn extract(cell: &CellSpec, dataset: Dataset) -> Self {
+        let network = Network::assemble(cell, dataset);
         Self {
             num_vertices: cell.num_vertices(),
             num_edges: cell.num_edges(),
@@ -93,7 +93,7 @@ mod tests {
     use crate::known_cells;
 
     fn features(cell: &CellSpec) -> CellFeatures {
-        CellFeatures::extract(cell, &NetworkConfig::default())
+        CellFeatures::extract(cell, Dataset::Cifar10)
     }
 
     #[test]

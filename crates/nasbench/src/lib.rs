@@ -8,17 +8,21 @@
 //! substitution notes, and the repository's `ARCHITECTURE.md` for where this
 //! crate sits in the pipeline).
 //!
+//! The CNN half is one set of constants: the skeleton's sizes and the
+//! surrogate's coefficients are private, and the only choice a caller makes
+//! is the [`Dataset`], which picks the classifier's width and the accuracy
+//! head.
+//!
 //! # Quick tour
 //!
 //! ```
-//! use codesign_nasbench::{
-//!     known_cells, Dataset, NasbenchDatabase, Network, NetworkConfig,
-//! };
+//! use codesign_nasbench::{known_cells, Dataset, NasbenchDatabase, Network};
 //!
 //! # fn main() -> Result<(), codesign_nasbench::SpecError> {
-//! // A cell is a tiny DAG; a network is the cell repeated through Fig. 2's skeleton.
+//! // A cell is a tiny DAG; a network is the cell repeated through Fig. 2's
+//! // skeleton, which is fixed but for its classifier: the dataset's classes.
 //! let cell = known_cells::resnet_cell();
-//! let network = Network::assemble(&cell, &NetworkConfig::default());
+//! let network = Network::assemble(&cell, Dataset::Cifar10);
 //! println!("{} MMACs", network.macs() / 1_000_000);
 //!
 //! // The database enumerates every cell up to a vertex bound (91 cells at 4;
@@ -53,8 +57,8 @@ pub use error::SpecError;
 pub use features::CellFeatures;
 pub use graph::{AdjMatrix, IndexList, MAX_VERTICES};
 pub use jsonio::Json;
-pub use network::{Network, NetworkConfig, NetworkUnit, UnitRole};
+pub use network::{Network, NetworkUnit, UnitRole};
 pub use ops::Op;
 pub use sampler::enumerate_cells;
 pub use spec::{CellSpec, MAX_EDGES};
-pub use surrogate::{Dataset, Evaluation, SurrogateModel, NUM_SEEDS};
+pub use surrogate::{Dataset, Evaluation, NUM_SEEDS};

@@ -1,9 +1,12 @@
 //! Assembly of the full CNN from a cell (Fig. 2 of the paper).
 //!
-//! The NASBench skeleton is: a 3×3 convolution stem, three stacks of three
-//! cells each, a 2×2 stride-2 max-pool downsample between stacks (halving the
-//! spatial size and doubling the channel count), then global average pooling
-//! and a fully-connected classifier. Because every cell instance in a network
+//! The NASBench skeleton is fixed: a 3×3 convolution stem with 128 channels
+//! on a 32×32×3 image, three stacks of three cells each, a 2×2 stride-2
+//! max-pool downsample between stacks (halving the spatial size and
+//! doubling the channel count), then global average pooling and a
+//! fully-connected classifier with one output per class of the
+//! [`Dataset`]. Its sizes are private constants, so the dataset is the only
+//! choice a caller makes. Because every cell instance in a network
 //! depends serially on its predecessor, the network is represented as a list
 //! of [`NetworkUnit`]s with repeat counts: the accelerator scheduler needs to
 //! schedule each *distinct* cell parameterization only once. Assembly
@@ -13,70 +16,27 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::cell::{CellProgram, OpInstance, OpKind};
-use crate::CellSpec;
+use crate::{CellSpec, Dataset};
 
-/// Skeleton hyper-parameters (defaults follow NASBench-101 / the paper).
-///
-/// # Examples
-///
-/// ```
-/// use codesign_nasbench::NetworkConfig;
-///
-/// let cifar10 = NetworkConfig::default();
-/// assert_eq!(cifar10.num_classes, 10);
-/// let cifar100 = NetworkConfig::cifar100();
-/// assert_eq!(cifar100.num_classes, 100);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetworkConfig {
-    /// Input image channels (3 for CIFAR).
-    pub input_channels: usize,
-    /// Input spatial size (32 for CIFAR).
-    pub input_size: usize,
-    /// Channels produced by the stem convolution.
-    pub stem_channels: usize,
-    /// Number of cell stacks.
-    pub num_stacks: usize,
-    /// Cells per stack.
-    pub cells_per_stack: usize,
-    /// Classifier output classes.
-    pub num_classes: usize,
+/// Input image channels (3 for CIFAR).
+const INPUT_CHANNELS: usize = 3;
+/// Input spatial size (32 for CIFAR).
+const INPUT_SIZE: usize = 32;
+/// Channels produced by the stem convolution.
+const STEM_CHANNELS: usize = 128;
+/// Number of cell stacks.
+const NUM_STACKS: usize = 3;
+/// Cells per stack.
+const CELLS_PER_STACK: usize = 3;
+
+/// Channel count of stack `stack` (doubles per stack).
+fn stack_channels(stack: usize) -> usize {
+    STEM_CHANNELS << stack
 }
 
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        Self {
-            input_channels: 3,
-            input_size: 32,
-            stem_channels: 128,
-            num_stacks: 3,
-            cells_per_stack: 3,
-            num_classes: 10,
-        }
-    }
-}
-
-impl NetworkConfig {
-    /// The CIFAR-100 configuration of §IV (same skeleton, 100-way classifier).
-    #[must_use]
-    pub fn cifar100() -> Self {
-        Self {
-            num_classes: 100,
-            ..Self::default()
-        }
-    }
-
-    /// Channel count of stack `i` (doubles per stack).
-    #[must_use]
-    pub fn stack_channels(&self, stack: usize) -> usize {
-        self.stem_channels << stack
-    }
-
-    /// Spatial size of stack `i` (halves per stack).
-    #[must_use]
-    pub fn stack_size(&self, stack: usize) -> usize {
-        self.input_size >> stack
-    }
+/// Spatial size of stack `stack` (halves per stack).
+fn stack_size(stack: usize) -> usize {
+    INPUT_SIZE >> stack
 }
 
 /// Where a [`NetworkUnit`] sits in the skeleton. `Display` prints its label
@@ -153,49 +113,42 @@ pub struct NetworkUnit {
 /// # Examples
 ///
 /// ```
-/// use codesign_nasbench::{known_cells, Network, NetworkConfig};
+/// use codesign_nasbench::{known_cells, Dataset, Network};
 ///
-/// let net = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
+/// let net = Network::assemble(&known_cells::resnet_cell(), Dataset::Cifar10);
 /// assert!(net.macs() > 1_000_000);
 /// assert_eq!(net.num_cell_instances(), 9); // 3 stacks x 3 cells
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Network {
     units: Vec<NetworkUnit>,
-    config: NetworkConfig,
 }
 
 impl Network {
-    /// Lowers `cell` into the full skeleton described by `config`.
+    /// Lowers `cell` into the skeleton, with `dataset`'s classifier.
     #[must_use]
-    pub fn assemble(cell: &CellSpec, config: &NetworkConfig) -> Self {
+    pub fn assemble(cell: &CellSpec, dataset: Dataset) -> Self {
         // The stem, the classifier's two units, and per stack at most a
         // downsample and two cell units.
-        let mut units = Vec::with_capacity(3 + 3 * config.num_stacks);
-        let stem = OpInstance::conv(
-            3,
-            config.input_channels,
-            config.stem_channels,
-            config.input_size,
-            config.input_size,
-        );
+        let mut units = Vec::with_capacity(3 + 3 * NUM_STACKS);
+        let stem = OpInstance::conv(3, INPUT_CHANNELS, STEM_CHANNELS, INPUT_SIZE, INPUT_SIZE);
         units.push(NetworkUnit {
             role: UnitRole::Stem,
             program: CellProgram::single(stem),
             count: 1,
         });
 
-        let mut prev_channels = config.stem_channels;
-        for stack in 0..config.num_stacks {
-            let channels = config.stack_channels(stack);
-            let size = config.stack_size(stack);
+        let mut prev_channels = STEM_CHANNELS;
+        for stack in 0..NUM_STACKS {
+            let channels = stack_channels(stack);
+            let size = stack_size(stack);
             if stack > 0 {
                 units.push(NetworkUnit {
                     role: UnitRole::Downsample { stack },
                     program: CellProgram::single(OpInstance::downsample(
                         prev_channels,
-                        config.stack_size(stack - 1),
-                        config.stack_size(stack - 1),
+                        stack_size(stack - 1),
+                        stack_size(stack - 1),
                     )),
                     count: 1,
                 });
@@ -207,24 +160,22 @@ impl Network {
                     program: CellProgram::lower(cell, prev_channels, channels, size, size),
                     count: 1,
                 });
-                if config.cells_per_stack > 1 {
-                    units.push(NetworkUnit {
-                        role: UnitRole::Cell { stack },
-                        program: CellProgram::lower(cell, channels, channels, size, size),
-                        count: config.cells_per_stack - 1,
-                    });
-                }
+                units.push(NetworkUnit {
+                    role: UnitRole::Cell { stack },
+                    program: CellProgram::lower(cell, channels, channels, size, size),
+                    count: CELLS_PER_STACK - 1,
+                });
             } else {
                 units.push(NetworkUnit {
                     role: UnitRole::Cell { stack },
                     program: CellProgram::lower(cell, channels, channels, size, size),
-                    count: config.cells_per_stack,
+                    count: CELLS_PER_STACK,
                 });
             }
             prev_channels = channels;
         }
 
-        let final_size = config.stack_size(config.num_stacks - 1);
+        let final_size = stack_size(NUM_STACKS - 1);
         let pool = OpInstance {
             kind: OpKind::GlobalAvgPool,
             in_channels: prev_channels,
@@ -235,7 +186,7 @@ impl Network {
         let dense = OpInstance {
             kind: OpKind::Dense,
             in_channels: prev_channels,
-            out_channels: config.num_classes,
+            out_channels: dataset.num_classes(),
             height: 1,
             width: 1,
         };
@@ -249,16 +200,7 @@ impl Network {
             program: CellProgram::single(dense),
             count: 1,
         });
-        Self {
-            units,
-            config: *config,
-        }
-    }
-
-    /// The skeleton configuration this network was assembled with.
-    #[must_use]
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
+        Self { units }
     }
 
     /// The units, in execution order.
@@ -321,17 +263,16 @@ mod tests {
     use crate::known_cells;
 
     #[test]
-    fn default_skeleton_shape() {
-        let cfg = NetworkConfig::default();
-        assert_eq!(cfg.stack_channels(0), 128);
-        assert_eq!(cfg.stack_channels(2), 512);
-        assert_eq!(cfg.stack_size(0), 32);
-        assert_eq!(cfg.stack_size(2), 8);
+    fn skeleton_shape() {
+        assert_eq!(stack_channels(0), 128);
+        assert_eq!(stack_channels(2), 512);
+        assert_eq!(stack_size(0), 32);
+        assert_eq!(stack_size(2), 8);
     }
 
     #[test]
     fn network_has_stem_downsamples_and_classifier() {
-        let net = Network::assemble(&known_cells::plain_cell(), &NetworkConfig::default());
+        let net = Network::assemble(&known_cells::plain_cell(), Dataset::Cifar10);
         let labels: Vec<String> = net.units().iter().map(|u| u.role.to_string()).collect();
         assert_eq!(
             labels,
@@ -352,13 +293,13 @@ mod tests {
 
     #[test]
     fn nine_cells_total() {
-        let net = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
+        let net = Network::assemble(&known_cells::resnet_cell(), Dataset::Cifar10);
         assert_eq!(net.num_cell_instances(), 9);
     }
 
     #[test]
     fn widen_cells_appear_in_stacks_1_and_2() {
-        let net = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
+        let net = Network::assemble(&known_cells::resnet_cell(), Dataset::Cifar10);
         let widen: Vec<&NetworkUnit> = net
             .units()
             .iter()
@@ -370,9 +311,8 @@ mod tests {
 
     #[test]
     fn macs_scale_with_cell_heaviness() {
-        let cfg = NetworkConfig::default();
-        let plain = Network::assemble(&known_cells::plain_cell(), &cfg);
-        let resnet = Network::assemble(&known_cells::resnet_cell(), &cfg);
+        let plain = Network::assemble(&known_cells::plain_cell(), Dataset::Cifar10);
+        let resnet = Network::assemble(&known_cells::resnet_cell(), Dataset::Cifar10);
         assert!(resnet.macs() > plain.macs());
     }
 
@@ -380,15 +320,15 @@ mod tests {
     fn resnet_network_macs_are_in_expected_range() {
         // Back-of-envelope: each of the 9 cells costs ~2 conv3x3 at constant
         // MAC cost (channels double as spatial halves), ~150M MACs each.
-        let net = Network::assemble(&known_cells::resnet_cell(), &NetworkConfig::default());
+        let net = Network::assemble(&known_cells::resnet_cell(), Dataset::Cifar10);
         let gmacs = net.macs() as f64 / 1e9;
         assert!(gmacs > 1.0 && gmacs < 10.0, "got {gmacs} GMACs");
     }
 
     #[test]
     fn cifar100_only_changes_classifier() {
-        let c10 = Network::assemble(&known_cells::plain_cell(), &NetworkConfig::default());
-        let c100 = Network::assemble(&known_cells::plain_cell(), &NetworkConfig::cifar100());
+        let c10 = Network::assemble(&known_cells::plain_cell(), Dataset::Cifar10);
+        let c100 = Network::assemble(&known_cells::plain_cell(), Dataset::Cifar100);
         assert_eq!(c10.units().len(), c100.units().len());
         let d10 = c10.units().last().unwrap().program.nodes()[0].op;
         let d100 = c100.units().last().unwrap().program.nodes()[0].op;
@@ -399,7 +339,7 @@ mod tests {
 
     #[test]
     fn op_histogram_counts_repeats() {
-        let net = Network::assemble(&known_cells::plain_cell(), &NetworkConfig::default());
+        let net = Network::assemble(&known_cells::plain_cell(), Dataset::Cifar10);
         let hist = net.op_histogram();
         let total: usize = hist.values().sum();
         // stem + 9 cells' ops + 2 downsamples + pool + fc
@@ -411,7 +351,7 @@ mod tests {
     fn unique_op_count_is_order_tens_like_the_paper() {
         // The paper reports 85 unique op variations across its CNN space;
         // a single network uses a subset of them.
-        let net = Network::assemble(&known_cells::googlenet_cell(), &NetworkConfig::default());
+        let net = Network::assemble(&known_cells::googlenet_cell(), Dataset::Cifar10);
         let unique = net.unique_op_count();
         assert!((10..=85).contains(&unique), "got {unique}");
     }

@@ -7,7 +7,9 @@
 //! structural regression over [`CellFeatures`] plus hash-seeded noise. The
 //! search algorithms only ever observe a scalar accuracy per spec, so any
 //! fixed spec→accuracy landscape with realistic statistics exercises the
-//! identical code paths. Calibration targets (checked by tests):
+//! identical code paths. The surrogate is free functions over private
+//! constants: a caller picks only the [`Dataset`]. Calibration targets
+//! (checked by tests):
 //!
 //! * CIFAR-10 accuracies concentrate in 0.88–0.945 with a long lower tail,
 //!   matching the axes of Figs. 4–5;
@@ -16,10 +18,10 @@
 //! * per-seed training noise is a few tenths of a percent, as in NASBench.
 
 use crate::features::CellFeatures;
-use crate::network::NetworkConfig;
 use crate::CellSpec;
 
-/// Which classification task the surrogate reports accuracy for.
+/// Which classification task the surrogate reports accuracy for; it also
+/// sets the width of the network's classifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// CIFAR-10 (the NASBench-101 setting of §III).
@@ -28,66 +30,42 @@ pub enum Dataset {
     Cifar100,
 }
 
-/// Number of independent training runs recorded per model (NASBench uses 3).
-pub const NUM_SEEDS: usize = 3;
-
-/// Deterministic surrogate for trained-model accuracy and training cost.
-///
-/// # Examples
-///
-/// ```
-/// use codesign_nasbench::{known_cells, Dataset, SurrogateModel};
-///
-/// let model = SurrogateModel::default();
-/// let resnet = model.evaluate(&known_cells::resnet_cell(), Dataset::Cifar10);
-/// assert!(resnet.mean_accuracy() > 0.90 && resnet.mean_accuracy() < 0.95);
-/// // Deterministic: evaluating twice gives identical numbers.
-/// let again = model.evaluate(&known_cells::resnet_cell(), Dataset::Cifar10);
-/// assert_eq!(resnet.mean_accuracy(), again.mean_accuracy());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SurrogateModel {
-    /// Base accuracy of a minimal viable CIFAR-10 model.
-    pub base: f64,
-    /// Saturating bonus per conv3×3 vertex.
-    pub conv3_gain: f64,
-    /// Saturating bonus per conv1×1 vertex.
-    pub conv1_gain: f64,
-    /// Quadratic depth penalty scale (optimum near `depth_peak`).
-    pub depth_penalty: f64,
-    /// Depth (in edges) at which the penalty is zero.
-    pub depth_peak: f64,
-    /// Bonus per unit of cell width, capped at 3.
-    pub width_gain: f64,
-    /// Bonus for an input→output skip connection.
-    pub skip_gain: f64,
-    /// Penalty proportional to the max-pool fraction.
-    pub pool_penalty: f64,
-    /// Bonus slope on `log10(params)` around 10^6.5.
-    pub param_gain: f64,
-    /// Magnitude of the per-architecture "luck" term (un-modeled effects).
-    pub luck: f64,
-    /// Standard deviation of per-seed training noise.
-    pub seed_noise: f64,
-}
-
-impl Default for SurrogateModel {
-    fn default() -> Self {
-        Self {
-            base: 0.9020,
-            conv3_gain: 0.0300,
-            conv1_gain: 0.0080,
-            depth_penalty: 0.0009,
-            depth_peak: 3.5,
-            width_gain: 0.0015,
-            skip_gain: 0.0030,
-            pool_penalty: 0.0180,
-            param_gain: 0.0050,
-            luck: 0.0080,
-            seed_noise: 0.0035,
+impl Dataset {
+    /// Classifier outputs: 10 or 100.
+    #[must_use]
+    pub const fn num_classes(self) -> usize {
+        match self {
+            Self::Cifar10 => 10,
+            Self::Cifar100 => 100,
         }
     }
 }
+
+/// Number of independent training runs recorded per model (NASBench uses 3).
+pub const NUM_SEEDS: usize = 3;
+
+/// Base accuracy of a minimal viable CIFAR-10 model.
+const BASE: f64 = 0.9020;
+/// Saturating bonus per conv3×3 vertex.
+const CONV3_GAIN: f64 = 0.0300;
+/// Saturating bonus per conv1×1 vertex.
+const CONV1_GAIN: f64 = 0.0080;
+/// Quadratic depth penalty scale (optimum near `DEPTH_PEAK`).
+const DEPTH_PENALTY: f64 = 0.0009;
+/// Depth (in edges) at which the penalty is zero.
+const DEPTH_PEAK: f64 = 3.5;
+/// Bonus per unit of cell width, capped at 3.
+const WIDTH_GAIN: f64 = 0.0015;
+/// Bonus for an input→output skip connection.
+const SKIP_GAIN: f64 = 0.0030;
+/// Penalty proportional to the max-pool fraction.
+const POOL_PENALTY: f64 = 0.0180;
+/// Bonus slope on `log10(params)` around 10^6.5.
+const PARAM_GAIN: f64 = 0.0050;
+/// Magnitude of the per-architecture "luck" term (un-modeled effects).
+const LUCK: f64 = 0.0080;
+/// Standard deviation of per-seed training noise.
+const SEED_NOISE: f64 = 0.0035;
 
 /// The surrogate's answer for one (cell, dataset) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,80 +84,79 @@ impl Evaluation {
     }
 }
 
-impl SurrogateModel {
-    /// Evaluates a cell: per-seed accuracies plus simulated training cost.
-    #[must_use]
-    pub fn evaluate(&self, cell: &CellSpec, dataset: Dataset) -> Evaluation {
-        let config = match dataset {
-            Dataset::Cifar10 => NetworkConfig::default(),
-            Dataset::Cifar100 => NetworkConfig::cifar100(),
-        };
-        let features = CellFeatures::extract(cell, &config);
-        self.evaluate_features(&features, cell.canonical_hash(), dataset)
-    }
+/// Trains `cell` on `dataset`: per-seed accuracies plus simulated training
+/// cost, from the cell's features on `dataset`'s skeleton.
+///
+/// # Examples
+///
+/// ```
+/// use codesign_nasbench::{known_cells, surrogate, Dataset};
+///
+/// let resnet = surrogate::evaluate(&known_cells::resnet_cell(), Dataset::Cifar10);
+/// assert!(resnet.mean_accuracy() > 0.90 && resnet.mean_accuracy() < 0.95);
+/// // Deterministic: evaluating twice gives identical numbers.
+/// let again = surrogate::evaluate(&known_cells::resnet_cell(), Dataset::Cifar10);
+/// assert_eq!(resnet.mean_accuracy(), again.mean_accuracy());
+/// ```
+#[must_use]
+pub fn evaluate(cell: &CellSpec, dataset: Dataset) -> Evaluation {
+    let features = CellFeatures::extract(cell, dataset);
+    evaluate_features(&features, cell.canonical_hash(), dataset)
+}
 
-    /// Evaluates from precomputed features (used by the database builder to
-    /// avoid assembling the network twice).
-    #[must_use]
-    pub fn evaluate_features(
-        &self,
-        features: &CellFeatures,
-        canonical: u128,
-        dataset: Dataset,
-    ) -> Evaluation {
-        let calibration = reference_calibration(canonical);
-        let mean10 = calibration
-            .map(|(m10, _)| m10)
-            .unwrap_or_else(|| self.cifar10_mean(features, canonical));
-        let (mean, noise_scale, salt) = match dataset {
-            Dataset::Cifar10 => (mean10, 1.0, 0xC1FA_u64),
-            Dataset::Cifar100 => {
-                // Affine CIFAR-10 → CIFAR-100 transfer (fits Table II's
-                // ResNet 72.9% / GoogLeNet 71.5% baselines), plus extra
-                // architecture-specific transfer luck.
-                let mean100 = calibration.map(|(_, m100)| m100).unwrap_or_else(|| {
-                    let luck100 = (hash01(canonical, 0xC1001_u64) - 0.5) * 0.010;
-                    1.75 * mean10 - 0.9125 + luck100
-                });
-                (mean100, 1.4, 0xC100_u64)
-            }
-        };
-        let mut accuracy = [0.0; NUM_SEEDS];
-        for (seed, acc) in accuracy.iter_mut().enumerate() {
-            let noise =
-                gaussian_like(canonical, salt + seed as u64) * self.seed_noise * noise_scale;
-            *acc = (mean + noise).clamp(0.10, 0.999);
+/// Evaluates from precomputed features (used by the database builder to
+/// avoid assembling the network twice).
+#[must_use]
+pub fn evaluate_features(features: &CellFeatures, canonical: u128, dataset: Dataset) -> Evaluation {
+    let calibration = reference_calibration(canonical);
+    let mean10 = calibration
+        .map(|(m10, _)| m10)
+        .unwrap_or_else(|| cifar10_mean(features, canonical));
+    let (mean, noise_scale, salt) = match dataset {
+        Dataset::Cifar10 => (mean10, 1.0, 0xC1FA_u64),
+        Dataset::Cifar100 => {
+            // Affine CIFAR-10 → CIFAR-100 transfer (fits Table II's
+            // ResNet 72.9% / GoogLeNet 71.5% baselines), plus extra
+            // architecture-specific transfer luck.
+            let mean100 = calibration.map(|(_, m100)| m100).unwrap_or_else(|| {
+                let luck100 = (hash01(canonical, 0xC1001_u64) - 0.5) * 0.010;
+                1.75 * mean10 - 0.9125 + luck100
+            });
+            (mean100, 1.4, 0xC100_u64)
         }
-        Evaluation {
-            accuracy,
-            training_seconds: self.training_seconds(features, canonical),
-        }
+    };
+    let mut accuracy = [0.0; NUM_SEEDS];
+    for (seed, acc) in accuracy.iter_mut().enumerate() {
+        let noise = gaussian_like(canonical, salt + seed as u64) * SEED_NOISE * noise_scale;
+        *acc = (mean + noise).clamp(0.10, 0.999);
     }
+    Evaluation {
+        accuracy,
+        training_seconds: training_seconds(features, canonical),
+    }
+}
 
-    /// The noiseless CIFAR-10 accuracy surface.
-    #[must_use]
-    pub fn cifar10_mean(&self, f: &CellFeatures, canonical: u128) -> f64 {
-        let conv3 = self.conv3_gain * (1.0 - (-0.9 * f.conv3_count as f64).exp());
-        let conv1 = self.conv1_gain * (1.0 - (-0.8 * f.conv1_count as f64).exp());
-        let depth_err = f.depth as f64 - self.depth_peak;
-        let depth = -self.depth_penalty * depth_err * depth_err;
-        let width = self.width_gain * (f.width.min(3) as f64);
-        let skip = if f.has_skip { self.skip_gain } else { 0.0 };
-        let pool = -self.pool_penalty * f.pool_fraction();
-        let params = self.param_gain * ((f.log10_params() - 6.5).clamp(-1.5, 1.0));
-        let luck = (hash01(canonical, 0x10CC_u64) - 0.5) * 2.0 * self.luck;
-        (self.base + conv3 + conv1 + depth + width + skip + pool + params + luck).clamp(0.10, 0.999)
-    }
+/// The noiseless CIFAR-10 accuracy surface.
+fn cifar10_mean(f: &CellFeatures, canonical: u128) -> f64 {
+    let conv3 = CONV3_GAIN * (1.0 - (-0.9 * f.conv3_count as f64).exp());
+    let conv1 = CONV1_GAIN * (1.0 - (-0.8 * f.conv1_count as f64).exp());
+    let depth_err = f.depth as f64 - DEPTH_PEAK;
+    let depth = -DEPTH_PENALTY * depth_err * depth_err;
+    let width = WIDTH_GAIN * (f.width.min(3) as f64);
+    let skip = if f.has_skip { SKIP_GAIN } else { 0.0 };
+    let pool = -POOL_PENALTY * f.pool_fraction();
+    let params = PARAM_GAIN * ((f.log10_params() - 6.5).clamp(-1.5, 1.0));
+    let luck = (hash01(canonical, 0x10CC_u64) - 0.5) * 2.0 * LUCK;
+    (BASE + conv3 + conv1 + depth + width + skip + pool + params + luck).clamp(0.10, 0.999)
+}
 
-    /// Simulated single-GPU training time in seconds (≈1 GPU-hour for a
-    /// ResNet-cell model, matching §IV's cost accounting).
-    #[must_use]
-    pub fn training_seconds(&self, f: &CellFeatures, canonical: u128) -> f64 {
-        let resnet_macs = 2.8e9;
-        let relative = f.macs as f64 / resnet_macs;
-        let jitter = 1.0 + (hash01(canonical, 0x7137_u64) - 0.5) * 0.1;
-        3600.0 * (0.25 + 0.75 * relative) * jitter
-    }
+/// Simulated single-GPU training time in seconds (≈1 GPU-hour for a
+/// ResNet-cell model, matching §IV's cost accounting).
+fn training_seconds(f: &CellFeatures, canonical: u128) -> f64 {
+    let resnet_macs = 2.8e9;
+    let relative = f.macs as f64 / resnet_macs;
+    let jitter = 1.0 + (hash01(canonical, 0x7137_u64) - 0.5) * 0.1;
+    3600.0 * (0.25 + 0.75 * relative) * jitter
 }
 
 /// Published-baseline calibration: the reference cells of
@@ -259,37 +236,29 @@ mod tests {
 
     #[test]
     fn resnet_beats_googlenet_on_cifar10() {
-        let model = SurrogateModel::default();
-        let r = model.evaluate(&known_cells::resnet_cell(), Dataset::Cifar10);
-        let g = model.evaluate(&known_cells::googlenet_cell(), Dataset::Cifar10);
+        let r = evaluate(&known_cells::resnet_cell(), Dataset::Cifar10);
+        let g = evaluate(&known_cells::googlenet_cell(), Dataset::Cifar10);
         assert!(r.mean_accuracy() > g.mean_accuracy());
     }
 
     #[test]
     fn calibration_resnet_cifar10_near_0938() {
-        let model = SurrogateModel::default();
-        let r = model.evaluate(&known_cells::resnet_cell(), Dataset::Cifar10);
+        let r = evaluate(&known_cells::resnet_cell(), Dataset::Cifar10);
         let acc = r.mean_accuracy();
         assert!((0.930..=0.945).contains(&acc), "resnet cifar10 {acc}");
     }
 
     #[test]
     fn calibration_googlenet_cifar10_near_0930() {
-        let model = SurrogateModel::default();
-        let g = model.evaluate(&known_cells::googlenet_cell(), Dataset::Cifar10);
+        let g = evaluate(&known_cells::googlenet_cell(), Dataset::Cifar10);
         let acc = g.mean_accuracy();
         assert!((0.922..=0.938).contains(&acc), "googlenet cifar10 {acc}");
     }
 
     #[test]
     fn calibration_cifar100_baselines_near_table2() {
-        let model = SurrogateModel::default();
-        let r = model
-            .evaluate(&known_cells::resnet_cell(), Dataset::Cifar100)
-            .mean_accuracy();
-        let g = model
-            .evaluate(&known_cells::googlenet_cell(), Dataset::Cifar100)
-            .mean_accuracy();
+        let r = evaluate(&known_cells::resnet_cell(), Dataset::Cifar100).mean_accuracy();
+        let g = evaluate(&known_cells::googlenet_cell(), Dataset::Cifar100).mean_accuracy();
         assert!(
             (0.715..=0.745).contains(&r),
             "resnet cifar100 {r} (paper: 0.729)"
@@ -307,18 +276,14 @@ mod tests {
         use crate::{CellSpec, Op};
         let m = AdjMatrix::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let pooly = CellSpec::new(m, vec![Op::MaxPool3x3, Op::MaxPool3x3]).unwrap();
-        let model = SurrogateModel::default();
-        let acc = model.evaluate(&pooly, Dataset::Cifar10).mean_accuracy();
-        let resnet = model
-            .evaluate(&known_cells::resnet_cell(), Dataset::Cifar10)
-            .mean_accuracy();
+        let acc = evaluate(&pooly, Dataset::Cifar10).mean_accuracy();
+        let resnet = evaluate(&known_cells::resnet_cell(), Dataset::Cifar10).mean_accuracy();
         assert!(acc < resnet - 0.02, "pool-only {acc} vs resnet {resnet}");
     }
 
     #[test]
     fn seeds_differ_but_only_slightly() {
-        let model = SurrogateModel::default();
-        let e = model.evaluate(&known_cells::resnet_cell(), Dataset::Cifar10);
+        let e = evaluate(&known_cells::resnet_cell(), Dataset::Cifar10);
         let spread = e.accuracy.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b))
             - e.accuracy.iter().fold(f64::INFINITY, |a, &b| a.min(b));
         assert!(spread > 0.0, "seeds must differ");
@@ -327,8 +292,7 @@ mod tests {
 
     #[test]
     fn training_time_is_about_a_gpu_hour_for_resnet() {
-        let model = SurrogateModel::default();
-        let e = model.evaluate(&known_cells::resnet_cell(), Dataset::Cifar100);
+        let e = evaluate(&known_cells::resnet_cell(), Dataset::Cifar100);
         assert!(
             (1800.0..=7200.0).contains(&e.training_seconds),
             "training_seconds {}",
@@ -338,10 +302,9 @@ mod tests {
 
     #[test]
     fn cifar100_is_much_harder_than_cifar10() {
-        let model = SurrogateModel::default();
         for (_, cell) in known_cells::all_named() {
-            let a10 = model.evaluate(&cell, Dataset::Cifar10).mean_accuracy();
-            let a100 = model.evaluate(&cell, Dataset::Cifar100).mean_accuracy();
+            let a10 = evaluate(&cell, Dataset::Cifar10).mean_accuracy();
+            let a100 = evaluate(&cell, Dataset::Cifar100).mean_accuracy();
             assert!(a100 < a10 - 0.15);
         }
     }

@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use codesign_nasbench::canon::canonical_hash;
-use codesign_nasbench::{known_cells, CellSpec, Network, NetworkConfig};
+use codesign_nasbench::{known_cells, CellSpec, Dataset, Network};
 
 struct CountingAlloc;
 
@@ -66,9 +66,8 @@ fn cell_spec_new_allocates_at_most_twice() {
 
 #[test]
 fn network_assembly_allocates_about_twice_per_unit() {
-    let config = NetworkConfig::default();
     for (name, cell) in known_cells::all_named() {
-        let (network, count) = allocations(|| Network::assemble(&cell, &config));
+        let (network, count) = allocations(|| Network::assemble(&cell, Dataset::Cifar10));
         let budget = 2 * network.units().len() as u64 + 1;
         assert!(
             count <= budget,

@@ -2,8 +2,7 @@
 
 use codesign_nasbench::cell::{compute_vertex_channels, CellProgram, OpKind};
 use codesign_nasbench::{
-    AdjMatrix, CellSpec, Dataset, Network, NetworkConfig, Op, SurrogateModel, MAX_EDGES,
-    MAX_VERTICES,
+    surrogate, AdjMatrix, CellSpec, Dataset, Network, Op, MAX_EDGES, MAX_VERTICES,
 };
 use proptest::prelude::*;
 
@@ -104,8 +103,8 @@ proptest! {
     #[test]
     fn network_macs_grow_with_classes((v, edges, ops) in raw_cell()) {
         if let Some(cell) = to_cell(v, &edges, &ops) {
-            let n10 = Network::assemble(&cell, &NetworkConfig::default());
-            let n100 = Network::assemble(&cell, &NetworkConfig::cifar100());
+            let n10 = Network::assemble(&cell, Dataset::Cifar10);
+            let n100 = Network::assemble(&cell, Dataset::Cifar100);
             prop_assert!(n100.macs() > n10.macs());
             prop_assert!(n100.params() > n10.params());
         }
@@ -114,10 +113,9 @@ proptest! {
     #[test]
     fn surrogate_is_deterministic_and_bounded((v, edges, ops) in raw_cell()) {
         if let Some(cell) = to_cell(v, &edges, &ops) {
-            let model = SurrogateModel::default();
             for ds in [Dataset::Cifar10, Dataset::Cifar100] {
-                let a = model.evaluate(&cell, ds);
-                let b = model.evaluate(&cell, ds);
+                let a = surrogate::evaluate(&cell, ds);
+                let b = surrogate::evaluate(&cell, ds);
                 prop_assert_eq!(a.accuracy, b.accuracy);
                 for acc in a.accuracy {
                     prop_assert!((0.10..=0.999).contains(&acc));

@@ -9,7 +9,7 @@ use codesign_nas::core::{
     SearchConfig, SearchContext, SearchStrategy, SeparateSearch,
 };
 use codesign_nas::engine::{Campaign, ShardedDriver, StrategyKind};
-use codesign_nas::nasbench::{known_cells, Dataset, NasbenchDatabase, SurrogateModel};
+use codesign_nas::nasbench::{known_cells, Dataset, NasbenchDatabase};
 
 fn quick_context_db() -> (CodesignSpace, Arc<NasbenchDatabase>) {
     (
@@ -103,7 +103,7 @@ fn full_comparison_pipeline_runs() {
 #[test]
 fn trainer_backed_search_accounts_gpu_hours() {
     let space = CodesignSpace::with_max_vertices(5);
-    let mut evaluator = Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar100);
+    let mut evaluator = Evaluator::with_trainer(Dataset::Cifar100);
     let reward = ScenarioSpec::unconstrained().compile();
     let mut ctx = SearchContext {
         space: &space,
@@ -123,7 +123,7 @@ fn database_and_trainer_agree_on_accuracy() {
     let db = NasbenchDatabase::exhaustive(4);
     let mut via_db = Evaluator::with_database(db);
     assert!(via_db.database().is_some());
-    let mut via_trainer = Evaluator::with_trainer(SurrogateModel::default(), Dataset::Cifar10);
+    let mut via_trainer = Evaluator::with_trainer(Dataset::Cifar10);
     let config = ConfigSpace::chaidnn().get(1234);
     for (_, cell) in known_cells::all_named() {
         if cell.num_vertices() > 4 {

@@ -7,7 +7,7 @@
 
 use codesign_nas::accel::{area, power, ConfigSpace, Scheduler};
 use codesign_nas::moo::{AxisSchema, DynParetoFront, DynRewardSpec, LinearNorm};
-use codesign_nas::nasbench::{known_cells, Dataset, Network, NetworkConfig, SurrogateModel};
+use codesign_nas::nasbench::{known_cells, surrogate, Dataset, Network};
 
 fn four_objective_spec() -> DynRewardSpec {
     DynRewardSpec::builder()
@@ -32,12 +32,10 @@ fn metrics_for(cell_name: &str, config_idx: usize) -> [f64; 4] {
         .expect("known cell")
         .1;
     let config = ConfigSpace::chaidnn().get(config_idx);
-    let network = Network::assemble(&cell, &NetworkConfig::default());
+    let network = Network::assemble(&cell, Dataset::Cifar10);
     let area = area::area_mm2(&config);
     let latency = Scheduler::new(config).network_latency_ms(&network);
-    let accuracy = SurrogateModel::default()
-        .evaluate(&cell, Dataset::Cifar10)
-        .mean_accuracy();
+    let accuracy = surrogate::evaluate(&cell, Dataset::Cifar10).mean_accuracy();
     let power = power::peak_power(&config).total_w();
     [-area, -latency, accuracy, -power]
 }
@@ -90,7 +88,7 @@ fn power_adds_a_real_tradeoff_dimension() {
 fn energy_ranks_differently_than_latency() {
     // The fastest configuration is not the most energy-efficient one:
     // energy = power x latency penalizes oversized arrays.
-    let network = Network::assemble(&known_cells::googlenet_cell(), &NetworkConfig::default());
+    let network = Network::assemble(&known_cells::googlenet_cell(), Dataset::Cifar10);
     let space = ConfigSpace::chaidnn();
     let mut best_latency = (f64::INFINITY, 0usize);
     let mut energies: Vec<(usize, f64)> = Vec::new();
