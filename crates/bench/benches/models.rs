@@ -10,12 +10,14 @@ use rand::SeedableRng;
 use codesign_accel::{area, ConfigSpace, Scheduler};
 use codesign_nasbench::canon::canonical_hash;
 use codesign_nasbench::{known_cells, surrogate, CellFeatures, CellSpec, Dataset, Network};
-use codesign_rl::{math, MlpRegressor, RegressorConfig};
+use codesign_rl::{math, MlpRegressor};
 
 /// Samples, features and targets of one guided-evo surrogate refit.
 const REFIT_SAMPLES: usize = 272;
 const REFIT_FEATURES: usize = 18;
 const REFIT_TARGETS: usize = 4;
+/// The regressor's hidden width.
+const REFIT_HIDDEN: usize = 16;
 
 fn bench_area_model(c: &mut Criterion) {
     let space = ConfigSpace::chaidnn();
@@ -112,12 +114,7 @@ fn refit_set() -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
 fn bench_surrogate_refit(c: &mut Criterion) {
     let (xs, ys) = refit_set();
     let mut rng = SmallRng::seed_from_u64(7);
-    let model = MlpRegressor::new(
-        REFIT_FEATURES,
-        REFIT_TARGETS,
-        RegressorConfig::default(),
-        &mut rng,
-    );
+    let model = MlpRegressor::new(REFIT_FEATURES, REFIT_TARGETS, &mut rng);
     // The whole refit: 120 full-batch epochs from fresh weights.
     c.bench_function("regressor/fit_272x18_to_4", |b| {
         b.iter(|| {
@@ -127,8 +124,7 @@ fn bench_surrogate_refit(c: &mut Criterion) {
         })
     });
     // One epoch's hidden activations: 272 samples × 16 hidden units.
-    let hidden = RegressorConfig::default().hidden;
-    let pre: Vec<f64> = (0..REFIT_SAMPLES * hidden)
+    let pre: Vec<f64> = (0..REFIT_SAMPLES * REFIT_HIDDEN)
         .map(|i| (i as f64 * 0.618_034).sin() * 3.0)
         .collect();
     let mut values = pre.clone();

@@ -149,7 +149,6 @@ fn threshold_schedule_ablation(seed: u64) {
         },
         seed,
         max_steps_per_stage: 4000,
-        ..Cifar100Config::default()
     };
     let fixed = Cifar100Config {
         schedule: ThresholdSchedule {
@@ -157,7 +156,6 @@ fn threshold_schedule_ablation(seed: u64) {
         },
         seed,
         max_steps_per_stage: 12_000,
-        ..Cifar100Config::default()
     };
     let g = run_cifar100_codesign(&gradual);
     let f = run_cifar100_codesign(&fixed);

@@ -63,7 +63,14 @@ impl ThresholdSchedule {
     }
 }
 
-/// Configuration of the §IV flow.
+/// The §IV controller's learning rate.
+const LEARNING_RATE: f64 = 0.006;
+/// The §IV controller's entropy bonus.
+const ENTROPY_BETA: f64 = 0.06;
+
+/// Configuration of the §IV flow. Its controller runs at fixed
+/// hyper-parameters, a lower rate and a stronger entropy bonus than
+/// §III's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cifar100Config {
     /// The threshold schedule.
@@ -73,10 +80,6 @@ pub struct Cifar100Config {
     /// Hard cap on steps per stage (a stage ends at its valid-point quota or
     /// this cap, whichever comes first).
     pub max_steps_per_stage: usize,
-    /// Controller learning rate.
-    pub learning_rate: f64,
-    /// Controller entropy bonus.
-    pub entropy_beta: f64,
 }
 
 impl Default for Cifar100Config {
@@ -85,8 +88,6 @@ impl Default for Cifar100Config {
             schedule: ThresholdSchedule::default(),
             seed: 0,
             max_steps_per_stage: 20_000,
-            learning_rate: 0.006,
-            entropy_beta: 0.06,
         }
     }
 }
@@ -99,7 +100,6 @@ impl Cifar100Config {
             schedule: ThresholdSchedule::quick(),
             seed,
             max_steps_per_stage: 2_000,
-            ..Self::default()
         }
     }
 }
@@ -235,9 +235,9 @@ pub fn run_cifar100_codesign_with_evaluator(
     let mut trainer = ReinforceTrainer::new(
         policy,
         ReinforceConfig {
-            learning_rate: config.learning_rate,
+            learning_rate: LEARNING_RATE,
             baseline_decay: 0.9,
-            entropy_beta: config.entropy_beta,
+            entropy_beta: ENTROPY_BETA,
         },
     );
 

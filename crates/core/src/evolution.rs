@@ -32,33 +32,31 @@ pub(crate) fn random_genome(vocab: &[usize], rng: &mut SmallRng) -> Vec<usize> {
     vocab.iter().map(|&v| rng.gen_range(0..v)).collect()
 }
 
-/// Resamples `mutations.max(1)` uniformly-chosen positions of `genome`
-/// (with replacement, so the effective count can be lower).
+/// Living individuals of the aging population.
+const POPULATION: usize = 64;
+/// Tournament sample size per reproduction event.
+const SAMPLE: usize = 16;
+/// Genome positions resampled per mutation.
+const MUTATIONS: usize = 2;
+
+/// Resamples [`MUTATIONS`] uniformly-chosen positions of `genome` (with
+/// replacement, so the effective count can be lower).
 ///
 /// The mutation operator shared by [`EvolutionSearch`] and
 /// [`crate::NsgaSearch`]; both strategies walk the joint codesign genome
 /// with exactly these draws, in this order, from the injected stream.
-pub(crate) fn mutate_genome(
-    genome: &mut [usize],
-    vocab: &[usize],
-    mutations: usize,
-    rng: &mut SmallRng,
-) {
-    for _ in 0..mutations.max(1) {
+pub(crate) fn mutate_genome(genome: &mut [usize], vocab: &[usize], rng: &mut SmallRng) {
+    for _ in 0..MUTATIONS {
         let pos = rng.gen_range(0..genome.len());
         genome[pos] = rng.gen_range(0..vocab[pos]);
     }
 }
 
-/// Regularized-evolution search over the joint codesign genome.
-#[derive(Debug, Clone, Copy)]
+/// Regularized-evolution search over the joint codesign genome: a
+/// population of 64, tournaments of 16, two positions resampled per
+/// mutation.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EvolutionSearch {
-    /// Population size (living individuals).
-    pub population: usize,
-    /// Tournament sample size per reproduction event.
-    pub sample: usize,
-    /// Number of genome positions resampled per mutation.
-    pub mutations: usize,
     /// Optional surrogate predict-then-verify guidance: once the guide is
     /// trained, each step over-produces `k` candidates through the normal
     /// seed-or-breed operator, ranks them by *predicted* scalarized reward,
@@ -68,37 +66,23 @@ pub struct EvolutionSearch {
     pub surrogate: Option<SurrogateConfig>,
 }
 
-impl Default for EvolutionSearch {
-    fn default() -> Self {
-        Self {
-            population: 64,
-            sample: 16,
-            mutations: 2,
-            surrogate: None,
-        }
-    }
-}
-
 /// The seed-or-breed reproduction operator of one step: uniform random
 /// genomes while the population fills, then mutate the best of a tournament
 /// sample. Draws exactly the same stream positions as classic aging
 /// evolution, whether called once (unguided) or `k` times (guided).
 fn propose_genome(
     population: &VecDeque<(Vec<usize>, f64)>,
-    target_population: usize,
-    sample: usize,
-    mutations: usize,
     vocab: &[usize],
     rng: &mut SmallRng,
 ) -> Vec<usize> {
-    if population.len() < target_population {
+    if population.len() < POPULATION {
         // Seeding phase: uniform random genomes.
         SEEDED.add(1);
         random_genome(vocab, rng)
     } else {
         // Tournament: mutate the best of a random sample.
         let mut best: Option<&(Vec<usize>, f64)> = None;
-        for _ in 0..sample {
+        for _ in 0..SAMPLE {
             let idx = rng.gen_range(0..population.len());
             let candidate = &population[idx];
             if best.is_none_or(|b| candidate.1 > b.1) {
@@ -106,7 +90,7 @@ fn propose_genome(
             }
         }
         let mut child = best.expect("non-empty population").0.clone();
-        mutate_genome(&mut child, vocab, mutations, rng);
+        mutate_genome(&mut child, vocab, rng);
         BRED.add(1);
         child
     }
@@ -151,7 +135,7 @@ impl SearchStrategy for EvolutionSearch {
             .surrogate
             .map(|cfg| SurrogateGuide::for_run(cfg, ctx.evaluator, rng));
         // Aging queue of (genome, reward); the oldest dies on overflow.
-        let mut population: VecDeque<(Vec<usize>, f64)> = VecDeque::with_capacity(self.population);
+        let mut population: VecDeque<(Vec<usize>, f64)> = VecDeque::with_capacity(POPULATION);
 
         while recorder.steps() < config.steps {
             // Predict-then-verify: once trained, over-produce k candidates
@@ -163,14 +147,7 @@ impl SearchStrategy for EvolutionSearch {
                     g.note_candidates(k);
                     let mut best: Option<(f64, Vec<usize>)> = None;
                     for _ in 0..k {
-                        let candidate = propose_genome(
-                            &population,
-                            self.population,
-                            self.sample,
-                            self.mutations,
-                            &vocab,
-                            rng,
-                        );
+                        let candidate = propose_genome(&population, &vocab, rng);
                         let score = predict_reward(g, ctx, &candidate);
                         if best.as_ref().is_none_or(|(b, _)| score > *b) {
                             best = Some((score, candidate));
@@ -183,14 +160,7 @@ impl SearchStrategy for EvolutionSearch {
                     if let Some(g) = other {
                         g.note_candidates(1);
                     }
-                    let genome = propose_genome(
-                        &population,
-                        self.population,
-                        self.sample,
-                        self.mutations,
-                        &vocab,
-                        rng,
-                    );
+                    let genome = propose_genome(&population, &vocab, rng);
                     (genome, None)
                 }
             };
@@ -206,7 +176,7 @@ impl SearchStrategy for EvolutionSearch {
                 g.observe_verified(ctx, &proposal, &outcome, predicted);
             }
             population.push_back((genome, reward));
-            if population.len() > self.population {
+            if population.len() > POPULATION {
                 population.pop_front();
             }
         }
@@ -272,23 +242,8 @@ mod tests {
     }
 
     #[test]
-    fn small_population_still_works() {
-        let strategy = EvolutionSearch {
-            population: 4,
-            sample: 2,
-            mutations: 1,
-            surrogate: None,
-        };
-        let out = run(&strategy, 100, 1);
-        assert_eq!(out.history.len(), 100);
-    }
-
-    #[test]
     fn guided_evolution_reports_stats_and_is_reproducible() {
         let strategy = EvolutionSearch {
-            population: 8,
-            sample: 4,
-            mutations: 1,
             surrogate: Some(crate::SurrogateConfig {
                 overproduce: 3,
                 retrain: 8,

@@ -74,7 +74,6 @@ static SELECT_US: codesign_telemetry::Histogram =
 /// };
 /// let strategy = NsgaSearch {
 ///     population: 8,
-///     mutations: 2,
 ///     surrogate: None,
 /// };
 /// let outcome = strategy.run(&mut ctx, &SearchConfig::quick(40, 0));
@@ -91,10 +90,9 @@ static SELECT_US: codesign_telemetry::Histogram =
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NsgaSearch {
     /// Living individuals per generation (also the offspring count).
+    /// Mutation resamples as many genome positions as
+    /// [`crate::EvolutionSearch`]'s does.
     pub population: usize,
-    /// Genome positions resampled per mutation (shared with
-    /// [`crate::EvolutionSearch`]).
-    pub mutations: usize,
     /// Optional surrogate predict-then-verify guidance: once the guide is
     /// trained, each generation over-produces `k × offspring` candidates
     /// through the normal breed operator, ranks them by *predicted*
@@ -115,7 +113,6 @@ impl Default for NsgaSearch {
     fn default() -> Self {
         Self {
             population: Self::DEFAULT_POPULATION,
-            mutations: 2,
             surrogate: None,
         }
     }
@@ -220,7 +217,7 @@ impl SearchStrategy for NsgaSearch {
                     let a = tournament(&keys, rng);
                     let b = tournament(&keys, rng);
                     let mut genome = crossover(&population[a].genome, &population[b].genome, rng);
-                    mutate_genome(&mut genome, &vocab, self.mutations, rng);
+                    mutate_genome(&mut genome, &vocab, rng);
                     genome
                 })
                 .collect();
@@ -503,7 +500,6 @@ mod tests {
     fn nsga_runs_exactly_steps_and_snapshots_generations() {
         let strategy = NsgaSearch {
             population: 10,
-            mutations: 2,
             surrogate: None,
         };
         let out = run(&strategy, 95, 0);
@@ -533,7 +529,6 @@ mod tests {
     fn nsga_is_reproducible() {
         let strategy = NsgaSearch {
             population: 12,
-            mutations: 1,
             surrogate: None,
         };
         let a = run(&strategy, 150, 9);
@@ -589,7 +584,6 @@ mod tests {
     fn population_larger_than_budget_still_terminates() {
         let strategy = NsgaSearch {
             population: 64,
-            mutations: 2,
             surrogate: None,
         };
         let out = run(&strategy, 20, 4);
@@ -601,7 +595,6 @@ mod tests {
     fn guided_nsga_reports_stats_and_is_reproducible() {
         let strategy = NsgaSearch {
             population: 8,
-            mutations: 2,
             surrogate: Some(crate::SurrogateConfig {
                 overproduce: 3,
                 retrain: 8,

@@ -70,23 +70,15 @@ impl SearchStrategy for CombinedSearch {
 /// §III-B2: interleaved specialized phases with two controllers.
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseSearch {
-    /// Steps per CNN phase (paper: 1000).
-    pub cnn_phase_steps: usize,
+    /// Steps per CNN phase (paper: 1000 of 10,000).
+    cnn_phase_steps: usize,
     /// Steps per HW phase (paper: 200).
-    pub hw_phase_steps: usize,
-}
-
-impl Default for PhaseSearch {
-    fn default() -> Self {
-        Self {
-            cnn_phase_steps: 1000,
-            hw_phase_steps: 200,
-        }
-    }
+    hw_phase_steps: usize,
 }
 
 impl PhaseSearch {
-    /// The paper's 1000/200 phase lengths scaled to a different step budget.
+    /// The paper's 1000/200 phase lengths of a 10,000-step search, scaled
+    /// to a budget of `total_steps`.
     #[must_use]
     pub fn scaled(total_steps: usize) -> Self {
         let cnn = (total_steps / 10).max(1);
@@ -176,18 +168,13 @@ impl SearchStrategy for PhaseSearch {
 /// then accelerator search for the chosen CNN.
 #[derive(Debug, Clone, Copy)]
 pub struct SeparateSearch {
-    /// Steps spent on the accuracy-only CNN search (paper: 8333 of 10000).
-    pub cnn_steps: usize,
-}
-
-impl Default for SeparateSearch {
-    fn default() -> Self {
-        Self { cnn_steps: 8333 }
-    }
+    /// Steps spent on the accuracy-only CNN search (paper: 8333 of 10,000).
+    cnn_steps: usize,
 }
 
 impl SeparateSearch {
-    /// The paper's 8333/1667 split scaled to a different step budget.
+    /// The paper's 8333/1667 split of a 10,000-step search, scaled to a
+    /// budget of `total_steps`.
     #[must_use]
     pub fn scaled(total_steps: usize) -> Self {
         Self {
@@ -381,26 +368,14 @@ mod tests {
 
     #[test]
     fn phase_alternates_and_completes() {
-        let strategy = PhaseSearch {
-            cnn_phase_steps: 30,
-            hw_phase_steps: 10,
-        };
-        let out = strategy.run(
-            &mut SearchContext {
-                space: &CodesignSpace::with_max_vertices(5),
-                evaluator: &mut Evaluator::with_trainer(Dataset::Cifar10),
-                reward: &ScenarioSpec::unconstrained().compile(),
-            },
-            &SearchConfig::quick(100, 1),
-        );
+        let out = run_strategy(&PhaseSearch::scaled(100), 100, 1);
         assert_eq!(out.history.len(), 100);
         assert!(out.best.is_some());
     }
 
     #[test]
     fn separate_switches_to_hw_phase() {
-        let strategy = SeparateSearch { cnn_steps: 60 };
-        let out = run_strategy(&strategy, 100, 2);
+        let out = run_strategy(&SeparateSearch::scaled(100), 100, 2);
         assert_eq!(out.history.len(), 100);
         assert_eq!(out.strategy, "separate");
     }

@@ -45,7 +45,7 @@ use rand::{Rng as _, SeedableRng as _};
 
 use codesign_accel::AcceleratorConfig;
 use codesign_nasbench::{CellFeatures, CellSpec, Dataset};
-use codesign_rl::{MlpRegressor, RegressorConfig};
+use codesign_rl::MlpRegressor;
 
 use crate::evaluator::{EvalOutcome, Evaluator, PairEvaluation};
 use crate::search::SearchContext;
@@ -382,12 +382,7 @@ impl SurrogateGuide {
         }
         let timer = codesign_telemetry::enabled().then(Instant::now);
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut model = MlpRegressor::new(
-            FEATURE_DIM,
-            TARGET_DIM,
-            RegressorConfig::default(),
-            &mut rng,
-        );
+        let mut model = MlpRegressor::new(FEATURE_DIM, TARGET_DIM, &mut rng);
         let start = n.saturating_sub(MAX_TRAIN_SAMPLES);
         model.fit(&self.xs[start..], &self.ys[start..]);
         if let Some(t) = timer {

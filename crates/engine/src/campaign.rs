@@ -105,14 +105,10 @@ impl StrategyKind {
             StrategyKind::Phase => Box::new(PhaseSearch::scaled(total_steps)),
             StrategyKind::Separate => Box::new(SeparateSearch::scaled(total_steps)),
             StrategyKind::Random => Box::new(RandomSearch),
-            StrategyKind::Evolution => Box::new(EvolutionSearch {
-                surrogate,
-                ..EvolutionSearch::default()
-            }),
+            StrategyKind::Evolution => Box::new(EvolutionSearch { surrogate }),
             StrategyKind::Nsga { population } => Box::new(NsgaSearch {
                 population: *population,
                 surrogate,
-                ..NsgaSearch::default()
             }),
         }
     }

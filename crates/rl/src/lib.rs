@@ -12,8 +12,16 @@
 //!   (finite-difference-checked in the tests);
 //! * [`policy`] — autoregressive decoding over heterogeneous decision
 //!   vocabularies with per-position logit masking;
-//! * [`reinforce`] — the REINFORCE loop with EMA baseline and entropy bonus;
-//! * [`optim`] — SGD and Adam with global-norm gradient clipping.
+//! * [`reinforce`] — the REINFORCE loop with EMA baseline and entropy bonus,
+//!   stepped by Adam, the one optimizer (private `optim`), after a
+//!   global-norm gradient clip;
+//! * [`regress`] — the search-guidance surrogate's MLP regressor.
+//!
+//! The search half is one set of constants: Adam's β₁, β₂, ε and clip
+//! norm and the regressor's width, epochs, learning rate and L2 penalty
+//! are private `const`s. What a caller sets is the policy's shape
+//! ([`PolicyConfig`]) and the three controller values of
+//! [`ReinforceConfig`] (§III and §IV run different rates).
 //!
 //! # Examples
 //!
@@ -36,12 +44,11 @@
 
 pub mod math;
 pub mod nn;
-pub mod optim;
+mod optim;
 pub mod policy;
 pub mod regress;
 pub mod reinforce;
 
-pub use optim::{Adam, Sgd};
 pub use policy::{LstmPolicy, PolicyConfig, Rollout};
-pub use regress::{MlpRegressor, RegressorConfig};
+pub use regress::MlpRegressor;
 pub use reinforce::{ReinforceConfig, ReinforceTrainer};

@@ -60,7 +60,7 @@
 //! ifunc too (`exp` and `log` call one), so their bits may also depend on
 //! the CPU.
 //!
-//! **Adam.** `adam` is [`crate::Adam`]'s per-parameter update. Its
+//! **Adam.** `adam` is the controller optimizer's per-parameter update. Its
 //! reference is the portable loop, which divides each moment by its bias
 //! correction. On the AVX2 + FMA path the two bias-corrected moments come
 //! from a product by the correction's reciprocal and two FMA corrections,

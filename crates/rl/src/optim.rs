@@ -1,98 +1,36 @@
-//! First-order optimizers over the policy's parameter slices.
+//! The controller's optimizer: Adam at fixed hyper-parameters, after a
+//! global-norm clip of the policy's gradient.
 
 use crate::math::{self, AdamStep};
 use crate::policy::LstmPolicy;
 
-/// Stochastic gradient descent with optional momentum and gradient clipping.
+/// First-moment decay.
+const BETA1: f64 = 0.9;
+/// Second-moment decay.
+const BETA2: f64 = 0.999;
+/// Numerical floor of the update's denominator.
+const EPSILON: f64 = 1e-8;
+/// Global gradient-norm clip.
+const CLIP_NORM: f64 = 5.0;
+
+/// Adam with bias correction and gradient clipping, the one optimizer of
+/// [`crate::ReinforceTrainer`].
 ///
 /// The paper updates the controller with "REINFORCE and stochastic gradient
-/// descent"; [`Adam`] is provided as the common practical alternative.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Momentum factor (0 disables).
-    pub momentum: f64,
-    /// Global gradient-norm clip (0 disables).
-    pub clip_norm: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Sgd {
-    /// Plain SGD with the given learning rate.
-    #[must_use]
-    pub fn new(learning_rate: f64) -> Self {
-        Self {
-            learning_rate,
-            momentum: 0.0,
-            clip_norm: 5.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update from the policy's accumulated gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `policy` has another shape than the policy of the first
-    /// step.
-    pub fn step(&mut self, policy: &mut LstmPolicy) {
-        let scale = grad_scale(policy, self.clip_norm);
-        let mut slot = 0usize;
-        let lr = self.learning_rate;
-        let momentum = self.momentum;
-        let velocity = &mut self.velocity;
-        policy.visit_params(&mut |params, grads| {
-            if velocity.len() <= slot {
-                velocity.push(vec![0.0; params.len()]);
-            }
-            assert_eq!(
-                velocity[slot].len(),
-                params.len(),
-                "optimizer state from a policy of another shape"
-            );
-            for ((p, g), v) in params
-                .iter_mut()
-                .zip(grads.iter())
-                .zip(velocity[slot].iter_mut())
-            {
-                let g = g * scale;
-                *v = momentum * *v - lr * g;
-                *p += *v;
-            }
-            slot += 1;
-        });
-    }
-}
-
-/// Adam optimizer with bias correction and gradient clipping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Adam {
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// First-moment decay.
-    pub beta1: f64,
-    /// Second-moment decay.
-    pub beta2: f64,
-    /// Numerical floor.
-    pub epsilon: f64,
-    /// Global gradient-norm clip (0 disables).
-    pub clip_norm: f64,
+/// descent"; every search, and every pinned controller digest, runs Adam.
+#[derive(Debug, Clone)]
+pub(crate) struct Adam {
+    learning_rate: f64,
     t: u64,
     m: Vec<Vec<f64>>,
     v: Vec<Vec<f64>>,
 }
 
 impl Adam {
-    /// Adam with standard betas at the given learning rate.
-    #[must_use]
-    pub fn new(learning_rate: f64) -> Self {
+    /// Adam at the given learning rate.
+    pub(crate) fn new(learning_rate: f64) -> Self {
         Self {
             learning_rate,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-            clip_norm: 5.0,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -107,18 +45,18 @@ impl Adam {
     ///
     /// Panics when `policy` has another shape than the policy of the first
     /// step.
-    pub fn step(&mut self, policy: &mut LstmPolicy) {
-        let scale = grad_scale(policy, self.clip_norm);
+    pub(crate) fn step(&mut self, policy: &mut LstmPolicy) {
+        let scale = grad_scale(policy, CLIP_NORM);
         self.t += 1;
         let t = self.t as f64;
         let s = AdamStep {
             scale,
-            beta1: self.beta1,
-            beta2: self.beta2,
-            bc1: 1.0 - self.beta1.powf(t),
-            bc2: 1.0 - self.beta2.powf(t),
+            beta1: BETA1,
+            beta2: BETA2,
+            bc1: 1.0 - BETA1.powf(t),
+            bc2: 1.0 - BETA2.powf(t),
             learning_rate: self.learning_rate,
-            epsilon: self.epsilon,
+            epsilon: EPSILON,
         };
         let mut slot = 0usize;
         let m_all = &mut self.m;
@@ -140,7 +78,7 @@ impl Adam {
 }
 
 /// Returns the multiplier that clips the global gradient norm to `clip_norm`
-/// (1.0 when clipping is disabled or unnecessary).
+/// (1.0 when no clipping is needed).
 ///
 /// The norm that decides, and that the scale divides by, is the square
 /// root of one serial sum of the squared gradients in `visit_params`
@@ -159,9 +97,6 @@ impl Adam {
 /// the scale exactly 1. Any other `fast`, NaN and ∞ included, computes the
 /// serial sum.
 fn grad_scale(policy: &mut LstmPolicy, clip_norm: f64) -> f64 {
-    if clip_norm <= 0.0 {
-        return 1.0;
-    }
     let (mut fast, mut n) = (0.0, 0usize);
     policy.visit_params(&mut |_, grads| {
         fast += sum_of_squares(grads);
@@ -222,14 +157,6 @@ mod tests {
             },
             &mut rng,
         )
-    }
-
-    #[test]
-    #[should_panic(expected = "policy of another shape")]
-    fn sgd_rejects_a_policy_of_another_shape() {
-        let mut sgd = Sgd::new(0.1);
-        sgd.step(&mut policy(1));
-        sgd.step(&mut policy_of_width(1, 6));
     }
 
     #[test]
@@ -306,50 +233,14 @@ mod tests {
     }
 
     #[test]
-    fn sgd_moves_parameters_against_gradient() {
-        let mut p = policy(1);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let r = p.rollout(&mut rng);
-        p.zero_grad();
-        p.accumulate_grad(&r, 1.0, 0.0);
-        let before = snapshot(&mut p);
-        Sgd::new(0.1).step(&mut p);
-        let after = snapshot(&mut p);
-        assert_ne!(before, after);
-    }
-
-    #[test]
     fn zero_gradient_means_no_movement() {
         let mut p = policy(3);
         p.zero_grad();
         let before = snapshot(&mut p);
-        Sgd::new(0.1).step(&mut p);
         Adam::new(0.1).step(&mut p);
         let after = snapshot(&mut p);
         // Adam with zero grads still divides 0/sqrt(0)+eps = 0: no movement.
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn clipping_bounds_the_update() {
-        let mut p = policy(4);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let r = p.rollout(&mut rng);
-        p.zero_grad();
-        // Gigantic advantage => gigantic gradient, must be clipped.
-        p.accumulate_grad(&r, 1e9, 0.0);
-        let before = snapshot(&mut p);
-        let mut sgd = Sgd::new(0.1);
-        sgd.clip_norm = 1.0;
-        sgd.step(&mut p);
-        let after = snapshot(&mut p);
-        let delta: f64 = before
-            .iter()
-            .zip(after.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        assert!(delta <= 0.1 + 1e-9, "update norm {delta} exceeds lr * clip");
     }
 
     #[test]

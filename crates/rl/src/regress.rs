@@ -2,8 +2,8 @@
 //!
 //! The search-guidance surrogate (`codesign_core::surrogate`) needs a cheap
 //! multi-output regressor it can retrain online from a few hundred labeled
-//! samples, with two hard requirements the [`crate::optim`] optimizers (which
-//! are coupled to the LSTM policy) do not meet:
+//! samples, with two hard requirements the controller's Adam optimizer
+//! (which is coupled to the LSTM policy) does not meet:
 //!
 //! * **Bit-determinism**: given the same seed and the same training set,
 //!   `fit` must produce bit-identical weights on every run and at any worker
@@ -18,41 +18,27 @@ use rand::Rng;
 use crate::math::tanh;
 use crate::nn::Linear;
 
-/// Hyperparameters of [`MlpRegressor`] training.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegressorConfig {
-    /// Hidden-layer width.
-    pub hidden: usize,
-    /// Full-batch gradient-descent epochs per `fit` call.
-    pub epochs: usize,
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// L2 weight penalty (applied to weights, not biases).
-    pub l2: f64,
-}
-
-impl Default for RegressorConfig {
-    fn default() -> Self {
-        Self {
-            hidden: 16,
-            epochs: 120,
-            learning_rate: 0.25,
-            l2: 1e-4,
-        }
-    }
-}
+/// Hidden-layer width.
+const HIDDEN: usize = 16;
+/// Full-batch gradient-descent epochs per `fit` call.
+const EPOCHS: usize = 120;
+/// Learning rate.
+const LEARNING_RATE: f64 = 0.25;
+/// L2 weight penalty (applied to weights, not biases).
+const L2_PENALTY: f64 = 1e-4;
 
 /// A one-hidden-layer (tanh) multi-output regressor trained by full-batch
-/// gradient descent, with internal input/target standardization.
+/// gradient descent, with internal input/target standardization. Its
+/// width and training schedule are constants.
 ///
 /// # Examples
 ///
 /// ```
-/// use codesign_rl::{MlpRegressor, RegressorConfig};
+/// use codesign_rl::MlpRegressor;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-/// let mut model = MlpRegressor::new(1, 1, RegressorConfig::default(), &mut rng);
+/// let mut model = MlpRegressor::new(1, 1, &mut rng);
 /// let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![f64::from(i)]).collect();
 /// let ys: Vec<Vec<f64>> = xs.iter().map(|x| vec![3.0 * x[0] + 1.0]).collect();
 /// model.fit(&xs, &ys);
@@ -63,7 +49,6 @@ impl Default for RegressorConfig {
 pub struct MlpRegressor {
     l1: Linear,
     l2: Linear,
-    config: RegressorConfig,
     x_mean: Vec<f64>,
     x_std: Vec<f64>,
     y_mean: Vec<f64>,
@@ -74,16 +59,10 @@ pub struct MlpRegressor {
 impl MlpRegressor {
     /// A freshly initialized (untrained) regressor.
     #[must_use]
-    pub fn new<R: Rng + ?Sized>(
-        inputs: usize,
-        outputs: usize,
-        config: RegressorConfig,
-        rng: &mut R,
-    ) -> Self {
+    pub fn new<R: Rng + ?Sized>(inputs: usize, outputs: usize, rng: &mut R) -> Self {
         Self {
-            l1: Linear::new(inputs, config.hidden, rng),
-            l2: Linear::new(config.hidden, outputs, rng),
-            config,
+            l1: Linear::new(inputs, HIDDEN, rng),
+            l2: Linear::new(HIDDEN, outputs, rng),
             x_mean: vec![0.0; inputs],
             x_std: vec![1.0; inputs],
             y_mean: vec![0.0; outputs],
@@ -123,7 +102,7 @@ impl MlpRegressor {
         }
         let rows = xs.len();
         let n = rows as f64;
-        let (inputs, hidden, outputs) = (self.inputs(), self.config.hidden, self.outputs());
+        let (inputs, hidden, outputs) = (self.inputs(), HIDDEN, self.outputs());
         (self.x_mean, self.x_std) = standardization(xs, inputs);
         (self.y_mean, self.y_std) = standardization(ys, outputs);
         let xn: Vec<f64> = xs
@@ -148,7 +127,7 @@ impl MlpRegressor {
         let mut dout = vec![0.0; rows * outputs];
         let mut dh_pre = vec![0.0; rows * hidden];
         let mut out = vec![0.0; outputs];
-        for _ in 0..self.config.epochs {
+        for _ in 0..EPOCHS {
             self.l1.zero_grad();
             self.l2.zero_grad();
             self.l1.w.matvec_batch_into(&xt, rows, &mut h);
@@ -185,10 +164,8 @@ impl MlpRegressor {
                 |s| &dh_pre[s * hidden..][..hidden],
                 |s| &xn[s * inputs..][..inputs],
             );
-            let lr = self.config.learning_rate;
-            let l2 = self.config.l2;
-            sgd_step(&mut self.l1, lr, l2);
-            sgd_step(&mut self.l2, lr, l2);
+            sgd_step(&mut self.l1);
+            sgd_step(&mut self.l2);
         }
         self.trained = true;
     }
@@ -197,7 +174,7 @@ impl MlpRegressor {
     #[must_use]
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
         let xn = standardize(x, &self.x_mean, &self.x_std);
-        let mut h = vec![0.0; self.config.hidden];
+        let mut h = vec![0.0; HIDDEN];
         self.l1.forward_into(&xn, &mut h);
         tanh(&mut h);
         let mut out = vec![0.0; self.outputs()];
@@ -213,13 +190,13 @@ impl MlpRegressor {
 }
 
 /// One gradient-descent step with L2 decay on the weights.
-fn sgd_step(layer: &mut Linear, lr: f64, l2: f64) {
+fn sgd_step(layer: &mut Linear) {
     let grads = layer.dw.as_slice();
     for (w, g) in layer.w.as_mut_slice().iter_mut().zip(grads.iter()) {
-        *w -= lr * (g + l2 * *w);
+        *w -= LEARNING_RATE * (g + L2_PENALTY * *w);
     }
     for (b, g) in layer.b.iter_mut().zip(layer.db.iter()) {
-        *b -= lr * g;
+        *b -= LEARNING_RATE * g;
     }
 }
 
@@ -283,7 +260,7 @@ mod tests {
         let (xs, ys) = linear_dataset(64);
         let run = || {
             let mut rng = SmallRng::seed_from_u64(11);
-            let mut m = MlpRegressor::new(3, 2, RegressorConfig::default(), &mut rng);
+            let mut m = MlpRegressor::new(3, 2, &mut rng);
             m.fit(&xs, &ys);
             m.predict(&[0.3, -0.2, 0.1])
         };
@@ -301,7 +278,7 @@ mod tests {
         let (train_x, test_x) = xs.split_at(72);
         let (train_y, test_y) = ys.split_at(72);
         let mut rng = SmallRng::seed_from_u64(5);
-        let mut m = MlpRegressor::new(3, 2, RegressorConfig::default(), &mut rng);
+        let mut m = MlpRegressor::new(3, 2, &mut rng);
         m.fit(train_x, train_y);
         let mean: Vec<f64> = {
             let mut acc = [0.0; 2];
@@ -337,7 +314,7 @@ mod tests {
     #[test]
     fn untrained_model_reports_untrained() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let m = MlpRegressor::new(2, 1, RegressorConfig::default(), &mut rng);
+        let m = MlpRegressor::new(2, 1, &mut rng);
         assert!(!m.is_trained());
         assert_eq!(m.predict(&[0.0, 0.0]).len(), 1);
     }
@@ -346,14 +323,14 @@ mod tests {
     #[should_panic(expected = "feature dimension mismatch")]
     fn fit_rejects_short_feature_rows() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let mut m = MlpRegressor::new(2, 1, RegressorConfig::default(), &mut rng);
+        let mut m = MlpRegressor::new(2, 1, &mut rng);
         m.fit(&[vec![1.0, 2.0], vec![3.0]], &[vec![0.0], vec![1.0]]);
     }
 
     #[test]
     fn empty_fit_is_a_noop() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut m = MlpRegressor::new(2, 1, RegressorConfig::default(), &mut rng);
+        let mut m = MlpRegressor::new(2, 1, &mut rng);
         m.fit(&[], &[]);
         assert!(!m.is_trained());
     }

@@ -21,7 +21,6 @@ fn main() {
         },
         seed: 0,
         max_steps_per_stage: 5_000,
-        ..Cifar100Config::default()
     };
     println!("running Codesign-NAS on CIFAR-100 (miniature §IV schedule)...");
     let result = run_cifar100_codesign(&config);

@@ -48,14 +48,9 @@ fn main() {
     let reference = scenario.compile().hypervolume_reference();
 
     let strategies: Vec<Box<dyn SearchStrategy>> = vec![
-        Box::new(SeparateSearch {
-            cnn_steps: steps * 5 / 6,
-        }),
+        Box::new(SeparateSearch::scaled(steps)),
         Box::new(CombinedSearch),
-        Box::new(PhaseSearch {
-            cnn_phase_steps: steps / 10,
-            hw_phase_steps: steps / 50,
-        }),
+        Box::new(PhaseSearch::scaled(steps)),
         Box::new(RandomSearch),
         Box::new(NsgaSearch::default()),
     ];
@@ -120,14 +115,7 @@ fn main() {
     );
     let mut nsga_hv = f64::NAN;
     let mut random_hv = f64::NAN;
-    for strategy in [
-        &RandomSearch as &dyn SearchStrategy,
-        &NsgaSearch {
-            population: 32,
-            mutations: 2,
-            surrogate: None,
-        },
-    ] {
+    for strategy in [&RandomSearch as &dyn SearchStrategy, &NsgaSearch::default()] {
         let outcome = run(strategy, &acc_power, &db, &space, steps);
         let hv = outcome.front.hypervolume(&reference);
         let curve = if outcome.generations.is_empty() {
@@ -220,10 +208,7 @@ fn main() {
         retrain: 32,
     };
     let run_evolution = |surrogate: Option<SurrogateConfig>| {
-        let strategy = EvolutionSearch {
-            surrogate,
-            ..EvolutionSearch::default()
-        };
+        let strategy = EvolutionSearch { surrogate };
         run(&strategy, &scenario, &db, &space, steps)
     };
     let unguided = run_evolution(None);

@@ -24,11 +24,8 @@ fn every_strategy_completes_and_finds_feasible_points() {
     let reward = ScenarioSpec::unconstrained().compile();
     let strategies: Vec<Box<dyn SearchStrategy>> = vec![
         Box::new(CombinedSearch),
-        Box::new(PhaseSearch {
-            cnn_phase_steps: 40,
-            hw_phase_steps: 10,
-        }),
-        Box::new(SeparateSearch { cnn_steps: 100 }),
+        Box::new(PhaseSearch::scaled(150)),
+        Box::new(SeparateSearch::scaled(150)),
         Box::new(RandomSearch),
     ];
     for strategy in strategies {
@@ -150,11 +147,7 @@ fn phase_search_uses_both_controllers() {
         evaluator: &mut evaluator,
         reward: &reward,
     };
-    let strategy = PhaseSearch {
-        cnn_phase_steps: 25,
-        hw_phase_steps: 25,
-    };
-    let outcome = strategy.run(&mut ctx, &SearchConfig::quick(200, 2));
+    let outcome = PhaseSearch::scaled(200).run(&mut ctx, &SearchConfig::quick(200, 2));
     let mut cells = std::collections::HashSet::new();
     let mut configs = std::collections::HashSet::new();
     for (_, (cell, config)) in outcome.front.iter() {

@@ -120,7 +120,6 @@ fn fig7_flow_shape() {
         },
         seed: 0,
         max_steps_per_stage: 3_000,
-        ..Cifar100Config::default()
     };
     let result = run_cifar100_codesign(&config);
     assert_eq!(result.total_valid_points, 160);
@@ -181,7 +180,6 @@ fn cod1_exists_at_moderate_scale() {
         },
         seed: 0,
         max_steps_per_stage: 6_000,
-        ..Cifar100Config::default()
     };
     let result = run_cifar100_codesign(&config);
     let baselines = table2_baselines();
