@@ -20,10 +20,11 @@ use codesign_nasbench::MAX_VERTICES;
 /// The table is one comma-separated string of entries: `--name` for a
 /// switch, `--name VALUE` for a flag that takes a value, and a bare word for
 /// a subcommand, which may only come first. An unknown flag, a missing
-/// value or a stray word is an error; [`Args::parse`] reports it and exits
-/// with code 2, and on `--help` prints the usage line built from the table
-/// and exits 0. A numeric value that does not parse, or falls outside the
-/// range a binary accepts, also exits 2.
+/// value, a value flag given twice or a stray word is an error;
+/// [`Args::parse`] reports it and exits with code 2, and on `--help` prints
+/// the usage line built from the table and exits 0. A numeric value that
+/// does not parse, or falls outside the range a binary accepts, also exits
+/// 2.
 ///
 /// # Examples
 ///
@@ -69,8 +70,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Names the unknown flag, the flag missing its value, or the stray
-    /// word.
+    /// Names the unknown flag, the flag missing its value, the value flag
+    /// given twice, or the stray word.
     #[allow(clippy::should_implement_trait)]
     pub fn from_iter<I, S>(table: &str, items: I) -> Result<Self, String>
     where
@@ -90,7 +91,9 @@ impl Args {
                     let value = items
                         .next_if(|value| !value.starts_with("--"))
                         .ok_or_else(|| format!("{item} needs a value"))?;
-                    args.values.insert(key.to_owned(), value);
+                    if args.values.insert(key.to_owned(), value).is_some() {
+                        return Err(format!("{item} given twice"));
+                    }
                 }
                 (Some(key), Some(_)) => args.flags.push(key.to_owned()),
             }
@@ -252,6 +255,7 @@ mod tests {
             (vec!["--a", "--quick"], "--a needs a value"),
             (vec!["stray"], "unexpected argument 'stray'"),
             (vec!["--quick", "serve"], "unexpected argument 'serve'"),
+            (vec!["--a", "1", "--b", "2", "--a", "1"], "--a given twice"),
         ] {
             assert_eq!(Args::from_iter(TABLE, argv).unwrap_err(), reason);
         }
