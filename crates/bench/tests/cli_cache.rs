@@ -1,10 +1,9 @@
 //! The `campaign` CLI's input contract: bad CLI input — a bad cache path,
 //! a telemetry output file that cannot be created, a removed or unknown
-//! flag, a flag of another mode, a value that does not parse or is out of
-//! range, a job that `JobSpec` rejects — exits with code 2 and a message,
-//! never a panic;
-//! `--help` runs nothing; and a directory holding a stale format version
-//! cold-starts. The figure binaries reject bad sweep input the same way.
+//! flag, a flag of another mode, a value flag given twice, a value that
+//! does not parse or is out of range, a job that `JobSpec` rejects — exits
+//! with code 2 and a message, never a panic; `--help` runs nothing; and a
+//! directory holding a stale format version cold-starts. The figure binaries reject bad sweep input the same way.
 //!
 //! Every case runs the real binary on a tiny sweep from a scratch working
 //! directory, because the CLI writes `target/paper-results/` relative to
@@ -65,7 +64,7 @@ fn bad_cache_input_exits_2_without_a_panic() {
     let removed = "pass --cache-path DIR";
     let grid_order = "always dispatch in grid order";
     let vertices = "for --max-vertices: expected 2..=7";
-    let cases: [(&str, &[&str], &str); 38] = [
+    let cases: [(&str, &[&str], &str); 43] = [
         (
             "regular file",
             &["--cache-path", "eval-cache.bin"],
@@ -124,6 +123,31 @@ fn bad_cache_input_exits_2_without_a_panic() {
             "'repeats' must be an integer >= 1",
         ),
         ("misspelt flag", &["--stpes", "5"], "unknown flag --stpes"),
+        (
+            "scenario given twice",
+            &["--scenario", "0", "--scenario", "1"],
+            "--scenario given twice",
+        ),
+        (
+            "steps given twice",
+            &["--steps", "3", "--steps", "5"],
+            "--steps given twice",
+        ),
+        (
+            "overflowing shaping weight",
+            &["--reward-shaping", "hv:1e308"],
+            "reward-shaping weight must be at most 1e6",
+        ),
+        (
+            "seed past 2^53",
+            &["--seed-base", "9007199254740993"],
+            "is not below 2^53",
+        ),
+        (
+            "huge over-production",
+            &["--surrogate", "99999999999:16"],
+            "over-production factor 99999999999 exceeds the per-shard cap",
+        ),
         (
             "non-numeric steps",
             &["--steps", "abc"],

@@ -51,6 +51,18 @@ pub enum RewardShaping {
 }
 
 impl RewardShaping {
+    /// The largest weight [`RewardShaping::parse`] accepts.
+    ///
+    /// Shaping adds `weight × ΔHV` to an Eq. 3 reward of magnitude about
+    /// 1, and the controller's advantage, its gradient and the clip's sum
+    /// of squared gradients all scale with it. On the paper presets one
+    /// step's ΔHV is at most about 10⁴ (a 1,000-step 5-vertex shard's whole
+    /// visited front reaches about 9·10³), so at this weight the shaped
+    /// scalar stays below about 10¹⁰, far from overflow. A weight like
+    /// `1e308` overflows the bonus to ∞, the advantage turns NaN, and the
+    /// policy panics on its next sample.
+    pub const MAX_WEIGHT: f64 = 1e6;
+
     /// `true` when shaping alters the controller scalar.
     #[must_use]
     pub fn is_active(&self) -> bool {
@@ -63,7 +75,7 @@ impl RewardShaping {
     /// # Errors
     ///
     /// Returns a description when the mode is unknown or the weight is not
-    /// a finite positive number.
+    /// a positive number of at most [`RewardShaping::MAX_WEIGHT`].
     pub fn parse(s: &str) -> Result<Self, String> {
         let s = s.trim();
         if s.is_empty() || s.eq_ignore_ascii_case("none") || s.eq_ignore_ascii_case("off") {
@@ -81,6 +93,13 @@ impl RewardShaping {
         if !weight.is_finite() || weight <= 0.0 {
             return Err(format!(
                 "reward-shaping weight must be finite and positive, got {weight}"
+            ));
+        }
+        if weight > Self::MAX_WEIGHT {
+            return Err(format!(
+                "reward-shaping weight must be at most {:e}, got {weight:e}: \
+                 a larger bonus can overflow the controller's update",
+                Self::MAX_WEIGHT
             ));
         }
         Ok(Self::HypervolumeGradient { weight })

@@ -14,6 +14,12 @@ pub const MAX_STEPS: usize = 1_000_000;
 /// Upper bound on one job's grid size (scenarios × strategies × seeds).
 pub const MAX_SHARDS: usize = 100_000;
 
+/// Every seed of a job is below this bound, 2⁵³: a job travels as JSON,
+/// whose numbers are `f64`, and past 2⁵³ an `f64` no longer holds every
+/// integer, so `9007199254740993` would read as its neighbour
+/// `9007199254740992` and a run would silently take another seed.
+const SEED_LIMIT: u64 = 1 << 53;
+
 /// Seeds of a job that names neither `seeds` nor `repeats`.
 const DEFAULT_REPEATS: usize = 3;
 
@@ -147,6 +153,12 @@ impl JobSpec {
         if seeds.is_empty() {
             return Err("'seeds' must not be empty".into());
         }
+        if let Some(seed) = seeds.iter().find(|&&seed| seed >= SEED_LIMIT) {
+            return Err(format!(
+                "seed {seed} is not below 2^53 = {SEED_LIMIT}, past which a JSON number \
+                 rounds integers"
+            ));
+        }
 
         // Step budget: explicit steps, or population × generations (the
         // generational unit, which overrides steps).
@@ -174,6 +186,15 @@ impl JobSpec {
             .map_err(|e| format!("'reward_shaping': {e}"))?;
         let surrogate =
             SurrogateConfig::parse(text("surrogate")?).map_err(|e| format!("'surrogate': {e}"))?;
+        // A guided generation breeds k × offspring genomes, and offspring
+        // never exceed the step budget, so this cap also keeps that product
+        // far inside `usize`.
+        if let Some(config) = surrogate.filter(|c| c.overproduce > MAX_STEPS) {
+            return Err(format!(
+                "'surrogate': over-production factor {} exceeds the per-shard cap {MAX_STEPS}",
+                config.overproduce
+            ));
+        }
 
         Ok(JobSpec {
             scenarios,
@@ -324,7 +345,15 @@ mod tests {
             (r#"{"population":1}"#, ">= 2"),
             (r#"{"generations":0}"#, ">= 1"),
             (r#"{"reward_shaping":"hv:-1"}"#, "positive"),
+            (r#"{"reward_shaping":"hv:1e308"}"#, "at most 1e6"),
             (r#"{"surrogate":"1:16"}"#, "at least 2"),
+            (r#"{"surrogate":"1000001:16"}"#, "cap 1000000"),
+            (r#"{"seeds":[1e30]}"#, "not below 2^53"),
+            (r#"{"seeds":[9007199254740992]}"#, "not below 2^53"),
+            (
+                r#"{"seed_base":9007199254740990,"repeats":3}"#,
+                "not below 2^53",
+            ),
             (r#"{"surrogate":4}"#, "must be a string"),
         ];
         for (text, needle) in cases {

@@ -1,13 +1,14 @@
 //! End-to-end session coverage: a server session's streamed shard results
 //! are bit-identical to the one-shot driver's for every field of the job
 //! description, ordering guarantees hold across the whole stream, a
-//! repeated job runs ≥ 90% warm, and a job whose auto norms cannot be
-//! ranged is rejected as invalid.
+//! repeated job runs ≥ 90% warm, a job whose auto norms cannot be
+//! ranged is rejected as invalid, and so is one whose reward-shaping
+//! weight could overflow the controller, with the session going on.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use codesign_core::CodesignSpace;
+use codesign_core::{CodesignSpace, RewardShaping};
 use codesign_engine::{Campaign, ShardedDriver, SharedEvalCache, StrategyKind};
 use codesign_nasbench::{Json, NasbenchDatabase};
 use codesign_server::{CampaignServer, Event, EventSink, JobSpec, Request, ServerConfig};
@@ -184,6 +185,48 @@ fn a_degenerate_auto_norm_probe_is_an_invalid_job() {
     server.join();
     assert!(
         matches!(events.as_slice(), [Event::Error { code, .. }] if code == "invalid_job"),
+        "{events:?}"
+    );
+}
+
+#[test]
+fn an_overflowing_shaping_weight_is_an_invalid_job_and_the_session_goes_on() {
+    // Accepted, `hv:1e308` overflowed the shaping bonus, NaN reached the
+    // policy and the panic took the runner thread down with it.
+    let huge = r#"{"v":1,"type":"submit","job":{"scenarios":["0"],"strategies":["combined"],"seeds":[0],"steps":40,"reward_shaping":"hv:1e308"}}"#;
+    let largest = Json::parse(&format!(
+        r#"{{"scenarios":["0"],"strategies":["combined"],"seeds":[0],"steps":{STEPS},
+            "reward_shaping":"hv:{}"}}"#,
+        RewardShaping::MAX_WEIGHT
+    ))
+    .expect("literal json");
+    let job = JobSpec::from_json(&largest).expect("the largest weight is accepted");
+    let server = start_server();
+    let events = run_session(
+        &server,
+        &format!("{huge}\n{}\n", Request::Submit(job).to_line()),
+    );
+    server.join();
+    let errors: Vec<&str> = events
+        .iter()
+        .filter_map(|event| match event {
+            Event::Error { code, .. } => Some(code.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(errors, ["invalid_job"], "{events:?}");
+    let bonus = events
+        .iter()
+        .find_map(|event| match event {
+            Event::ShardResult { shard, .. } => shard.get("hv_bonus").and_then(Json::as_f64),
+            _ => None,
+        })
+        .expect("the shaped combined shard streamed");
+    assert!(bonus.is_finite() && bonus > 0.0, "hv_bonus {bonus}");
+    assert!(
+        events
+            .iter()
+            .any(|event| matches!(event, Event::JobDone { shards: 1, .. })),
         "{events:?}"
     );
 }
