@@ -110,6 +110,12 @@ fn bench_cache(c: &mut Criterion) {
     group.bench_function("save_sharded_204k", |b| {
         b.iter(|| cache.save_sharded(&dir, 1).expect("save the cache"))
     });
+    // The directory now holds every pair, so each sync merges 16 full
+    // files before it writes them back, as a server's sync after its first
+    // session does.
+    group.bench_function("sync_sharded_204k", |b| {
+        b.iter(|| cache.sync_sharded(&dir, 1).expect("sync the cache"))
+    });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }

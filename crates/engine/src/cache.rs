@@ -429,18 +429,31 @@ impl SharedEvalCache {
         pairs
     }
 
+    /// Calls `f` on every stored pair entry, in no particular order,
+    /// holding one lock shard at a time.
+    pub(crate) fn for_each_pair(&self, mut f: impl FnMut(&PairKey, &PairEvaluation)) {
+        for shard in &self.shards {
+            for (key, slot) in shard.lock().expect("cache shard poisoned").iter() {
+                f(key, &slot.value);
+            }
+        }
+    }
+
+    /// Calls `f` on every stored per-cell accuracy entry, in no particular
+    /// order, holding one lock shard at a time.
+    pub(crate) fn for_each_accuracy(&self, mut f: impl FnMut(u128, f64)) {
+        for shard in &self.accuracy_shards {
+            for (hash, slot) in shard.lock().expect("cache shard poisoned").iter() {
+                f(*hash, slot.value);
+            }
+        }
+    }
+
     /// Every stored per-cell accuracy entry, unordered.
     pub(crate) fn snapshot_accuracies(&self) -> Vec<(u128, f64)> {
-        self.accuracy_shards
-            .iter()
-            .flat_map(|s| {
-                let shard = s.lock().expect("cache shard poisoned");
-                shard
-                    .iter()
-                    .map(|(k, slot)| (*k, slot.value))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+        let mut accuracies = Vec::new();
+        self.for_each_accuracy(|hash, accuracy| accuracies.push((hash, accuracy)));
+        accuracies
     }
 
     /// Turns on (or off) cell-feature recording: while on, evaluators that
@@ -477,15 +490,21 @@ impl SharedEvalCache {
         self.insert_features(cell_hash, features);
     }
 
+    /// Calls `f` on every stored cell-feature row, in no particular order,
+    /// holding one lock shard at a time.
+    pub(crate) fn for_each_features(&self, mut f: impl FnMut(u128, &[f64; CELL_FEATURE_DIM])) {
+        for shard in &self.feature_shards {
+            for (hash, features) in shard.lock().expect("cache shard poisoned").iter() {
+                f(*hash, features);
+            }
+        }
+    }
+
     /// Every stored cell-feature row, unordered (persistence sorts them).
     pub(crate) fn snapshot_features(&self) -> Vec<(u128, [f64; CELL_FEATURE_DIM])> {
-        self.feature_shards
-            .iter()
-            .flat_map(|s| {
-                let shard = s.lock().expect("cache shard poisoned");
-                shard.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
-            })
-            .collect()
+        let mut rows = Vec::new();
+        self.for_each_features(|hash, features| rows.push((hash, *features)));
+        rows
     }
 }
 

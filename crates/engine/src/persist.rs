@@ -53,11 +53,13 @@
 //!
 //! [`SharedEvalCache::save_sharded`] splits the records across the shard
 //! files by the top 4 bits of the cell hash; every file carries the salt
-//! and the full scenario provenance. A save copies every pair once, into
-//! one `Vec` sorted by key, and since the top 4 bits lead that order, each
-//! file is encoded from one contiguous run of it. Because the files
-//! partition the key space, [`SharedEvalCache::load_sharded`]
-//! reconstructs one cache bit-identically in any merge order.
+//! and the full scenario provenance. A save builds one file at a time from
+//! that file's own records: it copies the entries of the file's slice,
+//! sorts them, encodes them and writes the file before it reads the next
+//! slice, so it holds one file's records and bytes, never a copy of the
+//! whole cache. Because the files partition the key space,
+//! [`SharedEvalCache::load_sharded`] reconstructs one cache
+//! bit-identically in any merge order.
 //! [`SharedEvalCache::sync_sharded`] is the merge-on-save that lets
 //! several processes share one directory: under per-shard file locks it
 //! pulls the on-disk entries in, then writes the union back.
@@ -203,14 +205,6 @@ fn persist_shard_of(hash: u128) -> usize {
     #[allow(clippy::cast_possible_truncation)]
     let index = (hash >> 124) as usize;
     index
-}
-
-/// The run of `records`, sorted by cell hash, that persistence shard
-/// `index` holds.
-fn shard_run<T>(records: &[T], index: usize, hash: impl Fn(&T) -> u128) -> &[T] {
-    let start = records.partition_point(|r| persist_shard_of(hash(r)) < index);
-    let end = records.partition_point(|r| persist_shard_of(hash(r)) <= index);
-    &records[start..end]
 }
 
 /// The file name of persistence shard `index`.
@@ -563,21 +557,44 @@ impl SharedEvalCache {
         Ok(total)
     }
 
-    /// One v4 document per persistence shard, in shard order, encoded
-    /// lazily so a save holds one shard's bytes at a time. Each document
-    /// reads its shard's contiguous run of the sorted records, so it is
-    /// canonical on its own.
-    fn shard_documents(&self, salt: u64) -> impl Iterator<Item = (usize, Vec<u8>)> {
-        let (pairs, accuracies, features) = self.sorted_records();
+    /// One v4 document per persistence shard, in shard order, each built
+    /// from that shard's own records so a save holds one file's records and
+    /// bytes at a time. Building a document copies the entries whose cell
+    /// hash falls in its slice, one lock shard at a time, then sorts and
+    /// encodes them, so each document is canonical on its own. The record
+    /// buffers are reused from file to file, and the pair buffer is sized
+    /// once, for the largest slice.
+    fn shard_documents(&self, salt: u64) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
+        let mut counts = [0usize; CACHE_SHARD_FILES];
+        self.for_each_pair(|key, _| counts[persist_shard_of(key.cell_hash())] += 1);
+        let mut pairs: Vec<PairRecord> = Vec::with_capacity(counts.into_iter().max().unwrap_or(0));
+        let mut accuracies = Vec::new();
+        let mut features: Vec<FeatRecord> = Vec::new();
         let scenarios = self.provenance();
         (0..CACHE_SHARD_FILES).map(move |index| {
-            let bytes = encode_records(
-                shard_run(&pairs, index, |(key, _)| key.cell_hash()),
-                shard_run(&accuracies, index, |&(hash, _)| hash),
-                shard_run(&features, index, |&(hash, _)| hash),
-                &scenarios,
-                salt,
-            );
+            let in_slice = |hash: u128| persist_shard_of(hash) == index;
+            pairs.clear();
+            self.for_each_pair(|key, eval| {
+                if in_slice(key.cell_hash()) {
+                    pairs.push((*key, *eval));
+                }
+            });
+            pairs.sort_unstable_by_key(|&(key, _)| key);
+            accuracies.clear();
+            self.for_each_accuracy(|hash, accuracy| {
+                if in_slice(hash) {
+                    accuracies.push((hash, accuracy));
+                }
+            });
+            accuracies.sort_unstable_by_key(|&(hash, _)| hash);
+            features.clear();
+            self.for_each_features(|hash, row| {
+                if in_slice(hash) {
+                    features.push((hash, *row));
+                }
+            });
+            features.sort_unstable_by_key(|&(hash, _)| hash);
+            let bytes = encode_records(&pairs, &accuracies, &features, &scenarios, salt);
             (index, bytes)
         })
     }

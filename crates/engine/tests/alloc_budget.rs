@@ -1,11 +1,17 @@
-//! Pins the memory budget of a sharded cache save: `save_sharded` copies
-//! each pair once, into one sorted `Vec` of 56-byte records, and encodes
-//! one shard file at a time, so its heap peak above the live heap it
-//! starts from stays under 80 bytes per pair.
+//! Pins the memory budget of sharded cache persistence: `save_sharded`
+//! and `sync_sharded` build each of the 16 shard files from that file's
+//! own records, one file at a time, so their heap peak above the live heap
+//! they start from is about one file's share of the cache: its sorted
+//! 56-byte records and its encoded 68-byte records, ≈8 bytes per pair,
+//! held under 16. A sync's merge phase holds one file's bytes and its
+//! decoded records at a time, about as much. A save that first copied
+//! every pair into one sorted `Vec` peaked at ≈60 bytes per pair.
 //!
 //! This lives in its own integration-test binary so the counting global
 //! allocator sees only this crate's code. Bytes are counted per thread, so
-//! the test harness's other threads never leak into a measured window.
+//! the test harness's other threads never leak into a measured window;
+//! a save and a sync run on their caller's thread, so the count sees all
+//! of their allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,13 +72,18 @@ fn peak_above_start<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (value, peak.wrapping_sub(start).unsigned_abs())
 }
 
-#[test]
-fn sharded_save_copies_each_pair_once() {
-    const PAIRS: usize = 50_000;
+/// Pairs in each measured cache.
+const PAIRS: usize = 50_000;
+
+/// The heap a save or sync may hold above its start, per pair.
+const BUDGET_PER_PAIR: f64 = 16.0;
+
+/// A cache of `PAIRS` pairs whose hashes spread over every shard file, as
+/// canonical hashes do.
+fn filled_cache() -> SharedEvalCache {
     let space = ConfigSpace::chaidnn();
     let cache = SharedEvalCache::new();
     for i in 0..PAIRS as u64 {
-        // Hashes spread over every shard file, as canonical hashes do.
         let hash = u128::from(mix64(i)) << 64 | u128::from(mix64(!i));
         let config = space.get(usize::try_from(i).unwrap() % space.len());
         let x = i as f64;
@@ -85,17 +96,48 @@ fn sharded_save_copies_each_pair_once() {
         cache.put(hash, &config, eval);
     }
     assert_eq!(cache.len(), PAIRS);
+    cache
+}
 
-    let dir = std::env::temp_dir().join(format!("codesign_alloc_budget_{}.d", std::process::id()));
+/// A fresh directory for one test.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "codesign_alloc_budget_{tag}_{}.d",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
-    let (written, peak) = peak_above_start(|| cache.save_sharded(&dir, 1).expect("save"));
-    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
+/// Checks the bytes written and the peak against the budget.
+fn assert_within_budget(op: &str, written: usize, peak: usize) {
     // A 56-byte header per file and a 68-byte record per pair.
     assert_eq!(written, CACHE_SHARD_FILES * 56 + PAIRS * 68);
     let per_pair = peak as f64 / PAIRS as f64;
     assert!(
-        per_pair < 80.0,
-        "save_sharded peaked {peak} B above its starting heap, {per_pair:.1} B per pair"
+        per_pair < BUDGET_PER_PAIR,
+        "{op} peaked {peak} B above its starting heap, {per_pair:.1} B per pair"
     );
+}
+
+#[test]
+fn sharded_save_copies_each_pair_once() {
+    let cache = filled_cache();
+    let dir = scratch_dir("save");
+    let (written, peak) = peak_above_start(|| cache.save_sharded(&dir, 1).expect("save"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_within_budget("save_sharded", written, peak);
+}
+
+#[test]
+fn sharded_sync_copies_each_pair_once() {
+    let cache = filled_cache();
+    let dir = scratch_dir("sync");
+    cache.save_sharded(&dir, 1).expect("save");
+    // The directory holds every pair, so the sync merges 16 full files
+    // before it writes them back.
+    let (written, peak) = peak_above_start(|| cache.sync_sharded(&dir, 1).expect("sync"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(cache.len(), PAIRS);
+    assert_within_budget("sync_sharded", written, peak);
 }
