@@ -46,6 +46,22 @@ pub trait EvalCache: Send + Sync {
     /// Stores the evaluation of a valid pair.
     fn put(&self, cell_hash: u128, config: &AcceleratorConfig, eval: PairEvaluation);
 
+    /// Stores the evaluation of a valid pair unless the cache holds one
+    /// already, and returns the evaluation the cache keeps; the evaluator
+    /// goes on with that value. When two evaluators miss one pair at once,
+    /// both then use the first value stored, so a later hit returns a
+    /// value some run used. The default stores through [`EvalCache::put`]
+    /// and returns `eval`.
+    fn put_or_get(
+        &self,
+        cell_hash: u128,
+        config: &AcceleratorConfig,
+        eval: PairEvaluation,
+    ) -> PairEvaluation {
+        self.put(cell_hash, config, eval);
+        eval
+    }
+
     /// Returns the cached accuracy of a cell, if present — the expensive
     /// half of an evaluation under the §IV trainer source, shared at cell
     /// granularity because accuracy is accelerator-independent.
@@ -510,15 +526,15 @@ impl Evaluator {
                         crate::surrogate::cell_feature_vec(cell, self.dataset()),
                     );
                 }
-                shared.put(salted, config, eval);
+                Some(shared.put_or_get(salted, config, eval))
             }
             None => {
                 if let Some(key) = PairKey::new(hash, config) {
                     self.pairs.insert(key, eval);
                 }
+                Some(eval)
             }
         }
-        Some(eval)
     }
 
     fn resolve_accuracy(&mut self, cell: &CellSpec) -> Option<f64> {
@@ -609,6 +625,43 @@ mod tests {
         ev.evaluate_pair(&known_cells::resnet_cell(), &cfg2);
         assert_eq!(ev.gpu_hours(), after_one);
         assert_eq!(ev.distinct_cells(), 1);
+    }
+
+    /// A cache whose lookups miss while its slot already holds `held`: the
+    /// state another evaluator leaves when it stores the pair between this
+    /// one's miss and its put.
+    struct RacedCache {
+        held: PairEvaluation,
+    }
+
+    impl EvalCache for RacedCache {
+        fn get(&self, _: u128, _: &AcceleratorConfig) -> Option<PairEvaluation> {
+            None
+        }
+
+        fn put(&self, _: u128, _: &AcceleratorConfig, _: PairEvaluation) {}
+
+        fn put_or_get(&self, _: u128, _: &AcceleratorConfig, _: PairEvaluation) -> PairEvaluation {
+            self.held
+        }
+    }
+
+    #[test]
+    fn a_racing_miss_uses_the_value_the_cache_keeps() {
+        let held = PairEvaluation {
+            accuracy: 0.5,
+            latency_ms: 1.0,
+            area_mm2: 2.0,
+            power_w: 3.0,
+        };
+        let cell = known_cells::resnet_cell();
+        let own = Evaluator::with_trainer(Dataset::Cifar10)
+            .evaluate_pair(&cell, &some_config())
+            .expect("trained");
+        assert_ne!(own, held);
+        let mut ev = Evaluator::with_trainer(Dataset::Cifar10)
+            .with_shared_cache(Arc::new(RacedCache { held }));
+        assert_eq!(ev.evaluate_pair(&cell, &some_config()), Some(held));
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! how much work the previous invocation saved it.
 //!
 //! The cache keeps every entry it is given: attached to an evaluator, it
-//! is that evaluator's only pair memo.
+//! is that evaluator's only pair memo. A live put never replaces a stored
+//! value ([`EvalCache::put_or_get`]): when two workers miss one pair at
+//! once, both go on with the value the first one stored.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -157,23 +159,30 @@ fn cell_shard(cell_hash: u128) -> usize {
     (cell_hash % SHARDS as u128) as usize
 }
 
-/// Stores `value` under `key` and returns whether the key is new. A
-/// re-insertion refreshes the value (bit-identical by contract) but keeps
-/// the entry's provenance.
-fn insert_slot<K: Hash + Eq, V, S: BuildHasher>(
+/// Stores `value` under `key` and returns the value the map keeps and
+/// whether the key is new.
+///
+/// A live put (`warm == false`) leaves a taken slot as it is: when two
+/// workers miss one pair at once, both use the first value stored, so a
+/// later hit never returns a value that no run used. A preloaded value
+/// replaces the stored one, keeping the entry's provenance, so a sync
+/// converges on the values its directory holds.
+fn insert_slot<K: Hash + Eq, V: Copy, S: BuildHasher>(
     map: &mut HashMap<K, Slot<V>, S>,
     key: K,
     value: V,
     warm: bool,
-) -> bool {
+) -> (V, bool) {
     match map.entry(key) {
         Entry::Occupied(mut entry) => {
-            entry.get_mut().value = value;
-            false
+            if warm {
+                entry.get_mut().value = value;
+            }
+            (entry.get().value, false)
         }
         Entry::Vacant(entry) => {
             entry.insert(Slot { value, warm });
-            true
+            (value, true)
         }
     }
 }
@@ -358,16 +367,19 @@ impl SharedEvalCache {
         }
     }
 
-    fn insert_pair(&self, key: PairKey, eval: PairEvaluation, warm: bool) {
+    /// Stores a pair entry (see [`insert_slot`]) and returns the value the
+    /// cache keeps.
+    fn insert_pair(&self, key: PairKey, eval: PairEvaluation, warm: bool) -> PairEvaluation {
         let mut shard = self.shards[key.lock_shard()]
             .lock()
             .expect("cache shard poisoned");
-        let inserted = insert_slot(&mut shard, key, eval, warm);
+        let (kept, inserted) = insert_slot(&mut shard, key, eval, warm);
         drop(shard);
         if inserted {
             let counter = if warm { &self.preloaded } else { &self.inserts };
             counter.fetch_add(1, Ordering::Relaxed);
         }
+        kept
     }
 
     fn insert_accuracy(&self, cell_hash: u128, accuracy: f64, warm: bool) {
@@ -513,11 +525,24 @@ impl EvalCache for SharedEvalCache {
         self.get_flagged(cell_hash, config).map(|(eval, _)| eval)
     }
 
-    /// Stores the pair, unless its config is outside
-    /// `ConfigSpace::chaidnn()`.
+    /// Stores the pair, unless the cache holds it already or its config
+    /// is outside `ConfigSpace::chaidnn()`.
     fn put(&self, cell_hash: u128, config: &AcceleratorConfig, eval: PairEvaluation) {
-        if let Some(key) = PairKey::new(cell_hash, config) {
-            self.insert_pair(key, eval, false);
+        self.put_or_get(cell_hash, config, eval);
+    }
+
+    /// Stores the pair unless the cache holds it already, and returns the
+    /// value the cache keeps; a config outside `ConfigSpace::chaidnn()` is
+    /// never stored, so `eval` comes back.
+    fn put_or_get(
+        &self,
+        cell_hash: u128,
+        config: &AcceleratorConfig,
+        eval: PairEvaluation,
+    ) -> PairEvaluation {
+        match PairKey::new(cell_hash, config) {
+            Some(key) => self.insert_pair(key, eval, false),
+            None => eval,
         }
     }
 
@@ -653,6 +678,15 @@ impl EvalCache for ShardCacheView {
         self.inner.put(cell_hash, config, eval);
     }
 
+    fn put_or_get(
+        &self,
+        cell_hash: u128,
+        config: &AcceleratorConfig,
+        eval: PairEvaluation,
+    ) -> PairEvaluation {
+        self.inner.put_or_get(cell_hash, config, eval)
+    }
+
     fn get_accuracy(&self, cell_hash: u128) -> Option<f64> {
         match self.inner.get_accuracy_flagged(cell_hash) {
             Some((acc, warm)) => {
@@ -718,6 +752,22 @@ mod tests {
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         // Nothing was preloaded, so no hit is warm.
         assert_eq!((stats.warm_hits, stats.preloaded), (0, 0));
+    }
+
+    #[test]
+    fn a_second_put_keeps_the_first_value() {
+        let cache = SharedEvalCache::new();
+        let config = ConfigSpace::chaidnn().get(0);
+        cache.put(1, &config, eval(0.9));
+        cache.put(1, &config, eval(0.8));
+        assert_eq!(cache.get(1, &config), Some(eval(0.9)));
+        assert_eq!(cache.put_or_get(1, &config, eval(0.7)), eval(0.9));
+        assert_eq!(cache.stats().inserts, 1, "a taken key is no new entry");
+        // A preloaded value replaces it, as a sync's merge does, and the
+        // entry stays cold.
+        cache.put_preloaded(key(1, &config), eval(0.6));
+        assert_eq!(cache.get_flagged(1, &config), Some((eval(0.6), false)));
+        assert_eq!(cache.stats().preloaded, 0);
     }
 
     #[test]
