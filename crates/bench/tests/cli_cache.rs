@@ -12,6 +12,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
+use codesign_nasbench::Json;
+
 /// The sweep every one-shot invocation runs, as `(flag, value)` pairs; a
 /// case that passes the same flag overrides it. `serve`, `submit` and
 /// `--list-scenarios` get none of it.
@@ -20,6 +22,11 @@ const SWEEP: [(&str, &str); 3] = [
     ("--repeats", "1"),
     ("--strategies", "random"),
 ];
+
+/// A scenario whose norm floors put the shaping bonus out of the `f64`
+/// range: at `hv:0.5` a `combined` shard once panicked on it.
+const OVERFLOWING_NORMS: &str =
+    "w=acc:0.5,lat:0.3,area:0.2; norm=lat:1e160..1e161; norm=area:1e160..1e161";
 
 /// A fresh scratch working directory.
 fn scratch(tag: &str) -> PathBuf {
@@ -64,7 +71,7 @@ fn bad_cache_input_exits_2_without_a_panic() {
     let removed = "pass --cache-path DIR";
     let grid_order = "always dispatch in grid order";
     let vertices = "for --max-vertices: expected 2..=7";
-    let cases: [(&str, &[&str], &str); 43] = [
+    let cases: [(&str, &[&str], &str); 44] = [
         (
             "regular file",
             &["--cache-path", "eval-cache.bin"],
@@ -137,6 +144,16 @@ fn bad_cache_input_exits_2_without_a_panic() {
             "overflowing shaping weight",
             &["--reward-shaping", "hv:1e308"],
             "reward-shaping weight must be at most 1e6",
+        ),
+        (
+            "overflowing shaping norms",
+            &[
+                "--scenario",
+                OVERFLOWING_NORMS,
+                "--reward-shaping",
+                "hv:0.5",
+            ],
+            "from its norm floors the hypervolume box spans lat 1e161, area 1e161",
         ),
         (
             "seed past 2^53",
@@ -388,6 +405,45 @@ fn scenario_modes_take_the_flags_they_read() {
     assert_eq!(check.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&check.stdout).contains("1 scenario(s) valid"));
     assert!(!cwd.join("x.d").exists() && !cwd.join("target").exists());
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+/// The largest shaping bound a job may take runs: norms of 10¹⁵⁰ on
+/// latency and area put the bonus's bound at `RewardShaping::MAX_BONUS`,
+/// and every controller strategy finishes with a finite bonus.
+#[test]
+fn shaping_at_the_bonus_bound_runs() {
+    let cwd = scratch("bonus-bound");
+    let out = campaign(
+        &cwd,
+        &[
+            "--max-vertices",
+            "4",
+            "--workers",
+            "1",
+            "--no-cache",
+            "--strategies",
+            "combined,phase,separate",
+            "--steps",
+            "300",
+            "--scenario",
+            "w=acc:0.5,lat:0.3,area:0.2; norm=lat:1e149..1e150; norm=area:1e149..1e150",
+            "--reward-shaping",
+            "hv:0.5",
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let jsonl = std::fs::read_to_string(cwd.join("target/paper-results/campaign.jsonl")).unwrap();
+    let bonuses: Vec<f64> = jsonl
+        .lines()
+        .filter_map(|line| Json::parse(line).ok()?.get("hv_bonus")?.as_f64())
+        .collect();
+    assert_eq!(bonuses.len(), 3, "{jsonl}");
+    assert!(
+        bonuses.iter().all(|b| b.is_finite() && *b > 1e290),
+        "{bonuses:?}"
+    );
     let _ = std::fs::remove_dir_all(&cwd);
 }
 

@@ -152,6 +152,21 @@ impl MetricId {
         }
     }
 
+    /// The largest value [`MetricId::signed`] takes on any pair. An
+    /// accuracy is at most 1 and a minimized metric is never negative, so
+    /// its signed value is at most 0. Perf per area is `10⁵ / (latency ×
+    /// area)`: every config's area is at least 53 mm² and no network runs
+    /// faster than the 2-vertex cell's 3.5 ms, so no pair reaches 540
+    /// images/s/cm², and 10⁴ bounds it with room to spare.
+    #[must_use]
+    pub(crate) fn signed_ceiling(&self) -> f64 {
+        match self {
+            MetricId::Accuracy => 1.0,
+            MetricId::LatencyMs | MetricId::AreaMm2 | MetricId::PowerW => 0.0,
+            MetricId::PerfPerArea => 1e4,
+        }
+    }
+
     /// Default normalization range in natural units, covering the observed
     /// spread of the codesign space (the axes of Figs. 4–7).
     #[must_use]

@@ -63,6 +63,13 @@ impl RewardShaping {
     /// policy panics on its next sample.
     pub const MAX_WEIGHT: f64 = 1e6;
 
+    /// The largest bound on the shaping bonus [`RewardShaping::check_range`]
+    /// accepts. The controller multiplies the shaped scalar by gradients
+    /// summed over its rollout's decisions, so the bonus keeps a factor of
+    /// 10⁸ below `f64::MAX` (≈1.8·10³⁰⁸) for them; an update whose squared
+    /// norm overflows then clips to nothing rather than to NaN.
+    pub const MAX_BONUS: f64 = 1e300;
+
     /// `true` when shaping alters the controller scalar.
     #[must_use]
     pub fn is_active(&self) -> bool {
@@ -103,6 +110,58 @@ impl RewardShaping {
             ));
         }
         Ok(Self::HypervolumeGradient { weight })
+    }
+
+    /// Checks that the bonus stays in the `f64` range on `scenario`'s axes,
+    /// before a shaped job runs.
+    ///
+    /// A step's ΔHV, and the run's whole bonus, are bounded by the volume
+    /// between the scenario's hypervolume reference (its norm floors) and
+    /// the largest signed value each metric takes, so a norm floor far from
+    /// every metric can overflow the bonus at any weight: norms of 10¹⁶⁰ on
+    /// latency and area put 10³²¹ in reach at `hv:0.5`, the bonus turns ∞
+    /// and the policy panics. The bound counts each axis's extent, and the
+    /// weight, as at least 1, so no partial product of the hypervolume
+    /// kernel overflows either. An axis no pair can pass adds no volume.
+    /// Auto norms are checked at their registry defaults; the ranges they
+    /// resolve to are spans of real pairs.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description naming the scenario and the axes whose
+    /// extents make the bound exceed [`RewardShaping::MAX_BONUS`].
+    pub fn check_range(&self, scenario: &CompiledScenario) -> Result<(), String> {
+        let Self::HypervolumeGradient { weight } = *self else {
+            return Ok(());
+        };
+        let extents: Vec<_> = scenario
+            .metrics()
+            .iter()
+            .zip(scenario.hypervolume_reference())
+            .map(|(metric, floor)| (metric, metric.signed_ceiling() - floor))
+            .collect();
+        if extents.iter().any(|&(_, extent)| extent <= 0.0) {
+            return Ok(());
+        }
+        let bound = extents.iter().fold(weight.max(1.0), |bound, &(_, extent)| {
+            bound * extent.max(1.0)
+        });
+        if bound <= Self::MAX_BONUS {
+            return Ok(());
+        }
+        let axes: Vec<String> = extents
+            .iter()
+            .filter(|&&(_, extent)| extent > 1.0)
+            .map(|(metric, extent)| format!("{metric} {extent:e}"))
+            .collect();
+        Err(format!(
+            "hv:{weight} can overflow on scenario '{}': from its norm floors the \
+             hypervolume box spans {}, so the bonus can reach {bound:e}, past the \
+             {:e} a shaped reward may take; narrow those norms or lower the weight",
+            scenario.name(),
+            axes.join(", "),
+            Self::MAX_BONUS
+        ))
     }
 }
 

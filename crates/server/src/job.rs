@@ -184,6 +184,11 @@ impl JobSpec {
         };
         let reward_shaping = RewardShaping::parse(text("reward_shaping")?)
             .map_err(|e| format!("'reward_shaping': {e}"))?;
+        for scenario in &scenarios {
+            reward_shaping
+                .check_range(&scenario.compile())
+                .map_err(|e| format!("'reward_shaping': {e}"))?;
+        }
         let surrogate =
             SurrogateConfig::parse(text("surrogate")?).map_err(|e| format!("'surrogate': {e}"))?;
         // A guided generation breeds k × offspring genomes, and offspring
@@ -361,6 +366,39 @@ mod tests {
             let err = JobSpec::from_json(&doc).expect_err(text);
             assert!(err.contains(needle), "{text}: {err}");
         }
+    }
+
+    /// The shaping bonus is bounded on every scenario's own axes: norm
+    /// floors far from every metric overflow it even at `hv:0.5`.
+    #[test]
+    fn shaping_must_stay_in_range_on_every_scenario() {
+        let job = |scenarios: &str, shaping: &str| {
+            let doc = Json::parse(&format!(
+                r#"{{"scenarios":{scenarios},"reward_shaping":"{shaping}"}}"#
+            ))
+            .unwrap();
+            JobSpec::from_json(&doc)
+        };
+        let huge =
+            r#"["0", "w=acc:0.5,lat:0.3,area:0.2; norm=lat:1e160..1e161; norm=area:1e160..1e161"]"#;
+        let err = job(huge, "hv:0.5").expect_err("norms of 1e161 overflow the bonus");
+        assert!(
+            err.starts_with("'reward_shaping': hv:0.5 can overflow on scenario")
+                && err.contains("lat 1e161, area 1e161"),
+            "{err}"
+        );
+        assert!(job(huge, "none").is_ok(), "an unshaped job has no bonus");
+        let wide =
+            r#"["w=acc:0.5,lat:0.3,area:0.2; norm=lat:1e100..1e101; norm=area:1e100..1e101"]"#;
+        assert!(job(wide, "hv:0.5").is_ok());
+        // The presets, at every weight, and the committed custom scenarios.
+        assert!(job(r#"["0","1","2"]"#, "hv:1e6").is_ok());
+        let custom = codesign_core::scenarios_from_document(
+            &Json::parse(include_str!("../../../examples/scenarios/custom.json")).unwrap(),
+        )
+        .unwrap();
+        let custom = Json::Arr(custom.iter().map(ScenarioSpec::to_json).collect());
+        assert!(job(&custom.to_string(), "hv:0.5").is_ok());
     }
 
     #[test]
